@@ -312,17 +312,16 @@ class CellConfig:
         floor_fraction: Per-cell budget floor (fraction of fair share).
         smoothing: Exponential smoothing on observed per-cell spends.
         processes: Worker processes for cell execution (``None``/1 =
-            sequential in-process).
+            sequential in-process; more runs the cells on that many
+            long-lived resident workers, bit-identical to sequential).
         backends: Per-cell kernel backends (``None`` = the engine
             block's backend everywhere).
         partition_restarts: K-means restarts when partitioning.
         balance_weight: Weight of the workload-balance term in the
             partition score.
-        timeout_seconds: Per-epoch-job deadline on the pooled path.
-        max_retries: Retries per (cell, epoch) job after a failure.
-        runtime: Pooled execution runtime -- ``"resident"`` (stateful
-            long-lived workers, the default) or ``"legacy"`` (one
-            process pool job per cell per epoch).
+        timeout_seconds: Per-epoch heartbeat-silence deadline on the
+            pooled path.
+        max_retries: Retries per (worker, epoch) after a failure.
         shared_states: Ship compiled slot states to resident workers
             through shared memory (``None`` = automatic: on whenever
             the scenario's state stream supports parent-side
@@ -343,7 +342,6 @@ class CellConfig:
     balance_weight: float = 1.0
     timeout_seconds: float | None = None
     max_retries: int = 2
-    runtime: str = "resident"
     shared_states: bool | None = None
     carry_every: int | None = None
 
@@ -497,7 +495,6 @@ def _run_sharded_path(
         processes=cfg.processes,
         timeout_seconds=cfg.timeout_seconds,
         max_retries=cfg.max_retries,
-        runtime=cfg.runtime,
         shared_states=cfg.shared_states,
         carry_every=cfg.carry_every,
         tracer=tracer,

@@ -33,7 +33,6 @@ from repro.sim.shard_runtime import (
     WorkerFailure,
 )
 from repro.sim.sharded import (
-    RUNTIME_NAMES,
     ShardedController,
     ShardedResult,
     merge_cell_metrics,
@@ -48,7 +47,6 @@ __all__ = [
     "CellPlan",
     "CellRuntime",
     "CoordinatedBudget",
-    "RUNTIME_NAMES",
     "ResidentWorker",
     "ShardCheckpoint",
     "SharedStatePlanner",

@@ -6,10 +6,19 @@ configuration under several root seeds -- optionally across processes --
 and aggregates the headline metrics with bootstrap confidence
 intervals.
 
-The unit of work is a :class:`ReplicationSpec`: a plain, picklable
+The configuration is a :class:`ReplicationSpec`: a plain, picklable
 description (scenario knobs + controller knobs) from which each worker
 rebuilds everything.  This is what makes multiprocessing safe -- no
 controller or network objects ever cross process boundaries.
+
+There is one dispatch loop.  The unit of work is a tuple of seeds,
+run in lockstep when ``spec.batch_seeds > 1`` and one after another
+otherwise, and it returns one ``(seed, outcome, error)`` entry per
+seed.  Groups run in-process or on a single process pool; with retry
+options a failed seed is retried solo, a hung or crashed group's pool
+has its workers killed and is rebuilt, and the run ends with a
+``failed_seeds`` list.  Without them the first error in seed order
+propagates unchanged.
 """
 
 from __future__ import annotations
@@ -244,21 +253,14 @@ def execute_replication(
 
 #: Per-worker replication context installed once by :func:`_init_worker`,
 #: so :func:`run_replications` ships the spec with each worker process
-#: instead of pickling it into every seed's job tuple.
-_WORKER_CONTEXT: "tuple[ReplicationSpec, bool] | None" = None
+#: instead of pickling it into every seed group.
+_WORKER_CONTEXT: "tuple[ReplicationSpec, bool, bool] | None" = None
 
 
-def _init_worker(spec: ReplicationSpec, trace_phases: bool) -> None:
-    """Pool initializer: pin the spec in the worker process."""
+def _init_worker(spec: ReplicationSpec, trace_phases: bool, batched: bool) -> None:
+    """Pool initializer: pin the spec and the dispatch mode in the worker."""
     global _WORKER_CONTEXT
-    _WORKER_CONTEXT = (spec, trace_phases)
-
-
-def _execute_seed(seed: int) -> ReplicationOutcome:
-    """Worker entry point: run one seed against the pinned spec."""
-    assert _WORKER_CONTEXT is not None, "worker pool was not initialised"
-    spec, trace_phases = _WORKER_CONTEXT
-    return _run_one(spec, seed, trace_phases)
+    _WORKER_CONTEXT = (spec, trace_phases, batched)
 
 
 #: Per-process attempt counts for ``flaky_seeds`` injection.  Worker
@@ -267,10 +269,12 @@ def _execute_seed(seed: int) -> ReplicationOutcome:
 _FLAKY_ATTEMPTS: dict[int, int] = {}
 
 
-def _run_one(
-    spec: ReplicationSpec, seed: int, trace_phases: bool
-) -> ReplicationOutcome:
-    """Run one seed of a spec and condense its outcome."""
+def _prepare(spec: ReplicationSpec, seed: int, trace_phases: bool):
+    """Failure injection, scenario and controller for one seed's run.
+
+    Returns ``(scenario, controller, probe)``; ``probe`` is ``None``
+    unless *trace_phases*.
+    """
     from repro.api import make_controller
 
     if seed in spec.fail_seeds:
@@ -279,7 +283,6 @@ def _run_one(
         _FLAKY_ATTEMPTS[seed] = _FLAKY_ATTEMPTS.get(seed, 0) + 1
         if _FLAKY_ATTEMPTS[seed] == 1:
             raise SolverError(f"injected transient failure for seed {seed}")
-
     scenario = repro.make_paper_scenario(
         seed=seed,
         config=repro.ScenarioConfig(
@@ -301,22 +304,36 @@ def _run_one(
         tracer=probe,
         engine_backend=spec.engine_backend,
     )
+    return scenario, controller, probe
+
+
+def _condense(
+    seed: int, result, budget: float, probe: "Probe | None"
+) -> ReplicationOutcome:
+    """One run's :class:`~repro.sim.results.SimulationResult` as an outcome."""
+    return ReplicationOutcome(
+        seed=seed,
+        mean_latency=result.time_average_latency(),
+        mean_cost=result.time_average_cost(),
+        mean_backlog=float(np.mean(result.backlog)),
+        budget=budget,
+        mean_solve_seconds=result.summary().mean_solve_seconds,
+        phase_state=probe.phases.state_dict() if probe is not None else None,
+    )
+
+
+def _run_one(
+    spec: ReplicationSpec, seed: int, trace_phases: bool
+) -> ReplicationOutcome:
+    """Run one seed of a spec and condense its outcome."""
+    scenario, controller, probe = _prepare(spec, seed, trace_phases)
     result = repro.run_simulation(
         controller,
         scenario.fresh_compiled_states(spec.horizon),
         budget=scenario.budget,
         tracer=probe,
     )
-    summary = result.summary()
-    return ReplicationOutcome(
-        seed=seed,
-        mean_latency=result.time_average_latency(),
-        mean_cost=result.time_average_cost(),
-        mean_backlog=float(np.mean(result.backlog)),
-        budget=scenario.budget,
-        mean_solve_seconds=summary.mean_solve_seconds,
-        phase_state=probe.phases.state_dict() if probe is not None else None,
-    )
+    return _condense(seed, result, scenario.budget, probe)
 
 
 def _run_batch(
@@ -331,7 +348,6 @@ def _run_batch(
     loop; a driver-level failure that escapes it lands on every
     unfinished seed (the caller retries those solo).
     """
-    from repro.api import make_controller
     from repro.sim.batched import LockstepLane, run_simulations_lockstep
 
     outcomes: dict[int, ReplicationOutcome] = {}
@@ -340,35 +356,7 @@ def _run_batch(
     lane_info: list[tuple[int, float, "Probe | None"]] = []
     for seed in seeds:
         try:
-            if seed in spec.fail_seeds:
-                raise SolverError(f"injected failure for seed {seed}")
-            if seed in spec.flaky_seeds:
-                _FLAKY_ATTEMPTS[seed] = _FLAKY_ATTEMPTS.get(seed, 0) + 1
-                if _FLAKY_ATTEMPTS[seed] == 1:
-                    raise SolverError(
-                        f"injected transient failure for seed {seed}"
-                    )
-            scenario = repro.make_paper_scenario(
-                seed=seed,
-                config=repro.ScenarioConfig(
-                    num_devices=spec.num_devices,
-                    workload=spec.workload,
-                    budget_fraction=spec.budget_fraction,
-                ),
-                **dict(spec.network_overrides),
-            )
-            probe = Probe() if trace_phases else None
-            controller = make_controller(
-                spec.solver,
-                scenario,
-                v=spec.v,
-                z=spec.z,
-                rng_label="replication",
-                equilibrium_rng_label="replication-eq",
-                warm_start_queue=spec.warm_start_queue,
-                tracer=probe,
-                engine_backend=spec.engine_backend,
-            )
+            scenario, controller, probe = _prepare(spec, seed, trace_phases)
             lanes.append(
                 LockstepLane(
                     controller=controller,
@@ -395,60 +383,43 @@ def _run_batch(
                 if error is not None or result is None:
                     errors[seed] = error or SolverError("lane produced no result")
                     continue
-                summary = result.summary()
-                outcomes[seed] = ReplicationOutcome(
-                    seed=seed,
-                    mean_latency=result.time_average_latency(),
-                    mean_cost=result.time_average_cost(),
-                    mean_backlog=float(np.mean(result.backlog)),
-                    budget=budget,
-                    mean_solve_seconds=summary.mean_solve_seconds,
-                    phase_state=(
-                        probe.phases.state_dict() if probe is not None else None
-                    ),
-                )
+                outcomes[seed] = _condense(seed, result, budget, probe)
     return [(seed, outcomes.get(seed), errors.get(seed)) for seed in seeds]
 
 
-def _execute_seed_batch(seeds: "tuple[int, ...]") -> "list[ReplicationOutcome]":
-    """Worker entry point: run a seed group in lockstep, failing fast.
-
-    Used on the plain (non-resilient) pooled path, where a failing seed
-    should propagate exactly like the per-seed path's worker exception.
-    """
-    assert _WORKER_CONTEXT is not None, "worker pool was not initialised"
-    spec, trace_phases = _WORKER_CONTEXT
-    out: list[ReplicationOutcome] = []
-    for _, outcome, error in _run_batch(spec, seeds, trace_phases):
-        if error is not None:
-            raise error
-        assert outcome is not None
-        out.append(outcome)
-    return out
-
-
-def _execute_seed_batch_salvage(
+def _run_group(
+    spec: ReplicationSpec,
     seeds: "tuple[int, ...]",
-) -> "list[tuple[int, ReplicationOutcome | None, str | None]]":
-    """Worker entry point for the batched salvage path.
+    trace_phases: bool,
+    batched: bool,
+) -> "list[tuple[int, ReplicationOutcome | None, Exception | None]]":
+    """The unit of work: one ``(seed, outcome, error)`` entry per seed.
 
-    Per-seed failures never raise -- they come back as error strings so
-    one bad seed cannot poison its group's future.
+    Batched groups run in lockstep through :func:`_run_batch` (looked up
+    at call time, so a patched module global reaches forked workers);
+    otherwise the seeds run one after another, each error caught per
+    seed.  Never raises for a seed's failure.
     """
+    if batched:
+        return _run_batch(spec, seeds, trace_phases)
+    entries = []
+    for seed in seeds:
+        try:
+            entries.append((seed, _run_one(spec, seed, trace_phases), None))
+        except Exception as exc:
+            entries.append((seed, None, exc))
+    return entries
+
+
+def _execute_group(seeds: "tuple[int, ...]"):
+    """Pool worker entry: run one seed group against the pinned context."""
     assert _WORKER_CONTEXT is not None, "worker pool was not initialised"
-    spec, trace_phases = _WORKER_CONTEXT
-    return [
-        (
-            seed,
-            outcome,
-            None if error is None else f"{type(error).__name__}: {error}",
-        )
-        for seed, outcome, error in _run_batch(spec, seeds, trace_phases)
-    ]
+    spec, trace_phases, batched = _WORKER_CONTEXT
+    return _run_group(spec, seeds, trace_phases, batched)
 
 
 class _SeedTracker:
-    """Retry bookkeeping shared by the sequential and pooled paths."""
+    """Retry bookkeeping for :func:`_dispatch`'s salvage mode."""
 
     def __init__(
         self,
@@ -501,146 +472,103 @@ class _SeedTracker:
         return False
 
 
-def _run_pool_resilient(
-    spec: ReplicationSpec,
-    seeds: list[int],
-    *,
-    processes: int,
-    trace_phases: bool,
-    timeout_seconds: float | None,
-    tracker: _SeedTracker,
-) -> dict[int, ReplicationOutcome]:
-    """The salvage-everything pooled path.
+def _discard_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear *pool* down and kill its workers.
 
-    Submits every pending seed, collects results in order, and survives
-    the three ways a worker can die: an exception inside the run
-    (retried per seed), a per-seed timeout, and a crashed worker
-    process (``BrokenProcessPool``).  The latter two poison the whole
-    pool, so the pool is torn down, rebuilt, and the not-yet-collected
-    seeds are resubmitted -- the run finishes with a ``failed_seeds``
-    list instead of a dead pool.  Terminates because every round either
-    resolves at least the first pending seed or consumes one of its
-    bounded retry attempts.
+    ``shutdown`` alone never stops a running task, so a hung seed's
+    worker would outlive the run and block interpreter exit.
     """
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=processes,
-            initializer=_init_worker,
-            initargs=(spec, trace_phases),
-        )
+    processes = list((pool._processes or {}).values())
+    kill_workers = getattr(pool, "kill_workers", None)  # Python >= 3.14
+    if kill_workers is not None:
+        kill_workers()
+    else:
+        for process in processes:
+            process.kill()
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.join(timeout=5.0)
 
+
+def _dispatch(
+    spec: ReplicationSpec,
+    groups: "list[tuple[int, ...]]",
+    *,
+    processes: "int | None",
+    trace_phases: bool,
+    batched: bool,
+    timeout_seconds: "float | None",
+    tracker: "_SeedTracker | None",
+) -> dict[int, ReplicationOutcome]:
+    """Run seed groups in-process or on one pool; salvage failures.
+
+    Groups are collected in order.  A failed seed is retried solo, as a
+    group of one, while *tracker* grants attempts; with no tracker the
+    first error in seed order is raised unchanged.  A group timeout or
+    a crashed worker (``BrokenProcessPool``) fails every seed of the
+    group and poisons the pool: its workers are killed and the rest of
+    the round is resubmitted to a fresh pool.  Terminates because every
+    round either resolves the first pending group or consumes one of
+    its seeds' bounded attempts.
+    """
+    pooled = processes is not None and processes > 1
     results: dict[int, ReplicationOutcome] = {}
-    pending = list(seeds)
-    pool = make_pool()
+    pending = list(groups)
+    pool: "ProcessPoolExecutor | None" = None
     try:
         while pending:
-            futures = {seed: pool.submit(_execute_seed, seed) for seed in pending}
-            next_pending: list[int] = []
-            rebuild = False
-            for position, seed in enumerate(pending):
+            if pooled and pool is None:
+                pool = ProcessPoolExecutor(
+                    max_workers=processes,
+                    initializer=_init_worker,
+                    initargs=(spec, trace_phases, batched),
+                )
+            futures = (
+                [pool.submit(_execute_group, group) for group in pending]
+                if pool is not None
+                else None
+            )
+            next_pending: "list[tuple[int, ...]]" = []
+            for position, group in enumerate(pending):
+                poisoned = False
                 try:
-                    results[seed] = futures[seed].result(timeout=timeout_seconds)
-                except (FuturesTimeout, BrokenProcessPool) as exc:
-                    # The pool itself is now unusable (a hung seed's
-                    # worker keeps running; a crashed worker breaks the
-                    # executor).  Fail this seed's attempt, salvage the
-                    # rest into the next round on a fresh pool.
-                    if tracker.note_failure(seed, exc):
-                        next_pending.append(seed)
+                    if futures is None:
+                        entries = _run_group(spec, group, trace_phases, batched)
+                    else:
+                        entries = futures[position].result(timeout=timeout_seconds)
+                except FuturesTimeout:
+                    poisoned = True
+                    error = TimeoutError(f"timed out after {timeout_seconds}s")
+                    entries = [(seed, None, error) for seed in group]
+                except BrokenProcessPool as exc:
+                    poisoned = True
+                    entries = [(seed, None, exc) for seed in group]
+                except Exception as exc:  # the group failed as a whole
+                    entries = [(seed, None, exc) for seed in group]
+                for seed, outcome, error in entries:
+                    if error is None:
+                        results[seed] = outcome
+                    elif tracker is None:
+                        raise error
+                    elif tracker.note_failure(seed, error):
+                        next_pending.append((seed,))
+                if poisoned:
                     next_pending.extend(pending[position + 1 :])
-                    rebuild = True
+                    _discard_pool(pool)
+                    pool = None
+                    if tracker.tracer.enabled:
+                        tracker.tracer.event(
+                            "replication.pool_rebuilt",
+                            {"pending": sum(len(g) for g in next_pending)},
+                        )
                     break
-                except Exception as exc:  # worker raised inside the run
-                    if tracker.note_failure(seed, exc):
-                        next_pending.append(seed)
-            if rebuild:
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = make_pool()
-                if tracker.tracer.enabled:
-                    tracker.tracer.event(
-                        "replication.pool_rebuilt",
-                        {"pending": len(next_pending)},
-                    )
             pending = next_pending
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    return results
-
-
-def _run_pool_resilient_batched(
-    spec: ReplicationSpec,
-    seeds: list[int],
-    *,
-    processes: int,
-    trace_phases: bool,
-    timeout_seconds: float | None,
-    tracker: _SeedTracker,
-    batch: int,
-) -> dict[int, ReplicationOutcome]:
-    """The salvage path for ``batch_seeds > 1``: groups as work units.
-
-    Seed groups are submitted whole and run in lockstep inside the
-    worker.  Per-seed failures inside a group come back as error entries
-    (never exceptions) and are retried as *singleton* groups -- i.e.
-    through the ordinary per-seed lockstep-of-one, which is exactly
-    ``_run_one``'s arithmetic.  A group timeout or a crashed worker
-    burns one attempt for every seed in the group and rebuilds the pool,
-    mirroring :func:`_run_pool_resilient`.
-    """
-
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=processes,
-            initializer=_init_worker,
-            initargs=(spec, trace_phases),
-        )
-
-    results: dict[int, ReplicationOutcome] = {}
-    pending = [list(seeds[i : i + batch]) for i in range(0, len(seeds), batch)]
-    pool = make_pool()
-    try:
-        while pending:
-            futures = [
-                pool.submit(_execute_seed_batch_salvage, tuple(group))
-                for group in pending
-            ]
-            next_pending: list[list[int]] = []
-            rebuild = False
-            for position, (group, future) in enumerate(zip(pending, futures)):
-                try:
-                    entries = future.result(timeout=timeout_seconds)
-                except (FuturesTimeout, BrokenProcessPool) as exc:
-                    # The whole group is gone with the pool; every seed
-                    # in it burns an attempt, the rest of the round is
-                    # salvaged onto a fresh pool.
-                    for seed in group:
-                        if tracker.note_failure(seed, exc):
-                            next_pending.append([seed])
-                    next_pending.extend(pending[position + 1 :])
-                    rebuild = True
-                    break
-                except Exception as exc:  # driver bug in the worker
-                    for seed in group:
-                        if tracker.note_failure(seed, exc):
-                            next_pending.append([seed])
-                else:
-                    for seed, outcome, error in entries:
-                        if error is None:
-                            assert outcome is not None
-                            results[seed] = outcome
-                        elif tracker.note_failure(seed, SolverError(error)):
-                            next_pending.append([seed])
-            if rebuild:
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = make_pool()
-                if tracker.tracer.enabled:
-                    tracker.tracer.event(
-                        "replication.pool_rebuilt",
-                        {"pending": sum(len(g) for g in next_pending)},
-                    )
-            pending = next_pending
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+    except BaseException:
+        if pool is not None:
+            _discard_pool(pool)
+        raise
+    if pool is not None:
+        pool.shutdown()
     return results
 
 
@@ -649,7 +577,6 @@ def run_replications(
     seeds: tuple[int, ...] | list[int],
     *,
     processes: int | None = None,
-    chunksize: int | None = None,
     tracer: "Tracer | None" = None,
     timeout_seconds: float | None = None,
     max_retries: int = 0,
@@ -660,31 +587,28 @@ def run_replications(
     Args:
         spec: The configuration to replicate.  Shipped to each worker
             process once, through the pool initializer, rather than
-            pickled into every seed's job.
+            pickled into every seed group.
         seeds: Root seeds; each yields an independent topology and
             state stream.
-        processes: Worker processes; ``None`` or 1 runs sequentially
-            (no pickling, easier debugging).
-        chunksize: Seeds handed to a worker per dispatch.  Defaults to
-            an even split (``ceil(len(seeds) / processes)``, capped at
-            8) so the pool round-trips batches instead of single seeds;
-            ordering of the outcomes is unaffected.  Ignored on the
-            resilient path (per-seed submission).
+        processes: Worker processes; ``None`` or 1 runs in-process
+            (no pickling, easier debugging).  Without retry options the
+            pool receives groups of ``min(8, ceil(len(seeds) /
+            processes))`` seeds (``spec.batch_seeds`` when batched), so
+            it round-trips groups instead of single seeds; the ordering
+            of the outcomes is unaffected.
         tracer: Observability tracer.  Each run (worker) records into
             its own probe; the per-phase aggregations are merged into
             *tracer* when it is a :class:`repro.obs.Probe`, so the
             parent sees one profile across all seeds.  Retry and
             seed-failure events land here too.
-        timeout_seconds: Per-seed wall-clock deadline for collecting a
-            pooled result; a seed that blows it burns one attempt and
-            the pool is rebuilt (a hung worker cannot be cancelled).
-            ``None`` disables the watchdog.  With ``spec.batch_seeds >
-            1`` the deadline applies to each *group* (its seeds run
-            together), and blowing it burns an attempt for every seed in
-            the group.
+        timeout_seconds: Per-group wall-clock deadline for collecting a
+            pooled result; blowing it burns one attempt for every seed
+            of the group, kills the pool's workers and rebuilds the
+            pool.  Groups are single seeds unless ``spec.batch_seeds >
+            1``.  ``None`` disables the watchdog.
         max_retries: Extra attempts per seed after its first failure.
-            With the default 0 and no injection knobs, a failing seed
-            on the plain pooled path propagates as before.
+            With the default 0, no timeout and no injection knobs, the
+            first failing seed's error propagates unchanged.
         retry_backoff_seconds: Base sleep before attempt ``n``'s retry
             (linear backoff: ``base * n``).
 
@@ -703,97 +627,36 @@ def run_replications(
     if timeout_seconds is not None and timeout_seconds <= 0.0:
         raise ConfigurationError("timeout_seconds must be positive")
     trace_phases = tracer is not None and tracer.enabled
-    resilient = (
+    salvage = (
         timeout_seconds is not None
         or max_retries > 0
         or bool(spec.fail_seeds)
         or bool(spec.flaky_seeds)
     )
-    tracker = _SeedTracker(max_retries, retry_backoff_seconds, as_tracer(tracer))
+    tracker = (
+        _SeedTracker(max_retries, retry_backoff_seconds, as_tracer(tracer))
+        if salvage
+        else None
+    )
     # The fixed-frequency controller has no BDMA loop to fuse, so its
-    # specs always take the historical per-seed paths.
-    batch = spec.batch_seeds if spec.solver != "fixed" else 1
-    if processes is None or processes <= 1:
-        if batch > 1:
-            by_seed: dict[int, ReplicationOutcome] = {}
-            for start in range(0, len(seeds), batch):
-                group = seeds[start : start + batch]
-                for seed, outcome, error in _run_batch(
-                    spec, group, trace_phases
-                ):
-                    if error is None:
-                        assert outcome is not None
-                        by_seed[seed] = outcome
-                        continue
-                    if not resilient:
-                        raise error
-                    # Retry solo: a lockstep-of-one is _run_one's exact
-                    # arithmetic, so the retried outcome is the same one
-                    # an unbatched run would have produced.
-                    retry = tracker.note_failure(seed, error)
-                    while retry:
-                        try:
-                            by_seed[seed] = _run_one(spec, seed, trace_phases)
-                            break
-                        except Exception as exc:
-                            retry = tracker.note_failure(seed, exc)
-            outcomes = [by_seed[s] for s in seeds if s in by_seed]
-        elif not resilient:
-            outcomes = [_run_one(spec, seed, trace_phases) for seed in seeds]
-        else:
-            by_seed = {}
-            for seed in seeds:
-                while True:
-                    try:
-                        by_seed[seed] = _run_one(spec, seed, trace_phases)
-                        break
-                    except Exception as exc:
-                        if not tracker.note_failure(seed, exc):
-                            break
-            outcomes = [by_seed[s] for s in seeds if s in by_seed]
-    elif not resilient:
-        with ProcessPoolExecutor(
-            max_workers=processes,
-            initializer=_init_worker,
-            initargs=(spec, trace_phases),
-        ) as pool:
-            if batch > 1:
-                groups = [
-                    tuple(seeds[i : i + batch])
-                    for i in range(0, len(seeds), batch)
-                ]
-                outcomes = [
-                    outcome
-                    for chunk in pool.map(_execute_seed_batch, groups)
-                    for outcome in chunk
-                ]
-            else:
-                if chunksize is None:
-                    chunksize = min(8, -(-len(seeds) // processes))
-                outcomes = list(
-                    pool.map(_execute_seed, seeds, chunksize=max(1, chunksize))
-                )
-    elif batch > 1:
-        results = _run_pool_resilient_batched(
-            spec,
-            seeds,
-            processes=processes,
-            trace_phases=trace_phases,
-            timeout_seconds=timeout_seconds,
-            tracker=tracker,
-            batch=batch,
-        )
-        outcomes = [results[s] for s in seeds if s in results]
+    # specs always run per seed.
+    batched = spec.batch_seeds > 1 and spec.solver != "fixed"
+    if batched:
+        size = spec.batch_seeds
+    elif salvage or processes is None or processes <= 1:
+        size = 1  # per-seed timeouts and retries
     else:
-        results = _run_pool_resilient(
-            spec,
-            seeds,
-            processes=processes,
-            trace_phases=trace_phases,
-            timeout_seconds=timeout_seconds,
-            tracker=tracker,
-        )
-        outcomes = [results[s] for s in seeds if s in results]
+        size = min(8, -(-len(seeds) // processes))
+    results = _dispatch(
+        spec,
+        [tuple(seeds[i : i + size]) for i in range(0, len(seeds), size)],
+        processes=processes,
+        trace_phases=trace_phases,
+        batched=batched,
+        timeout_seconds=timeout_seconds,
+        tracker=tracker,
+    )
+    outcomes = [results[s] for s in seeds if s in results]
     if isinstance(tracer, Probe):
         for outcome in outcomes:
             tracer.merge_phase_state(outcome.phase_state, order=(outcome.seed,))
@@ -801,7 +664,7 @@ def run_replications(
     report = ReplicationReport(
         outcomes=outcomes,
         budget=outcomes[0].budget if outcomes else 0.0,
-        failed_seeds=sorted(tracker.failed),
+        failed_seeds=sorted(tracker.failed) if tracker is not None else [],
     )
     if outcomes:
         report.latency = summarize_runs(

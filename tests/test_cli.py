@@ -25,6 +25,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--solver", "gurobi"])
 
+    @pytest.mark.parametrize(
+        "command",
+        (["simulate"], ["metrics", "snapshot"], ["profile", "report"]),
+    )
+    def test_cell_runtime_flag_removed(self, command) -> None:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "--cell-runtime", "resident"])
+
 
 class TestCommands:
     def test_info(self, capsys) -> None:

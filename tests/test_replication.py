@@ -206,6 +206,40 @@ class TestFailureSalvage:
             run_replications(small_spec(), seeds=(0,), max_retries=-1)
         with pytest.raises(ConfigurationError):
             run_replications(small_spec(), seeds=(0,), timeout_seconds=0.0)
+        with pytest.raises(TypeError, match="chunksize"):
+            run_replications(small_spec(), seeds=(0,), chunksize=2)
+
+    def test_hung_seed_worker_is_killed(self, monkeypatch) -> None:
+        import multiprocessing
+        import time
+
+        original = replication_mod._run_one
+
+        def hanging(spec, seed, trace_phases):
+            if seed == 2:
+                time.sleep(60.0)
+            return original(spec, seed, trace_phases)
+
+        # Pool workers fork after the patch, so they inherit it.
+        monkeypatch.setattr(replication_mod, "_run_one", hanging)
+        sink = ListSink()
+        started = time.monotonic()
+        report = run_replications(
+            small_spec(),
+            seeds=(1, 2, 3),
+            processes=2,
+            timeout_seconds=3.0,
+            retry_backoff_seconds=0.0,
+            tracer=Probe([sink]),
+        )
+        assert time.monotonic() - started < 30.0
+        assert report.failed_seeds == [2]
+        assert [o.seed for o in report.outcomes] == [1, 3]
+        # The hung worker was killed, not left running past the run.
+        assert multiprocessing.active_children() == []
+        failed = sink.events("replication.seed_failed")
+        assert [f["seed"] for f in failed] == [2]
+        assert "timed out after 3.0s" in failed[0]["error"]
 
     def test_resilient_path_matches_plain_outcomes(self) -> None:
         seeds = (0, 1)
@@ -217,3 +251,76 @@ class TestFailureSalvage:
         for a, b in zip(plain.outcomes, resilient.outcomes):
             assert a.seed == b.seed
             assert a.mean_latency == pytest.approx(b.mean_latency)
+
+
+def outcome_tuples(report) -> list[tuple]:
+    # mean_solve_seconds is wall-clock; everything else is arithmetic
+    # and must match bitwise across dispatch modes.
+    return [
+        (o.seed, o.mean_latency, o.mean_cost, o.mean_backlog, o.budget)
+        for o in report.outcomes
+    ]
+
+
+MATRIX_SEEDS = (1, 2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def sequential_baseline() -> list[tuple]:
+    return outcome_tuples(run_replications(small_spec(), seeds=MATRIX_SEEDS))
+
+
+@pytest.mark.parametrize("batch_seeds", (1, 3))
+@pytest.mark.parametrize("processes", (None, 2))
+class TestDispatchMatrix:
+    """Every (in-process | pooled) x (per-seed | batched) dispatch mode
+    lands on the sequential unbatched outcomes, salvages the same way,
+    and fails fast the same way."""
+
+    def test_outcomes_bit_identical(
+        self, processes, batch_seeds, sequential_baseline
+    ) -> None:
+        report = run_replications(
+            small_spec(batch_seeds=batch_seeds),
+            seeds=MATRIX_SEEDS,
+            processes=processes,
+        )
+        assert report.failed_seeds == []
+        assert outcome_tuples(report) == sequential_baseline
+
+    def test_failed_seed_is_salvaged(
+        self, processes, batch_seeds, sequential_baseline
+    ) -> None:
+        report = run_replications(
+            small_spec(batch_seeds=batch_seeds, fail_seeds=(2,)),
+            seeds=MATRIX_SEEDS,
+            processes=processes,
+            max_retries=0,
+            retry_backoff_seconds=0.0,
+        )
+        assert report.failed_seeds == [2]
+        assert outcome_tuples(report) == [
+            row for row in sequential_baseline if row[0] != 2
+        ]
+
+    def test_first_error_raises_without_retry_options(
+        self, processes, batch_seeds, monkeypatch
+    ) -> None:
+        import repro
+        from repro.exceptions import SolverError
+
+        original = repro.make_paper_scenario
+
+        def failing(seed, *args, **kwargs):
+            if seed == 3:
+                raise SolverError("scenario construction failed for seed 3")
+            return original(seed, *args, **kwargs)
+
+        # Pool workers fork after the patch, so they inherit it.
+        monkeypatch.setattr(repro, "make_paper_scenario", failing)
+        with pytest.raises(SolverError, match="seed 3"):
+            run_replications(
+                small_spec(batch_seeds=batch_seeds),
+                seeds=MATRIX_SEEDS,
+                processes=processes,
+            )

@@ -332,9 +332,46 @@ class TestShardedRun:
         )
         assert_identical(sequential.merged, pooled.merged)
 
+    def test_cell_summaries_judged_against_applied_shares(self) -> None:
+        # Proportional pacing moves the shares every epoch, and the
+        # last epoch is short (7 = 3 + 3 + 1), so a cell's verdict must
+        # use the slot-weighted mean of the shares it actually ran
+        # under -- not the split computed for an epoch that never runs.
+        scenario = metro_scenario()
+        plan = sharding.partition_cells(
+            scenario.network, 2, rng=np.random.default_rng(3)
+        )
+        ctrl = sharding.ShardedController(
+            metro_scenario(), plan, epoch=3, budget=1.2 * scenario.budget
+        )
+        result = ctrl.run(7)
+        assert not np.allclose(result.budgets[0], result.budgets[1])
+        lengths = np.array([3.0, 3.0, 1.0])
+        applied = lengths @ result.budgets / lengths.sum()
+        unapplied = ctrl.coordinator.budgets()
+        verdicts = [
+            bool(c.mean_cost <= applied[i] + 1e-9)
+            for i, c in enumerate(result.cells)
+        ]
+        assert [c.budget_satisfied for c in result.cells] == verdicts
+        # The case discriminates: cell 0 meets its applied share but
+        # not the never-applied next split.
+        assert verdicts[0] and result.cells[0].mean_cost > unapplied[0]
+
     def test_fixed_controller_rejected(self) -> None:
         with pytest.raises(ConfigurationError, match="fixed"):
             sharding.ShardedController(metro_scenario(), 2, controller="fixed")
+
+    def test_runtime_option_removed(self) -> None:
+        # One pooled runtime: ``runtime=`` is an unknown knob everywhere.
+        with pytest.raises(ConfigurationError, match="runtime"):
+            sharding.ShardedController(metro_scenario(), 2, runtime="resident")
+        with pytest.raises(ConfigurationError, match="runtime"):
+            sharding.run_sharded(
+                metro_scenario(), horizon=2, cells=2, runtime="resident"
+            )
+        with pytest.raises(TypeError, match="runtime"):
+            repro.CellConfig(runtime="resident")
 
     def test_backend_list_must_match_cells(self) -> None:
         with pytest.raises(ConfigurationError, match="per cell"):
@@ -370,7 +407,7 @@ class TestResidentRuntime:
             ],
         )
 
-    def test_legacy_and_resident_match_sequential(self) -> None:
+    def test_resident_matches_sequential(self) -> None:
         scenario = metro_scenario()
         plan = sharding.partition_cells(
             scenario.network, 2, rng=np.random.default_rng(3)
@@ -379,15 +416,9 @@ class TestResidentRuntime:
             scenario, horizon=4, cells=plan, epoch=2
         )
         resident = sharding.run_sharded(
-            metro_scenario(), horizon=4, cells=plan, epoch=2,
-            processes=2, runtime="resident",
-        )
-        legacy = sharding.run_sharded(
-            metro_scenario(), horizon=4, cells=plan, epoch=2,
-            processes=2, runtime="legacy",
+            metro_scenario(), horizon=4, cells=plan, epoch=2, processes=2,
         )
         assert_identical(sequential.merged, resident.merged)
-        assert_identical(sequential.merged, legacy.merged)
 
     def test_shared_states_off_matches(self) -> None:
         scenario = metro_scenario()
@@ -403,10 +434,6 @@ class TestResidentRuntime:
             processes=2, shared_states=False,
         )
         assert_identical(with_shm.merged, without.merged)
-
-    def test_invalid_runtime_rejected(self) -> None:
-        with pytest.raises(ConfigurationError, match="runtime"):
-            sharding.ShardedController(metro_scenario(), 2, runtime="warp")
 
     def test_one_cell_fault_plan_matches_unsharded(self) -> None:
         baseline = repro.api.run(
@@ -571,15 +598,8 @@ class TestResidentRuntime:
         resident = sharding.run_sharded(
             metro_scenario(fault_plan=self.spanning_fault_plan()),
             horizon=6, cells=plan, epoch=2, processes=2,
-            runtime="resident",
-        )
-        legacy = sharding.run_sharded(
-            metro_scenario(fault_plan=self.spanning_fault_plan()),
-            horizon=6, cells=plan, epoch=2, processes=2,
-            runtime="legacy",
         )
         assert_identical(sequential.merged, resident.merged)
-        assert_identical(sequential.merged, legacy.merged)
         # The plan actually disturbed the run.
         plain = sharding.run_sharded(
             metro_scenario(), horizon=6, cells=plan, epoch=2
@@ -640,12 +660,4 @@ class TestResidentRuntime:
             sharding.run_sharded(
                 metro_scenario(seed=10), horizon=4, cells=plan, epoch=2,
                 checkpoint=path, resume=True,
-            )
-
-    def test_legacy_checkpoint_rejected(self, tmp_path) -> None:
-        with pytest.raises(ConfigurationError, match="legacy"):
-            sharding.run_sharded(
-                metro_scenario(), horizon=4, cells=2, epoch=2,
-                processes=2, runtime="legacy",
-                checkpoint=tmp_path / "x.ckpt",
             )
