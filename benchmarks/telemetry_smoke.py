@@ -12,7 +12,10 @@ acceptance contract of the telemetry layer:
   ``repro_kernel_seconds`` histograms, per-cell monitor alerts/statuses
   folded into the merged health report;
 * the run's merged trajectories are **bit-identical** to the same run
-  with no telemetry attached.
+  in-process (``processes=None``), and that run's registry and health
+  agree with the pooled run's: equal final counter values, equal
+  status names and statuses, equal alert count.  Both worker
+  transports of the one sharded epoch loop are gated.
 
 Exits nonzero on any failure.  No timing assertions -- this is a
 correctness smoke, not a perf gate.
@@ -142,9 +145,16 @@ def main() -> int:
             for c in range(CELLS)
         )
 
-    # 4. Telemetry never changes results: bit-identical to a bare run.
+    # 4. The in-process transport: bit-identical trajectories, and the
+    #    same final counters and folded health as the pooled run.
+    bare_registry = MetricsRegistry()
     bare = run_sharded(
-        _scenario(), horizon=HORIZON, cells=CELLS, epoch=EPOCH
+        _scenario(),
+        horizon=HORIZON,
+        cells=CELLS,
+        epoch=EPOCH,
+        registry=bare_registry,
+        monitors=True,
     )
     checks["fingerprint_identical"] = all(
         np.array_equal(
@@ -152,6 +162,26 @@ def main() -> int:
         )
         for field in ("latency", "cost", "theta", "backlog", "price")
     )
+
+    def counters(reg: MetricsRegistry) -> dict:
+        return {
+            name: family["series"]
+            for name, family in reg.snapshot()["counters"].items()
+        }
+
+    checks["in_process_counters_equal"] = counters(bare_registry) == counters(
+        registry
+    )
+
+    def folded(report) -> "tuple | None":
+        if report is None:
+            return None
+        return (
+            [(s.name, s.status) for s in report.statuses],
+            len(report.alerts),
+        )
+
+    checks["in_process_health_equal"] = folded(bare.health) == folded(health)
 
     width = max(len(k) for k in checks)
     for name, ok in checks.items():

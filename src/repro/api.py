@@ -312,8 +312,10 @@ class CellConfig:
         floor_fraction: Per-cell budget floor (fraction of fair share).
         smoothing: Exponential smoothing on observed per-cell spends.
         processes: Worker processes for cell execution (``None``/1 =
-            sequential in-process; more runs the cells on that many
-            long-lived resident workers, bit-identical to sequential).
+            one in-process worker over every cell; more runs the cells
+            on that many long-lived resident workers, bit-identical to
+            in-process, with shared-memory slot states whenever the
+            scenario's state stream allows it).
         backends: Per-cell kernel backends (``None`` = the engine
             block's backend everywhere).
         partition_restarts: K-means restarts when partitioning.
@@ -322,13 +324,6 @@ class CellConfig:
         timeout_seconds: Per-epoch heartbeat-silence deadline on the
             pooled path.
         max_retries: Retries per (worker, epoch) after a failure.
-        shared_states: Ship compiled slot states to resident workers
-            through shared memory (``None`` = automatic: on whenever
-            the scenario's state stream supports parent-side
-            compilation).
-        carry_every: Pull worker carry state back to the parent every
-            N epochs as a salvage base (``None`` = only at the end and
-            at checkpoints).
     """
 
     count: int = 1
@@ -342,8 +337,6 @@ class CellConfig:
     balance_weight: float = 1.0
     timeout_seconds: float | None = None
     max_retries: int = 2
-    shared_states: bool | None = None
-    carry_every: int | None = None
 
 
 def _as_pairs(params: "dict | tuple") -> "tuple[tuple[str, object], ...]":
@@ -451,22 +444,12 @@ def _run_sharded_path(
     scenario: Scenario,
     cfg: CellConfig,
     *,
-    controller: str,
-    horizon: int,
-    v: float,
-    z: "int | None",
-    budget: "float | None",
-    tracer: "Tracer | None",
     engine_backend: "str | None",
-    compiled_states: bool,
-    state_chunk: int,
     controller_params: dict,
-    registry=None,
-    monitors: bool = False,
-    checkpoint: "str | None" = None,
-    checkpoint_every: "int | None" = None,
-    resume: bool = False,
+    **options: object,
 ) -> SimulationResult:
+    """Partition per *cfg* and run the sharded engine; *options* are
+    forwarded to :func:`~repro.sim.sharded.run_sharded`."""
     from repro.network.partition import partition_cells
     from repro.sim.sharded import run_sharded
 
@@ -479,12 +462,7 @@ def _run_sharded_path(
     )
     sharded = run_sharded(
         scenario,
-        horizon=horizon,
         cells=plan,
-        controller=controller,
-        v=v,
-        z=z,
-        budget=budget,
         epoch=cfg.epoch,
         coordinator=cfg.coordinator,
         floor_fraction=cfg.floor_fraction,
@@ -495,16 +473,7 @@ def _run_sharded_path(
         processes=cfg.processes,
         timeout_seconds=cfg.timeout_seconds,
         max_retries=cfg.max_retries,
-        shared_states=cfg.shared_states,
-        carry_every=cfg.carry_every,
-        tracer=tracer,
-        registry=registry,
-        monitors=monitors,
-        compiled_states=compiled_states,
-        state_chunk=state_chunk,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
-        resume=resume,
+        **options,
         **controller_params,
     )
     return sharded.merged

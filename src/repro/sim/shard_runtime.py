@@ -1,39 +1,39 @@
-"""Resident workers for the sharded engine: state lives where it runs.
+"""Cell workers for the sharded engine: state lives where it runs.
 
-PR 7's pooled path treated every epoch as a stateless job: the parent
-pickled each cell's full carry (controller state dict, generator state,
-rng bit-stream) into a fresh :class:`~concurrent.futures.ProcessPoolExecutor`
-job, the worker rebuilt the controller (and its strategy-space cache)
-from scratch, ran the segment, and pickled the whole carry back.  That
-round-trip is pure serialization tax -- the arithmetic is identical
-whether the controller object survives between epochs or not.
-
-This module keeps the state resident instead:
+Every sharded run drives its cells through one command protocol
+(``epoch`` / ``pull`` / ``load`` / ``replay`` / ``finish``), answered by
+:func:`_answer` against a :class:`_WorkerRuntime`.  The parent loop in
+:mod:`repro.sim.sharded` speaks it through one of two interchangeable
+handles:
 
 * :class:`CellRuntime` -- one cell's long-lived execution state: the
   controller (built once, strategy-space cache kept hot), the state
   generator and its rng, the fault-plan cursor (plan state + plan rng),
-  the per-cell probe/monitor suite.  The sequential path drives these
-  in-process; resident workers hold the same objects across epochs.
-* ``_worker_main`` / :class:`_WorkerRuntime` -- the worker process: its
-  cells are pinned at spawn, and per epoch it receives only
-  ``(slot range, budget shares, shared-state buffer index)`` and
-  returns compact deltas (metric lists, a telemetry
-  :meth:`~repro.obs.telemetry.MetricsRegistry.snapshot_delta`, new
-  monitor alerts).  Carry state crosses the pipe only on ``pull``
+  the per-cell probe/monitor suite.  Controllers advance in place for
+  the whole run; carry state is serialized only on ``pull``
   (checkpoint/salvage) and ``load``/``replay`` (resume/rebuild).
-* :class:`ResidentWorker` -- the parent-side handle: spawn, command
-  round-trips with a heartbeat-aware silence deadline (the hung-worker
-  watchdog: workers ping between cells, so a stuck worker -- not just
-  a dead one -- blows the deadline and is killed), kill/respawn for
-  the salvage path.
-* :class:`SharedStatePlanner` -- the parent-side epoch pipeline: it
-  owns each cell's live state stream, compiles epoch ``e + 1``'s slot
-  states into double-buffered
-  :class:`~repro.kernels.shm.SharedStateBlock` struct-of-arrays
-  segments while the workers are still solving epoch ``e``, and the
-  workers map them zero-copy (:meth:`~repro.core.state.SlotState.trusted`
-  views over shared memory).
+* :class:`_WorkerRuntime` -- everything one worker owns for its pinned
+  cells.  Per epoch it receives only ``(slot range, budget shares,
+  shared-state buffer index)`` and returns compact deltas (metric
+  lists, a telemetry
+  :meth:`~repro.obs.telemetry.MetricsRegistry.snapshot_delta`, new
+  monitor alerts).
+* :class:`InProcessWorker` -- the sequential transport: one
+  :class:`_WorkerRuntime` over every cell, answering commands by direct
+  call.  No process, no pickling; a cell's exception propagates
+  unchanged.
+* :class:`ResidentWorker` -- the pooled transport: a long-lived worker
+  process (``_worker_main``) with command round-trips over a pipe, a
+  heartbeat-aware silence deadline (the hung-worker watchdog: workers
+  ping between cells, so a stuck worker -- not just a dead one -- blows
+  the deadline and is killed), and kill/respawn for the salvage path.
+* :class:`SharedStatePlanner` -- the pooled epoch pipeline: it owns
+  each cell's live state stream, compiles epoch ``e + 1``'s slot states
+  into double-buffered :class:`~repro.kernels.shm.SharedStateBlock`
+  struct-of-arrays segments while the workers are still solving epoch
+  ``e``, and the workers map them zero-copy
+  (:meth:`~repro.core.state.SlotState.trusted` views over shared
+  memory).
 
 Bit-identity: every byte of cross-slot state is either deterministic in
 the slot index or an exactly-captured rng stream, so a worker rebuilt
@@ -64,6 +64,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "CellRuntime",
+    "InProcessWorker",
     "ResidentWorker",
     "SharedStatePlanner",
     "WorkerFailure",
@@ -98,18 +99,16 @@ class WorkerFailure(RuntimeError):
 class CellRuntime:
     """One cell's execution state, advanced in place epoch by epoch.
 
-    Mirrors exactly what the sequential sharded path keeps between
-    epochs -- same controller construction (same rng stream labels,
-    same telemetry context), same continuing state stream, same
-    fault-plan cursor -- so a run driven through :meth:`run_epoch` is
-    bit-identical whether the runtime lives in the parent or inside a
+    Same controller construction (same rng stream labels, same
+    telemetry context), same continuing state stream, same fault-plan
+    cursor wherever it lives, so a run driven through :meth:`run_epoch`
+    is bit-identical whether the runtime sits in the parent or inside a
     resident worker.
 
     Args:
         cell: Cell index (labels telemetry/monitors).
         scenario: The cell's scenario (its optional ``fault_plan`` is
             applied on top of every segment from the plan's own stream).
-        schedule: The cell's budget reference; created when omitted.
         own_states: Draw slot states from the cell's own stream.  With
             shared-memory states the parent owns the live stream and
             passes each epoch's states in; the runtime's local stream
@@ -132,7 +131,6 @@ class CellRuntime:
         probe: "Probe | None" = None,
         registry: "MetricsRegistry | None" = None,
         monitors: bool = False,
-        schedule: "CoordinatedBudget | None" = None,
         own_states: bool = True,
     ) -> None:
         from repro.api import make_controller
@@ -149,9 +147,7 @@ class CellRuntime:
                 default_monitors(budget=float(budget), network=scenario.network),
                 labels={"cell": self.cell},
             ).attach(probe)
-        self.schedule = (
-            schedule if schedule is not None else CoordinatedBudget(float(budget))
-        )
+        self.schedule = CoordinatedBudget(float(budget))
         with telemetry_context(registry, {"cell": self.cell}):
             self.controller = make_controller(
                 controller,
@@ -392,6 +388,21 @@ class _WorkerRuntime:
             block.close()
 
 
+def _answer(runtime: _WorkerRuntime, command: str, data: "dict | None"):
+    """Answer one protocol command; both worker transports call this."""
+    if command == "epoch":
+        return runtime.run_epoch(data)
+    if command == "pull":
+        return runtime.pull()
+    if command == "load":
+        return runtime.load(data)
+    if command == "replay":
+        return runtime.replay(data)
+    if command == "finish":
+        return runtime.finish()
+    raise ValueError(f"unknown command {command!r}")
+
+
 def _worker_main(conn, payload: dict) -> None:
     """Resident worker loop: build once, answer commands until stopped."""
     try:
@@ -419,25 +430,10 @@ def _worker_main(conn, payload: dict) -> None:
                 command, data = conn.recv()
             except (EOFError, OSError):
                 break
+            if command == "stop":
+                break
             try:
-                if command == "epoch":
-                    conn.send(("ok", runtime.run_epoch(data)))
-                elif command == "pull":
-                    conn.send(("ok", runtime.pull()))
-                elif command == "load":
-                    runtime.load(data)
-                    conn.send(("ok", None))
-                elif command == "replay":
-                    runtime.replay(data)
-                    conn.send(("ok", None))
-                elif command == "finish":
-                    conn.send(("ok", runtime.finish()))
-                elif command == "stop":
-                    break
-                else:
-                    conn.send(
-                        ("error", {"error": f"unknown command {command!r}"})
-                    )
+                conn.send(("ok", _answer(runtime, command, data)))
             except BaseException as exc:  # noqa: BLE001 - report, then die
                 # In-place state may be mid-epoch (poisoned); the parent
                 # kills and rebuilds this worker rather than reusing it.
@@ -456,7 +452,42 @@ def _worker_main(conn, payload: dict) -> None:
             pass
 
 
-# -- the parent-side handle ------------------------------------------------
+# -- the parent-side handles -----------------------------------------------
+
+
+class InProcessWorker:
+    """Parent handle that answers the worker protocol in-process.
+
+    Owns one :class:`_WorkerRuntime` and speaks the same
+    ``send`` / ``recv`` / ``call`` / ``stop`` as :class:`ResidentWorker`,
+    so the sharded epoch loop drives both alike.  Commands run on
+    ``send``; a cell's exception propagates unchanged (never a
+    :class:`WorkerFailure`), so a sequential run raises the first solver
+    error instead of salvaging.
+    """
+
+    process = None
+
+    def __init__(self, index: int, cells: "list[int]", payload: dict) -> None:
+        self.index = int(index)
+        self.cells = list(cells)
+        self._runtime = _WorkerRuntime(payload)
+        self._reply = None
+
+    def send(self, command: str, data: "dict | None" = None) -> None:
+        self._reply = _answer(self._runtime, command, data)
+
+    def recv(self, timeout: "float | None" = None):
+        reply, self._reply = self._reply, None
+        return reply
+
+    def call(self, command: str, data: "dict | None" = None,
+             timeout: "float | None" = None):
+        self.send(command, data)
+        return self.recv(timeout)
+
+    def stop(self) -> None:
+        self._runtime.close()
 
 
 class ResidentWorker:
@@ -565,8 +596,8 @@ class ResidentWorker:
 class SharedStatePlanner:
     """Owns the live per-cell state streams and fills shared blocks.
 
-    The parent draws each epoch's slot states exactly the way the
-    sequential path would (same generator calls, same rng consumption)
+    The parent draws each epoch's slot states exactly the way a
+    worker's own stream would (same generator calls, same rng consumption)
     and writes them into per-cell double-buffered struct-of-arrays
     blocks; workers map the blocks zero-copy.  Buffer ``e % 2`` holds
     epoch ``e``, so filling epoch ``e + 1`` never races the workers

@@ -13,21 +13,24 @@ the per-cell virtual-queue constraints is the global constraint.
 Execution is epoch-segmented exactly like checkpoint/resume: each cell
 keeps one continuing state rng and draws its compiled states segment by
 segment (``compile_states(count, rng, start=completed)``), which is
-bit-identical to one uninterrupted pass.  There are two execution
-paths.  ``processes=None``/1 runs every cell in-process, one after the
+bit-identical to one uninterrupted pass.  There is one epoch loop and
+two ways to run its workers (:mod:`repro.sim.shard_runtime`), both
+speaking the same command protocol.  ``processes=None``/1 answers it
+in-process: one worker holds every cell and runs them one after the
 other; it is the bit-identical oracle.  ``processes > 1`` pins each
-cell's carry state inside a long-lived resident worker process
-(:mod:`repro.sim.shard_runtime`): controllers advance in place for the
-whole run, the parent ships only ``(slot range, budget shares)`` per
-epoch and receives compact metric / telemetry deltas back, compiled
-slot states travel through double-buffered shared-memory
-struct-of-arrays blocks (epoch ``e + 1`` compiles while epoch ``e``
-solves), and carry state crosses the process boundary only for
-checkpoints and salvage.
+cell inside a long-lived resident worker process.  Either way
+controllers advance in place for the whole run, the loop ships only
+``(slot range, budget shares)`` per epoch and receives compact metric
+/ telemetry / alert deltas back, and carry state is serialized only for
+checkpoints and salvage.  Pooled runs whose state streams fit the
+fixed layout also ship compiled slot states through double-buffered
+shared-memory struct-of-arrays blocks (epoch ``e + 1`` compiles while
+epoch ``e`` solves).
 
 Fault tolerance: a resident worker that dies or times out is killed,
 respawned, and *replayed* -- its cells re-run from slot 0 (or from the
-last pulled carry) under the recorded per-epoch budget shares, which
+carry pulled at the last checkpoint write) under the recorded per-epoch
+budget shares, which
 lands bit-identically in the state the dead worker held, so the merged
 trajectories match an undisturbed run exactly.  ``checkpoint=`` /
 ``resume=`` on :meth:`ShardedController.run` extend the same carry
@@ -58,20 +61,15 @@ import numpy as np
 from repro.core.budget import BudgetCoordinator
 from repro.exceptions import CheckpointError, ConfigurationError, SolverError
 from repro.network.partition import CellPlan, extract_subnetwork, partition_cells
-from repro.obs.monitors import (
-    Alert,
-    HealthReport,
-    MonitorStatus,
-    MonitorSuite,
-)
+from repro.obs.monitors import Alert, HealthReport, MonitorStatus
 from repro.obs.probe import Probe, Tracer, as_tracer
-from repro.obs.telemetry import MetricsRegistry, TelemetrySink
+from repro.obs.telemetry import MetricsRegistry
 from repro.radio.mobility import StaticMobility
 from repro.sim.checkpoint import ShardCheckpoint
 from repro.sim.results import SimulationResult, SimulationSummary
 from repro.sim.scenario import Scenario, StateGenerator
 from repro.sim.shard_runtime import (
-    CellRuntime,
+    InProcessWorker,
     ResidentWorker,
     SharedStatePlanner,
     WorkerFailure,
@@ -275,22 +273,15 @@ class ShardedController:
         floor_fraction / smoothing: Coordinator pacing knobs.
         engine_backend: Kernel backend for every cell, or one entry per
             cell (heterogeneous shards).
-        processes: Worker processes; ``None``/1 runs cells sequentially
-            in-process (no pickling), which on a single core is just as
-            fast.  ``processes > 1`` pins each cell's carry state in a
-            long-lived resident worker and ships only slot ranges and
-            budget shares per epoch, bit-identical to the sequential
-            path.
-        shared_states: Ship compiled slot states to resident workers
-            through double-buffered shared-memory blocks, compiling
-            epoch ``e + 1`` while epoch ``e`` solves.  ``None`` (auto)
-            enables it whenever the scenario's states fit the fixed
-            layout (no fronthaul/outage models, no fault plan);
-            ``True`` insists and raises when they do not.
-        carry_every: Pull per-cell carry state from resident workers
-            every N epochs so salvage replays at most N epochs instead
-            of the whole run.  ``None`` (default) skips the periodic
-            pull; a checkpoint write always pulls.
+        processes: Worker processes; ``None``/1 runs every cell through
+            one in-process worker (no pickling), which on a single core
+            is just as fast.  ``processes > 1`` pins each cell's carry
+            state in a long-lived resident worker, bit-identical to the
+            in-process run.  Pooled runs ship compiled slot states
+            through shared memory whenever the scenario's states fit
+            the fixed layout (no fronthaul/outage models, no fault
+            plan).  A dead or hung resident worker is replayed from the
+            carry pulled at the last checkpoint write (or slot 0).
         timeout_seconds: Per-epoch reply deadline on the pooled path;
             a blown deadline burns one retry and rebuilds the worker.
             It is a heartbeat *silence* deadline: workers heartbeat
@@ -305,18 +296,19 @@ class ShardedController:
             into it (``shard.*`` events mark epochs and re-splits).
         registry: A live :class:`~repro.obs.telemetry.MetricsRegistry`
             the run streams into -- per-cell gauges and per-kernel /
-            per-phase histograms, labelled ``cell="<index>"``.  On the
-            pooled path each worker ships a telemetry delta with every
-            epoch reply and the parent merges it as soon as it
-            arrives, so a scrape *during* the run sees every finished
-            epoch, not just the final merge.
+            per-phase histograms, labelled ``cell="<index>"``.  Each
+            worker ships a telemetry delta with every epoch reply and
+            the parent merges it as soon as it arrives (once per
+            epoch, in-process or pooled), so a scrape *during* the run
+            sees every finished epoch, not just the final merge.
         monitors: Attach the default health monitors per cell
             (:func:`repro.obs.monitors.default_monitors` wired to each
             cell's budget share and sub-network).  Alerts carry a
             ``cell`` label, are re-emitted on the parent tracer, and the
             combined report lands on ``ShardedResult.health``.
-        **controller_params: Extra family knobs, validated by
-            :func:`repro.api.make_controller`.
+        **controller_params: Extra family knobs, validated at
+            construction (unknown names raise with a did-you-mean
+            hint).
     """
 
     def __init__(
@@ -334,8 +326,6 @@ class ShardedController:
         smoothing: float = 0.5,
         engine_backend: "str | list | tuple | None" = None,
         processes: "int | None" = None,
-        shared_states: "bool | None" = None,
-        carry_every: "int | None" = None,
         timeout_seconds: "float | None" = None,
         max_retries: int = 2,
         tracer: "Tracer | None" = None,
@@ -357,10 +347,6 @@ class ShardedController:
             raise ConfigurationError(f"epoch must be >= 1, got {epoch}")
         if max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
-        if carry_every is not None and int(carry_every) < 1:
-            raise ConfigurationError(
-                f"carry_every must be >= 1, got {carry_every}"
-            )
         if isinstance(cells, CellPlan):
             plan = cells
         else:
@@ -378,8 +364,6 @@ class ShardedController:
         )
         self.epoch = int(epoch)
         self.processes = processes
-        self.shared_states = shared_states
-        self.carry_every = None if carry_every is None else int(carry_every)
         self.timeout_seconds = timeout_seconds
         self.max_retries = int(max_retries)
         self.tracer = as_tracer(tracer)
@@ -416,9 +400,9 @@ class ShardedController:
             )
         return backends
 
-    # -- sequential path -------------------------------------------------
+    # -- the epoch loop ----------------------------------------------------
 
-    def _run_sequential(
+    def _run_epochs(
         self,
         horizon: int,
         *,
@@ -427,148 +411,40 @@ class ShardedController:
         ckpt: "_CheckpointPlan | None" = None,
         resume_state: "ShardCheckpoint | None" = None,
     ) -> "tuple[list[dict], list]":
-        trace = self.tracer.enabled
-        if resume_state is not None:
-            self.coordinator.load_state_dict(resume_state.coordinator)
-        # Per-cell probes exist whenever anything consumes events: the
-        # parent tracer, the live metrics registry, or the monitors.
-        want_probe = trace or self.registry is not None or self.monitors
-        initial = self.coordinator.budgets()
-        runtimes: "list[CellRuntime]" = []
-        for c, sc in enumerate(self.cell_scenarios):
-            probe = Probe() if want_probe else None
-            if self.registry is not None:
-                probe.add_sink(TelemetrySink(self.registry, labels={"cell": c}))
-            # The same CellRuntime objects the resident workers hold:
-            # state advances in place, no state_dict()/load_state_dict()
-            # round-trip between epochs (asserted by test_sharding).
-            runtimes.append(
-                CellRuntime(
-                    c,
-                    sc,
-                    controller=self.controller_name,
-                    v=self.v,
-                    z=self.z,
-                    backend=self.backends[c],
-                    controller_params=self.controller_params,
-                    budget=float(initial[c]),
-                    compiled=compiled,
-                    chunk=chunk,
-                    probe=probe,
-                    registry=self.registry,
-                    monitors=self.monitors,
-                    schedule=self.coordinator.schedules[c],
-                )
-            )
-        metrics = [
-            {k: [] for k in _METRIC_KEYS} for _ in self.cell_scenarios
-        ]
-        budgets_applied: list = []
-        completed = 0
-        if resume_state is not None:
-            completed = int(resume_state.completed)
-            metrics = [
-                {k: list(m.get(k, [])) for k in _METRIC_KEYS}
-                for m in resume_state.metrics
-            ]
-            budgets_applied = [
-                np.asarray(b, dtype=np.float64) for b in resume_state.budgets
-            ]
-            for c, runtime in enumerate(runtimes):
-                runtime.load_carry(resume_state.carries[c])
-        last_ckpt = completed
-        while completed < horizon:
-            count = min(self.epoch, horizon - completed)
-            budgets = self.coordinator.budgets()
-            budgets_applied.append(budgets)
-            spends = np.zeros(len(self.cell_scenarios))
-            for c, runtime in enumerate(runtimes):
-                out, spends[c] = runtime.run_epoch(
-                    completed, count, float(budgets[c])
-                )
-                for key in _METRIC_KEYS:
-                    metrics[c][key].extend(out[key])
-            completed += count
-            new_budgets = self.coordinator.update(spends)
-            self._publish_epoch(completed, new_budgets)
-            if trace:
-                self.tracer.event(
-                    "shard.epoch",
-                    {
-                        "completed": completed,
-                        "spends": spends.tolist(),
-                        "budgets": new_budgets.tolist(),
-                    },
-                )
-            if ckpt is not None and completed - last_ckpt >= ckpt.every:
-                self._write_shard_checkpoint(
-                    ckpt.path,
-                    horizon,
-                    completed,
-                    {c: rt.carry() for c, rt in enumerate(runtimes)},
-                    metrics,
-                    budgets_applied,
-                )
-                last_ckpt = completed
-        if trace and isinstance(self.tracer, Probe):
-            for c, runtime in enumerate(runtimes):
-                self.tracer.merge_phase_state(
-                    runtime.probe.phases.state_dict(), order=(0, c)
-                )
-        if self.monitors:
-            self._health = self._assemble_health_sequential(
-                [rt.suite for rt in runtimes]
-            )
-        return metrics, budgets_applied
+        """The sharded epoch loop, for either worker transport.
 
-    # -- resident path -----------------------------------------------------
-
-    def _run_resident(
-        self,
-        horizon: int,
-        *,
-        compiled: bool,
-        chunk: int,
-        ckpt: "_CheckpointPlan | None" = None,
-        resume_state: "ShardCheckpoint | None" = None,
-    ) -> "tuple[list[dict], list]":
-        """The resident-worker epoch loop (the default pooled runtime).
-
-        Cells are pinned round-robin onto long-lived workers at spawn;
-        each epoch the parent ships only ``(slot range, budget shares,
-        shared-buffer index)`` and receives metric/telemetry deltas
-        back.  While the workers solve epoch ``e`` the parent compiles
+        ``processes`` None/1 uses one :class:`InProcessWorker` holding
+        every cell; ``processes > 1`` pins cells round-robin onto
+        long-lived :class:`ResidentWorker` processes.  Each epoch the
+        parent ships only ``(slot range, budget shares, shared-buffer
+        index)`` and receives metric/telemetry/alert deltas back.
+        While resident workers solve epoch ``e`` the parent compiles
         epoch ``e + 1``'s slot states into the shared-memory double
         buffer (when :class:`SharedStatePlanner` supports the scenario)
         and the coordinator's spends arrive just in time for the next
-        split.  A dead or hung worker is killed, respawned, restored
-        from the last pulled carry (or slot 0), and *replayed* through
-        the recorded budget history -- bit-identical, so the merged
-        trajectories match an undisturbed run exactly.
+        split.  A dead or hung resident worker is killed, respawned,
+        restored from the carry pulled at the last checkpoint write (or
+        slot 0), and *replayed* through the recorded budget history --
+        bit-identical, so the merged trajectories match an undisturbed
+        run exactly.
         """
         trace = self.tracer.enabled
         num_cells = len(self.cell_scenarios)
-        workers_n = max(1, min(int(self.processes), num_cells))
+        pooled = self.processes is not None and self.processes > 1
+        workers_n = min(int(self.processes), num_cells) if pooled else 1
         if resume_state is not None:
             self.coordinator.load_state_dict(resume_state.coordinator)
-        shared_ok = SharedStatePlanner.supported(self.cell_scenarios)
-        if self.shared_states is True and not shared_ok:
-            raise ConfigurationError(
-                "shared_states=True needs plain state streams "
-                "(no fronthaul/outage models, no fault plan)"
-            )
-        use_shared = shared_ok if self.shared_states is None else bool(self.shared_states)
         planner = (
             SharedStatePlanner(
                 self.cell_scenarios, epoch=self.epoch, compiled=compiled, chunk=chunk
             )
-            if use_shared
+            if pooled and SharedStatePlanner.supported(self.cell_scenarios)
             else None
         )
-        ctx = _mp_context()
+        ctx = _mp_context() if pooled else None
         initial = self.coordinator.budgets()
         descriptors = planner.descriptors() if planner is not None else {}
-        workers: "list[ResidentWorker]" = []
+        workers: "list[ResidentWorker | InProcessWorker]" = []
         metrics = [{k: [] for k in _METRIC_KEYS} for _ in range(num_cells)]
         budgets_applied: list = []
         completed = 0
@@ -671,7 +547,11 @@ class ShardedController:
                         else None
                     ),
                 }
-                workers.append(ResidentWorker(w, cells_w, payload, ctx=ctx))
+                workers.append(
+                    ResidentWorker(w, cells_w, payload, ctx=ctx)
+                    if pooled
+                    else InProcessWorker(w, cells_w, payload)
+                )
             if resume_state is not None:
                 for worker in workers:
                     worker.call(
@@ -772,15 +652,7 @@ class ShardedController:
                             "budgets": new_budgets.tolist(),
                         },
                     )
-                pull_due = (
-                    self.carry_every is not None
-                    and session_done % self.carry_every == 0
-                    and completed < horizon
-                )
-                ckpt_due = (
-                    ckpt is not None and completed - last_ckpt >= ckpt.every
-                )
-                if pull_due or ckpt_due:
+                if ckpt is not None and completed - last_ckpt >= ckpt.every:
                     carries: dict = {}
                     for worker in workers:
                         while True:
@@ -803,16 +675,15 @@ class ShardedController:
                             carries[c].update(planner.stream_state(c, e))
                     base_carries = carries
                     base_epoch = session_done
-                    if ckpt_due:
-                        self._write_shard_checkpoint(
-                            ckpt.path,
-                            horizon,
-                            completed,
-                            carries,
-                            metrics,
-                            budgets_applied,
-                        )
-                        last_ckpt = completed
+                    self._write_shard_checkpoint(
+                        ckpt.path,
+                        horizon,
+                        completed,
+                        carries,
+                        metrics,
+                        budgets_applied,
+                    )
+                    last_ckpt = completed
             finish_out: dict = {}
             for worker in workers:
                 while True:
@@ -834,7 +705,7 @@ class ShardedController:
                     if state is not None:
                         self.tracer.merge_phase_state(state, order=(0, c))
             if self.monitors:
-                self._health = self._assemble_health_resident(finish_out)
+                self._health = self._assemble_health(finish_out)
         finally:
             for worker in workers:
                 worker.stop()
@@ -892,7 +763,7 @@ class ShardedController:
                 counter.inc(1.0, cell=c)
         return retry
 
-    def _assemble_health_resident(self, finish_out: dict) -> HealthReport:
+    def _assemble_health(self, finish_out: dict) -> HealthReport:
         statuses: list[MonitorStatus] = []
         alerts: list[Alert] = []
         for c in sorted(finish_out):
@@ -930,6 +801,10 @@ class ShardedController:
             "cells": self.plan.num_cells,
             "epoch": self.epoch,
             "coordinator": self.coordinator.mode,
+            "v": float(self.v),
+            "z": self.z,
+            "floor_fraction": self.coordinator.floor_fraction,
+            "smoothing": self.coordinator.smoothing,
         }
         return hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()
@@ -992,27 +867,6 @@ class ShardedController:
         for c, value in enumerate(budgets):
             budget_gauge.set(float(value), cell=c)
 
-    def _assemble_health_sequential(
-        self, suites: "list[MonitorSuite | None]"
-    ) -> HealthReport:
-        statuses: list[MonitorStatus] = []
-        alerts: list[Alert] = []
-        for c, suite in enumerate(suites):
-            if suite is None:
-                continue
-            report = suite.finish()
-            statuses.extend(
-                MonitorStatus(
-                    name=f"cell{c}/{s.name}",
-                    status=s.status,
-                    detail=s.detail,
-                    alerts=s.alerts,
-                )
-                for s in report.statuses
-            )
-            alerts.extend(report.alerts)
-        return HealthReport(statuses=tuple(statuses), alerts=tuple(alerts))
-
     # -- public ------------------------------------------------------------
 
     def run(
@@ -1028,10 +882,10 @@ class ShardedController:
         """Simulate *horizon* slots across every cell and merge.
 
         Cells advance in lockstep epochs; after each epoch the budget
-        coordinator re-splits ``Cbar`` from the observed spends.  The
-        resident and sequential paths produce bit-identical trajectories
-        (the resident path replays the same carry-state arithmetic the
-        checkpoint layer proved exact).  Each per-cell summary is judged
+        coordinator re-splits ``Cbar`` from the observed spends.
+        In-process and resident workers produce bit-identical
+        trajectories (salvage replays the same carry-state arithmetic
+        the checkpoint layer proved exact).  Each per-cell summary is judged
         against the slot-weighted mean of the shares that cell actually
         ran under.
 
@@ -1048,7 +902,6 @@ class ShardedController:
             raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
         self._health = None
         self._chaos_fired = False
-        pooled = self.processes is not None and self.processes > 1
         ckpt = None
         resume_state = None
         if checkpoint is not None:
@@ -1061,8 +914,7 @@ class ShardedController:
             ckpt = _CheckpointPlan(path=path, every=every)
             if resume and path.exists():
                 resume_state = self._load_shard_checkpoint(path, horizon)
-        execute = self._run_resident if pooled else self._run_sequential
-        metrics, budgets = execute(
+        metrics, budgets = self._run_epochs(
             horizon,
             compiled=compiled_states,
             chunk=state_chunk,
@@ -1102,59 +954,22 @@ def run_sharded(
     *,
     horizon: int,
     cells: "CellPlan | int",
-    controller: str = "dpp",
-    v: float = 100.0,
-    z: "int | None" = None,
-    budget: "float | None" = None,
-    epoch: int = 24,
-    coordinator: str = "proportional",
-    floor_fraction: float = 0.1,
-    smoothing: float = 0.5,
-    engine_backend: "str | list | tuple | None" = None,
-    processes: "int | None" = None,
-    shared_states: "bool | None" = None,
-    carry_every: "int | None" = None,
-    timeout_seconds: "float | None" = None,
-    max_retries: int = 2,
-    tracer: "Tracer | None" = None,
-    registry: "MetricsRegistry | None" = None,
-    monitors: bool = False,
     compiled_states: bool = True,
     state_chunk: int = 32,
     checkpoint: "str | Path | None" = None,
     checkpoint_every: "int | None" = None,
     resume: bool = False,
-    **controller_params: object,
+    **options: object,
 ) -> ShardedResult:
     """One-call sharded run: partition, coordinate, execute, merge.
 
-    See :class:`ShardedController` for the knobs.  Returns the
-    :class:`ShardedResult`; ``result.merged`` is the drop-in
+    The run-time keywords are those of :meth:`ShardedController.run`;
+    every other keyword in *options* goes to :class:`ShardedController`,
+    which validates it (unknown names raise with a did-you-mean hint).
+    Returns the :class:`ShardedResult`; ``result.merged`` is the drop-in
     cross-cell :class:`~repro.sim.results.SimulationResult`.
     """
-    sharded = ShardedController(
-        scenario,
-        cells,
-        controller=controller,
-        v=v,
-        z=z,
-        budget=budget,
-        epoch=epoch,
-        coordinator=coordinator,
-        floor_fraction=floor_fraction,
-        smoothing=smoothing,
-        engine_backend=engine_backend,
-        processes=processes,
-        shared_states=shared_states,
-        carry_every=carry_every,
-        timeout_seconds=timeout_seconds,
-        max_retries=max_retries,
-        tracer=tracer,
-        registry=registry,
-        monitors=monitors,
-        **controller_params,
-    )
-    return sharded.run(
+    return ShardedController(scenario, cells, **options).run(
         horizon,
         compiled_states=compiled_states,
         state_chunk=state_chunk,

@@ -373,6 +373,22 @@ class TestShardedRun:
         with pytest.raises(TypeError, match="runtime"):
             repro.CellConfig(runtime="resident")
 
+    @pytest.mark.parametrize(
+        "option", [{"shared_states": True}, {"carry_every": 1}]
+    )
+    def test_removed_worker_knobs_rejected(self, option) -> None:
+        # Shared memory is derived from the scenario and carries are
+        # pulled at checkpoint writes; neither knob exists anywhere.
+        (name,) = option
+        with pytest.raises(ConfigurationError, match=name):
+            sharding.ShardedController(metro_scenario(), 2, **option)
+        with pytest.raises(ConfigurationError, match=name):
+            sharding.run_sharded(
+                metro_scenario(), horizon=2, cells=2, processes=2, **option
+            )
+        with pytest.raises(TypeError, match=name):
+            repro.CellConfig(**option)
+
     def test_backend_list_must_match_cells(self) -> None:
         with pytest.raises(ConfigurationError, match="per cell"):
             sharding.ShardedController(
@@ -384,9 +400,9 @@ class TestResidentRuntime:
     """The resident-worker pooled runtime (PR 9).
 
     Contract: resident pooled execution is bit-identical to the
-    sequential path -- through worker death (salvage replay), fault
+    in-process path -- through worker death (salvage replay), fault
     plans, checkpoint/resume, and with shared-memory state shipping on
-    or off.
+    (plain streams) or off (fault plans).
     """
 
     def fault_plan(self):
@@ -420,21 +436,6 @@ class TestResidentRuntime:
         )
         assert_identical(sequential.merged, resident.merged)
 
-    def test_shared_states_off_matches(self) -> None:
-        scenario = metro_scenario()
-        plan = sharding.partition_cells(
-            scenario.network, 2, rng=np.random.default_rng(3)
-        )
-        with_shm = sharding.run_sharded(
-            scenario, horizon=4, cells=plan, epoch=2,
-            processes=2, shared_states=True,
-        )
-        without = sharding.run_sharded(
-            metro_scenario(), horizon=4, cells=plan, epoch=2,
-            processes=2, shared_states=False,
-        )
-        assert_identical(with_shm.merged, without.merged)
-
     def test_one_cell_fault_plan_matches_unsharded(self) -> None:
         baseline = repro.api.run(
             scenario=metro_scenario(fault_plan=self.fault_plan()), horizon=6
@@ -464,33 +465,55 @@ class TestResidentRuntime:
         sharding.run_sharded(metro_scenario(), horizon=6, cells=2, epoch=2)
         assert calls["carry"] == 0
 
+    def test_in_process_cell_error_propagates_unchanged(
+        self, monkeypatch
+    ) -> None:
+        # The in-process transport never wraps, salvages or replays: the
+        # first cell error surfaces as raised.
+        from repro.exceptions import SolverError
+        from repro.sim import shard_runtime
+
+        calls = []
+        original = shard_runtime.CellRuntime.run_epoch
+
+        def failing(self, start, count, budget, states=None):
+            calls.append((self.cell, start))
+            if (self.cell, start) == (1, 2):
+                raise SolverError("cell 1 diverged")
+            return original(self, start, count, budget, states=states)
+
+        monkeypatch.setattr(shard_runtime.CellRuntime, "run_epoch", failing)
+        with pytest.raises(SolverError, match="^cell 1 diverged$"):
+            sharding.run_sharded(metro_scenario(), horizon=6, cells=2, epoch=2)
+        assert calls == [(0, 0), (1, 0), (0, 2), (1, 2)]
+
     def salvage_case(
         self,
         *,
-        carry_every=None,
         fault_plan=None,
         kill=(1, 0),
         hang=None,
         cells=2,
+        horizon=6,
+        **run_options,
     ):
         scenario = metro_scenario(fault_plan=fault_plan)
         plan = sharding.partition_cells(
             scenario.network, cells, rng=np.random.default_rng(3)
         )
         undisturbed = sharding.run_sharded(
-            scenario, horizon=6, cells=plan, epoch=2,
-            processes=2, carry_every=carry_every,
+            scenario, horizon=horizon, cells=plan, epoch=2, processes=2,
         )
         extra = {"timeout_seconds": 2.0} if hang is not None else {}
         ctrl = sharding.ShardedController(
             metro_scenario(fault_plan=fault_plan), plan,
-            processes=2, epoch=2, carry_every=carry_every, **extra,
+            processes=2, epoch=2, **extra,
         )
         if hang is not None:
             ctrl._chaos_hang = hang
         else:
             ctrl._chaos_kill = kill
-        salvaged = ctrl.run(6)
+        salvaged = ctrl.run(horizon, **run_options)
         assert ctrl._chaos_fired
         assert_identical(undisturbed.merged, salvaged.merged)
         np.testing.assert_array_equal(undisturbed.budgets, salvaged.budgets)
@@ -498,8 +521,26 @@ class TestResidentRuntime:
     def test_worker_death_salvage_bit_identical(self) -> None:
         self.salvage_case()
 
-    def test_salvage_from_periodic_carry(self) -> None:
-        self.salvage_case(carry_every=1, kill=(2, 1))
+    def test_salvage_from_periodic_carry(self, tmp_path, monkeypatch) -> None:
+        # The slot-4 checkpoint write pulls every cell's carry; killing
+        # a worker in epoch 3 then rebuilds it by loading that carry and
+        # replaying epoch 2 only (not the whole run).
+        from repro.sim.shard_runtime import ResidentWorker
+
+        commands = []
+        call = ResidentWorker.call
+
+        def recording(self, command, *args, **kwargs):
+            commands.append(command)
+            return call(self, command, *args, **kwargs)
+
+        monkeypatch.setattr(ResidentWorker, "call", recording)
+        self.salvage_case(
+            kill=(3, 1), horizon=8,
+            checkpoint=tmp_path / "shard.ckpt", checkpoint_every=4,
+        )
+        assert commands.count("load") == 1
+        assert commands.index("load") == commands.index("replay") - 1
 
     def test_salvage_under_fault_plan(self) -> None:
         # The single resident worker is killed mid-run and rebuilt by
@@ -645,6 +686,30 @@ class TestResidentRuntime:
             checkpoint=path2, resume=True,
         )
         assert_identical(baseline.merged, resumed.merged)
+
+    @pytest.mark.parametrize(
+        "changed",
+        [{"v": 5.0}, {"z": 1}, {"floor_fraction": 0.5}, {"smoothing": 0.2}],
+    )
+    def test_resume_rejects_changed_controller_settings(
+        self, tmp_path, changed
+    ) -> None:
+        # A snapshot from one run must not seed a run with a different
+        # trade-off or pacing: the result would be half of each.
+        from repro.exceptions import CheckpointError
+
+        plan = sharding.partition_cells(
+            metro_scenario().network, 2, rng=np.random.default_rng(3)
+        )
+        path = tmp_path / "shard.ckpt"
+        sharding.run_sharded(
+            metro_scenario(), horizon=4, cells=plan, epoch=2, checkpoint=path
+        )
+        with pytest.raises(CheckpointError, match="different sharded run"):
+            sharding.run_sharded(
+                metro_scenario(), horizon=4, cells=plan, epoch=2,
+                checkpoint=path, resume=True, **changed,
+            )
 
     def test_checkpoint_config_mismatch_rejected(self, tmp_path) -> None:
         from repro.exceptions import CheckpointError

@@ -385,6 +385,38 @@ class TestShardedTelemetry:
         assert {a.data.get("cell") for a in drift_alerts} >= {0, 1}
         assert result.merged.health is health
 
+    def test_live_alerts_reach_parent_tracer_on_every_path(self) -> None:
+        # Both worker transports re-emit each epoch's new alerts on the
+        # parent tracer, in the same order with the same payloads.
+        class AlertSink:
+            def __init__(self) -> None:
+                self.alerts: list = []
+
+            def emit(self, event: dict) -> None:
+                if event.get("name") == "alert":
+                    self.alerts.append(event["data"])
+
+            def close(self) -> None:
+                pass
+
+        seen = {}
+        for processes in (None, 2):
+            sink = AlertSink()
+            result = run_sharded(
+                metro_scenario(),
+                horizon=40,
+                cells=2,
+                epoch=4,
+                budget=1e-4,
+                processes=processes,
+                monitors=True,
+                tracer=Probe([sink]),
+            )
+            assert result.health is not None
+            seen[processes] = sink.alerts
+        assert seen[None]
+        assert seen[None] == seen[2]
+
     def test_pooled_health_matches_cells(self) -> None:
         result = run_sharded(
             metro_scenario(),
