@@ -214,8 +214,8 @@ class NetworkBuilder:
     def _build_devices(self, rng: Rng) -> tuple[MobileDevice, ...]:
         positions = rng.uniform(0.0, self.area_size, size=(self.num_devices, 2))
         return tuple(
-            MobileDevice(index=i, position=(float(x), float(y)))
-            for i, (x, y) in enumerate(positions)
+            MobileDevice(index=i, position=(x, y))
+            for i, (x, y) in enumerate(positions.tolist())
         )
 
 

@@ -111,32 +111,57 @@ class StrategySpace:
         self.network = network
         self.coverage = coverage
         self.available_servers = available_servers
-        self._bs_choices: list[IntArray] = []
-        self._server_choices: list[IntArray] = []
-        for i in range(network.num_devices):
-            bs_list: list[int] = []
-            server_list: list[int] = []
-            for k in np.flatnonzero(coverage[i]):
-                for n in network.servers_reachable_from(int(k)):
-                    if (
-                        available_servers is not None
-                        and not available_servers[int(n)]
-                    ):
-                        continue
-                    bs_list.append(int(k))
-                    server_list.append(int(n))
-            if not bs_list:
-                raise InfeasibleError(
-                    f"{network.devices[i].label} has an empty strategy set",
-                    device=i,
-                )
-            self._bs_choices.append(np.array(bs_list, dtype=np.int64))
-            self._server_choices.append(np.array(server_list, dtype=np.int64))
-        self._flat: FlatStrategies | None = None
-        self._players_by_bs: list[IntArray] | None = None
-        self._players_by_server: list[IntArray] | None = None
         self._menus: list[IntArray] | None = None
         self._patterns: tuple[IntArray, list[IntArray]] | None = None
+        self._players_by_bs: list[IntArray] | None = None
+        self._players_by_server: list[IntArray] | None = None
+        self._flat = self._enumerate(coverage)
+        # Per-device views into the flat arrays.
+        bounds = self._flat.offsets.tolist()
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        self._bs_choices = [self._flat.bs[a:b] for a, b in spans]
+        self._server_choices = [self._flat.server[a:b] for a, b in spans]
+
+    def _enumerate(self, coverage: BoolArray) -> FlatStrategies:
+        """Every device's feasible pairs, in one pass over ``coverage``.
+
+        Device ``i``'s candidates are ``(k, n)`` for each covering
+        station ``k`` ascending and each ``n`` of ``k``'s server menu
+        (:meth:`server_menu`), in that order.  ``np.nonzero`` walks the
+        coverage matrix device-major, so repeating each (device,
+        station) hit once per menu entry lays the candidates out
+        exactly in that order.
+        """
+        menus = self.server_menu()
+        menu_size = np.array([menu.size for menu in menus], dtype=np.int64)
+        menu_start = np.cumsum(menu_size) - menu_size
+        menu_servers = np.concatenate([*menus, np.zeros(0, dtype=np.int64)])
+
+        device, station = np.nonzero(coverage)
+        hits = menu_size[station]
+        counts = np.bincount(
+            device, weights=hits, minlength=coverage.shape[0]
+        ).astype(np.int64)
+        if not counts.all():
+            i = int(np.argmin(counts))
+            raise InfeasibleError(
+                f"{self.network.devices[i].label} has an empty strategy set",
+                device=i,
+            )
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        # Multi-arange over the menus: hit h contributes the run
+        # menu_start[station[h]] + 0..hits[h].
+        ends = np.cumsum(hits)
+        picks = np.repeat(menu_start[station] - (ends - hits), hits)
+        picks += np.arange(int(offsets[-1]), dtype=np.int64)
+        return FlatStrategies(
+            bs=np.repeat(station.astype(np.int64), hits),
+            server=menu_servers[picks],
+            player=np.repeat(device.astype(np.int64), hits),
+            offsets=offsets,
+            counts=counts,
+        )
 
     @property
     def num_devices(self) -> int:
@@ -144,20 +169,7 @@ class StrategySpace:
         return len(self._bs_choices)
 
     def flat(self) -> FlatStrategies:
-        """The concatenated candidate arrays, built once and cached."""
-        if self._flat is None:
-            counts = np.array(
-                [choice.size for choice in self._bs_choices], dtype=np.int64
-            )
-            offsets = np.zeros(counts.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            self._flat = FlatStrategies(
-                bs=np.concatenate(self._bs_choices),
-                server=np.concatenate(self._server_choices),
-                player=np.repeat(np.arange(counts.size, dtype=np.int64), counts),
-                offsets=offsets,
-                counts=counts,
-            )
+        """The concatenated candidate arrays (built at construction)."""
         return self._flat
 
     def _build_inverted_index(self) -> None:

@@ -30,13 +30,14 @@ and merge results.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.network.coverage import coverage_matrix
-from repro.network.topology import FronthaulType, MECNetwork
+from repro.network.coverage import distances
+from repro.network.topology import FronthaulType, MECNetwork, MobileDevice
 from repro.network.validation import validate_network
 from repro.types import FloatArray, Rng
 
@@ -150,9 +151,8 @@ def _assign_clusters(
         if not cells:
             cluster_cell[m] = mode
             continue
-        candidates = sorted(set(cells))
-        votes = {c: cells.count(c) for c in candidates}
-        best = min(candidates, key=lambda c: (load[c], -votes[c], c))
+        votes = Counter(cells)
+        best = min(votes, key=lambda c: (load[c], -votes[c], c))
         cluster_cell[m] = best
         load[best] += 1
     return cluster_cell
@@ -178,31 +178,31 @@ def _repair_base_stations(
     return repaired
 
 
-def _assign_devices(network: MECNetwork, bs_cell: np.ndarray) -> np.ndarray:
-    """Cell of each device: that of its nearest *covering* station."""
-    positions = network.device_positions()
-    bs_positions = network.base_station_positions()
+def _nearest_covering_station(network: MECNetwork) -> np.ndarray:
+    """Index of each device's nearest *covering* base station.
+
+    It does not depend on the cell assignment, so
+    :func:`partition_cells` computes it once per call; a device's cell
+    is then ``bs_cell[nearest]``.
+    """
+    dist = distances(network.device_positions(), network.base_station_positions())
     radii = np.array([b.coverage_radius for b in network.base_stations])
-    coverage = coverage_matrix(positions, bs_positions, radii)
-    dist = np.linalg.norm(
-        positions[:, None, :] - bs_positions[None, :, :], axis=2
-    )
-    dist = np.where(coverage, dist, np.inf)
+    dist[~(dist <= radii[None, :])] = np.inf
     nearest = dist.argmin(axis=1)
-    if np.isinf(dist[np.arange(len(positions)), nearest]).any():
-        uncovered = int(np.flatnonzero(np.isinf(dist.min(axis=1)))[0])
+    uncovered = np.flatnonzero(np.isinf(dist[np.arange(len(dist)), nearest]))
+    if uncovered.size:
         raise ConfigurationError(
-            f"device {uncovered} is covered by no base station; "
+            f"device {uncovered[0]} is covered by no base station; "
             "partition a validated network"
         )
-    return bs_cell[nearest]
+    return nearest
 
 
 def _merge_empty_cells(
     network: MECNetwork,
     bs_cell: np.ndarray,
     cluster_cell: np.ndarray,
-    device_cell: np.ndarray,
+    nearest: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fold cells without devices (or stations) into viable neighbours.
 
@@ -215,6 +215,7 @@ def _merge_empty_cells(
     """
     bs_positions = network.base_station_positions()
     while True:
+        device_cell = bs_cell[nearest]
         present = np.unique(bs_cell)
         viable = [
             int(c)
@@ -251,7 +252,6 @@ def _merge_empty_cells(
             )
             bs_cell = np.where(members, target, bs_cell)
             cluster_cell = np.where(cluster_cell == c, target, cluster_cell)
-        device_cell = _assign_devices(network, bs_cell)
 
 
 def _build_plan(
@@ -279,7 +279,7 @@ def _build_plan(
                 ),
                 clusters=clusters,
                 servers=servers,
-                devices=tuple(int(i) for i in np.flatnonzero(device_cell == c)),
+                devices=tuple(np.flatnonzero(device_cell == c).tolist()),
             )
         )
     bs_positions = network.base_station_positions()
@@ -287,13 +287,13 @@ def _build_plan(
         np.linalg.norm(bs_positions.max(axis=0) - bs_positions.min(axis=0))
     )
     scale = scale if scale > 0.0 else 1.0
-    distances = []
+    spread = []
     for cell in cells:
         members = bs_positions[list(cell.base_stations)]
-        distances.extend(
+        spread.extend(
             np.linalg.norm(members - members.mean(axis=0), axis=1).tolist()
         )
-    latency = float(np.mean(distances)) / scale
+    latency = float(np.mean(spread)) / scale
     counts = np.array([c.num_devices for c in cells], dtype=np.float64)
     balance = float(counts.std() / counts.mean()) if counts.mean() else 0.0
     return CellPlan(
@@ -358,14 +358,14 @@ def partition_cells(
     if rng is None:
         rng = np.random.default_rng(0)
     bs_positions = network.base_station_positions()
+    nearest = _nearest_covering_station(network)
     best: CellPlan | None = None
     for _ in range(restarts):
         raw = _kmeans(bs_positions, num_cells, rng)
         cluster_cell = _assign_clusters(network, raw, num_cells)
         bs_cell = _repair_base_stations(network, raw, cluster_cell)
-        device_cell = _assign_devices(network, bs_cell)
         bs_cell, cluster_cell, device_cell = _merge_empty_cells(
-            network, bs_cell, cluster_cell, device_cell
+            network, bs_cell, cluster_cell, nearest
         )
         plan = _build_plan(
             network,
@@ -425,7 +425,7 @@ def extract_subnetwork(
         members = getattr(cell, kind)
         if not members:
             raise ConfigurationError(f"cell {cell.index} has no {kind}")
-        if any(not 0 <= g < bound for g in members):
+        if min(members) < 0 or max(members) >= bound:
             raise ConfigurationError(
                 f"cell {cell.index}: {kind} out of range for {network!r}"
             )
@@ -465,8 +465,9 @@ def extract_subnetwork(
         )
         for local, g in enumerate(cell.servers)
     )
+    parent_devices = network.devices
     devices = tuple(
-        replace(network.devices[g], index=local)
+        MobileDevice(local, parent_devices[g].position, parent_devices[g].name)
         for local, g in enumerate(cell.devices)
     )
     suitability = network.suitability[

@@ -228,6 +228,11 @@ class MECNetwork:
         self.server_cluster = np.array(
             [s.cluster for s in self.servers], dtype=np.int64
         )
+        # Read-only: device_positions() hands out this one array.
+        self._device_positions = np.array(
+            [d.position for d in self.devices], dtype=np.float64
+        )
+        self._device_positions.flags.writeable = False
 
         # servers_by_bs[k] -- indices of servers reachable through B_k.
         self._servers_by_bs: list[np.ndarray] = []
@@ -279,8 +284,8 @@ class MECNetwork:
         return float(max(s.frequency_ratio for s in self.servers))
 
     def device_positions(self) -> FloatArray:
-        """``(I, 2)`` array of device coordinates."""
-        return np.array([d.position for d in self.devices], dtype=np.float64)
+        """``(I, 2)`` array of device coordinates (cached, read-only)."""
+        return self._device_positions
 
     def base_station_positions(self) -> FloatArray:
         """``(K, 2)`` array of base-station coordinates."""

@@ -51,27 +51,17 @@ def validate_network(
             f"({network.num_devices}, {network.num_base_stations})"
         )
 
-    for bs in network.base_stations:
-        if network.servers_reachable_from(bs.index).size == 0:
-            raise TopologyError(f"{bs.label} reaches no server")
-
-    for i in range(network.num_devices):
-        covered = np.flatnonzero(coverage[i])
-        if covered.size == 0:
-            raise InfeasibleError(
-                f"{network.devices[i].label} is covered by no base station",
-                device=i,
-            )
-        # Coverage alone is not enough: the covering stations must reach
-        # at least one server between them (constraint (3)).
-        if all(
-            network.servers_reachable_from(int(k)).size == 0 for k in covered
-        ):
-            raise InfeasibleError(
-                f"{network.devices[i].label} has no feasible "
-                "(base station, server) pair",
-                device=i,
-            )
+    reaches = np.array(
+        [
+            network.servers_reachable_from(k).size > 0
+            for k in range(network.num_base_stations)
+        ],
+        dtype=bool,
+    )
+    if not reaches.all():
+        bs = network.base_stations[int(np.argmin(reaches))]
+        raise TopologyError(f"{bs.label} reaches no server")
+    _check_devices(network, np.asarray(coverage, dtype=bool), reaches)
 
     if check_energy_convexity:
         for server in network.servers:
@@ -80,3 +70,28 @@ def validate_network(
                     f"{server.label}: energy model is not convex on "
                     f"[{server.freq_min}, {server.freq_max}] GHz"
                 )
+
+
+def _check_devices(
+    network: MECNetwork, coverage: BoolArray, reaches: BoolArray
+) -> None:
+    """Raise for the lowest-index device without a feasible pair.
+
+    A device needs a covering base station, and -- coverage alone is not
+    enough (constraint (3)) -- one of its covering stations must reach a
+    server (``reaches[k]``).  One vectorised pass over the ``(I, K)``
+    coverage matrix finds every offender; the error names the first.
+    """
+    feasible = (coverage & reaches[None, :]).any(axis=1)
+    if feasible.all():
+        return
+    i = int(np.argmin(feasible))
+    if not coverage[i].any():
+        raise InfeasibleError(
+            f"{network.devices[i].label} is covered by no base station",
+            device=i,
+        )
+    raise InfeasibleError(
+        f"{network.devices[i].label} has no feasible (base station, server) pair",
+        device=i,
+    )

@@ -288,14 +288,17 @@ class StateGenerator:
         and no ``state_dict()`` make a resumed run diverge; the
         checkpoint layer warns about them via :meth:`unresumable_models`.
         """
-        out: dict = {"positions": self._positions.tolist()}
+        return {"positions": self._positions.tolist(), "models": self.model_states()}
+
+    def model_states(self) -> dict:
+        """``state_dict()`` of every component model exposing one, by name
+        (the ``"models"`` entry of :meth:`state_dict`)."""
         models: dict = {}
         for name in self._STATEFUL_MODELS:
             model = getattr(self, name)
             if model is not None and hasattr(model, "state_dict"):
                 models[name] = model.state_dict()
-        out["models"] = models
-        return out
+        return models
 
     def load_state_dict(self, state: dict) -> None:
         """Restore generator state captured by :meth:`state_dict`."""

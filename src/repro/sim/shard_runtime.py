@@ -620,8 +620,10 @@ class SharedStatePlanner:
         # Boundary stream states captured at each fill: the pipelined
         # fill of epoch ``e + 1`` advances the live stream past the
         # carry pull at the end of epoch ``e``, so carries must read
-        # the state snapshotted when ``e`` itself was compiled.
-        self._boundaries: "dict[int, dict[int, dict]]" = {}
+        # the state snapshotted when ``e`` itself was compiled.  Kept
+        # raw -- (positions, model states, rng state) per cell -- since
+        # only checkpoint writes read them (see :meth:`stream_state`).
+        self._boundaries: "dict[int, dict[int, tuple]]" = {}
         for c, sc in enumerate(scenarios):
             devices = sc.network.num_devices
             stations = sc.network.num_base_stations
@@ -680,10 +682,11 @@ class SharedStatePlanner:
                 arrays["bits"][j] = state.bits
                 arrays["se"][j] = state.spectral_efficiency
                 arrays["price"][j] = state.price
-            boundary[c] = {
-                "generator": sc.generator.state_dict(),
-                "state_rng": self.rngs[c].bit_generator.state,
-            }
+            boundary[c] = (
+                sc.generator.positions,
+                sc.generator.model_states(),
+                self.rngs[c].bit_generator.state,
+            )
         self._boundaries[epoch_index] = boundary
         for old in [k for k in self._boundaries if k < epoch_index - 1]:
             del self._boundaries[old]
@@ -694,8 +697,15 @@ class SharedStatePlanner:
     def stream_state(self, cell: int, epoch_index: int) -> dict:
         """The stream state as of the *end* of epoch *epoch_index* --
         i.e. the boundary captured when that epoch's states compiled,
-        immune to the fill-ahead having advanced the live stream."""
-        return self._boundaries[epoch_index][cell]
+        immune to the fill-ahead having advanced the live stream.
+
+        Same dict as :meth:`StateGenerator.state_dict` would have given
+        at the fill, built here rather than per fill."""
+        positions, models, state_rng = self._boundaries[epoch_index][cell]
+        return {
+            "generator": {"positions": positions.tolist(), "models": models},
+            "state_rng": state_rng,
+        }
 
     def load_stream_state(self, cell: int, carry: dict) -> None:
         self.scenarios[cell].generator.load_state_dict(carry["generator"])

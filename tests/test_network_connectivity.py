@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InfeasibleError
+from repro.network.builder import build_paper_network
 from repro.network.connectivity import StrategySpace, to_networkx_graph
 
 from conftest import make_tiny_network, make_tiny_state
@@ -66,6 +67,81 @@ class TestStrategySpace:
             bs_of, server_of = space.random_assignment(rng)
             seen.add((int(bs_of[2]), int(server_of[2])))
         assert seen == {(0, 0), (0, 1), (1, 2)}
+
+
+def reference_choices(network, coverage, available_servers=None):
+    """The per-device, per-station, per-server enumeration the flat
+    construction replaced: (bs choices, server choices) per device, or
+    the (message, device) of the first empty strategy set."""
+    bs_choices, server_choices = [], []
+    for i in range(network.num_devices):
+        pairs = [
+            (int(k), int(n))
+            for k in np.flatnonzero(coverage[i])
+            for n in network.servers_reachable_from(int(k))
+            if available_servers is None or available_servers[int(n)]
+        ]
+        if not pairs:
+            label = network.devices[i].label
+            return f"{label} has an empty strategy set", i
+        bs_choices.append(np.array([k for k, _ in pairs], dtype=np.int64))
+        server_choices.append(np.array([n for _, n in pairs], dtype=np.int64))
+    return bs_choices, server_choices
+
+
+class TestFlatConstruction:
+    @pytest.mark.parametrize("with_availability", [False, True])
+    def test_matches_per_device_reference(self, with_availability) -> None:
+        rng = np.random.default_rng(17 + with_availability)
+        outcomes = set()
+        for trial in range(120):
+            network, coverage = build_paper_network(
+                np.random.default_rng(trial),
+                num_devices=int(rng.integers(1, 40)),
+                num_base_stations=int(rng.integers(1, 7)),
+                num_macro_stations=1,
+                num_clusters=int(rng.integers(1, 4)),
+                servers_per_cluster=int(rng.integers(1, 4)),
+                wireless_fronthaul_fraction=float(rng.uniform()),
+            )
+            # Thin the coverage so some sets shrink or empty out.
+            coverage = coverage & (rng.uniform(size=coverage.shape) < 0.9)
+            available = (
+                rng.uniform(size=network.num_servers) < 0.8
+                if with_availability
+                else None
+            )
+            expected = reference_choices(network, coverage, available)
+            if isinstance(expected[0], str):
+                with pytest.raises(InfeasibleError) as excinfo:
+                    StrategySpace(network, coverage, available)
+                assert (str(excinfo.value), excinfo.value.device) == expected
+                outcomes.add("empty")
+                continue
+            outcomes.add("built")
+            space = StrategySpace(network, coverage, available)
+            bs_choices, server_choices = expected
+            assert space.num_devices == len(bs_choices)
+            for ours, theirs in zip(space._bs_choices, bs_choices):
+                assert ours.dtype == np.int64
+                np.testing.assert_array_equal(ours, theirs)
+            for ours, theirs in zip(space._server_choices, server_choices):
+                assert ours.dtype == np.int64
+                np.testing.assert_array_equal(ours, theirs)
+            flat = space.flat()
+            counts = np.array([c.size for c in bs_choices], dtype=np.int64)
+            offsets = np.concatenate([[0], np.cumsum(counts)])
+            for name, want in (
+                ("bs", np.concatenate(bs_choices)),
+                ("server", np.concatenate(server_choices)),
+                ("player", np.repeat(np.arange(counts.size), counts)),
+                ("offsets", offsets),
+                ("counts", counts),
+            ):
+                got = getattr(flat, name)
+                assert got.dtype == np.int64, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
+        assert outcomes == {"empty", "built"}
 
 
 class TestRepair:

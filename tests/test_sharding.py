@@ -9,6 +9,9 @@ unsharded facade; pooled execution bit-identical to sequential).
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,114 @@ class TestPartitionCells:
                 subnetwork.device_positions(),
                 scenario.network.device_positions()[list(maps.devices)],
             )
+
+    def test_uncovered_device_rejected(self) -> None:
+        from dataclasses import replace
+
+        from conftest import make_tiny_network
+        from repro.network.topology import MECNetwork
+
+        tiny = make_tiny_network()
+        devices = list(tiny.devices)
+        for i in (3, 1):
+            devices[i] = replace(devices[i], position=(50_000.0, 0.0))
+        network = MECNetwork(
+            tiny.base_stations, tiny.clusters, tiny.servers,
+            tuple(devices), tiny.suitability,
+        )
+        with pytest.raises(
+            ConfigurationError, match="^device 1 is covered by no base station"
+        ):
+            sharding.partition_cells(network, 2)
+
+    def test_extract_subnetwork_keeps_device_names(self) -> None:
+        scenario = metro_scenario()
+        cell = sharding.partition_cells(
+            scenario.network, 2, rng=np.random.default_rng(3)
+        ).cells[1]
+        subnetwork, _ = sharding.extract_subnetwork(scenario.network, cell)
+        for local, g in enumerate(cell.devices):
+            device = subnetwork.devices[local]
+            assert device.index == local
+            assert device.position == scenario.network.devices[g].position
+            assert device.label == f"D{local}"
+
+    #: (seed, devices, topology overrides, cells, restarts) -> pinned
+    #: plan: (cells kept, score, sha256 over every cell's member
+    #: tuples).  A speed-up must leave every plan exactly as it is.
+    #: "empty-cell-merge" folds dead cells into neighbours on every
+    #: restart.
+    PINNED_PLANS = {
+        "metro-1024x8": (
+            (7, 1024, dict(
+                num_base_stations=8, num_macro_stations=8,
+                wireless_fronthaul_fraction=1.0, num_clusters=8,
+                servers_per_cluster=2,
+            ), 8, 8),
+            (8, 0.612148137134203,
+             "2a069fcc79bc3836cdb279fda9f4f24981ff0028b49eec5867020c5c71e0c8ee"),
+        ),
+        "wired-small-cells": (
+            (3, 200, dict(
+                num_base_stations=12, num_macro_stations=1,
+                small_cell_radius_range=(300.0, 900.0), area_size=4000.0,
+            ), 4, 8),
+            (2, 0.5986670173771325,
+             "8d67499629efcabbbd377491ecae5834e3ad3932e8053472c894cb2f25c75f30"),
+        ),
+        "mixed-fronthaul": (
+            (5, 300, dict(
+                num_base_stations=16, num_macro_stations=4,
+                wireless_fronthaul_fraction=0.5, num_clusters=6,
+                servers_per_cluster=2, macro_radius=4000.0,
+            ), 10, 4),
+            (6, 0.6263201427484608,
+             "cf38b2728ee3546c69de09108884cc01efb728f3ccc38b47ab1699d527d85e51"),
+        ),
+        "empty-cell-merge": (
+            (9, 150, dict(
+                num_base_stations=16, num_macro_stations=2,
+                small_cell_radius_range=(5.0, 10.0), num_clusters=4,
+                servers_per_cluster=2, wireless_fronthaul_fraction=0.5,
+            ), 8, 3),
+            (2, 0.5308870510025296,
+             "311f07b8d9a3ded665ebc28d2310d8428254f2de22ab455985e08bc94c8035cf"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_PLANS))
+    def test_plans_match_pinned(self, case) -> None:
+        (seed, devices, topology, cells, restarts), pinned = (
+            self.PINNED_PLANS[case]
+        )
+        scenario = repro.make_paper_scenario(
+            seed, config=repro.ScenarioConfig(num_devices=devices), **topology
+        )
+        plan = sharding.partition_cells(
+            scenario.network, cells,
+            rng=np.random.default_rng(seed), restarts=restarts,
+        )
+        members = [
+            (c.index, c.base_stations, c.clusters, c.servers, c.devices)
+            for c in plan.cells
+        ]
+        digest = hashlib.sha256(repr(members).encode()).hexdigest()
+        assert (plan.num_cells, plan.score, digest) == pinned
+
+    def test_empty_cells_are_merged(self, monkeypatch) -> None:
+        from repro.network import partition
+
+        merged = []
+        original = partition._merge_empty_cells
+
+        def spy(network, bs_cell, *rest):
+            out = original(network, bs_cell, *rest)
+            merged.append(not np.array_equal(out[0], bs_cell))
+            return out
+
+        monkeypatch.setattr(partition, "_merge_empty_cells", spy)
+        self.test_plans_match_pinned("empty-cell-merge")
+        assert merged and all(merged)
 
 
 class TestBudgetCoordinator:
@@ -596,6 +707,81 @@ class TestResidentRuntime:
         )
         assert_identical(baseline.merged, resumed.merged)
         np.testing.assert_array_equal(baseline.budgets, resumed.budgets)
+
+    def test_stream_state_matches_eager_snapshot(self) -> None:
+        # The planner keeps each fill's boundary raw and builds the
+        # carry dict only when asked; it must equal the dict an eager
+        # state_dict() taken right after the fill gave.
+        from repro.sim.shard_runtime import SharedStatePlanner
+
+        plan = sharding.partition_cells(
+            metro_scenario().network, 2, rng=np.random.default_rng(3)
+        )
+        scenarios = sharding.shard_scenarios(metro_scenario(), plan)
+        planner = SharedStatePlanner(scenarios, epoch=2, compiled=True, chunk=32)
+        try:
+            eager = {}
+            for e in range(3):
+                planner.fill(e, 2 * e, 2)
+                eager[e] = [
+                    {
+                        "generator": sc.generator.state_dict(),
+                        "state_rng": planner.rngs[c].bit_generator.state,
+                    }
+                    for c, sc in enumerate(scenarios)
+                ]
+            assert eager[1] != eager[2]
+            # Only the double buffer's two boundaries are kept.
+            for e in (1, 2):
+                for c in range(len(scenarios)):
+                    lazy = planner.stream_state(c, e)
+                    assert lazy == eager[e][c]
+                    assert isinstance(lazy["generator"]["positions"], list)
+                    assert json.dumps(lazy) == json.dumps(eager[e][c])
+                    assert json.loads(json.dumps(lazy)) == lazy
+            with pytest.raises(KeyError):
+                planner.stream_state(0, 0)
+        finally:
+            planner.close()
+
+    def test_shared_memory_checkpoint_resume_bit_identical(
+        self, tmp_path
+    ) -> None:
+        # epoch=1: the parent fills epoch e + 1 before the slot-4
+        # checkpoint write, so the write must read the boundary of
+        # epoch e, not the live stream.
+        from repro.sim.checkpoint import ShardCheckpoint
+        from repro.sim.sharded import _HaltRequested
+
+        plan = sharding.partition_cells(
+            metro_scenario().network, 2, rng=np.random.default_rng(3)
+        )
+        straight = sharding.run_sharded(
+            metro_scenario(), horizon=8, cells=plan, epoch=1, processes=2
+        )
+        paths = {}
+        for processes in (None, 2):
+            paths[processes] = tmp_path / f"shard-{processes}.ckpt"
+            ctrl = sharding.ShardedController(
+                metro_scenario(), plan, epoch=1, processes=processes
+            )
+            ctrl._halt_after_slots = 4
+            with pytest.raises(_HaltRequested):
+                ctrl.run(8, checkpoint=paths[processes], checkpoint_every=4)
+        # The shared-memory writer's stream carries are byte-for-byte
+        # those of the in-process writer (which snapshots eagerly).
+        pooled = ShardCheckpoint.load(paths[2])
+        in_process = ShardCheckpoint.load(paths[None])
+        assert pooled.completed == in_process.completed == 4
+        for ours, theirs in zip(pooled.carries, in_process.carries):
+            for key in ("generator", "state_rng"):
+                assert json.dumps(ours[key]) == json.dumps(theirs[key])
+        resumed = sharding.run_sharded(
+            metro_scenario(), horizon=8, cells=plan, epoch=1,
+            processes=2, checkpoint=paths[2], resume=True,
+        )
+        assert_identical(straight.merged, resumed.merged)
+        np.testing.assert_array_equal(straight.budgets, resumed.budgets)
 
     def spanning_fault_plan(self):
         from repro.sim.faults import (
