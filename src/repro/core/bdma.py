@@ -19,7 +19,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from repro.core.cgba import solve_p2a_cgba
+from repro.core.cgba import CGBAResult, solve_p2a_cgba
 from repro.core.drift_penalty import energy_cost
 from repro.core.latency import optimal_total_latency
 from repro.core.p2b import _BATCH_CUTOVER, solve_p2b
@@ -59,7 +59,6 @@ def cgba_p2a_solver(
     max_iter: int = 100_000,
     engine: str = "fast",
     tracer: "Tracer | None" = None,
-    reuse_game: bool = True,
     accept_partial: bool = False,
     backend: "KernelBackend | str | None" = None,
 ) -> P2ASolver:
@@ -69,12 +68,15 @@ def cgba_p2a_solver(
     counters across calls; BDMA drains them via ``pop_stats()`` so each
     slot's :class:`BDMAResult` reports the engine work it caused.
 
-    With ``reuse_game`` (the default), consecutive calls on the same
-    ``(network, state, space)`` triple -- BDMA's alternation rounds --
-    reuse one :class:`OffloadingCongestionGame` instead of rebuilding
-    its candidate arrays every round.  Reuse is bit-identical to fresh
-    construction (``update_frequencies`` + ``reset_profile`` reproduce
-    the constructor's arithmetic and rng consumption exactly).
+    The callable keeps one P2-A workspace: the congestion game and
+    best-response engine of its last call.  A call on the same
+    ``network`` and ``space`` objects -- BDMA's alternation rounds, and
+    every slot of a controller whose coverage does not change -- refills
+    that game in place (``rebind`` on a new slot state) and restarts the
+    engine instead of building both, which is bit-identical to fresh
+    construction (see ``solve_p2a_cgba``'s ``reuse``).  A new space, as
+    after a fault or under mobility, builds a new game that replaces the
+    old one.  Build one solver per controller so the workspace persists.
 
     ``accept_partial`` forwards to :func:`solve_p2a_cgba`: a run that
     exhausts ``max_iter`` returns its best-so-far profile (with a
@@ -86,7 +88,7 @@ def cgba_p2a_solver(
     game's hot loops (bit-identical across backends; wall-clock only).
     """
     accumulated = EngineStats()
-    cache: dict = {"key": None, "game": None}
+    last: CGBAResult | None = None
 
     def solve(
         network: MECNetwork,
@@ -97,13 +99,7 @@ def cgba_p2a_solver(
         *,
         initial: Assignment | None,
     ) -> Assignment:
-        game = None
-        if reuse_game and cache["key"] is not None:
-            # Identity comparison is the point: the cache holds strong
-            # references, so matching ids mean the same live objects.
-            net0, state0, space0 = cache["key"]
-            if net0 is network and state0 is state and space0 is space:
-                game = cache["game"]
+        nonlocal last
         result = solve_p2a_cgba(
             network,
             state,
@@ -115,13 +111,11 @@ def cgba_p2a_solver(
             max_iter=max_iter,
             engine=engine,
             tracer=tracer,
-            game=game,
+            reuse=last,
             accept_partial=accept_partial,
             backend=backend,
         )
-        if reuse_game:
-            cache["key"] = (network, state, space)
-            cache["game"] = result.game
+        last = result
         if result.engine_stats is not None:
             accumulated.merge(result.engine_stats)
         return result.assignment
@@ -197,7 +191,9 @@ def solve_p2_bdma(
         v: DPP trade-off parameter ``V``.
         budget: The time-average cost budget ``Cbar``.
         z: Number of alternation rounds (Algorithm 2's tunable).
-        p2a_solver: P2-A solver; CGBA(0) when omitted.
+        p2a_solver: P2-A solver; a new CGBA(0) solver when omitted (pass
+            one ``cgba_p2a_solver()`` to many calls to keep its game and
+            engine across them, as the DPP controller does).
         warm_start: Seed each round's P2-A solve with the previous
             round's assignment.  Algorithm 3 as printed starts from a
             random profile every time; warm starting reaches the same

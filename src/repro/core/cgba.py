@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from repro.core.congestion_game import OffloadingCongestionGame
 from repro.core.state import Assignment, SlotState
 from repro.exceptions import ConvergenceError
-from repro.kernels import KernelBackend
+from repro.kernels import KernelBackend, get_kernels
 from repro.network.connectivity import StrategySpace
 from repro.network.topology import MECNetwork
 from repro.obs.probe import Tracer, as_tracer
-from repro.solvers.fast_engine import fast_best_response_dynamics
+from repro.solvers.fast_engine import FastBestResponseEngine
 from repro.solvers.potential_game import EngineStats, best_response_dynamics
 from repro.types import FloatArray, Rng
 
@@ -55,10 +55,13 @@ class CGBAResult:
         cost_history: Total latency after every move, when recorded.
         engine_stats: Work counters of the best-response engine (moves,
             gap recomputations, candidate evaluations, per-phase times).
-        game: The congestion game the run was played on.  Callers that
-            solve P2-A repeatedly on the same slot (BDMA's alternation
-            rounds) pass it back via ``solve_p2a_cgba(..., game=...)``
-            to skip rebuilding the candidate arrays.
+        game: The congestion game the run was played on.
+        fast_engine: The best-response engine that ran (``None`` under
+            the reference engine).  Callers that solve P2-A repeatedly on
+            one strategy space (BDMA's rounds, the controller's slots)
+            pass the whole result back via ``solve_p2a_cgba(...,
+            reuse=...)``, which refills this game and restarts this
+            engine instead of building new ones.
     """
 
     assignment: Assignment
@@ -68,6 +71,7 @@ class CGBAResult:
     cost_history: list[float] = field(default_factory=list)
     engine_stats: EngineStats | None = None
     game: OffloadingCongestionGame | None = None
+    fast_engine: FastBestResponseEngine | None = None
 
 
 def solve_p2a_cgba(
@@ -83,7 +87,7 @@ def solve_p2a_cgba(
     record_history: bool = False,
     engine: str = "fast",
     tracer: "Tracer | None" = None,
-    game: OffloadingCongestionGame | None = None,
+    reuse: CGBAResult | None = None,
     accept_partial: bool = False,
     backend: "KernelBackend | str | None" = None,
 ) -> CGBAResult:
@@ -114,13 +118,17 @@ def solve_p2a_cgba(
             potential, so the partial profile is feasible and typically
             near-equilibrium; a ``resilience.partial_accepts`` counter
             records the event.
-        game: A game from an earlier run on the *same* ``(network,
-            state, space)`` triple to reuse.  Its frequencies are
-            re-fixed and the profile re-seeded exactly as a fresh
-            constructor would (same load bincounts, same rng
-            consumption), so results are bit-identical either way; only
-            the candidate-array construction is saved.  A reused game
-            keeps the kernel backend it was built with.
+        reuse: An earlier result to build on.  When its game was
+            played on the same ``network`` and ``space`` objects with the
+            same kernel backend, that game is refilled for this call
+            (:meth:`~OffloadingCongestionGame.rebind` for a new
+            ``state``, new clocks and a re-seeded profile for the same
+            one) and its fast engine restarted, instead of constructing
+            both afresh.  Refilling reproduces the constructor's
+            arithmetic and rng consumption exactly, so results are
+            bit-identical either way.  Any other result is ignored (a
+            new strategy space builds a new game).  The reused game and
+            engine are mutated, so *reuse* must not be read afterwards.
         backend: Array-kernel backend for the game's hot loops
             (:func:`repro.kernels.get_kernels` argument).  Every backend
             is bit-identical to the NumPy oracle, so this changes
@@ -134,26 +142,51 @@ def solve_p2a_cgba(
     if engine not in ("fast", "reference"):
         raise ValueError(f"unknown engine: {engine!r}")
     tracer = as_tracer(tracer)
-    if game is None:
+    kernels = get_kernels(backend)
+    fast_engine = None
+    game = reuse.game if reuse is not None else None
+    if (
+        game is not None
+        and game.network is network
+        and game.space is space
+        and game.kernels is kernels
+    ):
+        if game.state is state:
+            game.update_frequencies(frequencies)
+            game.reset_profile(initial, rng=rng)
+        else:
+            game.rebind(state, frequencies, initial, rng=rng)
+        if (
+            engine == "fast"
+            and reuse.fast_engine is not None
+            and reuse.fast_engine.slack == slack
+        ):
+            fast_engine = reuse.fast_engine
+    else:
         game = OffloadingCongestionGame(
             network, state, space, frequencies, initial=initial, rng=rng,
-            kernels=backend,
+            kernels=kernels,
         )
-    else:
-        game.update_frequencies(frequencies)
-        game.reset_profile(initial, rng=rng)
-    dynamics = (
-        fast_best_response_dynamics if engine == "fast" else best_response_dynamics
-    )
     with tracer.span("cgba"):
         try:
-            outcome = dynamics(
-                game,
-                slack=slack,
-                max_iter=max_iter,
-                selection="max_gap",
-                record_history=record_history,
-            )
+            if engine == "reference":
+                outcome = best_response_dynamics(
+                    game,
+                    slack=slack,
+                    max_iter=max_iter,
+                    selection="max_gap",
+                    record_history=record_history,
+                )
+            else:
+                if fast_engine is None:
+                    fast_engine = FastBestResponseEngine(game, slack=slack)
+                else:
+                    fast_engine.restart()
+                outcome = fast_engine.run(
+                    max_iter=max_iter,
+                    selection="max_gap",
+                    record_history=record_history,
+                )
         except ConvergenceError as exc:
             if not accept_partial or exc.best_so_far is None:
                 raise
@@ -177,4 +210,5 @@ def solve_p2a_cgba(
         cost_history=outcome.cost_history,
         engine_stats=outcome.stats,
         game=game,
+        fast_engine=fast_engine,
     )

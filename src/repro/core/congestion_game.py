@@ -61,42 +61,45 @@ class OffloadingCongestionGame(FiniteGame):
         rng: Rng | None = None,
         kernels: KernelBackend | str | None = None,
     ) -> None:
-        frequencies = np.asarray(frequencies, dtype=np.float64)
-        if frequencies.size != network.num_servers:
-            raise ConfigurationError("one frequency per server is required")
         self.network = network
-        self.state = state
         self.space = space
         self.kernels = get_kernels(kernels)
+        num_players = network.num_devices
+        num_bs = network.num_base_stations
+        num_srv = network.num_servers
+        width = 2 * num_bs + num_srv
+        self._num_bs = num_bs
 
-        # Resource weights m_r.
-        self._m_access = 1.0 / network.access_bandwidth
-        self._m_front = 1.0 / (
-            network.fronthaul_bandwidth * effective_fronthaul_se(network, state)
-        )
-        self._m_compute = 1.0 / network.speeds(frequencies)
+        # Everything below is allocated once and refilled in place by
+        # rebind(): the kernel-state view (and the jit backends' cached
+        # pointer conversions) alias these buffers, so one game can
+        # serve every slot played on its strategy space.  Per-resource
+        # quantities live in fused [access | fronthaul | compute]
+        # buffers (the per-resource names are views), so loads, squared
+        # loads and total cost are one pass each.
+        # Resource weights m_r; the access weights depend on the network
+        # alone, the fronthaul and compute weights on the slot.
+        self._m = np.empty(width)
+        self._m_access = self._m[:num_bs]
+        self._m_front = self._m[num_bs : 2 * num_bs]
+        self._m_compute = self._m[2 * num_bs :]
+        np.divide(1.0, network.access_bandwidth, out=self._m_access)
 
-        # Player weights p_{i,r}.  Access weights are +inf on uncovered
-        # links so an accidental infeasible probe is never the argmin.
-        h = state.spectral_efficiency
-        # np.where evaluates both branches, so silence the overflow the
-        # masked-out h=0 entries would otherwise warn about.
-        with np.errstate(divide="ignore", over="ignore"):
-            self._p_access = np.where(
-                h > 0.0, np.sqrt(state.bits[:, None] / np.maximum(h, 1e-300)), np.inf
-            )
-        self._p_front = np.sqrt(state.bits)
-        self._p_compute = np.sqrt(state.cycles[:, None] / network.suitability)
-
-        if initial is None:
-            if rng is None:
-                raise ConfigurationError("either initial or rng must be provided")
-            bs_of, server_of = space.random_assignment(rng)
-        else:
-            bs_of, server_of = initial.bs_of.copy(), initial.server_of.copy()
-        self._bs_of = np.asarray(bs_of, dtype=np.int64)
-        self._server_of = np.asarray(server_of, dtype=np.int64)
-        self._devices = np.arange(self._bs_of.size)
+        # The strategy profile and, per player, its three current
+        # resources (indices into the fused buffers) and its weights on
+        # them -- rows [access | fronthaul | compute], kept in sync by
+        # move(); the batch evaluator reads these instead of
+        # re-gathering 2-D.  The fronthaul weight row doubles as the
+        # player weights p_front (they do not depend on the strategy).
+        self._bs_of = np.empty(num_players, dtype=np.int64)
+        self._server_of = np.empty(num_players, dtype=np.int64)
+        self._cur_idx = np.empty((3, num_players), dtype=np.int64)
+        self._cur_p = np.empty((3, num_players))
+        self._pa_cur, self._p_front, self._pc_cur = self._cur_p
+        self._devices = np.arange(num_players)
+        # Player weights p_{i,r}.
+        self._p_access = np.empty((num_players, num_bs))
+        self._p_compute = np.empty((num_players, num_srv))
 
         # Flattened candidate arrays for the vectorized engine, built
         # lazily on the first batch evaluation.
@@ -120,63 +123,97 @@ class OffloadingCongestionGame(FiniteGame):
         #: the engine should skip dirty-player tracking entirely.
         self.prefers_full_refresh = True
 
-        # Resource loads p_r(z) live in one contiguous buffer
-        # [access | fronthaul | compute] so the batch evaluator can
-        # gather all three resource loads of every candidate in a single
-        # np.take; the per-resource names are views into it.
-        num_bs = network.num_base_stations
-        num_srv = network.num_servers
-        self._loads = np.empty(2 * num_bs + num_srv)
+        # Resource loads p_r(z) and sums of squared player weights.
+        self._loads = np.empty(width)
         self._load_access = self._loads[:num_bs]
         self._load_front = self._loads[num_bs : 2 * num_bs]
         self._load_compute = self._loads[2 * num_bs :]
-        self._pa_cur: np.ndarray | None = None
-        self._init_profile()
+        self._sq = np.empty(width)
+        self._sq_access = self._sq[:num_bs]
+        self._sq_front = self._sq[num_bs : 2 * num_bs]
+        self._sq_compute = self._sq[2 * num_bs :]
+        self.rebind(state, frequencies, initial, rng=rng)
+
+    def rebind(
+        self,
+        state: SlotState,
+        frequencies: FloatArray,
+        initial: Assignment | None = None,
+        *,
+        rng: Rng | None = None,
+    ) -> None:
+        """Re-pose the game for another slot on the same strategy space.
+
+        Refills every state- and clock-dependent array in place with the
+        constructor's arithmetic, then re-seeds the profile exactly as
+        :meth:`reset_profile` does (same rng consumption), so a rebound
+        game is bitwise indistinguishable from a freshly constructed
+        one.  The constructor itself is allocation plus this call.
+
+        *state* must be compatible with the game's strategy space (every
+        listed pair has positive spectral efficiency), as for the
+        constructor.
+        """
+        frequencies = np.asarray(frequencies, dtype=np.float64)
+        network = self.network
+        if frequencies.size != network.num_servers:
+            raise ConfigurationError("one frequency per server is required")
+        # Until the refill completes the arrays describe no state.
+        self.state = None
+        np.divide(
+            1.0,
+            network.fronthaul_bandwidth * effective_fronthaul_se(network, state),
+            out=self._m_front,
+        )
+        np.divide(1.0, network.speeds(frequencies), out=self._m_compute)
+
+        # Access weights are +inf on uncovered links so an accidental
+        # infeasible probe is never the argmin.  The masked-out h=0
+        # entries overflow before they are overwritten; silence that.
+        h = state.spectral_efficiency
+        p_access = self._p_access
+        with np.errstate(divide="ignore", over="ignore"):
+            np.maximum(h, 1e-300, out=p_access)
+            np.divide(state.bits[:, None], p_access, out=p_access)
+            np.sqrt(p_access, out=p_access)
+        np.copyto(p_access, np.inf, where=~(h > 0.0))
+        np.sqrt(state.bits, out=self._p_front)
+        np.divide(state.cycles[:, None], network.suitability, out=self._p_compute)
+        np.sqrt(self._p_compute, out=self._p_compute)
+        if self._cand_ready:
+            self._fill_candidates()
+        if self._dc_ready:
+            self._fill_decomposed()
+        self.state = state
+        self.reset_profile(initial, rng=rng)
 
     def _init_profile(self) -> None:
         """(Re)build loads and per-player caches from the profile arrays.
 
-        Rebuilds fill the same buffers in place rather than re-binding
-        fresh arrays: the kernel-state view (and the jit backends'
-        cached pointer conversions) alias these buffers, and a stable
-        identity keeps those caches hot across BDMA-round resets.
+        Fills the same buffers in place: the kernel-state view (and the
+        jit backends' cached pointer conversions) alias them.  One
+        ``bincount`` over the fused resource indices yields all three
+        load vectors: resource blocks are disjoint, so every load is the
+        same in-order sum as a per-resource ``bincount``.
         """
-        network = self.network
-        pa = self._p_access[self._devices, self._bs_of]
-        pc = self._p_compute[self._devices, self._server_of]
-        # Current-strategy weights per player, kept in sync by move();
-        # the batch evaluator reads these instead of re-gathering 2-D.
-        if self._pa_cur is None:
-            self._pa_cur = pa.copy()
-            self._pc_cur = pc.copy()
-            self._sq_access = np.empty(network.num_base_stations)
-            self._sq_front = np.empty(network.num_base_stations)
-            self._sq_compute = np.empty(network.num_servers)
-        else:
-            self._pa_cur[:] = pa
-            self._pc_cur[:] = pc
-        self._load_access[:] = np.bincount(
-            self._bs_of, weights=pa, minlength=network.num_base_stations
+        num_bs = self._num_bs
+        rows = self._devices
+        idx, weights = self._cur_idx, self._cur_p
+        idx[0] = self._bs_of
+        np.add(self._bs_of, num_bs, out=idx[1])
+        np.add(self._server_of, 2 * num_bs, out=idx[2])
+        self._pa_cur[:] = self._p_access[rows, self._bs_of]
+        self._pc_cur[:] = self._p_compute[rows, self._server_of]
+        width = self._loads.size
+        flat_idx = idx.ravel()
+        self._loads[:] = np.bincount(
+            flat_idx, weights=weights.ravel(), minlength=width
         )
-        self._load_front[:] = np.bincount(
-            self._bs_of, weights=self._p_front, minlength=network.num_base_stations
+        self._sq[:] = np.bincount(
+            flat_idx, weights=(weights * weights).ravel(), minlength=width
         )
-        self._load_compute[:] = np.bincount(
-            self._server_of, weights=pc, minlength=network.num_servers
-        )
-        self._sq_access[:] = np.bincount(
-            self._bs_of, weights=pa * pa, minlength=network.num_base_stations
-        )
-        self._sq_front[:] = np.bincount(
-            self._bs_of,
-            weights=self._p_front * self._p_front,
-            minlength=network.num_base_stations,
-        )
-        self._sq_compute[:] = np.bincount(
-            self._server_of, weights=pc * pc, minlength=network.num_servers
-        )
-        if not np.all(np.isfinite(self._load_access)):
-            bad = int(np.flatnonzero(~np.isfinite(pa))[0])
+        if not np.isfinite(self._load_access).all():
+            bad = int(np.flatnonzero(~np.isfinite(self._pa_cur))[0])
             raise ConfigurationError(
                 f"initial assignment is infeasible: device {bad} selected a "
                 f"base station with zero spectral efficiency this slot"
@@ -186,33 +223,10 @@ class OffloadingCongestionGame(FiniteGame):
 
     def _dc_reset_profile_caches(self) -> None:
         """Rebuild the decomposed evaluator's per-profile arrays."""
-        num_bs = self.network.num_base_stations
-        rows = self._devices
         sub = self._dc_sub
-        sub[:] = 0.0
-        sub[rows, self._bs_of] = self._pa_cur
-        sub[rows, num_bs + self._bs_of] = self._p_front
-        sub[rows, 2 * num_bs + self._server_of] = self._pc_cur
-        wcur = self._dc_wcur
-        wcur[0] = self._m_access[self._bs_of] * self._pa_cur
-        wcur[1] = self._m_front[self._bs_of] * self._p_front
-        wcur[2] = self._m_compute[self._server_of] * self._pc_cur
-        cur_idx = self._dc_cur_idx
-        cur_idx[0] = self._bs_of
-        np.add(self._bs_of, num_bs, out=cur_idx[1])
-        np.add(self._server_of, 2 * num_bs, out=cur_idx[2])
-        # The profile arrays above are re-bound (not mutated) by
-        # _init_profile/reset_profile, so the kernel-state view must
-        # re-capture them; everything else in it aliases stable buffers.
-        ks = self._ks
-        if ks is not None:
-            ks.bs_of = self._bs_of
-            ks.server_of = self._server_of
-            ks.pa_cur = self._pa_cur
-            ks.pc_cur = self._pc_cur
-            ks.sq_access = self._sq_access
-            ks.sq_front = self._sq_front
-            ks.sq_compute = self._sq_compute
+        sub.fill(0.0)
+        sub[self._devices, self._cur_idx] = self._cur_p
+        np.multiply(self._m.take(self._cur_idx), self._cur_p, out=self._dc_wcur)
 
     def reset_profile(
         self, initial: Assignment | None = None, *, rng: Rng | None = None
@@ -230,7 +244,7 @@ class OffloadingCongestionGame(FiniteGame):
                 raise ConfigurationError("either initial or rng must be provided")
             bs_of, server_of = self.space.random_assignment(rng)
         else:
-            bs_of, server_of = initial.bs_of.copy(), initial.server_of.copy()
+            bs_of, server_of = initial.bs_of, initial.server_of
         # In place: the kernel-state view aliases these index arrays.
         np.copyto(self._bs_of, np.asarray(bs_of, dtype=np.int64))
         np.copyto(self._server_of, np.asarray(server_of, dtype=np.int64))
@@ -260,8 +274,6 @@ class OffloadingCongestionGame(FiniteGame):
                 self._m_compute, self._p_compute, out=self._dc_w[:, 2 * num_bs :]
             )
             self._dc_wcur[2] = self._m_compute[self._server_of] * self._pc_cur
-            if self._ks is not None:
-                self._ks.m_compute = self._m_compute
 
     # -- FiniteGame interface ----------------------------------------------
 
@@ -324,23 +336,27 @@ class OffloadingCongestionGame(FiniteGame):
         """
         if self._cand_ready:
             return
-        flat = self.space.flat()
-        fb, fs, fp = flat.bs, flat.server, flat.player
-        size = flat.num_candidates
+        size = self.space.flat().num_candidates
         # Row-stacked (3, C) layout: one fused numpy op per refresh
         # touches the access, fronthaul, and compute terms of every
         # candidate at once.  The per-resource names below are row views.
         self._cand_p = np.empty((3, size))
+        self._cand_pa, self._cand_pf, self._cand_pc = self._cand_p
+        self._cand_w = np.empty((3, size))
+        self._cand_wa, self._cand_wf, self._cand_wc = self._cand_w
+        self._fill_candidates()
+        self._cand_ready = True
+
+    def _fill_candidates(self) -> None:
+        """(Re)fill the per-candidate weights from the player weights."""
+        flat = self.space.flat()
+        fb, fs, fp = flat.bs, flat.server, flat.player
         self._cand_p[0] = self._p_access[fp, fb]
         self._cand_p[1] = self._p_front[fp]
         self._cand_p[2] = self._p_compute[fp, fs]
-        self._cand_pa, self._cand_pf, self._cand_pc = self._cand_p
-        self._cand_w = np.empty((3, size))
         np.multiply(self._m_access[fb], self._cand_pa, out=self._cand_w[0])
         np.multiply(self._m_front[fb], self._cand_pf, out=self._cand_w[1])
         np.multiply(self._m_compute[fs], self._cand_pc, out=self._cand_w[2])
-        self._cand_wa, self._cand_wf, self._cand_wc = self._cand_w
-        self._cand_ready = True
 
     def _ensure_decomposed(self) -> None:
         """Precompute the product-form (decomposed) evaluator state.
@@ -387,41 +403,32 @@ class OffloadingCongestionGame(FiniteGame):
         # Static per-entry weights, fused [access | fronthaul | compute]
         # like the loads buffer so the adjustment is four ufunc calls.
         self._dc_p = np.empty((players, width))
-        self._dc_p[:, :num_bs] = self._p_access
-        self._dc_p[:, num_bs : 2 * num_bs] = self._p_front[:, None]
-        self._dc_p[:, 2 * num_bs :] = self._p_compute
         self._dc_w = np.empty((players, width))
-        np.multiply(self._m_access, self._p_access, out=self._dc_w[:, :num_bs])
-        np.multiply(
-            self._m_front,
-            self._p_front[:, None],
-            out=self._dc_w[:, num_bs : 2 * num_bs],
-        )
-        np.multiply(self._m_compute, self._p_compute, out=self._dc_w[:, 2 * num_bs :])
+        self._fill_decomposed()
 
         # Per-profile caches: each player's own weight on its three
-        # current resources (zero elsewhere), its current-cost weights
-        # m_r * p_{i,r}, and its current resources as indices into the
-        # fused loads buffer; all maintained incrementally by move().
+        # current resources (zero elsewhere) and its current-cost
+        # weights m_r * p_{i,r}; both maintained incrementally by move().
         self._dc_sub = np.zeros((players, width))
         self._dc_wcur = np.empty((3, players))
-        self._dc_cur_idx = np.empty((3, players), dtype=np.int64)
 
-        # Work buffers reused by every refresh.
-        self._dc_adj = np.empty((players, width))
-        self._dc_t = np.empty((players, num_bs))
-        self._dc_bk = np.empty((players, num_bs))
+        # Work buffers reused by every refresh.  Zero-filled rather than
+        # left uninitialised: the jit kernels keep their own scratch and
+        # never write these, so a game's whole kernel state is a pure
+        # function of its inputs on every backend.
+        self._dc_adj = np.zeros((players, width))
+        self._dc_t = np.zeros((players, num_bs))
+        self._dc_bk = np.zeros((players, num_bs))
         # Column len(menus) stays +inf: base stations with an empty
         # server menu contribute no candidates, so their total is never
         # the minimum.
         self._dc_bvals = np.full((players, len(menus) + 1), np.inf)
         # intp (== int64 here) so np.argmin can write them in place.
-        self._dc_nidx = np.empty((len(menus), players), dtype=np.intp)
+        self._dc_nidx = np.zeros((len(menus), players), dtype=np.intp)
         self._dc_kbest = np.zeros(players, dtype=np.intp)
         self._dc_rows = self._devices
-        self._dc_cc = np.empty(players)
-        self._dc_cc3 = np.empty((3, players))
-        self._dc_num_bs = num_bs
+        self._dc_cc = np.zeros(players)
+        self._dc_cc3 = np.zeros((3, players))
 
         # Flattened menu tables for the non-NumPy kernels (the column
         # specs above are numpy gather syntax, not plain arrays).
@@ -442,7 +449,7 @@ class OffloadingCongestionGame(FiniteGame):
             w=self._dc_w,
             sub=self._dc_sub,
             wcur=self._dc_wcur,
-            cur_idx=self._dc_cur_idx,
+            cur_idx=self._cur_idx,
             menu_of_bs=np.ascontiguousarray(menu_of_bs, dtype=np.int64),
             menu_offsets=menu_offsets,
             menu_servers=menu_servers,
@@ -473,6 +480,19 @@ class OffloadingCongestionGame(FiniteGame):
 
         self._dc_ready = True
         self._dc_reset_profile_caches()
+
+    def _fill_decomposed(self) -> None:
+        """(Re)fill the decomposed evaluator's static per-entry weights."""
+        num_bs = self._num_bs
+        p, w = self._dc_p, self._dc_w
+        p[:, :num_bs] = self._p_access
+        p[:, num_bs : 2 * num_bs] = self._p_front[:, None]
+        p[:, 2 * num_bs :] = self._p_compute
+        np.multiply(self._m_access, self._p_access, out=w[:, :num_bs])
+        np.multiply(
+            self._m_front, self._p_front[:, None], out=w[:, num_bs : 2 * num_bs]
+        )
+        np.multiply(self._m_compute, self._p_compute, out=w[:, 2 * num_bs :])
 
     def candidate_count(self, players: np.ndarray | None = None) -> int:
         """Total candidate pairs of *players* (all players when ``None``)."""
@@ -666,9 +686,13 @@ class OffloadingCongestionGame(FiniteGame):
         self._server_of[player] = n_new
         self._pa_cur[player] = pa_new
         self._pc_cur[player] = pc_new
+        num_bs = self._num_bs
+        cur_idx = self._cur_idx
+        cur_idx[0, player] = k_new
+        cur_idx[1, player] = num_bs + k_new
+        cur_idx[2, player] = 2 * num_bs + n_new
 
         if self._dc_ready:
-            num_bs = self._dc_num_bs
             sub = self._dc_sub
             sub[player, k_old] = 0.0
             sub[player, num_bs + k_old] = 0.0
@@ -680,17 +704,20 @@ class OffloadingCongestionGame(FiniteGame):
             wcur[0, player] = self._m_access[k_new] * pa_new
             wcur[1, player] = self._m_front[k_new] * pf
             wcur[2, player] = self._m_compute[n_new] * pc_new
-            cur_idx = self._dc_cur_idx
-            cur_idx[0, player] = k_new
-            cur_idx[1, player] = num_bs + k_new
-            cur_idx[2, player] = 2 * num_bs + n_new
 
     def total_cost(self) -> float:
-        """``sum_r m_r p_r(z)^2`` -- equals ``T_t(x, y, Omega)`` of Eq. (20)."""
+        """``sum_r m_r p_r(z)^2`` -- equals ``T_t(x, y, Omega)`` of Eq. (20).
+
+        One fused product, then the access, fronthaul and compute blocks
+        summed separately and in that order (the per-resource sums).
+        """
+        cost = self._m * self._loads
+        cost *= self._loads
+        num_bs = self._num_bs
         return float(
-            np.sum(self._m_access * self._load_access * self._load_access)
-            + np.sum(self._m_front * self._load_front * self._load_front)
-            + np.sum(self._m_compute * self._load_compute * self._load_compute)
+            cost[:num_bs].sum()
+            + cost[num_bs : 2 * num_bs].sum()
+            + cost[2 * num_bs :].sum()
         )
 
     # -- extras --------------------------------------------------------------

@@ -321,6 +321,13 @@ class DPPController(OnlineController):
                 accept_partial=resilience.accept_partial,
                 backend=self.engine_backend,
             )
+        # The default CGBA solver solve_p2_bdma would build per slot,
+        # built once: it keeps its P2-A workspace (game and engine)
+        # across slots.  Private, so p2a_solver keeps meaning "the
+        # solver the caller chose".
+        self._default_p2a_solver = cgba_p2a_solver(
+            tracer=self.tracer, backend=self.engine_backend
+        )
         self._initial_backlog = float(initial_backlog)
         self.queue = VirtualQueue(initial_backlog, tracer=self.tracer)
         self._space: StrategySpace | None = None
@@ -462,7 +469,11 @@ class DPPController(OnlineController):
                         v=self.v,
                         budget=slot_budget,
                         z=self.z,
-                        p2a_solver=self.p2a_solver,
+                        p2a_solver=(
+                            self.p2a_solver
+                            if self.p2a_solver is not None
+                            else self._default_p2a_solver
+                        ),
                         warm_start=self.warm_start,
                         initial=self._previous if self.carry_over else None,
                         initial_frequencies=(

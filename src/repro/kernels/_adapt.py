@@ -3,17 +3,17 @@
 The numba and C providers expose the same low-level entry points (flat
 positional argument lists over contiguous arrays); this module wraps
 them into :class:`~repro.kernels.interface.KernelBackend` callables,
-allocating the small per-call scratch buffers and delegating the flat
+owning the small per-state scratch buffers and delegating the flat
 candidate path to the NumPy oracle (it is already one fused gather and
 off the decomposed hot path).
 
 Per-state argument caching: the C provider passes raw data pointers
 (``convert`` turns an array into a ``ctypes.c_void_p``), and converting
 ~30 arrays per kernel call dominates the adapter once the kernels
-themselves are fast.  Kernels mutate arrays strictly in place, so a
-conversion stays valid for as long as the state field references the
-same array object; the cache is keyed by identity and any re-bound
-field (profile reset, new game) reconverts transparently.
+themselves are fast.  A :class:`DecomposedState` is frozen and its game
+refills the arrays in place, so each state's arguments are validated
+and converted once, together with the adapter's own scratch, and every
+later call on that state converts nothing.
 """
 
 from __future__ import annotations
@@ -25,20 +25,24 @@ from repro.kernels.numpy_backend import candidate_costs, segment_first_min
 
 __all__ = ["wrap_raw_backend"]
 
-#: DecomposedState fields handed to the raw kernels, in no particular
-#: order; the int64-typed ones are listed separately for validation.
+#: DecomposedState fields handed to the raw kernels with dtype int64;
+#: every other array field is float64.
 _I64_FIELDS = frozenset(
     (
         "cur_idx", "menu_of_bs", "menu_offsets", "menu_servers",
         "nidx", "kbest", "bs_of", "server_of",
     )
 )
-_STATE_FIELDS = (
+#: The evaluator fields both kernels take, in argument order.
+_EVALUATOR_FIELDS = (
     "loads", "p", "w", "sub", "wcur", "cur_idx", "menu_of_bs",
-    "menu_offsets", "menu_servers", "nidx", "kbest", "p_access",
-    "p_front", "p_compute", "m_access", "m_front", "m_compute",
-    "bs_of", "server_of", "pa_cur", "pc_cur", "sq_access",
-    "sq_front", "sq_compute", "cc",
+    "menu_offsets", "menu_servers", "nidx", "kbest",
+)
+#: The profile fields only the fused dynamics loop takes, in order.
+_PROFILE_FIELDS = (
+    "p_access", "p_front", "p_compute", "m_access", "m_front",
+    "m_compute", "bs_of", "server_of", "pa_cur", "pc_cur",
+    "sq_access", "sq_front", "sq_compute",
 )
 
 
@@ -56,44 +60,53 @@ def _validate(arr: np.ndarray, field: str) -> None:
 class _StateCache:
     """Converted kernel arguments for one :class:`DecomposedState`.
 
-    Holds identity-checked ``(array, converted)`` pairs per field plus
-    the reusable scratch buffers (one adj row, one t row, per-menu best
-    values) whose shapes are fixed for the life of the state.
+    Built on the first kernel call on a state: it validates and
+    converts every field once, plus the adapter-owned buffers whose
+    shapes are fixed for the life of the state (one adj row, one t row,
+    per-menu best values, the best-cost output and the converged flag).
+    The only per-call array is the engine's gap vector, converted again
+    only when a different array is passed (a new engine).
     """
 
-    __slots__ = ("convert", "table", "adj", "t", "bvals", "num_groups")
+    __slots__ = (
+        "sizes", "evaluator", "profile", "sweep_args",
+        "buffers", "best", "converged", "gaps", "gaps_arg",
+    )
 
     def __init__(self, state: DecomposedState, convert) -> None:
-        self.convert = convert
-        self.table: dict = {}
-        self.num_groups = len(state.cols)
-        self.adj = np.empty(2 * state.num_bs + state.num_servers)
-        self.t = np.empty(state.num_bs)
+        def arg(name: str):
+            arr = getattr(state, name)
+            _validate(arr, name)
+            return convert(arr)
+
+        num_groups = len(state.cols)
+        adj = np.empty(2 * state.num_bs + state.num_servers)
+        t = np.empty(state.num_bs)
         # The trailing bvals slot stays +inf -- base stations with an
         # empty server menu map to it, so their totals never win the
         # argmin (mirrors the NumPy evaluator's sentinel column).
-        self.bvals = np.empty(self.num_groups + 1)
-        self.bvals[-1] = np.inf
-
-    def field(self, state: DecomposedState, name: str):
-        arr = getattr(state, name)
-        entry = self.table.get(name)
-        if entry is not None and entry[0] is arr:
-            return entry[1]
-        _validate(arr, name)
-        converted = self.convert(arr)
-        self.table[name] = (arr, converted)
-        return converted
-
-    def scratch(self):
-        """Converted scratch pointers (kernels overwrite the contents,
-        never the sentinel slot past ``num_groups``)."""
-        convert = self.convert
-        entry = self.table.get("__scratch__")
-        if entry is None:
-            entry = (convert(self.adj), convert(self.t), convert(self.bvals))
-            self.table["__scratch__"] = entry
-        return entry
+        bvals = np.empty(num_groups + 1)
+        bvals[-1] = np.inf
+        self.best = np.empty(state.num_players)
+        self.converged = np.zeros(1, dtype=np.int64)
+        # The converted pointers stay valid only while these live.
+        self.buffers = (adj, t, bvals)
+        scratch = (convert(adj), convert(t), convert(bvals))
+        self.sizes = (
+            state.num_players, state.num_bs, state.num_servers, num_groups,
+        )
+        self.evaluator = tuple(arg(name) for name in _EVALUATOR_FIELDS)
+        self.profile = (
+            *(arg(name) for name in _PROFILE_FIELDS),
+            *scratch,
+            convert(self.converged),
+        )
+        self.sweep_args = (
+            *self.sizes, *self.evaluator,
+            convert(self.best), arg("cc"), *scratch,
+        )
+        self.gaps = None
+        self.gaps_arg = None
 
 
 def _identity(arr: np.ndarray) -> np.ndarray:
@@ -119,58 +132,27 @@ def wrap_raw_backend(
     convert = convert or _identity
 
     def _cache(state: DecomposedState) -> _StateCache:
-        cache = getattr(state, "_kernel_arg_cache", None)
-        if cache is None or cache.convert is not convert:
-            cache = _StateCache(state, convert)
-            state._kernel_arg_cache = cache
+        cache = state.kernel_args.get(convert)
+        if cache is None:
+            cache = state.kernel_args[convert] = _StateCache(state, convert)
         return cache
 
     def gap_sweep(state: DecomposedState):
         cache = _cache(state)
-        f = cache.field
-        adj, t, bvals = cache.scratch()
-        best = np.empty(state.num_players)
-        raw_gap_sweep(
-            state.num_players, state.num_bs, state.num_servers,
-            cache.num_groups,
-            f(state, "loads"), f(state, "p"), f(state, "w"),
-            f(state, "sub"), f(state, "wcur"), f(state, "cur_idx"),
-            f(state, "menu_of_bs"), f(state, "menu_offsets"),
-            f(state, "menu_servers"),
-            f(state, "nidx"), f(state, "kbest"),
-            convert(best), f(state, "cc"),
-            adj, t, bvals,
-        )
-        return best, state.cc
+        raw_gap_sweep(*cache.sweep_args)
+        return cache.best, state.cc
 
     def run_dynamics(state: DecomposedState, gaps, slack, max_iter):
         cache = _cache(state)
-        f = cache.field
-        adj, t, bvals = cache.scratch()
-        if not gaps.flags.c_contiguous:
-            raise ValueError("gaps must be C-contiguous")
-        converged = np.zeros(1, dtype=np.int64)
+        if gaps is not cache.gaps:
+            if not gaps.flags.c_contiguous:
+                raise ValueError("gaps must be C-contiguous")
+            cache.gaps, cache.gaps_arg = gaps, convert(gaps)
         moves = raw_run_dynamics(
-            state.num_players, state.num_bs, state.num_servers,
-            cache.num_groups,
-            float(slack), int(max_iter),
-            f(state, "loads"), f(state, "p"), f(state, "w"),
-            f(state, "sub"), f(state, "wcur"), f(state, "cur_idx"),
-            f(state, "menu_of_bs"), f(state, "menu_offsets"),
-            f(state, "menu_servers"),
-            f(state, "nidx"), f(state, "kbest"), convert(gaps),
-            f(state, "p_access"), f(state, "p_front"),
-            f(state, "p_compute"),
-            f(state, "m_access"), f(state, "m_front"),
-            f(state, "m_compute"),
-            f(state, "bs_of"), f(state, "server_of"),
-            f(state, "pa_cur"), f(state, "pc_cur"),
-            f(state, "sq_access"), f(state, "sq_front"),
-            f(state, "sq_compute"),
-            adj, t, bvals,
-            convert(converged),
+            *cache.sizes, float(slack), int(max_iter),
+            *cache.evaluator, cache.gaps_arg, *cache.profile,
         )
-        return int(moves), bool(converged[0])
+        return int(moves), bool(cache.converged[0])
 
     def golden_quad(lo, hi, ls, ep, scale, qa, qb, qc, tol, max_iter=200):
         lo = np.ascontiguousarray(lo, dtype=np.float64)

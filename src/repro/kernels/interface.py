@@ -22,7 +22,7 @@ The contract every backend must honour:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,13 +30,15 @@ import numpy as np
 __all__ = ["DecomposedState", "KernelBackend"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecomposedState:
     """Struct-of-arrays view of a congestion game's decomposed evaluator.
 
     All fields are *references* to the owning game's arrays (no copies):
-    kernels mutate the game through this view, and the game refreshes
-    the re-bindable references (profile arrays) whenever it resets.
+    kernels mutate the game through this view.  The view is frozen and
+    the game refills its arrays in place (profile resets, new slots), so
+    every field is the same array object for the life of the game --
+    which is what lets backends convert their arguments once.
 
     Shapes use ``I`` players, ``K`` base stations, ``N`` servers,
     ``G`` distinct server menus, ``W = 2K + N`` fused resources laid out
@@ -110,6 +112,9 @@ class DecomposedState:
     sq_front: np.ndarray
     #: ``(N,)`` sum of squared compute weights per server.
     sq_compute: np.ndarray
+    #: Backend-private converted-argument caches, keyed by the raw
+    #: provider's argument conversion (see :mod:`repro.kernels._adapt`).
+    kernel_args: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,8 @@ class KernelBackend:
             -- per-segment minimum and its first attaining index.
         gap_sweep: ``(state) -> (best_cost, current_cost)`` -- one full
             decomposed gap sweep; retains per-player argmins in
-            ``state.nidx`` / ``state.kbest``.
+            ``state.nidx`` / ``state.kbest``.  The returned arrays may be
+            buffers the next sweep on *state* overwrites.
         run_dynamics: ``(state, gaps, slack, max_iter) -> (moves,
             converged)`` -- the fused best-response loop (argmax pick,
             move, full sweep, gap update per iteration), mutating the

@@ -10,13 +10,16 @@ the game-theoretic algorithms iterate over flat arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import networkx as nx
 
 from repro.exceptions import InfeasibleError
 from repro.network.topology import MECNetwork
 from repro.types import BoolArray, IntArray
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def reachable_servers(network: MECNetwork, bs_index: int) -> IntArray:
@@ -298,16 +301,17 @@ class StrategySpace:
             the selection rule of the ROPT baseline and the starting
             profile of CGBA (Algorithm 3, line 1).
         """
-        bs_of = np.empty(self.num_devices, dtype=np.int64)
-        server_of = np.empty(self.num_devices, dtype=np.int64)
-        for i in range(self.num_devices):
-            j = int(rng.integers(self._bs_choices[i].size))
-            bs_of[i] = self._bs_choices[i][j]
-            server_of[i] = self._server_choices[i][j]
-        return bs_of, server_of
+        flat = self._flat
+        # One draw per device in device order: the array form of
+        # ``rng.integers(count)`` yields the same values and leaves the
+        # generator in the same state as one call per device.
+        picks = flat.offsets[:-1] + rng.integers(flat.counts)
+        return flat.bs[picks], flat.server[picks]
 
 
-def to_networkx_graph(network: MECNetwork, coverage: BoolArray | None = None) -> nx.Graph:
+def to_networkx_graph(
+    network: MECNetwork, coverage: BoolArray | None = None
+) -> "nx.Graph":
     """Export the topology as a labelled networkx graph.
 
     Nodes carry a ``kind`` attribute (``"device"``, ``"bs"``,
@@ -315,6 +319,10 @@ def to_networkx_graph(network: MECNetwork, coverage: BoolArray | None = None) ->
     ``"fronthaul"``, ``"hosting"``).  Handy for plotting and for graph
     metrics in analyses.
     """
+    # Imported here: networkx is the slowest import of the package and
+    # nothing else needs it.
+    import networkx as nx
+
     graph = nx.Graph()
     for d in network.devices:
         graph.add_node(f"D{d.index}", kind="device", pos=d.position)

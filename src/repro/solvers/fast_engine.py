@@ -78,7 +78,9 @@ class FastBestResponseEngine:
     cached best strategy; :meth:`step` applies one move and refreshes
     only the dirty players.  Exposed as a class (rather than only the
     :func:`fast_best_response_dynamics` wrapper) so property tests can
-    drive it move by move and audit the caches.
+    drive it move by move and audit the caches, and so a caller solving
+    one game many times (CGBA across slots and BDMA rounds) can keep the
+    engine and :meth:`restart` it instead of rebuilding it.
     """
 
     def __init__(self, game: BatchGame, *, slack: float = 0.0) -> None:
@@ -86,7 +88,6 @@ class FastBestResponseEngine:
             raise ValueError(f"slack must lie in [0, 1), got {slack}")
         self.game = game
         self.slack = slack
-        self.stats = EngineStats()
         n = game.num_players
         # Games exposing the deferred-argmin refresh (batch_gap_costs +
         # best_strategy_for) skip materialising every player's best
@@ -112,6 +113,19 @@ class FastBestResponseEngine:
         # Full-sweep accounting constants, hoisted out of _refresh.
         self._n = n
         self._all_candidates = game.candidate_count(None)
+        self.restart()
+
+    def restart(self) -> None:
+        """Re-arm the engine on its game's current profile.
+
+        Fresh work counters, the round-robin cursor at player 0, and the
+        initial full refresh -- exactly what construction does, so after
+        the game's profile is re-seeded (or the game rebound to another
+        slot on the same strategy space) a restarted engine runs the
+        same dynamics as a new one.  The refresh overwrites every gap
+        and cached best response, so nothing of the previous run leaks.
+        """
+        self.stats = EngineStats()
         self._rr_cursor = 0
         started = time.perf_counter()
         self._refresh(None)

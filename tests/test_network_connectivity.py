@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -67,6 +71,48 @@ class TestStrategySpace:
             bs_of, server_of = space.random_assignment(rng)
             seen.add((int(bs_of[2]), int(server_of[2])))
         assert seen == {(0, 0), (0, 1), (1, 2)}
+
+
+def loop_random_assignment(space: StrategySpace, rng):
+    """The per-device draw the vectorised ``random_assignment`` replaced."""
+    bs_of = np.empty(space.num_devices, dtype=np.int64)
+    server_of = np.empty(space.num_devices, dtype=np.int64)
+    for i in range(space.num_devices):
+        ks, ns = space.pairs(i)
+        j = int(rng.integers(ks.size))
+        bs_of[i] = ks[j]
+        server_of[i] = ns[j]
+    return bs_of, server_of
+
+
+class TestRandomAssignment:
+    def test_matches_the_per_device_loop(self) -> None:
+        """Same values and same generator state as one draw per device,
+        over random spaces with set sizes from 1 upwards."""
+        rng = np.random.default_rng(5)
+        sizes = set()
+        for trial in range(50):
+            network, coverage = build_paper_network(
+                np.random.default_rng(trial),
+                num_devices=int(rng.integers(1, 40)),
+                num_base_stations=int(rng.integers(1, 7)),
+                num_macro_stations=1,
+                num_clusters=int(rng.integers(1, 4)),
+                servers_per_cluster=int(rng.integers(1, 4)),
+                wireless_fronthaul_fraction=float(rng.uniform()),
+            )
+            space = StrategySpace(network, coverage)
+            sizes.update(space.flat().counts.tolist())
+            ours = np.random.default_rng(trial)
+            theirs = np.random.default_rng(trial)
+            for _ in range(3):
+                got = space.random_assignment(ours)
+                want = loop_random_assignment(space, theirs)
+                for a, b in zip(got, want):
+                    assert a.dtype == np.int64
+                    np.testing.assert_array_equal(a, b)
+                assert ours.bit_generator.state == theirs.bit_generator.state
+        assert 1 in sizes and max(sizes) > 1
 
 
 def reference_choices(network, coverage, available_servers=None):
@@ -183,6 +229,19 @@ class TestRepair:
 
 
 class TestGraphExport:
+    def test_networkx_is_imported_on_demand(self) -> None:
+        code = (
+            "import sys, repro; "
+            "assert 'networkx' not in sys.modules; "
+            "from repro.network import to_networkx_graph; "
+            "assert 'networkx' not in sys.modules"
+        )
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
     def test_node_and_edge_kinds(self) -> None:
         net = make_tiny_network()
         graph = to_networkx_graph(net, make_tiny_state().coverage())
