@@ -139,8 +139,8 @@ def _run_preset(name: str, *, repeats: int, backend: str = "numpy") -> dict:
             num_devices=preset["devices"]
         )
     if backend != "numpy":
-        # Absorb one-off provider costs (numba compilation / the C
-        # library build) outside the timed repeats.
+        # Absorb the one-off C library build outside the timed
+        # repeats.
         run(controller="dpp", **{**kwargs, "horizon": 8})
 
     seconds = []
@@ -361,7 +361,7 @@ def _sweep_table(report: dict) -> str:
         f"{report['jit_vs_pre_pipeline']:.2f}x over pre-pipeline "
         f"{BASELINE['slots_per_sec']:.1f}"
         if "jit" in report["backends"]
-        else "jit backend unavailable (no numba, no C compiler)"
+        else "jit backend unavailable (no C compiler)"
     )
     return format_table(
         ["preset", "backend", "slots", "best (s)", "slots/s", "same work"],

@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import repro
 from repro.analysis.equilibrium import estimate_equilibrium_backlog
@@ -49,7 +49,6 @@ from repro.obs import (
     Dashboard,
     JsonlSink,
     MetricsRegistry,
-    MetricsServer,
     MonitorSuite,
     Probe,
     RunManifest,
@@ -63,6 +62,9 @@ from repro.obs import (
 )
 
 _SOLVER_CHOICES = CONTROLLER_NAMES
+
+if TYPE_CHECKING:  # the HTTP endpoint is imported on use (http.server)
+    from repro.obs.server import MetricsServer
 
 
 def _build_scenario(args: argparse.Namespace) -> repro.Scenario:
@@ -205,6 +207,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             if probe is None:
                 probe = Probe()
             probe.add_sink(TelemetrySink(registry))
+        from repro.obs.server import MetricsServer
+
         server = MetricsServer(registry, port=args.metrics_port)
         server.start()
         print(f"serving OpenMetrics at {server.url}", file=sys.stderr)
@@ -512,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--solver", choices=_SOLVER_CHOICES, default="bdma")
     sim.add_argument("--backend", choices=("numpy", "jit"), default="numpy",
                      help="array-kernel backend for the solver hot loops "
-                          "(bit-identical results; jit needs numba or a C "
-                          "compiler, else it falls back to numpy)")
+                          "(bit-identical results; jit needs a C compiler, "
+                          "else it falls back to numpy)")
     sim.add_argument("--z", type=int, default=3, help="BDMA alternation rounds")
     sim.add_argument("--fraction", type=float, default=1.0,
                      help="clock position in [0,1] for --solver fixed")

@@ -19,24 +19,6 @@ import numpy as np
 from repro.core.state import Assignment, ResourceAllocation, SlotState
 from repro.exceptions import ValidationError
 from repro.network.topology import MECNetwork
-from repro.types import FloatArray
-
-
-def _proportional_shares(
-    weights: FloatArray, groups: np.ndarray, num_groups: int
-) -> FloatArray:
-    """Normalise *weights* within each group: ``w_i / sum_{j in group_i} w_j``.
-
-    Devices with zero weight (zero demand) get a zero share; a group whose
-    total weight is zero produces all-zero shares, which is harmless since
-    the corresponding latency terms are zero too.
-    """
-    totals = np.bincount(groups, weights=weights, minlength=num_groups)
-    denom = totals[groups]
-    shares = np.zeros_like(weights)
-    positive = denom > 0.0
-    shares[positive] = weights[positive] / denom[positive]
-    return shares
 
 
 def optimal_allocation(
@@ -45,6 +27,15 @@ def optimal_allocation(
     assignment: Assignment,
 ) -> ResourceAllocation:
     """Compute ``(Psi_t^*(x_t), Phi_t^*(y_t))`` per Lemma 1.
+
+    Each share is ``w_i / sum_{j in group_i} w_j`` within the device's
+    server (compute) or base station (access, fronthaul).  One
+    ``bincount`` over fused ``[compute | access | fronthaul]`` group
+    indices yields every group total: the blocks are disjoint, so each
+    total is the same in-order sum as a per-kind ``bincount``.  Devices
+    with zero weight (zero demand) get a zero share; a group whose total
+    weight is zero produces all-zero shares, which is harmless since the
+    corresponding latency terms are zero too.
 
     Args:
         network: Static topology (supplies ``sigma``).
@@ -60,35 +51,41 @@ def optimal_allocation(
         ValidationError: If a device's chosen base station does not cover
             it this slot (``h_{i,k} = 0`` would divide by zero).
     """
-    devices = np.arange(assignment.num_devices)
-    h_chosen = state.spectral_efficiency[devices, assignment.bs_of]
-    if np.any((h_chosen <= 0.0) & (state.bits > 0.0)):
-        bad = int(np.flatnonzero((h_chosen <= 0.0) & (state.bits > 0.0))[0])
+    num_devices = assignment.num_devices
+    bs_of, server_of = assignment.bs_of, assignment.server_of
+    devices = np.arange(num_devices)
+    h_chosen = state.spectral_efficiency[devices, bs_of]
+    uncovered = (h_chosen <= 0.0) & (state.bits > 0.0)
+    if uncovered.any():
+        bad = int(np.flatnonzero(uncovered)[0])
         raise ValidationError(
-            f"device {bad} selected base station {int(assignment.bs_of[bad])} "
+            f"device {bad} selected base station {int(bs_of[bad])} "
             "with zero spectral efficiency"
         )
 
-    sigma_chosen = network.suitability[devices, assignment.server_of]
-    compute_weights = np.sqrt(state.cycles / sigma_chosen)
-    compute_share = _proportional_shares(
-        compute_weights, assignment.server_of, network.num_servers
+    num_servers = network.num_servers
+    num_bs = network.num_base_stations
+    # Rows: compute sqrt(f / sigma), access sqrt(d / h) (zero where the
+    # link is down), fronthaul sqrt(d) -- h^F is common to a base
+    # station's group, so it cancels (Eq. 17).
+    weights = np.zeros((3, num_devices))
+    sigma_chosen = network.suitability[devices, server_of]
+    np.sqrt(state.cycles / sigma_chosen, out=weights[0])
+    np.divide(state.bits, h_chosen, out=weights[1], where=h_chosen > 0.0)
+    np.sqrt(weights[1], out=weights[1])
+    np.sqrt(state.bits, out=weights[2])
+    groups = np.empty((3, num_devices), dtype=np.int64)
+    groups[0] = server_of
+    np.add(bs_of, num_servers, out=groups[1])
+    np.add(bs_of, num_servers + num_bs, out=groups[2])
+    totals = np.bincount(
+        groups.ravel(), weights=weights.ravel(), minlength=num_servers + 2 * num_bs
     )
-
-    access_weights = np.zeros(assignment.num_devices)
-    positive = h_chosen > 0.0
-    access_weights[positive] = np.sqrt(state.bits[positive] / h_chosen[positive])
-    access_share = _proportional_shares(
-        access_weights, assignment.bs_of, network.num_base_stations
-    )
-
-    fronthaul_weights = np.sqrt(state.bits)
-    fronthaul_share = _proportional_shares(
-        fronthaul_weights, assignment.bs_of, network.num_base_stations
-    )
-
+    denom = totals[groups]
+    shares = np.zeros((3, num_devices))
+    np.divide(weights, denom, out=shares, where=denom > 0.0)
     return ResourceAllocation(
-        access_share=access_share,
-        fronthaul_share=fronthaul_share,
-        compute_share=compute_share,
+        access_share=shares[1],
+        fronthaul_share=shares[2],
+        compute_share=shares[0],
     )

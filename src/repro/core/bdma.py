@@ -283,6 +283,20 @@ def solve_p2_bdma(
     )
 
 
+def _same(a: Assignment, b: Assignment) -> bool:
+    """Whether two assignments select the same pairs.
+
+    ``Assignment`` holds contiguous int64 vectors, so equal shapes and
+    equal bytes mean equal entries (``np.array_equal``, without its
+    per-call overhead).
+    """
+    return (
+        a.bs_of.shape == b.bs_of.shape
+        and a.bs_of.tobytes() == b.bs_of.tobytes()
+        and a.server_of.tobytes() == b.server_of.tobytes()
+    )
+
+
 def drive_p2b(stream):
     """Run a P2-B request stream to completion, one solve at a time.
 
@@ -390,12 +404,7 @@ def bdma_request_stream(
                 initial=previous if warm_start else None,
             )
         rounds_run += 1
-        if (
-            warm_start
-            and previous is not None
-            and np.array_equal(assignment.bs_of, previous.bs_of)
-            and np.array_equal(assignment.server_of, previous.server_of)
-        ):
+        if warm_start and previous is not None and _same(assignment, previous):
             warm_hits += 1
             if fixed_point_capable and round_idx > 0:
                 # Alternation fixed point: ``frequencies`` already holds

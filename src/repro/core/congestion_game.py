@@ -71,12 +71,13 @@ class OffloadingCongestionGame(FiniteGame):
         self._num_bs = num_bs
 
         # Everything below is allocated once and refilled in place by
-        # rebind(): the kernel-state view (and the jit backends' cached
-        # pointer conversions) alias these buffers, so one game can
-        # serve every slot played on its strategy space.  Per-resource
-        # quantities live in fused [access | fronthaul | compute]
-        # buffers (the per-resource names are views), so loads, squared
-        # loads and total cost are one pass each.
+        # rebind() through the kernel backend: the kernel-state view
+        # (and the jit backend's cached pointer conversions) alias these
+        # buffers, so one game can serve every slot played on its
+        # strategy space.  Per-resource quantities live in fused
+        # [access | fronthaul | compute] buffers (the per-resource names
+        # are views), so loads, squared loads and total cost are one
+        # pass each.
         # Resource weights m_r; the access weights depend on the network
         # alone, the fronthaul and compute weights on the slot.
         self._m = np.empty(width)
@@ -84,6 +85,7 @@ class OffloadingCongestionGame(FiniteGame):
         self._m_front = self._m[num_bs : 2 * num_bs]
         self._m_compute = self._m[2 * num_bs :]
         np.divide(1.0, network.access_bandwidth, out=self._m_access)
+        self._frequencies = np.empty(num_srv)
 
         # The strategy profile and, per player, its three current
         # resources (indices into the fused buffers) and its weights on
@@ -104,11 +106,6 @@ class OffloadingCongestionGame(FiniteGame):
         # Flattened candidate arrays for the vectorized engine, built
         # lazily on the first batch evaluation.
         self._cand_ready = False
-        # Decomposed (product-form) evaluator state, built lazily; see
-        # _ensure_decomposed.  The structure check is cheap and eager so
-        # the engine can pick its refresh strategy up front.
-        self._dc_ready = False
-        self._ks: DecomposedState | None = None
         menu_sizes = np.array(
             [menu.size for menu in space.server_menu()], dtype=np.int64
         )
@@ -132,7 +129,14 @@ class OffloadingCongestionGame(FiniteGame):
         self._sq_access = self._sq[:num_bs]
         self._sq_front = self._sq[num_bs : 2 * num_bs]
         self._sq_compute = self._sq[2 * num_bs :]
+        self._build_kernel_state()
         self.rebind(state, frequencies, initial, rng=rng)
+
+    def _set_frequencies(self, frequencies: FloatArray) -> None:
+        frequencies = np.asarray(frequencies, dtype=np.float64)
+        if frequencies.size != self.network.num_servers:
+            raise ConfigurationError("one frequency per server is required")
+        np.copyto(self._frequencies, frequencies)
 
     def rebind(
         self,
@@ -144,89 +148,45 @@ class OffloadingCongestionGame(FiniteGame):
     ) -> None:
         """Re-pose the game for another slot on the same strategy space.
 
-        Refills every state- and clock-dependent array in place with the
-        constructor's arithmetic, then re-seeds the profile exactly as
-        :meth:`reset_profile` does (same rng consumption), so a rebound
-        game is bitwise indistinguishable from a freshly constructed
-        one.  The constructor itself is allocation plus this call.
+        Refills every state- and clock-dependent array in place (the
+        kernel backend's ``rebind``), then re-seeds the profile exactly
+        as :meth:`reset_profile` does (same rng consumption), so a
+        rebound game is bitwise indistinguishable from a freshly
+        constructed one.  The constructor itself is allocation plus
+        this call.
 
         *state* must be compatible with the game's strategy space (every
         listed pair has positive spectral efficiency), as for the
         constructor.
         """
-        frequencies = np.asarray(frequencies, dtype=np.float64)
-        network = self.network
-        if frequencies.size != network.num_servers:
-            raise ConfigurationError("one frequency per server is required")
+        self._set_frequencies(frequencies)
         # Until the refill completes the arrays describe no state.
         self.state = None
-        np.divide(
-            1.0,
-            network.fronthaul_bandwidth * effective_fronthaul_se(network, state),
-            out=self._m_front,
+        self.kernels.rebind(
+            self._ks,
+            state.spectral_efficiency,
+            state.bits,
+            state.cycles,
+            effective_fronthaul_se(self.network, state),
         )
-        np.divide(1.0, network.speeds(frequencies), out=self._m_compute)
-
-        # Access weights are +inf on uncovered links so an accidental
-        # infeasible probe is never the argmin.  The masked-out h=0
-        # entries overflow before they are overwritten; silence that.
-        h = state.spectral_efficiency
-        p_access = self._p_access
-        with np.errstate(divide="ignore", over="ignore"):
-            np.maximum(h, 1e-300, out=p_access)
-            np.divide(state.bits[:, None], p_access, out=p_access)
-            np.sqrt(p_access, out=p_access)
-        np.copyto(p_access, np.inf, where=~(h > 0.0))
-        np.sqrt(state.bits, out=self._p_front)
-        np.divide(state.cycles[:, None], network.suitability, out=self._p_compute)
-        np.sqrt(self._p_compute, out=self._p_compute)
         if self._cand_ready:
             self._fill_candidates()
-        if self._dc_ready:
-            self._fill_decomposed()
         self.state = state
         self.reset_profile(initial, rng=rng)
 
     def _init_profile(self) -> None:
         """(Re)build loads and per-player caches from the profile arrays.
 
-        Fills the same buffers in place: the kernel-state view (and the
-        jit backends' cached pointer conversions) alias them.  One
-        ``bincount`` over the fused resource indices yields all three
-        load vectors: resource blocks are disjoint, so every load is the
-        same in-order sum as a per-resource ``bincount``.
+        The kernel backend's ``reset_profile`` fills the same buffers in
+        place: the kernel-state view (and the jit backend's cached
+        pointer conversions) alias them.
         """
-        num_bs = self._num_bs
-        rows = self._devices
-        idx, weights = self._cur_idx, self._cur_p
-        idx[0] = self._bs_of
-        np.add(self._bs_of, num_bs, out=idx[1])
-        np.add(self._server_of, 2 * num_bs, out=idx[2])
-        self._pa_cur[:] = self._p_access[rows, self._bs_of]
-        self._pc_cur[:] = self._p_compute[rows, self._server_of]
-        width = self._loads.size
-        flat_idx = idx.ravel()
-        self._loads[:] = np.bincount(
-            flat_idx, weights=weights.ravel(), minlength=width
-        )
-        self._sq[:] = np.bincount(
-            flat_idx, weights=(weights * weights).ravel(), minlength=width
-        )
-        if not np.isfinite(self._load_access).all():
+        if not self.kernels.reset_profile(self._ks):
             bad = int(np.flatnonzero(~np.isfinite(self._pa_cur))[0])
             raise ConfigurationError(
                 f"initial assignment is infeasible: device {bad} selected a "
                 f"base station with zero spectral efficiency this slot"
             )
-        if self._dc_ready:
-            self._dc_reset_profile_caches()
-
-    def _dc_reset_profile_caches(self) -> None:
-        """Rebuild the decomposed evaluator's per-profile arrays."""
-        sub = self._dc_sub
-        sub.fill(0.0)
-        sub[self._devices, self._cur_idx] = self._cur_p
-        np.multiply(self._m.take(self._cur_idx), self._cur_p, out=self._dc_wcur)
 
     def reset_profile(
         self, initial: Assignment | None = None, *, rng: Rng | None = None
@@ -257,23 +217,13 @@ class OffloadingCongestionGame(FiniteGame):
         everything else (player weights, candidate index arrays) is a
         function of the state and the strategy space alone.
         """
-        frequencies = np.asarray(frequencies, dtype=np.float64)
-        if frequencies.size != self.network.num_servers:
-            raise ConfigurationError("one frequency per server is required")
-        # In place (same `1.0 / x` ufunc): the kernel-state view and the
-        # jit pointer caches alias this buffer.
-        np.divide(1.0, self.network.speeds(frequencies), out=self._m_compute)
+        self._set_frequencies(frequencies)
+        self.kernels.update_frequencies(self._ks)
         if self._cand_ready:
             flat = self.space.flat()
             np.multiply(
                 self._m_compute[flat.server], self._cand_pc, out=self._cand_w[2]
             )
-        if self._dc_ready:
-            num_bs = self.network.num_base_stations
-            np.multiply(
-                self._m_compute, self._p_compute, out=self._dc_w[:, 2 * num_bs :]
-            )
-            self._dc_wcur[2] = self._m_compute[self._server_of] * self._pc_cur
 
     # -- FiniteGame interface ----------------------------------------------
 
@@ -358,8 +308,8 @@ class OffloadingCongestionGame(FiniteGame):
         np.multiply(self._m_front[fb], self._cand_pf, out=self._cand_w[1])
         np.multiply(self._m_compute[fs], self._cand_pc, out=self._cand_w[2])
 
-    def _ensure_decomposed(self) -> None:
-        """Precompute the product-form (decomposed) evaluator state.
+    def _build_kernel_state(self) -> None:
+        """Allocate the product-form (decomposed) evaluator state.
 
         The strategy space is, by construction, a product set per covered
         base station: device ``i`` may pick any ``(k, n)`` with ``k``
@@ -371,15 +321,17 @@ class OffloadingCongestionGame(FiniteGame):
         ``O(I (K + N))`` pass instead of ``O(C)`` over the flattened
         candidates, with one server argmin per *distinct* menu.
 
-        Bit-exactness: every array below is filled with the same
-        pairwise products the flat evaluator uses, the per-entry
-        adjustment runs the same ufunc sequence, and strictness of the
-        split (``B >= Bmin`` with equality only at the argmin) makes the
-        two-stage first-minimum tie break coincide with ``np.argmin``
-        over the flat candidate enumeration.
+        Bit-exactness: the backend's ``rebind`` fills the per-entry
+        arrays with the same pairwise products the flat evaluator uses,
+        the per-entry adjustment runs the same ufunc sequence, and
+        strictness of the split (``B >= Bmin`` with equality only at the
+        argmin) makes the two-stage first-minimum tie break coincide
+        with ``np.argmin`` over the flat candidate enumeration.
+
+        The state is also what the backend's per-slot refills
+        (``rebind``, ``reset_profile``, ``update_frequencies``) run on,
+        so it is built with the game rather than on first use.
         """
-        if self._dc_ready:
-            return
         network = self.network
         num_bs = network.num_base_stations
         num_srv = network.num_servers
@@ -404,7 +356,6 @@ class OffloadingCongestionGame(FiniteGame):
         # like the loads buffer so the adjustment is four ufunc calls.
         self._dc_p = np.empty((players, width))
         self._dc_w = np.empty((players, width))
-        self._fill_decomposed()
 
         # Per-profile caches: each player's own weight on its three
         # current resources (zero elsewhere) and its current-cost
@@ -426,7 +377,6 @@ class OffloadingCongestionGame(FiniteGame):
         # intp (== int64 here) so np.argmin can write them in place.
         self._dc_nidx = np.zeros((len(menus), players), dtype=np.intp)
         self._dc_kbest = np.zeros(players, dtype=np.intp)
-        self._dc_rows = self._devices
         self._dc_cc = np.zeros(players)
         self._dc_cc3 = np.zeros((3, players))
 
@@ -445,6 +395,9 @@ class OffloadingCongestionGame(FiniteGame):
             num_bs=num_bs,
             num_servers=num_srv,
             loads=self._loads,
+            sq=self._sq,
+            m=self._m,
+            cur_p=self._cur_p,
             p=self._dc_p,
             w=self._dc_w,
             sub=self._dc_sub,
@@ -462,7 +415,7 @@ class OffloadingCongestionGame(FiniteGame):
             kbest=self._dc_kbest,
             cc=self._dc_cc,
             cc3=self._dc_cc3,
-            rows=self._dc_rows,
+            rows=self._devices,
             p_access=self._p_access,
             p_front=self._p_front,
             p_compute=self._p_compute,
@@ -476,23 +429,11 @@ class OffloadingCongestionGame(FiniteGame):
             sq_access=self._sq_access,
             sq_front=self._sq_front,
             sq_compute=self._sq_compute,
+            frequencies=self._frequencies,
+            fronthaul_bandwidth=network.fronthaul_bandwidth,
+            speed_scale=network.speed_scale,
+            suitability=network.suitability,
         )
-
-        self._dc_ready = True
-        self._dc_reset_profile_caches()
-
-    def _fill_decomposed(self) -> None:
-        """(Re)fill the decomposed evaluator's static per-entry weights."""
-        num_bs = self._num_bs
-        p, w = self._dc_p, self._dc_w
-        p[:, :num_bs] = self._p_access
-        p[:, num_bs : 2 * num_bs] = self._p_front[:, None]
-        p[:, 2 * num_bs :] = self._p_compute
-        np.multiply(self._m_access, self._p_access, out=w[:, :num_bs])
-        np.multiply(
-            self._m_front, self._p_front[:, None], out=w[:, num_bs : 2 * num_bs]
-        )
-        np.multiply(self._m_compute, self._p_compute, out=w[:, 2 * num_bs :])
 
     def candidate_count(self, players: np.ndarray | None = None) -> int:
         """Total candidate pairs of *players* (all players when ``None``)."""
@@ -586,7 +527,7 @@ class OffloadingCongestionGame(FiniteGame):
     ) -> tuple[FloatArray, FloatArray]:
         """``(best_cost, current_cost)`` per player, best strategies deferred.
 
-        Product-form evaluation (see :meth:`_ensure_decomposed`),
+        Product-form evaluation (see :meth:`_build_kernel_state`),
         delegated to the selected kernel backend's ``gap_sweep`` --
         numerically identical to :meth:`batch_best_responses` (same
         IEEE expression tree, same first-minimum tie break).  The full
@@ -596,7 +537,6 @@ class OffloadingCongestionGame(FiniteGame):
         the kernel state) so the engine can resolve the selected
         mover's best strategy lazily via :meth:`best_strategy_for`.
         """
-        self._ensure_decomposed()
         best_cost, current_cost = self.kernels.gap_sweep(self._ks)
         if players is None:
             return best_cost, current_cost
@@ -611,8 +551,6 @@ class OffloadingCongestionGame(FiniteGame):
         all arrays alias this game's state, so kernel mutations are
         game mutations.
         """
-        self._ensure_decomposed()
-        assert self._ks is not None
         return self._ks
 
     def best_strategy_for(self, player: int) -> tuple[int, int]:
@@ -692,18 +630,17 @@ class OffloadingCongestionGame(FiniteGame):
         cur_idx[1, player] = num_bs + k_new
         cur_idx[2, player] = 2 * num_bs + n_new
 
-        if self._dc_ready:
-            sub = self._dc_sub
-            sub[player, k_old] = 0.0
-            sub[player, num_bs + k_old] = 0.0
-            sub[player, 2 * num_bs + n_old] = 0.0
-            sub[player, k_new] = pa_new
-            sub[player, num_bs + k_new] = pf
-            sub[player, 2 * num_bs + n_new] = pc_new
-            wcur = self._dc_wcur
-            wcur[0, player] = self._m_access[k_new] * pa_new
-            wcur[1, player] = self._m_front[k_new] * pf
-            wcur[2, player] = self._m_compute[n_new] * pc_new
+        sub = self._dc_sub
+        sub[player, k_old] = 0.0
+        sub[player, num_bs + k_old] = 0.0
+        sub[player, 2 * num_bs + n_old] = 0.0
+        sub[player, k_new] = pa_new
+        sub[player, num_bs + k_new] = pf
+        sub[player, 2 * num_bs + n_new] = pc_new
+        wcur = self._dc_wcur
+        wcur[0, player] = self._m_access[k_new] * pa_new
+        wcur[1, player] = self._m_front[k_new] * pf
+        wcur[2, player] = self._m_compute[n_new] * pc_new
 
     def total_cost(self) -> float:
         """``sum_r m_r p_r(z)^2`` -- equals ``T_t(x, y, Omega)`` of Eq. (20).

@@ -25,14 +25,32 @@ def energy_cost(
 ) -> float:
     """``C_t(Omega_t, p_t)`` (Eq. 13) for the network's servers.
 
+    With the network's quadratic energy table the powers are one vector
+    expression, ``scale * (a f^2 + b f + c)`` -- each model's ``power``
+    term for term -- summed with the builtin ``sum`` in server order,
+    the same float sequence as the per-model loop, which remains for
+    any other energy model.
+
     Args:
         available: Optional server availability mask; offline servers
             draw no power (failure injection).
     """
+    table = network.energy_table
+    frequencies = np.asarray(frequencies, dtype=np.float64)
+    shape = (network.num_servers,)
+    if (
+        table is not None
+        and frequencies.shape == shape
+        and (available is None or np.shape(available) == shape)
+    ):
+        scale, a, b, c = table
+        power = scale * (a * frequencies * frequencies + b * frequencies + c)
+        if available is not None:
+            power = power[np.asarray(available, dtype=bool)]
+        return price * sum(power.tolist())
     models = network.energy_models()
     if available is None:
         return slot_energy_cost(models, frequencies, price)
-    frequencies = np.asarray(frequencies, dtype=np.float64)
     total_power = sum(
         m.power(float(f))
         for m, f, up in zip(models, frequencies, available)

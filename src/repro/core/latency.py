@@ -105,11 +105,9 @@ def processing_latency(
 ) -> float:
     """``L^P_t`` (Eq. 8): total processing latency across devices."""
     return float(
-        np.sum(
-            per_device_processing_latency(
-                network, state, assignment, allocation, frequencies
-            )
-        )
+        per_device_processing_latency(
+            network, state, assignment, allocation, frequencies
+        ).sum()
     )
 
 
@@ -123,7 +121,7 @@ def communication_latency(
     access, fronthaul = per_device_communication_latency(
         network, state, assignment, allocation
     )
-    return float(np.sum(access) + np.sum(fronthaul))
+    return float(access.sum() + fronthaul.sum())
 
 
 def total_latency(
@@ -163,34 +161,41 @@ def optimal_processing_latency(
     """``T^P_t`` (Eq. 18): processing latency under the optimal ``Phi``."""
     roots = server_load_roots(network, state, assignment)
     speeds = network.speeds(frequencies)
-    return float(np.sum(roots * roots / speeds))
+    return float((roots * roots / speeds).sum())
 
 
 def optimal_communication_latency(
     network: MECNetwork, state: SlotState, assignment: Assignment
 ) -> float:
-    """``T^C_t`` (Eq. 19): communication latency under the optimal ``Psi``."""
-    devices = np.arange(assignment.num_devices)
-    h_access = state.spectral_efficiency[devices, assignment.bs_of]
-    access_weights = np.zeros(assignment.num_devices)
-    positive = h_access > 0.0
-    access_weights[positive] = np.sqrt(state.bits[positive] / h_access[positive])
-    access_roots = np.bincount(
-        assignment.bs_of, weights=access_weights, minlength=network.num_base_stations
-    )
-    access = float(np.sum(access_roots * access_roots / network.access_bandwidth))
+    """``T^C_t`` (Eq. 19): communication latency under the optimal ``Psi``.
 
-    front_weights = np.sqrt(state.bits)
-    front_roots = np.bincount(
-        assignment.bs_of, weights=front_weights, minlength=network.num_base_stations
-    )
+    One ``bincount`` over fused ``[access | fronthaul]`` base-station
+    indices yields both root vectors: the blocks are disjoint, so each
+    is the same in-order sum as a per-kind ``bincount``.
+    """
+    num_devices = assignment.num_devices
+    num_bs = network.num_base_stations
+    bs_of = assignment.bs_of
+    h_access = state.spectral_efficiency[np.arange(num_devices), bs_of]
+    # Rows: access sqrt(d / h) (zero where the link is down), fronthaul
+    # sqrt(d).
+    weights = np.zeros((2, num_devices))
+    np.divide(state.bits, h_access, out=weights[0], where=h_access > 0.0)
+    np.sqrt(weights[0], out=weights[0])
+    np.sqrt(state.bits, out=weights[1])
+    groups = np.empty((2, num_devices), dtype=np.int64)
+    groups[0] = bs_of
+    np.add(bs_of, num_bs, out=groups[1])
+    roots = np.bincount(groups.ravel(), weights=weights.ravel(), minlength=2 * num_bs)
+    access_roots, front_roots = roots[:num_bs], roots[num_bs:]
+    access = float((access_roots * access_roots / network.access_bandwidth).sum())
     # (1/W^F)(sum sqrt(d/h^F))^2 == (sum sqrt(d))^2 / (W^F h^F)
     fronthaul = float(
-        np.sum(
+        (
             front_roots
             * front_roots
             / (network.fronthaul_bandwidth * effective_fronthaul_se(network, state))
-        )
+        ).sum()
     )
     return access + fronthaul
 

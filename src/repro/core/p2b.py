@@ -21,13 +21,13 @@ call at N=16 on the paper scenario).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.latency import server_load_roots
 from repro.core.state import Assignment, SlotState
-from repro.energy.models import QuadraticEnergyModel, ScaledEnergyModel
+from repro.energy.models import scaled_quadratic_coefficients
 from repro.kernels import KernelBackend, get_kernels
 from repro.network.topology import MECNetwork
 from repro.obs.probe import Tracer, as_tracer
@@ -92,8 +92,9 @@ def solve_p2b(
             path.
         backend: Kernel backend for the golden-section search.  A
             backend providing a native ``golden_quad`` (the ``jit``
-            backend) replaces the search core on lanes with quadratic
-            energy models, bit-identically; method resolution and the
+            backend) replaces the search core when every server has a
+            (scaled) quadratic energy model (``network.energy_table``),
+            bit-identically; method resolution and the
             emitted counters are unchanged, so traces diff clean across
             backends.  ``None`` keeps the NumPy search.
 
@@ -124,49 +125,22 @@ def solve_p2b(
     energy_pressure = queue_backlog * state.price
     tracer = as_tracer(tracer)
     kernels = get_kernels(backend)
-    native = kernels.golden_quad is not None
+    native = kernels.golden_quad is not None and network.energy_table is not None
 
-    if method == "scalar":
-        if native:
-            solved = _solve_p2b_scalar_native(
-                network, state, demand, energy_pressure, v, tol, kernels
-            )
-            if solved is not None:
-                frequencies, searched = solved
-                if tracer.enabled:
-                    tracer.counter("p2b.scalar_solves", searched)
-                    tracer.counter(
-                        "p2b.fastpath", network.num_servers - searched
-                    )
-                return frequencies
+    if method == "scalar" and not native:
         return _solve_p2b_scalar(
             network, state, demand, energy_pressure, v, tol, tracer
         )
-
-    lo = network.freq_min
-    hi = network.freq_max
-    frequencies = lo.copy()
-    if state.available_servers is None:
-        online = np.ones(network.num_servers, dtype=bool)
-    else:
-        online = np.asarray(state.available_servers, dtype=bool)
-    # Fast paths as masks, in the scalar loop's precedence order:
-    # offline -> F^L, idle -> F^L, zero energy pressure -> F^U.
-    loaded = online & (demand > 0.0)
-    if energy_pressure <= 0.0:
-        frequencies[loaded] = hi[loaded]
-        servers = np.empty(0, dtype=np.int64)
-    else:
-        servers = np.flatnonzero(loaded)
-
+    # The scalar method on a native golden_quad: the loop's fast paths
+    # as masks (the batch construction, itself bit-identical to the
+    # loop) and every searched lane in one kernel call.
+    frequencies, servers = _fast_paths(network, state, demand, energy_pressure)
     batch_iters = 0
     if servers.size:
-        # speed(omega) is linear in omega, so V A / speed = scale / omega.
-        speed_one = network.speed_scale[servers] * 1.0 * 1e9
-        latency_scale = v * demand[servers] / speed_one
+        latency_scale = _latency_scale(network, servers, demand, v)
         search_kernels = kernels if native else None
-        lo_s, hi_s = lo[servers], hi[servers]
-        if bracket_hint is None:
+        lo_s, hi_s = network.freq_min[servers], network.freq_max[servers]
+        if bracket_hint is None or method == "scalar":
             best, batch_iters = _golden_search(
                 search_kernels, network, servers, latency_scale,
                 energy_pressure, lo_s, hi_s, tol,
@@ -200,17 +174,40 @@ def solve_p2b(
     if tracer.enabled:
         tracer.counter("p2b.scalar_solves", int(servers.size))
         tracer.counter("p2b.fastpath", network.num_servers - int(servers.size))
-        tracer.counter("p2b.batch_iters", batch_iters)
+        if method == "batch":
+            tracer.counter("p2b.batch_iters", batch_iters)
     return frequencies
 
 
-def _as_scaled_quadratic(model) -> tuple[float, float, float, float] | None:
-    """``(scale, a, b, c)`` when *model* is a (possibly scaled) quadratic."""
-    if type(model) is QuadraticEnergyModel:
-        return (1.0, model.a, model.b, model.c)
-    if type(model) is ScaledEnergyModel and type(model.base) is QuadraticEnergyModel:
-        return (model.scale, model.base.a, model.base.b, model.base.c)
-    return None
+def _fast_paths(
+    network: MECNetwork,
+    state: SlotState,
+    demand: FloatArray,
+    energy_pressure: float,
+) -> tuple[FloatArray, np.ndarray]:
+    """Frequencies with the fast paths applied, and the lanes to search.
+
+    The scalar loop's precedence as masks: offline -> ``F^L``, idle ->
+    ``F^L``, zero energy pressure -> ``F^U``; every other server is
+    returned for the golden-section search.
+    """
+    frequencies = network.freq_min.copy()
+    loaded = demand > 0.0
+    if state.available_servers is not None:
+        loaded &= np.asarray(state.available_servers, dtype=bool)
+    if energy_pressure <= 0.0:
+        frequencies[loaded] = network.freq_max[loaded]
+        return frequencies, np.empty(0, dtype=np.int64)
+    return frequencies, np.flatnonzero(loaded)
+
+
+def _latency_scale(
+    network: MECNetwork, servers: np.ndarray, demand: FloatArray, v: float
+) -> FloatArray:
+    """``V A_n / speed_n(1)``: speed is linear in omega, so the latency
+    term of lane ``n`` is this scale over omega."""
+    speed_one = network.speed_scale[servers] * 1.0 * 1e9
+    return v * demand[servers] / speed_one
 
 
 def _batch_objective(
@@ -221,15 +218,14 @@ def _batch_objective(
 ):
     """The vectorized P2-B objective over the given server lanes.
 
-    Elementwise identical to the scalar loop's closure: lanes sharing a
-    :class:`QuadraticEnergyModel` family evaluate the quadratic directly
-    on coefficient arrays; anything else falls back to each model's
+    Elementwise identical to the scalar loop's closure: with a
+    quadratic energy table the lanes evaluate the quadratic directly on
+    its coefficient rows; anything else falls back to each model's
     ``power_many`` (itself elementwise equal to ``power``).
     """
-    models = [network.servers[int(n)].energy_model for n in servers]
-    quads = [_as_scaled_quadratic(m) for m in models]
-    if all(q is not None for q in quads):
-        scale, a, b, c = (np.array(col) for col in zip(*quads))
+    table = network.energy_table
+    if table is not None:
+        scale, a, b, c = table[:, servers]
 
         def objective(freq: FloatArray) -> FloatArray:
             # scale * (a f^2 + b f + c): ScaledEnergyModel's expression
@@ -242,7 +238,8 @@ def _batch_objective(
         return objective
 
     groups: dict[int, tuple[object, list[int]]] = {}
-    for lane, model in enumerate(models):
+    for lane, n in enumerate(servers):
+        model = network.servers[int(n)].energy_model
         groups.setdefault(id(model), (model, []))[1].append(lane)
     grouped = [(model, np.array(lanes)) for model, lanes in groups.values()]
 
@@ -253,20 +250,6 @@ def _batch_objective(
         return out
 
     return objective
-
-
-def _quad_columns(
-    network: MECNetwork, servers: np.ndarray
-) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray] | None:
-    """Per-lane ``(scale, a, b, c)`` arrays, or ``None`` on any non-quad."""
-    quads = [
-        _as_scaled_quadratic(network.servers[int(n)].energy_model)
-        for n in servers
-    ]
-    if any(q is None for q in quads):
-        return None
-    scale, a, b, c = (np.array(col) for col in zip(*quads))
-    return scale, a, b, c
 
 
 def _golden_search(
@@ -281,20 +264,18 @@ def _golden_search(
 ) -> tuple[FloatArray, int]:
     """``(x, total_evals)`` for the per-lane golden-section search.
 
-    Uses the kernel backend's native ``golden_quad`` when every lane has
-    a (scaled) quadratic energy model -- bit-identical to the NumPy
-    batch search, including the evaluation counts -- and the NumPy
-    search otherwise.
+    Uses *kernels*' native ``golden_quad`` when given (the caller checks
+    the network has a quadratic energy table) -- bit-identical to the
+    NumPy batch search, including the evaluation counts -- and the
+    NumPy search otherwise.
     """
-    if kernels is not None and kernels.golden_quad is not None:
-        cols = _quad_columns(network, servers)
-        if cols is not None:
-            scale, a, b, c = cols
-            ep = np.full(servers.size, energy_pressure)
-            x, evals = kernels.golden_quad(
-                lo, hi, latency_scale, ep, scale, a, b, c, tol
-            )
-            return x, int(evals.sum())
+    if kernels is not None:
+        scale, a, b, c = network.energy_table[:, servers]
+        ep = np.full(servers.size, energy_pressure)
+        x, evals = kernels.golden_quad(
+            lo, hi, latency_scale, ep, scale, a, b, c, tol
+        )
+        return x, int(evals.sum())
     result = minimize_convex_scalar_batch(
         _batch_objective(network, servers, latency_scale, energy_pressure),
         lo,
@@ -302,52 +283,6 @@ def _golden_search(
         tol=tol,
     )
     return result.x, int(result.iterations.sum())
-
-
-def _solve_p2b_scalar_native(
-    network: MECNetwork,
-    state: SlotState,
-    demand: FloatArray,
-    energy_pressure: float,
-    v: float,
-    tol: float,
-    kernels: "KernelBackend",
-) -> tuple[FloatArray, int] | None:
-    """The scalar method's result via the native golden kernel.
-
-    Applies the scalar loop's fast paths as masks (the batch path's
-    construction, itself bit-identical to the loop) and hands every lane
-    that needs the search to ``golden_quad`` in one call.  Returns
-    ``(frequencies, searched_lanes)``, or ``None`` when any searched
-    lane has a non-quadratic energy model (the caller then runs the
-    Python loop, which handles arbitrary models).
-    """
-    lo = network.freq_min
-    hi = network.freq_max
-    frequencies = lo.copy()
-    if state.available_servers is None:
-        online = np.ones(network.num_servers, dtype=bool)
-    else:
-        online = np.asarray(state.available_servers, dtype=bool)
-    loaded = online & (demand > 0.0)
-    if energy_pressure <= 0.0:
-        frequencies[loaded] = hi[loaded]
-        return frequencies, 0
-    servers = np.flatnonzero(loaded)
-    if servers.size == 0:
-        return frequencies, 0
-    cols = _quad_columns(network, servers)
-    if cols is None:
-        return None
-    scale, a, b, c = cols
-    speed_one = network.speed_scale[servers] * 1.0 * 1e9
-    latency_scale = v * demand[servers] / speed_one
-    ep = np.full(servers.size, energy_pressure)
-    x, _ = kernels.golden_quad(
-        lo[servers], hi[servers], latency_scale, ep, scale, a, b, c, tol
-    )
-    frequencies[servers] = x
-    return frequencies, int(servers.size)
 
 
 def _solve_p2b_scalar(
@@ -380,7 +315,7 @@ def _solve_p2b_scalar(
         # speed(omega) is linear in omega, so V A / speed = scale / omega.
         latency_scale = v * demand[n] / server.speed(1.0)
         model = server.energy_model
-        quad = _as_scaled_quadratic(model)
+        quad = scaled_quadratic_coefficients(model)
 
         if quad is not None and hi > lo:
             # Golden-section search with the (Scaled)QuadraticEnergyModel
@@ -434,25 +369,18 @@ def _solve_p2b_scalar(
         tracer.counter("p2b.fastpath", network.num_servers - scalar_solves)
     return frequencies
 
-@dataclass
-class _FusedLanes:
+class _Lanes(NamedTuple):
     """One request's contribution to a fused ``golden_quad`` call."""
 
-    frequencies: FloatArray  # output array, fast paths already applied
-    servers: np.ndarray  # lanes that need the search
-    lo: FloatArray
-    hi: FloatArray
-    latency_scale: FloatArray
-    ep: FloatArray
-    scale: FloatArray
-    qa: FloatArray
-    qb: FloatArray
-    qc: FloatArray
-    method: str  # resolved method, for counter parity
-    tracer: Tracer
     kernels: KernelBackend
     tol: float
-    num_servers: int
+    network: MECNetwork
+    frequencies: FloatArray  # output array, fast paths already applied
+    servers: np.ndarray  # lanes that need the search
+    latency_scale: FloatArray
+    energy_pressure: float
+    method: str  # resolved method, for counter parity
+    tracer: Tracer
 
 
 def _fuse_prep(
@@ -468,66 +396,32 @@ def _fuse_prep(
     bracket_margin: float = 0.25,
     tracer: "Tracer | None" = None,
     backend: "KernelBackend | str | None" = None,
-) -> _FusedLanes | None:
+) -> _Lanes | None:
     """The search-prologue of :func:`solve_p2b`, packaged for fusion.
 
     Returns ``None`` when the request cannot join a fused kernel call --
     no native ``golden_quad``, a bracket hint (its redo loop is
-    data-dependent), or a non-quadratic energy model on a searched lane
-    -- in which case the caller solves it solo.  The returned lanes
-    reproduce the solo call's masks, brackets, and coefficient columns
-    exactly, so concatenating them with other requests' lanes cannot
-    change any lane's arithmetic.
+    data-dependent), or no quadratic energy table -- in which case the
+    caller solves it solo.  The returned lanes reproduce the solo
+    call's masks, brackets, and coefficient columns exactly, so stacking
+    them with other requests' lanes cannot change any lane's arithmetic.
     """
+    del bracket_margin
     if bracket_hint is not None or method not in ("auto", "batch", "scalar"):
         return None
     kernels = get_kernels(backend)
-    if kernels.golden_quad is None:
+    if kernels.golden_quad is None or network.energy_table is None:
         return None
     if method == "auto":
         method = "scalar" if network.num_servers < _BATCH_CUTOVER else "batch"
     roots = server_load_roots(network, state, assignment)
     demand = roots * roots
     energy_pressure = queue_backlog * state.price
-    lo = network.freq_min
-    hi = network.freq_max
-    frequencies = lo.copy()
-    if state.available_servers is None:
-        online = np.ones(network.num_servers, dtype=bool)
-    else:
-        online = np.asarray(state.available_servers, dtype=bool)
-    loaded = online & (demand > 0.0)
-    if energy_pressure <= 0.0:
-        frequencies[loaded] = hi[loaded]
-        servers = np.empty(0, dtype=np.int64)
-    else:
-        servers = np.flatnonzero(loaded)
-    if servers.size:
-        cols = _quad_columns(network, servers)
-        if cols is None:
-            return None
-        scale, qa, qb, qc = cols
-        speed_one = network.speed_scale[servers] * 1.0 * 1e9
-        latency_scale = v * demand[servers] / speed_one
-    else:
-        empty = np.empty(0)
-        scale = qa = qb = qc = latency_scale = empty
-    return _FusedLanes(
-        frequencies=frequencies,
-        servers=servers,
-        lo=lo[servers],
-        hi=hi[servers],
-        latency_scale=latency_scale,
-        ep=np.full(servers.size, energy_pressure),
-        scale=scale,
-        qa=qa,
-        qb=qb,
-        qc=qc,
-        method=method,
-        tracer=as_tracer(tracer),
-        kernels=kernels,
-        tol=tol,
-        num_servers=network.num_servers,
+    frequencies, servers = _fast_paths(network, state, demand, energy_pressure)
+    return _Lanes(
+        kernels, tol, network, frequencies, servers,
+        _latency_scale(network, servers, demand, v),
+        energy_pressure, method, as_tracer(tracer),
     )
 
 
@@ -544,10 +438,11 @@ def solve_p2b_many(requests: "list[dict]") -> "list[FloatArray]":
         ``solve_p2b(**request)`` run alone.
 
     Requests that would run the un-hinted search on a native
-    ``golden_quad`` kernel are stacked -- all their server lanes in one
-    kernel invocation per distinct ``(backend, tol)`` -- which is what
-    makes cross-seed batched replication cheaper than R solo runs.
-    The kernel treats lanes independently, so fusion cannot change any
+    ``golden_quad`` kernel are stacked -- all their server lanes written
+    into one ``(8, lanes)`` argument block and searched in one kernel
+    invocation per distinct ``(backend, tol)`` -- which is what makes
+    cross-seed batched replication cheaper than R solo runs.  The
+    kernel treats lanes independently, so fusion cannot change any
     lane's result; per-request counters (``p2b.scalar_solves`` /
     ``p2b.fastpath`` / ``p2b.batch_iters``) are emitted to each
     request's own tracer exactly as the solo call would.  Requests that
@@ -557,41 +452,46 @@ def solve_p2b_many(requests: "list[dict]") -> "list[FloatArray]":
     out: "list[FloatArray | None]" = [None] * len(requests)
     groups: dict = {}
     for idx, request in enumerate(requests):
-        prep = _fuse_prep(**request)
-        if prep is None:
+        lanes = _fuse_prep(**request)
+        if lanes is None:
             out[idx] = solve_p2b(**request)
         else:
-            groups.setdefault((id(prep.kernels), prep.tol), []).append(
-                (idx, prep)
+            groups.setdefault((id(lanes.kernels), lanes.tol), []).append(
+                (idx, lanes)
             )
     for members in groups.values():
-        lanes = [prep for _, prep in members]
-        sizes = [int(prep.servers.size) for prep in lanes]
-        if sum(sizes):
-            x_all, evals_all = lanes[0].kernels.golden_quad(
-                np.concatenate([p.lo for p in lanes]),
-                np.concatenate([p.hi for p in lanes]),
-                np.concatenate([p.latency_scale for p in lanes]),
-                np.concatenate([p.ep for p in lanes]),
-                np.concatenate([p.scale for p in lanes]),
-                np.concatenate([p.qa for p in lanes]),
-                np.concatenate([p.qb for p in lanes]),
-                np.concatenate([p.qc for p in lanes]),
-                lanes[0].tol,
-            )
-        else:
-            x_all = np.empty(0)
-            evals_all = np.empty(0, dtype=np.int64)
+        sizes = [lanes.servers.size for _, lanes in members]
+        total = sum(sizes)
+        x_all = np.empty(0)
+        evals_all = np.empty(0, dtype=np.int64)
+        if total:
+            # Rows: lo, hi, latency scale, energy pressure, then the
+            # energy table's scale, a, b, c -- golden_quad's order.
+            block = np.empty((8, total))
+            offset = 0
+            for (_, lanes), size in zip(members, sizes):
+                stop = offset + size
+                servers, network = lanes.servers, lanes.network
+                block[0, offset:stop] = network.freq_min[servers]
+                block[1, offset:stop] = network.freq_max[servers]
+                block[2, offset:stop] = lanes.latency_scale
+                block[3, offset:stop] = lanes.energy_pressure
+                block[4:, offset:stop] = network.energy_table[:, servers]
+                offset = stop
+            first = members[0][1]
+            x_all, evals_all = first.kernels.golden_quad(*block, first.tol)
         offset = 0
-        for (idx, prep), size in zip(members, sizes):
-            prep.frequencies[prep.servers] = x_all[offset : offset + size]
-            evals = evals_all[offset : offset + size]
-            offset += size
-            tracer = prep.tracer
+        for (idx, lanes), size in zip(members, sizes):
+            stop = offset + size
+            lanes.frequencies[lanes.servers] = x_all[offset:stop]
+            tracer = lanes.tracer
             if tracer.enabled:
                 tracer.counter("p2b.scalar_solves", size)
-                tracer.counter("p2b.fastpath", prep.num_servers - size)
-                if prep.method == "batch":
-                    tracer.counter("p2b.batch_iters", int(evals.sum()))
-            out[idx] = prep.frequencies
+                tracer.counter("p2b.fastpath", lanes.network.num_servers - size)
+                if lanes.method == "batch":
+                    tracer.counter(
+                        "p2b.batch_iters", int(evals_all[offset:stop].sum())
+                    )
+            offset = stop
+            out[idx] = lanes.frequencies
     return out

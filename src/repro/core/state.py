@@ -216,7 +216,7 @@ class ResourceAllocation:
             ("fronthaul_share", front),
             ("compute_share", compute),
         ):
-            if np.any(arr < 0.0) or np.any(arr > 1.0 + 1e-9):
+            if (arr < 0.0).any() or (arr > 1.0 + 1e-9).any():
                 raise ValidationError(f"{name} entries must lie in [0, 1]")
         object.__setattr__(self, "access_share", access)
         object.__setattr__(self, "fronthaul_share", front)

@@ -15,7 +15,9 @@ fitted data); powers are in watts.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -177,6 +179,40 @@ class ScaledEnergyModel(EnergyModel):
         return self.scale * self.base.power_many(frequencies)
 
 
+def scaled_quadratic_coefficients(
+    model: EnergyModel,
+) -> tuple[float, float, float, float] | None:
+    """``(scale, a, b, c)`` when *model* is a (possibly scaled) quadratic.
+
+    ``scale * (a f^2 + b f + c)`` is then the model's ``power`` term
+    for term: a plain quadratic carries ``scale == 1.0``, and
+    multiplying by exactly 1.0 is a bitwise identity.  ``None`` for any
+    other model (subclasses included, whose ``power`` may differ).
+    """
+    if type(model) is QuadraticEnergyModel:
+        return (1.0, model.a, model.b, model.c)
+    if type(model) is ScaledEnergyModel and type(model.base) is QuadraticEnergyModel:
+        return (model.scale, model.base.a, model.base.b, model.base.c)
+    return None
+
+
+def quadratic_energy_table(models: Sequence[EnergyModel]) -> FloatArray | None:
+    """``(4, N)`` rows ``scale, a, b, c`` of *models*, in order.
+
+    ``None`` when any model is not a (scaled) quadratic.
+    """
+    rows = [scaled_quadratic_coefficients(model) for model in models]
+    if any(row is None for row in rows):
+        return None
+    return np.array(rows, dtype=np.float64).T.copy()
+
+
+@functools.lru_cache(maxsize=1)
+def _default_quadratic_fit() -> tuple[float, float, float]:
+    """The i7-3770K quadratic fit: a constant table, so fitted once."""
+    return fit_quadratic_power_curve()
+
+
 def perturbed_quadratic_model(
     rng: Rng,
     base_coefficients: tuple[float, float, float] | None = None,
@@ -198,7 +234,7 @@ def perturbed_quadratic_model(
         A convex :class:`QuadraticEnergyModel`.
     """
     if base_coefficients is None:
-        base_coefficients = fit_quadratic_power_curve()
+        base_coefficients = _default_quadratic_fit()
     a, b, c = base_coefficients
     for _ in range(100):
         e = float(rng.standard_normal())

@@ -1,11 +1,10 @@
 """Array-kernel backends for the slot pipeline's hot loops.
 
 ``backend="numpy"`` is the reference implementation (and bit-exactness
-oracle); ``backend="jit"`` resolves, in order, to numba ``@njit``
-kernels, ctypes-loaded C kernels compiled at first use, and finally the
-NumPy kernels again (with a warning) when neither provider is
-available.  Every backend is bit-identical to the oracle by contract --
-selecting ``jit`` changes wall-clock, never results.
+oracle); ``backend="jit"`` resolves to ctypes-loaded C kernels compiled
+at first use, or to the NumPy kernels again (with a warning) when no C
+compiler is available.  Every backend is bit-identical to the oracle by
+contract -- selecting ``jit`` changes wall-clock, never results.
 
 Select a backend with ``api.run(engine_backend="jit")``, the CLI's
 ``--backend jit``, or by passing ``kernels=get_kernels("jit")`` to
@@ -14,8 +13,8 @@ Select a backend with ``api.run(engine_backend="jit")``, the CLI's
 
 from __future__ import annotations
 
-import importlib.util
 import warnings
+from dataclasses import replace
 
 from repro.exceptions import ConfigurationError
 from repro.kernels.interface import DecomposedState, KernelBackend
@@ -42,11 +41,9 @@ _cache: dict[str, KernelBackend] = {}
 def jit_provider() -> str | None:
     """Which provider ``backend="jit"`` would use, without building it.
 
-    ``"numba"`` when numba is importable, else ``"cc"`` when a C
-    compiler is on PATH, else ``None`` (jit falls back to NumPy).
+    ``"cc"`` when a C compiler is on PATH, else ``None`` (jit falls back
+    to NumPy).
     """
-    if importlib.util.find_spec("numba") is not None:
-        return "numba"
     from repro.kernels import native
 
     if native.find_compiler() is not None:
@@ -57,24 +54,13 @@ def jit_provider() -> str | None:
 def available_backends() -> dict[str, bool]:
     """Availability map surfaced in run manifests and skip marks.
 
-    ``jit`` is reported available when either provider could back it;
+    ``jit`` is reported available when the C provider could back it;
     the NumPy fallback does not count (it would be a silent no-op).
     """
     return {"numpy": True, "jit": jit_provider() is not None}
 
 
 def _resolve_jit() -> KernelBackend:
-    if importlib.util.find_spec("numba") is not None:
-        try:
-            from repro.kernels.jit_backend import make_numba_backend
-
-            return make_numba_backend()
-        except Exception as exc:  # broken numba install: fall through
-            warnings.warn(
-                f"numba present but unusable ({exc}); trying the C provider",
-                RuntimeWarning,
-                stacklevel=3,
-            )
     from repro.kernels import native
 
     try:
@@ -85,16 +71,7 @@ def _resolve_jit() -> KernelBackend:
             RuntimeWarning,
             stacklevel=3,
         )
-        numpy_kernels = get_kernels("numpy")
-        return KernelBackend(
-            name="jit",
-            provider="numpy",
-            candidate_costs=numpy_kernels.candidate_costs,
-            segment_first_min=numpy_kernels.segment_first_min,
-            gap_sweep=numpy_kernels.gap_sweep,
-            run_dynamics=None,
-            golden_quad=None,
-        )
+        return replace(get_kernels("numpy"), name="jit")
 
 
 def get_kernels(backend: str | KernelBackend | None = None) -> KernelBackend:

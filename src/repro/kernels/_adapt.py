@@ -1,29 +1,47 @@
-"""Shared glue adapting raw flat-argument kernels to the backend API.
+"""Glue adapting the raw flat-argument C kernels to the backend API.
 
-The numba and C providers expose the same low-level entry points (flat
-positional argument lists over contiguous arrays); this module wraps
-them into :class:`~repro.kernels.interface.KernelBackend` callables,
-owning the small per-state scratch buffers and delegating the flat
-candidate path to the NumPy oracle (it is already one fused gather and
-off the decomposed hot path).
+The C provider exposes low-level entry points (flat positional argument
+lists over contiguous arrays); this module wraps them into
+:class:`~repro.kernels.interface.KernelBackend` callables, owning the
+small per-state scratch buffers and delegating the flat candidate path
+to the NumPy oracle (it is already one fused gather and off the
+decomposed hot path).
 
-Per-state argument caching: the C provider passes raw data pointers
+Per-state argument caching: the kernels take raw data pointers
 (``convert`` turns an array into a ``ctypes.c_void_p``), and converting
 ~30 arrays per kernel call dominates the adapter once the kernels
 themselves are fast.  A :class:`DecomposedState` is frozen and its game
 refills the arrays in place, so each state's arguments are validated
 and converted once, together with the adapter's own scratch, and every
-later call on that state converts nothing.
+later call on that state converts nothing.  ``rebind``'s slot arrays
+(spectral efficiencies, bits, cycles, fronthaul efficiencies) are
+copied into adapter-owned buffers converted with the rest: a copy costs
+a fraction of a pointer conversion.  The only array still converted
+per call is the engine's gap vector, and only for a new engine.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.kernels.interface import DecomposedState, KernelBackend
 from repro.kernels.numpy_backend import candidate_costs, segment_first_min
 
-__all__ = ["wrap_raw_backend"]
+__all__ = ["RawKernels", "wrap_raw_backend"]
+
+
+class RawKernels(NamedTuple):
+    """The provider's flat-argument entry points."""
+
+    gap_sweep: Callable
+    run_dynamics: Callable
+    golden_quad: Callable
+    reset_profile: Callable
+    rebind: Callable
+    update_frequencies: Callable
+
 
 #: DecomposedState fields handed to the raw kernels with dtype int64;
 #: every other array field is float64.
@@ -33,7 +51,7 @@ _I64_FIELDS = frozenset(
         "nidx", "kbest", "bs_of", "server_of",
     )
 )
-#: The evaluator fields both kernels take, in argument order.
+#: The evaluator fields both search kernels take, in argument order.
 _EVALUATOR_FIELDS = (
     "loads", "p", "w", "sub", "wcur", "cur_idx", "menu_of_bs",
     "menu_offsets", "menu_servers", "nidx", "kbest",
@@ -43,6 +61,22 @@ _PROFILE_FIELDS = (
     "p_access", "p_front", "p_compute", "m_access", "m_front",
     "m_compute", "bs_of", "server_of", "pa_cur", "pc_cur",
     "sq_access", "sq_front", "sq_compute",
+)
+#: reset_profile's arguments after the sizes, in order.
+_RESET_FIELDS = (
+    "bs_of", "server_of", "p_access", "p_compute", "m",
+    "cur_idx", "cur_p", "loads", "sq", "sub", "wcur",
+)
+#: rebind's arguments after the sizes and the four slot buffers.
+_REBIND_FIELDS = (
+    "fronthaul_bandwidth", "speed_scale", "suitability", "frequencies",
+    "m_access", "m_front", "m_compute",
+    "p_access", "p_front", "p_compute", "p", "w",
+)
+#: update_frequencies' arguments after the sizes, in order.
+_CLOCK_FIELDS = (
+    "speed_scale", "frequencies", "p_compute", "server_of", "pc_cur",
+    "m_compute", "w", "wcur",
 )
 
 
@@ -63,38 +97,51 @@ class _StateCache:
     Built on the first kernel call on a state: it validates and
     converts every field once, plus the adapter-owned buffers whose
     shapes are fixed for the life of the state (one adj row, one t row,
-    per-menu best values, the best-cost output and the converged flag).
-    The only per-call array is the engine's gap vector, converted again
-    only when a different array is passed (a new engine).
+    per-menu best values, the best-cost output, the converged flag and
+    ``rebind``'s slot buffers).  The only per-call array, the engine's
+    gap vector, is converted again only when a different array is
+    passed (a new engine).
     """
 
     __slots__ = (
-        "sizes", "evaluator", "profile", "sweep_args",
+        "sizes", "evaluator", "profile", "sweep_args", "reset_args",
+        "rebind_args", "clock_args", "slot_buffers",
         "buffers", "best", "converged", "gaps", "gaps_arg",
     )
 
     def __init__(self, state: DecomposedState, convert) -> None:
+        converted: dict = {}
+
         def arg(name: str):
-            arr = getattr(state, name)
-            _validate(arr, name)
-            return convert(arr)
+            if name not in converted:
+                arr = getattr(state, name)
+                _validate(arr, name)
+                converted[name] = convert(arr)
+            return converted[name]
 
         num_groups = len(state.cols)
-        adj = np.empty(2 * state.num_bs + state.num_servers)
-        t = np.empty(state.num_bs)
+        players, num_bs = state.num_players, state.num_bs
+        adj = np.empty(2 * num_bs + state.num_servers)
+        t = np.empty(num_bs)
         # The trailing bvals slot stays +inf -- base stations with an
         # empty server menu map to it, so their totals never win the
         # argmin (mirrors the NumPy evaluator's sentinel column).
         bvals = np.empty(num_groups + 1)
         bvals[-1] = np.inf
-        self.best = np.empty(state.num_players)
+        self.best = np.empty(players)
         self.converged = np.zeros(1, dtype=np.int64)
+        # rebind's slot arrays: spectral efficiencies, bits, cycles and
+        # fronthaul efficiencies.
+        self.slot_buffers = (
+            np.empty((players, num_bs)),
+            np.empty(players),
+            np.empty(players),
+            np.empty(num_bs),
+        )
         # The converted pointers stay valid only while these live.
         self.buffers = (adj, t, bvals)
         scratch = (convert(adj), convert(t), convert(bvals))
-        self.sizes = (
-            state.num_players, state.num_bs, state.num_servers, num_groups,
-        )
+        self.sizes = (players, num_bs, state.num_servers, num_groups)
         self.evaluator = tuple(arg(name) for name in _EVALUATOR_FIELDS)
         self.profile = (
             *(arg(name) for name in _PROFILE_FIELDS),
@@ -105,31 +152,26 @@ class _StateCache:
             *self.sizes, *self.evaluator,
             convert(self.best), arg("cc"), *scratch,
         )
+        sizes3 = self.sizes[:3]
+        self.reset_args = (*sizes3, *(arg(name) for name in _RESET_FIELDS))
+        self.rebind_args = (
+            *sizes3,
+            *(convert(buffer) for buffer in self.slot_buffers),
+            *(arg(name) for name in _REBIND_FIELDS),
+        )
+        self.clock_args = (*sizes3, *(arg(name) for name in _CLOCK_FIELDS))
         self.gaps = None
         self.gaps_arg = None
 
 
-def _identity(arr: np.ndarray) -> np.ndarray:
-    return arr
-
-
-def wrap_raw_backend(
-    name: str,
-    provider: str,
-    raw_gap_sweep,
-    raw_run_dynamics,
-    raw_golden_quad,
-    *,
-    convert=None,
-) -> KernelBackend:
-    """Build a :class:`KernelBackend` from raw flat-argument kernels.
+def wrap_raw_backend(raw: RawKernels, *, convert) -> KernelBackend:
+    """Build the ``jit`` :class:`KernelBackend` from the raw C kernels.
 
     Args:
-        convert: Per-array argument conversion (e.g. array -> raw data
-            pointer for the ctypes provider).  ``None`` passes arrays
-            through untouched (the numba provider).
+        raw: The provider's bound entry points.
+        convert: Per-array argument conversion (array -> raw data
+            pointer for the ctypes provider).
     """
-    convert = convert or _identity
 
     def _cache(state: DecomposedState) -> _StateCache:
         cache = state.kernel_args.get(convert)
@@ -139,7 +181,7 @@ def wrap_raw_backend(
 
     def gap_sweep(state: DecomposedState):
         cache = _cache(state)
-        raw_gap_sweep(*cache.sweep_args)
+        raw.gap_sweep(*cache.sweep_args)
         return cache.best, state.cc
 
     def run_dynamics(state: DecomposedState, gaps, slack, max_iter):
@@ -148,11 +190,30 @@ def wrap_raw_backend(
             if not gaps.flags.c_contiguous:
                 raise ValueError("gaps must be C-contiguous")
             cache.gaps, cache.gaps_arg = gaps, convert(gaps)
-        moves = raw_run_dynamics(
+        moves = raw.run_dynamics(
             *cache.sizes, float(slack), int(max_iter),
             *cache.evaluator, cache.gaps_arg, *cache.profile,
         )
         return int(moves), bool(cache.converged[0])
+
+    def reset_profile(state: DecomposedState) -> bool:
+        status = raw.reset_profile(*_cache(state).reset_args)
+        if status < 0:
+            raise IndexError("strategy profile entry out of range")
+        return bool(status)
+
+    def rebind(state: DecomposedState, *slot_arrays) -> None:
+        cache = _cache(state)
+        for buffer, arr in zip(cache.slot_buffers, slot_arrays, strict=True):
+            if arr.shape != buffer.shape:
+                raise ValueError(
+                    f"slot array has shape {arr.shape}, expected {buffer.shape}"
+                )
+            np.copyto(buffer, arr)
+        raw.rebind(*cache.rebind_args)
+
+    def update_frequencies(state: DecomposedState) -> None:
+        raw.update_frequencies(*_cache(state).clock_args)
 
     def golden_quad(lo, hi, ls, ep, scale, qa, qb, qc, tol, max_iter=200):
         lo = np.ascontiguousarray(lo, dtype=np.float64)
@@ -165,7 +226,7 @@ def wrap_raw_backend(
         qc = np.ascontiguousarray(qc, dtype=np.float64)
         x = np.empty(lo.size)
         evals = np.empty(lo.size, dtype=np.int64)
-        raw_golden_quad(
+        raw.golden_quad(
             lo.size, convert(lo), convert(hi), float(tol), int(max_iter),
             convert(ls), convert(ep), convert(scale),
             convert(qa), convert(qb), convert(qc),
@@ -174,11 +235,14 @@ def wrap_raw_backend(
         return x, evals
 
     return KernelBackend(
-        name=name,
-        provider=provider,
+        name="jit",
+        provider="cc",
         candidate_costs=candidate_costs,
         segment_first_min=segment_first_min,
         gap_sweep=gap_sweep,
+        reset_profile=reset_profile,
+        rebind=rebind,
+        update_frequencies=update_frequencies,
         run_dynamics=run_dynamics,
         golden_quad=golden_quad,
     )

@@ -4,9 +4,10 @@ The hot loops of the slot pipeline (the CGBA gap sweep of
 :class:`~repro.core.congestion_game.OffloadingCongestionGame`, the fused
 best-response dynamics of
 :class:`~repro.solvers.fast_engine.FastBestResponseEngine`, and the
-golden-section search of P2-B) are expressed here as a narrow set of
-pure array functions over a flat struct-of-arrays state.  Each backend
-(:mod:`repro.kernels.numpy_backend`, the numba/C ``jit`` backends)
+golden-section search of P2-B) and the game's per-slot refills (profile
+reset, state rebind, clock refresh) are expressed here as a narrow set
+of pure array functions over a flat struct-of-arrays state.  Each
+backend (:mod:`repro.kernels.numpy_backend`, the C ``jit`` backend)
 provides the same functions with bit-identical IEEE semantics; the NumPy
 implementation is the oracle every other backend is tested against.
 
@@ -43,6 +44,9 @@ class DecomposedState:
     Shapes use ``I`` players, ``K`` base stations, ``N`` servers,
     ``G`` distinct server menus, ``W = 2K + N`` fused resources laid out
     ``[access | fronthaul | compute]``, and ``M`` total menu entries.
+    The per-resource fields (``m_access``, ``sq_front``, ...) are views
+    of the fused ``(W,)`` buffers (``m``, ``sq``), and ``pa_cur``,
+    ``p_front`` and ``pc_cur`` are the rows of ``cur_p``.
     """
 
     num_players: int
@@ -50,6 +54,12 @@ class DecomposedState:
     num_servers: int
     #: ``(W,)`` fused resource loads ``p_r(z)``.
     loads: np.ndarray
+    #: ``(W,)`` fused sums of squared player weights per resource.
+    sq: np.ndarray
+    #: ``(W,)`` fused resource weights ``m_r``.
+    m: np.ndarray
+    #: ``(3, I)`` each player's weights on its current resources.
+    cur_p: np.ndarray
     #: ``(I, W)`` static per-entry player weights ``p_{i,r}``.
     p: np.ndarray
     #: ``(I, W)`` static per-entry cost weights ``m_r * p_{i,r}``.
@@ -112,6 +122,14 @@ class DecomposedState:
     sq_front: np.ndarray
     #: ``(N,)`` sum of squared compute weights per server.
     sq_compute: np.ndarray
+    #: ``(N,)`` the game's server clocks ``Omega`` in GHz.
+    frequencies: np.ndarray
+    #: ``(K,)`` network constant: fronthaul bandwidths ``W^F_k``.
+    fronthaul_bandwidth: np.ndarray
+    #: ``(N,)`` network constant: per-server speed scales.
+    speed_scale: np.ndarray
+    #: ``(I, N)`` network constant: task suitabilities ``sigma``.
+    suitability: np.ndarray
     #: Backend-private converted-argument caches, keyed by the raw
     #: provider's argument conversion (see :mod:`repro.kernels._adapt`).
     kernel_args: dict = field(default_factory=dict, repr=False, compare=False)
@@ -123,9 +141,8 @@ class KernelBackend:
 
     Attributes:
         name: Public backend name (``"numpy"`` or ``"jit"``).
-        provider: What actually runs underneath: ``"numpy"``,
-            ``"numba"`` (njit kernels), or ``"cc"`` (ctypes-loaded C
-            kernels compiled at first use).
+        provider: What actually runs underneath: ``"numpy"`` or
+            ``"cc"`` (ctypes-loaded C kernels compiled at first use).
         candidate_costs: ``(wa, wf, wc, pa, pf, pc, la, lf, lc) ->
             costs`` -- flat candidate-cost evaluation, the expression
             tree of the scalar best response.
@@ -146,6 +163,21 @@ class KernelBackend:
             on ``f(x) = ls/x + ep * (scale * (qa x^2 + qb x + qc))``,
             replaying :func:`repro.solvers.scalar.minimize_convex_scalar`
             lane by lane.  ``None`` when unavailable.
+        reset_profile: ``(state) -> finite`` -- rebuild every
+            per-profile array from ``bs_of``/``server_of``: current
+            indices and weights, loads and squared loads (in-order
+            per-resource sums), the own-weight rows ``sub`` and the
+            current-cost weights ``wcur``.  Returns ``False`` (leaving
+            ``sub``/``wcur`` stale) when an access load is not finite.
+        rebind: ``(state, spectral_efficiency, bits, cycles,
+            fronthaul_se) -> None`` -- refill every slot-dependent
+            weight from the slot's arrays and ``state.frequencies``:
+            ``m_front``, ``m_compute``, the player weights (access
+            weights ``+inf`` on uncovered links) and the decomposed
+            ``p``/``w``.
+        update_frequencies: ``(state) -> None`` -- the clock refresh:
+            ``m_compute`` from ``state.frequencies``, the compute block
+            of ``w`` and the compute row of ``wcur``.
     """
 
     name: str
@@ -153,5 +185,8 @@ class KernelBackend:
     candidate_costs: Callable
     segment_first_min: Callable
     gap_sweep: Callable
+    reset_profile: Callable
+    rebind: Callable
+    update_frequencies: Callable
     run_dynamics: Callable | None = None
     golden_quad: Callable | None = None

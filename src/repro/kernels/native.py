@@ -1,9 +1,9 @@
 """C implementation of the kernels, compiled at first use via ctypes.
 
-When numba is not installed, the ``jit`` backend falls back to this
-provider: a single small C translation unit, compiled once with the
-system compiler into a content-addressed shared library under a
-per-user scratch directory, and bound through :mod:`ctypes`.
+The ``jit`` backend's provider: a single small C translation unit,
+compiled once with the system compiler into a content-addressed shared
+library under a per-user scratch directory, and bound through
+:mod:`ctypes`.
 
 Bit-exactness: the C code replays the NumPy oracle's expression trees
 exactly -- same association, strict ``<``/``>`` first-occurrence tie
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.kernels._adapt import wrap_raw_backend
+from repro.kernels._adapt import RawKernels, wrap_raw_backend
 from repro.kernels.interface import KernelBackend
 
 __all__ = ["KernelBuildError", "find_compiler", "make_cc_backend"]
@@ -265,6 +265,135 @@ void repro_golden_quad(
         evals_out[i] = evals;
     }
 }
+
+/* Re-seed the per-profile arrays from bs_of/server_of, as the NumPy
+ * reset_profile does: current indices and weights, loads and squared
+ * loads (zero, then each block summed in player order -- the fused
+ * bincount's order), then the own-weight rows and current-cost
+ * weights.  Returns 1, 0 when an access load is not finite (sub and
+ * wcur left unfilled), or -1 on an out-of-range profile entry. */
+i64 repro_reset_profile(
+    i64 I, i64 K, i64 N,
+    const i64 *bs_of, const i64 *server_of,
+    const double *p_access, const double *p_compute, const double *m,
+    i64 *cur_idx, double *cur_p,
+    double *loads, double *sq, double *sub, double *wcur)
+{
+    i64 W = 2 * K + N;
+    double *pa_cur = cur_p, *p_front = cur_p + I, *pc_cur = cur_p + 2 * I;
+    for (i64 i = 0; i < I; ++i)
+        if (bs_of[i] < 0 || bs_of[i] >= K || server_of[i] < 0
+            || server_of[i] >= N)
+            return -1;
+    for (i64 r = 0; r < W; ++r) {
+        loads[r] = 0.0;
+        sq[r] = 0.0;
+    }
+    for (i64 i = 0; i < I; ++i) {
+        i64 k = bs_of[i], n = server_of[i];
+        double pa = p_access[i * K + k];
+        double pf = p_front[i];
+        double pc = p_compute[i * N + n];
+        cur_idx[i] = k;
+        cur_idx[I + i] = K + k;
+        cur_idx[2 * I + i] = 2 * K + n;
+        pa_cur[i] = pa;
+        pc_cur[i] = pc;
+        loads[k] += pa;
+        loads[K + k] += pf;
+        loads[2 * K + n] += pc;
+        sq[k] += pa * pa;
+        sq[K + k] += pf * pf;
+        sq[2 * K + n] += pc * pc;
+    }
+    for (i64 k = 0; k < K; ++k)
+        if (!isfinite(loads[k]))
+            return 0;
+    for (i64 r = 0; r < I * W; ++r)
+        sub[r] = 0.0;
+    for (i64 i = 0; i < I; ++i) {
+        i64 k = bs_of[i], n = server_of[i];
+        double *si = sub + i * W;
+        si[k] = pa_cur[i];
+        si[K + k] = p_front[i];
+        si[2 * K + n] = pc_cur[i];
+        wcur[i] = m[k] * pa_cur[i];
+        wcur[I + i] = m[K + k] * p_front[i];
+        wcur[2 * I + i] = m[2 * K + n] * pc_cur[i];
+    }
+    return 1;
+}
+
+/* m_compute = 1 / ((speed_scale * omega) * 1e9), MECNetwork.speeds. */
+static void clock_weights(
+    i64 N, const double *speed_scale, const double *freq, double *m_compute)
+{
+    for (i64 n = 0; n < N; ++n)
+        m_compute[n] = 1.0 / ((speed_scale[n] * freq[n]) * 1e9);
+}
+
+/* Refill every slot-dependent weight, as the NumPy rebind does: the
+ * fronthaul and compute resource weights, the player weights (access
+ * +inf on uncovered links, the h floor at 1e-300 otherwise) and the
+ * decomposed p/w rows. */
+void repro_rebind(
+    i64 I, i64 K, i64 N,
+    const double *h, const double *bits, const double *cycles,
+    const double *front_se,
+    const double *front_bw, const double *speed_scale,
+    const double *suitability, const double *freq,
+    const double *m_access, double *m_front, double *m_compute,
+    double *p_access, double *p_front, double *p_compute,
+    double *p, double *w)
+{
+    i64 W = 2 * K + N;
+    for (i64 k = 0; k < K; ++k)
+        m_front[k] = 1.0 / (front_bw[k] * front_se[k]);
+    clock_weights(N, speed_scale, freq, m_compute);
+    for (i64 i = 0; i < I; ++i) {
+        double d = bits[i];
+        double pf = sqrt(d);
+        double *pi = p + i * W;
+        double *wi = w + i * W;
+        p_front[i] = pf;
+        for (i64 k = 0; k < K; ++k) {
+            double hk = h[i * K + k];
+            double pa = INFINITY;
+            if (hk > 0.0)
+                pa = sqrt(d / (hk >= 1e-300 ? hk : 1e-300));
+            p_access[i * K + k] = pa;
+            pi[k] = pa;
+            wi[k] = m_access[k] * pa;
+            pi[K + k] = pf;
+            wi[K + k] = m_front[k] * pf;
+        }
+        for (i64 n = 0; n < N; ++n) {
+            double pc = sqrt(cycles[i] / suitability[i * N + n]);
+            p_compute[i * N + n] = pc;
+            pi[2 * K + n] = pc;
+            wi[2 * K + n] = m_compute[n] * pc;
+        }
+    }
+}
+
+/* The clock refresh: m_compute, the compute block of w, and the
+ * compute row of wcur. */
+void repro_update_frequencies(
+    i64 I, i64 K, i64 N,
+    const double *speed_scale, const double *freq,
+    const double *p_compute, const i64 *server_of, const double *pc_cur,
+    double *m_compute, double *w, double *wcur)
+{
+    i64 W = 2 * K + N;
+    clock_weights(N, speed_scale, freq, m_compute);
+    for (i64 i = 0; i < I; ++i) {
+        double *wi = w + i * W + 2 * K;
+        const double *pci = p_compute + i * N;
+        for (i64 n = 0; n < N; ++n)
+            wi[n] = m_compute[n] * pci[n];
+        wcur[2 * I + i] = m_compute[server_of[i]] * pc_cur[i];
+    }
+}
 """
 
 #: Flags that pin IEEE semantics: no reassociation, no FMA contraction.
@@ -334,7 +463,7 @@ def _as_ptr(arr: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(arr.ctypes.data)
 
 
-def _bind(lib: ctypes.CDLL) -> tuple:
+def _bind(lib: ctypes.CDLL) -> RawKernels:
     gap_sweep = lib.repro_gap_sweep
     gap_sweep.restype = None
     gap_sweep.argtypes = [
@@ -370,7 +499,39 @@ def _bind(lib: ctypes.CDLL) -> tuple:
         _f64, _f64, _f64,
         _f64, _i64,
     ]
-    return gap_sweep, run_dynamics, golden_quad
+    reset_profile = lib.repro_reset_profile
+    reset_profile.restype = _ll
+    reset_profile.argtypes = [
+        _ll, _ll, _ll,
+        _i64, _i64,
+        _f64, _f64, _f64,
+        _i64, _f64,
+        _f64, _f64, _f64, _f64,
+    ]
+    rebind = lib.repro_rebind
+    rebind.restype = None
+    rebind.argtypes = [
+        _ll, _ll, _ll,
+        _f64, _f64, _f64,
+        _f64,
+        _f64, _f64,
+        _f64, _f64,
+        _f64, _f64, _f64,
+        _f64, _f64, _f64,
+        _f64, _f64,
+    ]
+    update_frequencies = lib.repro_update_frequencies
+    update_frequencies.restype = None
+    update_frequencies.argtypes = [
+        _ll, _ll, _ll,
+        _f64, _f64,
+        _f64, _i64, _f64,
+        _f64, _f64, _f64,
+    ]
+    return RawKernels(
+        gap_sweep, run_dynamics, golden_quad,
+        reset_profile, rebind, update_frequencies,
+    )
 
 
 _backend: KernelBackend | None = None
@@ -388,12 +549,8 @@ def make_cc_backend() -> KernelBackend:
         return _backend
     lib_path = _build_library()
     try:
-        lib = ctypes.CDLL(str(lib_path))
-        raw_gap_sweep, raw_run_dynamics, raw_golden_quad = _bind(lib)
+        raw = _bind(ctypes.CDLL(str(lib_path)))
     except OSError as exc:
         raise KernelBuildError(f"failed to load kernel library: {exc}") from exc
-    _backend = wrap_raw_backend(
-        "jit", "cc", raw_gap_sweep, raw_run_dynamics, raw_golden_quad,
-        convert=_as_ptr,
-    )
+    _backend = wrap_raw_backend(raw, convert=_as_ptr)
     return _backend

@@ -3,7 +3,8 @@
 These are the exact ufunc sequences that previously lived inline in
 :class:`~repro.core.congestion_game.OffloadingCongestionGame`; every
 other backend must reproduce their results bit for bit (same IEEE
-operation order, same first-minimum tie breaks).
+operation order, same first-minimum tie breaks, same in-order
+``bincount`` sums).
 """
 
 from __future__ import annotations
@@ -77,6 +78,86 @@ def gap_sweep(state: DecomposedState):
     return best_cost, state.cc
 
 
+def reset_profile(state: DecomposedState) -> bool:
+    """Rebuild the per-profile arrays from ``bs_of``/``server_of``.
+
+    One ``bincount`` over the fused ``(3, I)`` resource indices yields
+    all three load vectors: resource blocks are disjoint, so every load
+    is the same in-order sum as a per-resource ``bincount``.  Returns
+    whether every access load is finite; on ``False`` the own-weight
+    rows and current-cost weights are left unfilled.
+    """
+    num_bs = state.num_bs
+    rows = state.rows
+    idx, weights = state.cur_idx, state.cur_p
+    idx[0] = state.bs_of
+    np.add(state.bs_of, num_bs, out=idx[1])
+    np.add(state.server_of, 2 * num_bs, out=idx[2])
+    state.pa_cur[:] = state.p_access[rows, state.bs_of]
+    state.pc_cur[:] = state.p_compute[rows, state.server_of]
+    width = state.loads.size
+    flat_idx = idx.ravel()
+    state.loads[:] = np.bincount(flat_idx, weights=weights.ravel(), minlength=width)
+    state.sq[:] = np.bincount(
+        flat_idx, weights=(weights * weights).ravel(), minlength=width
+    )
+    if not np.isfinite(state.loads[:num_bs]).all():
+        return False
+    sub = state.sub
+    sub.fill(0.0)
+    sub[rows, idx] = weights
+    np.multiply(state.m.take(idx), weights, out=state.wcur)
+    return True
+
+
+def _clock_weights(state: DecomposedState) -> None:
+    """``m_compute = 1 / speed(Omega)``, the topology's ``speeds`` tree."""
+    np.divide(
+        1.0, state.speed_scale * state.frequencies * 1e9, out=state.m_compute
+    )
+
+
+def rebind(state: DecomposedState, spectral_efficiency, bits, cycles, fronthaul_se):
+    """Refill every slot-dependent weight from the slot's arrays."""
+    num_bs = state.num_bs
+    np.divide(
+        1.0, state.fronthaul_bandwidth * fronthaul_se, out=state.m_front
+    )
+    _clock_weights(state)
+    # Access weights are +inf on uncovered links so an accidental
+    # infeasible probe is never the argmin.  The masked-out h=0
+    # entries overflow before they are overwritten; silence that.
+    h = spectral_efficiency
+    p_access = state.p_access
+    with np.errstate(divide="ignore", over="ignore"):
+        np.maximum(h, 1e-300, out=p_access)
+        np.divide(bits[:, None], p_access, out=p_access)
+        np.sqrt(p_access, out=p_access)
+    np.copyto(p_access, np.inf, where=~(h > 0.0))
+    np.sqrt(bits, out=state.p_front)
+    np.divide(cycles[:, None], state.suitability, out=state.p_compute)
+    np.sqrt(state.p_compute, out=state.p_compute)
+    # The decomposed evaluator's static per-entry weights.
+    p, w = state.p, state.w
+    p[:, :num_bs] = p_access
+    p[:, num_bs : 2 * num_bs] = state.p_front[:, None]
+    p[:, 2 * num_bs :] = state.p_compute
+    np.multiply(state.m_access, p_access, out=w[:, :num_bs])
+    np.multiply(
+        state.m_front, state.p_front[:, None], out=w[:, num_bs : 2 * num_bs]
+    )
+    np.multiply(state.m_compute, state.p_compute, out=w[:, 2 * num_bs :])
+
+
+def update_frequencies(state: DecomposedState) -> None:
+    """Re-derive the clock-dependent weights from ``state.frequencies``."""
+    _clock_weights(state)
+    np.multiply(
+        state.m_compute, state.p_compute, out=state.w[:, 2 * state.num_bs :]
+    )
+    state.wcur[2] = state.m_compute[state.server_of] * state.pc_cur
+
+
 def make_numpy_backend() -> KernelBackend:
     """The reference backend: no fused loop, no native golden section."""
     return KernelBackend(
@@ -85,6 +166,9 @@ def make_numpy_backend() -> KernelBackend:
         candidate_costs=candidate_costs,
         segment_first_min=segment_first_min,
         gap_sweep=gap_sweep,
+        reset_profile=reset_profile,
+        rebind=rebind,
+        update_frequencies=update_frequencies,
         run_dynamics=None,
         golden_quad=None,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.energy.models import EnergyModel
+from repro.energy.models import EnergyModel, quadratic_energy_table
 from repro.exceptions import ConfigurationError, TopologyError
 from repro.types import FloatArray, as_float_array
 
@@ -228,6 +228,11 @@ class MECNetwork:
         self.server_cluster = np.array(
             [s.cluster for s in self.servers], dtype=np.int64
         )
+        #: ``(4, N)`` per-server ``scale, a, b, c`` rows of the energy
+        #: models (``g_n = scale * (a f^2 + b f + c)``), or ``None`` when
+        #: any model is not a (scaled) quadratic.  Read by P2-B's search
+        #: lanes and by :func:`repro.core.drift_penalty.energy_cost`.
+        self.energy_table = quadratic_energy_table(self.energy_models())
         # Read-only: device_positions() hands out this one array.
         self._device_positions = np.array(
             [d.position for d in self.devices], dtype=np.float64

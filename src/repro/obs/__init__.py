@@ -43,7 +43,6 @@ from repro.obs.monitors import (
     ResilienceMonitor,
     default_monitors,
 )
-from repro.obs.server import MetricsServer
 from repro.obs.telemetry import (
     Counter,
     Gauge,
@@ -114,3 +113,13 @@ __all__ = [
     "instrument_kernels",
     "histogram_summaries",
 ]
+
+
+def __getattr__(name: str):
+    # The HTTP endpoint pulls in http.server (and with it http.client,
+    # ssl and email); import it on first use, not with the package.
+    if name == "MetricsServer":
+        from repro.obs.server import MetricsServer
+
+        return MetricsServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

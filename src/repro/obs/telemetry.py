@@ -864,6 +864,9 @@ _KERNEL_CALLS = (
     "gap_sweep",
     "run_dynamics",
     "golden_quad",
+    "reset_profile",
+    "rebind",
+    "update_frequencies",
 )
 
 

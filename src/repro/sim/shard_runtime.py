@@ -249,8 +249,9 @@ class _WorkerRuntime:
     """Everything one resident worker owns for its pinned cells."""
 
     def __init__(self, payload: dict) -> None:
-        #: Installed by ``_worker_main`` (which owns the pipe): called
-        #: between cells so the parent's watchdog sees progress.
+        #: Installed by ``_worker_main`` (which owns the pipe) when the
+        #: parent armed a watchdog: called between cells so the
+        #: watchdog sees progress.
         self.heartbeat = None
         self.cells: "list[int]" = list(payload["cells"])
         self.trace_phases: bool = payload["trace_phases"]
@@ -423,7 +424,10 @@ def _worker_main(conn, payload: dict) -> None:
         except Exception:
             pass  # parent gone; the command loop will notice
 
-    runtime.heartbeat = heartbeat
+    # Without a silence deadline nobody reads the pings: skip the pipe
+    # write (and the parent's wake-up) per cell.
+    if payload["watchdog"]:
+        runtime.heartbeat = heartbeat
     try:
         while True:
             try:

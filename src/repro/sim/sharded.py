@@ -539,6 +539,8 @@ class ShardedController:
                     "compiled": compiled,
                     "chunk": chunk,
                     "trace_phases": trace,
+                    # Heartbeats only matter to a silence deadline.
+                    "watchdog": self.timeout_seconds is not None,
                     "telemetry": self.registry is not None,
                     "monitors": self.monitors,
                     "shared": (

@@ -32,7 +32,7 @@ def as_float_array(values: object, name: str = "array") -> FloatArray:
     naming the offending argument for easier debugging.
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr!r}")
     return arr
 

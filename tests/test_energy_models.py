@@ -118,6 +118,36 @@ class TestOtherModels:
 
 
 class TestPerturbedQuadratic:
+    def test_default_fit_runs_once_across_scenarios(self, monkeypatch) -> None:
+        """The constant i7-3770K table is fitted once, not per server."""
+        import repro
+        from repro.energy import models
+
+        fits = []
+
+        def counted():
+            fits.append(1)
+            return fit_quadratic_power_curve()
+
+        monkeypatch.setattr(models, "fit_quadratic_power_curve", counted)
+        models._default_quadratic_fit.cache_clear()
+        try:
+            first = repro.make_paper_scenario(seed=1)
+            second = repro.make_paper_scenario(seed=2)
+        finally:
+            models._default_quadratic_fit.cache_clear()
+        assert len(fits) == 1
+        assert first.network.num_servers + second.network.num_servers > 2
+        # The cached tuple is the fit's exact floats, so every draw
+        # equals one made from a fresh fit.
+        fitted = fit_quadratic_power_curve()
+        assert models._default_quadratic_fit() == fitted
+        model = perturbed_quadratic_model(np.random.default_rng(3))
+        explicit = perturbed_quadratic_model(
+            np.random.default_rng(3), base_coefficients=fitted
+        )
+        assert model == explicit
+
     def test_follows_paper_recipe(self) -> None:
         # With a known rng, reproduce the draw by hand.
         a, b, c = fit_quadratic_power_curve()

@@ -8,9 +8,9 @@ batched replication must all match the NumPy oracle bit for bit --
 including under injected faults and chaos, where the resilience
 fallback chain runs on top of the kernels.
 
-Tests that exercise the real jit provider are skipped when neither
-numba nor a C compiler is available (``available_backends()["jit"]``
-is then ``False`` and ``jit`` would silently alias the oracle).
+Tests that exercise the real jit provider (the C kernels) are skipped
+when no C compiler is available (``available_backends()["jit"]`` is
+then ``False`` and ``jit`` would silently alias the oracle).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from conftest import make_tiny_network, make_tiny_state
 
 requires_jit = pytest.mark.skipif(
     not available_backends()["jit"],
-    reason="backend 'jit' has no real provider (needs numba or a C compiler)",
+    reason="backend 'jit' has no real provider (needs a C compiler)",
 )
 
 #: Mirror of the pin in benchmarks/bench_slot_pipeline.py: the
@@ -119,7 +119,7 @@ class TestRegistry:
     def test_jit_backend_resolves_to_real_provider(self) -> None:
         kernels = get_kernels("jit")
         assert kernels.name == "jit"
-        assert kernels.provider in ("numba", "cc")
+        assert kernels.provider == "cc"
         assert kernels.golden_quad is not None
         assert kernels.run_dynamics is not None
 

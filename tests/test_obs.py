@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -21,6 +24,26 @@ from repro.obs import (
     read_jsonl,
 )
 from repro.obs.probe import _NULL_SPAN
+
+
+class TestLazyImports:
+    def test_metrics_server_is_imported_on_demand(self) -> None:
+        code = (
+            "import sys, repro; "
+            "assert 'http.server' not in sys.modules; "
+            "from repro.obs import MetricsServer; "
+            "assert 'http.server' in sys.modules; "
+            "assert MetricsServer.__module__ == 'repro.obs.server'"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_unknown_attribute_still_raises(self) -> None:
+        import repro.obs
+
+        with pytest.raises(AttributeError):
+            repro.obs.NoSuchThing  # noqa: B018
 
 
 class TestNullTracer:

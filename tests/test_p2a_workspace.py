@@ -9,7 +9,8 @@ the two halves of that contract on the NumPy and jit backends:
 * a rebound game is bitwise a freshly constructed one (every kernel
   state array, the rng after the profile draw, the CGBA equilibrium);
 * in steady state nothing is rebuilt: no game or engine construction
-  and no kernel-argument conversion after the first slot, exactly one
+  and no kernel-argument conversion after the first slot (the slot's
+  own arrays are copied into converted buffers), exactly one
   new game per strategy-space change, and a checkpoint resumed with a
   fresh workspace replays a straight run bit for bit.
 """
@@ -42,7 +43,7 @@ BACKENDS = (
         "jit",
         marks=pytest.mark.skipif(
             not available_backends()["jit"],
-            reason="backend 'jit' has no real provider (needs numba or a C compiler)",
+            reason="backend 'jit' has no real provider (needs a C compiler)",
         ),
     ),
 )
@@ -238,32 +239,23 @@ class TestRebindEqualsFresh:
 
 
 def counting_jit_backend():
-    """The jit provider's raw kernels behind a conversion-counting adapter.
+    """The C provider's raw kernels behind a conversion-recording adapter.
 
     P2-B's golden-section kernel is dropped (P2-B then runs the NumPy
-    search, bit-identical by contract), so every conversion counted
-    belongs to the P2-A kernels.
+    search, bit-identical by contract), so every conversion recorded
+    belongs to the P2-A kernels and the game's refills.
     """
-    provider = get_kernels("jit").provider
-    if provider == "cc":
-        from repro.kernels import native
+    from repro.kernels import native
 
-        raw = native._bind(ctypes.CDLL(str(native._build_library())))
-        base = native._as_ptr
-    else:
-        from repro.kernels import jit_backend
-
-        raw = jit_backend._build_raw_kernels()
-        base = lambda arr: arr  # noqa: E731
-
-    calls = {"n": 0}
+    raw = native._bind(ctypes.CDLL(str(native._build_library())))
+    converted: list[np.ndarray] = []
 
     def convert(arr):
-        calls["n"] += 1
-        return base(arr)
+        converted.append(arr)
+        return native._as_ptr(arr)
 
-    backend = wrap_raw_backend("jit", provider, *raw, convert=convert)
-    return dataclasses.replace(backend, golden_quad=None), calls
+    backend = wrap_raw_backend(raw, convert=convert)
+    return dataclasses.replace(backend, golden_quad=None), converted
 
 
 @pytest.fixture
@@ -310,20 +302,22 @@ class TestSteadyState:
         self, backend, constructions
     ) -> None:
         if backend == "jit":
-            backend, conversions = counting_jit_backend()
+            backend, converted = counting_jit_backend()
         else:
-            conversions = {"n": 0}
+            converted = []
         scenario = small_scenario()
         controller = make_controller(scenario, backend)
         states = scenario.fresh_states(12)
         controller.step(next(states))
         assert constructions == {"game": 1, "engine": 1}
-        converted = conversions["n"]
-        assert converted > 0 or backend == "numpy"
+        assert converted or backend == "numpy"
         for state in states:
+            converted.clear()
             controller.step(state)
+            # Not even the slot's own arrays: rebind copies them into
+            # buffers converted with the rest.
+            assert converted == []
         assert constructions == {"game": 1, "engine": 1}
-        assert conversions["n"] == converted
         # The public solver slot still reports "no solver chosen".
         assert controller.p2a_solver is None
 

@@ -675,6 +675,49 @@ class TestResidentRuntime:
         # it, and the replayed rebuild stays bit-identical.
         self.salvage_case(hang=(1, 0))
 
+    @staticmethod
+    def record_worker_messages(monkeypatch) -> list:
+        """Record the status of every message resident workers send."""
+        from repro.sim.shard_runtime import ResidentWorker
+
+        statuses: list = []
+        spawn = ResidentWorker.spawn
+
+        class Recording:
+            def __init__(self, conn) -> None:
+                self._conn = conn
+
+            def recv(self):
+                message = self._conn.recv()
+                statuses.append(message[0])
+                return message
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        def recording_spawn(self) -> None:
+            spawn(self)
+            self.conn = Recording(self.conn)
+
+        monkeypatch.setattr(ResidentWorker, "spawn", recording_spawn)
+        return statuses
+
+    @pytest.mark.parametrize("timeout", (None, 30.0))
+    def test_heartbeats_only_when_a_watchdog_is_armed(
+        self, monkeypatch, timeout
+    ) -> None:
+        statuses = self.record_worker_messages(monkeypatch)
+        baseline = sharding.run_sharded(
+            metro_scenario(), horizon=4, cells=2, epoch=1
+        )
+        ctrl = sharding.ShardedController(
+            metro_scenario(), 2, processes=2, epoch=1, timeout_seconds=timeout
+        )
+        result = ctrl.run(4)
+        assert statuses.count("ok") >= 4
+        assert ("hb" in statuses) == (timeout is not None)
+        assert_identical(baseline.merged, result.merged)
+
     def test_hung_worker_salvage_under_fault_plan(self) -> None:
         self.salvage_case(hang=(1, 0), fault_plan=self.fault_plan())
 
