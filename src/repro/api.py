@@ -51,8 +51,10 @@ from repro.core.bdma import P2ASolver
 from repro.core.budget import BudgetSchedule
 from repro.core.controller import DPPController, OnlineController
 from repro.exceptions import ConfigurationError
+from repro.kernels import get_kernels
 from repro.network.topology import MECNetwork
 from repro.obs.probe import Tracer
+from repro.obs.telemetry import maybe_instrument_kernels
 from repro.sim.engine import run_simulation
 from repro.sim.results import SimulationResult
 from repro.sim.scenario import Scenario
@@ -112,7 +114,9 @@ def _validate_params(name: str, params: dict) -> None:
     )
 
 
-def _p2a_solver_for(name: str, params: dict) -> P2ASolver | None:
+def _p2a_solver_for(
+    name: str, params: dict, engine_backend: str | None
+) -> P2ASolver | None:
     """The P2-A solver behind a controller name (``None`` = CGBA)."""
     if name in ("dpp", "bdma"):
         return None
@@ -123,7 +127,12 @@ def _p2a_solver_for(name: str, params: dict) -> P2ASolver | None:
         return ropt_p2a_solver()
     if name == "greedy":
         keys = ("joint", "shuffle")
-        return greedy_p2a_solver(**{k: params.pop(k) for k in keys if k in params})
+        # Resolved here as the controller resolves its own, so the pass
+        # is timed under an active telemetry context.
+        return greedy_p2a_solver(
+            backend=maybe_instrument_kernels(get_kernels(engine_backend)),
+            **{k: params.pop(k) for k in keys if k in params},
+        )
     raise ConfigurationError(
         f"unknown controller {name!r}; expected one of {CONTROLLER_NAMES}"
     )
@@ -230,7 +239,7 @@ def make_controller(
             tracer=tracer,
         )
     else:
-        solver = _p2a_solver_for(name, params)
+        solver = _p2a_solver_for(name, params, engine_backend)
         controller = DPPController(
             network,
             rng,

@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.latency import effective_fronthaul_se
 from repro.core.state import Assignment, SlotState
 from repro.exceptions import ConfigurationError
+from repro.kernels import KernelBackend, get_kernels
 from repro.network.connectivity import StrategySpace
 from repro.network.topology import MECNetwork
 from repro.types import FloatArray, IntArray, Rng
@@ -32,6 +33,7 @@ def solve_p2a_greedy(
     *,
     joint: bool = True,
     order: IntArray | None = None,
+    backend: "KernelBackend | str | None" = None,
 ) -> Assignment:
     """Sequential greedy assignment.
 
@@ -45,6 +47,9 @@ def solve_p2a_greedy(
         joint: Pick (base station, server) jointly (True) or decouple the
             two choices (False).
         order: Explicit device processing order.
+        backend: Array-kernel backend that runs the pass
+            (``greedy_pass``; see :mod:`repro.kernels`).  Bit-identical
+            across backends -- wall-clock only.
 
     Returns:
         A feasible :class:`Assignment`.
@@ -55,7 +60,9 @@ def solve_p2a_greedy(
         if rng is not None:
             order = rng.permutation(num_devices)
     order = np.asarray(order, dtype=np.int64)
-    if sorted(order.tolist()) != list(range(num_devices)):
+    if order.shape != (num_devices,) or not np.array_equal(
+        np.sort(order), np.arange(num_devices)
+    ):
         raise ConfigurationError("order must be a permutation of all devices")
 
     m_access = 1.0 / network.access_bandwidth
@@ -65,8 +72,7 @@ def solve_p2a_greedy(
     m_compute = 1.0 / network.speeds(np.asarray(frequencies, dtype=np.float64))
     h = state.spectral_efficiency
 
-    # Player weights, computed once for all devices rather than one
-    # np.where/sqrt pass per device inside the loop.
+    # Player weights, computed once for all devices.
     with np.errstate(divide="ignore", over="ignore"):
         p_access = np.where(
             h > 0.0, np.sqrt(state.bits[:, None] / np.maximum(h, 1e-300)), np.inf
@@ -74,41 +80,29 @@ def solve_p2a_greedy(
     p_front = np.sqrt(state.bits)
     p_compute = np.sqrt(state.cycles[:, None] / network.suitability)
 
-    load_access = np.zeros(network.num_base_stations)
-    load_front = np.zeros(network.num_base_stations)
-    load_compute = np.zeros(network.num_servers)
-
-    bs_of = np.empty(num_devices, dtype=np.int64)
-    server_of = np.empty(num_devices, dtype=np.int64)
-
-    for i in order.tolist():
-        ks, ns = space.pairs(i)
-        pa = p_access[i, ks]
-        pf = p_front[i]
-        pc = p_compute[i, ns]
-        comm = m_access[ks] * pa * (2.0 * load_access[ks] + pa) + m_front[ks] * pf * (
-            2.0 * load_front[ks] + pf
-        )
-        comp = m_compute[ns] * pc * (2.0 * load_compute[ns] + pc)
-        if joint:
-            j = int(np.argmin(comm + comp))
-        else:
-            # Stage 1: best base station by communication marginal only.
-            best_k = int(ks[np.argmin(comm)])
-            candidates = np.flatnonzero(ks == best_k)
-            # Stage 2: cheapest reachable server through that station.
-            j = int(candidates[np.argmin(comp[candidates])])
-        k, n = int(ks[j]), int(ns[j])
-        bs_of[i] = k
-        server_of[i] = n
-        load_access[k] += pa[j]
-        load_front[k] += pf
-        load_compute[n] += pc[j]
-
+    flat = space.flat()
+    bs_of, server_of = get_kernels(backend).greedy_pass(
+        order,
+        flat.offsets,
+        flat.bs,
+        flat.server,
+        p_access,
+        p_front,
+        p_compute,
+        m_access,
+        m_front,
+        m_compute,
+        joint,
+    )
     return Assignment(bs_of=bs_of, server_of=server_of)
 
 
-def greedy_p2a_solver(*, joint: bool = True, shuffle: bool = True):
+def greedy_p2a_solver(
+    *,
+    joint: bool = True,
+    shuffle: bool = True,
+    backend: "KernelBackend | str | None" = None,
+):
     """Greedy packaged as a P2-A solver for the DPP controller.
 
     The returned callable matches :class:`repro.core.bdma.P2ASolver`;
@@ -121,6 +115,7 @@ def greedy_p2a_solver(*, joint: bool = True, shuffle: bool = True):
         shuffle: Shuffle the device processing order each slot (uses the
             controller's rng); ``False`` processes devices in index
             order, which is fully deterministic but order-biased.
+        backend: Array-kernel backend for the greedy pass.
     """
 
     def solve(
@@ -140,6 +135,7 @@ def greedy_p2a_solver(*, joint: bool = True, shuffle: bool = True):
             frequencies,
             rng if shuffle else None,
             joint=joint,
+            backend=backend,
         )
 
     return solve

@@ -504,6 +504,7 @@ class DPPController(OnlineController):
                         previous_frequencies=self._last_frequencies,
                         quarantined=quarantined if quarantined.size else None,
                         tracer=tracer,
+                        backend=self.engine_backend,
                     )
             solve_seconds = time.perf_counter() - started
             if self.carry_over:

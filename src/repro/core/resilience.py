@@ -50,6 +50,7 @@ from repro.exceptions import (
     ReproError,
     SolverError,
 )
+from repro.kernels import KernelBackend
 from repro.network.topology import MECNetwork
 from repro.obs.probe import Tracer, as_tracer
 from repro.types import FloatArray, IntArray, Rng
@@ -225,6 +226,7 @@ def fallback_decision(
     previous_frequencies: FloatArray | None = None,
     quarantined: IntArray | None = None,
     tracer: "Tracer | None" = None,
+    backend: "KernelBackend | str | None" = None,
 ) -> tuple[BDMAResult, str]:
     """The degraded chain behind the primary solver.
 
@@ -240,7 +242,9 @@ def fallback_decision(
 
     Returns the decision plus the name of the tier that produced it;
     emits a ``fallback`` event and ``resilience.fallbacks`` /
-    ``resilience.fallback.<tier>`` counters on *tracer*.
+    ``resilience.fallback.<tier>`` counters on *tracer*.  *backend* runs
+    the greedy pass (bit-identical across backends); the greedy tier's
+    P2-B frequency solve stays on the NumPy search either way.
 
     Raises:
         SolverError: Every tier failed (only possible when the strategy
@@ -257,7 +261,8 @@ def fallback_decision(
         try:
             if tier == "greedy":
                 assignment = solve_p2a_greedy(
-                    network, state, space, network.freq_min, None
+                    network, state, space, network.freq_min, None,
+                    backend=backend,
                 )
                 frequencies = solve_p2b(
                     network, state, assignment, queue_backlog=queue_backlog, v=v

@@ -41,6 +41,7 @@ class RawKernels(NamedTuple):
     reset_profile: Callable
     rebind: Callable
     update_frequencies: Callable
+    greedy_pass: Callable
 
 
 #: DecomposedState fields handed to the raw kernels with dtype int64;
@@ -234,6 +235,47 @@ def wrap_raw_backend(raw: RawKernels, *, convert) -> KernelBackend:
         )
         return x, evals
 
+    def greedy_pass(
+        order, offsets, bs, server, p_access, p_front, p_compute,
+        m_access, m_front, m_compute, joint,
+    ):
+        order, offsets, bs, server = (
+            np.ascontiguousarray(a, dtype=np.int64)
+            for a in (order, offsets, bs, server)
+        )
+        weights = tuple(
+            np.ascontiguousarray(a, dtype=np.float64)
+            for a in (
+                p_access, p_front, p_compute, m_access, m_front, m_compute
+            )
+        )
+        players = offsets.size - 1
+        num_bs, num_servers = weights[3].size, weights[5].size
+        shapes = (
+            (players, num_bs), (players,), (players, num_servers),
+            (num_bs,), (num_bs,), (num_servers,),
+        )
+        for arr, shape in zip(weights, shapes):
+            if arr.shape != shape:
+                raise ValueError(
+                    f"greedy pass weight has shape {arr.shape}, expected {shape}"
+                )
+        if server.shape != bs.shape:
+            raise ValueError("greedy pass bs and server arrays differ in shape")
+        loads = np.empty(2 * num_bs + num_servers)
+        bs_of = np.empty(players, dtype=np.int64)
+        server_of = np.empty(players, dtype=np.int64)
+        status = raw.greedy_pass(
+            players, num_bs, num_servers, bs.size, order.size, int(bool(joint)),
+            *(convert(a) for a in (order, offsets, bs, server, *weights)),
+            convert(loads), convert(bs_of), convert(server_of),
+        )
+        if status == -2:
+            raise ValueError("greedy pass: a device has an empty strategy set")
+        if status < 0:
+            raise IndexError("greedy pass: device or candidate index out of range")
+        return bs_of, server_of
+
     return KernelBackend(
         name="jit",
         provider="cc",
@@ -243,6 +285,7 @@ def wrap_raw_backend(raw: RawKernels, *, convert) -> KernelBackend:
         reset_profile=reset_profile,
         rebind=rebind,
         update_frequencies=update_frequencies,
+        greedy_pass=greedy_pass,
         run_dynamics=run_dynamics,
         golden_quad=golden_quad,
     )

@@ -4,9 +4,10 @@ The hot loops of the slot pipeline (the CGBA gap sweep of
 :class:`~repro.core.congestion_game.OffloadingCongestionGame`, the fused
 best-response dynamics of
 :class:`~repro.solvers.fast_engine.FastBestResponseEngine`, and the
-golden-section search of P2-B) and the game's per-slot refills (profile
-reset, state rebind, clock refresh) are expressed here as a narrow set
-of pure array functions over a flat struct-of-arrays state.  Each
+golden-section search of P2-B), the game's per-slot refills (profile
+reset, state rebind, clock refresh) and the fallback chain's greedy pass
+are expressed here as a narrow set of pure array functions over a flat
+struct-of-arrays state.  Each
 backend (:mod:`repro.kernels.numpy_backend`, the C ``jit`` backend)
 provides the same functions with bit-identical IEEE semantics; the NumPy
 implementation is the oracle every other backend is tested against.
@@ -178,6 +179,13 @@ class KernelBackend:
         update_frequencies: ``(state) -> None`` -- the clock refresh:
             ``m_compute`` from ``state.frequencies``, the compute block
             of ``w`` and the compute row of ``wcur``.
+        greedy_pass: ``(order, offsets, bs, server, p_access, p_front,
+            p_compute, m_access, m_front, m_compute, joint) -> (bs_of,
+            server_of)`` -- the one-pass greedy assignment over flat
+            strategy arrays (see
+            :func:`repro.baselines.greedy.solve_p2a_greedy`); each device
+            in ``order`` commits its cheapest marginal pair, ties and
+            NaNs resolved as ``np.argmin`` does.
     """
 
     name: str
@@ -188,5 +196,6 @@ class KernelBackend:
     reset_profile: Callable
     rebind: Callable
     update_frequencies: Callable
+    greedy_pass: Callable
     run_dynamics: Callable | None = None
     golden_quad: Callable | None = None

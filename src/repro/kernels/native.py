@@ -376,6 +376,96 @@ void repro_rebind(
     }
 }
 
+/* np.argmin's scan step: the first NaN wins for good, otherwise the
+ * first strict minimum.  Returns 1 when the scan may stop. */
+static int argmin_step(double v, i64 j, double *bv, i64 *bj)
+{
+    if (*bj < 0 || v < *bv || isnan(v)) {
+        *bv = v;
+        *bj = j;
+        return isnan(v);
+    }
+    return 0;
+}
+
+/* The one-pass greedy assignment, as the NumPy greedy_pass: each
+ * device in order takes its cheapest marginal pair given the loads
+ * committed so far.  A resource's marginal is (m * p) * (2 * load + p),
+ * communication (access + fronthaul) first, then compute; joint
+ * minimises their sum, otherwise the communication argmin fixes the
+ * base station and the compute argmin over its candidates the server.
+ * loads is (2K + N) scratch.  Returns 0, -1 on an out-of-range device,
+ * candidate or offset, or -2 on an empty strategy set. */
+i64 repro_greedy_pass(
+    i64 I, i64 K, i64 N, i64 C, i64 n_order, i64 joint,
+    const i64 *order, const i64 *offsets, const i64 *bs, const i64 *server,
+    const double *p_access, const double *p_front, const double *p_compute,
+    const double *m_access, const double *m_front, const double *m_compute,
+    double *loads, i64 *bs_of, i64 *server_of)
+{
+    double *la = loads, *lf = loads + K, *lc = loads + 2 * K;
+    for (i64 r = 0; r < 2 * K + N; ++r)
+        loads[r] = 0.0;
+    for (i64 t = 0; t < n_order; ++t) {
+        i64 i = order[t];
+        if (i < 0 || i >= I)
+            return -1;
+        i64 off = offsets[i], end = offsets[i + 1];
+        if (off < 0 || end > C || end < off)
+            return -1;
+        if (end == off)
+            return -2;
+        for (i64 c = off; c < end; ++c)
+            if (bs[c] < 0 || bs[c] >= K || server[c] < 0 || server[c] >= N)
+                return -1;
+        const double *pai = p_access + i * K;
+        const double *pci = p_compute + i * N;
+        double pf = p_front[i];
+        double bv = 0.0;
+        i64 bj = -1;
+        if (joint) {
+            for (i64 c = off; c < end; ++c) {
+                i64 k = bs[c], n = server[c];
+                double pa = pai[k], pc = pci[n];
+                double comm = (m_access[k] * pa) * (2.0 * la[k] + pa)
+                              + (m_front[k] * pf) * (2.0 * lf[k] + pf);
+                double comp = (m_compute[n] * pc) * (2.0 * lc[n] + pc);
+                if (argmin_step(comm + comp, c, &bv, &bj))
+                    break;
+            }
+        } else {
+            for (i64 c = off; c < end; ++c) {
+                i64 k = bs[c];
+                double pa = pai[k];
+                double comm = (m_access[k] * pa) * (2.0 * la[k] + pa)
+                              + (m_front[k] * pf) * (2.0 * lf[k] + pf);
+                if (argmin_step(comm, c, &bv, &bj))
+                    break;
+            }
+            i64 best_k = bs[bj];
+            bj = -1;
+            for (i64 c = off; c < end; ++c) {
+                if (bs[c] != best_k)
+                    continue;
+                i64 n = server[c];
+                double pc = pci[n];
+                double comp = (m_compute[n] * pc) * (2.0 * lc[n] + pc);
+                if (argmin_step(comp, c, &bv, &bj))
+                    break;
+            }
+        }
+        {
+            i64 k = bs[bj], n = server[bj];
+            bs_of[i] = k;
+            server_of[i] = n;
+            la[k] += pai[k];
+            lf[k] += pf;
+            lc[n] += pci[n];
+        }
+    }
+    return 0;
+}
+
 /* The clock refresh: m_compute, the compute block of w, and the
  * compute row of wcur. */
 void repro_update_frequencies(
@@ -528,9 +618,18 @@ def _bind(lib: ctypes.CDLL) -> RawKernels:
         _f64, _i64, _f64,
         _f64, _f64, _f64,
     ]
+    greedy_pass = lib.repro_greedy_pass
+    greedy_pass.restype = _ll
+    greedy_pass.argtypes = [
+        _ll, _ll, _ll, _ll, _ll, _ll,
+        _i64, _i64, _i64, _i64,
+        _f64, _f64, _f64,
+        _f64, _f64, _f64,
+        _f64, _i64, _i64,
+    ]
     return RawKernels(
         gap_sweep, run_dynamics, golden_quad,
-        reset_profile, rebind, update_frequencies,
+        reset_profile, rebind, update_frequencies, greedy_pass,
     )
 
 

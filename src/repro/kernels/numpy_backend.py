@@ -158,6 +158,67 @@ def update_frequencies(state: DecomposedState) -> None:
     state.wcur[2] = state.m_compute[state.server_of] * state.pc_cur
 
 
+def greedy_pass(
+    order,
+    offsets,
+    bs,
+    server,
+    p_access,
+    p_front,
+    p_compute,
+    m_access,
+    m_front,
+    m_compute,
+    joint,
+):
+    """One sequential greedy pass, the one-pass baseline's loop.
+
+    Each device in *order* takes its cheapest marginal (base station,
+    server) pair given the loads the devices before it committed.
+    Device ``i``'s candidates are ``bs[offsets[i]:offsets[i + 1]]`` and
+    the matching ``server`` slice (the
+    :class:`~repro.network.connectivity.FlatStrategies` layout).  A
+    resource's marginal is ``m * p * (2 * load + p)``; communication is
+    access plus fronthaul.  *joint* minimises communication plus
+    compute; otherwise the device takes the communication argmin's base
+    station, then the cheapest server among that station's candidates.
+    Every argmin is ``np.argmin``'s (first minimum, or the first NaN).
+    Returns ``(bs_of, server_of)``.
+    """
+    load_access = np.zeros(m_access.size)
+    load_front = np.zeros(m_front.size)
+    load_compute = np.zeros(m_compute.size)
+    bounds = offsets.tolist()
+    num_devices = len(bounds) - 1
+    bs_of = np.empty(num_devices, dtype=np.int64)
+    server_of = np.empty(num_devices, dtype=np.int64)
+    for i in order.tolist():
+        ks = bs[bounds[i] : bounds[i + 1]]
+        ns = server[bounds[i] : bounds[i + 1]]
+        pa = p_access[i, ks]
+        pf = p_front[i]
+        pc = p_compute[i, ns]
+        comm = m_access[ks] * pa * (2.0 * load_access[ks] + pa) + m_front[ks] * pf * (
+            2.0 * load_front[ks] + pf
+        )
+        comp = m_compute[ns] * pc * (2.0 * load_compute[ns] + pc)
+        if joint:
+            j = int(np.argmin(comm + comp))
+        else:
+            # Stage 1: best base station by communication marginal only.
+            best_k = int(ks[np.argmin(comm)])
+            candidates = np.flatnonzero(ks == best_k)
+            # Stage 2: cheapest reachable server through that station.
+            j = int(candidates[np.argmin(comp[candidates])])
+        k, n = int(ks[j]), int(ns[j])
+        bs_of[i] = k
+        server_of[i] = n
+        load_access[k] += pa[j]
+        load_front[k] += pf
+        load_compute[n] += pc[j]
+    return bs_of, server_of
+
+
 def make_numpy_backend() -> KernelBackend:
     """The reference backend: no fused loop, no native golden section."""
     return KernelBackend(
@@ -169,6 +230,7 @@ def make_numpy_backend() -> KernelBackend:
         reset_profile=reset_profile,
         rebind=rebind,
         update_frequencies=update_frequencies,
+        greedy_pass=greedy_pass,
         run_dynamics=None,
         golden_quad=None,
     )

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.exceptions import InfeasibleError
+from repro.exceptions import InfeasibleError, ValidationError
 from repro.network.topology import MECNetwork
 from repro.types import BoolArray, IntArray
 
@@ -282,15 +282,34 @@ class StrategySpace:
         device whose previous (base station, server) pair is no longer
         feasible gets a fresh uniformly random feasible pair; feasible
         entries are kept.  Returns new arrays; the inputs are not
-        modified.
+        modified.  The draws are one ``rng.integers(|Z_i|)`` per
+        repaired device in device order, as :meth:`random_assignment`
+        makes them (none when nothing needs repair).
+
+        Raises:
+            ValidationError: When *bs_of* or *server_of* is not ``(I,)``.
         """
         bs_of = np.array(bs_of, dtype=np.int64, copy=True)
         server_of = np.array(server_of, dtype=np.int64, copy=True)
-        for i in range(self.num_devices):
-            if not self.contains(i, int(bs_of[i]), int(server_of[i])):
-                j = int(rng.integers(self._bs_choices[i].size))
-                bs_of[i] = self._bs_choices[i][j]
-                server_of[i] = self._server_choices[i][j]
+        expected = (self.num_devices,)
+        if bs_of.shape != expected or server_of.shape != expected:
+            raise ValidationError(
+                f"repair needs bs_of and server_of of shape (I,) = {expected}, "
+                f"got {bs_of.shape} and {server_of.shape}"
+            )
+        flat = self._flat
+        # One membership pass over every candidate: a device is feasible
+        # when one of its candidates is exactly its current pair.
+        hit = (flat.bs == bs_of[flat.player]) & (
+            flat.server == server_of[flat.player]
+        )
+        bad = np.flatnonzero(~np.logical_or.reduceat(hit, flat.offsets[:-1]))
+        if bad.size:
+            # Skipped when nothing needs repair (the common case after
+            # a space change): the draw costs microseconds even empty.
+            picks = flat.offsets[bad] + rng.integers(flat.counts[bad])
+            bs_of[bad] = flat.bs[picks]
+            server_of[bad] = flat.server[picks]
         return bs_of, server_of
 
     def random_assignment(self, rng: np.random.Generator) -> tuple[IntArray, IntArray]:

@@ -867,6 +867,7 @@ _KERNEL_CALLS = (
     "reset_profile",
     "rebind",
     "update_frequencies",
+    "greedy_pass",
 )
 
 
