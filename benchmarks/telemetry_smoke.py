@@ -13,9 +13,11 @@ acceptance contract of the telemetry layer:
   folded into the merged health report;
 * the run's merged trajectories are **bit-identical** to the same run
   in-process (``processes=None``), and that run's registry and health
-  agree with the pooled run's: equal final counter values, equal
-  status names and statuses, equal alert count.  Both worker
-  transports of the one sharded epoch loop are gated.
+  agree with the pooled run's: equal final counter values, gauge
+  values and histogram observation counts (everything in the registry
+  that does not depend on timing), equal status names and statuses,
+  equal alert count.  Both worker transports of the one sharded epoch
+  loop are gated.
 
 Exits nonzero on any failure.  No timing assertions -- this is a
 correctness smoke, not a perf gate.
@@ -146,7 +148,8 @@ def main() -> int:
         )
 
     # 4. The in-process transport: bit-identical trajectories, and the
-    #    same final counters and folded health as the pooled run.
+    #    same timing-free registry content and folded health as the
+    #    pooled run.
     bare_registry = MetricsRegistry()
     bare = run_sharded(
         _scenario(),
@@ -169,9 +172,26 @@ def main() -> int:
             for name, family in reg.snapshot()["counters"].items()
         }
 
-    checks["in_process_counters_equal"] = counters(bare_registry) == counters(
-        registry
-    )
+    def gauges(reg: MetricsRegistry) -> dict:
+        return {
+            name: {key: value for key, (value, _) in family["series"].items()}
+            for name, family in reg.snapshot()["gauges"].items()
+        }
+
+    def observation_counts(reg: MetricsRegistry) -> dict:
+        return {
+            name: {key: count for key, (_, _, count) in family["series"].items()}
+            for name, family in reg.snapshot()["histograms"].items()
+        }
+
+    for name, content in (
+        ("counters", counters),
+        ("gauges", gauges),
+        ("histogram_counts", observation_counts),
+    ):
+        checks[f"in_process_{name}_equal"] = content(bare_registry) == content(
+            registry
+        )
 
     def folded(report) -> "tuple | None":
         if report is None:

@@ -29,7 +29,9 @@ and raises structured :class:`Alert`\\ s when a *domain* signal goes bad
   controller's admission control).
 
 Monitors are grouped in a :class:`MonitorSuite`, itself a tracer sink:
-``suite.attach(probe)`` subscribes it to the bus.  Every alert is
+``suite.attach(probe)`` subscribes it to the bus.  Each monitor declares
+the events it reads (:meth:`Monitor.wants`) and the suite hands it only
+those; a monitor that declares nothing sees every event.  Every alert is
 re-emitted on the bus as an ``event`` named ``"alert"`` (so JSONL traces
 and the live dashboard see them), and :meth:`MonitorSuite.finish`
 condenses the run into a :class:`HealthReport`.
@@ -40,6 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
+
+from repro.obs.probe import wants
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.topology import MECNetwork
@@ -157,10 +161,10 @@ class HealthReport:
 class Monitor:
     """Base class: consume bus events, raise structured alerts.
 
-    Subclasses override :meth:`observe` (called for every bus event) and
-    optionally :meth:`finish` (end-of-run verdict).  Use :meth:`alert`
-    to raise findings; the owning :class:`MonitorSuite` re-emits them on
-    the bus.
+    Subclasses override :meth:`observe` (called for every bus event the
+    monitor :meth:`wants`) and optionally :meth:`finish` (end-of-run
+    verdict).  Use :meth:`alert` to raise findings; the owning
+    :class:`MonitorSuite` re-emits them on the bus.
     """
 
     #: Stable monitor name, used in alerts and reports.
@@ -172,6 +176,14 @@ class Monitor:
 
     def observe(self, event: dict) -> None:
         """Consume one bus event (see :mod:`repro.obs.probe` for kinds)."""
+
+    def wants(self, kind: str, name: str) -> bool:
+        """Whether :meth:`observe` reads ``(kind, name)`` events.
+
+        Asked once per pair; the default is every event.  The answer
+        must depend on nothing but the two arguments.
+        """
+        return True
 
     def finish(self) -> MonitorStatus:
         """The end-of-run verdict; default summarises raised alerts."""
@@ -245,6 +257,9 @@ class MonitorSuite:
         #: Slot index of the most recent ``slot`` event seen.
         self.current_t: int | None = None
         self._report: HealthReport | None = None
+        # (kind, name) -> the observe callables of the monitors that
+        # want it.
+        self._routes: "dict[tuple[str, str], tuple]" = {}
         for monitor in self.monitors:
             monitor._suite = self
 
@@ -255,16 +270,41 @@ class MonitorSuite:
         return self
 
     # -- Sink protocol -------------------------------------------------
+    def wants(self, kind: str, name: str) -> bool:
+        """Every ``slot`` event (for :attr:`current_t`) and whatever a
+        monitor wants -- never our own ``alert`` re-emissions."""
+        if kind == "event":
+            if name == "alert":
+                return False
+            if name == "slot":
+                return True
+        return bool(self._route(kind, name))
+
+    def _route(self, kind: str, name: str) -> tuple:
+        """The ``observe`` callables of the monitors that want
+        ``(kind, name)``, in monitor order (built once per pair)."""
+        observers = tuple(
+            monitor.observe
+            for monitor in self.monitors
+            if wants(monitor, kind, name)
+        )
+        self._routes[(kind, name)] = observers
+        return observers
+
     def emit(self, event: dict) -> None:
-        if event["kind"] == "event":
-            name = event["name"]
+        kind = event["kind"]
+        name = event["name"]
+        if kind == "event":
             if name == "alert":
                 return  # our own re-emissions; never feed back
             if name == "slot":
                 t = event["data"].get("t")
                 self.current_t = int(t) if t is not None else None
-        for monitor in self.monitors:
-            monitor.observe(event)
+        observers = self._routes.get((kind, name))
+        if observers is None:
+            observers = self._route(kind, name)
+        for observe in observers:
+            observe(event)
 
     def close(self) -> None:  # nothing buffered
         pass
@@ -333,6 +373,9 @@ class QueueStabilityMonitor(Monitor):
         self._prev_delta: float | None = None
         self._strikes = 0
         self._fired = False
+
+    def wants(self, kind: str, name: str) -> bool:
+        return kind == "gauge" and name == self.gauge
 
     def observe(self, event: dict) -> None:
         if event["kind"] != "gauge" or event["name"] != self.gauge:
@@ -416,6 +459,9 @@ class BudgetDriftMonitor(Monitor):
         self._over_run = 0
         self._drift_fired = False
 
+    def wants(self, kind: str, name: str) -> bool:
+        return kind == "event" and name == "slot"
+
     def observe(self, event: dict) -> None:
         if event["kind"] != "event" or event["name"] != "slot":
             return
@@ -482,6 +528,9 @@ class FeasibilityMonitor(Monitor):
         self.tol = float(tol)
         self._samples = 0
 
+    def wants(self, kind: str, name: str) -> bool:
+        return kind == "gauge" and name.startswith("feas.")
+
     def observe(self, event: dict) -> None:
         if event["kind"] != "gauge":
             return
@@ -546,6 +595,9 @@ class GuaranteeMonitor(Monitor):
         self.slack = float(slack)
         self._latencies: list[float] = []
         self._slot_checks = 0
+
+    def wants(self, kind: str, name: str) -> bool:
+        return kind == "event" and name == "slot"
 
     def observe(self, event: dict) -> None:
         if event["kind"] != "event" or event["name"] != "slot":
@@ -661,6 +713,22 @@ class AnomalyMonitor(Monitor):
         self.max_alerts_per_series = int(max_alerts_per_series)
         self._detectors = {name: _EwmaDetector(alpha) for name in self.series}
         self._fired = {name: 0 for name in self.series}
+        # Watched slot-record fields and engine stats -> series name.
+        self._slot_fields = {
+            name[len("slot."):]: name
+            for name in self._detectors
+            if name.startswith("slot.") and name != "slot.t"
+        }
+        self._engine_fields = {
+            name[len("engine."):]: name
+            for name in self._detectors
+            if name.startswith("engine.")
+        }
+
+    def wants(self, kind: str, name: str) -> bool:
+        if kind == "gauge":
+            return name in self._detectors
+        return kind == "event" and name == "slot"
 
     def observe(self, event: dict) -> None:
         kind = event["kind"]
@@ -668,14 +736,17 @@ class AnomalyMonitor(Monitor):
             self._sample(event["name"], float(event["value"]))
         elif kind == "event" and event["name"] == "slot":
             data = event["data"]
-            for key, value in data.items():
-                if key != "t" and isinstance(value, (int, float)):
-                    self._sample(f"slot.{key}", float(value))
+            self._sample_fields(data, self._slot_fields)
             stats = data.get("engine_stats")
             if isinstance(stats, dict):
-                for key, value in stats.items():
-                    if isinstance(value, (int, float)):
-                        self._sample(f"engine.{key}", float(value))
+                self._sample_fields(stats, self._engine_fields)
+
+    def _sample_fields(self, record: dict, fields: "dict[str, str]") -> None:
+        """Sample the watched numeric fields of *record*, in its order."""
+        for key, value in record.items():
+            name = fields.get(key)
+            if name is not None and isinstance(value, (int, float)):
+                self._sample(name, float(value))
 
     def _sample(self, name: str, value: float) -> None:
         detector = self._detectors.get(name)
@@ -736,6 +807,11 @@ class ResilienceMonitor(Monitor):
         self.slots = 0
         self.fallback_slots = 0
         self.failed_seeds: list[int] = []
+
+    def wants(self, kind: str, name: str) -> bool:
+        if kind == "counter":
+            return name.startswith("resilience.")
+        return kind == "event" and name in ("slot", "replication.seed_failed")
 
     def observe(self, event: dict) -> None:
         kind = event["kind"]
@@ -809,6 +885,11 @@ class OverloadMonitor(Monitor):
         self.shed_tasks = 0
         self.overloaded_slots = 0
         self.first_shed_t: "int | None" = None
+
+    def wants(self, kind: str, name: str) -> bool:
+        if kind == "gauge":
+            return name == "overload.state"
+        return kind == "event" and name == "shed"
 
     def observe(self, event: dict) -> None:
         kind = event["kind"]

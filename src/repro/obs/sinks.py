@@ -47,6 +47,10 @@ class PhaseAggregator:
             self.gauges.setdefault(event["name"], []).append(event["value"])
         # free-form "event" payloads are for streaming sinks, not stats
 
+    def wants(self, kind: str, name: str) -> bool:
+        """Spans, counters and gauges; free-form events are not stats."""
+        return kind != "event"
+
     def close(self) -> None:  # nothing buffered
         pass
 

@@ -15,18 +15,17 @@ Three integration surfaces:
   ``repro_slot_cost`` / ``repro_budget_drift``, and monitor alerts count
   into ``repro_alerts_total{monitor=,severity=}``.  Constant labels
   (e.g. ``cell="3"``) stamp every sample, so per-cell series never
-  collide when merged.
-* snapshot/merge -- :meth:`MetricsRegistry.snapshot` is a picklable
-  value a pooled worker ships back with its epoch job;
-  :meth:`MetricsRegistry.merge_snapshot` folds it into the parent's
-  live registry (counters/histograms add; gauges keep the most recent
-  value by a ``(generation, sequence)`` recency stamp, so out-of-order
-  epoch completions cannot roll a gauge backwards).
-  :meth:`MetricsRegistry.snapshot_delta` is the incremental variant for
-  long-lived resident workers: it ships only the series that changed
-  since the worker's previous flush (a per-registry flush generation
-  counter tracks the baseline), in the same wire format, so the
-  per-epoch merge cost stays flat as cell counts grow.
+  collide when merged.  A probe binds each bus name to its series once
+  and then updates the series directly.
+* flush/merge -- a resident worker calls
+  :meth:`MetricsRegistry.flush_delta` once per epoch: it walks only the
+  series touched since the previous flush and ships them by integer id
+  (names and labels go once, when a series first ships).
+  :meth:`MetricsRegistry.merge_snapshot` folds such a delta -- or a full
+  :meth:`MetricsRegistry.snapshot` -- into the parent's live registry
+  (counters/histograms add; gauges keep the most recent value by a
+  ``(generation, sequence)`` recency stamp, so a late reply cannot roll
+  a gauge backwards).
 * kernel profiling -- :func:`instrument_kernels` wraps a resolved
   :class:`~repro.kernels.interface.KernelBackend` so every hot call
   (``candidate_costs`` / ``segment_first_min`` / ``gap_sweep`` /
@@ -47,9 +46,10 @@ HTTP for live scrapes.
 from __future__ import annotations
 
 import math
+import os
 import re
 import threading
-from bisect import bisect_right
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Mapping
 
@@ -127,33 +127,194 @@ def _format_le(bound: float) -> str:
 
 
 class _Family:
-    """Base class for one named metric family (all its label series)."""
+    """Base class for one named metric family (all its label series).
+
+    ``labels(...)`` hands out one series object per label set (the same
+    object every time), and that object is what ``inc`` / ``set`` /
+    ``observe`` update.  A series joins :attr:`_series` -- the set that
+    snapshots and scrapes see -- on its first update (histograms: on
+    binding, so a pre-bound histogram exposes its zero counts).
+    """
 
     kind = "untyped"
+    _series_type: type
 
-    def __init__(self, name: str, help: str, lock: threading.Lock) -> None:
+    def __init__(self, name: str, help: str, registry: "MetricsRegistry") -> None:
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         self.name = name
         self.help = help
-        self._lock = lock
+        self._registry = registry
+        self._lock = registry._lock
         self._series: dict = {}
+        self._bound: dict = {}
+        #: Flush id, assigned when the family is first announced.
+        self._fid: "int | None" = None
 
     def labels(self, **labels: object):
         """The bound series for one label set (created on first use)."""
         return self._bind(_label_key(labels))
 
     def _bind(self, key: LabelKey):
-        raise NotImplementedError
+        series = self._bound.get(key)
+        if series is None:
+            with self._lock:
+                series = self._bound.get(key)
+                if series is None:
+                    series = self._series_type(self, key)
+                    self._bound[key] = series
+        return series
+
+    def _announcement(self) -> tuple:
+        return (self.kind, self.name, self.help, None)
+
+
+class _Series:
+    """One label set of a family, bound once and updated in place.
+
+    ``touched`` is the flush bookkeeping: the first update after a
+    flush sets it and queues the series on the registry, so
+    :meth:`MetricsRegistry.flush_delta` walks only what changed.  The
+    same first update makes the series live (visible to snapshots and
+    scrapes).
+    """
+
+    __slots__ = ("_family", "_lock", "_enqueue", "_live", "key", "touched", "sid")
+
+    #: Index of the registry's touched queue this kind goes on.
+    _queue = 0
+
+    def __init__(self, family: _Family, key: LabelKey) -> None:
+        self._family = family
+        self._lock = family._lock
+        self._enqueue = family._registry._touched[self._queue].append
+        self._live = family._series
+        self.key = key
+        self.touched = False
+        #: Flush id, assigned when the series is first shipped.
+        self.sid: "int | None" = None
+
+    def _mark(self) -> None:
+        """Queue a merged update for the next flush (the caller holds
+        the lock); the update methods inline the same three steps."""
+        self.touched = True
+        self._enqueue(self)
+        self._live[self.key] = self
+
+
+class _CounterSeries(_Series):
+    __slots__ = ("value", "shipped")
+
+    _queue = 0
+
+    def __init__(self, family: _Family, key: LabelKey) -> None:
+        super().__init__(family, key)
+        self.value = 0.0
+        #: The value the last flush shipped (increments are relative to it).
+        self.shipped = 0.0
+
+    def inc(self, value: float = 1.0) -> None:
+        if value < 0:
+            raise ValueError("counters only go up; use a gauge")
+        with self._lock:
+            self.value += value
+            if not self.touched:
+                self.touched = True
+                self._enqueue(self)
+                self._live[self.key] = self
+
+
+class _GaugeSeries(_Series):
+    __slots__ = ("value", "stamp")
+
+    _queue = 1
+
+    def __init__(self, family: _Family, key: LabelKey) -> None:
+        super().__init__(family, key)
+        self.value = math.nan
+        self.stamp: "tuple[int, int] | None" = None
+
+    def set(self, value: float) -> None:
+        registry = self._family._registry
+        with self._lock:
+            registry._seq += 1
+            self.value = float(value)
+            self.stamp = (0, registry._seq)
+            if not self.touched:
+                self.touched = True
+                self._enqueue(self)
+                self._live[self.key] = self
+
+
+    def _merge(self, value: float, stamp: tuple) -> None:
+        """Take a merged value if its stamp is not older than ours (the
+        caller holds the lock)."""
+        if self.stamp is None or stamp >= self.stamp:
+            self.value = value
+            self.stamp = stamp
+            if not self.touched:
+                self._mark()
+
+
+class _HistogramSeries(_Series):
+    __slots__ = ("_bounds", "counts", "sum", "count", "added", "shipped_sum")
+
+    _queue = 2
+
+    def __init__(self, family: "Histogram", key: LabelKey) -> None:
+        super().__init__(family, key)
+        self._bounds = family.bounds
+        # counts has len(bounds)+1 entries; the last is +Inf.
+        self.counts = [0] * (len(family.bounds) + 1)
+        self.sum = 0.0
+        self.count = 0
+        #: Bucket index -> observations since the last flush (at most
+        #: one entry per bucket), and the sum the last flush shipped.
+        self.added: "dict[int, int]" = {}
+        self.shipped_sum = 0.0
+        self._live[key] = self
+
+    def observe(self, value: float) -> None:
+        value = float(value)
+        # OpenMetrics ``le`` is inclusive: a value equal to a bound
+        # belongs to that bound's bucket.
+        index = bisect_left(self._bounds, value)
+        with self._lock:
+            self.counts[index] += 1
+            self.sum += value
+            self.count += 1
+            added = self.added
+            added[index] = added.get(index, 0) + 1
+            if not self.touched:
+                self.touched = True
+                self._enqueue(self)
+
+    def _take(self) -> "tuple[float, dict[int, int]]":
+        """The sum and per-bucket counts added since the last flush,
+        which becomes the new baseline (the caller holds the lock)."""
+        taken = (self.sum - self.shipped_sum, self.added)
+        self.added = {}
+        self.shipped_sum = self.sum
+        return taken
+
+    def _add(self, added: "dict[int, int]", total: float) -> None:
+        """Fold merged per-bucket counts in (the caller holds the lock)."""
+        counts = self.counts
+        mine = self.added
+        for index, c in added.items():
+            counts[index] += c
+            mine[index] = mine.get(index, 0) + c
+            self.count += c
+        self.sum += total
+        if not self.touched:
+            self._mark()
 
 
 class Counter(_Family):
     """A monotonically increasing sum per label set."""
 
     kind = "counter"
-
-    def _bind(self, key: LabelKey) -> "_BoundCounter":
-        return _BoundCounter(self, key)
+    _series_type = _CounterSeries
 
     def inc(self, value: float = 1.0, **labels: object) -> None:
         """Add *value* (must be >= 0) to the series for *labels*."""
@@ -161,24 +322,8 @@ class Counter(_Family):
 
     def value(self, **labels: object) -> float:
         """Current total for one label set (0.0 if never incremented)."""
-        return float(self._series.get(_label_key(labels), 0.0))
-
-
-class _BoundCounter:
-    __slots__ = ("_family", "_key")
-
-    def __init__(self, family: Counter, key: LabelKey) -> None:
-        self._family = family
-        self._key = key
-
-    def inc(self, value: float = 1.0) -> None:
-        if value < 0:
-            raise ValueError("counters only go up; use a gauge")
-        family = self._family
-        with family._lock:
-            family._series[self._key] = (
-                family._series.get(self._key, 0.0) + value
-            )
+        series = self._series.get(_label_key(labels))
+        return float(series.value) if series is not None else 0.0
 
 
 class Gauge(_Family):
@@ -192,14 +337,7 @@ class Gauge(_Family):
     """
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str, lock: threading.Lock,
-                 registry: "MetricsRegistry") -> None:
-        super().__init__(name, help, lock)
-        self._registry = registry
-
-    def _bind(self, key: LabelKey) -> "_BoundGauge":
-        return _BoundGauge(self, key)
+    _series_type = _GaugeSeries
 
     def set(self, value: float, **labels: object) -> None:
         """Record *value* as the series' current level."""
@@ -207,53 +345,32 @@ class Gauge(_Family):
 
     def value(self, **labels: object) -> float:
         """Current level for one label set (NaN if never set)."""
-        entry = self._series.get(_label_key(labels))
-        return float(entry[0]) if entry is not None else math.nan
-
-
-class _BoundGauge:
-    __slots__ = ("_family", "_key")
-
-    def __init__(self, family: Gauge, key: LabelKey) -> None:
-        self._family = family
-        self._key = key
-
-    def set(self, value: float) -> None:
-        family = self._family
-        with family._lock:
-            family._registry._seq += 1
-            family._series[self._key] = (
-                float(value), (0, family._registry._seq)
-            )
+        series = self._series.get(_label_key(labels))
+        return float(series.value) if series is not None else math.nan
 
 
 class Histogram(_Family):
     """Bounded cumulative-bucket histogram with exact sum and count.
 
-    Buckets are upper bounds (``le``); an implicit ``+Inf`` bucket
-    catches overflow, so ``observe`` never loses a sample.  The stored
-    counts are per-bucket (non-cumulative); rendering accumulates them
-    into the OpenMetrics cumulative form.
+    Buckets are inclusive upper bounds (``le``); an implicit ``+Inf``
+    bucket catches overflow, so ``observe`` never loses a sample.  The
+    stored counts are per-bucket (non-cumulative); rendering
+    accumulates them into the OpenMetrics cumulative form.
     """
 
     kind = "histogram"
+    _series_type = _HistogramSeries
 
-    def __init__(self, name: str, help: str, lock: threading.Lock,
+    def __init__(self, name: str, help: str, registry: "MetricsRegistry",
                  buckets: "tuple[float, ...]") -> None:
-        super().__init__(name, help, lock)
+        super().__init__(name, help, registry)
         bounds = tuple(float(b) for b in buckets)
         if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError("histogram buckets must be strictly increasing")
         self.bounds = bounds
 
-    def _bind(self, key: LabelKey) -> "_BoundHistogram":
-        with self._lock:
-            slot = self._series.get(key)
-            if slot is None:
-                # counts has len(bounds)+1 entries; the last is +Inf.
-                slot = [[0] * (len(self.bounds) + 1), 0.0, 0]
-                self._series[key] = slot
-        return _BoundHistogram(self, key, slot)
+    def _announcement(self) -> tuple:
+        return (self.kind, self.name, self.help, self.bounds)
 
     def observe(self, value: float, **labels: object) -> None:
         """Record one sample into the right bucket."""
@@ -261,16 +378,16 @@ class Histogram(_Family):
 
     def stats(self, **labels: object) -> dict:
         """count/sum plus bucket-estimated p50/p95 for one label set."""
-        slot = self._series.get(_label_key(labels))
-        if slot is None:
+        series = self._series.get(_label_key(labels))
+        if series is None:
             return {"count": 0, "sum": 0.0,
                     "p50": math.nan, "p95": math.nan}
-        counts, total, count = slot
+        count = series.count
         return {
             "count": int(count),
-            "sum": float(total),
-            "p50": _bucket_quantile(self.bounds, counts, count, 0.50),
-            "p95": _bucket_quantile(self.bounds, counts, count, 0.95),
+            "sum": float(series.sum),
+            "p50": _bucket_quantile(self.bounds, series.counts, count, 0.50),
+            "p95": _bucket_quantile(self.bounds, series.counts, count, 0.95),
         }
 
 
@@ -301,25 +418,6 @@ def _bucket_quantile(
     return bounds[-1]
 
 
-class _BoundHistogram:
-    __slots__ = ("_family", "_key", "_slot")
-
-    def __init__(self, family: Histogram, key: LabelKey, slot: list) -> None:
-        self._family = family
-        self._key = key
-        self._slot = slot
-
-    def observe(self, value: float) -> None:
-        family = self._family
-        value = float(value)
-        index = bisect_right(family.bounds, value)
-        slot = self._slot
-        with family._lock:
-            slot[0][index] += 1
-            slot[1] += value
-            slot[2] += 1
-
-
 class MetricsRegistry:
     """A named collection of metric families, safe to share with a
     scrape thread and to merge across processes.
@@ -335,10 +433,17 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._families: "dict[str, _Family]" = {}
         self._seq = 0
-        # snapshot_delta() baseline: what the last flush already shipped,
-        # keyed (kind, family name) -> per-series flushed value.
-        self._flushed: dict = {}
-        self._flush_generation = 0
+        # flush_delta() state: series updated since the last flush (one
+        # queue per kind: counters, gauges, histograms), families not
+        # announced yet, and the id counters of what was announced.
+        self._touched: "tuple[list, list, list]" = ([], [], [])
+        self._unannounced: "list[_Family]" = []
+        self._next_fid = 0
+        self._next_sid = 0
+        self._origin: "str | None" = None
+        # merge_snapshot() state: per sending registry, the families and
+        # series its announcements resolved to, indexed by their ids.
+        self._peers: "dict[str, tuple[list, list]]" = {}
 
     # -- family accessors ------------------------------------------------
 
@@ -361,33 +466,19 @@ class MetricsRegistry:
         *,
         buckets: "tuple[float, ...] | None" = None,
     ) -> Histogram:
-        family = self._families.get(name)
-        if family is None:
-            with self._lock:
-                family = self._families.get(name)
-                if family is None:
-                    family = Histogram(
-                        name, help, self._lock,
-                        buckets or DEFAULT_SECONDS_BUCKETS,
-                    )
-                    self._families[name] = family
-        if not isinstance(family, Histogram):
-            raise ValueError(
-                f"metric {name!r} already registered as a {family.kind}"
-            )
-        return family
+        return self._family(
+            name, help, Histogram, buckets or DEFAULT_SECONDS_BUCKETS
+        )
 
-    def _family(self, name: str, help: str, cls: type) -> "_Family":
+    def _family(self, name: str, help: str, cls: type, *args) -> "_Family":
         family = self._families.get(name)
         if family is None:
             with self._lock:
                 family = self._families.get(name)
                 if family is None:
-                    if cls is Gauge:
-                        family = Gauge(name, help, self._lock, self)
-                    else:
-                        family = cls(name, help, self._lock)
+                    family = cls(name, help, self, *args)
                     self._families[name] = family
+                    self._unannounced.append(family)
         if type(family) is not cls:
             raise ValueError(
                 f"metric {name!r} already registered as a {family.kind}"
@@ -414,21 +505,27 @@ class MetricsRegistry:
     # -- cross-process snapshot/merge -------------------------------------
 
     def snapshot(self) -> dict:
-        """A picklable value capturing every series (for epoch jobs)."""
+        """A picklable value capturing every series.
+
+        ``{"counters" | "gauges" | "histograms": {family: {"help": ...,
+        ["bounds": ...,] "series": {label_key: value}}}}`` where a
+        counter value is its total, a gauge value is ``(value, stamp)``
+        and a histogram value is ``[per-bucket counts, sum, count]``.
+        """
         with self._lock:
             out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
             for name, family in self._families.items():
+                series = family._series
                 if isinstance(family, Counter):
                     out["counters"][name] = {
                         "help": family.help,
-                        "series": dict(family._series),
+                        "series": {k: s.value for k, s in series.items()},
                     }
                 elif isinstance(family, Gauge):
                     out["gauges"][name] = {
                         "help": family.help,
                         "series": {
-                            k: (v, stamp)
-                            for k, (v, stamp) in family._series.items()
+                            k: (s.value, s.stamp) for k, s in series.items()
                         },
                     }
                 else:
@@ -437,148 +534,190 @@ class MetricsRegistry:
                         "help": family.help,
                         "bounds": family.bounds,
                         "series": {
-                            k: [list(slot[0]), slot[1], slot[2]]
-                            for k, slot in family._series.items()
+                            k: [list(s.counts), s.sum, s.count]
+                            for k, s in series.items()
                         },
                     }
             return out
 
-    def snapshot_delta(self) -> "dict | None":
-        """Only the series that changed since the previous flush.
+    def flush_delta(self, *, swallow: bool = False) -> "dict | None":
+        """Everything updated since the previous flush, in compact form.
 
-        Same wire format as :meth:`snapshot` -- counter and histogram
-        series are *increments* relative to the last ``snapshot_delta``
-        call, gauges carry their current value and stamp -- so the
-        receiving side folds a delta with the same
-        :meth:`merge_snapshot` it uses for full snapshots.  Unchanged
-        series are omitted entirely; a flush with no changes at all
-        returns ``None`` (callers skip the ship).
+        A long-lived worker keeps one registry for its whole run and
+        calls this once per epoch; the parent folds each result with
+        :meth:`merge_snapshot`.  Only *touched* series -- updated at
+        least once since the last flush -- are visited.  Families and
+        series are announced once, the first time they ship, and
+        referred to by integer id after that::
 
-        This is the resident-worker flush path: a long-lived sharded
-        worker keeps one registry for the whole run and ships one small
-        delta per epoch, instead of rebuilding a registry per epoch job
-        and shipping every series every time.  Each call advances
-        :attr:`flush_generation` (recorded in the delta under
-        ``"flush_generation"``; :meth:`merge_snapshot` ignores the key).
+            {"origin": token,                       # this registry
+             "families": [(kind, name, help, bounds), ...],  # new, by id
+             "series": [(family_id, label_key), ...],        # new, by id
+             "inc": (ids, increments),              # counters
+             "set": (ids, values, sequences),       # gauges
+             "obs": (ids, [(sum_delta, {bucket: added}), ...])}  # histograms
+
+        A counter ships its increment since the last flush, a gauge its
+        value and local sequence number, and a histogram its sum minus
+        the sum at the last flush plus the buckets whose counts grew
+        since then (at most one entry per bucket, however many
+        observations the epoch made) -- so the receiver's totals are
+        exactly the sender's, with no drift.  Families are announced
+        even when empty (a pre-bound counter nobody incremented still
+        shows up on the receiving side); pre-bound histogram series that
+        never observed anything are not.  Returns ``None`` when there is
+        nothing to ship.
+
+        ``swallow=True`` drops the pending values instead of returning
+        them (the salvage replay: the parent already has those epochs
+        from the worker that died) but keeps the announcements queued,
+        so the next shipped flush still introduces every family and
+        series it refers to.
         """
         with self._lock:
-            self._flush_generation += 1
-            out: dict = {
-                "counters": {},
-                "gauges": {},
-                "histograms": {},
-                "flush_generation": self._flush_generation,
-            }
-            for name, family in self._families.items():
-                if isinstance(family, Counter):
-                    # A never-flushed family (or series) ships even with
-                    # nothing counted yet, so pre-bound counters (e.g. a
-                    # sink's crash counter) appear on the receiving side
-                    # exactly as a full snapshot would expose them.
-                    fresh = ("counter", name) not in self._flushed
-                    base = self._flushed.setdefault(("counter", name), {})
-                    series = {}
-                    for key, value in family._series.items():
-                        if key not in base or value != base[key]:
-                            series[key] = value - base.get(key, 0.0)
-                            base[key] = value
-                    if series or fresh:
-                        out["counters"][name] = {
-                            "help": family.help, "series": series,
-                        }
-                elif isinstance(family, Gauge):
-                    fresh = ("gauge", name) not in self._flushed
-                    base = self._flushed.setdefault(("gauge", name), {})
-                    series = {}
-                    for key, (value, stamp) in family._series.items():
-                        if base.get(key) != stamp:
-                            series[key] = (value, stamp)
-                            base[key] = stamp
-                    if series or fresh:
-                        out["gauges"][name] = {
-                            "help": family.help, "series": series,
-                        }
-                else:
-                    assert isinstance(family, Histogram)
-                    fresh = ("histogram", name) not in self._flushed
-                    base = self._flushed.setdefault(("histogram", name), {})
-                    series = {}
-                    for key, slot in family._series.items():
-                        previous = base.get(key)
-                        if previous is None:
-                            if slot[2] == 0:
-                                continue  # pre-bound, never observed
-                            series[key] = [list(slot[0]), slot[1], slot[2]]
-                        elif previous[2] != slot[2]:
-                            series[key] = [
-                                [c - p for c, p in zip(slot[0], previous[0])],
-                                slot[1] - previous[1],
-                                slot[2] - previous[2],
-                            ]
-                        else:
-                            continue
-                        base[key] = [list(slot[0]), slot[1], slot[2]]
-                    if series or fresh:
-                        out["histograms"][name] = {
-                            "help": family.help,
-                            "bounds": family.bounds,
-                            "series": series,
-                        }
-            if not (out["counters"] or out["gauges"] or out["histograms"]):
+            counters, gauges, histograms = (list(q) for q in self._touched)
+            for queue in self._touched:
+                queue.clear()
+            for queue in (counters, gauges, histograms):
+                for s in queue:
+                    s.touched = False
+            if swallow or not (
+                self._unannounced or counters or gauges or histograms
+            ):
+                for s in counters:
+                    s.shipped = s.value
+                for s in histograms:
+                    s._take()
                 return None
-            return out
-
-    @property
-    def flush_generation(self) -> int:
-        """How many :meth:`snapshot_delta` flushes have happened."""
-        return self._flush_generation
+            families = []
+            for family in self._unannounced:
+                family._fid = self._next_fid
+                self._next_fid += 1
+                families.append(family._announcement())
+            self._unannounced = []
+            fresh = [
+                s for queue in (counters, gauges, histograms)
+                for s in queue if s.sid is None
+            ]
+            for s in fresh:
+                s.sid = self._next_sid
+                self._next_sid += 1
+            inc = (
+                [s.sid for s in counters],
+                [s.value - s.shipped for s in counters],
+            )
+            for s in counters:
+                s.shipped = s.value
+            set_ = (
+                [s.sid for s in gauges],
+                [s.value for s in gauges],
+                [s.stamp[1] for s in gauges],
+            )
+            obs = ([s.sid for s in histograms], [s._take() for s in histograms])
+            if self._origin is None:
+                self._origin = os.urandom(16).hex()
+            return {
+                "origin": self._origin,
+                "families": families,
+                "series": [(s._family._fid, s.key) for s in fresh],
+                "inc": inc,
+                "set": set_,
+                "obs": obs,
+            }
 
     def merge_snapshot(
         self, snap: "dict | None", *, generation: "int | None" = None
     ) -> None:
-        """Fold a worker :meth:`snapshot` into this registry.
+        """Fold a worker's :meth:`flush_delta` or :meth:`snapshot` in.
 
-        Counters and histograms *add* (worker registries are fresh per
-        epoch job, so their series are deltas); gauges keep whichever
-        value has the larger ``(generation, sequence)`` stamp.  Pass the
-        epoch ordinal as *generation* so later epochs win regardless of
-        the order their futures complete in.
+        Counters and histograms *add* (a flush carries increments; a
+        full snapshot of a per-job registry is its own delta); gauges
+        keep whichever value has the larger ``(generation, sequence)``
+        stamp.  Pass the epoch ordinal as *generation* so later epochs
+        win regardless of the order their replies arrive in.  Flush ids
+        resolve through a table kept per sending registry, so replies
+        from several workers (and from a respawned one) interleave
+        freely.
         """
         if not snap:
             return
+        if "origin" in snap:
+            self._merge_delta(snap, generation)
+            return
+        counters: list = []
         for name, data in snap.get("counters", {}).items():
             family = self.counter(name, data.get("help", ""))
-            with self._lock:
-                for key, value in data["series"].items():
-                    family._series[key] = family._series.get(key, 0.0) + value
+            counters.extend(
+                (family._bind(key), value)
+                for key, value in data["series"].items()
+            )
+        gauges: list = []
         for name, data in snap.get("gauges", {}).items():
             family = self.gauge(name, data.get("help", ""))
-            with self._lock:
-                for key, (value, stamp) in data["series"].items():
-                    if generation is not None:
-                        stamp = (generation, stamp[1])
-                    current = family._series.get(key)
-                    if current is None or stamp >= current[1]:
-                        family._series[key] = (value, stamp)
-        for name, data in snap.get("histograms", {}).items():
-            family = self.histogram(
-                name, data.get("help", ""), buckets=tuple(data["bounds"])
+            gauges.extend(
+                (family._bind(key), value, stamp)
+                for key, (value, stamp) in data["series"].items()
             )
-            if family.bounds != tuple(data["bounds"]):
-                raise ValueError(
-                    f"histogram {name!r} bucket bounds disagree across "
-                    "processes; cannot merge"
-                )
-            with self._lock:
-                for key, (counts, total, count) in data["series"].items():
-                    slot = family._series.get(key)
-                    if slot is None:
-                        family._series[key] = [list(counts), total, count]
-                    else:
-                        for i, c in enumerate(counts):
-                            slot[0][i] += c
-                        slot[1] += total
-                        slot[2] += count
+        histograms: list = []
+        for name, data in snap.get("histograms", {}).items():
+            family = self._merged_histogram(
+                name, data.get("help", ""), data["bounds"]
+            )
+            histograms.extend(
+                (family._bind(key), counts, total)
+                for key, (counts, total, _) in data["series"].items()
+            )
+        with self._lock:
+            for s, value in counters:
+                s.value += value
+                if not s.touched:
+                    s._mark()
+            for s, value, stamp in gauges:
+                if generation is not None:
+                    stamp = (generation, stamp[1])
+                s._merge(value, stamp)
+            for s, counts, total in histograms:
+                s._add({i: c for i, c in enumerate(counts) if c}, total)
+
+    def _merge_delta(self, delta: dict, generation: "int | None") -> None:
+        peer = self._peers.get(delta["origin"])
+        if peer is None:
+            peer = self._peers[delta["origin"]] = ([], [])
+        families, table = peer
+        for kind, name, help, bounds in delta["families"]:
+            if kind == "counter":
+                families.append(self.counter(name, help))
+            elif kind == "gauge":
+                families.append(self.gauge(name, help))
+            else:
+                families.append(self._merged_histogram(name, help, bounds))
+        for fid, key in delta["series"]:
+            table.append(families[fid]._bind(key))
+        generation = 0 if generation is None else generation
+        with self._lock:
+            sids, increments = delta["inc"]
+            for sid, value in zip(sids, increments):
+                s = table[sid]
+                s.value += value
+                if not s.touched:
+                    s._mark()
+            sids, values, sequences = delta["set"]
+            for sid, value, seq in zip(sids, values, sequences):
+                table[sid]._merge(value, (generation, seq))
+            sids, entries = delta["obs"]
+            for sid, (total, added) in zip(sids, entries):
+                table[sid]._add(added, total)
+
+    def _merged_histogram(
+        self, name: str, help: str, bounds: "tuple[float, ...]"
+    ) -> Histogram:
+        family = self.histogram(name, help, buckets=tuple(bounds))
+        if family.bounds != tuple(bounds):
+            raise ValueError(
+                f"histogram {name!r} bucket bounds disagree across "
+                "processes; cannot merge"
+            )
+        return family
 
     # -- exposition --------------------------------------------------------
 
@@ -598,11 +737,11 @@ class MetricsRegistry:
                     for key in sorted(family._series):
                         lines.append(
                             f"{name}_total{_render_labels(key)} "
-                            f"{_format_value(family._series[key])}"
+                            f"{_format_value(family._series[key].value)}"
                         )
                 elif isinstance(family, Gauge):
                     for key in sorted(family._series):
-                        value = family._series[key][0]
+                        value = family._series[key].value
                         lines.append(
                             f"{name}{_render_labels(key)} "
                             f"{_format_value(value)}"
@@ -611,9 +750,10 @@ class MetricsRegistry:
                     assert isinstance(family, Histogram)
                     bounds = (*family.bounds, math.inf)
                     for key in sorted(family._series):
-                        counts, total, count = family._series[key]
+                        series = family._series[key]
+                        total, count = series.sum, series.count
                         cumulative = 0
-                        for bound, c in zip(bounds, counts):
+                        for bound, c in zip(bounds, series.counts):
                             cumulative += c
                             le = (("le", _format_le(bound)),)
                             lines.append(
@@ -789,32 +929,62 @@ class TelemetrySink:
         self._theta_count = 0
 
     # -- Sink protocol -------------------------------------------------
+    #: Free-form events this sink maps (every span, counter and gauge
+    #: maps too).
+    _EVENTS = frozenset({"slot", "alert", "shard.epoch", "crash", "shed"})
+
+    def wants(self, kind: str, name: str) -> bool:
+        """Every span, counter and gauge, and the events in the mapping
+        table."""
+        return kind != "event" or name in self._EVENTS
+
+    def _direct(self, kind: str, name: str):
+        """The pre-bound series update a probe calls with a span's
+        seconds or a counter's or gauge's value (resolved once per
+        name); ``None`` for free-form events, which go through
+        :meth:`emit`."""
+        if kind == "event":
+            return None
+        bound = self._bind(kind, name)
+        if kind == "span":
+            return bound.observe
+        return bound.inc if kind == "counter" else bound.set
+
+    def _bind(self, kind: str, name: str):
+        if kind == "span":
+            bound = self._phase_seconds.labels(phase=name, **self.labels)
+            self._bound_phases[name] = bound
+        elif kind == "counter":
+            bound = self.registry.counter(
+                metric_name(name), f"Bus counter {name!r}"
+            ).labels(**self.labels)
+            self._bound_counters[name] = bound
+        else:
+            bound = self.registry.gauge(
+                metric_name(name), f"Bus gauge {name!r}"
+            ).labels(**self.labels)
+            self._bound_gauges[name] = bound
+        return bound
+
     def emit(self, event: dict) -> None:
         kind = event["kind"]
         if kind == "span":
             name = event["name"]
             bound = self._bound_phases.get(name)
             if bound is None:
-                bound = self._phase_seconds.labels(phase=name, **self.labels)
-                self._bound_phases[name] = bound
+                bound = self._bind(kind, name)
             bound.observe(event["seconds"])
         elif kind == "counter":
             name = event["name"]
             bound = self._bound_counters.get(name)
             if bound is None:
-                bound = self.registry.counter(
-                    metric_name(name), f"Bus counter {name!r}"
-                ).labels(**self.labels)
-                self._bound_counters[name] = bound
+                bound = self._bind(kind, name)
             bound.inc(event["value"])
         elif kind == "gauge":
             name = event["name"]
             bound = self._bound_gauges.get(name)
             if bound is None:
-                bound = self.registry.gauge(
-                    metric_name(name), f"Bus gauge {name!r}"
-                ).labels(**self.labels)
-                self._bound_gauges[name] = bound
+                bound = self._bind(kind, name)
             bound.set(event["value"])
         else:  # kind == "event"
             name = event["name"]
@@ -973,11 +1143,11 @@ def histogram_summaries(
     if family is None or not isinstance(family, Histogram):
         return []
     rows = []
-    for key in family._series:
-        if family._series[key][2] == 0:
+    for key, series in list(family._series.items()):
+        if series.count == 0:
             continue  # pre-bound but never observed; all-nan noise
         stats = family.stats(**dict(key))
-        counts = list(family._series[key][0])
+        counts = list(series.counts)
         rows.append(
             {
                 "labels": dict(key),

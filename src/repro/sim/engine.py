@@ -108,12 +108,13 @@ def run_simulation(
             )
         raise
 
-    logger.info(
-        "simulation done: %d slots, mean latency %.4f, mean cost %.4f",
-        len(latency),
-        float(np.mean(latency)) if latency else float("nan"),
-        float(np.mean(cost)) if cost else float("nan"),
-    )
+    if logger.isEnabledFor(logging.INFO):
+        logger.info(
+            "simulation done: %d slots, mean latency %.4f, mean cost %.4f",
+            len(latency),
+            float(np.mean(latency)) if latency else float("nan"),
+            float(np.mean(cost)) if cost else float("nan"),
+        )
     return SimulationResult(
         latency=np.array(latency),
         cost=np.array(cost),

@@ -16,8 +16,8 @@ handles:
   cells.  Per epoch it receives only ``(slot range, budget shares,
   shared-state buffer index)`` and returns compact deltas (metric
   lists, a telemetry
-  :meth:`~repro.obs.telemetry.MetricsRegistry.snapshot_delta`, new
-  monitor alerts).
+  :meth:`~repro.obs.telemetry.MetricsRegistry.flush_delta` of the
+  series the epoch touched, new monitor alerts).
 * :class:`InProcessWorker` -- the sequential transport: one
   :class:`_WorkerRuntime` over every cell, answering commands by direct
   call.  No process, no pickling; a cell's exception propagates
@@ -265,6 +265,8 @@ class _WorkerRuntime:
         self.runtimes: "dict[int, CellRuntime]" = {}
         for c in self.cells:
             probe = Probe() if want_probe else None
+            if probe is not None and not self.trace_phases:
+                probe._without_phases()  # nobody reads the phase state
             if self.registry is not None:
                 probe.add_sink(TelemetrySink(self.registry, labels={"cell": c}))
             self.runtimes[c] = CellRuntime(
@@ -329,7 +331,7 @@ class _WorkerRuntime:
             cells_out[c] = out
         reply = {"cells": cells_out}
         if self.registry is not None:
-            reply["telemetry"] = self.registry.snapshot_delta()
+            reply["telemetry"] = self.registry.flush_delta()
         return reply
 
     def pull(self) -> dict:
@@ -353,7 +355,7 @@ class _WorkerRuntime:
             for c in self.cells:
                 self.runtimes[c].run_epoch(start, count, budgets[c])
         if self.registry is not None:
-            self.registry.snapshot_delta()
+            self.registry.flush_delta(swallow=True)
         for runtime in self.runtimes.values():
             runtime.mark_alerts_shipped()
 
@@ -381,7 +383,7 @@ class _WorkerRuntime:
         if self.registry is not None:
             # End-of-run monitor checks count into the registry after
             # the last epoch's delta shipped; flush the remainder.
-            reply["telemetry"] = self.registry.snapshot_delta()
+            reply["telemetry"] = self.registry.flush_delta()
         return reply
 
     def close(self) -> None:

@@ -83,6 +83,25 @@ class TestRegistryPrimitives:
         assert 'repro_t_seconds_bucket{le="+Inf"} 4' in text
         assert "repro_t_seconds_count 4" in text
 
+    def test_histogram_le_is_inclusive(self) -> None:
+        # OpenMetrics `le` is an inclusive upper bound: a value equal to
+        # a bucket bound counts in that bucket, not the next one.
+        reg = MetricsRegistry()
+        h = reg.histogram("repro_t_seconds", buckets=(0.1, 1.0))
+        h.observe(0.1)
+        text = reg.render_openmetrics()
+        assert 'repro_t_seconds_bucket{le="0.1"} 1' in text
+        assert 'repro_t_seconds_bucket{le="1.0"} 1' in text
+        assert h.stats()["p50"] == pytest.approx(0.05)  # inside (0, 0.1]
+        h.observe(1.0)
+        text = reg.render_openmetrics()
+        assert 'repro_t_seconds_bucket{le="0.1"} 1' in text
+        assert 'repro_t_seconds_bucket{le="1.0"} 2' in text
+        assert 'repro_t_seconds_bucket{le="+Inf"} 2' in text
+        h.observe(1.0 + 1e-12)  # just past the last bound: overflow
+        assert 'repro_t_seconds_bucket{le="1.0"} 2' in reg.render_openmetrics()
+        assert h.stats()["count"] == 3
+
     def test_type_clash_raises(self) -> None:
         reg = MetricsRegistry()
         reg.counter("repro_x")
@@ -473,42 +492,56 @@ class TestProfileReport:
 
 
 class TestSnapshotDelta:
-    """Incremental flushes for resident workers (PR 9)."""
+    """Per-epoch worker flushes (:meth:`MetricsRegistry.flush_delta`):
+    only the series touched since the last flush, by integer id."""
 
     def test_counter_delta_ships_increments_only(self) -> None:
         worker = MetricsRegistry()
         c = worker.counter("repro_n_total")
         c.inc(2.0, cell=0)
-        first = worker.snapshot_delta()
-        assert first["counters"]["repro_n"]["series"] == {(("cell", "0"),): 2.0}
+        first = worker.flush_delta()
+        assert first["families"] == [("counter", "repro_n", "", None)]
+        assert first["series"] == [(0, (("cell", "0"),))]
+        assert first["inc"] == ([0], [2.0])
         c.inc(3.0, cell=0)
-        second = worker.snapshot_delta()
-        assert second["counters"]["repro_n"]["series"] == {(("cell", "0"),): 3.0}
+        second = worker.flush_delta()
+        # Announced once: the second flush refers to the series by id.
+        assert second["families"] == [] and second["series"] == []
+        assert second["inc"] == ([0], [3.0])
+        assert second["origin"] == first["origin"]
 
     def test_quiet_flush_returns_none(self) -> None:
         worker = MetricsRegistry()
         worker.counter("repro_n_total").inc(1.0)
-        assert worker.snapshot_delta() is not None
-        assert worker.snapshot_delta() is None
-        gen = worker.flush_generation
-        assert worker.snapshot_delta() is None
-        assert worker.flush_generation == gen + 1
+        assert worker.flush_delta() is not None
+        assert worker.flush_delta() is None
+        # Pre-bound series that nobody updates stay quiet too.
+        worker.counter("repro_n_total").labels(cell=1)
+        worker.gauge("repro_q").labels(cell=1)
+        assert worker.flush_delta() is not None  # the new gauge family
+        assert worker.flush_delta() is None
 
     def test_first_flush_ships_prebound_families(self) -> None:
         # A sink pre-binds its crash counter at attach time; the first
         # delta must carry the (empty) family so a parent registry
         # exposes the same family set as a sequential run's.
         worker = MetricsRegistry()
-        worker.counter("repro_crashes_total", "crashes")
+        worker.counter("repro_crashes_total", "crashes").labels(cell=0)
         worker.gauge("repro_q", "queue")
-        worker.histogram("repro_t_seconds", buckets=(1.0,))
-        delta = worker.snapshot_delta()
-        assert "repro_crashes" in delta["counters"]
-        assert "repro_q" in delta["gauges"]
-        assert "repro_t_seconds" in delta["histograms"]
+        worker.histogram("repro_t_seconds", buckets=(1.0,)).labels(cell=0)
+        delta = worker.flush_delta()
+        assert [(kind, name) for kind, name, *_ in delta["families"]] == [
+            ("counter", "repro_crashes"),
+            ("gauge", "repro_q"),
+            ("histogram", "repro_t_seconds"),
+        ]
+        # Bound-but-idle series are not shipped.
+        assert delta["series"] == []
         parent = MetricsRegistry()
         parent.merge_snapshot(delta, generation=1)
         assert parent.get("repro_crashes_total") is not None
+        assert parent.families() == worker.families()
+        assert parent.snapshot()["counters"]["repro_crashes"]["series"] == {}
 
     def test_deltas_merge_like_snapshots(self) -> None:
         worker = MetricsRegistry()
@@ -521,7 +554,7 @@ class TestSnapshotDelta:
             c.inc(1.0, cell=0)
             h.observe(0.5 * epoch)
             g.set(float(epoch))
-            parent.merge_snapshot(worker.snapshot_delta(), generation=epoch + 1)
+            parent.merge_snapshot(worker.flush_delta(), generation=epoch + 1)
         mirror.merge_snapshot(worker.snapshot(), generation=3)
         assert (
             parent.counter("repro_n_total").value(cell=0)
@@ -533,12 +566,84 @@ class TestSnapshotDelta:
             == mirror.histogram("repro_t_seconds").stats()
         )
         assert parent.gauge("repro_q").value() == 2.0
+        assert parent.snapshot() == mirror.snapshot()
 
     def test_gauge_delta_ships_on_restamp_even_if_value_same(self) -> None:
         worker = MetricsRegistry()
         g = worker.gauge("repro_q")
         g.set(1.0)
-        worker.snapshot_delta()
+        worker.flush_delta()
         g.set(1.0)  # same value, new stamp
-        delta = worker.snapshot_delta()
-        assert delta is not None and "repro_q" in delta["gauges"]
+        delta = worker.flush_delta()
+        assert delta is not None
+        assert delta["set"] == ([0], [1.0], [2])
+
+    def test_histogram_delta_ships_added_bucket_counts_and_sum_delta(
+        self,
+    ) -> None:
+        worker = MetricsRegistry()
+        h = worker.histogram("repro_t_seconds", buckets=(0.1, 1.0))
+        h.observe(0.05)
+        first = worker.flush_delta()
+        assert first["obs"] == ([0], [(0.05, {0: 1})])
+        h.observe(0.5)
+        h.observe(2.0)
+        h.observe(0.1)
+        h.observe(0.7)
+        second = worker.flush_delta()
+        # Only buckets whose counts grew ship, one entry each; the sum
+        # ships as "sum now minus sum at the last flush".
+        assert second["obs"] == (
+            [0], [((0.05 + 0.5 + 2.0 + 0.1 + 0.7) - 0.05, {0: 1, 1: 2, 2: 1})]
+        )
+
+    def test_histogram_delta_is_bounded_by_bucket_count(self) -> None:
+        worker = MetricsRegistry()
+        h = worker.histogram("repro_t_seconds", buckets=(0.1, 1.0))
+        for i in range(10_000):
+            h.observe((0.05, 0.5, 2.0)[i % 3])
+        ((_, added),) = worker.flush_delta()["obs"][1]
+        assert added == {0: 3334, 1: 3333, 2: 3333}
+
+    def test_merged_updates_ship_on_the_next_flush(self) -> None:
+        # A registry that folds deltas in and is flushed itself passes
+        # the merged totals on (counters, gauges, histogram buckets).
+        worker, relay, parent = (MetricsRegistry() for _ in range(3))
+        h = worker.histogram("repro_t_seconds", buckets=(0.1, 1.0))
+        for epoch, value in enumerate((0.05, 0.5, 2.0, 0.5)):
+            h.observe(value)
+            worker.counter("repro_n_total").inc(2.0)
+            worker.gauge("repro_q").set(float(epoch))
+            relay.merge_snapshot(worker.flush_delta(), generation=epoch)
+            parent.merge_snapshot(relay.flush_delta(), generation=epoch)
+        assert parent.snapshot() == relay.snapshot()
+        assert parent.histogram("repro_t_seconds").stats()["count"] == 4
+        assert parent.counter("repro_n_total").value() == 8.0
+
+    def test_swallowed_flush_keeps_announcements(self) -> None:
+        # The salvage replay swallows its flush; the next shipped flush
+        # must still introduce every family and series it refers to.
+        worker = MetricsRegistry()
+        worker.counter("repro_n_total").inc(5.0, cell=0)
+        assert worker.flush_delta(swallow=True) is None
+        worker.counter("repro_n_total").inc(1.0, cell=0)
+        delta = worker.flush_delta()
+        assert delta["families"] == [("counter", "repro_n", "", None)]
+        assert delta["series"] == [(0, (("cell", "0"),))]
+        assert delta["inc"] == ([0], [1.0])
+        parent = MetricsRegistry()
+        parent.merge_snapshot(delta, generation=1)
+        assert parent.counter("repro_n_total").value(cell=0) == 1.0
+
+    def test_ids_resolve_per_sending_registry(self) -> None:
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.counter("repro_x_total").inc(1.0)
+        b.counter("repro_y_total").inc(2.0)
+        b.counter("repro_x_total").inc(4.0)
+        parent = MetricsRegistry()
+        parent.merge_snapshot(b.flush_delta(), generation=1)
+        parent.merge_snapshot(a.flush_delta(), generation=1)
+        a.counter("repro_x_total").inc(1.0)
+        parent.merge_snapshot(a.flush_delta(), generation=2)
+        assert parent.counter("repro_x_total").value() == 6.0
+        assert parent.counter("repro_y_total").value() == 2.0
