@@ -18,10 +18,13 @@ later call on that state converts nothing.  ``rebind``'s slot arrays
 copied into adapter-owned buffers converted with the rest: a copy costs
 a fraction of a pointer conversion.  The only array still converted
 per call is the engine's gap vector, and only for a new engine.
+``golden_quad`` is not tied to a state: its lanes are copied into
+adapter-owned buffers that are converted once per capacity.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -98,9 +101,10 @@ class _StateCache:
     Built on the first kernel call on a state: it validates and
     converts every field once, plus the adapter-owned buffers whose
     shapes are fixed for the life of the state (one adj row, one t row,
-    per-menu best values, the best-cost output, the converged flag and
-    ``rebind``'s slot buffers).  The only per-call array, the engine's
-    gap vector, is converted again only when a different array is
+    per-menu best values, ``run_dynamics``' resource-major mirrors, the
+    best-cost output, the converged flag and ``rebind``'s slot
+    buffers).  The only per-call array, the engine's gap vector, is
+    validated and converted again only when a different array is
     passed (a new engine).
     """
 
@@ -129,6 +133,17 @@ class _StateCache:
         # argmin (mirrors the NumPy evaluator's sentinel column).
         bvals = np.empty(num_groups + 1)
         bvals[-1] = np.inf
+        # run_dynamics' mirrors, one column per player: p, w, sub and
+        # adj (W rows each), t (K rows), the menu bests (G + 1 rows) and
+        # the best totals; then the server -> menus map and per-menu
+        # stamps.  Each call that makes a second move rebuilds them
+        # before reading them, so nothing has to invalidate them.
+        width = 2 * num_bs + state.num_servers
+        mirror = np.empty((4 * width + num_bs + num_groups + 2) * players)
+        imirror = np.empty(
+            state.num_servers + 1 + state.menu_servers.size + num_groups,
+            dtype=np.int64,
+        )
         self.best = np.empty(players)
         self.converged = np.zeros(1, dtype=np.int64)
         # rebind's slot arrays: spectral efficiencies, bits, cycles and
@@ -140,13 +155,15 @@ class _StateCache:
             np.empty(num_bs),
         )
         # The converted pointers stay valid only while these live.
-        self.buffers = (adj, t, bvals)
+        self.buffers = (adj, t, bvals, mirror, imirror)
         scratch = (convert(adj), convert(t), convert(bvals))
         self.sizes = (players, num_bs, state.num_servers, num_groups)
         self.evaluator = tuple(arg(name) for name in _EVALUATOR_FIELDS)
         self.profile = (
             *(arg(name) for name in _PROFILE_FIELDS),
             *scratch,
+            convert(mirror),
+            convert(imirror),
             convert(self.converged),
         )
         self.sweep_args = (
@@ -163,6 +180,52 @@ class _StateCache:
         self.clock_args = (*sizes3, *(arg(name) for name in _CLOCK_FIELDS))
         self.gaps = None
         self.gaps_arg = None
+
+    def bind_gaps(self, gaps: np.ndarray, convert) -> None:
+        """Check and convert a new engine's gap vector, which the loop
+        reads and writes for every player."""
+        if not gaps.flags.c_contiguous:
+            raise ValueError("gaps must be C-contiguous")
+        if gaps.dtype != np.float64:
+            raise ValueError(f"gaps has dtype {gaps.dtype}, expected float64")
+        shape = (self.sizes[0],)
+        if gaps.shape != shape:
+            raise ValueError(f"gaps has shape {gaps.shape}, expected {shape}")
+        self.gaps, self.gaps_arg = gaps, convert(gaps)
+
+
+#: golden_quad's lane arguments, in order.
+_LANE_NAMES = ("lo", "hi", "ls", "ep", "scale", "qa", "qb", "qc")
+
+
+class _LaneBuffers:
+    """``golden_quad``'s adapter-owned lanes, converted once per capacity.
+
+    Eight input rows (``_LANE_NAMES``) plus the ``x`` and ``evals``
+    outputs; the capacity at least doubles when a call needs more
+    lanes, so conversions stop once the largest call has been seen.
+    One set serves the whole backend, and the C call releases the GIL,
+    so a call holds ``lock`` from the first copy in to the last copy
+    out.
+    """
+
+    __slots__ = ("convert", "lock", "capacity", "rows", "x", "evals", "args")
+
+    def __init__(self, convert) -> None:
+        self.convert = convert
+        self.lock = threading.Lock()
+        self.capacity = -1
+
+    def reserve(self, lanes: int) -> "_LaneBuffers":
+        if lanes > self.capacity:
+            self.capacity = max(lanes, 2 * self.capacity, 16)
+            self.rows = np.empty((len(_LANE_NAMES), self.capacity))
+            self.x = np.empty(self.capacity)
+            self.evals = np.empty(self.capacity, dtype=np.int64)
+            self.args = tuple(
+                self.convert(a) for a in (*self.rows, self.x, self.evals)
+            )
+        return self
 
 
 def wrap_raw_backend(raw: RawKernels, *, convert) -> KernelBackend:
@@ -188,9 +251,7 @@ def wrap_raw_backend(raw: RawKernels, *, convert) -> KernelBackend:
     def run_dynamics(state: DecomposedState, gaps, slack, max_iter):
         cache = _cache(state)
         if gaps is not cache.gaps:
-            if not gaps.flags.c_contiguous:
-                raise ValueError("gaps must be C-contiguous")
-            cache.gaps, cache.gaps_arg = gaps, convert(gaps)
+            cache.bind_gaps(gaps, convert)
         moves = raw.run_dynamics(
             *cache.sizes, float(slack), int(max_iter),
             *cache.evaluator, cache.gaps_arg, *cache.profile,
@@ -216,24 +277,27 @@ def wrap_raw_backend(raw: RawKernels, *, convert) -> KernelBackend:
     def update_frequencies(state: DecomposedState) -> None:
         raw.update_frequencies(*_cache(state).clock_args)
 
+    lane_buffers = _LaneBuffers(convert)
+
     def golden_quad(lo, hi, ls, ep, scale, qa, qb, qc, tol, max_iter=200):
-        lo = np.ascontiguousarray(lo, dtype=np.float64)
-        hi = np.ascontiguousarray(hi, dtype=np.float64)
-        ls = np.ascontiguousarray(ls, dtype=np.float64)
-        ep = np.ascontiguousarray(ep, dtype=np.float64)
-        scale = np.ascontiguousarray(scale, dtype=np.float64)
-        qa = np.ascontiguousarray(qa, dtype=np.float64)
-        qb = np.ascontiguousarray(qb, dtype=np.float64)
-        qc = np.ascontiguousarray(qc, dtype=np.float64)
-        x = np.empty(lo.size)
-        evals = np.empty(lo.size, dtype=np.int64)
-        raw.golden_quad(
-            lo.size, convert(lo), convert(hi), float(tol), int(max_iter),
-            convert(ls), convert(ep), convert(scale),
-            convert(qa), convert(qb), convert(qc),
-            convert(x), convert(evals),
-        )
-        return x, evals
+        lanes = (lo, hi, ls, ep, scale, qa, qb, qc)
+        shape = np.shape(lo)
+        if len(shape) != 1:
+            raise ValueError(f"golden_quad lanes must be 1-D, got shape {shape}")
+        for name, lane in zip(_LANE_NAMES, lanes):
+            if np.shape(lane) != shape:
+                raise ValueError(
+                    f"golden_quad lane {name!r} has shape {np.shape(lane)}, "
+                    f"expected {shape}"
+                )
+        n = shape[0]
+        with lane_buffers.lock:
+            buffers = lane_buffers.reserve(n)
+            for row, lane in zip(buffers.rows, lanes):
+                row[:n] = lane
+            lo_arg, hi_arg, *rest = buffers.args
+            raw.golden_quad(n, lo_arg, hi_arg, float(tol), int(max_iter), *rest)
+            return buffers.x[:n].copy(), buffers.evals[:n].copy()
 
     def greedy_pass(
         order, offsets, bs, server, p_access, p_front, p_compute,

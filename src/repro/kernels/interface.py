@@ -155,15 +155,19 @@ class KernelBackend:
             buffers the next sweep on *state* overwrites.
         run_dynamics: ``(state, gaps, slack, max_iter) -> (moves,
             converged)`` -- the fused best-response loop (argmax pick,
-            move, full sweep, gap update per iteration), mutating the
-            game through *state*.  ``None`` when the backend has no
+            move, refresh, gap update per iteration), mutating the
+            game through *state*.  After each move ``gaps``,
+            ``state.kbest`` and ``state.nidx`` hold what a full
+            ``gap_sweep`` would leave; ``gaps`` must be a C-contiguous
+            float64 ``(I,)`` vector.  ``None`` when the backend has no
             fused loop (the engine then drives ``gap_sweep`` from
             Python).
         golden_quad: ``(lo, hi, ls, ep, scale, qa, qb, qc, tol,
             max_iter) -> (x, evals)`` -- per-lane golden-section search
             on ``f(x) = ls/x + ep * (scale * (qa x^2 + qb x + qc))``,
             replaying :func:`repro.solvers.scalar.minimize_convex_scalar`
-            lane by lane.  ``None`` when unavailable.
+            lane by lane; the eight lanes are 1-D arrays of one
+            length.  ``None`` when unavailable.
         reset_profile: ``(state) -> finite`` -- rebuild every
             per-profile array from ``bs_of``/``server_of``: current
             indices and weights, loads and squared loads (in-order

@@ -108,10 +108,139 @@ void repro_gap_sweep(
                                    nidx, adj, t, bvals, &kbest[i], &cur_out[i]);
 }
 
+/* The resource-major helpers of repro_run_dynamics.  Each works on
+ * whole rows of (rows x I) mirrors, one element per player, so GCC
+ * vectorises them.  A first-minimum scan takes entries two at a time
+ * as branchless selects on locals, index before value:
+ * j = v < b ? idx : j; b = v < b ? v : b.  (Written as
+ * b[i] = c ? v[i] : b[i] instead, GCC turns the pair of selects into
+ * conditional stores, which the baseline x86-64 ISA cannot vectorise.)
+ * An odd last entry is passed as both entries, and the second strict <
+ * then never wins.  Same first-minimum rule, NaN behaviour and IEEE
+ * operations as sweep_player's branches. */
+
+/* One adj row for every player: ((load - own weight) + p) * w. */
+static void adj_row(
+    i64 I, double load, const double *restrict sub,
+    const double *restrict p, const double *restrict w,
+    double *restrict out)
+{
+    for (i64 i = 0; i < I; ++i)
+        out[i] = ((load - sub[i]) + p[i]) * w[i];
+}
+
+/* One t row for every player: access + fronthaul. */
+static void t_row(
+    i64 I, const double *restrict access, const double *restrict front,
+    double *restrict out)
+{
+    for (i64 i = 0; i < I; ++i)
+        out[i] = access[i] + front[i];
+}
+
+/* Scan entries j and j + 1, values v1 and v2. */
+static void first_min_pair(
+    i64 I, i64 j, const double *restrict v1, const double *restrict v2,
+    double *restrict best, i64 *restrict idx)
+{
+    for (i64 i = 0; i < I; ++i) {
+        double b = best[i];
+        i64 x = idx[i];
+        x = v1[i] < b ? j : x;
+        b = v1[i] < b ? v1[i] : b;
+        x = v2[i] < b ? j + 1 : x;
+        b = v2[i] < b ? v2[i] : b;
+        best[i] = b;
+        idx[i] = x;
+    }
+}
+
+/* Menu g's best compute term and its argmin position, every player. */
+static void menu_rows(
+    i64 I, i64 K, i64 g, const i64 *menu_off, const i64 *menu_srv,
+    const double *adjT, double *bvT, i64 *nidx)
+{
+    const i64 *srv = menu_srv + menu_off[g];
+    i64 cnt = menu_off[g + 1] - menu_off[g];
+    const double *rows = adjT + 2 * K * I;
+    double *bv = bvT + g * I;
+    i64 *nx = nidx + g * I;
+    const double *first = rows + srv[0] * I;
+    for (i64 i = 0; i < I; ++i) {
+        bv[i] = first[i];
+        nx[i] = 0;
+    }
+    for (i64 j = 1; j < cnt; j += 2)
+        first_min_pair(I, j, rows + srv[j] * I,
+                       rows + srv[j + 1 < cnt ? j + 1 : j] * I, bv, nx);
+}
+
+/* Base stations k and k + 1 of the K-way argmin: total t + menu best. */
+static void bs_pair(
+    i64 I, i64 k, const double *restrict t1, const double *restrict bv1,
+    const double *restrict t2, const double *restrict bv2,
+    double *restrict best, i64 *restrict kb)
+{
+    for (i64 i = 0; i < I; ++i) {
+        double b = best[i];
+        i64 x = kb[i];
+        double v1 = t1[i] + bv1[i], v2 = t2[i] + bv2[i];
+        x = v1 < b ? k : x;
+        b = v1 < b ? v1 : b;
+        x = v2 < b ? k + 1 : x;
+        b = v2 < b ? v2 : b;
+        best[i] = b;
+        kb[i] = x;
+    }
+}
+
+/* A player's gap under the slack eligibility test; -inf when the
+ * player may not move. */
+static inline double gap_value(double slack, double cur, double best)
+{
+    if (slack == 0.0) {
+        double gap = cur - best;
+        return (gap <= 0.0) ? -INFINITY : gap;
+    }
+    return ((1.0 - slack) * cur > best) ? (cur - best) : -INFINITY;
+}
+
+/* Current cost (access + fronthaul) + compute, then the gap, for
+ * every player. */
+static void gap_rows(
+    i64 I, double slack, const double *restrict loads,
+    const double *restrict wcur, const i64 *restrict cur_idx,
+    const double *restrict best, double *restrict gaps)
+{
+    for (i64 i = 0; i < I; ++i) {
+        double c0 = wcur[i] * loads[cur_idx[i]];
+        double c1 = wcur[I + i] * loads[cur_idx[I + i]];
+        double c2 = wcur[2 * I + i] * loads[cur_idx[2 * I + i]];
+        gaps[i] = gap_value(slack, (c0 + c1) + c2, best[i]);
+    }
+}
+
 /* The fused best-response loop: argmax gap pick, apply the cached best
- * response, full sweep, gap update -- one iteration per move, exactly
- * the engine's hot Python loop.  Returns the move count; *converged_out
- * is 1 when the gap argmax hit -inf within the budget. */
+ * response, refresh, gap update -- one iteration per move, exactly the
+ * engine's hot Python loop.  Returns the move count; *converged_out is
+ * 1 when the gap argmax hit -inf within the budget.
+ *
+ * The first move is refreshed with the player-major sweep_player.  A
+ * second move builds resource-major (rows x I) mirrors of p, w and sub
+ * in the caller's scratch, fills adj, t and the menu bests from them,
+ * and maps every server to the menus that hold it.  From the third
+ * move on, a move from (k_old, n_old) to (k_new, n_new) changes only
+ * the loads at {k, K + k, 2K + n} of the old and new choice (and the
+ * mover's sub there), so only those adj rows, the t rows k_old and
+ * k_new and the menus holding n_old or n_new are recomputed; the K-way
+ * argmin, current cost and gap are then rescanned for every player.
+ * Untouched entries keep the bits a full sweep would recompute, so
+ * every path yields the same gaps, kbest and nidx.  Every call that
+ * makes a second move rebuilds the mirrors; no other kernel reads them.
+ *
+ * mirror (doubles): pT, wT, subT, adjT (W x I each), tT (K x I),
+ * bvT ((G + 1) x I, row G +inf for empty menus), best (I).
+ * imirror (i64): srv_off (N + 1), srv_menus (menu_off[G]), stamp (G). */
 i64 repro_run_dynamics(
     i64 I, i64 K, i64 N, i64 G,
     double slack, i64 max_iter,
@@ -125,10 +254,15 @@ i64 repro_run_dynamics(
     double *pa_cur, double *pc_cur,
     double *sq_access, double *sq_front, double *sq_compute,
     double *adj, double *t, double *bvals,
+    double *mirror, i64 *imirror,
     i64 *converged_out)
 {
-    double one_minus = 1.0 - slack;
     i64 W = 2 * K + N;
+    double *pT = mirror, *wT = pT + W * I, *subT = wT + W * I;
+    double *adjT = subT + W * I, *tT = adjT + W * I, *bvT = tT + K * I;
+    double *best = bvT + (G + 1) * I;
+    i64 *srv_off = imirror, *srv_menus = srv_off + N + 1;
+    i64 *stamp = srv_menus + menu_off[G];
     i64 moves = 0;
     for (i64 it = 0; it < max_iter; ++it) {
         i64 pl = 0;
@@ -139,17 +273,20 @@ i64 repro_run_dynamics(
 
         /* Apply the cached best response of player pl (same float op
          * order as OffloadingCongestionGame.move). */
+        i64 k_new = kbest[pl];
+        i64 grp = menu_of_bs[k_new];
+        i64 n_new = menu_srv[menu_off[grp] + nidx[grp * I + pl]];
+        i64 k_old = bs_of[pl];
+        i64 n_old = server_of[pl];
+        i64 rows[6] = {k_old, K + k_old, 2 * K + n_old,
+                       k_new, K + k_new, 2 * K + n_new};
         {
-            i64 k_new = kbest[pl];
-            i64 grp = menu_of_bs[k_new];
-            i64 n_new = menu_srv[menu_off[grp] + nidx[grp * I + pl]];
-            i64 k_old = bs_of[pl];
-            i64 n_old = server_of[pl];
             double pa_old = p_access[pl * K + k_old];
             double pa_new = p_access[pl * K + k_new];
             double pf = p_front[pl];
             double pc_old = p_compute[pl * N + n_old];
             double pc_new = p_compute[pl * N + n_new];
+            double own[6] = {0.0, 0.0, 0.0, pa_new, pf, pc_new};
             double *sp = sub + pl * W;
 
             loads[k_old] -= pa_old;
@@ -172,12 +309,13 @@ i64 repro_run_dynamics(
             pa_cur[pl] = pa_new;
             pc_cur[pl] = pc_new;
 
-            sp[k_old] = 0.0;
-            sp[K + k_old] = 0.0;
-            sp[2 * K + n_old] = 0.0;
-            sp[k_new] = pa_new;
-            sp[K + k_new] = pf;
-            sp[2 * K + n_new] = pc_new;
+            /* Old entries cleared first, so a kept resource ends up
+             * holding the new weight. */
+            for (int e = 0; e < 6; ++e) {
+                sp[rows[e]] = own[e];
+                if (moves >= 2)
+                    subT[rows[e] * I + pl] = own[e];
+            }
             wcur[0 * I + pl] = m_access[k_new] * pa_new;
             wcur[1 * I + pl] = m_front[k_new] * pf;
             wcur[2 * I + pl] = m_compute[n_new] * pc_new;
@@ -187,22 +325,87 @@ i64 repro_run_dynamics(
         }
         ++moves;
 
-        /* Full refresh: new gaps under the slack eligibility test. */
-        for (i64 i = 0; i < I; ++i) {
-            i64 kb;
-            double cur;
-            double best = sweep_player(i, I, K, N, G, loads, p, w, sub,
-                                       wcur, cur_idx, menu_of_bs, menu_off,
-                                       menu_srv, nidx, adj, t, bvals,
-                                       &kb, &cur);
-            kbest[i] = kb;
-            if (slack == 0.0) {
-                double gap = cur - best;
-                gaps[i] = (gap <= 0.0) ? -INFINITY : gap;
-            } else {
-                gaps[i] = (one_minus * cur > best) ? (cur - best) : -INFINITY;
+        if (moves == 1) {
+            /* One-move calls are common: refresh player-major and
+             * leave the mirrors unbuilt. */
+            for (i64 i = 0; i < I; ++i) {
+                double cur;
+                double bst = sweep_player(i, I, K, N, G, loads, p, w, sub,
+                                          wcur, cur_idx, menu_of_bs,
+                                          menu_off, menu_srv, nidx, adj, t,
+                                          bvals, &kbest[i], &cur);
+                gaps[i] = gap_value(slack, cur, bst);
+            }
+            continue;
+        }
+        if (moves == 2) {
+            /* Build the mirrors on the profile after this move. */
+            for (i64 r = 0; r < W; ++r) {
+                double *pr = pT + r * I, *wr = wT + r * I, *sr = subT + r * I;
+                for (i64 i = 0; i < I; ++i) {
+                    pr[i] = p[i * W + r];
+                    wr[i] = w[i * W + r];
+                    sr[i] = sub[i * W + r];
+                }
+                adj_row(I, loads[r], sr, pr, wr, adjT + r * I);
+            }
+            for (i64 i = 0; i < I; ++i)
+                bvT[G * I + i] = INFINITY;
+            for (i64 n = 0; n <= N; ++n)
+                srv_off[n] = 0;
+            for (i64 e = 0; e < menu_off[G]; ++e)
+                ++srv_off[menu_srv[e] + 1];
+            for (i64 n = 0; n < N; ++n)
+                srv_off[n + 1] += srv_off[n];
+            for (i64 gg = 0; gg < G; ++gg) {
+                stamp[gg] = 0;
+                for (i64 e = menu_off[gg]; e < menu_off[gg + 1]; ++e)
+                    srv_menus[srv_off[menu_srv[e]]++] = gg;
+            }
+            for (i64 n = N; n > 0; --n)
+                srv_off[n] = srv_off[n - 1];
+            srv_off[0] = 0;
+            for (i64 k = 0; k < K; ++k)
+                t_row(I, adjT + k * I, adjT + (K + k) * I, tT + k * I);
+            for (i64 gg = 0; gg < G; ++gg)
+                menu_rows(I, K, gg, menu_off, menu_srv, adjT, bvT, nidx);
+        } else {
+            /* Only the six touched resources changed. */
+            for (int e = 0; e < 6; ++e) {
+                i64 r = rows[e];
+                if (e >= 3 && r == rows[e - 3])
+                    continue;
+                adj_row(I, loads[r], subT + r * I, pT + r * I, wT + r * I,
+                        adjT + r * I);
+            }
+            t_row(I, adjT + k_old * I, adjT + (K + k_old) * I, tT + k_old * I);
+            if (k_new != k_old)
+                t_row(I, adjT + k_new * I, adjT + (K + k_new) * I,
+                      tT + k_new * I);
+            for (int s = 0; s < 2; ++s) {
+                i64 n = s ? n_new : n_old;
+                for (i64 e = srv_off[n]; e < srv_off[n + 1]; ++e) {
+                    i64 gg = srv_menus[e];
+                    if (stamp[gg] == moves)
+                        continue;
+                    stamp[gg] = moves;
+                    menu_rows(I, K, gg, menu_off, menu_srv, adjT, bvT, nidx);
+                }
             }
         }
+        {
+            const double *bv0 = bvT + menu_of_bs[0] * I;
+            for (i64 i = 0; i < I; ++i) {
+                best[i] = tT[i] + bv0[i];
+                kbest[i] = 0;
+            }
+        }
+        for (i64 k = 1; k < K; k += 2) {
+            i64 k2 = k + 1 < K ? k + 1 : k;
+            bs_pair(I, k, tT + k * I, bvT + menu_of_bs[k] * I,
+                    tT + k2 * I, bvT + menu_of_bs[k2] * I, best, kbest);
+        }
+        gap_rows(I, slack, loads, wcur, cur_idx, best, gaps);
     }
     *converged_out = 0;
     return moves;
@@ -578,6 +781,7 @@ def _bind(lib: ctypes.CDLL) -> RawKernels:
         _f64, _f64,
         _f64, _f64, _f64,
         _f64, _f64, _f64,
+        _f64, _i64,
         _i64,
     ]
     golden_quad = lib.repro_golden_quad

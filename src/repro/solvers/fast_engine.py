@@ -239,11 +239,13 @@ class FastBestResponseEngine:
         if selection == "max_gap" and self._full_refresh and not record_history:
             # A kernel backend with a fused loop (the jit backend's
             # native run_dynamics) replaces the whole Python iteration:
-            # same argmax pick, same move, same full refresh, same
-            # final state -- the stats are reconstructed from the move
-            # count (one sweep, n gap recomputations, and the full
-            # candidate count per move, exactly what _refresh(None)
-            # would have accumulated).
+            # same argmax pick, same move, same final state.  The C
+            # loop refreshes only what each move touched, but every
+            # gap and argmin it leaves equals a full refresh's, so the
+            # stats are reconstructed from the move count as if each
+            # move had one (one sweep, n gap recomputations, and the
+            # full candidate count per move, exactly what
+            # _refresh(None) would have accumulated).
             kernels = getattr(game, "kernels", None)
             if (
                 kernels is not None

@@ -15,7 +15,10 @@ then ``False`` and ``jit`` would silently alias the oracle).
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from repro.kernels import (
     get_kernels,
     jit_provider,
 )
+from repro.kernels._adapt import wrap_raw_backend
 from repro.obs import Probe
 from repro.sim.faults import (
     ChannelStaleness,
@@ -170,6 +174,82 @@ class TestGoldenQuadKernel:
         assert x[2] == lo[2]
         np.testing.assert_array_equal(x, reference.x)
         np.testing.assert_array_equal(evals, reference.iterations)
+
+    def _counting_golden_quad(self):
+        """The C golden_quad behind a conversion-recording adapter."""
+        from repro.kernels import native
+
+        raw = native._bind(ctypes.CDLL(str(native._build_library())))
+        converted: list = []
+
+        def convert(arr):
+            converted.append(arr)
+            return native._as_ptr(arr)
+
+        return wrap_raw_backend(raw, convert=convert).golden_quad, converted
+
+    def test_lanes_converted_once_per_capacity(self) -> None:
+        golden_quad, converted = self._counting_golden_quad()
+        for size, grows in ((8, True), (8, False), (3, False), (40, True), (40, False)):
+            lanes = self._lanes(size, size)
+            converted.clear()
+            x, evals = golden_quad(*lanes, 1e-8)
+            assert bool(converted) == grows, size
+            want_x, want_evals = get_kernels("jit").golden_quad(*lanes, 1e-8)
+            np.testing.assert_array_equal(x, want_x)
+            np.testing.assert_array_equal(evals, want_evals)
+
+    def test_results_survive_the_next_call(self) -> None:
+        golden_quad = get_kernels("jit").golden_quad
+        first = self._lanes(6, 4)
+        x, evals = golden_quad(*first, 1e-8)
+        kept = x.copy(), evals.copy()
+        golden_quad(*self._lanes(6, 5), 1e-8)
+        np.testing.assert_array_equal(x, kept[0])
+        np.testing.assert_array_equal(evals, kept[1])
+
+    def test_concurrent_callers_get_their_own_results(self) -> None:
+        """The lanes are one set per backend and the C call releases the
+        GIL: callers on several threads must still each get their own
+        lanes' results."""
+        golden_quad = get_kernels("jit").golden_quad
+        inputs = [self._lanes(size, seed) for seed, size in enumerate((7, 16, 33, 64))]
+        expected = [golden_quad(*lanes, 1e-8) for lanes in inputs]
+        mismatches: list = []
+
+        def worker(lanes, want) -> None:
+            for _ in range(300):
+                x, evals = golden_quad(*lanes, 1e-8)
+                if not (np.array_equal(x, want[0]) and np.array_equal(evals, want[1])):
+                    mismatches.append(lanes[0].size)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(lanes, want))
+                for lanes, want in zip(inputs * 2, expected * 2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    @pytest.mark.parametrize("lane", range(8))
+    def test_ragged_lanes_rejected(self, lane: int) -> None:
+        lanes = list(self._lanes(8, 6))
+        lanes[lane] = lanes[lane][:5]
+        with pytest.raises(ValueError, match="shape"):
+            get_kernels("jit").golden_quad(*lanes, 1e-8)
+
+    def test_non_vector_lanes_rejected(self) -> None:
+        lanes = [lane.reshape(2, 4) for lane in self._lanes(8, 7)]
+        with pytest.raises(ValueError, match="1-D"):
+            get_kernels("jit").golden_quad(*lanes, 1e-8)
 
 
 @requires_jit
