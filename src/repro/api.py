@@ -86,7 +86,7 @@ _DEFAULT_Z = {"dpp": 3, "bdma": 3, "mcba": 1, "ropt": 1, "greedy": 1, "fixed": 1
 #: Extra construction knobs each controller family accepts via
 #: ``**params`` (beyond :func:`make_controller`'s named keywords).
 _DPP_KNOBS = frozenset(
-    {"warm_start", "carry_over", "freq_carry_over", "resilience", "overload"}
+    {"warm_start", "carry_over", "resilience", "overload"}
 )
 _FAMILY_KNOBS: "dict[str, frozenset[str]]" = {
     "dpp": _DPP_KNOBS,

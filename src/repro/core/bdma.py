@@ -17,12 +17,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-import numpy as np
-
 from repro.core.cgba import CGBAResult, solve_p2a_cgba
 from repro.core.drift_penalty import energy_cost
 from repro.core.latency import optimal_total_latency
-from repro.core.p2b import _BATCH_CUTOVER, solve_p2b
+from repro.core.p2b import solve_p2b
 from repro.core.state import Assignment, SlotState
 from repro.exceptions import ConfigurationError, DeadlineError
 from repro.kernels import KernelBackend
@@ -57,7 +55,6 @@ def cgba_p2a_solver(
     *,
     slack: float = 0.0,
     max_iter: int = 100_000,
-    engine: str = "fast",
     tracer: "Tracer | None" = None,
     accept_partial: bool = False,
     backend: "KernelBackend | str | None" = None,
@@ -109,7 +106,6 @@ def cgba_p2a_solver(
             slack=slack,
             initial=initial,
             max_iter=max_iter,
-            engine=engine,
             tracer=tracer,
             reuse=last,
             accept_partial=accept_partial,
@@ -174,8 +170,6 @@ def solve_p2_bdma(
     p2a_solver: P2ASolver | None = None,
     warm_start: bool = True,
     initial: Assignment | None = None,
-    initial_frequencies: FloatArray | None = None,
-    warm_brackets: bool = False,
     tracer: "Tracer | None" = None,
     deadline: float | None = None,
     backend: "KernelBackend | str | None" = None,
@@ -202,20 +196,6 @@ def solve_p2_bdma(
         initial: Seed the *first* round's P2-A solve with this
             assignment (e.g. the previous slot's decision); only used
             when ``warm_start`` is enabled.
-        initial_frequencies: Start the alternation from these clocks
-            instead of Algorithm 2's ``Omega^L`` (e.g. the previous
-            slot's optimum).  Changes round 1's P2-A landscape, so the
-            trajectory is *not* bit-identical to the literal algorithm
-            -- it reaches an equally good alternation fixed point, just
-            along a shorter path.  Leave ``None`` for exact
-            reproducibility.
-        warm_brackets: Seed each round's P2-B golden-section search with
-            the previous round's frequencies (``bracket_hint``); the
-            optima agree with the cold search to the search tolerance
-            but not bit for bit.  Leave ``False`` for exact
-            reproducibility.  Ignored below the batch cutover fleet
-            size, where the plain scalar loop beats any bracket
-            narrowing (``bracket_hint`` is a batch-path feature).
         tracer: Observability tracer; when enabled, every round's P2-A
             and P2-B solve runs inside ``p2a``/``p2b`` spans, and the
             counters ``bdma.rounds`` (alternation rounds actually
@@ -274,8 +254,6 @@ def solve_p2_bdma(
             p2a_solver=p2a_solver,
             warm_start=warm_start,
             initial=initial,
-            initial_frequencies=initial_frequencies,
-            warm_brackets=warm_brackets,
             tracer=tracer,
             deadline=deadline,
             backend=backend,
@@ -330,8 +308,6 @@ def bdma_request_stream(
     p2a_solver: P2ASolver | None = None,
     warm_start: bool = True,
     initial: Assignment | None = None,
-    initial_frequencies: FloatArray | None = None,
-    warm_brackets: bool = False,
     tracer: "Tracer | None" = None,
     deadline: float | None = None,
     backend: "KernelBackend | str | None" = None,
@@ -362,12 +338,7 @@ def bdma_request_stream(
     if callable(pop_stats):
         pop_stats()  # discard counters accumulated by earlier callers
 
-    if initial_frequencies is None:
-        frequencies = network.freq_min.copy()  # Omega^L (Algorithm 2, line 1)
-        hint_ready = False
-    else:
-        frequencies = np.asarray(initial_frequencies, dtype=np.float64).copy()
-        hint_ready = True  # a carried-over optimum is a meaningful hint
+    frequencies = network.freq_min.copy()  # Omega^L (Algorithm 2, line 1)
     best_objective = float("inf")
     best_assignment: Assignment | None = None
     best_frequencies = frequencies.copy()
@@ -380,7 +351,6 @@ def bdma_request_stream(
     )
     warm_hits = 0
     rounds_run = 0
-    use_hints = warm_brackets and network.num_servers >= _BATCH_CUTOVER
 
     truncated = False
     for round_idx in range(z):
@@ -422,11 +392,9 @@ def bdma_request_stream(
                 assignment=assignment,
                 queue_backlog=queue_backlog,
                 v=v,
-                bracket_hint=frequencies if (use_hints and hint_ready) else None,
                 tracer=tracer,
                 backend=backend,
             )
-        hint_ready = True
         # dpp_objective's arithmetic, with the latency and cost terms
         # kept so the winning round's values ride along in the result
         # (the controller reports both; recomputing them per slot would

@@ -21,7 +21,7 @@ from repro.network.connectivity import StrategySpace
 from repro.network.topology import MECNetwork
 from repro.obs.probe import Tracer, as_tracer
 from repro.solvers.fast_engine import FastBestResponseEngine
-from repro.solvers.potential_game import EngineStats, best_response_dynamics
+from repro.solvers.potential_game import EngineStats
 from repro.types import FloatArray, Rng
 
 
@@ -56,12 +56,11 @@ class CGBAResult:
         engine_stats: Work counters of the best-response engine (moves,
             gap recomputations, candidate evaluations, per-phase times).
         game: The congestion game the run was played on.
-        fast_engine: The best-response engine that ran (``None`` under
-            the reference engine).  Callers that solve P2-A repeatedly on
-            one strategy space (BDMA's rounds, the controller's slots)
-            pass the whole result back via ``solve_p2a_cgba(...,
-            reuse=...)``, which refills this game and restarts this
-            engine instead of building new ones.
+        fast_engine: The best-response engine that ran.  Callers that
+            solve P2-A repeatedly on one strategy space (BDMA's rounds,
+            the controller's slots) pass the whole result back via
+            ``solve_p2a_cgba(..., reuse=...)``, which refills this game
+            and restarts this engine instead of building new ones.
     """
 
     assignment: Assignment
@@ -85,7 +84,6 @@ def solve_p2a_cgba(
     initial: Assignment | None = None,
     max_iter: int = 100_000,
     record_history: bool = False,
-    engine: str = "fast",
     tracer: "Tracer | None" = None,
     reuse: CGBAResult | None = None,
     accept_partial: bool = False,
@@ -103,10 +101,6 @@ def solve_p2a_cgba(
         initial: Warm-start assignment instead of a random profile.
         max_iter: Cap on best-response moves.
         record_history: Keep the total-latency trajectory (Fig. 6 benches).
-        engine: ``"fast"`` (the default vectorized incremental engine) or
-            ``"reference"`` (the per-player Python loop).  Both produce
-            the same move sequence and final equilibrium; the reference
-            engine is kept as the oracle for equivalence tests.
         tracer: Observability tracer; when enabled, the best-response
             run is wrapped in a ``cgba`` span and the engine's work
             counters (moves, sweeps, gap recomputations, candidate
@@ -139,8 +133,6 @@ def solve_p2a_cgba(
         ``optimal_total_latency(network, state, result.assignment,
         frequencies)`` up to float rounding.
     """
-    if engine not in ("fast", "reference"):
-        raise ValueError(f"unknown engine: {engine!r}")
     tracer = as_tracer(tracer)
     kernels = get_kernels(backend)
     fast_engine = None
@@ -156,11 +148,7 @@ def solve_p2a_cgba(
             game.reset_profile(initial, rng=rng)
         else:
             game.rebind(state, frequencies, initial, rng=rng)
-        if (
-            engine == "fast"
-            and reuse.fast_engine is not None
-            and reuse.fast_engine.slack == slack
-        ):
+        if reuse.fast_engine is not None and reuse.fast_engine.slack == slack:
             fast_engine = reuse.fast_engine
     else:
         game = OffloadingCongestionGame(
@@ -169,24 +157,15 @@ def solve_p2a_cgba(
         )
     with tracer.span("cgba"):
         try:
-            if engine == "reference":
-                outcome = best_response_dynamics(
-                    game,
-                    slack=slack,
-                    max_iter=max_iter,
-                    selection="max_gap",
-                    record_history=record_history,
-                )
+            if fast_engine is None:
+                fast_engine = FastBestResponseEngine(game, slack=slack)
             else:
-                if fast_engine is None:
-                    fast_engine = FastBestResponseEngine(game, slack=slack)
-                else:
-                    fast_engine.restart()
-                outcome = fast_engine.run(
-                    max_iter=max_iter,
-                    selection="max_gap",
-                    record_history=record_history,
-                )
+                fast_engine.restart()
+            outcome = fast_engine.run(
+                max_iter=max_iter,
+                selection="max_gap",
+                record_history=record_history,
+            )
         except ConvergenceError as exc:
             if not accept_partial or exc.best_so_far is None:
                 raise

@@ -219,15 +219,6 @@ class DPPController(OnlineController):
             slot's assignment.  System states evolve smoothly, so the
             previous equilibrium is a near-optimal start; disable for the
             literal Algorithm 1 (fresh random profile every slot).
-        freq_carry_over: Also start each slot's BDMA alternation from
-            the previous slot's optimal clocks instead of ``Omega^L``,
-            and warm-start the P2-B bracket searches from the previous
-            round's frequencies.  Unlike ``carry_over`` (which is
-            bit-exact given the same rng draws), this changes the
-            alternation path: the per-slot decisions agree with the
-            cold start only up to the alternation's fixed point and the
-            scalar-search tolerance, not bit for bit.  Off by default;
-            enable for throughput benchmarking.
         tracer: Observability tracer (:class:`repro.obs.Probe` to
             record, ``None``/:data:`repro.obs.NULL_TRACER` to disable).
             When enabled, every step is wrapped in a ``slot`` span with
@@ -268,7 +259,6 @@ class DPPController(OnlineController):
         initial_backlog: float = 0.0,
         warm_start: bool = True,
         carry_over: bool = True,
-        freq_carry_over: bool = False,
         tracer: "Tracer | None" = None,
         resilience: ResiliencePolicy | None = None,
         overload: OverloadPolicy | None = None,
@@ -286,7 +276,6 @@ class DPPController(OnlineController):
         self.p2a_solver = p2a_solver
         self.warm_start = bool(warm_start)
         self.carry_over = bool(carry_over)
-        self.freq_carry_over = bool(freq_carry_over)
         self.tracer = as_tracer(tracer)
         self.resilience = resilience
         self.overload = overload
@@ -333,7 +322,6 @@ class DPPController(OnlineController):
         self._space: StrategySpace | None = None
         self._space_reused = False
         self._previous: Assignment | None = None
-        self._previous_freqs: FloatArray | None = None
         # Last accepted decision, kept regardless of the carry-over
         # knobs: it feeds the fallback chain's last-known-good tier.
         self._last_assignment: Assignment | None = None
@@ -476,10 +464,6 @@ class DPPController(OnlineController):
                         ),
                         warm_start=self.warm_start,
                         initial=self._previous if self.carry_over else None,
-                        initial_frequencies=(
-                            self._previous_freqs if self.freq_carry_over else None
-                        ),
-                        warm_brackets=self.freq_carry_over,
                         tracer=tracer,
                         deadline=deadline,
                         backend=self.engine_backend,
@@ -509,8 +493,6 @@ class DPPController(OnlineController):
             solve_seconds = time.perf_counter() - started
             if self.carry_over:
                 self._previous = result.assignment
-            if self.freq_carry_over:
-                self._previous_freqs = result.frequencies
             self._last_assignment = result.assignment
             self._last_frequencies = result.frequencies
 
@@ -556,7 +538,6 @@ class DPPController(OnlineController):
         self._space = None
         self._space_reused = False
         self._previous = None
-        self._previous_freqs = None
         self._last_assignment = None
         self._last_frequencies = None
         self._overloaded = False
@@ -565,12 +546,12 @@ class DPPController(OnlineController):
         """Serializable controller state (for checkpoint/resume).
 
         Captures everything :meth:`step` reads across slots: the virtual
-        queue backlog, the solver rng's bit-generator state, and the
-        carried-over assignment/frequencies.  The strategy-space cache is
-        deliberately omitted -- it is rebuilt from the first resumed
-        slot's coverage, and :meth:`repair` draws randomness only for
-        infeasible entries, so a rebuild consumes no rng when coverage
-        is unchanged.
+        queue backlog, the solver rng's bit-generator state, the
+        carried-over assignment and the last accepted decision.  The
+        strategy-space cache is deliberately omitted -- it is rebuilt
+        from the first resumed slot's coverage, and :meth:`repair`
+        draws randomness only for infeasible entries, so a rebuild
+        consumes no rng when coverage is unchanged.
         """
 
         def _assignment(a: Assignment | None) -> dict | None:
@@ -585,14 +566,17 @@ class DPPController(OnlineController):
             "backlog": float(self.queue.backlog),
             "rng": self.rng.bit_generator.state,
             "previous": _assignment(self._previous),
-            "previous_freqs": _freqs(self._previous_freqs),
             "last_assignment": _assignment(self._last_assignment),
             "last_frequencies": _freqs(self._last_frequencies),
             "overload_active": bool(self._overloaded),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore controller state captured by :meth:`state_dict`."""
+        """Restore controller state captured by :meth:`state_dict`.
+
+        Keys this version no longer writes (``previous_freqs``) are
+        ignored, so older checkpoints still resume.
+        """
 
         def _assignment(data: dict | None) -> Assignment | None:
             if data is None:
@@ -608,7 +592,6 @@ class DPPController(OnlineController):
         self.queue = VirtualQueue(float(state["backlog"]), tracer=self.tracer)
         self.rng.bit_generator.state = state["rng"]
         self._previous = _assignment(state.get("previous"))
-        self._previous_freqs = _freqs(state.get("previous_freqs"))
         self._last_assignment = _assignment(state.get("last_assignment"))
         self._last_frequencies = _freqs(state.get("last_frequencies"))
         self._overloaded = bool(state.get("overload_active", False))

@@ -53,8 +53,6 @@ def solve_p2b(
     v: float,
     tol: float = 1e-8,
     method: str = "auto",
-    bracket_hint: FloatArray | None = None,
-    bracket_margin: float = 0.25,
     tracer: "Tracer | None" = None,
     backend: "KernelBackend | str | None" = None,
 ) -> FloatArray:
@@ -74,16 +72,6 @@ def solve_p2b(
             for fleets of 64+ servers, scalar below, where Python loop
             overhead is smaller than numpy dispatch overhead).  All
             three produce bit-identical frequencies.
-        bracket_hint: Optional per-server warm-start frequencies (e.g.
-            the previous BDMA round's ``Omega``).  The search then runs
-            on a narrowed bracket around the hint first and falls back
-            to the full box for any server whose narrowed optimum lands
-            on an artificial bracket edge -- convexity makes the result
-            equal to the cold search up to ``tol``, but *not* bit-exact,
-            so callers wanting exact reproducibility must leave this
-            ``None``.  Batch method only.
-        bracket_margin: Half-width of the warm bracket as a fraction of
-            the full box width.
         tracer: Observability tracer; when enabled, emits
             ``p2b.scalar_solves`` / ``p2b.fastpath`` counters telling
             how many servers needed the golden-section search versus the
@@ -115,11 +103,7 @@ def solve_p2b(
     if method not in ("auto", "batch", "scalar"):
         raise ValueError(f"unknown method: {method!r}")
     if method == "auto":
-        # bracket_hint is a batch-only feature, so it forces that path.
-        if bracket_hint is None and network.num_servers < _BATCH_CUTOVER:
-            method = "scalar"
-        else:
-            method = "batch"
+        method = "scalar" if network.num_servers < _BATCH_CUTOVER else "batch"
     roots = server_load_roots(network, state, assignment)
     demand = roots * roots  # A_n
     energy_pressure = queue_backlog * state.price
@@ -138,38 +122,11 @@ def solve_p2b(
     batch_iters = 0
     if servers.size:
         latency_scale = _latency_scale(network, servers, demand, v)
-        search_kernels = kernels if native else None
-        lo_s, hi_s = network.freq_min[servers], network.freq_max[servers]
-        if bracket_hint is None or method == "scalar":
-            best, batch_iters = _golden_search(
-                search_kernels, network, servers, latency_scale,
-                energy_pressure, lo_s, hi_s, tol,
-            )
-            frequencies[servers] = best
-        else:
-            hint = np.clip(np.asarray(bracket_hint, dtype=np.float64)[servers],
-                           lo_s, hi_s)
-            span = bracket_margin * (hi_s - lo_s)
-            lo_w = np.maximum(lo_s, hint - span)
-            hi_w = np.minimum(hi_s, hint + span)
-            best, batch_iters = _golden_search(
-                search_kernels, network, servers, latency_scale,
-                energy_pressure, lo_w, hi_w, tol,
-            )
-            # A minimum on an artificial bracket edge may be a false
-            # boundary optimum; rerun those lanes on the full box.
-            redo = ((best == lo_w) & (lo_w > lo_s)) | ((best == hi_w) & (hi_w < hi_s))
-            if np.any(redo):
-                idx = np.flatnonzero(redo)
-                retry_x, retry_iters = _golden_search(
-                    search_kernels, network, servers[idx],
-                    latency_scale[idx], energy_pressure,
-                    lo_s[idx], hi_s[idx], tol,
-                )
-                best = best.copy()
-                best[idx] = retry_x
-                batch_iters += retry_iters
-            frequencies[servers] = best
+        best, batch_iters = _golden_search(
+            kernels if native else None, network, servers, latency_scale,
+            energy_pressure, tol,
+        )
+        frequencies[servers] = best
 
     if tracer.enabled:
         tracer.counter("p2b.scalar_solves", int(servers.size))
@@ -258,17 +215,17 @@ def _golden_search(
     servers: np.ndarray,
     latency_scale: FloatArray,
     energy_pressure: float,
-    lo: FloatArray,
-    hi: FloatArray,
     tol: float,
 ) -> tuple[FloatArray, int]:
-    """``(x, total_evals)`` for the per-lane golden-section search.
+    """``(x, total_evals)`` for the per-lane golden-section search over
+    each server's full ``[F^L, F^U]`` box.
 
     Uses *kernels*' native ``golden_quad`` when given (the caller checks
     the network has a quadratic energy table) -- bit-identical to the
     NumPy batch search, including the evaluation counts -- and the
     NumPy search otherwise.
     """
+    lo, hi = network.freq_min[servers], network.freq_max[servers]
     if kernels is not None:
         scale, a, b, c = network.energy_table[:, servers]
         ep = np.full(servers.size, energy_pressure)
@@ -392,22 +349,18 @@ def _fuse_prep(
     v: float,
     tol: float = 1e-8,
     method: str = "auto",
-    bracket_hint: FloatArray | None = None,
-    bracket_margin: float = 0.25,
     tracer: "Tracer | None" = None,
     backend: "KernelBackend | str | None" = None,
 ) -> _Lanes | None:
     """The search-prologue of :func:`solve_p2b`, packaged for fusion.
 
     Returns ``None`` when the request cannot join a fused kernel call --
-    no native ``golden_quad``, a bracket hint (its redo loop is
-    data-dependent), or no quadratic energy table -- in which case the
-    caller solves it solo.  The returned lanes reproduce the solo
+    no native ``golden_quad`` or no quadratic energy table -- in which
+    case the caller solves it solo.  The returned lanes reproduce the solo
     call's masks, brackets, and coefficient columns exactly, so stacking
     them with other requests' lanes cannot change any lane's arithmetic.
     """
-    del bracket_margin
-    if bracket_hint is not None or method not in ("auto", "batch", "scalar"):
+    if method not in ("auto", "batch", "scalar"):
         return None
     kernels = get_kernels(backend)
     if kernels.golden_quad is None or network.energy_table is None:
@@ -437,8 +390,8 @@ def solve_p2b_many(requests: "list[dict]") -> "list[FloatArray]":
         The frequency arrays in request order, each bit-identical to
         ``solve_p2b(**request)`` run alone.
 
-    Requests that would run the un-hinted search on a native
-    ``golden_quad`` kernel are stacked -- all their server lanes written
+    Requests that would run the search on a native ``golden_quad``
+    kernel are stacked -- all their server lanes written
     into one ``(8, lanes)`` argument block and searched in one kernel
     invocation per distinct ``(backend, tol)`` -- which is what makes
     cross-seed batched replication cheaper than R solo runs.  The
@@ -446,8 +399,8 @@ def solve_p2b_many(requests: "list[dict]") -> "list[FloatArray]":
     lane's result; per-request counters (``p2b.scalar_solves`` /
     ``p2b.fastpath`` / ``p2b.batch_iters``) are emitted to each
     request's own tracer exactly as the solo call would.  Requests that
-    cannot fuse (numpy backend, bracket hints, non-quadratic energy
-    models) fall back to a plain :func:`solve_p2b` call.
+    cannot fuse (numpy backend, non-quadratic energy models) fall back
+    to a plain :func:`solve_p2b` call.
     """
     out: "list[FloatArray | None]" = [None] * len(requests)
     groups: dict = {}

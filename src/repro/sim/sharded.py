@@ -40,8 +40,8 @@ machinery to on-disk snapshots
 The one-cell plan degenerates to the unsharded pipeline: the original
 scenario object is reused verbatim, the coordinator's single share is
 the whole budget, and the merged trajectories are bit-identical to
-``repro.api.run`` without sharding (asserted by
-``benchmarks/bench_scale_sweep.py`` and ``tests/test_sharding.py``) --
+``repro.api.run`` without sharding (asserted, against a pinned
+fingerprint, by ``tests/test_sharding.py``) --
 including a scenario-level :class:`~repro.sim.faults.FaultPlan`, which
 every execution path applies from the plan's own stream with its cursor
 (plan state + plan rng) carried across epochs.

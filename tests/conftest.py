@@ -1,6 +1,9 @@
-"""Shared fixtures: hand-built tiny networks and small random scenarios."""
+"""Shared fixtures: hand-built tiny networks and small random scenarios,
+plus the trajectory fingerprint every pinned-run test compares."""
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,6 +20,30 @@ from repro.network.topology import (
     MobileDevice,
     ServerCluster,
 )
+
+
+#: The paper-scale medium preset (seed 7, I=40, 240 slots) must
+#: reproduce this trajectory stream on every kernel backend, with or
+#: without telemetry attached.  perfbench's ``paper-medium`` workload
+#: is the same run at a longer horizon.
+MEDIUM_FINGERPRINT = (
+    "21d380f5230daf38751e1c04951c28466fde49023e1f3986efd1c8e59a801e04"
+)
+
+
+def fingerprint(result) -> str:
+    """sha256 over a run's latency, cost, theta, backlog and price
+    trajectories: equal fingerprints mean bit-identical runs."""
+    digest = hashlib.sha256()
+    for arr in (
+        result.latency,
+        result.cost,
+        result.theta,
+        result.backlog,
+        result.price,
+    ):
+        digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    return digest.hexdigest()
 
 
 @pytest.fixture

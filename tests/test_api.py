@@ -233,6 +233,15 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="did you mean"):
             make_controller("mcba", small_scenario(), iteration=5)
 
+    def test_removed_freq_carry_over_knob_rejected(self) -> None:
+        # BDMA starts every slot from Omega^L (Algorithm 2, line 1), so
+        # no knob seeds the clocks; the hint names the assignment
+        # carry-over.
+        with pytest.raises(
+            ConfigurationError, match="did you mean 'carry_over'"
+        ):
+            make_controller("dpp", small_scenario(), freq_carry_over=True)
+
     def test_unknown_knob_lists_accepted(self) -> None:
         with pytest.raises(ConfigurationError, match="accepted knobs"):
             make_controller("dpp", small_scenario(), bogus_knob=1)

@@ -144,6 +144,37 @@ class TestResume:
         )
         assert_same_run(plain_run(faulted=faulted), resumed)
 
+    def test_snapshot_with_previous_freqs_resumes(self, tmp_path) -> None:
+        """Snapshots written before the frequency carry-over knob was
+        removed still hold a ``previous_freqs`` key; resume ignores it
+        and stays bit-identical to the uninterrupted run."""
+        path = tmp_path / "run.ckpt"
+        scenario = make_scenario()
+        with pytest.raises(_Kill):
+            run_checkpointed(
+                scenario,
+                make_controller(scenario),
+                horizon=HORIZON,
+                path=path,
+                every=6,
+                on_slot=killer_at(HORIZON // 2 + 2),
+            )
+        data = json.loads(path.read_text())
+        controller_state = data["controller"]
+        assert "previous_freqs" not in controller_state
+        controller_state["previous_freqs"] = controller_state["last_frequencies"]
+        path.write_text(json.dumps(data))
+        fresh = make_scenario()
+        resumed = run_checkpointed(
+            fresh,
+            make_controller(fresh),
+            horizon=HORIZON,
+            path=path,
+            every=6,
+            resume=True,
+        )
+        assert_same_run(plain_run(), resumed)
+
     def test_resume_without_snapshot_starts_fresh(self, tmp_path) -> None:
         scenario = make_scenario()
         result = run_checkpointed(

@@ -16,7 +16,6 @@ then ``False`` and ``jit`` would silently alias the oracle).
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import sys
 import threading
 
@@ -48,33 +47,17 @@ from repro.sim.faults import (
 from repro.sim.replication import ReplicationSpec, run_replications
 from repro.solvers.scalar import minimize_convex_scalar_batch
 
-from conftest import make_tiny_network, make_tiny_state
+from conftest import (
+    MEDIUM_FINGERPRINT,
+    fingerprint,
+    make_tiny_network,
+    make_tiny_state,
+)
 
 requires_jit = pytest.mark.skipif(
     not available_backends()["jit"],
     reason="backend 'jit' has no real provider (needs a C compiler)",
 )
-
-#: Mirror of the pin in benchmarks/bench_slot_pipeline.py: the
-#: paper-scale medium preset (seed 7, I=40, 240 slots) must reproduce
-#: this trajectory stream on EVERY backend.
-MEDIUM_FINGERPRINT = (
-    "21d380f5230daf38751e1c04951c28466fde49023e1f3986efd1c8e59a801e04"
-)
-
-
-def fingerprint(result) -> str:
-    digest = hashlib.sha256()
-    for arr in (
-        result.latency,
-        result.cost,
-        result.theta,
-        result.backlog,
-        result.price,
-    ):
-        digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-    return digest.hexdigest()
-
 
 def assert_records_identical(a, b) -> None:
     """Every SlotRecord field, arrays included, must match bitwise."""
@@ -252,7 +235,6 @@ class TestGoldenQuadKernel:
             get_kernels("jit").golden_quad(*lanes, 1e-8)
 
 
-@requires_jit
 class TestSlotStreamParity:
     """Full pipeline runs must be bit-identical across backends."""
 
@@ -271,6 +253,7 @@ class TestSlotStreamParity:
         )
         return result, dict(probe.phases.counters)
 
+    @requires_jit
     def test_small_preset_records_and_counters(self) -> None:
         base, counters_np = self._run("numpy", seed=11, horizon=24, devices=12)
         fast, counters_jit = self._run("jit", seed=11, horizon=24, devices=12)
@@ -279,13 +262,19 @@ class TestSlotStreamParity:
         assert counters_jit == counters_np
 
     def test_medium_preset_matches_pinned_fingerprint(self) -> None:
-        """Paper-scale run hits the committed fingerprint on both backends."""
-        for backend in ("numpy", "jit"):
+        """Paper-scale run hits the committed fingerprint on both backends.
+
+        The NumPy oracle is checked on every machine; the C backend only
+        where a compiler provides it.
+        """
+        backends = ("numpy", "jit") if available_backends()["jit"] else ("numpy",)
+        for backend in backends:
             result = run(
                 controller="dpp", seed=7, horizon=240, engine_backend=backend
             )
             assert fingerprint(result) == MEDIUM_FINGERPRINT, backend
 
+    @requires_jit
     def test_parity_under_faults_and_chaos(self) -> None:
         """Fault-injected states + chaos-driven fallbacks stay identical."""
 
@@ -372,19 +361,6 @@ class TestSolveP2bMany:
 
     def test_empty_request_list(self) -> None:
         assert solve_p2b_many([]) == []
-
-    @requires_jit
-    def test_bracket_hints_fall_back_to_solo_path(self) -> None:
-        requests = self._requests("jit")
-        hint = solve_p2b(**{k: v for k, v in requests[0].items() if k != "tracer"})
-        requests[0]["bracket_hint"] = hint
-        solo = [solve_p2b(**request) for request in self._requests("jit")]
-        solo[0] = solve_p2b(
-            **{k: v for k, v in self._requests("jit")[0].items()},
-            bracket_hint=hint,
-        )
-        for got, want in zip(solve_p2b_many(requests), solo):
-            np.testing.assert_array_equal(got, want)
 
 
 class TestBatchedReplication:

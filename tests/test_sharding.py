@@ -21,6 +21,15 @@ from repro.core.budget import BudgetCoordinator, CoordinatedBudget
 from repro.exceptions import ConfigurationError
 from repro.radio.mobility import RandomWaypointMobility
 
+from conftest import fingerprint
+
+#: ``metro_scenario(5)`` over 8 slots, produced identically by the
+#: unsharded facade and the 1-cell sharded engine; pinned when the
+#: sharding layer landed.
+ONE_CELL_FINGERPRINT = (
+    "93b7ee91b2dd78a940aa022c6e81c81b3881200026ce8eb719e59b826bad8809"
+)
+
 
 def metro_scenario(
     seed: int = 9,
@@ -408,6 +417,15 @@ class TestShardedRun:
         )
         assert_identical(baseline, sharded.merged)
         assert sharded.plan.num_cells == 1
+        # The pinned case, through the facade's cells= route.
+        unsharded = repro.api.run(scenario=metro_scenario(5), horizon=8)
+        one_cell = repro.api.run(
+            scenario=metro_scenario(5), horizon=8, cells=1
+        )
+        assert (
+            fingerprint(one_cell) == fingerprint(unsharded)
+            == ONE_CELL_FINGERPRINT
+        )
 
     def test_merged_metrics_sum_across_cells(self) -> None:
         scenario = metro_scenario()
@@ -426,6 +444,26 @@ class TestShardedRun:
         )
         result = sharding.run_sharded(scenario, horizon=6, cells=plan, epoch=2)
         assert result.budgets.shape == (3, plan.num_cells)
+        np.testing.assert_allclose(
+            result.budgets.sum(axis=1), scenario.budget, rtol=0, atol=1e-12
+        )
+        # The same on the pinned scenario, partitioned by its own seed
+        # bank: every device lands in a cell and the run completes.
+        scenario = metro_scenario(5)
+        plan = sharding.partition_cells(
+            scenario.network, 2, rng=scenario.seeds.rng("cell-partition")
+        )
+        assert int(plan.device_counts().sum()) == 24
+        result = sharding.run_sharded(scenario, horizon=8, cells=plan, epoch=4)
+        assert result.merged.horizon == 8
+        np.testing.assert_allclose(
+            result.budgets.sum(axis=1), scenario.budget, rtol=0, atol=1e-12
+        )
+        # With a floor that binds, only the renormalisation conserves.
+        result = sharding.run_sharded(
+            metro_scenario(5), horizon=8, cells=plan, epoch=4,
+            floor_fraction=0.9,
+        )
         np.testing.assert_allclose(
             result.budgets.sum(axis=1), scenario.budget, rtol=0, atol=1e-12
         )
