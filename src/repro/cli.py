@@ -161,10 +161,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _build_scenario(args)
     run_config = _run_config_from(args)
     sharded = run_config.cells is not None
-    if sharded and (args.monitors or args.dashboard or args.warm_start):
+    if sharded and (args.dashboard or args.warm_start):
         print(
-            "--cells does not combine with --monitors, --dashboard, or "
-            "--warm-start",
+            "--cells does not combine with --dashboard or --warm-start",
             file=sys.stderr,
         )
         return 2
@@ -183,9 +182,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 config={"command": "simulate", **run_config.to_dict()},
                 seed=args.seed,
             )
-        if args.monitors or args.dashboard:
+        if (args.monitors and not sharded) or args.dashboard:
             # Monitors attach before the dashboard so re-emitted alert
-            # events reach the dashboard's alert panel.
+            # events reach the dashboard's alert panel.  Sharded runs
+            # watch each cell with its own default suite instead.
             suite = MonitorSuite(
                 default_monitors(
                     budget=scenario.budget, network=scenario.network
@@ -275,6 +275,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 scenario=scenario,
                 tracer=probe,
                 metrics_registry=registry,
+                monitors=True if args.monitors else None,
             )
         else:
             result = repro.run_simulation(
@@ -299,6 +300,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if suite is not None:
         print()
         print(suite.finish().render())
+    elif args.monitors:
+        print()
+        print(result.health.render())
     if probe is not None:
         probe.close()
         if args.profile:

@@ -15,15 +15,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from functools import partial
+from typing import Callable, NamedTuple, Protocol
+
+import numpy as np
 
 from repro.core.cgba import CGBAResult, solve_p2a_cgba
+from repro.core.congestion_game import OffloadingCongestionGame
 from repro.core.drift_penalty import energy_cost
-from repro.core.latency import optimal_total_latency
-from repro.core.p2b import solve_p2b
-from repro.core.state import Assignment, SlotState
-from repro.exceptions import ConfigurationError, DeadlineError
-from repro.kernels import KernelBackend
+from repro.core.latency import effective_fronthaul_se, optimal_total_latency
+from repro.core.p2b import _BATCH_CUTOVER, solve_p2b
+from repro.core.state import Assignment, ResourceAllocation, SlotState
+from repro.exceptions import (
+    ConfigurationError,
+    ConvergenceError,
+    DeadlineError,
+    ValidationError,
+)
+from repro.kernels import KernelBackend, get_kernels
 from repro.network.connectivity import StrategySpace
 from repro.network.topology import MECNetwork
 from repro.obs.probe import Tracer, as_tracer
@@ -83,9 +92,16 @@ def cgba_p2a_solver(
 
     ``backend`` selects the array-kernel backend for the congestion
     game's hot loops (bit-identical across backends; wall-clock only).
+
+    The callable exposes what the fused slot kernel needs to run CGBA
+    in its place (:func:`solve_p2_bdma_fused`): ``slack``, ``max_iter``,
+    ``accept_partial``, the resolved ``kernels`` and ``workspace(network,
+    space)``, which returns the P2-A workspace's game for that pair
+    (building an unbound one when the last call played elsewhere).
     """
+    kernels = get_kernels(backend)
     accumulated = EngineStats()
-    last: CGBAResult | None = None
+    last: "CGBAResult | _Workspace | None" = None
 
     def solve(
         network: MECNetwork,
@@ -121,13 +137,41 @@ def cgba_p2a_solver(
         stats, accumulated = accumulated, EngineStats()
         return stats
 
+    def workspace(
+        network: MECNetwork, space: StrategySpace
+    ) -> OffloadingCongestionGame:
+        nonlocal last
+        game = last.game if last is not None else None
+        if (
+            game is None
+            or game.network is not network
+            or game.space is not space
+            or game.kernels is not kernels
+        ):
+            game = OffloadingCongestionGame.unbound(network, space, kernels=kernels)
+            last = _Workspace(game)
+        return game
+
     solve.pop_stats = pop_stats  # type: ignore[attr-defined]
+    solve.workspace = workspace  # type: ignore[attr-defined]
+    solve.kernels = kernels  # type: ignore[attr-defined]
+    solve.slack = slack  # type: ignore[attr-defined]
+    solve.max_iter = max_iter  # type: ignore[attr-defined]
+    solve.accept_partial = accept_partial  # type: ignore[attr-defined]
     # Warm-seeded CGBA is deterministic (max_gap selection, no rng once
     # an initial profile is given) and returns its seed at a fixed
     # point, which is what lets BDMA's fixed-point exit replay the
     # remaining rounds without running them.
     solve.supports_fixed_point = True  # type: ignore[attr-defined]
     return solve
+
+
+class _Workspace(NamedTuple):
+    """A P2-A workspace no CGBA call has run on yet (what
+    ``solve_p2a_cgba``'s ``reuse`` reads of a result)."""
+
+    game: OffloadingCongestionGame
+    fast_engine: None = None
 
 
 @dataclass
@@ -241,87 +285,6 @@ def solve_p2_bdma(
         returned decision and ``objective_history`` are bit-identical to
         running all ``z`` rounds, only the engine work counters shrink.
     """
-    return drive_p2b(
-        bdma_request_stream(
-            network,
-            state,
-            space,
-            rng,
-            queue_backlog=queue_backlog,
-            v=v,
-            budget=budget,
-            z=z,
-            p2a_solver=p2a_solver,
-            warm_start=warm_start,
-            initial=initial,
-            tracer=tracer,
-            deadline=deadline,
-            backend=backend,
-        )
-    )
-
-
-def _same(a: Assignment, b: Assignment) -> bool:
-    """Whether two assignments select the same pairs.
-
-    ``Assignment`` holds contiguous int64 vectors, so equal shapes and
-    equal bytes mean equal entries (``np.array_equal``, without its
-    per-call overhead).
-    """
-    return (
-        a.bs_of.shape == b.bs_of.shape
-        and a.bs_of.tobytes() == b.bs_of.tobytes()
-        and a.server_of.tobytes() == b.server_of.tobytes()
-    )
-
-
-def drive_p2b(stream):
-    """Run a P2-B request stream to completion, one solve at a time.
-
-    *stream* is a generator that yields :func:`~repro.core.p2b.solve_p2b`
-    keyword dicts, receives the resulting frequencies back, and returns
-    its final value -- the protocol produced by
-    :func:`bdma_request_stream` and
-    :meth:`repro.core.controller.DPPController.step_requests`.  This
-    driver is the sequential interpreter; lockstep drivers
-    (:mod:`repro.sim.batched`) advance several streams together and fuse
-    their P2-B searches into one kernel invocation instead.
-    """
-    try:
-        request = next(stream)
-        while True:
-            request = stream.send(solve_p2b(**request))
-    except StopIteration as stop:
-        return stop.value
-
-
-def bdma_request_stream(
-    network: MECNetwork,
-    state: SlotState,
-    space: StrategySpace,
-    rng: Rng,
-    *,
-    queue_backlog: float,
-    v: float,
-    budget: float,
-    z: int = 5,
-    p2a_solver: P2ASolver | None = None,
-    warm_start: bool = True,
-    initial: Assignment | None = None,
-    tracer: "Tracer | None" = None,
-    deadline: float | None = None,
-    backend: "KernelBackend | str | None" = None,
-):
-    """Generator form of :func:`solve_p2_bdma` (same arguments).
-
-    Yields one :func:`~repro.core.p2b.solve_p2b` keyword dict per
-    alternation round, expects the resulting frequency array to be sent
-    back, and returns the :class:`BDMAResult`.  Driving it with
-    :func:`drive_p2b` *is* ``solve_p2_bdma``; batched replication drives
-    several streams in lockstep so their P2-B searches can share one
-    kernel call (bit-identical either way -- the search lanes are
-    independent).
-    """
     if z < 1:
         raise ConfigurationError(f"z must be a positive integer, got {z}")
     if v <= 0.0:
@@ -356,9 +319,7 @@ def bdma_request_stream(
     for round_idx in range(z):
         if deadline is not None and time.perf_counter() >= deadline:
             if best_assignment is None:
-                raise DeadlineError(
-                    "slot deadline expired before the first BDMA round finished"
-                )
+                raise DeadlineError(_DEADLINE_MESSAGE)
             truncated = True
             # Pad the history like the fixed-point exit does, so its
             # length stays z regardless of where the truncation hit.
@@ -386,10 +347,10 @@ def bdma_request_stream(
                 history.extend([history[-1]] * remaining)
                 break
         with tracer.span("p2b"):
-            frequencies = yield dict(
-                network=network,
-                state=state,
-                assignment=assignment,
+            frequencies = solve_p2b(
+                network,
+                state,
+                assignment,
                 queue_backlog=queue_backlog,
                 v=v,
                 tracer=tracer,
@@ -431,3 +392,269 @@ def bdma_request_stream(
         objective_history=history,
         engine_stats=pop_stats() if callable(pop_stats) else None,
     )
+
+
+_DEADLINE_MESSAGE = "slot deadline expired before the first BDMA round finished"
+
+
+def _same(a: Assignment, b: Assignment) -> bool:
+    """Whether two assignments select the same pairs.
+
+    ``Assignment`` holds contiguous int64 vectors, so equal shapes and
+    equal bytes mean equal entries (``np.array_equal``, without its
+    per-call overhead).
+    """
+    return (
+        a.bs_of.shape == b.bs_of.shape
+        and a.bs_of.tobytes() == b.bs_of.tobytes()
+        and a.server_of.tobytes() == b.server_of.tobytes()
+    )
+
+
+class FusedSlot(NamedTuple):
+    """One slot decided by the fused kernel (:func:`solve_p2_bdma_fused`).
+
+    Attributes:
+        result: The BDMA decision, as :func:`solve_p2_bdma` returns it.
+        shares: Lemma 1's shares for ``result.assignment``, rows compute,
+            access, fronthaul (what
+            :func:`repro.core.allocation.optimal_allocation` computes).
+        uncovered: A device whose chosen base station does not cover
+            it (the shares are then not computed), or -1.
+        replay: Delivers the call's ``p2a``/``cgba``/``p2b`` spans and
+            its counters to a tracer; ``None`` when untraced.
+    """
+
+    result: BDMAResult
+    shares: np.ndarray
+    uncovered: int
+    replay: "Callable[[Tracer], None] | None"
+
+    def allocation(self) -> ResourceAllocation:
+        """The shares as a :class:`ResourceAllocation` (validated).
+
+        Raises:
+            ValidationError: A device sits on a base station that does
+                not cover it (``optimal_allocation``'s error).
+        """
+        if self.uncovered >= 0:
+            bad = self.uncovered
+            raise ValidationError(
+                f"device {bad} selected base station "
+                f"{int(self.result.assignment.bs_of[bad])} "
+                "with zero spectral efficiency"
+            )
+        compute, access, fronthaul = self.shares
+        return ResourceAllocation(
+            access_share=access, fronthaul_share=fronthaul, compute_share=compute
+        )
+
+
+def _replay(
+    prefix: str,
+    rounds: list,
+    times: list,
+    done: "tuple[int, int, int] | None",
+    players: int,
+    candidates: int,
+    num_servers: int,
+    accept_partial: bool,
+    tracer: Tracer,
+) -> None:
+    """Deliver a fused call's spans and counters, in the Python loop's
+    order: per round the CGBA counters and spans, then P2-B's; *done*
+    (rounds run, warm-start hits, truncated) closes a decided slot.
+    The spans go under the open ones plus *prefix* (``"bdma/"`` once
+    the bdma span has closed)."""
+    batch = num_servers >= _BATCH_CUTOVER
+    cgba, p2a, p2b = f"{prefix}p2a/cgba", f"{prefix}p2a", f"{prefix}p2b"
+    for (stage, _, moves, converged, searched, evals, _, _), t in zip(
+        rounds, times
+    ):
+        p2a_end = t[3]
+        if stage >= 2:
+            accepted = converged or accept_partial
+            if not converged and accepted:
+                tracer.counter("resilience.partial_accepts", 1)
+            tracer.record_span(cgba, t[3], t[6] - t[3])
+            if accepted:
+                sweeps = moves + 1
+                tracer.counter("engine.moves", moves)
+                tracer.counter("engine.sweeps", sweeps)
+                tracer.counter("engine.gap_recomputations", players * sweeps)
+                tracer.counter("engine.candidate_evaluations", candidates * sweeps)
+            p2a_end = t[6]
+        tracer.record_span(p2a, t[0], p2a_end - t[0])
+        if stage == 3:
+            tracer.counter("p2b.scalar_solves", searched)
+            tracer.counter("p2b.fastpath", num_servers - searched)
+            if batch:
+                tracer.counter("p2b.batch_iters", evals)
+            tracer.record_span(p2b, t[7], t[9] - t[7])
+    if done is not None:
+        rounds_run, warm_hits, truncated = done
+        tracer.counter("bdma.rounds", rounds_run)
+        tracer.counter("engine.warm_start_hits", warm_hits)
+        if truncated:
+            tracer.counter("resilience.deadline_truncations", 1)
+
+
+def can_fuse(network: MECNetwork, solver: object, kernels: KernelBackend) -> bool:
+    """Whether :func:`solve_p2_bdma_fused` can run slots on *network*
+    with *solver* on *kernels*: a backend with a fused slot kernel, a
+    :func:`cgba_p2a_solver` on these very kernels, and quadratic energy
+    models (``network.energy_table``)."""
+    return (
+        kernels.bdma_slot is not None
+        and network.energy_table is not None
+        and getattr(solver, "kernels", None) is kernels
+        and callable(getattr(solver, "workspace", None))
+    )
+
+
+def solve_p2_bdma_fused(
+    network: MECNetwork,
+    state: SlotState,
+    space: StrategySpace,
+    rng: Rng,
+    *,
+    queue_backlog: float,
+    v: float,
+    budget: float,
+    z: int,
+    p2a_solver,
+    warm_start: bool = True,
+    initial: Assignment | None = None,
+    tracer: "Tracer | None" = None,
+    deadline: float | None = None,
+) -> FusedSlot | None:
+    """:func:`solve_p2_bdma` plus the slot's Lemma-1 allocation, in one
+    kernel call.
+
+    :func:`can_fuse` must hold for *network*, *p2a_solver* and the
+    solver's kernels.  The call runs every round of the alternation in
+    C (the P2-A workspace refill, CGBA's sweep and dynamics, P2-B's fast
+    paths and golden-section search, the round's score, the
+    deadline and fixed-point exits) and then Lemma 1 on the winner, bit
+    for bit as the Python loop with the same solver: the decision, the
+    engine counters, every tracer counter and the ``p2a``/``cgba``/
+    ``p2b`` spans (replayed from the kernel's timestamps) come out the
+    same.  Random first profiles are drawn here, before the call; when
+    a failure or the deadline leaves some unused, the generator is
+    rewound to where the Python loop would have left it.
+
+    A failing call delivers its spans and counters to *tracer* before
+    raising.  A decided slot leaves them in ``FusedSlot.replay`` for
+    the caller to deliver once its ``bdma`` span has closed, so that
+    span times the decision, not the tracer's bookkeeping.
+
+    Returns ``None`` when the strategy space is not a product set (the
+    decomposed evaluator's premise), for the caller to run the Python
+    loop.
+
+    Raises:
+        DeadlineError: The deadline expired before the first round.
+        ConvergenceError: CGBA hit ``max_iter`` without
+            ``accept_partial``.
+        ConfigurationError: A first profile is infeasible for the slot.
+    """
+    if z < 1:
+        raise ConfigurationError(f"z must be a positive integer, got {z}")
+    if v <= 0.0:
+        raise ConfigurationError(f"V must be positive, got {v}")
+    if queue_backlog < 0.0:
+        raise ConfigurationError("queue backlog cannot be negative")
+    game = p2a_solver.workspace(network, space)
+    if not game.supports_lazy_gaps:
+        return None
+    saved = None
+    if warm_start and initial is not None:
+        seeds = [(initial.bs_of, initial.server_of)]
+    else:
+        saved = rng.bit_generator.state
+        seeds = [space.random_assignment(rng) for _ in range(1 if warm_start else z)]
+    out = game.kernels.bdma_slot(
+        game.kernel_state(),
+        (
+            state.spectral_efficiency,
+            state.bits,
+            state.cycles,
+            effective_fronthaul_se(network, state),
+        ),
+        state.available_servers,
+        seeds,
+        z,
+        warm_start,
+        initial is not None,
+        game.state is not state,
+        p2a_solver.slack,
+        p2a_solver.max_iter,
+        p2a_solver.accept_partial,
+        queue_backlog,
+        v,
+        budget,
+        state.price,
+        deadline,
+    )
+    started, rounds_run, warm_hits, truncated, uncovered, decided = (
+        out.counts.tolist()[:6]
+    )
+    if started < len(seeds) and saved is not None:
+        # Rewind: the Python loop draws a profile only for rounds it
+        # starts.
+        rng.bit_generator.state = saved
+        for _ in range(started):
+            space.random_assignment(rng)
+    if started:
+        game.state = state
+    rounds, times = out.rounds.tolist(), out.times.tolist()
+    stats = EngineStats()
+    players = game.num_players
+    candidates = game.candidate_count(None)
+    for (stage, _, moves, converged, _, _, _, _), t in zip(rounds, times):
+        if stage >= 2 and (converged or p2a_solver.accept_partial):
+            sweeps = moves + 1
+            stats.moves += moves
+            stats.sweeps += sweeps
+            stats.gap_recomputations += players * sweeps
+            stats.candidate_evaluations += candidates * sweeps
+            stats.setup_seconds += t[4]
+            stats.eval_seconds += t[5]
+    trace = (players, candidates, network.num_servers, p2a_solver.accept_partial)
+    status = out.status
+    if status:
+        # The loop's spans and counters up to the failure, inside the
+        # caller's bdma span, ahead of any fallback's events.
+        tracer = as_tracer(tracer)
+        if tracer.enabled:
+            _replay("", rounds, times, None, *trace, tracer)
+        if status == 1:
+            raise DeadlineError(_DEADLINE_MESSAGE)
+        if status == 2:
+            raise ConvergenceError(
+                f"best-response dynamics did not converge within "
+                f"{p2a_solver.max_iter} moves"
+            )
+        if status == 3:
+            raise game.infeasible_profile()
+        raise IndexError("strategy profile entry out of range")
+    assert decided
+    replay = None
+    if tracer is not None and tracer.enabled:
+        replay = partial(
+            _replay, "bdma/", rounds, times, (rounds_run, warm_hits, truncated),
+            *trace,
+        )
+    objective, latency, cost = out.values.tolist()[:3]
+    result = BDMAResult(
+        assignment=Assignment(
+            bs_of=out.assignment[0].copy(), server_of=out.assignment[1].copy()
+        ),
+        frequencies=out.frequencies.copy(),
+        objective=objective,
+        latency=latency,
+        cost=cost,
+        objective_history=out.history.tolist(),
+        engine_stats=stats,
+    )
+    return FusedSlot(result, out.shares.copy(), uncovered, replay)

@@ -61,6 +61,38 @@ class OffloadingCongestionGame(FiniteGame):
         rng: Rng | None = None,
         kernels: KernelBackend | str | None = None,
     ) -> None:
+        self._allocate(network, space, kernels)
+        self.rebind(state, frequencies, initial, rng=rng)
+
+    @classmethod
+    def unbound(
+        cls,
+        network: MECNetwork,
+        space: StrategySpace,
+        *,
+        kernels: KernelBackend | str | None = None,
+    ) -> "OffloadingCongestionGame":
+        """A game on *space* whose arrays describe no slot yet.
+
+        Everything the constructor allocates, without its first
+        :meth:`rebind` (so no rng is drawn and no kernel runs);
+        ``state`` is ``None`` until a refill poses it.  The fused slot
+        kernel (:func:`repro.core.bdma.solve_p2_bdma_fused`) refills
+        such a game in place.
+        """
+        game = cls.__new__(cls)
+        game._allocate(network, space, kernels)
+        game.state = None
+        return game
+
+    def _allocate(
+        self,
+        network: MECNetwork,
+        space: StrategySpace,
+        kernels: KernelBackend | str | None,
+    ) -> None:
+        """Allocate every buffer and the kernel-state view (the
+        constructor minus its first refill)."""
         self.network = network
         self.space = space
         self.kernels = get_kernels(kernels)
@@ -130,7 +162,6 @@ class OffloadingCongestionGame(FiniteGame):
         self._sq_front = self._sq[num_bs : 2 * num_bs]
         self._sq_compute = self._sq[2 * num_bs :]
         self._build_kernel_state()
-        self.rebind(state, frequencies, initial, rng=rng)
 
     def _set_frequencies(self, frequencies: FloatArray) -> None:
         frequencies = np.asarray(frequencies, dtype=np.float64)
@@ -182,11 +213,16 @@ class OffloadingCongestionGame(FiniteGame):
         pointer conversions) alias them.
         """
         if not self.kernels.reset_profile(self._ks):
-            bad = int(np.flatnonzero(~np.isfinite(self._pa_cur))[0])
-            raise ConfigurationError(
-                f"initial assignment is infeasible: device {bad} selected a "
-                f"base station with zero spectral efficiency this slot"
-            )
+            raise self.infeasible_profile()
+
+    def infeasible_profile(self) -> ConfigurationError:
+        """The error for a profile reset that left a non-finite access
+        load: it names the first device on an uncovered base station."""
+        bad = int(np.flatnonzero(~np.isfinite(self._pa_cur))[0])
+        return ConfigurationError(
+            f"initial assignment is infeasible: device {bad} selected a "
+            f"base station with zero spectral efficiency this slot"
+        )
 
     def reset_profile(
         self, initial: Assignment | None = None, *, rng: Rng | None = None
@@ -433,6 +469,10 @@ class OffloadingCongestionGame(FiniteGame):
             fronthaul_bandwidth=network.fronthaul_bandwidth,
             speed_scale=network.speed_scale,
             suitability=network.suitability,
+            access_bandwidth=network.access_bandwidth,
+            freq_min=network.freq_min,
+            freq_max=network.freq_max,
+            energy_table=network.energy_table,
         )
 
     def candidate_count(self, players: np.ndarray | None = None) -> int:

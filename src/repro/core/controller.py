@@ -18,9 +18,10 @@ import numpy as np
 from repro.core.allocation import optimal_allocation
 from repro.core.bdma import (
     P2ASolver,
-    bdma_request_stream,
+    can_fuse,
     cgba_p2a_solver,
-    drive_p2b,
+    solve_p2_bdma,
+    solve_p2_bdma_fused,
 )
 from repro.core.budget import BudgetSchedule, as_schedule
 from repro.core.overload import OverloadPolicy, shed_tasks
@@ -32,7 +33,12 @@ from repro.core.resilience import (
 )
 from repro.core.state import Assignment, Decision, ResourceAllocation, SlotState
 from repro.core.virtual_queue import VirtualQueue
-from repro.exceptions import ConfigurationError, InfeasibleError, InjectedFaultError, SolverError
+from repro.exceptions import (
+    ConfigurationError,
+    InfeasibleError,
+    InjectedFaultError,
+    SolverError,
+)
 from repro.kernels import get_kernels
 from repro.network.connectivity import StrategySpace
 from repro.network.topology import MECNetwork
@@ -356,18 +362,19 @@ class DPPController(OnlineController):
         return self._space
 
     def step(self, state: SlotState) -> SlotRecord:
-        return drive_p2b(self.step_requests(state))
+        """Decide one slot.
 
-    def step_requests(self, state: SlotState):
-        """Generator form of :meth:`step` for lockstep batch drivers.
-
-        Yields :func:`~repro.core.p2b.solve_p2b` keyword dicts (the
-        slot's BDMA rounds), expects the frequency arrays sent back, and
-        returns the :class:`SlotRecord`.  Driving it with
-        :func:`~repro.core.bdma.drive_p2b` is exactly ``step``; the
-        batched replication runner advances several controllers'
-        streams together so their P2-B searches share one kernel call.
-        Bit-identical to ``step`` either way.
+        The slot's BDMA and Lemma-1 allocation run as one kernel call
+        (:func:`~repro.core.bdma.solve_p2_bdma_fused`) when the backend
+        has a fused slot kernel, the P2-A solver is a
+        :func:`~repro.core.bdma.cgba_p2a_solver` on that backend and the
+        network's energy models are quadratic; every other
+        configuration runs the Python loop
+        (:func:`~repro.core.bdma.solve_p2_bdma` and
+        :func:`~repro.core.allocation.optimal_allocation`), which the
+        fused call reproduces bit for bit.  Quarantine, shedding,
+        carry-over repair, chaos trips and the fallback chain stay in
+        Python either way.
         """
         tracer = self.tracer
         policy = self.resilience
@@ -438,6 +445,12 @@ class DPPController(OnlineController):
                 if policy is not None and policy.deadline_seconds is not None
                 else None
             )
+            solver = (
+                self.p2a_solver
+                if self.p2a_solver is not None
+                else self._default_p2a_solver
+            )
+            fused = None
             with tracer.span("bdma"):
                 try:
                     if (
@@ -448,26 +461,32 @@ class DPPController(OnlineController):
                         raise InjectedFaultError(
                             f"chaos: injected solver failure at slot {state.t}"
                         )
-                    result = yield from bdma_request_stream(
-                        self.network,
-                        effective,
-                        space,
-                        self.rng,
+                    options = dict(
                         queue_backlog=backlog_before,
                         v=self.v,
                         budget=slot_budget,
                         z=self.z,
-                        p2a_solver=(
-                            self.p2a_solver
-                            if self.p2a_solver is not None
-                            else self._default_p2a_solver
-                        ),
+                        p2a_solver=solver,
                         warm_start=self.warm_start,
                         initial=self._previous if self.carry_over else None,
                         tracer=tracer,
                         deadline=deadline,
-                        backend=self.engine_backend,
                     )
+                    if can_fuse(self.network, solver, self.engine_backend):
+                        fused = solve_p2_bdma_fused(
+                            self.network, effective, space, self.rng, **options
+                        )
+                    if fused is None:
+                        result = solve_p2_bdma(
+                            self.network,
+                            effective,
+                            space,
+                            self.rng,
+                            backend=self.engine_backend,
+                            **options,
+                        )
+                    else:
+                        result = fused.result
                 except SolverError as exc:
                     if policy is None or not policy.fallback:
                         raise
@@ -496,14 +515,22 @@ class DPPController(OnlineController):
             self._last_assignment = result.assignment
             self._last_frequencies = result.frequencies
 
+            # BDMA scored the winning round with exactly the latency and
+            # cost calls; reuse its floats instead of recomputing.
+            latency = result.latency
+            cost = result.cost
+            if fused is not None and fused.replay is not None:
+                # The kernel's sub-spans and counters, delivered once
+                # the bdma span has timed the decision itself.
+                fused.replay(tracer)
             with tracer.span("allocation"):
-                allocation = optimal_allocation(
-                    self.network, effective, result.assignment
+                # A fused slot's kernel already computed the shares;
+                # building and checking them is what is left.
+                allocation = (
+                    optimal_allocation(self.network, effective, result.assignment)
+                    if fused is None
+                    else fused.allocation()
                 )
-                # BDMA scored the winning round with exactly these
-                # calls; reuse its floats instead of recomputing.
-                latency = result.latency
-                cost = result.cost
                 if tracer.enabled:
                     emit_feasibility_gauges(
                         tracer,

@@ -21,8 +21,6 @@ call at N=16 on the paper scenario).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from repro.core.latency import server_load_roots
@@ -325,126 +323,3 @@ def _solve_p2b_scalar(
         tracer.counter("p2b.scalar_solves", scalar_solves)
         tracer.counter("p2b.fastpath", network.num_servers - scalar_solves)
     return frequencies
-
-class _Lanes(NamedTuple):
-    """One request's contribution to a fused ``golden_quad`` call."""
-
-    kernels: KernelBackend
-    tol: float
-    network: MECNetwork
-    frequencies: FloatArray  # output array, fast paths already applied
-    servers: np.ndarray  # lanes that need the search
-    latency_scale: FloatArray
-    energy_pressure: float
-    method: str  # resolved method, for counter parity
-    tracer: Tracer
-
-
-def _fuse_prep(
-    network: MECNetwork,
-    state: SlotState,
-    assignment: Assignment,
-    *,
-    queue_backlog: float,
-    v: float,
-    tol: float = 1e-8,
-    method: str = "auto",
-    tracer: "Tracer | None" = None,
-    backend: "KernelBackend | str | None" = None,
-) -> _Lanes | None:
-    """The search-prologue of :func:`solve_p2b`, packaged for fusion.
-
-    Returns ``None`` when the request cannot join a fused kernel call --
-    no native ``golden_quad`` or no quadratic energy table -- in which
-    case the caller solves it solo.  The returned lanes reproduce the solo
-    call's masks, brackets, and coefficient columns exactly, so stacking
-    them with other requests' lanes cannot change any lane's arithmetic.
-    """
-    if method not in ("auto", "batch", "scalar"):
-        return None
-    kernels = get_kernels(backend)
-    if kernels.golden_quad is None or network.energy_table is None:
-        return None
-    if method == "auto":
-        method = "scalar" if network.num_servers < _BATCH_CUTOVER else "batch"
-    roots = server_load_roots(network, state, assignment)
-    demand = roots * roots
-    energy_pressure = queue_backlog * state.price
-    frequencies, servers = _fast_paths(network, state, demand, energy_pressure)
-    return _Lanes(
-        kernels, tol, network, frequencies, servers,
-        _latency_scale(network, servers, demand, v),
-        energy_pressure, method, as_tracer(tracer),
-    )
-
-
-def solve_p2b_many(requests: "list[dict]") -> "list[FloatArray]":
-    """Solve several independent P2-B instances, fused where possible.
-
-    Args:
-        requests: :func:`solve_p2b` keyword dicts, e.g. as yielded by
-            :func:`repro.core.bdma.bdma_request_stream` -- typically one
-            per replication seed advancing in lockstep.
-
-    Returns:
-        The frequency arrays in request order, each bit-identical to
-        ``solve_p2b(**request)`` run alone.
-
-    Requests that would run the search on a native ``golden_quad``
-    kernel are stacked -- all their server lanes written
-    into one ``(8, lanes)`` argument block and searched in one kernel
-    invocation per distinct ``(backend, tol)`` -- which is what makes
-    cross-seed batched replication cheaper than R solo runs.  The
-    kernel treats lanes independently, so fusion cannot change any
-    lane's result; per-request counters (``p2b.scalar_solves`` /
-    ``p2b.fastpath`` / ``p2b.batch_iters``) are emitted to each
-    request's own tracer exactly as the solo call would.  Requests that
-    cannot fuse (numpy backend, non-quadratic energy models) fall back
-    to a plain :func:`solve_p2b` call.
-    """
-    out: "list[FloatArray | None]" = [None] * len(requests)
-    groups: dict = {}
-    for idx, request in enumerate(requests):
-        lanes = _fuse_prep(**request)
-        if lanes is None:
-            out[idx] = solve_p2b(**request)
-        else:
-            groups.setdefault((id(lanes.kernels), lanes.tol), []).append(
-                (idx, lanes)
-            )
-    for members in groups.values():
-        sizes = [lanes.servers.size for _, lanes in members]
-        total = sum(sizes)
-        x_all = np.empty(0)
-        evals_all = np.empty(0, dtype=np.int64)
-        if total:
-            # Rows: lo, hi, latency scale, energy pressure, then the
-            # energy table's scale, a, b, c -- golden_quad's order.
-            block = np.empty((8, total))
-            offset = 0
-            for (_, lanes), size in zip(members, sizes):
-                stop = offset + size
-                servers, network = lanes.servers, lanes.network
-                block[0, offset:stop] = network.freq_min[servers]
-                block[1, offset:stop] = network.freq_max[servers]
-                block[2, offset:stop] = lanes.latency_scale
-                block[3, offset:stop] = lanes.energy_pressure
-                block[4:, offset:stop] = network.energy_table[:, servers]
-                offset = stop
-            first = members[0][1]
-            x_all, evals_all = first.kernels.golden_quad(*block, first.tol)
-        offset = 0
-        for (idx, lanes), size in zip(members, sizes):
-            stop = offset + size
-            lanes.frequencies[lanes.servers] = x_all[offset:stop]
-            tracer = lanes.tracer
-            if tracer.enabled:
-                tracer.counter("p2b.scalar_solves", size)
-                tracer.counter("p2b.fastpath", lanes.network.num_servers - size)
-                if lanes.method == "batch":
-                    tracer.counter(
-                        "p2b.batch_iters", int(evals_all[offset:stop].sum())
-                    )
-            offset = stop
-            out[idx] = lanes.frequencies
-    return out

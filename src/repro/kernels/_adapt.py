@@ -20,10 +20,17 @@ a fraction of a pointer conversion.  The only array still converted
 per call is the engine's gap vector, and only for a new engine.
 ``golden_quad`` is not tied to a state: its lanes are copied into
 adapter-owned buffers that are converted once per capacity.
+
+``bdma_slot`` runs a whole slot in one call.  Its arguments are one
+struct of pointers (the ``_SLOT_STATE_FIELDS``, then adapter-owned
+buffers), built once per state and round capacity; a call copies the
+slot's arrays and seed profiles into those buffers and passes a
+handful of scalars.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from typing import Callable, NamedTuple
 
@@ -32,7 +39,7 @@ import numpy as np
 from repro.kernels.interface import DecomposedState, KernelBackend
 from repro.kernels.numpy_backend import candidate_costs, segment_first_min
 
-__all__ = ["RawKernels", "wrap_raw_backend"]
+__all__ = ["RawKernels", "SlotOutcome", "wrap_raw_backend"]
 
 
 class RawKernels(NamedTuple):
@@ -45,6 +52,10 @@ class RawKernels(NamedTuple):
     rebind: Callable
     update_frequencies: Callable
     greedy_pass: Callable
+    bdma_slot: Callable
+    #: ``pointers -> (struct, argument)``: the fused slot call's struct
+    #: of pointers and the argument that passes it.
+    slot_struct: Callable
 
 
 #: DecomposedState fields handed to the raw kernels with dtype int64;
@@ -84,6 +95,29 @@ _CLOCK_FIELDS = (
 )
 
 
+#: repro_bdma_slot's struct: the DecomposedState fields it aliases, in
+#: the C struct's order; the adapter-owned buffers follow (see
+#: _SlotBuffers).
+_SLOT_STATE_FIELDS = (
+    "loads", "sq", "m", "cur_p", "p", "w", "sub", "wcur",
+    "cur_idx", "menu_of_bs", "menu_offsets", "menu_servers", "nidx", "kbest",
+    "cc", "p_access", "p_front", "p_compute", "m_access", "m_front",
+    "m_compute", "bs_of", "server_of", "pa_cur", "pc_cur", "sq_access",
+    "sq_front", "sq_compute", "frequencies",
+    "access_bandwidth", "fronthaul_bandwidth", "speed_scale", "suitability",
+    "freq_min", "freq_max", "energy_table",
+)
+#: Per-round records of the slot call (see repro_bdma_slot): counts
+#: (stage, refill kind, moves, converged, searched lanes, golden
+#: evaluations) and times (P2-A start, refill, reset, CGBA start,
+#: sweep, dynamics, CGBA end, P2-B start, golden, P2-B end).
+ROUND_COUNTS = 8
+ROUND_TIMES = 10
+#: CPython 3.12 made the builtin sum of floats compensated; the slot
+#: call mirrors the running interpreter's energy-cost sum.
+_COMPENSATED_SUM = int(sys.version_info >= (3, 12))
+
+
 def _validate(arr: np.ndarray, field: str) -> None:
     if not arr.flags.c_contiguous:
         raise ValueError(f"kernel state field {field!r} is not C-contiguous")
@@ -112,17 +146,18 @@ class _StateCache:
         "sizes", "evaluator", "profile", "sweep_args", "reset_args",
         "rebind_args", "clock_args", "slot_buffers",
         "buffers", "best", "converged", "gaps", "gaps_arg",
+        "converted", "scratch", "slot",
     )
 
     def __init__(self, state: DecomposedState, convert) -> None:
-        converted: dict = {}
+        # Field name -> converted pointer.  The cache lives in the
+        # state's kernel_args, so it must not hold the state itself: a
+        # cycle would keep the game's arrays alive past the game.
+        self.converted: dict = {}
+        self.slot = None
 
         def arg(name: str):
-            if name not in converted:
-                arr = getattr(state, name)
-                _validate(arr, name)
-                converted[name] = convert(arr)
-            return converted[name]
+            return self.arg(state, name, convert)
 
         num_groups = len(state.cols)
         players, num_bs = state.num_players, state.num_bs
@@ -157,6 +192,7 @@ class _StateCache:
         # The converted pointers stay valid only while these live.
         self.buffers = (adj, t, bvals, mirror, imirror)
         scratch = (convert(adj), convert(t), convert(bvals))
+        self.scratch = (*scratch, convert(mirror), convert(imirror))
         self.sizes = (players, num_bs, state.num_servers, num_groups)
         self.evaluator = tuple(arg(name) for name in _EVALUATOR_FIELDS)
         self.profile = (
@@ -181,6 +217,15 @@ class _StateCache:
         self.gaps = None
         self.gaps_arg = None
 
+    def arg(self, state: DecomposedState, name: str, convert):
+        """*state*'s field *name*, validated and converted once."""
+        converted = self.converted.get(name)
+        if converted is None:
+            arr = getattr(state, name)
+            _validate(arr, name)
+            converted = self.converted[name] = convert(arr)
+        return converted
+
     def bind_gaps(self, gaps: np.ndarray, convert) -> None:
         """Check and convert a new engine's gap vector, which the loop
         reads and writes for every player."""
@@ -192,6 +237,100 @@ class _StateCache:
         if gaps.shape != shape:
             raise ValueError(f"gaps has shape {gaps.shape}, expected {shape}")
         self.gaps, self.gaps_arg = gaps, convert(gaps)
+
+
+class _SlotBuffers:
+    """The fused slot call's adapter-owned buffers and struct for one
+    state, sized for up to ``rounds`` BDMA rounds.
+
+    Holds the availability mask (the slot's other arrays go to the
+    state cache's rebind buffers), the seed profiles, scratch and every
+    result; a call returns views of them as a :class:`SlotOutcome`.
+    """
+
+    __slots__ = (
+        "rounds", "available", "seeds", "prev", "best_assign", "freq",
+        "best_freq", "shares", "history", "rtimes", "out_f", "rcounts",
+        "out_i", "arrays", "struct", "struct_arg",
+    )
+
+    def __init__(self, state: DecomposedState, cache: _StateCache,
+                 raw: RawKernels, convert, rounds: int) -> None:
+        players, num_bs, num_servers, _ = cache.sizes
+        self.rounds = rounds
+        self.available = np.empty(num_servers, dtype=np.int64)
+        self.seeds = np.empty((rounds, 2, players), dtype=np.int64)
+        self.prev = np.empty((2, players), dtype=np.int64)
+        self.best_assign = np.empty((2, players), dtype=np.int64)
+        self.freq = np.empty(num_servers)
+        self.best_freq = np.empty(num_servers)
+        self.shares = np.empty((3, players))
+        self.history = np.empty(rounds)
+        self.rtimes = np.zeros((rounds, ROUND_TIMES))
+        self.out_f = np.zeros(8)
+        self.rcounts = np.zeros((rounds, ROUND_COUNTS), dtype=np.int64)
+        self.out_i = np.zeros(8, dtype=np.int64)
+        gaps = np.empty(players)
+        # Server roots, latency terms and per-base-station roots, the
+        # powers and Lemma 1's group totals (repro_bdma_slot's layout).
+        work = np.empty(4 * num_servers + 5 * num_bs)
+        self.arrays = (gaps, work)
+        pointers = (
+            *(cache.arg(state, name, convert) for name in _SLOT_STATE_FIELDS),
+            *(convert(buffer) for buffer in cache.slot_buffers),
+            convert(self.available),
+            *cache.scratch,
+            convert(cache.best), convert(gaps), convert(work),
+            *(convert(a) for a in (self.seeds, self.prev, self.best_assign)),
+            *(
+                convert(a)
+                for a in (
+                    self.freq, self.best_freq, self.shares, self.history,
+                    self.rtimes, self.out_f,
+                )
+            ),
+            convert(self.rcounts), convert(self.out_i),
+        )
+        self.struct, self.struct_arg = raw.slot_struct(pointers)
+
+
+class SlotOutcome(NamedTuple):
+    """What one ``bdma_slot`` call left: its status and views of the
+    result buffers, valid until the next call on the same state.
+
+    ``status`` is 0 (decided), 1 (deadline expired before the first
+    round), 2 (CGBA hit ``max_iter`` without ``accept_partial``), 3 (a
+    seed profile puts a device on a base station with a non-finite
+    access weight) or 4 (a seed entry out of range).  ``rounds`` and
+    ``times`` hold one row per started round (``ROUND_COUNTS`` and
+    ``ROUND_TIMES`` columns, see ``repro_bdma_slot``); ``counts`` is
+    (rounds started, rounds run, warm-start hits, truncated, uncovered
+    allocation device or -1, decided) and ``values`` (objective,
+    latency, cost).
+    """
+
+    status: int
+    rounds: np.ndarray
+    times: np.ndarray
+    counts: np.ndarray
+    values: np.ndarray
+    history: np.ndarray
+    assignment: np.ndarray
+    frequencies: np.ndarray
+    shares: np.ndarray
+
+    def kernel_seconds(self):
+        """``(kernel, seconds)`` per sub-kernel call, in call order."""
+        for (stage, refill, _, _, searched, _, _, _), times in zip(
+            self.rounds.tolist(), self.times.tolist()
+        ):
+            yield ("rebind" if refill == 1 else "update_frequencies"), times[1]
+            yield "reset_profile", times[2]
+            if stage >= 2:
+                yield "gap_sweep", times[4]
+                yield "run_dynamics", times[5]
+            if stage == 3 and searched:
+                yield "golden_quad", times[8]
 
 
 #: golden_quad's lane arguments, in order.
@@ -277,6 +416,45 @@ def wrap_raw_backend(raw: RawKernels, *, convert) -> KernelBackend:
     def update_frequencies(state: DecomposedState) -> None:
         raw.update_frequencies(*_cache(state).clock_args)
 
+    def bdma_slot(
+        state: DecomposedState, slot_arrays, available, seeds, z,
+        warm_start, has_initial, rebind_first, slack, max_iter,
+        accept_partial, queue_backlog, v, budget, price, deadline,
+    ) -> SlotOutcome:
+        cache = _cache(state)
+        slot = cache.slot
+        if slot is None or slot.rounds < z:
+            if state.energy_table is None:
+                raise ValueError("bdma_slot needs a quadratic energy table")
+            slot = cache.slot = _SlotBuffers(
+                state, cache, raw, convert, max(z, 1)
+            )
+        for buffer, arr in zip(cache.slot_buffers, slot_arrays, strict=True):
+            if arr.shape != buffer.shape:
+                raise ValueError(
+                    f"slot array has shape {arr.shape}, expected {buffer.shape}"
+                )
+            np.copyto(buffer, arr)
+        if available is not None:
+            np.copyto(slot.available, available)
+        for row, (bs_of, server_of) in zip(slot.seeds, seeds):
+            row[0] = bs_of
+            row[1] = server_of
+        status = raw.bdma_slot(
+            slot.struct_arg, *cache.sizes, z, int(warm_start),
+            int(has_initial), int(rebind_first), float(slack), int(max_iter),
+            int(accept_partial), float(queue_backlog), float(v),
+            float(budget), float(price), int(deadline is not None),
+            0.0 if deadline is None else float(deadline),
+            int(available is not None), _COMPENSATED_SUM,
+        )
+        started = int(slot.out_i[0])
+        return SlotOutcome(
+            int(status), slot.rcounts[:started], slot.rtimes[:started],
+            slot.out_i, slot.out_f, slot.history[:z], slot.best_assign,
+            slot.best_freq, slot.shares,
+        )
+
     lane_buffers = _LaneBuffers(convert)
 
     def golden_quad(lo, hi, ls, ep, scale, qa, qb, qc, tol, max_iter=200):
@@ -352,4 +530,5 @@ def wrap_raw_backend(raw: RawKernels, *, convert) -> KernelBackend:
         greedy_pass=greedy_pass,
         run_dynamics=run_dynamics,
         golden_quad=golden_quad,
+        bdma_slot=bdma_slot,
     )

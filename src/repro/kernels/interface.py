@@ -131,6 +131,16 @@ class DecomposedState:
     speed_scale: np.ndarray
     #: ``(I, N)`` network constant: task suitabilities ``sigma``.
     suitability: np.ndarray
+    #: ``(K,)`` network constant: access bandwidths ``W^A_k``.
+    access_bandwidth: np.ndarray
+    #: ``(N,)`` network constant: lowest clocks ``F^L`` in GHz.
+    freq_min: np.ndarray
+    #: ``(N,)`` network constant: highest clocks ``F^U`` in GHz.
+    freq_max: np.ndarray
+    #: ``(4, N)`` network constant: the quadratic energy rows ``scale,
+    #: a, b, c`` (``MECNetwork.energy_table``), ``None`` for other
+    #: energy models.
+    energy_table: "np.ndarray | None"
     #: Backend-private converted-argument caches, keyed by the raw
     #: provider's argument conversion (see :mod:`repro.kernels._adapt`).
     kernel_args: dict = field(default_factory=dict, repr=False, compare=False)
@@ -190,6 +200,16 @@ class KernelBackend:
             :func:`repro.baselines.greedy.solve_p2a_greedy`); each device
             in ``order`` commits its cheapest marginal pair, ties and
             NaNs resolved as ``np.argmin`` does.
+        bdma_slot: ``(state, slot_arrays, available, seeds, z,
+            warm_start, has_initial, rebind_first, slack, max_iter,
+            accept_partial, queue_backlog, v, budget, price, deadline)
+            -> SlotOutcome`` -- one slot of BDMA with CGBA for P2-A and
+            the Lemma-1 allocation of its decision, bit-identical to the
+            Python loop of :func:`repro.core.bdma.solve_p2_bdma`
+            (:func:`repro.core.bdma.solve_p2_bdma_fused` drives it; see
+            :class:`repro.kernels._adapt.SlotOutcome`).  *state* must
+            carry an ``energy_table``.  ``None`` when the backend has
+            no fused slot (the controller then runs the Python loop).
     """
 
     name: str
@@ -203,3 +223,4 @@ class KernelBackend:
     greedy_pass: Callable
     run_dynamics: Callable | None = None
     golden_quad: Callable | None = None
+    bdma_slot: Callable | None = None

@@ -38,6 +38,7 @@ class KernelBuildError(RuntimeError):
 
 _SOURCE = r"""
 #include <math.h>
+#include <time.h>
 
 /* Inverse golden ratios; sqrt(5.0) is correctly rounded at compile
  * time, so these bits match Python's (math.sqrt(5.0) - 1.0) / 2.0. */
@@ -411,11 +412,56 @@ i64 repro_run_dynamics(
     return moves;
 }
 
-/* Per-lane golden-section search on the P2-B quadratic-energy
- * objective f(x) = ls/x + ep * (scale * (qa x^2 + qb x + qc)).
- * Replays minimize_convex_scalar lane by lane: same probe points, same
- * fc <= fd branch, same endpoint-included candidate comparison with
- * the first-minimum tie break, same evaluation counting. */
+/* One lane of the golden-section search on the P2-B quadratic-energy
+ * objective f(x) = L/x + E * (S * (A x^2 + B x + C)) over [lo, hi].
+ * Replays minimize_convex_scalar: same probe points, same fc <= fd
+ * branch, same endpoint-included candidate comparison with the
+ * first-minimum tie break, same evaluation counting. */
+static double golden_lane(
+    double lo, double hi, double tol, i64 max_iter,
+    double L, double E, double S, double A, double B, double C,
+    i64 *evals_out)
+{
+    double a = lo, b = hi;
+    double width, threshold, c, d, fc, fd, fl, fh, bv, bx;
+    i64 evals;
+    if (b == a) {
+        *evals_out = 1;
+        return a;
+    }
+    width = b - a;
+    threshold = tol * (width > 1.0 ? width : 1.0);
+    c = a + INVPHI2 * (b - a);
+    d = a + INVPHI * (b - a);
+    fc = L / c + E * (S * (A * c * c + B * c + C));
+    fd = L / d + E * (S * (A * d * d + B * d + C));
+    evals = 2;
+    for (i64 it = 0; it < max_iter; ++it) {
+        if ((b - a) <= threshold)
+            break;
+        if (fc <= fd) {
+            b = d; d = c; fd = fc;
+            c = a + INVPHI2 * (b - a);
+            fc = L / c + E * (S * (A * c * c + B * c + C));
+        } else {
+            a = c; c = d; fc = fd;
+            d = a + INVPHI * (b - a);
+            fd = L / d + E * (S * (A * d * d + B * d + C));
+        }
+        ++evals;
+    }
+    fl = L / lo + E * (S * (A * lo * lo + B * lo + C));
+    fh = L / hi + E * (S * (A * hi * hi + B * hi + C));
+    evals += 2;
+    bv = fl; bx = lo;
+    if (fh < bv) { bv = fh; bx = hi; }
+    if (fc < bv) { bv = fc; bx = c; }
+    if (fd < bv) { bv = fd; bx = d; }
+    *evals_out = evals;
+    return bx;
+}
+
+/* Per-lane golden-section search, golden_lane on every lane. */
 void repro_golden_quad(
     i64 n, const double *lo, const double *hi,
     double tol, i64 max_iter,
@@ -423,50 +469,9 @@ void repro_golden_quad(
     const double *qa, const double *qb, const double *qc,
     double *x_out, i64 *evals_out)
 {
-    for (i64 i = 0; i < n; ++i) {
-        double a = lo[i], b = hi[i];
-        double L = ls[i], E = ep[i], S = scale[i];
-        double A = qa[i], B = qb[i], C = qc[i];
-        double width, threshold, c, d, fc, fd, xl, xh, fl, fh, bv, bx;
-        i64 evals;
-        if (b == a) {
-            x_out[i] = a;
-            evals_out[i] = 1;
-            continue;
-        }
-        width = b - a;
-        threshold = tol * (width > 1.0 ? width : 1.0);
-        c = a + INVPHI2 * (b - a);
-        d = a + INVPHI * (b - a);
-        fc = L / c + E * (S * (A * c * c + B * c + C));
-        fd = L / d + E * (S * (A * d * d + B * d + C));
-        evals = 2;
-        for (i64 it = 0; it < max_iter; ++it) {
-            if ((b - a) <= threshold)
-                break;
-            if (fc <= fd) {
-                b = d; d = c; fd = fc;
-                c = a + INVPHI2 * (b - a);
-                fc = L / c + E * (S * (A * c * c + B * c + C));
-            } else {
-                a = c; c = d; fc = fd;
-                d = a + INVPHI * (b - a);
-                fd = L / d + E * (S * (A * d * d + B * d + C));
-            }
-            ++evals;
-        }
-        xl = lo[i];
-        xh = hi[i];
-        fl = L / xl + E * (S * (A * xl * xl + B * xl + C));
-        fh = L / xh + E * (S * (A * xh * xh + B * xh + C));
-        evals += 2;
-        bv = fl; bx = xl;
-        if (fh < bv) { bv = fh; bx = xh; }
-        if (fc < bv) { bv = fc; bx = c; }
-        if (fd < bv) { bv = fd; bx = d; }
-        x_out[i] = bx;
-        evals_out[i] = evals;
-    }
+    for (i64 i = 0; i < n; ++i)
+        x_out[i] = golden_lane(lo[i], hi[i], tol, max_iter, ls[i], ep[i],
+                               scale[i], qa[i], qb[i], qc[i], &evals_out[i]);
 }
 
 /* Re-seed the per-profile arrays from bs_of/server_of, as the NumPy
@@ -687,6 +692,415 @@ void repro_update_frequencies(
         wcur[2 * I + i] = m_compute[server_of[i]] * pc_cur[i];
     }
 }
+
+/* ---- One slot's BDMA and Lemma-1 allocation in one call ---------- */
+
+/* time.perf_counter(): CLOCK_MONOTONIC nanoseconds in seconds, rounded
+ * as CPython rounds them (whole seconds converted exactly). */
+static double now_s(void)
+{
+    struct timespec ts;
+    i64 ns;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    ns = (i64)ts.tv_sec * 1000000000LL + (i64)ts.tv_nsec;
+    if (ns % 1000000000LL == 0)
+        return (double)(ns / 1000000000LL);
+    return (double)ns / 1e9;
+}
+
+/* numpy's pairwise summation, which a contiguous float64 .sum() runs:
+ * a running sum below 8 entries, eight interleaved accumulators up to
+ * 128, and above that a split at half the length rounded down to a
+ * multiple of 8. */
+double repro_pairwise_sum(const double *a, i64 n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (i64 i = 0; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        i64 i;
+        for (int j = 0; j < 8; ++j)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; ++j)
+                r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    {
+        i64 n2 = n / 2;
+        n2 -= n2 % 8;
+        return repro_pairwise_sum(a, n2) + repro_pairwise_sum(a + n2, n - n2);
+    }
+}
+
+/* The builtin sum of a list of floats from its int 0 start: a running
+ * sum, or with compensated set (CPython 3.12 on) Neumaier's
+ * compensated sum, the compensation added at the end when it is
+ * non-zero and finite. */
+double repro_builtin_sum(const double *x, i64 n, i64 compensated)
+{
+    double f, c = 0.0;
+    if (n == 0)
+        return 0.0;
+    f = 0.0 + x[0];
+    for (i64 i = 1; i < n; ++i) {
+        double t = f + x[i];
+        if (compensated) {
+            if (fabs(f) >= fabs(x[i]))
+                c += (f - t) + x[i];
+            else
+                c += (x[i] - t) + f;
+        }
+        f = t;
+    }
+    if (c != 0.0 && isfinite(c))
+        f += c;
+    return f;
+}
+
+/* Everything repro_bdma_slot reads and writes; every field a pointer,
+ * in the order _adapt._SlotBuffers passes them (_SLOT_STATE_FIELDS,
+ * then the adapter's buffers).  The first block aliases the
+ * game's DecomposedState, then the network constants, the slot's
+ * arrays (copied in by the adapter), scratch, the round profiles and
+ * the results. */
+typedef struct {
+    double *loads, *sq, *m, *cur_p, *p, *w, *sub, *wcur;
+    i64 *cur_idx, *menu_of_bs, *menu_off, *menu_srv, *nidx, *kbest;
+    double *cc, *p_access, *p_front, *p_compute;
+    double *m_access, *m_front, *m_compute;
+    i64 *bs_of, *server_of;
+    double *pa_cur, *pc_cur, *sq_access, *sq_front, *sq_compute;
+    double *frequencies;
+    double *access_bw, *front_bw, *speed_scale, *suitability;
+    double *freq_min, *freq_max, *energy;
+    double *se, *bits, *cycles, *front_se;
+    i64 *available;
+    double *adj, *t, *bvals, *mirror;
+    i64 *imirror;
+    double *best, *gaps, *work;
+    i64 *seeds, *prev, *best_assign;
+    double *freq, *best_freq, *shares, *history, *rtimes, *out_f;
+    i64 *rcounts, *out_i;
+} repro_slot;
+
+/* Per-round records: ROUND_I counts (stage reached -- 1 seeded, 2
+ * CGBA done, 3 P2-B done --, refill kind -- 1 rebind, 2 clock update
+ * --, moves, converged, searched lanes, golden evaluations) and
+ * ROUND_T times (P2-A start, refill, reset and sweep seconds, CGBA
+ * start, dynamics seconds, CGBA end, P2-B start, golden seconds, P2-B
+ * end). */
+#define ROUND_I 8
+#define ROUND_T 10
+
+static void copy_i64(i64 n, const i64 *src, i64 *dst)
+{
+    for (i64 i = 0; i < n; ++i)
+        dst[i] = src[i];
+}
+
+static int same_profile(i64 I, const i64 *bs, const i64 *srv, const i64 *prof)
+{
+    for (i64 i = 0; i < I; ++i)
+        if (bs[i] != prof[i] || srv[i] != prof[I + i])
+            return 0;
+    return 1;
+}
+
+/* T_t of the current profile at clocks freq (optimal_total_latency),
+ * reusing the P2-B server roots; the three closed-form terms are
+ * .sum()s, hence pairwise. */
+static double slot_latency(const repro_slot *s, i64 I, i64 K, i64 N,
+                           const double *roots, double *terms)
+{
+    double *ra = terms + N, *rf = ra + K, *kt = rf + K;
+    double proc, access, front;
+    for (i64 n = 0; n < N; ++n)
+        terms[n] = roots[n] * roots[n] / ((s->speed_scale[n] * s->freq[n]) * 1e9);
+    proc = repro_pairwise_sum(terms, N);
+    for (i64 k = 0; k < K; ++k) {
+        ra[k] = 0.0;
+        rf[k] = 0.0;
+    }
+    for (i64 i = 0; i < I; ++i) {
+        i64 k = s->bs_of[i];
+        double h = s->se[i * K + k];
+        ra[k] += h > 0.0 ? sqrt(s->bits[i] / h) : 0.0;
+    }
+    for (i64 i = 0; i < I; ++i)
+        rf[s->bs_of[i]] += sqrt(s->bits[i]);
+    for (i64 k = 0; k < K; ++k)
+        kt[k] = ra[k] * ra[k] / s->access_bw[k];
+    access = repro_pairwise_sum(kt, K);
+    for (i64 k = 0; k < K; ++k)
+        kt[k] = rf[k] * rf[k] / (s->front_bw[k] * s->front_se[k]);
+    front = repro_pairwise_sum(kt, K);
+    return proc + (access + front);
+}
+
+/* Lemma 1's shares for profile (bs, srv) into s->shares, rows compute,
+ * access, fronthaul (optimal_allocation).  Returns the first device
+ * whose base station does not cover it, or -1. */
+static i64 slot_allocation(const repro_slot *s, i64 I, i64 K, i64 N,
+                           const i64 *bs, const i64 *srv, double *totals)
+{
+    double *w0 = s->shares, *w1 = w0 + I, *w2 = w1 + I;
+    for (i64 i = 0; i < I; ++i)
+        if (s->se[i * K + bs[i]] <= 0.0 && s->bits[i] > 0.0)
+            return i;
+    for (i64 r = 0; r < N + 2 * K; ++r)
+        totals[r] = 0.0;
+    for (i64 i = 0; i < I; ++i) {
+        double h = s->se[i * K + bs[i]];
+        w0[i] = sqrt(s->cycles[i] / s->suitability[i * N + srv[i]]);
+        w1[i] = h > 0.0 ? sqrt(s->bits[i] / h) : 0.0;
+        w2[i] = sqrt(s->bits[i]);
+    }
+    for (i64 i = 0; i < I; ++i)
+        totals[srv[i]] += w0[i];
+    for (i64 i = 0; i < I; ++i)
+        totals[N + bs[i]] += w1[i];
+    for (i64 i = 0; i < I; ++i)
+        totals[N + K + bs[i]] += w2[i];
+    for (i64 i = 0; i < I; ++i) {
+        double d0 = totals[srv[i]], d1 = totals[N + bs[i]];
+        double d2 = totals[N + K + bs[i]];
+        w0[i] = d0 > 0.0 ? w0[i] / d0 : 0.0;
+        w1[i] = d1 > 0.0 ? w1[i] / d1 : 0.0;
+        w2[i] = d2 > 0.0 ? w2[i] / d2 : 0.0;
+    }
+    return -1;
+}
+
+/* One slot of BDMA(z) (solve_p2_bdma with a cgba_p2a_solver) and the
+ * Lemma-1 allocation of its decision, replaying the Python loop step
+ * for step.  Per round: the deadline check, the P2-A workspace refill
+ * (rebind on the first round of a new slot state, the clock update
+ * otherwise), the profile seed and reset, CGBA (gap sweep, slack gaps,
+ * run_dynamics), the fixed-point exit, P2-B (server roots, the fast
+ * paths, golden_lane on every searched server) and the round's score
+ * (T_t, C_t and the objective), keeping the first best round.
+ *
+ * Seeds: with warm_start, seeds row 0 is the first round's profile
+ * (the carried-over one when has_initial, else a drawn one) and later
+ * rounds start from the previous round's; without it, row r seeds
+ * round r.  Returns 0, 1 when the deadline expired before the first
+ * round, 2 when CGBA hit max_iter without accept_partial, 3 when a
+ * seed has a non-finite access load, 4 on an out-of-range seed.
+ * out_i: rounds started, rounds run, warm-start hits, truncated,
+ * uncovered allocation device (-1 none), decided.  out_f: objective,
+ * latency, cost. */
+i64 repro_bdma_slot(
+    const repro_slot *s, i64 I, i64 K, i64 N, i64 G,
+    i64 z, i64 warm_start, i64 has_initial, i64 rebind_first,
+    double slack, i64 max_iter, i64 accept_partial,
+    double queue_backlog, double v, double budget, double price,
+    i64 has_deadline, double deadline, i64 has_available, i64 compensated)
+{
+    const double *E = s->energy;
+    double *roots = s->work, *terms = roots + N, *power = terms + N + 3 * K;
+    double *totals = power + N;
+    double energy_pressure = queue_backlog * price;
+    double best_obj = INFINITY, best_lat = 0.0, best_cost = 0.0;
+    i64 rounds_started = 0, rounds_run = 0, warm_hits = 0, truncated = 0;
+    i64 hist = 0, have_best = 0, status = 0;
+    i64 have_prev = warm_start && has_initial;
+
+    for (i64 n = 0; n < N; ++n)
+        s->freq[n] = s->freq_min[n];
+    if (have_prev)
+        copy_i64(2 * I, s->seeds, s->prev);
+    for (i64 r = 0; r < z; ++r) {
+        i64 *rc = s->rcounts + r * ROUND_I;
+        double *rt = s->rtimes + r * ROUND_T;
+        double t0;
+        i64 st;
+        if (has_deadline && now_s() >= deadline) {
+            if (!have_best) {
+                status = 1;
+                break;
+            }
+            truncated = 1;
+            for (double last = s->history[hist - 1]; hist < z; ++hist)
+                s->history[hist] = last;
+            break;
+        }
+        for (int j = 0; j < ROUND_I; ++j)
+            rc[j] = 0;
+        ++rounds_started;
+        rt[0] = now_s();
+        for (i64 n = 0; n < N; ++n)
+            s->frequencies[n] = s->freq[n];
+        t0 = now_s();
+        if (r == 0 && rebind_first) {
+            repro_rebind(I, K, N, s->se, s->bits, s->cycles, s->front_se,
+                         s->front_bw, s->speed_scale, s->suitability,
+                         s->frequencies, s->m_access, s->m_front,
+                         s->m_compute, s->p_access, s->p_front, s->p_compute,
+                         s->p, s->w);
+            rc[1] = 1;
+        } else {
+            repro_update_frequencies(I, K, N, s->speed_scale, s->frequencies,
+                                     s->p_compute, s->server_of, s->pc_cur,
+                                     s->m_compute, s->w, s->wcur);
+            rc[1] = 2;
+        }
+        rt[1] = now_s() - t0;
+        {
+            const i64 *seed = !warm_start ? s->seeds + r * 2 * I
+                              : r == 0    ? s->seeds
+                                          : s->prev;
+            copy_i64(I, seed, s->bs_of);
+            copy_i64(I, seed + I, s->server_of);
+        }
+        t0 = now_s();
+        st = repro_reset_profile(I, K, N, s->bs_of, s->server_of,
+                                 s->p_access, s->p_compute, s->m, s->cur_idx,
+                                 s->cur_p, s->loads, s->sq, s->sub, s->wcur);
+        rt[2] = now_s() - t0;
+        rt[3] = now_s();
+        rc[0] = 1;
+        if (st <= 0) {
+            status = st < 0 ? 4 : 3;
+            break;
+        }
+
+        /* CGBA: the engine restart's full sweep and gaps, then the
+         * fused dynamics. */
+        t0 = now_s();
+        repro_gap_sweep(I, K, N, G, s->loads, s->p, s->w, s->sub, s->wcur,
+                        s->cur_idx, s->menu_of_bs, s->menu_off, s->menu_srv,
+                        s->nidx, s->kbest, s->best, s->cc, s->adj, s->t,
+                        s->bvals);
+        rt[4] = now_s() - t0;
+        for (i64 i = 0; i < I; ++i)
+            s->gaps[i] = gap_value(slack, s->cc[i], s->best[i]);
+        {
+            i64 conv = 0, moves;
+            t0 = now_s();
+            moves = repro_run_dynamics(
+                I, K, N, G, slack, max_iter, s->loads, s->p, s->w, s->sub,
+                s->wcur, s->cur_idx, s->menu_of_bs, s->menu_off, s->menu_srv,
+                s->nidx, s->kbest, s->gaps, s->p_access, s->p_front,
+                s->p_compute, s->m_access, s->m_front, s->m_compute,
+                s->bs_of, s->server_of, s->pa_cur, s->pc_cur, s->sq_access,
+                s->sq_front, s->sq_compute, s->adj, s->t, s->bvals,
+                s->mirror, s->imirror, &conv);
+            rt[5] = now_s() - t0;
+            rt[6] = now_s();
+            rc[0] = 2;
+            rc[2] = moves;
+            rc[3] = conv;
+            if (!conv && !accept_partial) {
+                status = 2;
+                break;
+            }
+        }
+        ++rounds_run;
+        if (warm_start && have_prev
+            && same_profile(I, s->bs_of, s->server_of, s->prev)) {
+            ++warm_hits;
+            if (r > 0) {
+                /* Alternation fixed point: every later round replays
+                 * this one bit for bit. */
+                warm_hits += (z - r) - 1;
+                for (double last = s->history[hist - 1]; hist < z; ++hist)
+                    s->history[hist] = last;
+                break;
+            }
+        }
+
+        /* P2-B: fast paths, then the golden-section search per
+         * loaded server (solve_p2b on a native golden_quad). */
+        rt[7] = now_s();
+        for (i64 n = 0; n < N; ++n)
+            roots[n] = 0.0;
+        for (i64 i = 0; i < I; ++i) {
+            i64 n = s->server_of[i];
+            roots[n] += sqrt(s->cycles[i] / s->suitability[i * N + n]);
+        }
+        for (i64 n = 0; n < N; ++n)
+            s->freq[n] = s->freq_min[n];
+        rt[8] = 0.0;
+        if (energy_pressure <= 0.0) {
+            for (i64 n = 0; n < N; ++n)
+                if (roots[n] * roots[n] > 0.0
+                    && (!has_available || s->available[n]))
+                    s->freq[n] = s->freq_max[n];
+        } else {
+            i64 searched = 0, evals = 0;
+            t0 = now_s();
+            for (i64 n = 0; n < N; ++n) {
+                double demand = roots[n] * roots[n];
+                i64 ev;
+                if (!(demand > 0.0) || (has_available && !s->available[n]))
+                    continue;
+                s->freq[n] = golden_lane(
+                    s->freq_min[n], s->freq_max[n], 1e-8, 200,
+                    v * demand / (s->speed_scale[n] * 1e9), energy_pressure,
+                    E[n], E[N + n], E[2 * N + n], E[3 * N + n], &ev);
+                evals += ev;
+                ++searched;
+            }
+            rt[8] = now_s() - t0;
+            rc[4] = searched;
+            rc[5] = evals;
+        }
+        rt[9] = now_s();
+        rc[0] = 3;
+
+        /* The round's score: v T_t + Q (C_t - budget). */
+        {
+            double latency = slot_latency(s, I, K, N, roots, terms);
+            double cost, obj;
+            i64 m = 0;
+            for (i64 n = 0; n < N; ++n) {
+                double f = s->freq[n];
+                if (has_available && !s->available[n])
+                    continue;
+                power[m++] = E[n] * (E[N + n] * f * f + E[2 * N + n] * f
+                                     + E[3 * N + n]);
+            }
+            cost = price * repro_builtin_sum(power, m, compensated);
+            obj = v * latency + queue_backlog * (cost - budget);
+            s->history[hist++] = obj;
+            if (obj < best_obj) {
+                best_obj = obj;
+                best_lat = latency;
+                best_cost = cost;
+                have_best = 1;
+                copy_i64(I, s->bs_of, s->best_assign);
+                copy_i64(I, s->server_of, s->best_assign + I);
+                for (i64 n = 0; n < N; ++n)
+                    s->best_freq[n] = s->freq[n];
+            }
+        }
+        copy_i64(I, s->bs_of, s->prev);
+        copy_i64(I, s->server_of, s->prev + I);
+        have_prev = 1;
+    }
+    s->out_i[0] = rounds_started;
+    s->out_i[1] = rounds_run;
+    s->out_i[2] = warm_hits;
+    s->out_i[3] = truncated;
+    s->out_i[4] = -1;
+    s->out_i[5] = have_best;
+    s->out_f[0] = best_obj;
+    s->out_f[1] = best_lat;
+    s->out_f[2] = best_cost;
+    if (status != 0 || !have_best)
+        return status;
+    s->out_i[4] = slot_allocation(s, I, K, N, s->best_assign,
+                                  s->best_assign + I, totals);
+    return 0;
+}
 """
 
 #: Flags that pin IEEE semantics: no reassociation, no FMA contraction.
@@ -831,10 +1245,28 @@ def _bind(lib: ctypes.CDLL) -> RawKernels:
         _f64, _f64, _f64,
         _f64, _i64, _i64,
     ]
+    bdma_slot = lib.repro_bdma_slot
+    bdma_slot.restype = _ll
+    bdma_slot.argtypes = [
+        ctypes.c_void_p, _ll, _ll, _ll, _ll,
+        _ll, _ll, _ll, _ll,
+        _dbl, _ll, _ll,
+        _dbl, _dbl, _dbl, _dbl,
+        _ll, _dbl, _ll, _ll,
+    ]
     return RawKernels(
         gap_sweep, run_dynamics, golden_quad,
         reset_profile, rebind, update_frequencies, greedy_pass,
+        bdma_slot, _slot_struct,
     )
+
+
+def _slot_struct(pointers: "tuple[ctypes.c_void_p, ...]") -> tuple:
+    """``repro_bdma_slot``'s struct of pointers (every field a pointer,
+    so an array of ``void *`` has its layout) and the argument that
+    passes it; the array must outlive every call."""
+    struct = (ctypes.c_void_p * len(pointers))(*pointers)
+    return struct, ctypes.c_void_p(ctypes.addressof(struct))
 
 
 _backend: KernelBackend | None = None

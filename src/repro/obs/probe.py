@@ -69,6 +69,12 @@ class Tracer:
         """A context manager timing the enclosed block (no-op here)."""
         return _NULL_SPAN
 
+    def record_span(self, name: str, start: float, seconds: float) -> None:
+        """Deliver a span timed elsewhere, as if a ``span(name)`` block
+        had run under the open spans from ``start`` (a
+        ``time.perf_counter`` value) for ``seconds`` (no-op here).
+        *name* may hold slashes for nested spans (``"p2a/cgba"``)."""
+
     def counter(self, name: str, value: float = 1.0) -> None:
         """Accumulate *value* onto the named counter (no-op here)."""
 
@@ -124,17 +130,20 @@ class _Span:
         # Enclosing path -> this span's path under it.
         self._paths: "dict[str, str]" = {}
 
+    def path(self) -> str:
+        """This span's path under the probe's open spans."""
+        stack = self._probe._stack
+        if not stack:
+            return self._name
+        parent = stack[-1]
+        path = self._paths.get(parent)
+        if path is None:
+            path = self._paths[parent] = f"{parent}/{self._name}"
+        return path
+
     def __enter__(self) -> "_Span":
         probe = self._probe
-        stack = probe._stack
-        if stack:
-            parent = stack[-1]
-            path = self._paths.get(parent)
-            if path is None:
-                path = self._paths[parent] = f"{parent}/{self._name}"
-        else:
-            path = self._name
-        stack.append(path)
+        probe._stack.append(self.path())
         probe._starts.append(time.perf_counter())
         return self
 
@@ -143,23 +152,7 @@ class _Span:
         probe = self._probe
         path = probe._stack.pop()
         start = probe._starts.pop()
-        seconds -= start
-        route = probe._routes[0].get(path)
-        if route is None:
-            route = probe._route(0, path)
-        event = None
-        for handler, direct in route:
-            if direct:
-                handler(seconds)
-                continue
-            if event is None:
-                event = {
-                    "kind": "span",
-                    "name": path,
-                    "start": start - probe._t0,
-                    "seconds": seconds,
-                }
-            handler(event)
+        probe._deliver_span(path, start, seconds - start)
         return False
 
 
@@ -243,6 +236,27 @@ class Probe(Tracer):
         if span is None:
             span = self._spans[name] = _Span(self, name)
         return span
+
+    def record_span(self, name: str, start: float, seconds: float) -> None:
+        self._deliver_span(self.span(name).path(), start, seconds)
+
+    def _deliver_span(self, path: str, start: float, seconds: float) -> None:
+        route = self._routes[0].get(path)
+        if route is None:
+            route = self._route(0, path)
+        event = None
+        for handler, direct in route:
+            if direct:
+                handler(seconds)
+                continue
+            if event is None:
+                event = {
+                    "kind": "span",
+                    "name": path,
+                    "start": start - self._t0,
+                    "seconds": seconds,
+                }
+            handler(event)
 
     # counter() and gauge() deliver alike; the loop is written out in
     # both because it runs for every bus counter and gauge.

@@ -29,8 +29,10 @@ Three integration surfaces:
 * kernel profiling -- :func:`instrument_kernels` wraps a resolved
   :class:`~repro.kernels.interface.KernelBackend` so every hot call
   (``candidate_costs`` / ``segment_first_min`` / ``gap_sweep`` /
-  ``run_dynamics`` / ``golden_quad``) lands a wall-clock sample in the
-  ``repro_kernel_seconds{kernel=,backend=}`` histogram.  The controller
+  ``run_dynamics`` / ``golden_quad`` and the refills) lands a
+  wall-clock sample in the ``repro_kernel_seconds{kernel=,backend=}``
+  histogram; a fused ``bdma_slot`` call lands one sample per sub-kernel
+  it ran, timed inside the call.  The controller
   applies it automatically whenever a telemetry context is active
   (:func:`telemetry_context`), and the wrapper is thin enough to stay
   on by default (one ``perf_counter`` pair plus a bisect per call).
@@ -1064,11 +1066,12 @@ def instrument_kernels(
         "Wall-clock seconds per kernel-backend call",
     )
     wrapped = {}
+    bounds = {}
     for call in _KERNEL_CALLS:
         fn = getattr(backend, call)
         if fn is None:
             continue
-        bound = histogram.labels(
+        bound = bounds[call] = histogram.labels(
             kernel=call, backend=backend.name, **(labels or {})
         )
 
@@ -1079,6 +1082,18 @@ def instrument_kernels(
             return out
 
         wrapped[call] = timed
+    if backend.bdma_slot is not None:
+        # The fused slot call reports each sub-kernel it ran; those
+        # durations land in the sub-kernels' own series, so a fused
+        # slot and the Python loop fill the same series with the same
+        # counts.
+        def timed_slot(*args, _fn=backend.bdma_slot):
+            out = _fn(*args)
+            for call, seconds in out.kernel_seconds():
+                bounds[call].observe(seconds)
+            return out
+
+        wrapped["bdma_slot"] = timed_slot
     return replace(backend, **wrapped)
 
 

@@ -11,10 +11,9 @@ description (scenario knobs + controller knobs) from which each worker
 rebuilds everything.  This is what makes multiprocessing safe -- no
 controller or network objects ever cross process boundaries.
 
-There is one dispatch loop.  The unit of work is a tuple of seeds,
-run in lockstep when ``spec.batch_seeds > 1`` and one after another
-otherwise, and it returns one ``(seed, outcome, error)`` entry per
-seed.  Groups run in-process or on a single process pool; with retry
+There is one dispatch loop.  The unit of work is a tuple of seeds, run
+one after another, and it returns one ``(seed, outcome, error)`` entry
+per seed.  Groups run in-process or on a single process pool; with retry
 options a failed seed is retried solo, a hung or crashed group's pool
 has its workers killed and is rebuilt, and the run ends with a
 ``failed_seeds`` list.  Without them the first error in seed order
@@ -63,14 +62,12 @@ class ReplicationSpec:
         flaky_seeds: Seeds whose runs fail on their first attempt in
             each process and succeed on retry (transient-failure
             injection).
-        batch_seeds: Seeds run together in lockstep per dispatch (see
-            :mod:`repro.sim.batched`): their per-round P2-B searches are
-            fused into one kernel invocation, so a batch is cheaper than
-            ``batch_seeds`` solo runs while staying bit-identical to
-            them.  1 (the default) keeps the historical per-seed path;
-            ``"fixed"``-solver specs always run per seed (no BDMA loop
-            to fuse).  A lane that fails inside a batch is retried
-            *solo* through the usual retry machinery.
+        batch_seeds: Seeds per dispatched group, the pool's unit of
+            work: a group's seeds run one after another in one worker.
+            1 (the default) lets :func:`run_replications` size the
+            groups from the seed and process counts.  A seed that fails
+            inside a group is retried *solo* through the usual retry
+            machinery.
         engine_backend: Array-kernel backend (``"numpy"``/``"jit"``) for
             every run's controller; bit-identical across backends.
     """
@@ -254,13 +251,13 @@ def execute_replication(
 #: Per-worker replication context installed once by :func:`_init_worker`,
 #: so :func:`run_replications` ships the spec with each worker process
 #: instead of pickling it into every seed group.
-_WORKER_CONTEXT: "tuple[ReplicationSpec, bool, bool] | None" = None
+_WORKER_CONTEXT: "tuple[ReplicationSpec, bool] | None" = None
 
 
-def _init_worker(spec: ReplicationSpec, trace_phases: bool, batched: bool) -> None:
-    """Pool initializer: pin the spec and the dispatch mode in the worker."""
+def _init_worker(spec: ReplicationSpec, trace_phases: bool) -> None:
+    """Pool initializer: pin the spec and the tracing mode in the worker."""
     global _WORKER_CONTEXT
-    _WORKER_CONTEXT = (spec, trace_phases, batched)
+    _WORKER_CONTEXT = (spec, trace_phases)
 
 
 #: Per-process attempt counts for ``flaky_seeds`` injection.  Worker
@@ -329,7 +326,7 @@ def _run_one(
     scenario, controller, probe = _prepare(spec, seed, trace_phases)
     result = repro.run_simulation(
         controller,
-        scenario.fresh_compiled_states(spec.horizon),
+        scenario.fresh_compiled_states(spec.horizon, tracer=probe),
         budget=scenario.budget,
         tracer=probe,
     )
@@ -339,69 +336,13 @@ def _run_one(
 def _run_batch(
     spec: ReplicationSpec, seeds: "list[int] | tuple[int, ...]", trace_phases: bool
 ) -> "list[tuple[int, ReplicationOutcome | None, Exception | None]]":
-    """Run a group of seeds in lockstep; one entry per seed, seed order.
+    """The unit of work: run a group of seeds one after another.
 
-    Each entry is ``(seed, outcome, None)`` on success or ``(seed, None,
-    error)`` on failure.  Injection knobs fire per seed before the batch
-    launches, so ``fail_seeds`` / ``flaky_seeds`` behave exactly as on
-    the per-seed path.  Lane isolation is per seed inside the lockstep
-    loop; a driver-level failure that escapes it lands on every
-    unfinished seed (the caller retries those solo).
+    Returns one entry per seed, in seed order: ``(seed, outcome, None)``
+    on success or ``(seed, None, error)`` on failure, each error caught
+    per seed.  Never raises for a seed's failure.  Pool workers look it
+    up at call time, so a patched module global reaches forked workers.
     """
-    from repro.sim.batched import LockstepLane, run_simulations_lockstep
-
-    outcomes: dict[int, ReplicationOutcome] = {}
-    errors: dict[int, Exception] = {}
-    lanes: list[LockstepLane] = []
-    lane_info: list[tuple[int, float, "Probe | None"]] = []
-    for seed in seeds:
-        try:
-            scenario, controller, probe = _prepare(spec, seed, trace_phases)
-            lanes.append(
-                LockstepLane(
-                    controller=controller,
-                    states=scenario.fresh_compiled_states(
-                        spec.horizon, tracer=probe
-                    ),
-                    budget=scenario.budget,
-                    tracer=probe,
-                )
-            )
-            lane_info.append((seed, scenario.budget, probe))
-        except Exception as exc:
-            errors[seed] = exc
-    if lanes:
-        try:
-            lane_results = run_simulations_lockstep(lanes)
-        except Exception as exc:
-            for seed, _, _ in lane_info:
-                errors.setdefault(seed, exc)
-        else:
-            for (seed, budget, probe), (result, error) in zip(
-                lane_info, lane_results
-            ):
-                if error is not None or result is None:
-                    errors[seed] = error or SolverError("lane produced no result")
-                    continue
-                outcomes[seed] = _condense(seed, result, budget, probe)
-    return [(seed, outcomes.get(seed), errors.get(seed)) for seed in seeds]
-
-
-def _run_group(
-    spec: ReplicationSpec,
-    seeds: "tuple[int, ...]",
-    trace_phases: bool,
-    batched: bool,
-) -> "list[tuple[int, ReplicationOutcome | None, Exception | None]]":
-    """The unit of work: one ``(seed, outcome, error)`` entry per seed.
-
-    Batched groups run in lockstep through :func:`_run_batch` (looked up
-    at call time, so a patched module global reaches forked workers);
-    otherwise the seeds run one after another, each error caught per
-    seed.  Never raises for a seed's failure.
-    """
-    if batched:
-        return _run_batch(spec, seeds, trace_phases)
     entries = []
     for seed in seeds:
         try:
@@ -414,8 +355,8 @@ def _run_group(
 def _execute_group(seeds: "tuple[int, ...]"):
     """Pool worker entry: run one seed group against the pinned context."""
     assert _WORKER_CONTEXT is not None, "worker pool was not initialised"
-    spec, trace_phases, batched = _WORKER_CONTEXT
-    return _run_group(spec, seeds, trace_phases, batched)
+    spec, trace_phases = _WORKER_CONTEXT
+    return _run_batch(spec, seeds, trace_phases)
 
 
 class _SeedTracker:
@@ -496,7 +437,6 @@ def _dispatch(
     *,
     processes: "int | None",
     trace_phases: bool,
-    batched: bool,
     timeout_seconds: "float | None",
     tracker: "_SeedTracker | None",
 ) -> dict[int, ReplicationOutcome]:
@@ -521,7 +461,7 @@ def _dispatch(
                 pool = ProcessPoolExecutor(
                     max_workers=processes,
                     initializer=_init_worker,
-                    initargs=(spec, trace_phases, batched),
+                    initargs=(spec, trace_phases),
                 )
             futures = (
                 [pool.submit(_execute_group, group) for group in pending]
@@ -533,7 +473,7 @@ def _dispatch(
                 poisoned = False
                 try:
                     if futures is None:
-                        entries = _run_group(spec, group, trace_phases, batched)
+                        entries = _run_batch(spec, group, trace_phases)
                     else:
                         entries = futures[position].result(timeout=timeout_seconds)
                 except FuturesTimeout:
@@ -593,7 +533,7 @@ def run_replications(
         processes: Worker processes; ``None`` or 1 runs in-process
             (no pickling, easier debugging).  Without retry options the
             pool receives groups of ``min(8, ceil(len(seeds) /
-            processes))`` seeds (``spec.batch_seeds`` when batched), so
+            processes))`` seeds (``spec.batch_seeds`` when above 1), so
             it round-trips groups instead of single seeds; the ordering
             of the outcomes is unaffected.
         tracer: Observability tracer.  Each run (worker) records into
@@ -638,10 +578,7 @@ def run_replications(
         if salvage
         else None
     )
-    # The fixed-frequency controller has no BDMA loop to fuse, so its
-    # specs always run per seed.
-    batched = spec.batch_seeds > 1 and spec.solver != "fixed"
-    if batched:
+    if spec.batch_seeds > 1:
         size = spec.batch_seeds
     elif salvage or processes is None or processes <= 1:
         size = 1  # per-seed timeouts and retries
@@ -652,7 +589,6 @@ def run_replications(
         [tuple(seeds[i : i + size]) for i in range(0, len(seeds), size)],
         processes=processes,
         trace_phases=trace_phases,
-        batched=batched,
         timeout_seconds=timeout_seconds,
         tracker=tracker,
     )

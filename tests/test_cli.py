@@ -168,6 +168,26 @@ class TestMonitorAndDashboardFlags:
                         "guarantee", "anomaly"):
             assert monitor in out
 
+    def test_sharded_monitors_print_health_report(self, capsys) -> None:
+        code = main(
+            ["simulate", "--devices", "16", "--horizon", "4", "--z", "1",
+             "--cells", "2", "--monitors"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "health:" in out
+        # One default suite per cell, folded into one report.
+        for cell in ("cell0", "cell1"):
+            assert cell in out
+
+    def test_sharded_dashboard_still_rejected(self, capsys) -> None:
+        code = main(
+            ["simulate", "--devices", "16", "--horizon", "4", "--cells", "2",
+             "--dashboard"]
+        )
+        assert code == 2
+        assert "--cells does not combine" in capsys.readouterr().err
+
     def test_dashboard_renders_frames(self, capsys) -> None:
         code = main(
             ["simulate", "--devices", "8", "--horizon", "3", "--z", "1",

@@ -3,8 +3,8 @@
 The kernel contract (:mod:`repro.kernels.interface`) promises that
 selecting ``backend="jit"`` changes wall-clock, never results.  These
 tests enforce it end to end: slot-record streams, trajectory
-fingerprints, engine counters, the fused multi-request P2-B solver, and
-batched replication must all match the NumPy oracle bit for bit --
+fingerprints, engine counters and grouped replication must all match
+the NumPy oracle bit for bit --
 including under injected faults and chaos, where the resilience
 fallback chain runs on top of the kernels.
 
@@ -24,9 +24,7 @@ import pytest
 
 import repro
 from repro.api import run
-from repro.core.p2b import solve_p2b, solve_p2b_many
 from repro.core.resilience import ResiliencePolicy, SolverChaos
-from repro.core.state import Assignment
 from repro.exceptions import ConfigurationError
 from repro.kernels import (
     BACKEND_NAMES,
@@ -47,12 +45,7 @@ from repro.sim.faults import (
 from repro.sim.replication import ReplicationSpec, run_replications
 from repro.solvers.scalar import minimize_convex_scalar_batch
 
-from conftest import (
-    MEDIUM_FINGERPRINT,
-    fingerprint,
-    make_tiny_network,
-    make_tiny_state,
-)
+from conftest import MEDIUM_FINGERPRINT, fingerprint
 
 requires_jit = pytest.mark.skipif(
     not available_backends()["jit"],
@@ -314,55 +307,6 @@ class TestSlotStreamParity:
         assert_records_identical(base.records, fast.records)
 
 
-class TestSolveP2bMany:
-    def _requests(self, backend: str, tracers: "list[Probe] | None" = None):
-        network = make_tiny_network()
-        configs = [
-            (Assignment(bs_of=np.array([0, 0, 1, 1]),
-                        server_of=np.array([0, 1, 2, 2])), 20.0, 50.0),
-            (Assignment(bs_of=np.array([0, 0, 1, 1]),
-                        server_of=np.array([0, 0, 2, 2])), 5.0, 10.0),
-            (Assignment(bs_of=np.array([0, 1, 1, 0]),
-                        server_of=np.array([1, 2, 2, 0])), 300.0, 25.0),
-        ]
-        return [
-            dict(
-                network=network,
-                state=make_tiny_state(),
-                assignment=assignment,
-                queue_backlog=q,
-                v=v,
-                backend=backend,
-                tracer=tracers[i] if tracers else None,
-            )
-            for i, (assignment, q, v) in enumerate(configs)
-        ]
-
-    @pytest.mark.parametrize(
-        "backend",
-        ("numpy", pytest.param("jit", marks=requires_jit)),
-    )
-    def test_fused_solve_matches_solo(self, backend: str) -> None:
-        fused_tracers = [Probe() for _ in range(3)]
-        solo_tracers = [Probe() for _ in range(3)]
-        fused = solve_p2b_many(self._requests(backend, fused_tracers))
-        solo = [
-            solve_p2b(**request)
-            for request in self._requests(backend, solo_tracers)
-        ]
-        assert len(fused) == 3
-        for got, want in zip(fused, solo):
-            np.testing.assert_array_equal(got, want)
-        # Counters land on each request's own tracer, exactly as solo.
-        for fused_probe, solo_probe in zip(fused_tracers, solo_tracers):
-            assert dict(fused_probe.phases.counters) == dict(
-                solo_probe.phases.counters
-            )
-
-    def test_empty_request_list(self) -> None:
-        assert solve_p2b_many([]) == []
-
-
 class TestBatchedReplication:
     def _spec(self, **overrides) -> ReplicationSpec:
         fields = dict(num_devices=8, horizon=6)
@@ -371,7 +315,7 @@ class TestBatchedReplication:
 
     def _outcome_tuples(self, report):
         # mean_solve_seconds is wall-clock, so it legitimately differs
-        # between lockstep and solo execution; everything else is
+        # between grouped and per-seed dispatch; everything else is
         # arithmetic and must match bitwise.
         return [
             (o.seed, o.mean_latency, o.mean_cost, o.mean_backlog, o.budget)
@@ -407,8 +351,8 @@ class TestBatchedReplication:
         seeds = [1, 2, 3]
         base = run_replications(self._spec(), seeds)
         # flaky_seeds flips run_replications into its resilient mode;
-        # the failed lane drops out of the lockstep batch and is retried
-        # solo, which is the exact arithmetic of an unbatched run.
+        # the failed seed drops out of its group and is retried solo,
+        # which is the exact arithmetic of an ungrouped run.
         flaky = run_replications(
             self._spec(batch_seeds=3, flaky_seeds=(2,)), seeds, max_retries=2
         )

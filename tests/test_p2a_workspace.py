@@ -37,16 +37,11 @@ from repro.sim.checkpoint import RunCheckpoint, run_checkpointed
 from repro.sim.faults import FaultPlan, ScriptedIncident
 from repro.solvers.fast_engine import FastBestResponseEngine
 
-BACKENDS = (
-    "numpy",
-    pytest.param(
-        "jit",
-        marks=pytest.mark.skipif(
-            not available_backends()["jit"],
-            reason="backend 'jit' has no real provider (needs a C compiler)",
-        ),
-    ),
+requires_jit = pytest.mark.skipif(
+    not available_backends()["jit"],
+    reason="backend 'jit' has no real provider (needs a C compiler)",
 )
+BACKENDS = ("numpy", pytest.param("jit", marks=requires_jit))
 
 #: Move cap for the engine runs: far above what these games need, low
 #: enough that a broken refill fails fast instead of cycling.
@@ -217,8 +212,10 @@ class TestRebindEqualsFresh:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_replaced_game_is_freed_by_refcount(self, backend) -> None:
-        """No game<->engine cycle: dropping the last result frees the
-        game and its engine without the cycle collector."""
+        """No game<->engine cycle, and no cycle through the kernel
+        adapter's per-state cache: dropping the last result frees the
+        game, its kernel state (and with it the game's arrays) and its
+        engine without the cycle collector."""
         network, space, states, clocks = slot_sequence(4, 8, 2, False)
         rng = np.random.default_rng(0)
         gc.disable()
@@ -227,6 +224,7 @@ class TestRebindEqualsFresh:
                 network, states[0], space, clocks[0], rng, backend=backend
             )
             game, engine = weakref.ref(first.game), weakref.ref(first.fast_engine)
+            kernel_state = weakref.ref(first.game.kernel_state())
             other = StrategySpace(network, space.coverage)
             solve_p2a_cgba(
                 network, states[1], other, clocks[1], rng, reuse=first,
@@ -234,16 +232,20 @@ class TestRebindEqualsFresh:
             )
             del first
             assert game() is None and engine() is None
+            assert kernel_state() is None
         finally:
             gc.enable()
 
 
-def counting_jit_backend():
+def counting_jit_backend(*, fused: bool = False):
     """The C provider's raw kernels behind a conversion-recording adapter.
 
     P2-B's golden-section kernel is dropped (P2-B then runs the NumPy
     search, bit-identical by contract), so every conversion recorded
-    belongs to the P2-A kernels and the game's refills.
+    belongs to the P2-A kernels and the game's refills.  The fused slot
+    kernel is dropped too, so controllers run the Python loop on the C
+    P2-A kernels, unless *fused*: then controllers run every slot as
+    one ``bdma_slot`` call and the conversions are its struct's.
     """
     from repro.kernels import native
 
@@ -255,21 +257,31 @@ def counting_jit_backend():
         return native._as_ptr(arr)
 
     backend = wrap_raw_backend(raw, convert=convert)
+    if not fused:
+        backend = dataclasses.replace(backend, bdma_slot=None)
     return dataclasses.replace(backend, golden_quad=None), converted
 
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """Count game and engine constructions."""
+    """Count game and engine constructions.
+
+    Games are counted at their buffer allocation, which both the
+    constructor and ``OffloadingCongestionGame.unbound`` (the fused slot
+    path's workspace) run.
+    """
     counts = {"game": 0, "engine": 0}
-    for key, cls in (("game", OffloadingCongestionGame), ("engine", FastBestResponseEngine)):
-        original = cls.__init__
+    for key, cls, method in (
+        ("game", OffloadingCongestionGame, "_allocate"),
+        ("engine", FastBestResponseEngine, "__init__"),
+    ):
+        original = getattr(cls, method)
 
         def counted(self, *args, _original=original, _key=key, **kwargs):
             counts[_key] += 1
             _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+        monkeypatch.setattr(cls, method, counted)
     return counts
 
 
@@ -320,6 +332,25 @@ class TestSteadyState:
         assert constructions == {"game": 1, "engine": 1}
         # The public solver slot still reports "no solver chosen".
         assert controller.p2a_solver is None
+
+    @requires_jit
+    def test_fused_slots_rebuild_nothing_after_the_first(
+        self, constructions
+    ) -> None:
+        backend, converted = counting_jit_backend(fused=True)
+        scenario = small_scenario()
+        controller = make_controller(scenario, backend)
+        states = scenario.fresh_states(12)
+        controller.step(next(states))
+        # One unbound game for the kernel to refill; CGBA's engine runs
+        # inside the call, so none is built.
+        assert constructions == {"game": 1, "engine": 0}
+        assert converted
+        for state in states:
+            converted.clear()
+            controller.step(state)
+            assert converted == []
+        assert constructions == {"game": 1, "engine": 0}
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_space_change_builds_exactly_one_game(

@@ -22,7 +22,7 @@ from repro.core.allocation import optimal_allocation
 from repro.core.congestion_game import OffloadingCongestionGame
 from repro.core.drift_penalty import energy_cost
 from repro.core.latency import effective_fronthaul_se, optimal_communication_latency
-from repro.core.p2b import solve_p2b, solve_p2b_many
+from repro.core.p2b import solve_p2b
 from repro.core.state import Assignment, ResourceAllocation, SlotState
 from repro.energy.models import (
     LinearEnergyModel,
@@ -366,8 +366,6 @@ class TestEnergyTable:
         )
         want = solve_p2b(**request, backend="numpy")
         assert same_bits(solve_p2b(**request, backend="jit"), want)
-        fused = solve_p2b_many([dict(request, backend="jit")] * 2)
-        assert all(same_bits(x, want) for x in fused)
 
 
 # -- Lemma 1 and the round score -------------------------------------------
