@@ -260,20 +260,15 @@ def make_controller(
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """How states are drawn and kernels executed.
+    """How kernels are executed.
 
     Attributes:
         backend: Array-kernel backend for the controller's hot loops
             (``"numpy"``/``"jit"``; ``None`` = default).  Bit-identical
             across backends -- wall-clock only.
-        compiled_states: Feed the controller through the compiled state
-            pipeline (bit-identical states, drawn in chunks).
-        state_chunk: Slots per compiled chunk.
     """
 
     backend: str | None = None
-    compiled_states: bool = True
-    state_chunk: int = 32
 
 
 @dataclass(frozen=True)
@@ -507,8 +502,6 @@ def run(
     keep_records: "bool | _Unset" = _UNSET,
     on_slot=None,
     warm_start_queue: "bool | _Unset" = _UNSET,
-    compiled_states: "bool | _Unset" = _UNSET,
-    state_chunk: "int | _Unset" = _UNSET,
     checkpoint: "str | None | _Unset" = _UNSET,
     checkpoint_every: "int | _Unset" = _UNSET,
     resume: "bool | _Unset" = _UNSET,
@@ -520,8 +513,12 @@ def run(
     The single public entry point: builds the scenario (unless given),
     the controller (unless an instance is given), threads the tracer
     through both the controller and the simulation loop, and runs
-    ``horizon`` slots.  All knobs can come from a :class:`RunConfig`
-    (``config=``); bare keywords override its fields.
+    ``horizon`` slots.  Slot states always come from the state compiler
+    (:meth:`~repro.sim.scenario.Scenario.fresh_compiled_states`),
+    bit-identical to the per-slot
+    :meth:`~repro.sim.scenario.Scenario.fresh_states`.  All knobs can
+    come from a :class:`RunConfig` (``config=``); bare keywords override
+    its fields.
 
     Args:
         config: Base configuration; any bare keyword below overrides
@@ -568,12 +565,6 @@ def run(
         keep_records: Retain full per-slot records on the result.
         on_slot: Per-slot progress callback.
         warm_start_queue: Start the queue at its estimated equilibrium.
-        compiled_states: Feed the controller through the compiled state
-            pipeline
-            (:meth:`~repro.sim.scenario.Scenario.fresh_compiled_states`).
-            Bit-identical states either way; the compiled path draws
-            them in chunks.  Disable to exercise the per-slot path.
-        state_chunk: Slots per compiled chunk (with ``compiled_states``).
         checkpoint: Path of a run-checkpoint file.  When given, the run
             snapshots its full cross-slot state there every
             ``checkpoint_every`` slots (atomically) via
@@ -583,7 +574,9 @@ def run(
         checkpoint_every: Slots between snapshots.
         resume: With ``checkpoint=``, continue from an existing matching
             snapshot instead of starting fresh; resumed trajectories are
-            bit-identical to an uninterrupted run's.
+            bit-identical to an uninterrupted run's.  A snapshot taken
+            with another seed, horizon, budget, controller, ``v`` or
+            ``z`` is refused with :class:`~repro.exceptions.CheckpointError`.
         cells: Shard the run across cells -- a cell count or a full
             :class:`CellConfig`.  Returns the merged cross-cell result;
             one cell is bit-identical to the unsharded path.  Sharded
@@ -613,8 +606,6 @@ def run(
     engine_backend = _pick(engine_backend, cfg.engine.backend)
     keep_records = _pick(keep_records, cfg.obs.keep_records)
     warm_start_queue = _pick(warm_start_queue, cfg.warm_start_queue)
-    compiled_states = _pick(compiled_states, cfg.engine.compiled_states)
-    state_chunk = _pick(state_chunk, cfg.engine.state_chunk)
     checkpoint = _pick(checkpoint, cfg.checkpoint.path)
     checkpoint_every = _pick(checkpoint_every, cfg.checkpoint.every)
     resume = _pick(resume, cfg.checkpoint.resume)
@@ -653,8 +644,6 @@ def run(
             keep_records=keep_records,
             on_slot=on_slot,
             warm_start_queue=warm_start_queue,
-            compiled_states=compiled_states,
-            state_chunk=state_chunk,
             checkpoint=checkpoint,
             checkpoint_every=checkpoint_every,
             resume=resume,
@@ -683,8 +672,6 @@ def _run_resolved(
     keep_records,
     on_slot,
     warm_start_queue,
-    compiled_states,
-    state_chunk,
     checkpoint,
     checkpoint_every,
     resume,
@@ -740,8 +727,6 @@ def _run_resolved(
             budget=budget,
             tracer=tracer,
             engine_backend=engine_backend,
-            compiled_states=compiled_states,
-            state_chunk=state_chunk,
             controller_params=merged_params,
             registry=registry,
             monitors=monitors is True,
@@ -806,20 +791,13 @@ def _run_resolved(
             tracer=tracer,
             keep_records=keep_records,
             on_slot=on_slot,
-            compiled=compiled_states,
-            chunk=state_chunk,
         )
         if suite is not None:
             result.health = suite.finish()
         return result
-    states = (
-        scenario.fresh_compiled_states(horizon, chunk=state_chunk, tracer=tracer)
-        if compiled_states
-        else scenario.fresh_states(horizon, tracer=tracer)
-    )
     result = run_simulation(
         ctrl,
-        states,
+        scenario.fresh_compiled_states(horizon, tracer=tracer),
         budget=budget,
         keep_records=keep_records,
         on_slot=on_slot,

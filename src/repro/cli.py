@@ -114,11 +114,7 @@ def _run_config_from(args: argparse.Namespace) -> repro.RunConfig:
         v=args.v,
         z=args.z,
         warm_start_queue=args.warm_start,
-        engine=repro.api.EngineConfig(
-            backend=args.backend,
-            compiled_states=not args.no_compiled_states,
-            state_chunk=args.state_chunk,
-        ),
+        engine=repro.api.EngineConfig(backend=args.backend),
         cells=cells,
         controller_params=params,
     )
@@ -224,15 +220,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"solver {args.solver}; V={args.v}; horizon {args.horizon}"
             f"{cells_note}"
         )
-    states = None
-    if not sharded:
-        states = (
-            scenario.fresh_states(args.horizon, tracer=probe)
-            if args.no_compiled_states
-            else scenario.fresh_compiled_states(
-                args.horizon, chunk=args.state_chunk, tracer=probe
-            )
-        )
 
     def salvage(status: str) -> None:
         # A dead run must still leave its evidence behind: flush the
@@ -280,7 +267,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else:
             result = repro.run_simulation(
                 controller,
-                states,
+                scenario.fresh_compiled_states(args.horizon, tracer=probe),
                 budget=scenario.budget,
                 tracer=probe,
             )
@@ -544,11 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(implies --monitors wiring for alerts)")
     sim.add_argument("--ascii", action="store_true",
                      help="dashboard renders with 7-bit ASCII only")
-    sim.add_argument("--no-compiled-states", action="store_true",
-                     help="draw states one slot at a time instead of the "
-                          "compiled chunked pipeline (identical values)")
-    sim.add_argument("--state-chunk", type=int, default=32,
-                     help="slots per compiled state chunk")
     sim.add_argument("--cells", type=int, default=1,
                      help="shard the network into this many cells, each "
                           "with its own controller under one coordinated "

@@ -41,8 +41,7 @@ from repro.exceptions import CheckpointError
 from repro.obs.probe import Tracer, as_tracer
 from repro.sim.engine import run_simulation
 from repro.sim.results import SimulationResult
-from repro.sim.scenario import Scenario
-from repro.types import Rng
+from repro.sim.scenario import Scenario, StateStream
 
 logger = logging.getLogger(__name__)
 
@@ -59,8 +58,9 @@ class RunCheckpoint:
 
     Attributes:
         config_hash: Digest of the run configuration (seed, horizon,
-            budget, controller type, fleet size).  Resume refuses a
-            checkpoint whose hash does not match the requested run.
+            budget, controller type, fleet size, ``V`` and ``z``).
+            Resume refuses a checkpoint whose hash does not match the
+            requested run.
         horizon: Total slots the run was asked for.
         completed: Slots finished when the snapshot was taken.
         state_rng: ``bit_generator.state`` of the state stream.
@@ -208,16 +208,12 @@ def _config_hash(scenario: Scenario, controller, horizon: int, budget) -> str:
         "budget": repr(budget),
         "controller": type(controller).__name__,
         "devices": scenario.network.num_devices,
+        "v": getattr(controller, "v", None),
+        "z": getattr(controller, "z", None),
     }
     return hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()
     ).hexdigest()[:16]
-
-
-def _restore_rng(state: dict) -> Rng:
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state
-    return rng
 
 
 def _require_resumable(obj, role: str) -> None:
@@ -250,8 +246,6 @@ def run_checkpointed(
     tracer: "Tracer | None" = None,
     keep_records: bool = False,
     on_slot=None,
-    compiled: bool = True,
-    chunk: int = 32,
 ) -> SimulationResult:
     """Drive *controller* through *horizon* slots with periodic snapshots.
 
@@ -279,10 +273,6 @@ def run_checkpointed(
         keep_records: Retain per-slot records -- only for the slots run
             in *this* process; records from before a resume are gone.
         on_slot: Per-slot progress callback.
-        compiled: Use the compiled state pipeline (bit-identical to the
-            per-slot path; see
-            :meth:`~repro.sim.scenario.StateGenerator.compile_states`).
-        chunk: Slots per compiled chunk.
 
     Returns:
         The full-horizon :class:`~repro.sim.results.SimulationResult`
@@ -300,21 +290,20 @@ def run_checkpointed(
     if budget is None:
         budget = scenario.budget
     _require_resumable(controller, "controller")
-    generator = scenario.generator
-    suspects = generator.unresumable_models()
+    suspects = scenario.generator.unresumable_models()
     if suspects:
         logger.warning(
             "models %s carry state but expose no state_dict(); a resumed "
             "run may diverge from an uninterrupted one",
             suspects,
         )
-    plan = scenario.fault_plan if scenario.fault_plan else None
     config_hash = _config_hash(scenario, controller, horizon, budget)
 
     path = Path(path)
     completed = 0
     metrics: dict[str, list[float]] = {k: [] for k in _METRIC_KEYS}
     records: list = []
+    stream = StateStream(scenario, tracer=tracer)
     if resume and path.exists():
         ck = RunCheckpoint.load(path)
         if ck.config_hash != config_hash:
@@ -330,42 +319,22 @@ def run_checkpointed(
             )
         completed = int(ck.completed)
         metrics = {k: list(ck.metrics.get(k, [])) for k in _METRIC_KEYS}
-        state_rng = _restore_rng(ck.state_rng)
-        generator.load_state_dict(ck.generator)
+        stream.load_state_dict(
+            {
+                "generator": ck.generator,
+                "state_rng": ck.state_rng,
+                "plan": ck.fault_plan,
+                "plan_rng": ck.plan_rng,
+            }
+        )
         controller.load_state_dict(ck.controller)
-        if plan is not None:
-            if ck.plan_rng is None or ck.fault_plan is None:
-                raise CheckpointError(
-                    f"checkpoint {path} has no fault-plan state but the "
-                    "scenario carries a plan"
-                )
-            plan_rng = _restore_rng(ck.plan_rng)
-            plan.load_state_dict(ck.fault_plan)
-        else:
-            plan_rng = None
         logger.info("resumed %s at slot %d/%d", path, completed, horizon)
-    else:
-        generator.reset()
-        state_rng = scenario.state_rng()
-        if plan is not None:
-            plan.reset()
-            plan_rng = scenario.fault_rng()
-        else:
-            plan_rng = None
 
     while completed < horizon:
         count = min(every, horizon - completed)
-        if compiled:
-            segment = generator.compile_states(
-                count, state_rng, chunk=chunk, start=completed
-            )
-        else:
-            segment = generator.states(count, state_rng, start=completed)
-        if plan is not None:
-            segment = plan.stream(segment, scenario.network, plan_rng, tracer)
         part = run_simulation(
             controller,
-            segment,
+            stream.take(completed, count),
             budget=budget,
             keep_records=keep_records,
             on_slot=on_slot,
@@ -376,15 +345,16 @@ def run_checkpointed(
         if keep_records:
             records.extend(part.records)
         completed += count
+        cursor = stream.state_dict()
         snapshot = RunCheckpoint(
             config_hash=config_hash,
             horizon=horizon,
             completed=completed,
-            state_rng=state_rng.bit_generator.state,
+            state_rng=cursor["state_rng"],
             controller=controller.state_dict(),
-            generator=generator.state_dict(),
-            plan_rng=plan_rng.bit_generator.state if plan_rng is not None else None,
-            fault_plan=plan.state_dict() if plan is not None else None,
+            generator=cursor["generator"],
+            plan_rng=cursor.get("plan_rng"),
+            fault_plan=cursor.get("plan"),
             metrics=metrics,
         )
         snapshot.write(path)

@@ -3,7 +3,9 @@
 A :class:`StateGenerator` owns a workload generator, a channel model, a
 price model, and a mobility model, and emits :class:`SlotState` objects.
 A :class:`Scenario` bundles the static topology with a state generator
-and a seed bank -- the unit the examples and benchmarks operate on.
+and a seed bank -- the unit the examples and benchmarks operate on.  A
+:class:`StateStream` is one run's continuing, checkpointable draw from
+a scenario: the compiled states segment by segment, fault plan applied.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.energy.pricing import (
     PriceModel,
     TracePriceModel,
 )
-from repro.exceptions import ConfigurationError, ValidationError
+from repro.exceptions import CheckpointError, ConfigurationError, ValidationError
 from repro.network.coverage import coverage_matrix
 from repro.network.topology import MECNetwork
 from repro.radio.channel import ChannelModel, UniformChannelModel
@@ -358,26 +360,25 @@ class Scenario:
         """Fresh generator over the fault plan's dedicated stream."""
         return self.seeds.rng("fault-plan")
 
-    def _with_faults(self, states: Iterator[SlotState], tracer=None):
-        if self.fault_plan is None or not self.fault_plan:
-            return states
-        self.fault_plan.reset()
-        return self.fault_plan.stream(
-            states, self.network, self.fault_rng(), tracer
-        )
-
     def fresh_states(self, horizon: int, *, tracer=None) -> Iterator[SlotState]:
-        """A reproducible state sequence of length *horizon*.
+        """A reproducible state sequence of length *horizon*, drawn slot
+        by slot.
 
         Each call restarts the stream from the scenario seed (and resets
         mobility), so different controllers can be fed *identical*
         realisations -- a paired comparison.  When the scenario carries a
         :attr:`fault_plan` it is reset and applied on top; fault events
-        go to *tracer* when one is given.
+        go to *tracer* when one is given.  This is the per-slot oracle
+        the compiled streams (:meth:`fresh_compiled_states`,
+        :class:`StateStream`) are tested against.
         """
         self.generator.reset()
-        return self._with_faults(
-            self.generator.states(horizon, self.state_rng()), tracer
+        states = self.generator.states(horizon, self.state_rng())
+        if not self.fault_plan:
+            return states
+        self.fault_plan.reset()
+        return self.fault_plan.stream(
+            states, self.network, self.fault_rng(), tracer
         )
 
     def fresh_compiled_states(
@@ -390,8 +391,76 @@ class Scenario:
         ``chunk`` knob.  The :attr:`fault_plan`, when present, wraps the
         compiled stream without touching its RNG consumption.
         """
+        return StateStream(self, tracer=tracer).take(0, horizon, chunk=chunk)
+
+
+class StateStream:
+    """One run's continuing stream of slot states, drawn segment by segment.
+
+    Owns everything a run carries across its state draws: the
+    scenario's generator (reset here), the state rng, and -- when the
+    scenario has a :class:`~repro.sim.faults.FaultPlan` -- the plan
+    (reset here) and its own rng.  Consecutive :meth:`take` calls over
+    adjacent slot ranges are bit-identical to one uninterrupted
+    :meth:`Scenario.fresh_states` pass; :meth:`state_dict` /
+    :meth:`load_state_dict` capture and restore the cursor between
+    segments (checkpoints, cell carries, salvage).
+
+    Args:
+        scenario: The scenario whose streams are drawn.
+        tracer: Receives the fault plan's events.
+    """
+
+    def __init__(self, scenario: Scenario, *, tracer=None) -> None:
+        self.network = scenario.network
+        self.generator = scenario.generator
+        self.tracer = tracer
         self.generator.reset()
-        return self._with_faults(
-            self.generator.compile_states(horizon, self.state_rng(), chunk=chunk),
-            tracer,
+        self.rng = scenario.state_rng()
+        self.plan = scenario.fault_plan if scenario.fault_plan else None
+        self.plan_rng = None
+        if self.plan is not None:
+            self.plan.reset()
+            self.plan_rng = scenario.fault_rng()
+
+    def take(
+        self, start: int, count: int, *, chunk: int = 32
+    ) -> Iterator[SlotState]:
+        """The states of slots ``[start, start + count)``, compiled
+        (:meth:`StateGenerator.compile_states`), fault plan applied."""
+        states = self.generator.compile_states(
+            count, self.rng, chunk=chunk, start=start
         )
+        if self.plan is None:
+            return states
+        return self.plan.stream(states, self.network, self.plan_rng, self.tracer)
+
+    def state_dict(self) -> dict:
+        """The cursor: generator state and state rng, plus the plan's
+        state and rng when the scenario carries a plan."""
+        out = {
+            "generator": self.generator.state_dict(),
+            "state_rng": self.rng.bit_generator.state,
+        }
+        if self.plan is not None:
+            out["plan"] = self.plan.state_dict()
+            out["plan_rng"] = self.plan_rng.bit_generator.state
+        return out
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a cursor captured by :meth:`state_dict`.
+
+        Raises:
+            CheckpointError: The scenario carries a fault plan but
+                *state* holds no plan state.
+        """
+        self.generator.load_state_dict(state["generator"])
+        self.rng.bit_generator.state = state["state_rng"]
+        if self.plan is not None:
+            if state.get("plan") is None or state.get("plan_rng") is None:
+                raise CheckpointError(
+                    "the saved state stream has no fault-plan state but "
+                    "the scenario carries a plan"
+                )
+            self.plan.load_state_dict(state["plan"])
+            self.plan_rng.bit_generator.state = state["plan_rng"]

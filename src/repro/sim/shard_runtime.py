@@ -7,11 +7,12 @@ Every sharded run drives its cells through one command protocol
 handles:
 
 * :class:`CellRuntime` -- one cell's long-lived execution state: the
-  controller (built once, strategy-space cache kept hot), the state
-  generator and its rng, the fault-plan cursor (plan state + plan rng),
-  the per-cell probe/monitor suite.  Controllers advance in place for
-  the whole run; carry state is serialized only on ``pull``
-  (checkpoint/salvage) and ``load``/``replay`` (resume/rebuild).
+  controller (built once, strategy-space cache kept hot), its
+  :class:`~repro.sim.scenario.StateStream` (generator, state rng and
+  fault-plan cursor), the per-cell probe/monitor suite.  Controllers
+  advance in place for the whole run; carry state is serialized only on
+  ``pull`` (checkpoint/salvage) and ``load``/``replay``
+  (resume/rebuild).
 * :class:`_WorkerRuntime` -- everything one worker owns for its pinned
   cells.  Per epoch it receives only ``(slot range, budget shares,
   shared-state buffer index)`` and returns compact deltas (metric
@@ -54,11 +55,11 @@ import numpy as np
 from repro.core.budget import CoordinatedBudget
 from repro.core.state import SlotState
 from repro.kernels.shm import SharedStateBlock
-from repro.obs.monitors import MonitorSuite, default_monitors
+from repro.obs.monitors import BudgetDriftMonitor, MonitorSuite, default_monitors
 from repro.obs.probe import Probe
 from repro.obs.telemetry import MetricsRegistry, TelemetrySink, telemetry_context
 from repro.sim.engine import run_simulation
-from repro.sim.scenario import Scenario
+from repro.sim.scenario import Scenario, StateStream
 
 logger = logging.getLogger(__name__)
 
@@ -107,12 +108,12 @@ class CellRuntime:
 
     Args:
         cell: Cell index (labels telemetry/monitors).
-        scenario: The cell's scenario (its optional ``fault_plan`` is
-            applied on top of every segment from the plan's own stream).
-        own_states: Draw slot states from the cell's own stream.  With
+        scenario: The cell's scenario, drawn through one
+            :class:`~repro.sim.scenario.StateStream` (its optional
+            ``fault_plan`` is applied from the plan's own stream).  With
             shared-memory states the parent owns the live stream and
-            passes each epoch's states in; the runtime's local stream
-            is then only the replay/salvage base.
+            passes each epoch's states in; the runtime's own stream is
+            then only the replay/salvage base.
     """
 
     def __init__(
@@ -126,27 +127,25 @@ class CellRuntime:
         backend: "str | None",
         controller_params: dict,
         budget: float,
-        compiled: bool,
-        chunk: int,
         probe: "Probe | None" = None,
         registry: "MetricsRegistry | None" = None,
         monitors: bool = False,
-        own_states: bool = True,
     ) -> None:
         from repro.api import make_controller
 
         self.cell = int(cell)
-        self.scenario = scenario
-        self.compiled = bool(compiled)
-        self.chunk = int(chunk)
         self.probe = probe
-        self.own_states = bool(own_states)
         self.suite: "MonitorSuite | None" = None
+        self._budget_monitor: "BudgetDriftMonitor | None" = None
         if monitors:
-            self.suite = MonitorSuite(
-                default_monitors(budget=float(budget), network=scenario.network),
-                labels={"cell": self.cell},
-            ).attach(probe)
+            suite = default_monitors(budget=float(budget), network=scenario.network)
+            self.suite = MonitorSuite(suite, labels={"cell": self.cell}).attach(probe)
+            self._budget_monitor = next(
+                m for m in suite if isinstance(m, BudgetDriftMonitor)
+            )
+        # Sum of share x slots, and slots, over the epochs run here.
+        self._share_slots = 0.0
+        self._slots = 0
         self.schedule = CoordinatedBudget(float(budget))
         with telemetry_context(registry, {"cell": self.cell}):
             self.controller = make_controller(
@@ -159,64 +158,43 @@ class CellRuntime:
                 engine_backend=backend,
                 **controller_params,
             )
-        self.generator = scenario.generator
-        self.generator.reset()
-        self.state_rng = scenario.state_rng()
-        self.plan = scenario.fault_plan if scenario.fault_plan else None
-        if self.plan is not None:
-            self.plan.reset()
-            self.plan_rng = scenario.fault_rng()
-        else:
-            self.plan_rng = None
+        self.stream = StateStream(scenario, tracer=probe)
         self._alerts_shipped = 0
-
-    def segment(self, start: int, count: int, states=None):
-        """The slot-state iterator for one epoch (fault plan applied)."""
-        if states is None:
-            if self.compiled:
-                states = self.generator.compile_states(
-                    count, self.state_rng, chunk=self.chunk, start=start
-                )
-            else:
-                states = self.generator.states(count, self.state_rng, start=start)
-        if self.plan is not None:
-            states = self.plan.stream(
-                states, self.scenario.network, self.plan_rng, self.probe
-            )
-        return states
 
     def run_epoch(
         self, start: int, count: int, budget: float, states=None
     ) -> "tuple[dict, float]":
         """Advance the cell *count* slots under *budget*; return the
-        segment's metric lists and its mean spend."""
+        segment's metric lists and its mean spend.
+
+        *states* are the epoch's shared-memory states when the parent
+        owns the stream (only for cells without a fault plan); the
+        cell's own :class:`~repro.sim.scenario.StateStream` otherwise.
+        """
         self.schedule.set(float(budget))
-        part = run_simulation(
-            self.controller, self.segment(start, count, states), tracer=self.probe
-        )
+        if self._budget_monitor is not None:
+            # The coordinator re-splits every epoch: judge the cell
+            # against the slot-weighted mean of the shares it ran under.
+            self._share_slots += float(budget) * count
+            self._slots += count
+            self._budget_monitor.budget = self._share_slots / self._slots
+        if states is None:
+            states = self.stream.take(start, count)
+        part = run_simulation(self.controller, states, tracer=self.probe)
         metrics = {k: getattr(part, k).tolist() for k in _METRIC_KEYS}
         return metrics, float(part.time_average_cost())
 
     # -- carry (checkpoint / salvage only; never per epoch) ---------------
 
     def carry(self) -> dict:
-        out = {
+        return {
             "controller": self.controller.state_dict(),
-            "generator": self.generator.state_dict(),
-            "state_rng": self.state_rng.bit_generator.state,
+            **self.stream.state_dict(),
         }
-        if self.plan is not None:
-            out["plan"] = self.plan.state_dict()
-            out["plan_rng"] = self.plan_rng.bit_generator.state
-        return out
 
     def load_carry(self, carry: dict) -> None:
         self.controller.load_state_dict(carry["controller"])
-        self.generator.load_state_dict(carry["generator"])
-        self.state_rng.bit_generator.state = carry["state_rng"]
-        if self.plan is not None and carry.get("plan") is not None:
-            self.plan.load_state_dict(carry["plan"])
-            self.plan_rng.bit_generator.state = carry["plan_rng"]
+        self.stream.load_state_dict(carry)
 
     # -- monitor alert shipping -------------------------------------------
 
@@ -278,12 +256,9 @@ class _WorkerRuntime:
                 backend=payload["backends"][c],
                 controller_params=payload["controller_params"],
                 budget=payload["initial_budgets"][c],
-                compiled=payload["compiled"],
-                chunk=payload["chunk"],
                 probe=probe,
                 registry=self.registry,
                 monitors=monitors,
-                own_states=c not in self.blocks,
             )
 
     def _block_states(self, cell: int, buffer: int, start: int, count: int):
@@ -615,12 +590,8 @@ class SharedStatePlanner:
     #: fronthaul/availability -- are unsupported; see :meth:`supported`).
     _BUFFERS = 2
 
-    def __init__(
-        self, scenarios: "list[Scenario]", *, epoch: int, compiled: bool, chunk: int
-    ) -> None:
+    def __init__(self, scenarios: "list[Scenario]", *, epoch: int) -> None:
         self.scenarios = scenarios
-        self.compiled = bool(compiled)
-        self.chunk = int(chunk)
         self.blocks: "dict[int, SharedStateBlock]" = {}
         self.rngs = {}
         # Boundary stream states captured at each fill: the pipelined
@@ -677,12 +648,7 @@ class SharedStatePlanner:
         boundary = {}
         for c, sc in enumerate(self.scenarios):
             arrays = self.blocks[c].arrays(buffer)
-            if self.compiled:
-                stream = sc.generator.compile_states(
-                    count, self.rngs[c], chunk=self.chunk, start=start
-                )
-            else:
-                stream = sc.generator.states(count, self.rngs[c], start=start)
+            stream = sc.generator.compile_states(count, self.rngs[c], start=start)
             for j, state in enumerate(stream):
                 arrays["cycles"][j] = state.cycles
                 arrays["bits"][j] = state.bits

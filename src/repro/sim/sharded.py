@@ -11,10 +11,10 @@ observed per-cell spend, conserving the total exactly, so the sum of
 the per-cell virtual-queue constraints is the global constraint.
 
 Execution is epoch-segmented exactly like checkpoint/resume: each cell
-keeps one continuing state rng and draws its compiled states segment by
-segment (``compile_states(count, rng, start=completed)``), which is
-bit-identical to one uninterrupted pass.  There is one epoch loop and
-two ways to run its workers (:mod:`repro.sim.shard_runtime`), both
+keeps one continuing :class:`~repro.sim.scenario.StateStream` and draws
+its compiled states segment by segment (``stream.take(start, count)``),
+which is bit-identical to one uninterrupted pass.  There is one epoch
+loop and two ways to run its workers (:mod:`repro.sim.shard_runtime`), both
 speaking the same command protocol.  ``processes=None``/1 answers it
 in-process: one worker holds every cell and runs them one after the
 other; it is the bit-identical oracle.  ``processes > 1`` pins each
@@ -246,10 +246,6 @@ class ShardedResult:
     plan: CellPlan | None = None
     health: "HealthReport | None" = None
 
-    def speedup_basis(self) -> int:
-        """Total devices simulated (for slots/s-per-device accounting)."""
-        return int(sum(c.num_devices for c in self.plan.cells)) if self.plan else 0
-
 
 class ShardedController:
     """Runs one controller per cell under a shared budget coordinator.
@@ -303,9 +299,10 @@ class ShardedController:
             sees every finished epoch, not just the final merge.
         monitors: Attach the default health monitors per cell
             (:func:`repro.obs.monitors.default_monitors` wired to each
-            cell's budget share and sub-network).  Alerts carry a
-            ``cell`` label, are re-emitted on the parent tracer, and the
-            combined report lands on ``ShardedResult.health``.
+            cell's sub-network; the budget monitor judges a cell against
+            the slot-weighted mean of the shares it ran under).  Alerts
+            carry a ``cell`` label, are re-emitted on the parent tracer,
+            and the combined report lands on ``ShardedResult.health``.
         **controller_params: Extra family knobs, validated at
             construction (unknown names raise with a did-you-mean
             hint).
@@ -406,8 +403,6 @@ class ShardedController:
         self,
         horizon: int,
         *,
-        compiled: bool,
-        chunk: int,
         ckpt: "_CheckpointPlan | None" = None,
         resume_state: "ShardCheckpoint | None" = None,
     ) -> "tuple[list[dict], list]":
@@ -435,9 +430,7 @@ class ShardedController:
         if resume_state is not None:
             self.coordinator.load_state_dict(resume_state.coordinator)
         planner = (
-            SharedStatePlanner(
-                self.cell_scenarios, epoch=self.epoch, compiled=compiled, chunk=chunk
-            )
+            SharedStatePlanner(self.cell_scenarios, epoch=self.epoch)
             if pooled and SharedStatePlanner.supported(self.cell_scenarios)
             else None
         )
@@ -536,8 +529,6 @@ class ShardedController:
                     "backends": {c: self.backends[c] for c in cells_w},
                     "controller_params": self.controller_params,
                     "initial_budgets": {c: float(initial[c]) for c in cells_w},
-                    "compiled": compiled,
-                    "chunk": chunk,
                     "trace_phases": trace,
                     # Heartbeats only matter to a silence deadline.
                     "watchdog": self.timeout_seconds is not None,
@@ -875,8 +866,6 @@ class ShardedController:
         self,
         horizon: int,
         *,
-        compiled_states: bool = True,
-        state_chunk: int = 32,
         checkpoint: "str | Path | None" = None,
         checkpoint_every: "int | None" = None,
         resume: bool = False,
@@ -918,8 +907,6 @@ class ShardedController:
                 resume_state = self._load_shard_checkpoint(path, horizon)
         metrics, budgets = self._run_epochs(
             horizon,
-            compiled=compiled_states,
-            chunk=state_chunk,
             ckpt=ckpt,
             resume_state=resume_state,
         )
@@ -956,8 +943,6 @@ def run_sharded(
     *,
     horizon: int,
     cells: "CellPlan | int",
-    compiled_states: bool = True,
-    state_chunk: int = 32,
     checkpoint: "str | Path | None" = None,
     checkpoint_every: "int | None" = None,
     resume: bool = False,
@@ -969,12 +954,13 @@ def run_sharded(
     every other keyword in *options* goes to :class:`ShardedController`,
     which validates it (unknown names raise with a did-you-mean hint).
     Returns the :class:`ShardedResult`; ``result.merged`` is the drop-in
-    cross-cell :class:`~repro.sim.results.SimulationResult`.
+    cross-cell :class:`~repro.sim.results.SimulationResult`.  Every cell
+    draws its slot states through the state compiler, one continuing
+    :class:`~repro.sim.scenario.StateStream` per cell (or the parent's
+    shared-memory fill on pooled runs).
     """
     return ShardedController(scenario, cells, **options).run(
         horizon,
-        compiled_states=compiled_states,
-        state_chunk=state_chunk,
         checkpoint=checkpoint,
         checkpoint_every=checkpoint_every,
         resume=resume,

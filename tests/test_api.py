@@ -208,7 +208,7 @@ class TestRunConfig:
         config = RunConfig(
             controller="mcba",
             horizon=4,
-            engine=EngineConfig(backend="numpy", state_chunk=16),
+            engine=EngineConfig(backend="numpy"),
             checkpoint=CheckpointConfig(path="/tmp/ck.json", every=8),
             obs=ObsConfig(monitors=True),
             cells=CellConfig(count=2, backends=("numpy", "numpy")),

@@ -42,13 +42,15 @@ def make_scenario(seed: int = 19, *, faulted: bool = False) -> repro.Scenario:
     )
 
 
-def make_controller(scenario: repro.Scenario) -> repro.DPPController:
+def make_controller(
+    scenario: repro.Scenario, *, v: float = 100.0, z: int = 1
+) -> repro.DPPController:
     return repro.DPPController(
         scenario.network,
         scenario.controller_rng("ckpt"),
-        v=100.0,
+        v=v,
         budget=scenario.budget,
-        z=1,
+        z=z,
         resilience=ResiliencePolicy(
             chaos=SolverChaos(failure_rate=0.1, seed=2)
         ),
@@ -194,12 +196,14 @@ class TestResume:
             scenario, make_controller(scenario),
             horizon=HORIZON, path=path, every=8,
         )
-        other = make_scenario(seed=99)
-        with pytest.raises(CheckpointError, match="different run"):
-            run_checkpointed(
-                other, make_controller(other),
-                horizon=HORIZON, path=path, every=8, resume=True,
-            )
+        # Another seed, V or z each make it another run.
+        for seed, knobs in ((99, {}), (19, {"v": 5.0}), (19, {"z": 2})):
+            other = make_scenario(seed=seed)
+            with pytest.raises(CheckpointError, match="different run"):
+                run_checkpointed(
+                    other, make_controller(other, **knobs),
+                    horizon=HORIZON, path=path, every=8, resume=True,
+                )
 
     def test_mismatched_horizon_is_refused(self, tmp_path) -> None:
         path = tmp_path / "run.ckpt"

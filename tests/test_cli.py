@@ -33,6 +33,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([*command, "--cell-runtime", "resident"])
 
+    @pytest.mark.parametrize(
+        "flags", (["--no-compiled-states"], ["--state-chunk", "16"])
+    )
+    def test_state_drawing_flags_removed(self, flags) -> None:
+        # States always come from the state compiler; there is no
+        # per-slot switch and no chunk size to set.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", *flags])
+
 
 class TestCommands:
     def test_info(self, capsys) -> None:

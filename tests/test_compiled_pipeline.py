@@ -16,11 +16,13 @@ Three families of guarantees, each asserted bitwise unless noted:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 import repro
-from repro.api import run
+from repro.api import make_controller, run
 from repro.core.p2b import solve_p2b
 from repro.core.bdma import cgba_p2a_solver, solve_p2_bdma
 from repro.core.state import (
@@ -30,11 +32,19 @@ from repro.core.state import (
     SlotState,
     validate_decision,
 )
-from repro.exceptions import ConfigurationError, ValidationError
+from repro.exceptions import CheckpointError, ConfigurationError, ValidationError
 from repro.network.connectivity import StrategySpace
 from repro.radio.mobility import RandomWaypointMobility
 from repro.radio.fronthaul import ScintillatingFronthaul
-from repro.sim.faults import MarkovOutages
+from repro.sim.engine import run_simulation
+from repro.sim.faults import (
+    FaultPlan,
+    FronthaulDegradation,
+    MarkovOutages,
+    PriceFeedDropouts,
+    ServerOutages,
+)
+from repro.sim.scenario import StateStream
 from repro.solvers.scalar import minimize_convex_scalar
 
 from conftest import make_tiny_network, make_tiny_state
@@ -155,11 +165,9 @@ class TestCompiledStates:
         compiled = run(
             scenario=_small_scenario(), controller="dpp", horizon=24
         )
-        per_slot = run(
-            scenario=_small_scenario(),
-            controller="dpp",
-            horizon=24,
-            compiled_states=False,
+        scenario = _small_scenario()
+        per_slot = run_simulation(
+            make_controller("dpp", scenario), scenario.fresh_states(24)
         )
         for name in ("latency", "cost", "theta", "backlog", "price"):
             assert np.array_equal(
@@ -181,6 +189,51 @@ class TestCompiledStates:
         assert state.cycles is cycles
         assert state.fronthaul_se is None
         assert state.available_servers is None
+
+
+class TestStateStream:
+    """One run's continuing stream: segments, carry, reload."""
+
+    @staticmethod
+    def _scenario(faulted: bool) -> repro.Scenario:
+        plan = None
+        if faulted:
+            plan = FaultPlan(
+                faults=(
+                    ServerOutages(MarkovOutages(mtbf_slots=8.0, mttr_slots=3.0)),
+                    FronthaulDegradation(
+                        mtbf_slots=6.0, mttr_slots=3.0, factor=0.4
+                    ),
+                    PriceFeedDropouts(mtbf_slots=5.0, mttr_slots=2.0),
+                ),
+            )
+        return _small_scenario(fault_plan=plan)
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["plain", "faulted"])
+    def test_carry_reload_continues_bit_identically(self, faulted) -> None:
+        horizon, cut = 30, 11
+        reference = list(self._scenario(faulted).fresh_states(horizon))
+        stream = StateStream(self._scenario(faulted))
+        head = list(stream.take(0, cut))
+        carry = json.loads(json.dumps(stream.state_dict()))
+        assert ("plan" in carry) == faulted
+        # Draw past the carry, then reload it into the same stream and
+        # into a new stream over a new scenario: both continue at *cut*.
+        list(stream.take(cut, 5))
+        stream.load_state_dict(carry)
+        _assert_states_identical(
+            reference, head + list(stream.take(cut, horizon - cut))
+        )
+        fresh = StateStream(self._scenario(faulted))
+        fresh.load_state_dict(carry)
+        _assert_states_identical(
+            reference[cut:], fresh.take(cut, horizon - cut)
+        )
+
+    def test_plan_state_missing_from_carry_is_refused(self) -> None:
+        carry = StateStream(self._scenario(False)).state_dict()
+        with pytest.raises(CheckpointError, match="fault-plan"):
+            StateStream(self._scenario(True)).load_state_dict(carry)
 
 
 # -- batched P2-B vs the scalar oracle ---------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro
@@ -402,6 +403,34 @@ class TestEndToEnd:
         )
         assert result.health is not None
         assert result.health.ok, result.health.render()
+
+    def test_sharded_budget_monitor_judges_the_applied_shares(self) -> None:
+        # The coordinator re-splits the budget every epoch; each cell's
+        # budget monitor must judge the cell against the slot-weighted
+        # mean of the shares it ran under (what ShardedResult.cells
+        # uses), not against its initial device-proportional share.
+        horizon, epoch = 48, 4
+        result = repro.sharding.run_sharded(
+            repro.make_paper_scenario(
+                seed=7, config=repro.ScenarioConfig(num_devices=16)
+            ),
+            horizon=horizon, cells=2, epoch=epoch, monitors=True,
+        )
+        slots = np.minimum(
+            epoch, horizon - epoch * np.arange(len(result.budgets))
+        )
+        applied = slots @ result.budgets / horizon
+        statuses = {s.name: s for s in result.health.statuses}
+        for c, cell in enumerate(result.cells):
+            status = statuses[f"cell{c}/budget"]
+            assert status.detail == (
+                f"mean cost {cell.mean_cost:.4g} vs budget {applied[c]:.4g}"
+            )
+            violated = cell.mean_cost > applied[c] * 1.01
+            assert (status.status == "critical") == violated
+        # The first epoch's split (by device count) is far from what
+        # cell 0 ran under once the coordinator saw its spend.
+        assert abs(applied[0] - result.budgets[0, 0]) > 0.5 * applied[0]
 
     def test_monitors_true_uses_default_set(self) -> None:
         result = repro.api.run(

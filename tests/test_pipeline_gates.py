@@ -18,10 +18,11 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.api import run
+from repro.api import make_controller, run
 from repro.kernels import available_backends
 from repro.obs import Probe
 from repro.obs.telemetry import MetricsRegistry, histogram_summaries
+from repro.sim.engine import run_simulation
 
 from conftest import MEDIUM_FINGERPRINT, fingerprint
 
@@ -66,9 +67,10 @@ def test_fast_paths_engage(backend: str) -> None:
         scenario=scenario(), controller="dpp", horizon=12, tracer=probe,
         engine_backend=backend,
     )
-    per_slot = run(
-        scenario=scenario(), controller="dpp", horizon=12,
-        compiled_states=False, engine_backend=backend,
+    oracle = scenario()
+    per_slot = run_simulation(
+        make_controller("dpp", oracle, engine_backend=backend),
+        oracle.fresh_states(12),
     )
     assert fingerprint(compiled) == fingerprint(per_slot)
     counters = probe.phases.counters

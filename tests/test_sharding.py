@@ -799,7 +799,7 @@ class TestResidentRuntime:
             metro_scenario().network, 2, rng=np.random.default_rng(3)
         )
         scenarios = sharding.shard_scenarios(metro_scenario(), plan)
-        planner = SharedStatePlanner(scenarios, epoch=2, compiled=True, chunk=32)
+        planner = SharedStatePlanner(scenarios, epoch=2)
         try:
             eager = {}
             for e in range(3):
