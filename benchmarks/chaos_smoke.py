@@ -232,11 +232,14 @@ def check_sharded_chaos() -> list[str]:
     )
     ctrl = sharding.ShardedController(
         make_metro_scenario(),
-        cells,
-        processes=2,
-        epoch=12,
-        timeout_seconds=5.0,
-        resilience=resilience,
+        repro.RunConfig(
+            cells=repro.CellConfig(
+                count=cells.num_cells, processes=2, epoch=12,
+                timeout_seconds=5.0,
+            ),
+            controller_params={"resilience": resilience},
+        ),
+        plan=cells,
     )
     ctrl._chaos_hang = (1, 0)
     salvaged = ctrl.run(HORIZON)

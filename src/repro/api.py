@@ -39,7 +39,7 @@ Quickstart::
 from __future__ import annotations
 
 import difflib
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 from repro.analysis.equilibrium import estimate_equilibrium_backlog
 from repro.baselines.fixed_frequency import FixedFrequencyController
@@ -320,14 +320,11 @@ class CellConfig:
             on that many long-lived resident workers, bit-identical to
             in-process, with shared-memory slot states whenever the
             scenario's state stream allows it).
-        backends: Per-cell kernel backends (``None`` = the engine
-            block's backend everywhere).
         partition_restarts: K-means restarts when partitioning.
-        balance_weight: Weight of the workload-balance term in the
-            partition score.
         timeout_seconds: Per-epoch heartbeat-silence deadline on the
-            pooled path.
-        max_retries: Retries per (worker, epoch) after a failure.
+            pooled path (``None`` = no watchdog; must be positive).  A
+            worker silent past it -- hung, not just dead -- is killed
+            and replayed.
     """
 
     count: int = 1
@@ -336,11 +333,8 @@ class CellConfig:
     floor_fraction: float = 0.1
     smoothing: float = 0.5
     processes: int | None = None
-    backends: "tuple[str | None, ...] | None" = None
     partition_restarts: int = 8
-    balance_weight: float = 1.0
     timeout_seconds: float | None = None
-    max_retries: int = 2
 
 
 def _as_pairs(params: "dict | tuple") -> "tuple[tuple[str, object], ...]":
@@ -401,7 +395,7 @@ class RunConfig:
         Field names mirror the dataclass structure so a manifest diff
         reads like a config diff.
         """
-        out: dict = {
+        return {
             "controller": self.controller,
             "seed": self.seed,
             "scenario_config": (
@@ -423,9 +417,6 @@ class RunConfig:
                 for key, value in self.controller_params
             },
         }
-        if out["cells"] and out["cells"]["backends"] is not None:
-            out["cells"]["backends"] = list(out["cells"]["backends"])
-        return out
 
 
 class _Unset:
@@ -440,47 +431,9 @@ class _Unset:
 _UNSET = _Unset()
 
 
-def _pick(value, fallback):
-    return fallback if value is _UNSET else value
-
-
-def _run_sharded_path(
-    scenario: Scenario,
-    cfg: CellConfig,
-    *,
-    engine_backend: "str | None",
-    controller_params: dict,
-    **options: object,
-) -> SimulationResult:
-    """Partition per *cfg* and run the sharded engine; *options* are
-    forwarded to :func:`~repro.sim.sharded.run_sharded`."""
-    from repro.network.partition import partition_cells
-    from repro.sim.sharded import run_sharded
-
-    plan = partition_cells(
-        scenario.network,
-        cfg.count,
-        rng=scenario.seeds.rng("cell-partition"),
-        restarts=cfg.partition_restarts,
-        balance_weight=cfg.balance_weight,
-    )
-    sharded = run_sharded(
-        scenario,
-        cells=plan,
-        epoch=cfg.epoch,
-        coordinator=cfg.coordinator,
-        floor_fraction=cfg.floor_fraction,
-        smoothing=cfg.smoothing,
-        engine_backend=(
-            cfg.backends if cfg.backends is not None else engine_backend
-        ),
-        processes=cfg.processes,
-        timeout_seconds=cfg.timeout_seconds,
-        max_retries=cfg.max_retries,
-        **options,
-        **controller_params,
-    )
-    return sharded.merged
+def _given(**values: object) -> dict:
+    """The keyword arguments the caller actually passed."""
+    return {k: v for k, v in values.items() if v is not _UNSET}
 
 
 def run(
@@ -596,40 +549,21 @@ def run(
         The :class:`~repro.sim.results.SimulationResult`.
     """
     cfg = config if config is not None else RunConfig()
-    seed = _pick(seed, cfg.seed)
-    scenario_config = _pick(scenario_config, cfg.scenario_config)
-    controller = _pick(controller, cfg.controller)
-    horizon = _pick(horizon, cfg.horizon)
-    v = _pick(v, cfg.v)
-    z = _pick(z, cfg.z)
-    budget = _pick(budget, cfg.budget)
-    engine_backend = _pick(engine_backend, cfg.engine.backend)
-    keep_records = _pick(keep_records, cfg.obs.keep_records)
-    warm_start_queue = _pick(warm_start_queue, cfg.warm_start_queue)
-    checkpoint = _pick(checkpoint, cfg.checkpoint.path)
-    checkpoint_every = _pick(checkpoint_every, cfg.checkpoint.every)
-    resume = _pick(resume, cfg.checkpoint.resume)
-    cells = _pick(cells, cfg.cells)
-    metrics_port = _pick(metrics_port, cfg.obs.metrics_port)
-    if monitors is None and cfg.obs.monitors:
-        monitors = True
-    merged_params = dict(cfg.controller_params)
-    merged_params.update(controller_params)
-
-    registry = metrics_registry
-    server = None
-    if registry is None and metrics_port is not None:
-        from repro.obs.telemetry import MetricsRegistry
-
-        registry = MetricsRegistry()
-    if metrics_port is not None:
-        from repro.obs.server import MetricsServer
-
-        server = MetricsServer(registry, port=metrics_port)
-        server.start()
-    try:
-        return _run_resolved(
-            scenario=scenario,
+    instance = None
+    if isinstance(controller, OnlineController):
+        instance, controller = controller, _UNSET
+    if isinstance(cells, int):
+        cells = CellConfig(count=cells)
+    # True/False/None select the default suites; anything else is a
+    # custom suite, which is an object, not a setting.
+    custom_monitors = None
+    if monitors is None:
+        monitors = cfg.obs.monitors
+    elif not isinstance(monitors, bool):
+        custom_monitors, monitors = monitors, False
+    cfg = replace(
+        cfg,
+        **_given(
             seed=seed,
             scenario_config=scenario_config,
             controller=controller,
@@ -637,18 +571,42 @@ def run(
             v=v,
             z=z,
             budget=budget,
-            tracer=tracer,
-            engine_backend=engine_backend,
-            monitors=monitors,
-            registry=registry,
-            keep_records=keep_records,
-            on_slot=on_slot,
             warm_start_queue=warm_start_queue,
-            checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
             cells=cells,
-            merged_params=merged_params,
+        ),
+        engine=replace(cfg.engine, **_given(backend=engine_backend)),
+        checkpoint=replace(
+            cfg.checkpoint,
+            **_given(path=checkpoint, every=checkpoint_every, resume=resume),
+        ),
+        obs=replace(
+            cfg.obs,
+            monitors=monitors,
+            **_given(keep_records=keep_records, metrics_port=metrics_port),
+        ),
+        controller_params={**dict(cfg.controller_params), **controller_params},
+    )
+
+    registry = metrics_registry
+    server = None
+    if registry is None and cfg.obs.metrics_port is not None:
+        from repro.obs.telemetry import MetricsRegistry
+
+        registry = MetricsRegistry()
+    if cfg.obs.metrics_port is not None:
+        from repro.obs.server import MetricsServer
+
+        server = MetricsServer(registry, port=cfg.obs.metrics_port)
+        server.start()
+    try:
+        return _run_resolved(
+            cfg,
+            scenario=scenario,
+            controller=instance,
+            tracer=tracer,
+            monitors=custom_monitors,
+            registry=registry,
+            on_slot=on_slot,
         )
     finally:
         if server is not None:
@@ -656,84 +614,60 @@ def run(
 
 
 def _run_resolved(
+    config: RunConfig,
     *,
-    scenario,
-    seed,
-    scenario_config,
-    controller,
-    horizon,
-    v,
-    z,
-    budget,
-    tracer,
-    engine_backend,
-    monitors,
+    scenario: "Scenario | None",
+    controller: "OnlineController | None",
+    tracer: "Tracer | None",
+    monitors: "object | None",
     registry,
-    keep_records,
     on_slot,
-    warm_start_queue,
-    checkpoint,
-    checkpoint_every,
-    resume,
-    cells,
-    merged_params,
 ) -> SimulationResult:
     """The body of :func:`run` after config resolution.
 
+    *config* holds every setting; the keywords are the objects a config
+    cannot hold (a prebuilt controller, a custom monitor suite, ...).
     Split out so the metrics endpoint in :func:`run` can wrap the whole
     execution in one ``try/finally`` regardless of which path returns.
     """
     from repro.obs.telemetry import telemetry_context
 
     if scenario is None:
-        scenario = make_paper_scenario(seed, config=scenario_config)
-    if budget is None:
-        budget = scenario.budget
+        scenario = make_paper_scenario(config.seed, config=config.scenario_config)
+    budget = scenario.budget if config.budget is None else config.budget
+    backend = config.engine.backend
 
-    if isinstance(controller, OnlineController) and engine_backend is not None:
+    if controller is not None and backend is not None:
         raise ConfigurationError(
             "engine_backend cannot be applied to an already built controller "
             "instance; pass it to the controller's constructor instead"
         )
 
-    if cells is not None:
-        if isinstance(cells, int):
-            cells = CellConfig(count=cells)
-        if isinstance(controller, OnlineController):
+    if config.cells is not None:
+        from repro.sim.sharded import ShardedController
+
+        if controller is not None:
             raise ConfigurationError(
                 "sharded runs build one controller per cell; pass a "
                 "controller name, not an instance"
             )
-        conflicts = {
-            # monitors=True shards fine (per-cell default suites);
-            # custom suites/iterables cannot be split across cells.
-            "monitors": monitors not in (None, False, True),
-            "keep_records": bool(keep_records),
-            "on_slot": on_slot is not None,
-            "warm_start_queue": bool(warm_start_queue),
-        }
-        active = sorted(k for k, bad in conflicts.items() if bad)
+        # The setting conflicts are the controller's own check; these
+        # are objects it never sees.
+        objects = {"monitors": monitors is not None, "on_slot": on_slot is not None}
+        active = sorted(k for k, bad in objects.items() if bad)
         if active:
             raise ConfigurationError(
                 f"cells= does not combine with: {', '.join(active)}"
             )
-        return _run_sharded_path(
-            scenario,
-            cells,
-            controller=controller,
-            horizon=horizon,
-            v=v,
-            z=z,
-            budget=budget,
-            tracer=tracer,
-            engine_backend=engine_backend,
-            controller_params=merged_params,
-            registry=registry,
-            monitors=monitors is True,
-            checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
+        sharded = ShardedController(
+            scenario, config, tracer=tracer, registry=registry
+        ).run(
+            config.horizon,
+            checkpoint=config.checkpoint.path,
+            checkpoint_every=config.checkpoint.every,
+            resume=config.checkpoint.resume,
         )
+        return sharded.merged
 
     if registry is not None:
         from repro.obs.probe import Probe
@@ -746,13 +680,13 @@ def _run_resolved(
             add_sink(TelemetrySink(registry))
 
     suite = None
-    if monitors is not None and monitors is not False:
+    if monitors is not None or config.obs.monitors:
         from repro.obs.monitors import MonitorSuite, default_monitors
         from repro.obs.probe import Probe
 
         if isinstance(monitors, MonitorSuite):
             suite = monitors
-        elif monitors is True:
+        elif monitors is None:
             suite = MonitorSuite(
                 default_monitors(budget=budget, network=scenario.network)
             )
@@ -762,47 +696,43 @@ def _run_resolved(
             tracer = Probe()
         suite.attach(tracer)  # type: ignore[arg-type]
 
-    if isinstance(controller, OnlineController):
-        ctrl = controller
-    else:
+    if controller is None:
         with telemetry_context(registry):
-            ctrl = make_controller(
-                controller,
+            controller = make_controller(
+                config.controller,
                 scenario,
-                v=v,
-                z=z,
+                v=config.v,
+                z=config.z,
                 budget=budget,
-                warm_start_queue=warm_start_queue,
+                warm_start_queue=config.warm_start_queue,
                 tracer=tracer,
-                engine_backend=engine_backend,
-                **merged_params,  # type: ignore[arg-type]
+                engine_backend=backend,
+                **dict(config.controller_params),  # type: ignore[arg-type]
             )
-    if checkpoint is not None:
+    if config.checkpoint.path is not None:
         from repro.sim.checkpoint import run_checkpointed
 
         result = run_checkpointed(
             scenario,
-            ctrl,
-            horizon=horizon,
-            path=checkpoint,
+            controller,
+            horizon=config.horizon,
+            path=config.checkpoint.path,
             budget=budget,
-            every=checkpoint_every,
-            resume=resume,
+            every=config.checkpoint.every,
+            resume=config.checkpoint.resume,
             tracer=tracer,
-            keep_records=keep_records,
+            keep_records=config.obs.keep_records,
             on_slot=on_slot,
         )
-        if suite is not None:
-            result.health = suite.finish()
-        return result
-    result = run_simulation(
-        ctrl,
-        scenario.fresh_compiled_states(horizon, tracer=tracer),
-        budget=budget,
-        keep_records=keep_records,
-        on_slot=on_slot,
-        tracer=tracer,
-    )
+    else:
+        result = run_simulation(
+            controller,
+            scenario.fresh_compiled_states(config.horizon, tracer=tracer),
+            budget=budget,
+            keep_records=config.obs.keep_records,
+            on_slot=on_slot,
+            tracer=tracer,
+        )
     if suite is not None:
         result.health = suite.finish()
     return result

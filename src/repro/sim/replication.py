@@ -34,6 +34,7 @@ import numpy as np
 import repro
 from repro.analysis.aggregate import RunStatistics, summarize_runs
 from repro.exceptions import ConfigurationError, SolverError
+from repro.kernels import BACKEND_NAMES
 from repro.obs.probe import Probe, Tracer, as_tracer
 
 logger = logging.getLogger(__name__)
@@ -93,7 +94,7 @@ class ReplicationSpec:
             raise ConfigurationError("horizon must be positive")
         if self.batch_seeds < 1:
             raise ConfigurationError("batch_seeds must be >= 1")
-        if self.engine_backend not in ("numpy", "jit"):
+        if self.engine_backend not in BACKEND_NAMES:
             raise ConfigurationError(
                 f"unknown engine backend {self.engine_backend!r}"
             )

@@ -49,6 +49,7 @@ from __future__ import annotations
 import logging
 import multiprocessing as mp
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -60,6 +61,9 @@ from repro.obs.probe import Probe
 from repro.obs.telemetry import MetricsRegistry, TelemetrySink, telemetry_context
 from repro.sim.engine import run_simulation
 from repro.sim.scenario import Scenario, StateStream
+
+if TYPE_CHECKING:
+    from repro.api import RunConfig
 
 logger = logging.getLogger(__name__)
 
@@ -114,22 +118,22 @@ class CellRuntime:
             shared-memory states the parent owns the live stream and
             passes each epoch's states in; the runtime's own stream is
             then only the replay/salvage base.
+        config: The run's :class:`repro.api.RunConfig`; the cell builds
+            its controller from ``controller``/``v``/``z``/
+            ``engine.backend``/``controller_params`` and, with
+            ``obs.monitors``, its default monitor suite.
+        budget: The cell's initial budget share.
     """
 
     def __init__(
         self,
         cell: int,
         scenario: Scenario,
+        config: "RunConfig",
         *,
-        controller: str,
-        v: float,
-        z: "int | None",
-        backend: "str | None",
-        controller_params: dict,
         budget: float,
         probe: "Probe | None" = None,
         registry: "MetricsRegistry | None" = None,
-        monitors: bool = False,
     ) -> None:
         from repro.api import make_controller
 
@@ -137,7 +141,7 @@ class CellRuntime:
         self.probe = probe
         self.suite: "MonitorSuite | None" = None
         self._budget_monitor: "BudgetDriftMonitor | None" = None
-        if monitors:
+        if config.obs.monitors:
             suite = default_monitors(budget=float(budget), network=scenario.network)
             self.suite = MonitorSuite(suite, labels={"cell": self.cell}).attach(probe)
             self._budget_monitor = next(
@@ -149,14 +153,14 @@ class CellRuntime:
         self.schedule = CoordinatedBudget(float(budget))
         with telemetry_context(registry, {"cell": self.cell}):
             self.controller = make_controller(
-                controller,
+                config.controller,
                 scenario,
-                v=v,
-                z=z,
+                v=config.v,
+                z=config.z,
                 budget=self.schedule,
                 tracer=probe,
-                engine_backend=backend,
-                **controller_params,
+                engine_backend=config.engine.backend,
+                **dict(config.controller_params),
             )
         self.stream = StateStream(scenario, tracer=probe)
         self._alerts_shipped = 0
@@ -234,12 +238,12 @@ class _WorkerRuntime:
         self.cells: "list[int]" = list(payload["cells"])
         self.trace_phases: bool = payload["trace_phases"]
         telemetry: bool = payload["telemetry"]
-        monitors: bool = payload["monitors"]
+        config = payload["config"]
         self.registry = MetricsRegistry() if telemetry else None
         self.blocks: "dict[int, SharedStateBlock]" = {}
         for c, descriptor in (payload.get("shared") or {}).items():
             self.blocks[c] = SharedStateBlock.attach(descriptor)
-        want_probe = self.trace_phases or telemetry or monitors
+        want_probe = self.trace_phases or telemetry or config.obs.monitors
         self.runtimes: "dict[int, CellRuntime]" = {}
         for c in self.cells:
             probe = Probe() if want_probe else None
@@ -250,15 +254,10 @@ class _WorkerRuntime:
             self.runtimes[c] = CellRuntime(
                 c,
                 payload["scenarios"][c],
-                controller=payload["controller"],
-                v=payload["v"],
-                z=payload["z"],
-                backend=payload["backends"][c],
-                controller_params=payload["controller_params"],
+                config,
                 budget=payload["initial_budgets"][c],
                 probe=probe,
                 registry=self.registry,
-                monitors=monitors,
             )
 
     def _block_states(self, cell: int, buffer: int, start: int, count: int):

@@ -55,11 +55,13 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.budget import BudgetCoordinator
 from repro.exceptions import CheckpointError, ConfigurationError, SolverError
+from repro.kernels import BACKEND_NAMES
 from repro.network.partition import CellPlan, extract_subnetwork, partition_cells
 from repro.obs.monitors import Alert, HealthReport, MonitorStatus
 from repro.obs.probe import Probe, Tracer, as_tracer
@@ -76,6 +78,9 @@ from repro.sim.shard_runtime import (
     _mp_context,
 )
 
+if TYPE_CHECKING:
+    from repro.api import CellConfig, RunConfig
+
 logger = logging.getLogger(__name__)
 
 __all__ = [
@@ -85,6 +90,10 @@ __all__ = [
     "run_sharded",
     "shard_scenarios",
 ]
+
+#: Extra attempts per (worker, epoch) after a pooled worker's first
+#: failure; the next failure gives the run up with a :class:`SolverError`.
+MAX_RETRIES = 2
 
 class _HaltRequested(RuntimeError):
     """Test seam: the run was asked to stop right after a checkpoint
@@ -99,6 +108,44 @@ class _CheckpointPlan:
     every: int
 
 _METRIC_KEYS = ("latency", "cost", "theta", "backlog", "solve_seconds", "price")
+
+
+def _check_config(config: "RunConfig", cells: "CellConfig") -> None:
+    """Reject settings the sharded engine cannot run, before partitioning."""
+    conflicts = [
+        name
+        for name, bad in (
+            ("keep_records", config.obs.keep_records),
+            ("warm_start_queue", config.warm_start_queue),
+        )
+        if bad
+    ]
+    if conflicts:
+        raise ConfigurationError(
+            f"a sharded run does not combine with: {', '.join(conflicts)}"
+        )
+    if config.controller == "fixed":
+        raise ConfigurationError(
+            "sharded runs need a budget-tracking controller; "
+            "'fixed' has no virtual queue to coordinate"
+        )
+    backend = config.engine.backend
+    if backend is not None and backend not in BACKEND_NAMES:
+        raise ConfigurationError(
+            f"engine_backend must be one of {BACKEND_NAMES} or None, "
+            f"got {backend!r}"
+        )
+    if cells.epoch < 1:
+        raise ConfigurationError(f"epoch must be >= 1, got {cells.epoch}")
+    if cells.timeout_seconds is not None and cells.timeout_seconds <= 0:
+        raise ConfigurationError(
+            f"timeout_seconds must be positive, got {cells.timeout_seconds}"
+        )
+    from repro.api import _FAMILY_KNOBS, _validate_params
+
+    if config.controller in _FAMILY_KNOBS:
+        _validate_params(config.controller, dict(config.controller_params))
+
 
 def _check_shardable(scenario: Scenario) -> None:
     """One structured capability check for multi-cell sharding.
@@ -250,122 +297,73 @@ class ShardedResult:
 class ShardedController:
     """Runs one controller per cell under a shared budget coordinator.
 
+    Every setting comes from one :class:`repro.api.RunConfig`, whose
+    field docs are the reference: ``controller``, ``v``, ``z`` and
+    ``budget`` (every cell shares them; the budget is split by the
+    coordinator), ``engine.backend``, ``obs.monitors`` (a default suite
+    per cell; the budget monitor judges a cell against the
+    slot-weighted mean of the shares it ran under), ``controller_params``
+    and the :class:`repro.api.CellConfig` block in ``cells``
+    (``CellConfig()`` when ``None``).  Only a DPP-family controller
+    shards: ``"fixed"`` has no virtual queue to coordinate.  A pooled
+    worker that dies or stays silent past ``cells.timeout_seconds`` is
+    killed, respawned and replayed from the carry pulled at the last
+    checkpoint write (or slot 0), at most :data:`MAX_RETRIES` times per
+    worker and epoch.
+
     Args:
         scenario: The global scenario to shard.
-        cells: A prebuilt :class:`~repro.network.partition.CellPlan` or
-            a target cell count (partitioned with
-            :func:`~repro.network.partition.partition_cells` from the
-            scenario's ``"cell-partition"`` seed stream).
-        controller: Controller family name (any DPP-family name from
-            :data:`repro.api.CONTROLLER_NAMES`; ``"fixed"`` has no
-            budget-tracking queue and is rejected).
-        v: DPP trade-off parameter ``V`` (every cell shares it).
-        z: BDMA alternation rounds.
-        budget: Global time-average budget ``Cbar``; the scenario's
-            when omitted.
-        epoch: Slots between budget re-splits.
-        coordinator: ``"proportional"`` or ``"static"``
-            (:class:`~repro.core.budget.BudgetCoordinator` modes).
-        floor_fraction / smoothing: Coordinator pacing knobs.
-        engine_backend: Kernel backend for every cell, or one entry per
-            cell (heterogeneous shards).
-        processes: Worker processes; ``None``/1 runs every cell through
-            one in-process worker (no pickling), which on a single core
-            is just as fast.  ``processes > 1`` pins each cell's carry
-            state in a long-lived resident worker, bit-identical to the
-            in-process run.  Pooled runs ship compiled slot states
-            through shared memory whenever the scenario's states fit
-            the fixed layout (no fronthaul/outage models, no fault
-            plan).  A dead or hung resident worker is replayed from the
-            carry pulled at the last checkpoint write (or slot 0).
-        timeout_seconds: Per-epoch reply deadline on the pooled path;
-            a blown deadline burns one retry and rebuilds the worker.
-            It is a heartbeat *silence* deadline: workers heartbeat
-            as they progress through their cells, each heartbeat
-            resets the timer, and a worker silent past the deadline --
-            hung, not just dead -- is killed and salvaged through the
-            replay path (``shard.worker_hung`` event,
-            ``resilience.worker_hangs`` counter).
-        max_retries: Extra attempts per epoch, per worker, after the
-            first failure.
+        config: The run's settings.
+        plan: A prebuilt :class:`~repro.network.partition.CellPlan`;
+            when omitted the network is partitioned into
+            ``cells.count`` cells with ``cells.partition_restarts``
+            k-means restarts from the scenario's ``"cell-partition"``
+            seed stream.
         tracer: Parent observability tracer; per-cell probes are merged
             into it (``shard.*`` events mark epochs and re-splits).
         registry: A live :class:`~repro.obs.telemetry.MetricsRegistry`
             the run streams into -- per-cell gauges and per-kernel /
-            per-phase histograms, labelled ``cell="<index>"``.  Each
-            worker ships a telemetry delta with every epoch reply and
-            the parent merges it as soon as it arrives (once per
-            epoch, in-process or pooled), so a scrape *during* the run
-            sees every finished epoch, not just the final merge.
-        monitors: Attach the default health monitors per cell
-            (:func:`repro.obs.monitors.default_monitors` wired to each
-            cell's sub-network; the budget monitor judges a cell against
-            the slot-weighted mean of the shares it ran under).  Alerts
-            carry a ``cell`` label, are re-emitted on the parent tracer,
-            and the combined report lands on ``ShardedResult.health``.
-        **controller_params: Extra family knobs, validated at
-            construction (unknown names raise with a did-you-mean
-            hint).
+            per-phase histograms, labelled ``cell="<index>"``, merged
+            as each epoch's reply arrives, so a scrape *during* the run
+            sees every finished epoch.
+
+    Raises:
+        ConfigurationError: On a setting the sharded engine cannot run
+            (see :func:`_check_config`).
     """
 
     def __init__(
         self,
         scenario: Scenario,
-        cells: "CellPlan | int" = 1,
+        config: "RunConfig",
         *,
-        controller: str = "dpp",
-        v: float = 100.0,
-        z: "int | None" = None,
-        budget: "float | None" = None,
-        epoch: int = 24,
-        coordinator: str = "proportional",
-        floor_fraction: float = 0.1,
-        smoothing: float = 0.5,
-        engine_backend: "str | list | tuple | None" = None,
-        processes: "int | None" = None,
-        timeout_seconds: "float | None" = None,
-        max_retries: int = 2,
+        plan: "CellPlan | None" = None,
         tracer: "Tracer | None" = None,
         registry: "MetricsRegistry | None" = None,
-        monitors: bool = False,
-        **controller_params: object,
     ) -> None:
-        if controller == "fixed":
-            raise ConfigurationError(
-                "sharded runs need a budget-tracking controller; "
-                "'fixed' has no virtual queue to coordinate"
-            )
-        from repro.api import _FAMILY_KNOBS, _validate_params
+        from repro.api import CellConfig
 
-        if controller in _FAMILY_KNOBS:
-            # Fail before partitioning, not inside the first cell build.
-            _validate_params(controller, controller_params)
-        if epoch < 1:
-            raise ConfigurationError(f"epoch must be >= 1, got {epoch}")
-        if max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if isinstance(cells, CellPlan):
-            plan = cells
-        else:
+        cells = config.cells if config.cells is not None else CellConfig()
+        _check_config(config, cells)
+        if plan is None:
             plan = partition_cells(
-                scenario.network, int(cells), rng=scenario.seeds.rng("cell-partition")
+                scenario.network,
+                cells.count,
+                rng=scenario.seeds.rng("cell-partition"),
+                restarts=cells.partition_restarts,
             )
         self.plan = plan
         self.scenario = scenario
+        self.config = config
         self.cell_scenarios = shard_scenarios(scenario, plan)
-        self.controller_name = controller
-        self.v = v
-        self.z = z
         self.total_budget = float(
-            scenario.budget if budget is None else budget
+            scenario.budget if config.budget is None else config.budget
         )
-        self.epoch = int(epoch)
-        self.processes = processes
-        self.timeout_seconds = timeout_seconds
-        self.max_retries = int(max_retries)
+        self.epoch = int(cells.epoch)
+        self.processes = cells.processes
+        self.timeout_seconds = cells.timeout_seconds
         self.tracer = as_tracer(tracer)
         self.registry = registry
-        self.monitors = bool(monitors)
         self._health: "HealthReport | None" = None
         # Test seams (chaos/resilience suites set these post-construction):
         # kill worker w right after dispatching epoch e; make worker w
@@ -376,26 +374,13 @@ class ShardedController:
         self._chaos_hang: "tuple[int, int] | None" = None
         self._chaos_fired = False
         self._halt_after_slots: "int | None" = None
-        self.controller_params = dict(controller_params)
-        self.backends = self._resolve_backends(engine_backend)
         self.coordinator = BudgetCoordinator(
             self.total_budget,
             np.maximum(plan.device_counts().astype(np.float64), 1.0),
-            mode=coordinator,
-            floor_fraction=floor_fraction,
-            smoothing=smoothing,
+            mode=cells.coordinator,
+            floor_fraction=cells.floor_fraction,
+            smoothing=cells.smoothing,
         )
-
-    def _resolve_backends(self, engine_backend) -> list:
-        if engine_backend is None or isinstance(engine_backend, str):
-            return [engine_backend] * self.plan.num_cells
-        backends = list(engine_backend)
-        if len(backends) != self.plan.num_cells:
-            raise ConfigurationError(
-                f"engine_backend lists one backend per cell: got "
-                f"{len(backends)} for {self.plan.num_cells} cells"
-            )
-        return backends
 
     # -- the epoch loop ----------------------------------------------------
 
@@ -523,17 +508,12 @@ class ShardedController:
                 payload = {
                     "cells": cells_w,
                     "scenarios": {c: self.cell_scenarios[c] for c in cells_w},
-                    "controller": self.controller_name,
-                    "v": self.v,
-                    "z": self.z,
-                    "backends": {c: self.backends[c] for c in cells_w},
-                    "controller_params": self.controller_params,
+                    "config": self.config,
                     "initial_budgets": {c: float(initial[c]) for c in cells_w},
                     "trace_phases": trace,
                     # Heartbeats only matter to a silence deadline.
                     "watchdog": self.timeout_seconds is not None,
                     "telemetry": self.registry is not None,
-                    "monitors": self.monitors,
                     "shared": (
                         {c: descriptors[c] for c in cells_w}
                         if planner is not None
@@ -697,7 +677,7 @@ class ShardedController:
                     state = finish_out.get(c, {}).get("phase_state")
                     if state is not None:
                         self.tracer.merge_phase_state(state, order=(0, c))
-            if self.monitors:
+            if self.config.obs.monitors:
                 self._health = self._assemble_health(finish_out)
         finally:
             for worker in workers:
@@ -710,13 +690,13 @@ class ShardedController:
         self, attempts: dict, worker: "ResidentWorker", exc: Exception
     ) -> bool:
         attempts[worker.index] = attempts.get(worker.index, 0) + 1
-        retry = attempts[worker.index] <= self.max_retries
+        retry = attempts[worker.index] <= MAX_RETRIES
         logger.warning(
             "resident worker %d (cells %s) failed (attempt %d/%d): %s",
             worker.index,
             worker.cells,
             attempts[worker.index],
-            self.max_retries + 1,
+            MAX_RETRIES + 1,
             exc,
         )
         hung = bool(getattr(exc, "hung", False))
@@ -789,13 +769,13 @@ class ShardedController:
             "seed": self.scenario.seeds.seed,
             "horizon": int(horizon),
             "budget": float(self.total_budget),
-            "controller": self.controller_name,
+            "controller": self.config.controller,
             "devices": self.scenario.network.num_devices,
             "cells": self.plan.num_cells,
             "epoch": self.epoch,
             "coordinator": self.coordinator.mode,
-            "v": float(self.v),
-            "z": self.z,
+            "v": float(self.config.v),
+            "z": self.config.z,
             "floor_fraction": self.coordinator.floor_fraction,
             "smoothing": self.coordinator.smoothing,
         }
@@ -938,6 +918,17 @@ class ShardedController:
         )
 
 
+#: :func:`run_sharded` keywords that are top-level :class:`RunConfig`
+#: fields and :class:`CellConfig` fields; ``engine_backend`` and
+#: ``monitors`` fill the engine and obs blocks, every other keyword is
+#: a controller-family knob.
+_RUN_OPTIONS = ("controller", "v", "z", "budget")
+_CELL_OPTIONS = (
+    "epoch", "coordinator", "floor_fraction", "smoothing", "processes",
+    "timeout_seconds",
+)
+
+
 def run_sharded(
     scenario: Scenario,
     *,
@@ -950,16 +941,37 @@ def run_sharded(
 ) -> ShardedResult:
     """One-call sharded run: partition, coordinate, execute, merge.
 
-    The run-time keywords are those of :meth:`ShardedController.run`;
-    every other keyword in *options* goes to :class:`ShardedController`,
-    which validates it (unknown names raise with a did-you-mean hint).
-    Returns the :class:`ShardedResult`; ``result.merged`` is the drop-in
-    cross-cell :class:`~repro.sim.results.SimulationResult`.  Every cell
-    draws its slot states through the state compiler, one continuing
-    :class:`~repro.sim.scenario.StateStream` per cell (or the parent's
-    shared-memory fill on pooled runs).
+    *cells* is a prebuilt :class:`~repro.network.partition.CellPlan` or
+    a cell count.  The run-time keywords are those of
+    :meth:`ShardedController.run`; *options* are ``tracer=`` and
+    ``registry=``, the :class:`repro.api.RunConfig` settings
+    ``controller``/``v``/``z``/``budget``/``engine_backend``/``monitors``,
+    the :class:`repro.api.CellConfig` settings ``epoch``/``coordinator``/
+    ``floor_fraction``/``smoothing``/``processes``/``timeout_seconds``,
+    and controller-family knobs (unknown names raise with a
+    did-you-mean hint).  Returns the :class:`ShardedResult`;
+    ``result.merged`` is the drop-in cross-cell
+    :class:`~repro.sim.results.SimulationResult`.
     """
-    return ShardedController(scenario, cells, **options).run(
+    from repro.api import CellConfig, EngineConfig, ObsConfig, RunConfig
+
+    def take(names) -> dict:
+        return {k: options.pop(k) for k in names if k in options}
+
+    plan = cells if isinstance(cells, CellPlan) else None
+    objects = take(("tracer", "registry"))
+    config = RunConfig(
+        horizon=horizon,
+        engine=EngineConfig(backend=options.pop("engine_backend", None)),
+        obs=ObsConfig(monitors=bool(options.pop("monitors", False))),
+        cells=CellConfig(
+            count=plan.num_cells if plan is not None else int(cells),
+            **take(_CELL_OPTIONS),
+        ),
+        **take(_RUN_OPTIONS),
+        controller_params=options,
+    )
+    return ShardedController(scenario, config, plan=plan, **objects).run(
         horizon,
         checkpoint=checkpoint,
         checkpoint_every=checkpoint_every,

@@ -211,14 +211,14 @@ class TestRunConfig:
             engine=EngineConfig(backend="numpy"),
             checkpoint=CheckpointConfig(path="/tmp/ck.json", every=8),
             obs=ObsConfig(monitors=True),
-            cells=CellConfig(count=2, backends=("numpy", "numpy")),
+            cells=CellConfig(count=2, processes=2),
             controller_params={"iterations": 5},
         )
         plain = config.to_dict()
         assert json.loads(json.dumps(plain)) == plain
         assert plain["engine"]["backend"] == "numpy"
         assert plain["cells"]["count"] == 2
-        assert plain["cells"]["backends"] == ["numpy", "numpy"]
+        assert plain["cells"]["processes"] == 2
         assert plain["controller_params"] == {"iterations": 5}
         manifest = repro.obs.RunManifest(config=plain, seed=config.seed)
         assert manifest.to_dict()["config"]["controller"] == "mcba"

@@ -379,3 +379,20 @@ class TestEquilibriumGuarantees:
         assert "BDMA (Thm 3)" in out
         # The paper's bounds hold on the sampled slot.
         assert "[ok]" in out and "VIOLATED" not in out
+
+    def test_measurement_above_a_relaxation_bound_is_inconclusive(
+        self, capsys, monkeypatch
+    ) -> None:
+        # The relaxation bound lies below the optimum, so exceeding its
+        # scaled value does not show that a theorem is broken.
+        monkeypatch.setattr(
+            "repro.cli.p2a_lower_bound", lambda *args, **kwargs: 1e-12
+        )
+        assert main(["equilibrium", "--devices", "8"]) == 0
+        lines = [
+            line for line in capsys.readouterr().out.splitlines()
+            if "(Thm" in line
+        ]
+        assert len(lines) == 2
+        for line in lines:
+            assert "[inconclusive]" in line and "VIOLATED" not in line

@@ -42,8 +42,7 @@ RUN_CONFIG_FIELDS = [
 ENGINE_CONFIG_FIELDS = ["backend"]
 CELL_CONFIG_FIELDS = [
     "count", "epoch", "coordinator", "floor_fraction", "smoothing",
-    "processes", "backends", "partition_restarts", "balance_weight",
-    "timeout_seconds", "max_retries",
+    "processes", "partition_restarts", "timeout_seconds",
 ]
 RUN_KEYWORDS = [
     "config", "scenario", "seed", "scenario_config", "controller", "horizon",
@@ -56,12 +55,10 @@ RUN_SHARDED_KEYWORDS = [
     "scenario", "horizon", "cells", "checkpoint", "checkpoint_every",
     "resume", "options",
 ]
-# run_sharded(**options) goes to the controller's constructor.
+# Every setting of a sharded run is a RunConfig field;
+# run_sharded(**options) maps its keywords onto one.
 SHARDED_CONTROLLER_KEYWORDS = [
-    "scenario", "cells", "controller", "v", "z", "budget", "epoch",
-    "coordinator", "floor_fraction", "smoothing", "engine_backend",
-    "processes", "timeout_seconds", "max_retries", "tracer", "registry",
-    "monitors", "controller_params",
+    "scenario", "config", "plan", "tracer", "registry",
 ]
 SHARDED_RUN_KEYWORDS = ["horizon", "checkpoint", "checkpoint_every", "resume"]
 
@@ -126,7 +123,7 @@ class TestStateKnobsRemoved:
             seed=3, config=self.SCENARIO_CONFIG
         )
         with pytest.raises(TypeError, match="state_chunk"):
-            ShardedController(scenario, 1).run(1, state_chunk=16)
+            ShardedController(scenario, RunConfig()).run(1, state_chunk=16)
         controller = repro.api.make_controller("dpp", scenario)
         with pytest.raises(TypeError, match="compiled"):
             run_checkpointed(
@@ -135,3 +132,31 @@ class TestStateKnobsRemoved:
             )
         with pytest.raises(TypeError, match="chunk"):
             SharedStatePlanner([scenario], epoch=1, chunk=16)
+
+
+class TestShardedKnobsRemoved:
+    """Per-cell backends, the partition balance weight and the retry
+    budget are not settings: results are bit-identical across backends,
+    the partition keeps its default weight, and a pooled worker is
+    retried a fixed number of times."""
+
+    @pytest.mark.parametrize(
+        "option",
+        [{"backends": ("numpy", "numpy")}, {"balance_weight": 2.0},
+         {"max_retries": 1}],
+    )
+    def test_cell_config_rejects_them(self, option) -> None:
+        (name,) = option
+        with pytest.raises(TypeError, match=name):
+            CellConfig(count=2, **option)
+
+    @pytest.mark.parametrize(
+        "option", [{"max_retries": 1}, {"engine_backend": ["numpy"] * 2}]
+    )
+    def test_run_sharded_rejects_them(self, option) -> None:
+        (name,) = option
+        scenario = repro.make_paper_scenario(
+            seed=3, config=repro.ScenarioConfig(num_devices=8)
+        )
+        with pytest.raises(ConfigurationError, match=name):
+            run_sharded(scenario, horizon=1, cells=2, **option)

@@ -52,6 +52,11 @@ def metro_scenario(
     )
 
 
+def cells_config(**cells) -> repro.RunConfig:
+    """Default run settings with the sharding block set to *cells*."""
+    return repro.RunConfig(cells=repro.CellConfig(**cells))
+
+
 def trajectories(result) -> tuple:
     return (result.latency, result.cost, result.theta, result.backlog, result.price)
 
@@ -491,7 +496,11 @@ class TestShardedRun:
             scenario.network, 2, rng=np.random.default_rng(3)
         )
         ctrl = sharding.ShardedController(
-            metro_scenario(), plan, epoch=3, budget=1.2 * scenario.budget
+            metro_scenario(),
+            repro.RunConfig(
+                budget=1.2 * scenario.budget, cells=repro.CellConfig(epoch=3)
+            ),
+            plan=plan,
         )
         result = ctrl.run(7)
         assert not np.allclose(result.budgets[0], result.budgets[1])
@@ -509,12 +518,21 @@ class TestShardedRun:
 
     def test_fixed_controller_rejected(self) -> None:
         with pytest.raises(ConfigurationError, match="fixed"):
-            sharding.ShardedController(metro_scenario(), 2, controller="fixed")
+            sharding.ShardedController(
+                metro_scenario(),
+                repro.RunConfig(controller="fixed", cells=repro.CellConfig(2)),
+            )
 
     def test_runtime_option_removed(self) -> None:
         # One pooled runtime: ``runtime=`` is an unknown knob everywhere.
         with pytest.raises(ConfigurationError, match="runtime"):
-            sharding.ShardedController(metro_scenario(), 2, runtime="resident")
+            sharding.ShardedController(
+                metro_scenario(),
+                repro.RunConfig(
+                    cells=repro.CellConfig(2),
+                    controller_params={"runtime": "resident"},
+                ),
+            )
         with pytest.raises(ConfigurationError, match="runtime"):
             sharding.run_sharded(
                 metro_scenario(), horizon=2, cells=2, runtime="resident"
@@ -530,7 +548,12 @@ class TestShardedRun:
         # pulled at checkpoint writes; neither knob exists anywhere.
         (name,) = option
         with pytest.raises(ConfigurationError, match=name):
-            sharding.ShardedController(metro_scenario(), 2, **option)
+            sharding.ShardedController(
+                metro_scenario(),
+                repro.RunConfig(
+                    cells=repro.CellConfig(2), controller_params=option
+                ),
+            )
         with pytest.raises(ConfigurationError, match=name):
             sharding.run_sharded(
                 metro_scenario(), horizon=2, cells=2, processes=2, **option
@@ -538,11 +561,44 @@ class TestShardedRun:
         with pytest.raises(TypeError, match=name):
             repro.CellConfig(**option)
 
-    def test_backend_list_must_match_cells(self) -> None:
-        with pytest.raises(ConfigurationError, match="per cell"):
-            sharding.ShardedController(
-                metro_scenario(), 2, engine_backend=["numpy"] * 3
+
+    def test_zero_watchdog_deadline_rejected(self) -> None:
+        # A zero deadline would time out every healthy worker's first
+        # poll and exhaust its retries; it is refused up front.
+        with pytest.raises(ConfigurationError, match="timeout_seconds"):
+            sharding.run_sharded(
+                metro_scenario(), horizon=4, cells=2, epoch=2, processes=2,
+                timeout_seconds=0,
             )
+        with pytest.raises(ConfigurationError, match="timeout_seconds"):
+            repro.api.run(
+                scenario=metro_scenario(), horizon=4,
+                cells=repro.CellConfig(
+                    count=2, epoch=2, processes=2, timeout_seconds=0
+                ),
+            )
+
+    def test_config_hash_is_pinned(self) -> None:
+        # Shard snapshots are matched by this hash: changing what it
+        # covers, or how, strands every snapshot already on disk.
+        plan = sharding.partition_cells(
+            metro_scenario().network, 2, rng=np.random.default_rng(3)
+        )
+        ctrl = sharding.ShardedController(
+            metro_scenario(), cells_config(epoch=2), plan=plan
+        )
+        assert ctrl._config_hash(8) == "83c4d6496ed803e9"
+        ctrl = sharding.ShardedController(
+            metro_scenario(),
+            repro.RunConfig(
+                v=50.0, z=2, budget=0.5,
+                cells=repro.CellConfig(
+                    count=2, epoch=3, coordinator="static",
+                    floor_fraction=0.2, smoothing=0.3,
+                ),
+            ),
+        )
+        assert ctrl._config_hash(12) == "acd1fe5557ece4b9"
 
 
 class TestResidentRuntime:
@@ -636,6 +692,47 @@ class TestResidentRuntime:
             sharding.run_sharded(metro_scenario(), horizon=6, cells=2, epoch=2)
         assert calls == [(0, 0), (1, 0), (0, 2), (1, 2)]
 
+    def test_worker_gives_up_after_max_retries(self, monkeypatch) -> None:
+        # A worker whose cells fail on every attempt is retried
+        # MAX_RETRIES times, then the run ends with a SolverError and
+        # leaves no worker process behind.
+        import multiprocessing
+
+        from repro.exceptions import SolverError
+        from repro.sim import shard_runtime
+        from repro.sim.sharded import MAX_RETRIES
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the patched method reaches workers only by fork")
+
+        def failing(self, start, count, budget, states=None):
+            raise SolverError(f"cell {self.cell} diverged")
+
+        monkeypatch.setattr(shard_runtime.CellRuntime, "run_epoch", failing)
+        counted: list = []
+
+        class Counters:
+            def emit(self, event: dict) -> None:
+                if event["kind"] == "counter":
+                    counted.append(event)
+
+            def close(self) -> None:
+                pass
+
+        probe = repro.obs.Probe()
+        probe.add_sink(Counters())
+        with pytest.raises(SolverError, match="failed permanently"):
+            sharding.run_sharded(
+                metro_scenario(), horizon=4, cells=2, epoch=2, processes=2,
+                tracer=probe,
+            )
+        retries = sum(
+            e["value"] for e in counted
+            if e["name"] == "resilience.shard_retries"
+        )
+        assert retries == MAX_RETRIES + 1 == 3
+        assert multiprocessing.active_children() == []
+
     def salvage_case(
         self,
         *,
@@ -655,8 +752,9 @@ class TestResidentRuntime:
         )
         extra = {"timeout_seconds": 2.0} if hang is not None else {}
         ctrl = sharding.ShardedController(
-            metro_scenario(fault_plan=fault_plan), plan,
-            processes=2, epoch=2, **extra,
+            metro_scenario(fault_plan=fault_plan),
+            cells_config(processes=2, epoch=2, **extra),
+            plan=plan,
         )
         if hang is not None:
             ctrl._chaos_hang = hang
@@ -749,7 +847,8 @@ class TestResidentRuntime:
             metro_scenario(), horizon=4, cells=2, epoch=1
         )
         ctrl = sharding.ShardedController(
-            metro_scenario(), 2, processes=2, epoch=1, timeout_seconds=timeout
+            metro_scenario(),
+            cells_config(count=2, processes=2, epoch=1, timeout_seconds=timeout),
         )
         result = ctrl.run(4)
         assert statuses.count("ok") >= 4
@@ -774,8 +873,9 @@ class TestResidentRuntime:
         )
         path = tmp_path / "shard.ckpt"
         ctrl = sharding.ShardedController(
-            metro_scenario(), plan, epoch=2, processes=2,
-            timeout_seconds=2.0,
+            metro_scenario(),
+            cells_config(epoch=2, processes=2, timeout_seconds=2.0),
+            plan=plan,
         )
         ctrl._chaos_hang = (1, 0)
         ctrl._halt_after_slots = 4
@@ -844,7 +944,9 @@ class TestResidentRuntime:
         for processes in (None, 2):
             paths[processes] = tmp_path / f"shard-{processes}.ckpt"
             ctrl = sharding.ShardedController(
-                metro_scenario(), plan, epoch=1, processes=processes
+                metro_scenario(),
+                cells_config(epoch=1, processes=processes),
+                plan=plan,
             )
             ctrl._halt_after_slots = 4
             with pytest.raises(_HaltRequested):
@@ -928,7 +1030,9 @@ class TestResidentRuntime:
         )
         path = tmp_path / "shard.ckpt"
         # Sequential writer, halted after the slot-4 snapshot ...
-        ctrl = sharding.ShardedController(metro_scenario(), plan, epoch=2)
+        ctrl = sharding.ShardedController(
+            metro_scenario(), cells_config(epoch=2), plan=plan
+        )
         ctrl._halt_after_slots = 4
         with pytest.raises(_HaltRequested):
             ctrl.run(8, checkpoint=path)
@@ -943,7 +1047,7 @@ class TestResidentRuntime:
         # And the reverse: resident writer, sequential reader.
         path2 = tmp_path / "shard2.ckpt"
         ctrl = sharding.ShardedController(
-            metro_scenario(), plan, epoch=2, processes=2
+            metro_scenario(), cells_config(epoch=2, processes=2), plan=plan
         )
         ctrl._halt_after_slots = 4
         with pytest.raises(_HaltRequested):
