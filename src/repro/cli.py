@@ -45,7 +45,7 @@ from repro.core.overload import OverloadPolicy
 from repro.core.theory import check_bdma_guarantee, check_cgba_guarantee
 from repro.experiments import RUNNERS, generate_report
 from repro.io import save_result, summary_to_json
-from repro.kernels import BACKEND_NAMES
+from repro.kernels import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.obs import (
     Dashboard,
     JsonlSink,
@@ -510,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_arguments(sim)
     sim.add_argument("--horizon", type=int, default=48, help="slots to simulate")
     sim.add_argument("--solver", choices=_SOLVER_CHOICES, default="bdma")
-    sim.add_argument("--backend", choices=BACKEND_NAMES, default="numpy",
+    sim.add_argument("--backend", choices=BACKEND_NAMES,
+                     default=DEFAULT_BACKEND,
                      help="array-kernel backend for the solver hot loops "
                           "(bit-identical results; jit needs a C compiler, "
                           "else it falls back to numpy)")
@@ -623,7 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=int, default=48,
                        help="slots to simulate")
         p.add_argument("--solver", choices=_SOLVER_CHOICES, default="bdma")
-        p.add_argument("--backend", choices=BACKEND_NAMES, default="numpy")
+        p.add_argument("--backend", choices=BACKEND_NAMES,
+                       default=DEFAULT_BACKEND)
         p.add_argument("--z", type=int, default=3,
                        help="BDMA alternation rounds")
         p.add_argument("--cells", type=int, default=1,

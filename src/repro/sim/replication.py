@@ -13,29 +13,32 @@ controller or network objects ever cross process boundaries.
 
 There is one dispatch loop.  The unit of work is a tuple of seeds, run
 one after another, and it returns one ``(seed, outcome, error)`` entry
-per seed.  Groups run in-process or on a single process pool; with retry
-options a failed seed is retried solo, a hung or crashed group's pool
-has its workers killed and is rebuilt, and the run ends with a
-``failed_seeds`` list.  Without them the first error in seed order
-propagates unchanged.
+per seed.  Groups run on the sharded engine's worker handles
+(:mod:`repro.sim.shard_runtime`): one
+:class:`~repro.sim.shard_runtime.InProcessWorker`, or resident worker
+processes that each hold at most one group at a time.  With retry
+options a failed seed is retried solo, and a worker that crashes or
+runs past its group's deadline is killed and respawned; only the group
+it held is charged, and the run ends with a ``failed_seeds`` list.
+Without them the first error in seed order propagates.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 import numpy as np
 
 import repro
 from repro.analysis.aggregate import RunStatistics, summarize_runs
-from repro.exceptions import ConfigurationError, SolverError
-from repro.kernels import BACKEND_NAMES
+from repro.exceptions import ConfigurationError
+from repro.kernels import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.obs.probe import Probe, Tracer, as_tracer
+from repro.sim.shard_runtime import InProcessWorker, ResidentWorker, WorkerFailure
 
 logger = logging.getLogger(__name__)
 
@@ -57,14 +60,8 @@ class ReplicationSpec:
         warm_start_queue: Start the queue at its estimated equilibrium.
         network_overrides: Extra :class:`~repro.network.builder.NetworkBuilder`
             fields (must be picklable).
-        fail_seeds: Seeds whose runs always raise (failure injection for
-            testing the retry/salvage machinery; never use in real
-            experiments).
-        flaky_seeds: Seeds whose runs fail on their first attempt in
-            each process and succeed on retry (transient-failure
-            injection).
-        batch_seeds: Seeds per dispatched group, the pool's unit of
-            work: a group's seeds run one after another in one worker.
+        batch_seeds: Seeds per dispatched group, the unit of work: a
+            group's seeds run one after another in one worker.
             1 (the default) lets :func:`run_replications` size the
             groups from the seed and process counts.  A seed that fails
             inside a group is retried *solo* through the usual retry
@@ -82,10 +79,8 @@ class ReplicationSpec:
     budget_fraction: float = 0.5
     warm_start_queue: bool = False
     network_overrides: tuple[tuple[str, object], ...] = ()
-    fail_seeds: tuple[int, ...] = ()
-    flaky_seeds: tuple[int, ...] = ()
     batch_seeds: int = 1
-    engine_backend: str = "numpy"
+    engine_backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         if self.solver not in ("bdma", "dpp", "mcba", "ropt", "greedy", "fixed"):
@@ -234,53 +229,14 @@ class ReplicationSummary:
         }
 
 
-def execute_replication(
-    args: "tuple[ReplicationSpec, int] | tuple[ReplicationSpec, int, bool]",
-) -> ReplicationOutcome:
-    """Run one seed of a spec (module-level so it pickles for workers).
-
-    Accepts ``(spec, seed)`` or ``(spec, seed, trace_phases)``; with
-    ``trace_phases`` the worker runs under its own
-    :class:`~repro.obs.Probe` and ships the aggregated phase state back
-    in the outcome (tracers themselves never cross process boundaries).
-    """
-    spec, seed = args[0], args[1]
-    trace_phases = bool(args[2]) if len(args) > 2 else False
-    return _run_one(spec, seed, trace_phases)
-
-
-#: Per-worker replication context installed once by :func:`_init_worker`,
-#: so :func:`run_replications` ships the spec with each worker process
-#: instead of pickling it into every seed group.
-_WORKER_CONTEXT: "tuple[ReplicationSpec, bool] | None" = None
-
-
-def _init_worker(spec: ReplicationSpec, trace_phases: bool) -> None:
-    """Pool initializer: pin the spec and the tracing mode in the worker."""
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = (spec, trace_phases)
-
-
-#: Per-process attempt counts for ``flaky_seeds`` injection.  Worker
-#: processes each get their own copy, so "fails once then succeeds"
-#: holds per process -- exactly the transient crash being simulated.
-_FLAKY_ATTEMPTS: dict[int, int] = {}
-
-
 def _prepare(spec: ReplicationSpec, seed: int, trace_phases: bool):
-    """Failure injection, scenario and controller for one seed's run.
+    """Scenario and controller for one seed's run.
 
     Returns ``(scenario, controller, probe)``; ``probe`` is ``None``
     unless *trace_phases*.
     """
     from repro.api import make_controller
 
-    if seed in spec.fail_seeds:
-        raise SolverError(f"injected failure for seed {seed}")
-    if seed in spec.flaky_seeds:
-        _FLAKY_ATTEMPTS[seed] = _FLAKY_ATTEMPTS.get(seed, 0) + 1
-        if _FLAKY_ATTEMPTS[seed] == 1:
-            raise SolverError(f"injected transient failure for seed {seed}")
     scenario = repro.make_paper_scenario(
         seed=seed,
         config=repro.ScenarioConfig(
@@ -341,8 +297,9 @@ def _run_batch(
 
     Returns one entry per seed, in seed order: ``(seed, outcome, None)``
     on success or ``(seed, None, error)`` on failure, each error caught
-    per seed.  Never raises for a seed's failure.  Pool workers look it
-    up at call time, so a patched module global reaches forked workers.
+    per seed.  Never raises for a seed's failure.  Seed runtimes look
+    it up at call time, so a patched module global reaches forked
+    workers.
     """
     entries = []
     for seed in seeds:
@@ -353,11 +310,19 @@ def _run_batch(
     return entries
 
 
-def _execute_group(seeds: "tuple[int, ...]"):
-    """Pool worker entry: run one seed group against the pinned context."""
-    assert _WORKER_CONTEXT is not None, "worker pool was not initialised"
-    spec, trace_phases = _WORKER_CONTEXT
-    return _run_batch(spec, seeds, trace_phases)
+class _SeedRuntime:
+    """A worker's replication runtime: the spec and the tracing mode,
+    shipped once in the init payload, and the one ``seeds`` command."""
+
+    def __init__(self, payload: dict) -> None:
+        self.spec: ReplicationSpec = payload["spec"]
+        self.trace_phases: bool = payload["trace_phases"]
+
+    def run_seeds(self, seeds: "tuple[int, ...]"):
+        return _run_batch(self.spec, seeds, self.trace_phases)
+
+    def close(self) -> None:
+        pass
 
 
 class _SeedTracker:
@@ -414,24 +379,6 @@ class _SeedTracker:
         return False
 
 
-def _discard_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear *pool* down and kill its workers.
-
-    ``shutdown`` alone never stops a running task, so a hung seed's
-    worker would outlive the run and block interpreter exit.
-    """
-    processes = list((pool._processes or {}).values())
-    kill_workers = getattr(pool, "kill_workers", None)  # Python >= 3.14
-    if kill_workers is not None:
-        kill_workers()
-    else:
-        for process in processes:
-            process.kill()
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        process.join(timeout=5.0)
-
-
 def _dispatch(
     spec: ReplicationSpec,
     groups: "list[tuple[int, ...]]",
@@ -441,75 +388,95 @@ def _dispatch(
     timeout_seconds: "float | None",
     tracker: "_SeedTracker | None",
 ) -> dict[int, ReplicationOutcome]:
-    """Run seed groups in-process or on one pool; salvage failures.
+    """Run seed groups on worker handles; salvage failures.
 
-    Groups are collected in order.  A failed seed is retried solo, as a
-    group of one, while *tracker* grants attempts; with no tracker the
-    first error in seed order is raised unchanged.  A group timeout or
-    a crashed worker (``BrokenProcessPool``) fails every seed of the
-    group and poisons the pool: its workers are killed and the rest of
-    the round is resubmitted to a fresh pool.  Terminates because every
-    round either resolves the first pending group or consumes one of
-    its seeds' bounded attempts.
+    One :class:`~repro.sim.shard_runtime.InProcessWorker` runs the
+    groups in order, or ``min(processes, len(groups))`` resident
+    workers each hold one group and the next group goes to the first
+    that replies.  A failed seed is retried solo while *tracker* grants
+    attempts.  A worker that dies, or whose group is still running
+    *timeout_seconds* after its dispatch, is killed and respawned, and
+    only its group is charged.  With no tracker nothing is dispatched
+    after an error, and once the busy workers reply the first error in
+    seed order is raised.
     """
     pooled = processes is not None and processes > 1
+    payload = {"runtime": _SeedRuntime, "spec": spec, "trace_phases": trace_phases}
     results: dict[int, ReplicationOutcome] = {}
-    pending = list(groups)
-    pool: "ProcessPoolExecutor | None" = None
+    errors: "dict[int, Exception]" = {}  # group position -> first error
+    pending = deque(enumerate(groups))
+    busy: dict = {}  # worker -> (group position, group, deadline)
+    workers: "list[ResidentWorker | InProcessWorker]" = []
+
+    def settle(position: int, entries) -> None:
+        for seed, outcome, error in entries:
+            if error is None:
+                results[seed] = outcome
+            elif tracker is None:
+                errors[position] = error
+                return
+            elif tracker.note_failure(seed, error):
+                pending.append((position, (seed,)))
+
     try:
-        while pending:
-            if pooled and pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=processes,
-                    initializer=_init_worker,
-                    initargs=(spec, trace_phases),
+        for w in range(min(processes, len(groups)) if pooled else 1):
+            handle = ResidentWorker if pooled else InProcessWorker
+            workers.append(handle(w, [], payload))
+        idle = deque(workers)
+        while True:
+            while pending and idle and not errors:
+                worker = idle.popleft()
+                position, group = pending.popleft()
+                deadline = (
+                    None
+                    if timeout_seconds is None
+                    else time.monotonic() + timeout_seconds
                 )
-            futures = (
-                [pool.submit(_execute_group, group) for group in pending]
-                if pool is not None
-                else None
-            )
-            next_pending: "list[tuple[int, ...]]" = []
-            for position, group in enumerate(pending):
-                poisoned = False
+                busy[worker] = (position, group, deadline)
                 try:
-                    if futures is None:
-                        entries = _run_batch(spec, group, trace_phases)
-                    else:
-                        entries = futures[position].result(timeout=timeout_seconds)
-                except FuturesTimeout:
-                    poisoned = True
+                    worker.send("seeds", group)
+                except WorkerFailure:
+                    pass  # the dead worker's pipe reads EOF below
+            if not busy:
+                break
+            if pooled:
+                deadlines = [d for _, _, d in busy.values() if d is not None]
+                ready = wait(
+                    [worker.conn for worker in busy],
+                    min(deadlines) - time.monotonic() if deadlines else None,
+                )
+            now = time.monotonic()
+            for worker, (position, group, deadline) in list(busy.items()):
+                error = None
+                if not pooled or worker.conn in ready:
+                    try:
+                        entries = worker.recv()
+                    except WorkerFailure as exc:
+                        error = WorkerFailure(f"seeds {list(group)}: {exc}")
+                elif deadline is not None and now >= deadline:
                     error = TimeoutError(f"timed out after {timeout_seconds}s")
+                else:
+                    continue
+                if error is not None:
+                    worker.respawn()
                     entries = [(seed, None, error) for seed in group]
-                except BrokenProcessPool as exc:
-                    poisoned = True
-                    entries = [(seed, None, exc) for seed in group]
-                except Exception as exc:  # the group failed as a whole
-                    entries = [(seed, None, exc) for seed in group]
-                for seed, outcome, error in entries:
-                    if error is None:
-                        results[seed] = outcome
-                    elif tracker is None:
-                        raise error
-                    elif tracker.note_failure(seed, error):
-                        next_pending.append((seed,))
-                if poisoned:
-                    next_pending.extend(pending[position + 1 :])
-                    _discard_pool(pool)
-                    pool = None
-                    if tracker.tracer.enabled:
+                    if tracker is not None and tracker.tracer.enabled:
                         tracker.tracer.event(
-                            "replication.pool_rebuilt",
-                            {"pending": sum(len(g) for g in next_pending)},
+                            "replication.worker_rebuilt",
+                            {"worker": worker.index, "seeds": list(group)},
                         )
-                    break
-            pending = next_pending
+                del busy[worker]
+                idle.append(worker)
+                settle(position, entries)
+        if errors:
+            raise errors[min(errors)]
     except BaseException:
-        if pool is not None:
-            _discard_pool(pool)
+        if pooled:
+            for worker in workers:
+                worker.kill()
         raise
-    if pool is not None:
-        pool.shutdown()
+    for worker in workers:
+        worker.stop()
     return results
 
 
@@ -527,29 +494,36 @@ def run_replications(
 
     Args:
         spec: The configuration to replicate.  Shipped to each worker
-            process once, through the pool initializer, rather than
-            pickled into every seed group.
+            process once, in its init payload, rather than pickled into
+            every seed group.
         seeds: Root seeds; each yields an independent topology and
             state stream.
-        processes: Worker processes; ``None`` or 1 runs in-process
-            (no pickling, easier debugging).  Without retry options the
-            pool receives groups of ``min(8, ceil(len(seeds) /
+        processes: Resident worker processes, each holding at most one
+            seed group at a time; ``None`` or 1 runs in-process (no
+            pickling, easier debugging).  Without retry options the
+            workers receive groups of ``min(8, ceil(len(seeds) /
             processes))`` seeds (``spec.batch_seeds`` when above 1), so
-            it round-trips groups instead of single seeds; the ordering
-            of the outcomes is unaffected.
+            they round-trip groups instead of single seeds; the
+            ordering of the outcomes is unaffected.
         tracer: Observability tracer.  Each run (worker) records into
             its own probe; the per-phase aggregations are merged into
             *tracer* when it is a :class:`repro.obs.Probe`, so the
             parent sees one profile across all seeds.  Retry and
             seed-failure events land here too.
-        timeout_seconds: Per-group wall-clock deadline for collecting a
-            pooled result; blowing it burns one attempt for every seed
-            of the group, kills the pool's workers and rebuilds the
-            pool.  Groups are single seeds unless ``spec.batch_seeds >
-            1``.  ``None`` disables the watchdog.
+        timeout_seconds: Per-group wall-clock deadline of a resident
+            worker, counted from the group's dispatch; blowing it burns
+            one attempt for every seed of the group and kills and
+            respawns that worker only.  A worker that dies is handled
+            the same way.  Groups are single seeds unless
+            ``spec.batch_seeds > 1``.  ``None`` disables the watchdog;
+            in-process runs have none.
         max_retries: Extra attempts per seed after its first failure.
-            With the default 0, no timeout and no injection knobs, the
-            first failing seed's error propagates unchanged.
+            With the default 0 and no timeout, the first error in seed
+            order propagates: a seed's own error unchanged, a dead
+            worker's as a :class:`~repro.sim.shard_runtime.WorkerFailure`
+            naming the seeds of the group it held.  Tests inject
+            failures by patching ``_run_one``; there is no injection
+            knob.
         retry_backoff_seconds: Base sleep before attempt ``n``'s retry
             (linear backoff: ``base * n``).
 
@@ -568,12 +542,7 @@ def run_replications(
     if timeout_seconds is not None and timeout_seconds <= 0.0:
         raise ConfigurationError("timeout_seconds must be positive")
     trace_phases = tracer is not None and tracer.enabled
-    salvage = (
-        timeout_seconds is not None
-        or max_retries > 0
-        or bool(spec.fail_seeds)
-        or bool(spec.flaky_seeds)
-    )
+    salvage = timeout_seconds is not None or max_retries > 0
     tracker = (
         _SeedTracker(max_retries, retry_backoff_seconds, as_tracer(tracer))
         if salvage

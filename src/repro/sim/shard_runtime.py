@@ -1,10 +1,11 @@
-"""Cell workers for the sharded engine: state lives where it runs.
+"""Worker handles for cells and seed groups: state lives where it runs.
 
-Every sharded run drives its cells through one command protocol
-(``epoch`` / ``pull`` / ``load`` / ``replay`` / ``finish``), answered by
-:func:`_answer` against a :class:`_WorkerRuntime`.  The parent loop in
-:mod:`repro.sim.sharded` speaks it through one of two interchangeable
-handles:
+A worker answers one command protocol (:func:`_answer`) against the
+runtime its init payload names: a :class:`_WorkerRuntime` for a sharded
+run's cells (``epoch`` / ``pull`` / ``load`` / ``replay`` / ``finish``,
+the default), or replication's seed runtime (``seeds``).  The parent
+loops of :mod:`repro.sim.sharded` and :mod:`repro.sim.replication`
+speak it through one of two interchangeable handles:
 
 * :class:`CellRuntime` -- one cell's long-lived execution state: the
   controller (built once, strategy-space cache kept hot), its
@@ -19,10 +20,9 @@ handles:
   lists, a telemetry
   :meth:`~repro.obs.telemetry.MetricsRegistry.flush_delta` of the
   series the epoch touched, new monitor alerts).
-* :class:`InProcessWorker` -- the sequential transport: one
-  :class:`_WorkerRuntime` over every cell, answering commands by direct
-  call.  No process, no pickling; a cell's exception propagates
-  unchanged.
+* :class:`InProcessWorker` -- the sequential transport: one runtime
+  (for a sharded run, over every cell), answering commands by direct
+  call.  No process, no pickling; an exception propagates unchanged.
 * :class:`ResidentWorker` -- the pooled transport: a long-lived worker
   process (``_worker_main``) with command round-trips over a pipe, a
   heartbeat-aware silence deadline (the hung-worker watchdog: workers
@@ -365,8 +365,10 @@ class _WorkerRuntime:
             block.close()
 
 
-def _answer(runtime: _WorkerRuntime, command: str, data: "dict | None"):
+def _answer(runtime, command: str, data: "dict | None"):
     """Answer one protocol command; both worker transports call this."""
+    if command == "seeds":
+        return runtime.run_seeds(data)
     if command == "epoch":
         return runtime.run_epoch(data)
     if command == "pull":
@@ -383,7 +385,7 @@ def _answer(runtime: _WorkerRuntime, command: str, data: "dict | None"):
 def _worker_main(conn, payload: dict) -> None:
     """Resident worker loop: build once, answer commands until stopped."""
     try:
-        runtime = _WorkerRuntime(payload)
+        runtime = payload.get("runtime", _WorkerRuntime)(payload)
     except BaseException as exc:  # noqa: BLE001 - ship init failures home
         try:
             conn.send(("error", {"stage": "init", "error": repr(exc)}))
@@ -402,7 +404,7 @@ def _worker_main(conn, payload: dict) -> None:
 
     # Without a silence deadline nobody reads the pings: skip the pipe
     # write (and the parent's wake-up) per cell.
-    if payload["watchdog"]:
+    if payload.get("watchdog"):
         runtime.heartbeat = heartbeat
     try:
         while True:
@@ -438,12 +440,12 @@ def _worker_main(conn, payload: dict) -> None:
 class InProcessWorker:
     """Parent handle that answers the worker protocol in-process.
 
-    Owns one :class:`_WorkerRuntime` and speaks the same
+    Owns the runtime its payload names and speaks the same
     ``send`` / ``recv`` / ``call`` / ``stop`` as :class:`ResidentWorker`,
-    so the sharded epoch loop drives both alike.  Commands run on
-    ``send``; a cell's exception propagates unchanged (never a
-    :class:`WorkerFailure`), so a sequential run raises the first solver
-    error instead of salvaging.
+    so the sharded epoch loop and the replication loop drive both
+    alike.  Commands run on ``send``; an exception propagates unchanged
+    (never a :class:`WorkerFailure`), so a sequential run raises the
+    first solver error instead of salvaging.
     """
 
     process = None
@@ -451,7 +453,7 @@ class InProcessWorker:
     def __init__(self, index: int, cells: "list[int]", payload: dict) -> None:
         self.index = int(index)
         self.cells = list(cells)
-        self._runtime = _WorkerRuntime(payload)
+        self._runtime = payload.get("runtime", _WorkerRuntime)(payload)
         self._reply = None
 
     def send(self, command: str, data: "dict | None" = None) -> None:
@@ -473,10 +475,11 @@ class InProcessWorker:
 class ResidentWorker:
     """Parent handle for one resident worker process.
 
-    The init *payload* (cell scenarios, controller recipe, initial
-    budget shares, shared-block descriptors) is kept so :meth:`respawn`
-    can rebuild a dead worker identically; the salvage path then
-    replays it back to the current slot.
+    The init *payload* (for cells: scenarios, controller recipe, initial
+    budget shares, shared-block descriptors; for seeds: the replication
+    spec) is kept so :meth:`respawn` can rebuild a dead worker
+    identically; the sharded salvage path then replays it back to the
+    current slot.
     """
 
     def __init__(self, index: int, cells: "list[int]", payload: dict, ctx=None) -> None:

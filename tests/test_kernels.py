@@ -25,7 +25,7 @@ import pytest
 import repro
 from repro.api import run
 from repro.core.resilience import ResiliencePolicy, SolverChaos
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SolverError
 from repro.kernels import (
     BACKEND_NAMES,
     KernelBackend,
@@ -35,6 +35,7 @@ from repro.kernels import (
 )
 from repro.kernels._adapt import wrap_raw_backend
 from repro.obs import Probe
+from repro.sim import replication
 from repro.sim.faults import (
     ChannelStaleness,
     FaultPlan,
@@ -347,14 +348,23 @@ class TestBatchedReplication:
         )
         assert self._outcome_tuples(batched) == self._outcome_tuples(base)
 
-    def test_failed_lane_is_retried_solo(self) -> None:
+    def test_failed_lane_is_retried_solo(self, monkeypatch) -> None:
         seeds = [1, 2, 3]
         base = run_replications(self._spec(), seeds)
-        # flaky_seeds flips run_replications into its resilient mode;
-        # the failed seed drops out of its group and is retried solo,
+        original = replication._run_one
+        attempts = []
+
+        def flaky_run_one(spec, seed, trace_phases):
+            if seed == 2 and not attempts:
+                attempts.append(seed)
+                raise SolverError("injected transient failure for seed 2")
+            return original(spec, seed, trace_phases)
+
+        # The failed seed drops out of its group and is retried solo,
         # which is the exact arithmetic of an ungrouped run.
+        monkeypatch.setattr(replication, "_run_one", flaky_run_one)
         flaky = run_replications(
-            self._spec(batch_seeds=3, flaky_seeds=(2,)), seeds, max_retries=2
+            self._spec(batch_seeds=3), seeds, max_retries=2
         )
         assert flaky.failed_seeds == []
         assert self._outcome_tuples(flaky) == self._outcome_tuples(base)

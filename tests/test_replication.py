@@ -5,14 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SolverError
 from repro.obs import Probe
 from repro.sim import replication as replication_mod
-from repro.sim.replication import (
-    ReplicationSpec,
-    execute_replication,
-    run_replications,
-)
+from repro.sim.replication import ReplicationSpec, run_replications
+from repro.sim.shard_runtime import WorkerFailure
 
 SMALL_NETWORK = (
     ("num_base_stations", 3),
@@ -33,6 +30,37 @@ def small_spec(**overrides) -> ReplicationSpec:
     return ReplicationSpec(**fields)
 
 
+def run_one(spec: ReplicationSpec, seed: int):
+    return run_replications(spec, [seed]).outcomes[0]
+
+
+def inject(monkeypatch, *, fail=(), flaky=(), crash=(), slow=()):
+    """Patch ``_run_one``: seeds in *fail* always raise, seeds in
+    *flaky* raise on their first attempt in each process, seeds in
+    *crash* kill their worker process, and seeds in *slow* sleep 0.5 s
+    first.  Resident workers fork after the patch, so they inherit it."""
+    import os
+    import time
+
+    original = replication_mod._run_one
+    attempts: dict[int, int] = {}
+
+    def injected(spec, seed, trace_phases):
+        if seed in slow:
+            time.sleep(0.5)
+        if seed in crash:
+            os._exit(3)
+        if seed in fail:
+            raise SolverError(f"injected failure for seed {seed}")
+        if seed in flaky:
+            attempts[seed] = attempts.get(seed, 0) + 1
+            if attempts[seed] == 1:
+                raise SolverError(f"injected transient failure for seed {seed}")
+        return original(spec, seed, trace_phases)
+
+    monkeypatch.setattr(replication_mod, "_run_one", injected)
+
+
 class TestSpec:
     def test_validation(self) -> None:
         with pytest.raises(ConfigurationError):
@@ -50,21 +78,21 @@ class TestSpec:
 
 class TestExecution:
     def test_single_replication_outcome(self) -> None:
-        outcome = execute_replication((small_spec(), 3))
+        outcome = run_one(small_spec(), 3)
         assert outcome.seed == 3
         assert outcome.mean_latency > 0.0
         assert outcome.mean_cost > 0.0
         assert outcome.budget > 0.0
 
     def test_deterministic_per_seed(self) -> None:
-        a = execute_replication((small_spec(), 5))
-        b = execute_replication((small_spec(), 5))
+        a = run_one(small_spec(), 5)
+        b = run_one(small_spec(), 5)
         assert a.mean_latency == pytest.approx(b.mean_latency)
         assert a.mean_cost == pytest.approx(b.mean_cost)
 
     def test_solvers_run(self) -> None:
         for solver in ("bdma", "ropt", "mcba"):
-            outcome = execute_replication((small_spec(solver=solver), 1))
+            outcome = run_one(small_spec(solver=solver), 1)
             assert np.isfinite(outcome.mean_latency)
 
 
@@ -125,10 +153,11 @@ class ListSink:
 
 
 class TestFailureSalvage:
-    def test_crashing_seed_lands_in_failed_seeds(self) -> None:
+    def test_crashing_seed_lands_in_failed_seeds(self, monkeypatch) -> None:
+        inject(monkeypatch, fail=(2,))
         sink = ListSink()
         report = run_replications(
-            small_spec(fail_seeds=(2,)),
+            small_spec(),
             seeds=(1, 2, 3),
             max_retries=1,
             retry_backoff_seconds=0.0,
@@ -148,22 +177,26 @@ class TestFailureSalvage:
         assert sink.counter("resilience.retries") == 1
         assert sink.counter("resilience.seed_failures") == 1
 
-    def test_parallel_pool_salvages_around_a_crashing_seed(self) -> None:
+    def test_parallel_pool_salvages_around_a_crashing_seed(
+        self, monkeypatch
+    ) -> None:
+        inject(monkeypatch, fail=(2,))
         report = run_replications(
-            small_spec(fail_seeds=(2,)),
+            small_spec(),
             seeds=(1, 2, 3),
             processes=2,
+            timeout_seconds=60.0,
             max_retries=0,
             retry_backoff_seconds=0.0,
         )
         assert report.failed_seeds == [2]
         assert [o.seed for o in report.outcomes] == [1, 3]
 
-    def test_flaky_seed_succeeds_on_retry(self) -> None:
-        replication_mod._FLAKY_ATTEMPTS.clear()
+    def test_flaky_seed_succeeds_on_retry(self, monkeypatch) -> None:
+        inject(monkeypatch, flaky=(5,))
         sink = ListSink()
         report = run_replications(
-            small_spec(flaky_seeds=(5,)),
+            small_spec(),
             seeds=(4, 5),
             max_retries=2,
             retry_backoff_seconds=0.0,
@@ -174,10 +207,14 @@ class TestFailureSalvage:
         assert [r["attempt"] for r in sink.events("replication.retry")] == [1]
         assert sink.events("replication.seed_failed") == []
 
-    def test_all_seeds_failing_yields_an_empty_report(self) -> None:
+    def test_all_seeds_failing_yields_an_empty_report(
+        self, monkeypatch
+    ) -> None:
+        inject(monkeypatch, fail=(1, 2))
         report = run_replications(
-            small_spec(fail_seeds=(1, 2)),
+            small_spec(),
             seeds=(1, 2),
+            timeout_seconds=60.0,
             max_retries=0,
             retry_backoff_seconds=0.0,
         )
@@ -189,10 +226,12 @@ class TestFailureSalvage:
         with pytest.raises(ConfigurationError, match="all 2 seeds failed"):
             report.summary()
 
-    def test_summary_counts_failed_runs(self) -> None:
+    def test_summary_counts_failed_runs(self, monkeypatch) -> None:
+        inject(monkeypatch, fail=(9,))
         report = run_replications(
-            small_spec(fail_seeds=(9,)),
+            small_spec(),
             seeds=(1, 9),
+            timeout_seconds=60.0,
             max_retries=0,
             retry_backoff_seconds=0.0,
         )
@@ -240,6 +279,39 @@ class TestFailureSalvage:
         failed = sink.events("replication.seed_failed")
         assert [f["seed"] for f in failed] == [2]
         assert "timed out after 3.0s" in failed[0]["error"]
+
+    def test_crashed_worker_charges_only_its_seeds(self, monkeypatch) -> None:
+        import multiprocessing
+
+        # Seed 1 is still running when seed 2 kills its worker.
+        inject(monkeypatch, crash=(2,), slow=(1,))
+        sink = ListSink()
+        report = run_replications(
+            small_spec(),
+            seeds=(1, 2, 3, 4),
+            processes=2,
+            max_retries=1,
+            retry_backoff_seconds=0.0,
+            tracer=Probe([sink]),
+        )
+        assert report.failed_seeds == [2]
+        assert [o.seed for o in report.outcomes] == [1, 3, 4]
+        assert [r["seed"] for r in sink.events("replication.retry")] == [2]
+        rebuilt = sink.events("replication.worker_rebuilt")
+        assert [r["seeds"] for r in rebuilt] == [[2], [2]]
+        assert multiprocessing.active_children() == []
+
+    def test_crashed_worker_error_names_its_seeds(self, monkeypatch) -> None:
+        import multiprocessing
+
+        inject(monkeypatch, crash=(2,), slow=(1,))
+        # Without retry options the seeds run in groups (1, 2) and
+        # (3, 4); the dead worker's error names the group it held.
+        with pytest.raises(
+            WorkerFailure, match=r"seeds \[1, 2\]: worker \d died"
+        ):
+            run_replications(small_spec(), seeds=(1, 2, 3, 4), processes=2)
+        assert multiprocessing.active_children() == []
 
     def test_resilient_path_matches_plain_outcomes(self) -> None:
         seeds = (0, 1)
@@ -289,12 +361,14 @@ class TestDispatchMatrix:
         assert outcome_tuples(report) == sequential_baseline
 
     def test_failed_seed_is_salvaged(
-        self, processes, batch_seeds, sequential_baseline
+        self, processes, batch_seeds, sequential_baseline, monkeypatch
     ) -> None:
+        inject(monkeypatch, fail=(2,))
         report = run_replications(
-            small_spec(batch_seeds=batch_seeds, fail_seeds=(2,)),
+            small_spec(batch_seeds=batch_seeds),
             seeds=MATRIX_SEEDS,
             processes=processes,
+            timeout_seconds=60.0,
             max_retries=0,
             retry_backoff_seconds=0.0,
         )
@@ -316,7 +390,7 @@ class TestDispatchMatrix:
                 raise SolverError("scenario construction failed for seed 3")
             return original(seed, *args, **kwargs)
 
-        # Pool workers fork after the patch, so they inherit it.
+        # Resident workers fork after the patch, so they inherit it.
         monkeypatch.setattr(repro, "make_paper_scenario", failing)
         with pytest.raises(SolverError, match="seed 3"):
             run_replications(

@@ -18,6 +18,7 @@ import repro
 from repro.api import CellConfig, EngineConfig, RunConfig, run
 from repro.exceptions import ConfigurationError
 from repro.sim.checkpoint import run_checkpointed
+from repro.sim.replication import ReplicationSpec, run_replications
 from repro.sim.shard_runtime import SharedStatePlanner
 from repro.sim.sharded import ShardedController, run_sharded
 
@@ -61,6 +62,15 @@ SHARDED_CONTROLLER_KEYWORDS = [
     "scenario", "config", "plan", "tracer", "registry",
 ]
 SHARDED_RUN_KEYWORDS = ["horizon", "checkpoint", "checkpoint_every", "resume"]
+REPLICATION_SPEC_FIELDS = [
+    "num_devices", "horizon", "v", "z", "solver", "workload",
+    "budget_fraction", "warm_start_queue", "network_overrides",
+    "batch_seeds", "engine_backend",
+]
+RUN_REPLICATIONS_KEYWORDS = [
+    "spec", "seeds", "processes", "tracer", "timeout_seconds",
+    "max_retries", "retry_backoff_seconds",
+]
 
 
 @pytest.mark.parametrize(
@@ -69,6 +79,7 @@ SHARDED_RUN_KEYWORDS = ["horizon", "checkpoint", "checkpoint_every", "resume"]
         (RunConfig, RUN_CONFIG_FIELDS),
         (EngineConfig, ENGINE_CONFIG_FIELDS),
         (CellConfig, CELL_CONFIG_FIELDS),
+        (ReplicationSpec, REPLICATION_SPEC_FIELDS),
     ],
     ids=lambda x: getattr(x, "__name__", ""),
 )
@@ -83,6 +94,7 @@ def test_config_fields_are_pinned(cls, pinned) -> None:
         (run_sharded, RUN_SHARDED_KEYWORDS),
         (ShardedController.__init__, SHARDED_CONTROLLER_KEYWORDS),
         (ShardedController.run, SHARDED_RUN_KEYWORDS),
+        (run_replications, RUN_REPLICATIONS_KEYWORDS),
     ],
     ids=lambda x: getattr(x, "__qualname__", ""),
 )
@@ -160,3 +172,13 @@ class TestShardedKnobsRemoved:
         )
         with pytest.raises(ConfigurationError, match=name):
             run_sharded(scenario, horizon=1, cells=2, **option)
+
+
+class TestInjectionKnobsRemoved:
+    """Replication has no failure-injection settings: tests inject
+    failures by patching ``repro.sim.replication._run_one``."""
+
+    @pytest.mark.parametrize("name", ["fail_seeds", "flaky_seeds"])
+    def test_replication_spec_rejects_them(self, name) -> None:
+        with pytest.raises(TypeError, match=name):
+            ReplicationSpec(**{name: (2,)})
