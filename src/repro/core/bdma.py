@@ -94,14 +94,18 @@ def cgba_p2a_solver(
     game's hot loops (bit-identical across backends; wall-clock only).
 
     The callable exposes what the fused slot kernel needs to run CGBA
-    in its place (:func:`solve_p2_bdma_fused`): ``slack``, ``max_iter``,
-    ``accept_partial``, the resolved ``kernels`` and ``workspace(network,
-    space)``, which returns the P2-A workspace's game for that pair
-    (building an unbound one when the last call played elsewhere).
+    in its place (:func:`solve_p2_bdma_fused`): ``max_iter``, the
+    resolved ``kernels`` and ``fused_slot(network, space, z)``, which
+    returns the slot binding of that pair for up to ``z`` rounds -- the
+    P2-A workspace's game (an unbound one when the last call played
+    elsewhere) bound to the kernel with this solver's settings, built
+    once per strategy space -- or ``None`` when the space is not a
+    product set.
     """
     kernels = get_kernels(backend)
     accumulated = EngineStats()
     last: "CGBAResult | _Workspace | None" = None
+    bound: "_FusedSlotBinding | None" = None
 
     def solve(
         network: MECNetwork,
@@ -152,12 +156,27 @@ def cgba_p2a_solver(
             last = _Workspace(game)
         return game
 
+    def fused_slot(
+        network: MECNetwork, space: StrategySpace, z: int
+    ) -> "_FusedSlotBinding | None":
+        nonlocal bound
+        if (
+            bound is not None
+            and bound.space is space
+            and bound.network is network
+            and bound.kernel.rounds >= z
+        ):
+            return bound
+        game = workspace(network, space)
+        if not game.supports_lazy_gaps:
+            return None
+        bound = _FusedSlotBinding(game, z, slack, max_iter, accept_partial)
+        return bound
+
     solve.pop_stats = pop_stats  # type: ignore[attr-defined]
-    solve.workspace = workspace  # type: ignore[attr-defined]
+    solve.fused_slot = fused_slot  # type: ignore[attr-defined]
     solve.kernels = kernels  # type: ignore[attr-defined]
-    solve.slack = slack  # type: ignore[attr-defined]
     solve.max_iter = max_iter  # type: ignore[attr-defined]
-    solve.accept_partial = accept_partial  # type: ignore[attr-defined]
     # Warm-seeded CGBA is deterministic (max_gap selection, no rng once
     # an initial profile is given) and returns its seed at a fixed
     # point, which is what lets BDMA's fixed-point exit replay the
@@ -172,6 +191,42 @@ class _Workspace(NamedTuple):
 
     game: OffloadingCongestionGame
     fast_engine: None = None
+
+
+class _FusedSlotBinding:
+    """What :func:`solve_p2_bdma_fused` resolves once per strategy
+    space: the P2-A workspace's game, the kernel's
+    :class:`~repro.kernels._adapt.SlotBinding` on it for up to
+    ``rounds`` rounds, and the sizes the engine counters and the span
+    replay need."""
+
+    __slots__ = (
+        "network", "space", "game", "kernel", "players", "candidates",
+        "trace",
+    )
+
+    def __init__(
+        self,
+        game: OffloadingCongestionGame,
+        rounds: int,
+        slack: float,
+        max_iter: int,
+        accept_partial: bool,
+    ) -> None:
+        self.network = game.network
+        self.space = game.space
+        self.game = game
+        self.kernel = game.kernels.bdma_slot(
+            game.kernel_state(), rounds, slack, max_iter, accept_partial
+        )
+        self.players = game.num_players
+        self.candidates = game.candidate_count(None)
+        self.trace = (
+            self.players,
+            self.candidates,
+            game.network.num_servers,
+            accept_partial,
+        )
 
 
 @dataclass
@@ -421,6 +476,8 @@ class FusedSlot(NamedTuple):
             :func:`repro.core.allocation.optimal_allocation` computes).
         uncovered: A device whose chosen base station does not cover
             it (the shares are then not computed), or -1.
+        invalid: Whether the kernel flagged a share as non-finite,
+            negative or above ``1 + 1e-9``.
         replay: Delivers the call's ``p2a``/``cgba``/``p2b`` spans and
             its counters to a tracer; ``None`` when untraced.
     """
@@ -428,14 +485,21 @@ class FusedSlot(NamedTuple):
     result: BDMAResult
     shares: np.ndarray
     uncovered: int
+    invalid: bool
     replay: "Callable[[Tracer], None] | None"
 
     def allocation(self) -> ResourceAllocation:
-        """The shares as a :class:`ResourceAllocation` (validated).
+        """The shares as a :class:`ResourceAllocation`.
+
+        The kernel checked every share's range and finiteness, so an
+        unflagged slot skips the validating constructor; a flagged one
+        runs it, which raises as on ``optimal_allocation``'s result.
 
         Raises:
             ValidationError: A device sits on a base station that does
-                not cover it (``optimal_allocation``'s error).
+                not cover it (``optimal_allocation``'s error), or a
+                share lies outside ``[0, 1]``.
+            ValueError: A share is not finite.
         """
         if self.uncovered >= 0:
             bad = self.uncovered
@@ -444,9 +508,10 @@ class FusedSlot(NamedTuple):
                 f"{int(self.result.assignment.bs_of[bad])} "
                 "with zero spectral efficiency"
             )
-        compute, access, fronthaul = self.shares
-        return ResourceAllocation(
-            access_share=access, fronthaul_share=fronthaul, compute_share=compute
+        shares = self.shares
+        build = ResourceAllocation if self.invalid else ResourceAllocation.trusted
+        return build(
+            access_share=shares[1], fronthaul_share=shares[2], compute_share=shares[0]
         )
 
 
@@ -508,7 +573,7 @@ def can_fuse(network: MECNetwork, solver: object, kernels: KernelBackend) -> boo
         kernels.bdma_slot is not None
         and network.energy_table is not None
         and getattr(solver, "kernels", None) is kernels
-        and callable(getattr(solver, "workspace", None))
+        and callable(getattr(solver, "fused_slot", None))
     )
 
 
@@ -543,6 +608,16 @@ def solve_p2_bdma_fused(
     a failure or the deadline leaves some unused, the generator is
     rewound to where the Python loop would have left it.
 
+    The Python left around the call is a thin shell: the solver's slot
+    binding for *space* (built once per strategy space) holds the
+    kernel's buffers and sizes, so a slot copies its arrays and seed
+    profile in, packs its scalars into one buffer, and reads the
+    decision, the engine totals and the share check back out.  The
+    kernel checks every share's range and finiteness as it computes
+    them, so :meth:`FusedSlot.allocation` and the decision's
+    :class:`~repro.core.state.Assignment` skip the validating
+    constructors; a flagged share takes the validating one.
+
     A failing call delivers its spans and counters to *tracer* before
     raising.  A decided slot leaves them in ``FusedSlot.replay`` for
     the caller to deliver once its ``bdma`` span has closed, so that
@@ -564,42 +639,47 @@ def solve_p2_bdma_fused(
         raise ConfigurationError(f"V must be positive, got {v}")
     if queue_backlog < 0.0:
         raise ConfigurationError("queue backlog cannot be negative")
-    game = p2a_solver.workspace(network, space)
-    if not game.supports_lazy_gaps:
+    slot = p2a_solver.fused_slot(network, space, z)
+    if slot is None:
         return None
+    game, kernel = slot.game, slot.kernel
+    seeds = kernel.seeds
+    has_initial = initial is not None
     saved = None
-    if warm_start and initial is not None:
-        seeds = [(initial.bs_of, initial.server_of)]
+    if warm_start and has_initial:
+        drawn = 1
+        seeds[0, 0] = initial.bs_of
+        seeds[0, 1] = initial.server_of
     else:
         saved = rng.bit_generator.state
-        seeds = [space.random_assignment(rng) for _ in range(1 if warm_start else z)]
-    out = game.kernels.bdma_slot(
-        game.kernel_state(),
-        (
-            state.spectral_efficiency,
-            state.bits,
-            state.cycles,
-            effective_fronthaul_se(network, state),
-        ),
-        state.available_servers,
-        seeds,
-        z,
-        warm_start,
-        initial is not None,
-        game.state is not state,
-        p2a_solver.slack,
-        p2a_solver.max_iter,
-        p2a_solver.accept_partial,
-        queue_backlog,
-        v,
-        budget,
-        state.price,
-        deadline,
+        drawn = 1 if warm_start else z
+        for row in seeds[:drawn]:
+            row[0], row[1] = space.random_assignment(rng)
+    se, bits, cycles, fronthaul = kernel.slot_arrays
+    if state.spectral_efficiency.shape != se.shape:
+        raise ValueError(
+            f"slot array has shape {state.spectral_efficiency.shape}, "
+            f"expected {se.shape}"
+        )
+    se[...] = state.spectral_efficiency
+    bits[...] = state.bits
+    cycles[...] = state.cycles
+    fronthaul[...] = effective_fronthaul_se(network, state)
+    available = state.available_servers
+    if available is not None:
+        kernel.available[...] = available
+    kernel.pack(
+        z, warm_start, has_initial, game.state is not state,
+        deadline is not None, available is not None,
+        queue_backlog, v, budget, state.price,
+        0.0 if deadline is None else deadline,
     )
-    started, rounds_run, warm_hits, truncated, uncovered, decided = (
-        out.counts.tolist()[:6]
-    )
-    if started < len(seeds) and saved is not None:
+    status = kernel.run()
+    (
+        started, rounds_run, warm_hits, truncated, uncovered, decided,
+        invalid, moves, sweeps,
+    ) = kernel.out_i.tolist()
+    if started < drawn and saved is not None:
         # Rewind: the Python loop draws a profile only for rounds it
         # starts.
         rng.bit_generator.state = saved
@@ -607,27 +687,15 @@ def solve_p2_bdma_fused(
             space.random_assignment(rng)
     if started:
         game.state = state
-    rounds, times = out.rounds.tolist(), out.times.tolist()
-    stats = EngineStats()
-    players = game.num_players
-    candidates = game.candidate_count(None)
-    for (stage, _, moves, converged, _, _, _, _), t in zip(rounds, times):
-        if stage >= 2 and (converged or p2a_solver.accept_partial):
-            sweeps = moves + 1
-            stats.moves += moves
-            stats.sweeps += sweeps
-            stats.gap_recomputations += players * sweeps
-            stats.candidate_evaluations += candidates * sweeps
-            stats.setup_seconds += t[4]
-            stats.eval_seconds += t[5]
-    trace = (players, candidates, network.num_servers, p2a_solver.accept_partial)
-    status = out.status
+    traced = tracer is not None and tracer.enabled
+    if traced:
+        rounds = kernel.rcounts[:started].tolist()
+        times = kernel.rtimes[:started].tolist()
     if status:
         # The loop's spans and counters up to the failure, inside the
         # caller's bdma span, ahead of any fallback's events.
-        tracer = as_tracer(tracer)
-        if tracer.enabled:
-            _replay("", rounds, times, None, *trace, tracer)
+        if traced:
+            _replay("", rounds, times, None, *slot.trace, tracer)
         if status == 1:
             raise DeadlineError(_DEADLINE_MESSAGE)
         if status == 2:
@@ -640,21 +708,34 @@ def solve_p2_bdma_fused(
         raise IndexError("strategy profile entry out of range")
     assert decided
     replay = None
-    if tracer is not None and tracer.enabled:
+    if traced:
         replay = partial(
             _replay, "bdma/", rounds, times, (rounds_run, warm_hits, truncated),
-            *trace,
+            *slot.trace,
         )
-    objective, latency, cost = out.values.tolist()[:3]
-    result = BDMAResult(
-        assignment=Assignment(
-            bs_of=out.assignment[0].copy(), server_of=out.assignment[1].copy()
-        ),
-        frequencies=out.frequencies.copy(),
-        objective=objective,
-        latency=latency,
-        cost=cost,
-        objective_history=out.history.tolist(),
-        engine_stats=stats,
+    objective, latency, cost, sweep_seconds, dynamics_seconds = (
+        kernel.out_f.tolist()
     )
-    return FusedSlot(result, out.shares.copy(), uncovered, replay)
+    # The engine counters solve_p2_bdma's CGBA solver accumulates: per
+    # round CGBA finished, its moves plus one sweep, each sweep over
+    # every player and every candidate pair; then the sweep and
+    # dynamics seconds (positional: this runs every slot).
+    stats = EngineStats(
+        moves,
+        sweeps,
+        slot.players * sweeps,
+        slot.candidates * sweeps,
+        sweep_seconds,
+        dynamics_seconds,
+    )
+    best = kernel.best_assign.copy()
+    result = BDMAResult(
+        Assignment.trusted(best[0], best[1]),
+        kernel.best_freq.copy(),
+        objective,
+        latency,
+        cost,
+        kernel.history[:z].tolist(),
+        stats,
+    )
+    return FusedSlot(result, kernel.shares.copy(), uncovered, bool(invalid), replay)

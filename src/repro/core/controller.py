@@ -326,7 +326,10 @@ class DPPController(OnlineController):
         self._initial_backlog = float(initial_backlog)
         self.queue = VirtualQueue(initial_backlog, tracer=self.tracer)
         self._space: StrategySpace | None = None
+        self._space_key: tuple | None = None
         self._space_reused = False
+        # The P2-A solver can_fuse was last asked about, and its answer.
+        self._fusable: tuple[object, bool] = (None, False)
         self._previous: Assignment | None = None
         # Last accepted decision, kept regardless of the carry-over
         # knobs: it feeds the fallback chain's last-known-good tier.
@@ -337,27 +340,26 @@ class DPPController(OnlineController):
         """The feasible strategy sets under the slot's coverage, cached.
 
         Coverage is static in the default scenario so the space is built
-        once and every later slot short-circuits on a direct mask
-        comparison (no per-slot key packing); with mobility or server
-        faults the masks differ and the space is rebuilt.  ``step`` also
-        skips the carry-over repair on a cache hit, since an assignment
-        produced under the identical space is feasible by construction.
+        once and every later slot short-circuits on a key comparison:
+        the coverage mask's shape and bytes and the availability mask's
+        bytes, which are equal exactly when both boolean masks are
+        equal.  With mobility or server faults the masks differ and the
+        space is rebuilt.  ``step`` also skips the carry-over repair on
+        a cache hit, since an assignment produced under the identical
+        space is feasible by construction.
         """
         coverage = state.coverage()
-        cached = self._space
-        if cached is not None:
-            same_availability = (
-                state.available_servers is None
-                and cached.available_servers is None
-            ) or (
-                state.available_servers is not None
-                and cached.available_servers is not None
-                and np.array_equal(state.available_servers, cached.available_servers)
-            )
-            if same_availability and np.array_equal(coverage, cached.coverage):
-                self._space_reused = True
-                return cached
-        self._space = StrategySpace(self.network, coverage, state.available_servers)
+        available = state.available_servers
+        key = (
+            coverage.shape,
+            coverage.tobytes(),
+            None if available is None else available.tobytes(),
+        )
+        if self._space is not None and key == self._space_key:
+            self._space_reused = True
+            return self._space
+        self._space = StrategySpace(self.network, coverage, available)
+        self._space_key = key
         self._space_reused = False
         return self._space
 
@@ -450,6 +452,11 @@ class DPPController(OnlineController):
                 if self.p2a_solver is not None
                 else self._default_p2a_solver
             )
+            if solver is not self._fusable[0]:
+                self._fusable = (
+                    solver,
+                    can_fuse(self.network, solver, self.engine_backend),
+                )
             fused = None
             with tracer.span("bdma"):
                 try:
@@ -472,7 +479,7 @@ class DPPController(OnlineController):
                         tracer=tracer,
                         deadline=deadline,
                     )
-                    if can_fuse(self.network, solver, self.engine_backend):
+                    if self._fusable[1]:
                         fused = solve_p2_bdma_fused(
                             self.network, effective, space, self.rng, **options
                         )
@@ -524,8 +531,8 @@ class DPPController(OnlineController):
                 # the bdma span has timed the decision itself.
                 fused.replay(tracer)
             with tracer.span("allocation"):
-                # A fused slot's kernel already computed the shares;
-                # building and checking them is what is left.
+                # A fused slot's kernel already computed and checked the
+                # shares; wrapping them is what is left.
                 allocation = (
                     optimal_allocation(self.network, effective, result.assignment)
                     if fused is None
@@ -556,13 +563,14 @@ class DPPController(OnlineController):
             solve_seconds=solve_seconds,
             engine_stats=result.engine_stats,
             fallback=fallback_tier,
-            quarantined=tuple(int(i) for i in quarantined),
+            quarantined=tuple(quarantined.tolist()),
             shed=shed,
         )
 
     def reset(self) -> None:
         self.queue = VirtualQueue(self._initial_backlog, tracer=self.tracer)
         self._space = None
+        self._space_key = None
         self._space_reused = False
         self._previous = None
         self._last_assignment = None
@@ -623,4 +631,5 @@ class DPPController(OnlineController):
         self._last_frequencies = _freqs(state.get("last_frequencies"))
         self._overloaded = bool(state.get("overload_active", False))
         self._space = None
+        self._space_key = None
         self._space_reused = False

@@ -157,6 +157,18 @@ class Assignment:
         object.__setattr__(self, "bs_of", bs_of)
         object.__setattr__(self, "server_of", server_of)
 
+    @classmethod
+    def trusted(cls, bs_of: IntArray, server_of: IntArray) -> "Assignment":
+        """Construct without validation, for a kernel's own result.
+
+        Callers must guarantee what the normal constructor enforces:
+        matching 1-D contiguous int64 vectors.
+        """
+        assignment = object.__new__(cls)
+        object.__setattr__(assignment, "bs_of", bs_of)
+        object.__setattr__(assignment, "server_of", server_of)
+        return assignment
+
     @property
     def num_devices(self) -> int:
         """``I``."""
@@ -221,6 +233,30 @@ class ResourceAllocation:
         object.__setattr__(self, "access_share", access)
         object.__setattr__(self, "fronthaul_share", front)
         object.__setattr__(self, "compute_share", compute)
+
+    @classmethod
+    def trusted(
+        cls,
+        *,
+        access_share: FloatArray,
+        fronthaul_share: FloatArray,
+        compute_share: FloatArray,
+    ) -> "ResourceAllocation":
+        """Construct without validation, for shares a kernel has
+        already checked.
+
+        The fused slot kernel computes Lemma 1's shares and flags any
+        that is non-finite, negative or above ``1 + 1e-9`` in the same
+        pass (:func:`repro.core.bdma.solve_p2_bdma_fused`); unflagged
+        shares would pass ``__post_init__`` unchanged.  Callers must
+        guarantee what the normal constructor enforces: matching 1-D
+        contiguous float64 vectors, finite and within ``[0, 1 + 1e-9]``.
+        """
+        allocation = object.__new__(cls)
+        object.__setattr__(allocation, "access_share", access_share)
+        object.__setattr__(allocation, "fronthaul_share", fronthaul_share)
+        object.__setattr__(allocation, "compute_share", compute_share)
+        return allocation
 
     @property
     def num_devices(self) -> int:

@@ -74,6 +74,12 @@ class QuadraticEnergyModel(EnergyModel):
         del eps
         return 2.0 * self.a * frequency + self.b
 
+    def check_convex(self, lo: float, hi: float, samples: int = 64) -> bool:
+        """Exact: a quadratic is convex on any interval iff ``a >= 0``
+        (the midpoint grid is for models without a closed form)."""
+        del lo, hi, samples
+        return bool(self.a >= 0.0)
+
     def power_many(self, frequencies: FloatArray) -> FloatArray:
         f = np.asarray(frequencies, dtype=np.float64)
         return self.a * f * f + self.b * f + self.c

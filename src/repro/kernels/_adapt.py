@@ -21,17 +21,20 @@ per call is the engine's gap vector, and only for a new engine.
 ``golden_quad`` is not tied to a state: its lanes are copied into
 adapter-owned buffers that are converted once per capacity.
 
-``bdma_slot`` runs a whole slot in one call.  Its arguments are one
-struct of pointers (the ``_SLOT_STATE_FIELDS``, then adapter-owned
-buffers), built once per state and round capacity; a call copies the
-slot's arrays and seed profiles into those buffers and passes a
-handful of scalars.
+``bdma_slot`` binds the fused slot call to a state: a
+:class:`SlotBinding` whose one argument, a struct of pointers (the
+``_SLOT_STATE_FIELDS``, then adapter-owned buffers and the scalar
+block), is built and converted once.  Its caller fills the slot's
+arrays, seed profiles and scalars in place, and each call converts
+nothing.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
 import threading
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,7 +42,7 @@ import numpy as np
 from repro.kernels.interface import DecomposedState, KernelBackend
 from repro.kernels.numpy_backend import candidate_costs, segment_first_min
 
-__all__ = ["RawKernels", "SlotOutcome", "wrap_raw_backend"]
+__all__ = ["RawKernels", "SlotBinding", "wrap_raw_backend"]
 
 
 class RawKernels(NamedTuple):
@@ -97,7 +100,7 @@ _CLOCK_FIELDS = (
 
 #: repro_bdma_slot's struct: the DecomposedState fields it aliases, in
 #: the C struct's order; the adapter-owned buffers follow (see
-#: _SlotBuffers).
+#: SlotBinding).
 _SLOT_STATE_FIELDS = (
     "loads", "sq", "m", "cur_p", "p", "w", "sub", "wcur",
     "cur_idx", "menu_of_bs", "menu_offsets", "menu_servers", "nidx", "kbest",
@@ -116,6 +119,12 @@ ROUND_TIMES = 10
 #: CPython 3.12 made the builtin sum of floats compensated; the slot
 #: call mirrors the running interpreter's energy-cost sum.
 _COMPENSATED_SUM = int(sys.version_info >= (3, 12))
+#: repro_slot_params: the sizes, max_iter, accept_partial, the
+#: compensated-sum flag and slack, packed once per binding; then z,
+#: warm_start, has_initial, rebind_first, has_deadline, has_available,
+#: queue_backlog, v, budget, price and deadline, packed per call.
+_FIXED_PARAMS = struct.Struct("@7qd")
+_CALL_PARAMS = struct.Struct("@6q5d")
 
 
 def _validate(arr: np.ndarray, field: str) -> None:
@@ -146,7 +155,7 @@ class _StateCache:
         "sizes", "evaluator", "profile", "sweep_args", "reset_args",
         "rebind_args", "clock_args", "slot_buffers",
         "buffers", "best", "converged", "gaps", "gaps_arg",
-        "converted", "scratch", "slot",
+        "converted", "scratch",
     )
 
     def __init__(self, state: DecomposedState, convert) -> None:
@@ -154,7 +163,6 @@ class _StateCache:
         # state's kernel_args, so it must not hold the state itself: a
         # cycle would keep the game's arrays alive past the game.
         self.converted: dict = {}
-        self.slot = None
 
         def arg(name: str):
             return self.arg(state, name, convert)
@@ -239,98 +247,112 @@ class _StateCache:
         self.gaps, self.gaps_arg = gaps, convert(gaps)
 
 
-class _SlotBuffers:
-    """The fused slot call's adapter-owned buffers and struct for one
-    state, sized for up to ``rounds`` BDMA rounds.
+class SlotBinding:
+    """The fused slot call bound to one state, sized for up to
+    ``rounds`` BDMA rounds.
 
-    Holds the availability mask (the slot's other arrays go to the
-    state cache's rebind buffers), the seed profiles, scratch and every
-    result; a call returns views of them as a :class:`SlotOutcome`.
+    The caller fills the inputs in place: ``slot_arrays`` (spectral
+    efficiencies, bits, cycles, fronthaul efficiencies -- the state
+    cache's rebind buffers), the ``available`` mask, ``seeds`` (one
+    ``(2, I)`` profile per round) and the per-call scalars through
+    ``pack(z, warm_start, has_initial, rebind_first, has_deadline,
+    has_available, queue_backlog, v, budget, price, deadline)``.
+    ``run()`` then makes the call and returns its status: 0 (decided),
+    1 (deadline expired before the first round), 2 (CGBA hit
+    ``max_iter`` without ``accept_partial``), 3 (a seed profile puts a
+    device on a base station with a non-finite access weight) or 4 (a
+    seed entry out of range).
+
+    The results stay in the buffers until the next call: ``out_i``
+    (rounds started, rounds run, warm-start hits, truncated, uncovered
+    allocation device or -1, decided, shares invalid, engine moves,
+    engine sweeps), ``out_f`` (objective, latency, cost, sweep and
+    dynamics seconds), ``history``, ``best_assign``, ``best_freq``,
+    ``shares`` (rows compute, access, fronthaul) and one row per
+    started round in ``rcounts`` and ``rtimes`` (``ROUND_COUNTS`` and
+    ``ROUND_TIMES`` columns, see ``repro_bdma_slot``).
+    ``kernel_seconds()`` yields ``(kernel, seconds)`` per sub-kernel
+    call of the last call, in call order.
     """
 
     __slots__ = (
-        "rounds", "available", "seeds", "prev", "best_assign", "freq",
-        "best_freq", "shares", "history", "rtimes", "out_f", "rcounts",
-        "out_i", "arrays", "struct", "struct_arg",
+        "rounds", "slot_arrays", "available", "seeds", "params", "pack",
+        "run", "kernel_seconds", "history", "best_assign", "best_freq",
+        "shares", "rcounts", "rtimes", "out_i", "out_f", "arrays", "struct",
     )
 
     def __init__(self, state: DecomposedState, cache: _StateCache,
-                 raw: RawKernels, convert, rounds: int) -> None:
+                 raw: RawKernels, convert, rounds: int, slack: float,
+                 max_iter: int, accept_partial: bool) -> None:
         players, num_bs, num_servers, _ = cache.sizes
         self.rounds = rounds
+        self.slot_arrays = cache.slot_buffers
         self.available = np.empty(num_servers, dtype=np.int64)
         self.seeds = np.empty((rounds, 2, players), dtype=np.int64)
-        self.prev = np.empty((2, players), dtype=np.int64)
         self.best_assign = np.empty((2, players), dtype=np.int64)
-        self.freq = np.empty(num_servers)
         self.best_freq = np.empty(num_servers)
         self.shares = np.empty((3, players))
         self.history = np.empty(rounds)
         self.rtimes = np.zeros((rounds, ROUND_TIMES))
-        self.out_f = np.zeros(8)
+        self.out_f = np.zeros(5)
         self.rcounts = np.zeros((rounds, ROUND_COUNTS), dtype=np.int64)
-        self.out_i = np.zeros(8, dtype=np.int64)
-        gaps = np.empty(players)
-        # Server roots, latency terms and per-base-station roots, the
+        self.out_i = np.zeros(9, dtype=np.int64)
+        self.params = np.zeros(
+            (_FIXED_PARAMS.size + _CALL_PARAMS.size) // 8, dtype=np.int64
+        )
+        _FIXED_PARAMS.pack_into(
+            self.params, 0, *cache.sizes, int(max_iter), int(accept_partial),
+            _COMPENSATED_SUM, float(slack),
+        )
+        self.pack = partial(
+            _CALL_PARAMS.pack_into, self.params, _FIXED_PARAMS.size
+        )
+        # The previous round's profile, the gaps, the clocks, and the
+        # server roots, latency terms and per-base-station roots, the
         # powers and Lemma 1's group totals (repro_bdma_slot's layout).
+        prev = np.empty((2, players), dtype=np.int64)
+        gaps = np.empty(players)
+        freq = np.empty(num_servers)
         work = np.empty(4 * num_servers + 5 * num_bs)
-        self.arrays = (gaps, work)
+        self.arrays = (prev, gaps, freq, work)
         pointers = (
             *(cache.arg(state, name, convert) for name in _SLOT_STATE_FIELDS),
             *(convert(buffer) for buffer in cache.slot_buffers),
             convert(self.available),
             *cache.scratch,
             convert(cache.best), convert(gaps), convert(work),
-            *(convert(a) for a in (self.seeds, self.prev, self.best_assign)),
+            *(convert(a) for a in (self.seeds, prev, self.best_assign)),
             *(
                 convert(a)
                 for a in (
-                    self.freq, self.best_freq, self.shares, self.history,
+                    freq, self.best_freq, self.shares, self.history,
                     self.rtimes, self.out_f,
                 )
             ),
-            convert(self.rcounts), convert(self.out_i),
+            convert(self.rcounts), convert(self.out_i), convert(self.params),
         )
-        self.struct, self.struct_arg = raw.slot_struct(pointers)
+        self.struct, struct_arg = raw.slot_struct(pointers)
+        self.run = partial(raw.bdma_slot, struct_arg)
+        # A partial over the buffers, not a bound method, so a wrapper
+        # of ``run`` can hold it without a cycle through the binding.
+        self.kernel_seconds = partial(
+            _kernel_seconds, self.out_i, self.rcounts, self.rtimes
+        )
 
 
-class SlotOutcome(NamedTuple):
-    """What one ``bdma_slot`` call left: its status and views of the
-    result buffers, valid until the next call on the same state.
-
-    ``status`` is 0 (decided), 1 (deadline expired before the first
-    round), 2 (CGBA hit ``max_iter`` without ``accept_partial``), 3 (a
-    seed profile puts a device on a base station with a non-finite
-    access weight) or 4 (a seed entry out of range).  ``rounds`` and
-    ``times`` hold one row per started round (``ROUND_COUNTS`` and
-    ``ROUND_TIMES`` columns, see ``repro_bdma_slot``); ``counts`` is
-    (rounds started, rounds run, warm-start hits, truncated, uncovered
-    allocation device or -1, decided) and ``values`` (objective,
-    latency, cost).
-    """
-
-    status: int
-    rounds: np.ndarray
-    times: np.ndarray
-    counts: np.ndarray
-    values: np.ndarray
-    history: np.ndarray
-    assignment: np.ndarray
-    frequencies: np.ndarray
-    shares: np.ndarray
-
-    def kernel_seconds(self):
-        """``(kernel, seconds)`` per sub-kernel call, in call order."""
-        for (stage, refill, _, _, searched, _, _, _), times in zip(
-            self.rounds.tolist(), self.times.tolist()
-        ):
-            yield ("rebind" if refill == 1 else "update_frequencies"), times[1]
-            yield "reset_profile", times[2]
-            if stage >= 2:
-                yield "gap_sweep", times[4]
-                yield "run_dynamics", times[5]
-            if stage == 3 and searched:
-                yield "golden_quad", times[8]
+def _kernel_seconds(out_i, rcounts, rtimes):
+    """``(kernel, seconds)`` per sub-kernel call of a slot call."""
+    started = int(out_i[0])
+    for (stage, refill, _, _, searched, _, _, _), times in zip(
+        rcounts[:started].tolist(), rtimes[:started].tolist()
+    ):
+        yield ("rebind" if refill == 1 else "update_frequencies"), times[1]
+        yield "reset_profile", times[2]
+        if stage >= 2:
+            yield "gap_sweep", times[4]
+            yield "run_dynamics", times[5]
+        if stage == 3 and searched:
+            yield "golden_quad", times[8]
 
 
 #: golden_quad's lane arguments, in order.
@@ -417,42 +439,13 @@ def wrap_raw_backend(raw: RawKernels, *, convert) -> KernelBackend:
         raw.update_frequencies(*_cache(state).clock_args)
 
     def bdma_slot(
-        state: DecomposedState, slot_arrays, available, seeds, z,
-        warm_start, has_initial, rebind_first, slack, max_iter,
-        accept_partial, queue_backlog, v, budget, price, deadline,
-    ) -> SlotOutcome:
-        cache = _cache(state)
-        slot = cache.slot
-        if slot is None or slot.rounds < z:
-            if state.energy_table is None:
-                raise ValueError("bdma_slot needs a quadratic energy table")
-            slot = cache.slot = _SlotBuffers(
-                state, cache, raw, convert, max(z, 1)
-            )
-        for buffer, arr in zip(cache.slot_buffers, slot_arrays, strict=True):
-            if arr.shape != buffer.shape:
-                raise ValueError(
-                    f"slot array has shape {arr.shape}, expected {buffer.shape}"
-                )
-            np.copyto(buffer, arr)
-        if available is not None:
-            np.copyto(slot.available, available)
-        for row, (bs_of, server_of) in zip(slot.seeds, seeds):
-            row[0] = bs_of
-            row[1] = server_of
-        status = raw.bdma_slot(
-            slot.struct_arg, *cache.sizes, z, int(warm_start),
-            int(has_initial), int(rebind_first), float(slack), int(max_iter),
-            int(accept_partial), float(queue_backlog), float(v),
-            float(budget), float(price), int(deadline is not None),
-            0.0 if deadline is None else float(deadline),
-            int(available is not None), _COMPENSATED_SUM,
-        )
-        started = int(slot.out_i[0])
-        return SlotOutcome(
-            int(status), slot.rcounts[:started], slot.rtimes[:started],
-            slot.out_i, slot.out_f, slot.history[:z], slot.best_assign,
-            slot.best_freq, slot.shares,
+        state: DecomposedState, rounds: int, slack, max_iter, accept_partial
+    ) -> SlotBinding:
+        if state.energy_table is None:
+            raise ValueError("bdma_slot needs a quadratic energy table")
+        return SlotBinding(
+            state, _cache(state), raw, convert, max(rounds, 1), slack,
+            max_iter, accept_partial,
         )
 
     lane_buffers = _LaneBuffers(convert)

@@ -200,14 +200,14 @@ class KernelBackend:
             :func:`repro.baselines.greedy.solve_p2a_greedy`); each device
             in ``order`` commits its cheapest marginal pair, ties and
             NaNs resolved as ``np.argmin`` does.
-        bdma_slot: ``(state, slot_arrays, available, seeds, z,
-            warm_start, has_initial, rebind_first, slack, max_iter,
-            accept_partial, queue_backlog, v, budget, price, deadline)
-            -> SlotOutcome`` -- one slot of BDMA with CGBA for P2-A and
-            the Lemma-1 allocation of its decision, bit-identical to the
-            Python loop of :func:`repro.core.bdma.solve_p2_bdma`
+        bdma_slot: ``(state, rounds, slack, max_iter, accept_partial)
+            -> SlotBinding`` -- bind the fused slot call to *state* for
+            up to *rounds* BDMA rounds with CGBA's settings: one slot of
+            BDMA with CGBA for P2-A and the Lemma-1 allocation of its
+            decision per ``run()``, bit-identical to the Python loop of
+            :func:`repro.core.bdma.solve_p2_bdma`
             (:func:`repro.core.bdma.solve_p2_bdma_fused` drives it; see
-            :class:`repro.kernels._adapt.SlotOutcome`).  *state* must
+            :class:`repro.kernels._adapt.SlotBinding`).  *state* must
             carry an ``energy_table``.  ``None`` when the backend has
             no fused slot (the controller then runs the Python loop).
     """

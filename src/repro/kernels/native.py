@@ -765,12 +765,21 @@ double repro_builtin_sum(const double *x, i64 n, i64 compensated)
     return f;
 }
 
+/* repro_bdma_slot's scalars, in the order _adapt packs them: the
+ * sizes and CGBA's settings once per binding, the rest per call. */
+typedef struct {
+    i64 I, K, N, G, max_iter, accept_partial, compensated;
+    double slack;
+    i64 z, warm_start, has_initial, rebind_first, has_deadline, has_available;
+    double queue_backlog, v, budget, price, deadline;
+} repro_slot_params;
+
 /* Everything repro_bdma_slot reads and writes; every field a pointer,
- * in the order _adapt._SlotBuffers passes them (_SLOT_STATE_FIELDS,
+ * in the order _adapt.SlotBinding passes them (_SLOT_STATE_FIELDS,
  * then the adapter's buffers).  The first block aliases the
  * game's DecomposedState, then the network constants, the slot's
- * arrays (copied in by the adapter), scratch, the round profiles and
- * the results. */
+ * arrays (copied in by the adapter), scratch, the round profiles, the
+ * results and the scalars. */
 typedef struct {
     double *loads, *sq, *m, *cur_p, *p, *w, *sub, *wcur;
     i64 *cur_idx, *menu_of_bs, *menu_off, *menu_srv, *nidx, *kbest;
@@ -789,6 +798,7 @@ typedef struct {
     i64 *seeds, *prev, *best_assign;
     double *freq, *best_freq, *shares, *history, *rtimes, *out_f;
     i64 *rcounts, *out_i;
+    const repro_slot_params *params;
 } repro_slot;
 
 /* Per-round records: ROUND_I counts (stage reached -- 1 seeded, 2
@@ -845,6 +855,16 @@ static double slot_latency(const repro_slot *s, i64 I, i64 K, i64 N,
     return proc + (access + front);
 }
 
+/* Whether any of n shares is non-finite, negative or above 1 + 1e-9:
+ * what ResourceAllocation's validating constructor refuses. */
+i64 repro_shares_invalid(const double *x, i64 n)
+{
+    for (i64 i = 0; i < n; ++i)
+        if (!(x[i] >= 0.0 && x[i] <= 1.0 + 1e-9))
+            return 1;
+    return 0;
+}
+
 /* Lemma 1's shares for profile (bs, srv) into s->shares, rows compute,
  * access, fronthaul (optimal_allocation).  Returns the first device
  * whose base station does not cover it, or -1. */
@@ -895,15 +915,23 @@ static i64 slot_allocation(const repro_slot *s, i64 I, i64 K, i64 N,
  * round, 2 when CGBA hit max_iter without accept_partial, 3 when a
  * seed has a non-finite access load, 4 on an out-of-range seed.
  * out_i: rounds started, rounds run, warm-start hits, truncated,
- * uncovered allocation device (-1 none), decided.  out_f: objective,
- * latency, cost. */
-i64 repro_bdma_slot(
-    const repro_slot *s, i64 I, i64 K, i64 N, i64 G,
-    i64 z, i64 warm_start, i64 has_initial, i64 rebind_first,
-    double slack, i64 max_iter, i64 accept_partial,
-    double queue_backlog, double v, double budget, double price,
-    i64 has_deadline, double deadline, i64 has_available, i64 compensated)
+ * uncovered allocation device (-1 none), decided, shares invalid
+ * (repro_shares_invalid), and the engine's moves and sweeps over the
+ * rounds CGBA finished.  out_f: objective, latency, cost, and those
+ * rounds' sweep and dynamics seconds. */
+i64 repro_bdma_slot(const repro_slot *s)
 {
+    const repro_slot_params *p = s->params;
+    const i64 I = p->I, K = p->K, N = p->N, G = p->G, z = p->z;
+    const i64 warm_start = p->warm_start, has_initial = p->has_initial;
+    const i64 rebind_first = p->rebind_first, max_iter = p->max_iter;
+    const i64 accept_partial = p->accept_partial;
+    const i64 has_deadline = p->has_deadline;
+    const i64 has_available = p->has_available;
+    const i64 compensated = p->compensated;
+    const double slack = p->slack, queue_backlog = p->queue_backlog;
+    const double v = p->v, budget = p->budget, price = p->price;
+    const double deadline = p->deadline;
     const double *E = s->energy;
     double *roots = s->work, *terms = roots + N, *power = terms + N + 3 * K;
     double *totals = power + N;
@@ -912,6 +940,8 @@ i64 repro_bdma_slot(
     i64 rounds_started = 0, rounds_run = 0, warm_hits = 0, truncated = 0;
     i64 hist = 0, have_best = 0, status = 0;
     i64 have_prev = warm_start && has_initial;
+    i64 moves_total = 0, sweeps_total = 0;
+    double sweep_s = 0.0, dynamics_s = 0.0;
 
     for (i64 n = 0; n < N; ++n)
         s->freq[n] = s->freq_min[n];
@@ -1002,6 +1032,10 @@ i64 repro_bdma_slot(
                 status = 2;
                 break;
             }
+            moves_total += moves;
+            sweeps_total += moves + 1;
+            sweep_s += rt[4];
+            dynamics_s += rt[5];
         }
         ++rounds_run;
         if (warm_start && have_prev
@@ -1092,13 +1126,20 @@ i64 repro_bdma_slot(
     s->out_i[3] = truncated;
     s->out_i[4] = -1;
     s->out_i[5] = have_best;
+    s->out_i[6] = 0;
+    s->out_i[7] = moves_total;
+    s->out_i[8] = sweeps_total;
     s->out_f[0] = best_obj;
     s->out_f[1] = best_lat;
     s->out_f[2] = best_cost;
+    s->out_f[3] = sweep_s;
+    s->out_f[4] = dynamics_s;
     if (status != 0 || !have_best)
         return status;
     s->out_i[4] = slot_allocation(s, I, K, N, s->best_assign,
                                   s->best_assign + I, totals);
+    if (s->out_i[4] < 0)
+        s->out_i[6] = repro_shares_invalid(s->shares, 3 * I);
     return 0;
 }
 """
@@ -1247,13 +1288,7 @@ def _bind(lib: ctypes.CDLL) -> RawKernels:
     ]
     bdma_slot = lib.repro_bdma_slot
     bdma_slot.restype = _ll
-    bdma_slot.argtypes = [
-        ctypes.c_void_p, _ll, _ll, _ll, _ll,
-        _ll, _ll, _ll, _ll,
-        _dbl, _ll, _ll,
-        _dbl, _dbl, _dbl, _dbl,
-        _ll, _dbl, _ll, _ll,
-    ]
+    bdma_slot.argtypes = [ctypes.c_void_p]
     return RawKernels(
         gap_sweep, run_dynamics, golden_quad,
         reset_profile, rebind, update_frequencies, greedy_pass,

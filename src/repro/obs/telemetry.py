@@ -1087,13 +1087,19 @@ def instrument_kernels(
         # durations land in the sub-kernels' own series, so a fused
         # slot and the Python loop fill the same series with the same
         # counts.
-        def timed_slot(*args, _fn=backend.bdma_slot):
-            out = _fn(*args)
-            for call, seconds in out.kernel_seconds():
-                bounds[call].observe(seconds)
-            return out
+        def timed_bind(*args, _fn=backend.bdma_slot):
+            binding = _fn(*args)
 
-        wrapped["bdma_slot"] = timed_slot
+            def timed_run(_run=binding.run, _seconds=binding.kernel_seconds):
+                status = _run()
+                for call, seconds in _seconds():
+                    bounds[call].observe(seconds)
+                return status
+
+            binding.run = timed_run
+            return binding
+
+        wrapped["bdma_slot"] = timed_bind
     return replace(backend, **wrapped)
 
 

@@ -13,6 +13,7 @@ from repro.energy.cpu_data import (
 )
 from repro.energy.models import (
     CubicEnergyModel,
+    EnergyModel,
     LinearEnergyModel,
     PiecewiseLinearEnergyModel,
     QuadraticEnergyModel,
@@ -67,6 +68,24 @@ class TestQuadraticModel:
 
     def test_convexity_check(self) -> None:
         assert QuadraticEnergyModel(a=1.0, b=0.0, c=0.0).check_convex(1.0, 4.0)
+
+    def test_exact_convexity_agrees_with_the_grid(self) -> None:
+        """The closed-form ``a >= 0`` and the base class's midpoint grid
+        agree on the Fig. 3 fit, its perturbed per-server copies, and a
+        NaN curvature (which the constructor cannot refuse)."""
+        a, b, c = fit_quadratic_power_curve()
+        rng = np.random.default_rng(3)
+        models = [
+            QuadraticEnergyModel(a=a, b=b, c=c),
+            *(perturbed_quadratic_model(rng) for _ in range(32)),
+            QuadraticEnergyModel(a=0.0, b=b, c=c),
+            QuadraticEnergyModel(a=float("nan"), b=b, c=c),
+        ]
+        for model in models:
+            for lo, hi in ((1.8, 3.6), (0.0, 10.0)):
+                grid = EnergyModel.check_convex(model, lo, hi)
+                assert model.check_convex(lo, hi) is grid, model
+        assert not models[-1].check_convex(1.8, 3.6)
 
 
 class TestOtherModels:
