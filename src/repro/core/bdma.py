@@ -99,8 +99,7 @@ def cgba_p2a_solver(
     returns the slot binding of that pair for up to ``z`` rounds -- the
     P2-A workspace's game (an unbound one when the last call played
     elsewhere) bound to the kernel with this solver's settings, built
-    once per strategy space -- or ``None`` when the space is not a
-    product set.
+    once per strategy space.
     """
     kernels = get_kernels(backend)
     accumulated = EngineStats()
@@ -158,7 +157,7 @@ def cgba_p2a_solver(
 
     def fused_slot(
         network: MECNetwork, space: StrategySpace, z: int
-    ) -> "_FusedSlotBinding | None":
+    ) -> "_FusedSlotBinding":
         nonlocal bound
         if (
             bound is not None
@@ -167,10 +166,9 @@ def cgba_p2a_solver(
             and bound.kernel.rounds >= z
         ):
             return bound
-        game = workspace(network, space)
-        if not game.supports_lazy_gaps:
-            return None
-        bound = _FusedSlotBinding(game, z, slack, max_iter, accept_partial)
+        bound = _FusedSlotBinding(
+            workspace(network, space), z, slack, max_iter, accept_partial
+        )
         return bound
 
     solve.pop_stats = pop_stats  # type: ignore[attr-defined]
@@ -220,7 +218,7 @@ class _FusedSlotBinding:
             game.kernel_state(), rounds, slack, max_iter, accept_partial
         )
         self.players = game.num_players
-        self.candidates = game.candidate_count(None)
+        self.candidates = game.candidate_count()
         self.trace = (
             self.players,
             self.candidates,
@@ -592,7 +590,7 @@ def solve_p2_bdma_fused(
     initial: Assignment | None = None,
     tracer: "Tracer | None" = None,
     deadline: float | None = None,
-) -> FusedSlot | None:
+) -> FusedSlot:
     """:func:`solve_p2_bdma` plus the slot's Lemma-1 allocation, in one
     kernel call.
 
@@ -623,10 +621,6 @@ def solve_p2_bdma_fused(
     the caller to deliver once its ``bdma`` span has closed, so that
     span times the decision, not the tracer's bookkeeping.
 
-    Returns ``None`` when the strategy space is not a product set (the
-    decomposed evaluator's premise), for the caller to run the Python
-    loop.
-
     Raises:
         DeadlineError: The deadline expired before the first round.
         ConvergenceError: CGBA hit ``max_iter`` without
@@ -640,8 +634,6 @@ def solve_p2_bdma_fused(
     if queue_backlog < 0.0:
         raise ConfigurationError("queue backlog cannot be negative")
     slot = p2a_solver.fused_slot(network, space, z)
-    if slot is None:
-        return None
     game, kernel = slot.game, slot.kernel
     seeds = kernel.seeds
     has_initial = initial is not None

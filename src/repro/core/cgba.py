@@ -11,7 +11,7 @@ convergence to a 2.62-approximate Nash profile for ``lambda = 0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.congestion_game import OffloadingCongestionGame
 from repro.core.state import Assignment, SlotState
@@ -52,7 +52,6 @@ class CGBAResult:
             fixed frequencies -- P2-A's objective value.
         iterations: Number of unilateral best-response moves performed.
         converged: Whether the ``lambda``-equilibrium test was met.
-        cost_history: Total latency after every move, when recorded.
         engine_stats: Work counters of the best-response engine (moves,
             gap recomputations, candidate evaluations, per-phase times).
         game: The congestion game the run was played on.
@@ -67,7 +66,6 @@ class CGBAResult:
     total_latency: float
     iterations: int
     converged: bool
-    cost_history: list[float] = field(default_factory=list)
     engine_stats: EngineStats | None = None
     game: OffloadingCongestionGame | None = None
     fast_engine: FastBestResponseEngine | None = None
@@ -83,7 +81,6 @@ def solve_p2a_cgba(
     slack: float = 0.0,
     initial: Assignment | None = None,
     max_iter: int = 100_000,
-    record_history: bool = False,
     tracer: "Tracer | None" = None,
     reuse: CGBAResult | None = None,
     accept_partial: bool = False,
@@ -100,7 +97,6 @@ def solve_p2a_cgba(
         slack: The paper's ``lambda``; 0 runs to an exact equilibrium.
         initial: Warm-start assignment instead of a random profile.
         max_iter: Cap on best-response moves.
-        record_history: Keep the total-latency trajectory (Fig. 6 benches).
         tracer: Observability tracer; when enabled, the best-response
             run is wrapped in a ``cgba`` span and the engine's work
             counters (moves, sweeps, gap recomputations, candidate
@@ -161,11 +157,7 @@ def solve_p2a_cgba(
                 fast_engine = FastBestResponseEngine(game, slack=slack)
             else:
                 fast_engine.restart()
-            outcome = fast_engine.run(
-                max_iter=max_iter,
-                selection="max_gap",
-                record_history=record_history,
-            )
+            outcome = fast_engine.run(max_iter=max_iter)
         except ConvergenceError as exc:
             if not accept_partial or exc.best_so_far is None:
                 raise
@@ -186,7 +178,6 @@ def solve_p2a_cgba(
         total_latency=outcome.total_cost,
         iterations=outcome.iterations,
         converged=outcome.converged,
-        cost_history=outcome.cost_history,
         engine_stats=outcome.stats,
         game=game,
         fast_engine=fast_engine,

@@ -44,7 +44,7 @@ class OffloadingCongestionGame(FiniteGame):
         initial: Starting assignment; drawn uniformly at random from the
             strategy space when omitted (Algorithm 3, line 1).
         rng: Required when *initial* is omitted.
-        kernels: Array-kernel backend for the batch evaluators (a
+        kernels: Array-kernel backend for the gap sweep and refills (a
             :class:`~repro.kernels.KernelBackend`, a backend name, or
             ``None`` for the NumPy reference kernels).  Every backend
             is bit-identical by contract, so this only changes speed.
@@ -122,9 +122,9 @@ class OffloadingCongestionGame(FiniteGame):
         # The strategy profile and, per player, its three current
         # resources (indices into the fused buffers) and its weights on
         # them -- rows [access | fronthaul | compute], kept in sync by
-        # move(); the batch evaluator reads these instead of
-        # re-gathering 2-D.  The fronthaul weight row doubles as the
-        # player weights p_front (they do not depend on the strategy).
+        # move(); the gap sweep reads these instead of re-gathering
+        # 2-D.  The fronthaul weight row doubles as the player weights
+        # p_front (they do not depend on the strategy).
         self._bs_of = np.empty(num_players, dtype=np.int64)
         self._server_of = np.empty(num_players, dtype=np.int64)
         self._cur_idx = np.empty((3, num_players), dtype=np.int64)
@@ -134,23 +134,6 @@ class OffloadingCongestionGame(FiniteGame):
         # Player weights p_{i,r}.
         self._p_access = np.empty((num_players, num_bs))
         self._p_compute = np.empty((num_players, num_srv))
-
-        # Flattened candidate arrays for the vectorized engine, built
-        # lazily on the first batch evaluation.
-        self._cand_ready = False
-        menu_sizes = np.array(
-            [menu.size for menu in space.server_menu()], dtype=np.int64
-        )
-        self.supports_lazy_gaps = bool(
-            np.array_equal(
-                space.coverage.astype(np.int64) @ menu_sizes,
-                space.flat().counts,
-            )
-        )
-        #: The decomposed evaluator always refreshes every player (a full
-        #: pass is cheaper than subset gathers at its granularity), so
-        #: the engine should skip dirty-player tracking entirely.
-        self.prefers_full_refresh = True
 
         # Resource loads p_r(z) and sums of squared player weights.
         self._loads = np.empty(width)
@@ -200,8 +183,6 @@ class OffloadingCongestionGame(FiniteGame):
             state.cycles,
             effective_fronthaul_se(self.network, state),
         )
-        if self._cand_ready:
-            self._fill_candidates()
         self.state = state
         self.reset_profile(initial, rng=rng)
 
@@ -233,7 +214,7 @@ class OffloadingCongestionGame(FiniteGame):
         indistinguishable from a freshly constructed one (same load
         bincounts, same rng consumption when *initial* is omitted), so
         BDMA can reuse one game across alternation rounds instead of
-        rebuilding the candidate arrays every round.
+        rebuilding it every round.
         """
         if initial is None:
             if rng is None:
@@ -250,16 +231,11 @@ class OffloadingCongestionGame(FiniteGame):
         """Re-fix the server clocks ``Omega`` without rebuilding the game.
 
         Only the compute resource weights depend on the frequencies;
-        everything else (player weights, candidate index arrays) is a
+        everything else (player weights, the menu tables) is a
         function of the state and the strategy space alone.
         """
         self._set_frequencies(frequencies)
         self.kernels.update_frequencies(self._ks)
-        if self._cand_ready:
-            flat = self.space.flat()
-            np.multiply(
-                self._m_compute[flat.server], self._cand_pc, out=self._cand_w[2]
-            )
 
     # -- FiniteGame interface ----------------------------------------------
 
@@ -311,38 +287,7 @@ class OffloadingCongestionGame(FiniteGame):
     def num_strategies(self, player: int) -> int:
         return self.space.num_strategies(player)
 
-    # -- vectorized batch interface (the fast engine's substrate) -----------
-
-    def _ensure_candidates(self) -> None:
-        """Precompute per-candidate weights over the flattened space.
-
-        Every product here matches the scalar :meth:`best_response`
-        expression tree term for term (``(m * p) * (load + p)``), so the
-        batch evaluation is bit-identical to the per-player loop.
-        """
-        if self._cand_ready:
-            return
-        size = self.space.flat().num_candidates
-        # Row-stacked (3, C) layout: one fused numpy op per refresh
-        # touches the access, fronthaul, and compute terms of every
-        # candidate at once.  The per-resource names below are row views.
-        self._cand_p = np.empty((3, size))
-        self._cand_pa, self._cand_pf, self._cand_pc = self._cand_p
-        self._cand_w = np.empty((3, size))
-        self._cand_wa, self._cand_wf, self._cand_wc = self._cand_w
-        self._fill_candidates()
-        self._cand_ready = True
-
-    def _fill_candidates(self) -> None:
-        """(Re)fill the per-candidate weights from the player weights."""
-        flat = self.space.flat()
-        fb, fs, fp = flat.bs, flat.server, flat.player
-        self._cand_p[0] = self._p_access[fp, fb]
-        self._cand_p[1] = self._p_front[fp]
-        self._cand_p[2] = self._p_compute[fp, fs]
-        np.multiply(self._m_access[fb], self._cand_pa, out=self._cand_w[0])
-        np.multiply(self._m_front[fb], self._cand_pf, out=self._cand_w[1])
-        np.multiply(self._m_compute[fs], self._cand_pc, out=self._cand_w[2])
+    # -- the decomposed evaluator (the fast engine's substrate) -------------
 
     def _build_kernel_state(self) -> None:
         """Allocate the product-form (decomposed) evaluator state.
@@ -358,11 +303,12 @@ class OffloadingCongestionGame(FiniteGame):
         candidates, with one server argmin per *distinct* menu.
 
         Bit-exactness: the backend's ``rebind`` fills the per-entry
-        arrays with the same pairwise products the flat evaluator uses,
-        the per-entry adjustment runs the same ufunc sequence, and
-        strictness of the split (``B >= Bmin`` with equality only at the
-        argmin) makes the two-stage first-minimum tie break coincide
-        with ``np.argmin`` over the flat candidate enumeration.
+        arrays with the pairwise products ``m_r * p_{i,r}`` of the
+        scalar :meth:`best_response` expression tree, and strictness of
+        the split (``B >= Bmin`` with equality only at the argmin) makes
+        the two-stage first-minimum tie break coincide with
+        ``np.argmin`` over the player's candidates in
+        :meth:`StrategySpace.pairs` order.
 
         The state is also what the backend's per-slot refills
         (``rebind``, ``reset_profile``, ``update_frequencies``) run on,
@@ -475,113 +421,24 @@ class OffloadingCongestionGame(FiniteGame):
             energy_table=network.energy_table,
         )
 
-    def candidate_count(self, players: np.ndarray | None = None) -> int:
-        """Total candidate pairs of *players* (all players when ``None``)."""
-        flat = self.space.flat()
-        if players is None:
-            return flat.num_candidates
-        return int(flat.counts[players].sum())
+    def candidate_count(self) -> int:
+        """Total candidate pairs ``sum |Z_i|`` over all players."""
+        return self.space.flat().num_candidates
 
-    def batch_best_responses(
-        self, players: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, FloatArray, FloatArray]:
-        """Best responses and current costs for many players in one pass.
-
-        One gather over the flattened candidate arrays plus two
-        ``np.minimum.reduceat`` reductions replaces ``len(players)``
-        calls to :meth:`best_response`/:meth:`player_cost`.
-
-        Args:
-            players: 1-D array of player indices, or ``None`` for all
-                players (which skips the subset-index construction).
-
-        Returns:
-            ``(best_bs, best_server, best_cost, current_cost)`` arrays
-            parallel to *players*, numerically identical to the scalar
-            methods (same IEEE operation order, same first-minimum tie
-            break as ``np.argmin``).
-        """
-        self._ensure_candidates()
-        flat = self.space.flat()
-        if players is None:
-            players = np.arange(self.num_players, dtype=np.int64)
-            idx = slice(None)
-            offsets = flat.offsets[:-1]
-            fb, fs = flat.bs, flat.server
-            wa, wf, wc = self._cand_wa, self._cand_wf, self._cand_wc
-            pa, pf, pc = self._cand_pa, self._cand_pf, self._cand_pc
-            seg_player = flat.player
-        else:
-            players = np.asarray(players, dtype=np.int64)
-            if players.size == 0:
-                empty_i = np.empty(0, dtype=np.int64)
-                empty_f = np.empty(0, dtype=np.float64)
-                return empty_i, empty_i.copy(), empty_f, empty_f.copy()
-            idx, offsets = flat.subset_indices(players)
-            fb, fs = flat.bs[idx], flat.server[idx]
-            wa, wf, wc = self._cand_wa[idx], self._cand_wf[idx], self._cand_wc[idx]
-            pa, pf, pc = self._cand_pa[idx], self._cand_pf[idx], self._cand_pc[idx]
-            seg_player = flat.player[idx]
-
-        k_cur = self._bs_of[seg_player]
-        n_cur = self._server_of[seg_player]
-        # Loads with each candidate's player removed from its current
-        # resources: the masked in-place subtract mirrors the scalar
-        # ``load[ks == k_cur] -= p_cur`` exactly.
-        load_a = self._load_access[fb]
-        load_f = self._load_front[fb]
-        load_c = self._load_compute[fs]
-        same_bs = fb == k_cur
-        same_server = fs == n_cur
-        np.subtract(load_a, self._pa_cur[seg_player], out=load_a, where=same_bs)
-        np.subtract(load_f, pf, out=load_f, where=same_bs)
-        np.subtract(load_c, self._pc_cur[seg_player], out=load_c, where=same_server)
-
-        costs = self.kernels.candidate_costs(
-            wa, wf, wc, pa, pf, pc, load_a, load_f, load_c
-        )
-        # First index attaining the segment minimum == np.argmin's choice.
-        counts = flat.counts[players]
-        best_cost, first = self.kernels.segment_first_min(costs, offsets, counts)
-        if isinstance(idx, slice):
-            best_global = first
-        else:
-            best_global = idx[first]
-        best_bs = flat.bs[best_global]
-        best_server = flat.server[best_global]
-
-        k_of = self._bs_of[players]
-        n_of = self._server_of[players]
-        pa_own = self._pa_cur[players]
-        pc_own = self._pc_cur[players]
-        pf_own = self._p_front[players]
-        current_cost = (
-            self._m_access[k_of] * pa_own * self._load_access[k_of]
-            + self._m_front[k_of] * pf_own * self._load_front[k_of]
-            + self._m_compute[n_of] * pc_own * self._load_compute[n_of]
-        )
-        return best_bs, best_server, best_cost, current_cost
-
-    def batch_gap_costs(
-        self, players: np.ndarray | None = None
-    ) -> tuple[FloatArray, FloatArray]:
-        """``(best_cost, current_cost)`` per player, best strategies deferred.
+    def batch_gap_costs(self) -> tuple[FloatArray, FloatArray]:
+        """``(best_cost, current_cost)`` of every player, best strategies
+        deferred.
 
         Product-form evaluation (see :meth:`_build_kernel_state`),
         delegated to the selected kernel backend's ``gap_sweep`` --
-        numerically identical to :meth:`batch_best_responses` (same
-        IEEE expression tree, same first-minimum tie break).  The full
-        gap vector is always recomputed (it is cheaper than any subset
-        gather at this granularity); when *players* is given only their
-        entries are returned.  The per-player argmins are retained (in
-        the kernel state) so the engine can resolve the selected
+        numerically identical to :meth:`best_response` and
+        :meth:`player_cost` per player (same IEEE expression tree, same
+        first-minimum tie break).  The returned arrays may be buffers
+        the next sweep overwrites.  The per-player argmins are retained
+        (in the kernel state) so the engine can resolve the selected
         mover's best strategy lazily via :meth:`best_strategy_for`.
         """
-        best_cost, current_cost = self.kernels.gap_sweep(self._ks)
-        if players is None:
-            return best_cost, current_cost
-        players = np.asarray(players, dtype=np.int64)
-        return best_cost[players], current_cost[players]
+        return self.kernels.gap_sweep(self._ks)
 
     def kernel_state(self) -> "DecomposedState":
         """The struct-of-arrays view driven by the kernel backends.
@@ -598,42 +455,12 @@ class OffloadingCongestionGame(FiniteGame):
 
         Resolved from the retained decomposed argmins: the best base
         station, then the best server on that base station's menu --
-        the same first-minimum pair :meth:`batch_best_responses` returns.
+        the same first-minimum pair :meth:`best_response` returns.
         """
         k = int(self._dc_kbest[player])
         g = int(self._dc_menu_of_bs[k])
         n = int(self._dc_menus[g][self._dc_nidx[g, player]])
         return k, n
-
-    def affected_players(
-        self, old: tuple[int, int], new: tuple[int, int]
-    ) -> np.ndarray:
-        """Players whose gap can change after a move ``old -> new``.
-
-        A unilateral move only alters the loads of the (at most) four
-        resources it touches, so only players whose strategy set contains
-        one of them -- the mover included, since its own strategies do --
-        need their best responses recomputed.
-        """
-        k_old, n_old = old
-        k_new, n_new = new
-        parts = [self.space.players_touching_bs(k_old)]
-        if k_new != k_old:
-            parts.append(self.space.players_touching_bs(k_new))
-        parts.append(self.space.players_touching_server(n_old))
-        if n_new != n_old:
-            parts.append(self.space.players_touching_server(n_new))
-        num_players = self.num_players
-        for part in parts:
-            # Any single resource touched by everyone already decides it.
-            if part.size == num_players:
-                return part
-        if len(parts) == 1:
-            return parts[0]
-        mask = np.zeros(num_players, dtype=bool)
-        for part in parts:
-            mask[part] = True
-        return np.flatnonzero(mask)
 
     def move(self, player: int, strategy: tuple[int, int]) -> None:
         k_new, n_new = strategy

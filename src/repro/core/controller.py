@@ -483,7 +483,8 @@ class DPPController(OnlineController):
                         fused = solve_p2_bdma_fused(
                             self.network, effective, space, self.rng, **options
                         )
-                    if fused is None:
+                        result = fused.result
+                    else:
                         result = solve_p2_bdma(
                             self.network,
                             effective,
@@ -492,8 +493,6 @@ class DPPController(OnlineController):
                             backend=self.engine_backend,
                             **options,
                         )
-                    else:
-                        result = fused.result
                 except SolverError as exc:
                     if policy is None or not policy.fallback:
                         raise

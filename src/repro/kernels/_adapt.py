@@ -3,9 +3,7 @@
 The C provider exposes low-level entry points (flat positional argument
 lists over contiguous arrays); this module wraps them into
 :class:`~repro.kernels.interface.KernelBackend` callables, owning the
-small per-state scratch buffers and delegating the flat candidate path
-to the NumPy oracle (it is already one fused gather and off the
-decomposed hot path).
+small per-state scratch buffers.
 
 Per-state argument caching: the kernels take raw data pointers
 (``convert`` turns an array into a ``ctypes.c_void_p``), and converting
@@ -40,7 +38,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.kernels.interface import DecomposedState, KernelBackend
-from repro.kernels.numpy_backend import candidate_costs, segment_first_min
 
 __all__ = ["RawKernels", "SlotBinding", "wrap_raw_backend"]
 
@@ -514,8 +511,6 @@ def wrap_raw_backend(raw: RawKernels, *, convert) -> KernelBackend:
     return KernelBackend(
         name="jit",
         provider="cc",
-        candidate_costs=candidate_costs,
-        segment_first_min=segment_first_min,
         gap_sweep=gap_sweep,
         reset_profile=reset_profile,
         rebind=rebind,

@@ -1,13 +1,14 @@
 """The kernel interface: a struct-of-arrays view plus pure array functions.
 
-The hot loops of the slot pipeline (the CGBA gap sweep of
-:class:`~repro.core.congestion_game.OffloadingCongestionGame`, the fused
-best-response dynamics of
+The hot loops of the slot pipeline (the decomposed gap sweep of
+:class:`~repro.core.congestion_game.OffloadingCongestionGame` -- the
+only best-response evaluator, since every strategy space is a product
+set -- the fused best-response dynamics of
 :class:`~repro.solvers.fast_engine.FastBestResponseEngine`, and the
 golden-section search of P2-B), the game's per-slot refills (profile
-reset, state rebind, clock refresh) and the fallback chain's greedy pass
-are expressed here as a narrow set of pure array functions over a flat
-struct-of-arrays state.  Each
+reset, state rebind, clock refresh), the fallback chain's greedy pass
+and the fused slot call are expressed here as a narrow set of pure
+array functions over a flat struct-of-arrays state.  Each
 backend (:mod:`repro.kernels.numpy_backend`, the C ``jit`` backend)
 provides the same functions with bit-identical IEEE semantics; the NumPy
 implementation is the oracle every other backend is tested against.
@@ -154,11 +155,6 @@ class KernelBackend:
         name: Public backend name (``"numpy"`` or ``"jit"``).
         provider: What actually runs underneath: ``"numpy"`` or
             ``"cc"`` (ctypes-loaded C kernels compiled at first use).
-        candidate_costs: ``(wa, wf, wc, pa, pf, pc, la, lf, lc) ->
-            costs`` -- flat candidate-cost evaluation, the expression
-            tree of the scalar best response.
-        segment_first_min: ``(costs, offsets, counts) -> (best, first)``
-            -- per-segment minimum and its first attaining index.
         gap_sweep: ``(state) -> (best_cost, current_cost)`` -- one full
             decomposed gap sweep; retains per-player argmins in
             ``state.nidx`` / ``state.kbest``.  The returned arrays may be
@@ -214,8 +210,6 @@ class KernelBackend:
 
     name: str
     provider: str
-    candidate_costs: Callable
-    segment_first_min: Callable
     gap_sweep: Callable
     reset_profile: Callable
     rebind: Callable

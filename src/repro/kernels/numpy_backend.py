@@ -16,27 +16,6 @@ from repro.kernels.interface import DecomposedState, KernelBackend
 __all__ = ["make_numpy_backend"]
 
 
-def candidate_costs(wa, wf, wc, pa, pf, pc, load_a, load_f, load_c):
-    """Flat candidate costs, term for term the scalar best-response tree."""
-    return wa * (load_a + pa) + wf * (load_f + pf) + wc * (load_c + pc)
-
-
-def segment_first_min(costs, offsets, counts):
-    """Per-segment minimum and the first index attaining it.
-
-    The first-index construction matches ``np.argmin``'s tie break: ties
-    map to their position, everything else to ``costs.size``, and the
-    segment minimum of that picks the earliest tied position.
-    """
-    best = np.minimum.reduceat(costs, offsets)
-    positions = np.arange(costs.size, dtype=np.int64)
-    first = np.minimum.reduceat(
-        np.where(costs == np.repeat(best, counts), positions, costs.size),
-        offsets,
-    )
-    return best, first
-
-
 def gap_sweep(state: DecomposedState):
     """One full decomposed gap sweep over every player.
 
@@ -224,8 +203,6 @@ def make_numpy_backend() -> KernelBackend:
     return KernelBackend(
         name="numpy",
         provider="numpy",
-        candidate_costs=candidate_costs,
-        segment_first_min=segment_first_min,
         gap_sweep=gap_sweep,
         reset_profile=reset_profile,
         rebind=rebind,

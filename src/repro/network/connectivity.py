@@ -33,9 +33,9 @@ class FlatStrategies:
 
     Candidate ``c`` belongs to device ``player[c]`` and denotes the pair
     ``(bs[c], server[c])``; device ``i``'s candidates occupy the
-    contiguous slice ``offsets[i]:offsets[i + 1]``.  This is the index
-    structure the vectorized best-response engine gathers loads through,
-    so one numpy pass scores every candidate of every player at once.
+    contiguous slice ``offsets[i]:offsets[i + 1]``.  Random draws,
+    repair and the greedy pass index these arrays, so one numpy pass
+    covers every candidate of every player.
 
     Attributes:
         bs: ``(C,)`` base-station index per candidate.
@@ -55,24 +55,6 @@ class FlatStrategies:
     def num_candidates(self) -> int:
         """Total number of (device, bs, server) candidates ``C``."""
         return int(self.bs.size)
-
-    def subset_indices(self, players: IntArray) -> tuple[IntArray, IntArray]:
-        """Candidate indices of *players* plus subset segment offsets.
-
-        Returns ``(indices, offsets)`` where ``indices`` concatenates the
-        candidate slices of the given players (in their given order) and
-        ``offsets`` bounds each player's segment within ``indices`` --
-        the structure ``np.minimum.reduceat`` needs for per-player
-        reductions over the subset.
-        """
-        counts = self.counts[players]
-        ends = np.cumsum(counts)
-        starts_out = ends - counts
-        # Multi-arange: for each player p, the run offsets[p] + 0..counts[p].
-        indices = np.repeat(self.offsets[players] - starts_out, counts)
-        indices += np.arange(int(ends[-1]) if counts.size else 0, dtype=np.int64)
-        offsets = np.concatenate([[0], ends[:-1]]) if counts.size else np.zeros(1, np.int64)
-        return indices, offsets.astype(np.int64)
 
 
 class StrategySpace:
@@ -116,8 +98,6 @@ class StrategySpace:
         self.available_servers = available_servers
         self._menus: list[IntArray] | None = None
         self._patterns: tuple[IntArray, list[IntArray]] | None = None
-        self._players_by_bs: list[IntArray] | None = None
-        self._players_by_server: list[IntArray] | None = None
         self._flat = self._enumerate(coverage)
         # Per-device views into the flat arrays.
         bounds = self._flat.offsets.tolist()
@@ -174,36 +154,6 @@ class StrategySpace:
     def flat(self) -> FlatStrategies:
         """The concatenated candidate arrays (built at construction)."""
         return self._flat
-
-    def _build_inverted_index(self) -> None:
-        by_bs: list[list[int]] = [[] for _ in range(self.network.num_base_stations)]
-        by_server: list[list[int]] = [[] for _ in range(self.network.num_servers)]
-        for i in range(self.num_devices):
-            for k in np.unique(self._bs_choices[i]):
-                by_bs[int(k)].append(i)
-            for n in np.unique(self._server_choices[i]):
-                by_server[int(n)].append(i)
-        self._players_by_bs = [np.array(p, dtype=np.int64) for p in by_bs]
-        self._players_by_server = [np.array(p, dtype=np.int64) for p in by_server]
-
-    def players_touching_bs(self, bs: int) -> IntArray:
-        """Devices whose strategy set contains base station *bs*.
-
-        These are exactly the players whose best response can change when
-        the load on *bs* (access or fronthaul) changes -- the inverted
-        index behind the incremental engine's dirty-player tracking.
-        """
-        if self._players_by_bs is None:
-            self._build_inverted_index()
-        assert self._players_by_bs is not None
-        return self._players_by_bs[bs]
-
-    def players_touching_server(self, server: int) -> IntArray:
-        """Devices whose strategy set contains *server* (see above)."""
-        if self._players_by_server is None:
-            self._build_inverted_index()
-        assert self._players_by_server is not None
-        return self._players_by_server[server]
 
     def server_menu(self) -> list[IntArray]:
         """Per-base-station candidate server list, in enumeration order.

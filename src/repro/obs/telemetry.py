@@ -28,11 +28,11 @@ Three integration surfaces:
   a gauge backwards).
 * kernel profiling -- :func:`instrument_kernels` wraps a resolved
   :class:`~repro.kernels.interface.KernelBackend` so every hot call
-  (``candidate_costs`` / ``segment_first_min`` / ``gap_sweep`` /
-  ``run_dynamics`` / ``golden_quad`` and the refills) lands a
-  wall-clock sample in the ``repro_kernel_seconds{kernel=,backend=}``
-  histogram; a fused ``bdma_slot`` call lands one sample per sub-kernel
-  it ran, timed inside the call.  The controller
+  (``gap_sweep`` / ``run_dynamics`` / ``golden_quad``, the refills and
+  ``greedy_pass``) lands a wall-clock sample in the
+  ``repro_kernel_seconds{kernel=,backend=}`` histogram; a fused
+  ``bdma_slot`` call lands one sample per sub-kernel it ran, timed
+  inside the call.  The controller
   applies it automatically whenever a telemetry context is active
   (:func:`telemetry_context`), and the wrapper is thin enough to stay
   on by default (one ``perf_counter`` pair plus a bisect per call).
@@ -1031,8 +1031,6 @@ class TelemetrySink:
 # -- kernel profiling -------------------------------------------------------
 
 _KERNEL_CALLS = (
-    "candidate_costs",
-    "segment_first_min",
     "gap_sweep",
     "run_dynamics",
     "golden_quad",

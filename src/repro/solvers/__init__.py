@@ -23,10 +23,7 @@ from repro.solvers.potential_game import (
     FiniteGame,
     best_response_dynamics,
 )
-from repro.solvers.fast_engine import (
-    FastBestResponseEngine,
-    fast_best_response_dynamics,
-)
+from repro.solvers.fast_engine import FastBestResponseEngine
 from repro.solvers.assignment import (
     QuadraticCongestionProblem,
     congestion_free_lower_bound,
@@ -42,7 +39,6 @@ __all__ = [
     "FiniteGame",
     "best_response_dynamics",
     "FastBestResponseEngine",
-    "fast_best_response_dynamics",
     "QuadraticCongestionProblem",
     "congestion_free_lower_bound",
     "RelaxationResult",

@@ -89,12 +89,11 @@ class EngineStats:
             the initial full sweep); both engines count them the same
             way, so sweep counts are comparable across engines.
         gap_recomputations: Player best-response evaluations performed.
-            The naive engine recomputes every player each iteration
-            (``I * (moves + 1)`` in total); the incremental engine only
-            the players affected by the previous move.
+            Both engines recompute every player on every sweep, so this
+            is ``I * sweeps`` (``I * (moves + 1)`` for a converged run).
         candidate_evaluations: Total candidate strategies scored across
-            all gap recomputations (``sum |Z_i|`` over recomputed
-            players); 0 when the game cannot report strategy-set sizes.
+            all gap recomputations (``sum |Z_i|`` per sweep); 0 when the
+            game cannot report strategy-set sizes.
         setup_seconds: Wall-clock spent building engine state (initial
             full gap sweep included).
         eval_seconds: Wall-clock spent recomputing gaps/best responses.

@@ -102,22 +102,6 @@ class TestCGBAOnTinyInstance:
         assert second.iterations == 0
         assert second.total_latency == pytest.approx(first.total_latency)
 
-    def test_history_recording(self, setup) -> None:
-        network, state, space, frequencies = setup
-        result = solve_p2a_cgba(
-            network,
-            state,
-            space,
-            frequencies,
-            np.random.default_rng(4),
-            record_history=True,
-        )
-        assert len(result.cost_history) == result.iterations + 1
-        # Total latency is non-increasing along max-gap best responses?
-        # Not guaranteed in general for weighted games, but the final
-        # value matches the reported latency.
-        assert result.cost_history[-1] == pytest.approx(result.total_latency)
-
     def test_lambda_slack_reduces_iterations(self, setup) -> None:
         network, state, space, frequencies = setup
         # Aggregate across seeds: slack can only stop earlier.

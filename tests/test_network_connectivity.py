@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.exceptions import InfeasibleError
 from repro.network.builder import build_paper_network
@@ -188,6 +189,83 @@ class TestFlatConstruction:
                 assert got.dtype == np.int64, name
                 np.testing.assert_array_equal(got, want, err_msg=name)
         assert outcomes == {"empty", "built"}
+
+
+class TestProductSet:
+    """Every strategy space is a product set per covering station -- the
+    premise of the decomposed gap sweep, CGBA's only best-response
+    evaluator: device ``i`` may pick any ``(k, n)`` with ``k`` covering
+    ``i`` and ``n`` on ``k``'s server menu, which does not depend on
+    ``i``."""
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_candidates_are_covering_stations_times_menus(self, data) -> None:
+        network, _ = build_paper_network(
+            np.random.default_rng(data.draw(st.integers(0, 2**16))),
+            num_devices=data.draw(st.integers(1, 10)),
+            num_base_stations=data.draw(st.integers(1, 5)),
+            num_macro_stations=1,
+            num_clusters=data.draw(st.integers(1, 3)),
+            servers_per_cluster=data.draw(st.integers(1, 3)),
+            wireless_fronthaul_fraction=data.draw(st.floats(0.0, 1.0)),
+        )
+        shape = (network.num_devices, network.num_base_stations)
+        coverage = np.array(
+            data.draw(
+                st.lists(
+                    st.booleans(),
+                    min_size=shape[0] * shape[1],
+                    max_size=shape[0] * shape[1],
+                )
+            ),
+            dtype=bool,
+        ).reshape(shape)
+        available = data.draw(
+            st.none()
+            | st.lists(
+                st.booleans(),
+                min_size=network.num_servers,
+                max_size=network.num_servers,
+            ).map(lambda mask: np.array(mask, dtype=bool))
+        )
+        # Each station's menu, built independently of the space.
+        menus = [
+            np.array(
+                [
+                    int(n)
+                    for n in network.servers_reachable_from(k)
+                    if available is None or available[int(n)]
+                ],
+                dtype=np.int64,
+            )
+            for k in range(network.num_base_stations)
+        ]
+        menu_sizes = np.array([menu.size for menu in menus], dtype=np.int64)
+        counts = coverage.astype(np.int64) @ menu_sizes
+        if not counts.all():
+            with pytest.raises(InfeasibleError) as excinfo:
+                StrategySpace(network, coverage, available)
+            assert excinfo.value.device == int(np.argmin(counts))
+            return
+        space = StrategySpace(network, coverage, available)
+        for got, want in zip(space.server_menu(), menus):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        for i in range(network.num_devices):
+            stations = np.flatnonzero(coverage[i])
+            ks, ns = space.pairs(i)
+            np.testing.assert_array_equal(
+                ks, np.repeat(stations, menu_sizes[stations])
+            )
+            np.testing.assert_array_equal(
+                ns, np.concatenate([menus[k] for k in stations])
+            )
+        np.testing.assert_array_equal(space.flat().counts, counts)
 
 
 class TestRepair:

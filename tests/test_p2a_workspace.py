@@ -124,8 +124,6 @@ class TestRebindEqualsFresh:
         )
         rng_fresh.bit_generator.state = rng_rebound.bit_generator.state
         ks = rebound.kernel_state()
-        # Build the lazy flat-candidate arrays too, so rebind refills them.
-        rebound.batch_best_responses()
         engine = FastBestResponseEngine(rebound)
         engine.run(max_iter=MAX_MOVES)
         previous = rebound.assignment()
@@ -146,9 +144,11 @@ class TestRebindEqualsFresh:
                 fresh.assignment().server_of, rebound.assignment().server_of
             )
             for got, want in zip(
-                rebound.batch_best_responses(), fresh.batch_best_responses()
+                rebound.batch_gap_costs(), fresh.batch_gap_costs()
             ):
                 np.testing.assert_array_equal(got, want)
+            for i in range(rebound.num_players):
+                assert rebound.best_strategy_for(i) == fresh.best_strategy_for(i)
 
             engine.restart()
             got = engine.run(max_iter=MAX_MOVES)

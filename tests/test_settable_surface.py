@@ -12,15 +12,26 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 import repro
+import repro.solvers
 from repro.api import CellConfig, EngineConfig, RunConfig, run
+from repro.core.bdma import cgba_p2a_solver
+from repro.core.cgba import CGBAResult, solve_p2a_cgba
+from repro.core.congestion_game import OffloadingCongestionGame
 from repro.exceptions import ConfigurationError
+from repro.kernels import KernelBackend
+from repro.network.connectivity import FlatStrategies, StrategySpace
 from repro.sim.checkpoint import run_checkpointed
 from repro.sim.replication import ReplicationSpec, run_replications
 from repro.sim.shard_runtime import SharedStatePlanner
 from repro.sim.sharded import ShardedController, run_sharded
+from repro.solvers import fast_engine
+from repro.solvers.fast_engine import FastBestResponseEngine
+
+from conftest import make_tiny_network, make_tiny_state
 
 
 def _fields(cls) -> list[str]:
@@ -71,6 +82,22 @@ RUN_REPLICATIONS_KEYWORDS = [
     "spec", "seeds", "processes", "tracer", "timeout_seconds",
     "max_retries", "retry_backoff_seconds",
 ]
+# CGBA runs one best-response path: max-gap selection, no history.
+SOLVE_P2A_CGBA_KEYWORDS = [
+    "network", "state", "space", "frequencies", "rng", "slack", "initial",
+    "max_iter", "tracer", "reuse", "accept_partial", "backend",
+]
+CGBA_P2A_SOLVER_KEYWORDS = [
+    "slack", "max_iter", "tracer", "accept_partial", "backend",
+]
+ENGINE_RUN_KEYWORDS = ["max_iter"]
+# The kernels of the decomposed evaluator, the refills, the greedy
+# pass and the fused calls; no flat-candidate kernels.
+KERNEL_BACKEND_FIELDS = [
+    "name", "provider", "gap_sweep", "reset_profile", "rebind",
+    "update_frequencies", "greedy_pass", "run_dynamics", "golden_quad",
+    "bdma_slot",
+]
 
 
 @pytest.mark.parametrize(
@@ -80,6 +107,7 @@ RUN_REPLICATIONS_KEYWORDS = [
         (EngineConfig, ENGINE_CONFIG_FIELDS),
         (CellConfig, CELL_CONFIG_FIELDS),
         (ReplicationSpec, REPLICATION_SPEC_FIELDS),
+        (KernelBackend, KERNEL_BACKEND_FIELDS),
     ],
     ids=lambda x: getattr(x, "__name__", ""),
 )
@@ -95,6 +123,9 @@ def test_config_fields_are_pinned(cls, pinned) -> None:
         (ShardedController.__init__, SHARDED_CONTROLLER_KEYWORDS),
         (ShardedController.run, SHARDED_RUN_KEYWORDS),
         (run_replications, RUN_REPLICATIONS_KEYWORDS),
+        (solve_p2a_cgba, SOLVE_P2A_CGBA_KEYWORDS),
+        (cgba_p2a_solver, CGBA_P2A_SOLVER_KEYWORDS),
+        (FastBestResponseEngine.run, ENGINE_RUN_KEYWORDS),
     ],
     ids=lambda x: getattr(x, "__qualname__", ""),
 )
@@ -182,3 +213,50 @@ class TestInjectionKnobsRemoved:
     def test_replication_spec_rejects_them(self, name) -> None:
         with pytest.raises(TypeError, match=name):
             ReplicationSpec(**{name: (2,)})
+
+
+class TestBestResponseKnobsRemoved:
+    """Every strategy space is a product set, so CGBA has one
+    best-response path: the decomposed sweep (or the backend's fused
+    loop) with max-gap selection.  The flat-candidate evaluator, the
+    dirty-player index, the other selection rules and history recording
+    stay deleted; the reference ``best_response_dynamics`` keeps them as
+    the oracle."""
+
+    def test_history_and_selection_are_rejected(self) -> None:
+        network, state = make_tiny_network(), make_tiny_state()
+        space = StrategySpace(network, state.coverage())
+        frequencies = network.freq_max.copy()
+        rng = np.random.default_rng(0)
+        with pytest.raises(TypeError, match="record_history"):
+            solve_p2a_cgba(
+                network, state, space, frequencies, rng, record_history=True
+            )
+        engine = FastBestResponseEngine(
+            OffloadingCongestionGame(
+                network, state, space, frequencies, rng=rng
+            )
+        )
+        with pytest.raises(TypeError, match="record_history"):
+            engine.run(record_history=True)
+        with pytest.raises(TypeError, match="selection"):
+            engine.run(selection="random")
+        assert "cost_history" not in _fields(CGBAResult)
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            (repro.solvers, "fast_best_response_dynamics"),
+            (fast_engine, "fast_best_response_dynamics"),
+            (fast_engine, "supports_batch"),
+            (fast_engine, "BatchGame"),
+            (OffloadingCongestionGame, "batch_best_responses"),
+            (OffloadingCongestionGame, "affected_players"),
+            (StrategySpace, "players_touching_bs"),
+            (StrategySpace, "players_touching_server"),
+            (FlatStrategies, "subset_indices"),
+        ],
+        ids=lambda x: getattr(x, "__name__", x),
+    )
+    def test_deleted_names_stay_deleted(self, owner, name) -> None:
+        assert not hasattr(owner, name)

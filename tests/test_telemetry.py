@@ -237,14 +237,25 @@ class TestKernelInstrumentation:
         reg = MetricsRegistry()
         wrapped = instrument_kernels(base, reg, labels={"cell": 0})
         assert wrapped.name == base.name
-        args = tuple(
-            np.linspace(0.1 * (i + 1), 0.2 * (i + 1), 3) for i in range(9)
+        # A greedy pass of two devices over one base station and two
+        # servers (both devices may pick either server).
+        args = (
+            np.array([1, 0]),
+            np.array([0, 2, 4]),
+            np.zeros(4, dtype=np.int64),
+            np.array([0, 1, 0, 1]),
+            np.array([[0.5], [0.7]]),
+            np.array([0.3, 0.4]),
+            np.array([[0.2, 0.6], [0.9, 0.1]]),
+            np.array([1.5]),
+            np.array([0.8]),
+            np.array([1.0, 2.0]),
+            True,
         )
-        costs_base = base.candidate_costs(*args)
-        costs_wrapped = wrapped.candidate_costs(*args)
-        np.testing.assert_array_equal(costs_base, costs_wrapped)
+        for got, want in zip(wrapped.greedy_pass(*args), base.greedy_pass(*args)):
+            np.testing.assert_array_equal(got, want)
         rows = histogram_summaries(reg, "repro_kernel_seconds")
-        assert rows and rows[0]["labels"]["kernel"] == "candidate_costs"
+        assert rows and rows[0]["labels"]["kernel"] == "greedy_pass"
         assert rows[0]["count"] == 1
 
     def test_maybe_instrument_is_noop_without_context(self) -> None:
