@@ -181,7 +181,8 @@ def make_controller(
             equilibrium backlog (requires a scenario).
         tracer: Observability tracer threaded into the controller.
         engine_backend: Array-kernel backend (``"numpy"`` or ``"jit"``)
-            for the DPP family's hot loops; see :mod:`repro.kernels`.
+            for the DPP family's hot loops; ``None`` is the C kernels
+            when they build, else NumPy; see :mod:`repro.kernels`.
             Bit-identical across backends -- wall-clock only.  The
             ``"fixed"`` controller has no array hot loop and ignores it.
         **params: Controller-family extras -- e.g. ``iterations=`` for
@@ -264,8 +265,9 @@ class EngineConfig:
 
     Attributes:
         backend: Array-kernel backend for the controller's hot loops
-            (``"numpy"``/``"jit"``; ``None`` = default).  Bit-identical
-            across backends -- wall-clock only.
+            (``"numpy"``/``"jit"``; ``None`` = the C kernels when they
+            build, else NumPy).  Bit-identical across backends --
+            wall-clock only.
     """
 
     backend: str | None = None
@@ -489,7 +491,8 @@ def run(
         budget: Energy budget; ``scenario.budget`` when omitted.
         tracer: Observability tracer (e.g. :class:`repro.obs.Probe`).
         engine_backend: Array-kernel backend for the controller's hot
-            loops (``"numpy"``/``"jit"``; see :mod:`repro.kernels`).
+            loops (``"numpy"``/``"jit"``; unset is the C kernels when
+            they build, else NumPy; see :mod:`repro.kernels`).
             Results are bit-identical across backends -- only the slot
             throughput changes.  Incompatible with an already built
             ``controller`` instance (configure the backend at

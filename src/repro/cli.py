@@ -45,7 +45,7 @@ from repro.core.overload import OverloadPolicy
 from repro.core.theory import check_bdma_guarantee, check_cgba_guarantee
 from repro.experiments import RUNNERS, generate_report
 from repro.io import save_result, summary_to_json
-from repro.kernels import BACKEND_NAMES, DEFAULT_BACKEND
+from repro.kernels import BACKEND_NAMES, get_kernels
 from repro.obs import (
     Dashboard,
     JsonlSink,
@@ -82,9 +82,11 @@ def _build_scenario(args: argparse.Namespace) -> repro.Scenario:
 def _run_config_from(args: argparse.Namespace) -> repro.RunConfig:
     """Map ``simulate`` flags onto one :class:`repro.api.RunConfig`.
 
-    The config is both the sharded execution recipe (``--cells``) and
-    the provenance record: its :meth:`~repro.api.RunConfig.to_dict`
-    feeds the run manifest, so traces capture every knob.
+    The config is both the execution recipe (of the sharded run, and
+    of the unsharded controller via :func:`_build_controller`) and the
+    provenance record: its :meth:`~repro.api.RunConfig.to_dict` feeds
+    the run manifest, so traces capture every knob, including the
+    kernel backend that actually runs.
     """
     cells = None
     if args.cells > 1:
@@ -115,42 +117,33 @@ def _run_config_from(args: argparse.Namespace) -> repro.RunConfig:
         v=args.v,
         z=args.z,
         warm_start_queue=args.warm_start,
-        engine=repro.api.EngineConfig(backend=args.backend),
+        engine=repro.api.EngineConfig(backend=get_kernels(args.backend).name),
         cells=cells,
         controller_params=params,
     )
 
 
 def _build_controller(
+    config: repro.RunConfig,
     scenario: repro.Scenario,
-    args: argparse.Namespace,
     tracer: "Probe | None" = None,
 ) -> repro.OnlineController:
-    """Map CLI flags onto :func:`repro.api.make_controller`.
+    """The unsharded controller of *config*, the recipe its manifest records.
 
     The ``"cli"`` / ``"cli-equilibrium"`` rng stream labels predate the
     facade and are kept so historical runs stay bit-reproducible.
     """
-    extras: dict[str, object] = {}
-    if args.solver == "fixed":
-        extras["fraction"] = args.fraction
-    if getattr(args, "overload_high", None) is not None:
-        extras["overload"] = OverloadPolicy(
-            high_watermark=args.overload_high,
-            low_watermark=args.overload_low,
-            shed_fraction=args.overload_shed,
-        )
     return make_controller(
-        args.solver,
+        config.controller,
         scenario,
-        v=args.v,
-        z=args.z,
+        v=config.v,
+        z=config.z,
         rng_label="cli",
         equilibrium_rng_label="cli-equilibrium",
-        warm_start_queue=args.warm_start,
+        warm_start_queue=config.warm_start_queue,
         tracer=tracer,
-        engine_backend=args.backend,
-        **extras,
+        engine_backend=config.engine.backend,
+        **dict(config.controller_params),
     )
 
 
@@ -213,7 +206,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         controller = None
     else:
         with telemetry_context(registry):
-            controller = _build_controller(scenario, args, tracer=probe)
+            controller = _build_controller(run_config, scenario, tracer=probe)
     if dashboard is None:
         cells_note = f"; cells {args.cells}" if sharded else ""
         print(
@@ -510,11 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_arguments(sim)
     sim.add_argument("--horizon", type=int, default=48, help="slots to simulate")
     sim.add_argument("--solver", choices=_SOLVER_CHOICES, default="bdma")
-    sim.add_argument("--backend", choices=BACKEND_NAMES,
-                     default=DEFAULT_BACKEND,
+    sim.add_argument("--backend", choices=BACKEND_NAMES, default=None,
                      help="array-kernel backend for the solver hot loops "
-                          "(bit-identical results; jit needs a C compiler, "
-                          "else it falls back to numpy)")
+                          "(bit-identical results; default: jit when the C "
+                          "kernels build, else numpy)")
     sim.add_argument("--z", type=int, default=3, help="BDMA alternation rounds")
     sim.add_argument("--fraction", type=float, default=1.0,
                      help="clock position in [0,1] for --solver fixed")
@@ -624,8 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=int, default=48,
                        help="slots to simulate")
         p.add_argument("--solver", choices=_SOLVER_CHOICES, default="bdma")
-        p.add_argument("--backend", choices=BACKEND_NAMES,
-                       default=DEFAULT_BACKEND)
+        p.add_argument("--backend", choices=BACKEND_NAMES, default=None)
         p.add_argument("--z", type=int, default=3,
                        help="BDMA alternation rounds")
         p.add_argument("--cells", type=int, default=1,

@@ -1,20 +1,22 @@
 """Array-kernel backends for the slot pipeline's hot loops.
 
 ``backend="numpy"`` is the reference implementation (and bit-exactness
-oracle); ``backend="jit"`` resolves to ctypes-loaded C kernels compiled
-at first use, or to the NumPy kernels again (with a warning) when no C
-compiler is available.  Every backend is bit-identical to the oracle by
-contract -- selecting ``jit`` changes wall-clock, never results.
+oracle); ``backend="jit"`` is C kernels compiled at first use and bound
+through ctypes.  Every backend is bit-identical to the oracle by
+contract -- the backend changes wall-clock, never results.
 
-Select a backend with ``api.run(engine_backend="jit")``, the CLI's
-``--backend jit``, or by passing ``kernels=get_kernels("jit")`` to
-:class:`~repro.core.congestion_game.OffloadingCongestionGame` directly.
+An unset backend means the C kernels when they build and load, else the
+NumPy kernels.  :func:`get_kernels` decides lazily, once per process
+(importing the package builds nothing).  When the C kernels cannot build
+-- no compiler, an unusable kernel cache -- ``"jit"`` and an unset
+backend both return the NumPy backend itself, named ``"numpy"``, after
+one :class:`RuntimeWarning` giving the reason.  Pin the oracle with
+``api.run(engine_backend="numpy")`` or the CLI's ``--backend numpy``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
 
 from repro.exceptions import ConfigurationError
 from repro.kernels.interface import DecomposedState, KernelBackend
@@ -23,7 +25,6 @@ from repro.kernels.shm import SharedStateBlock
 
 __all__ = [
     "BACKEND_NAMES",
-    "DEFAULT_BACKEND",
     "DecomposedState",
     "KernelBackend",
     "SharedStateBlock",
@@ -32,8 +33,10 @@ __all__ = [
     "jit_provider",
 ]
 
-DEFAULT_BACKEND = "numpy"
 BACKEND_NAMES = ("numpy", "jit")
+
+#: What an unset backend asks for first.
+_DEFAULT = "jit"
 
 _cache: dict[str, KernelBackend] = {}
 
@@ -67,11 +70,11 @@ def _resolve_jit() -> KernelBackend:
         return native.make_cc_backend()
     except native.KernelBuildError as exc:
         warnings.warn(
-            f"backend 'jit' unavailable ({exc}); falling back to NumPy kernels",
+            f"C kernels unavailable ({exc}); running the NumPy kernels",
             RuntimeWarning,
             stacklevel=3,
         )
-        return replace(get_kernels("numpy"), name="jit")
+        return get_kernels("numpy")
 
 
 def get_kernels(backend: str | KernelBackend | None = None) -> KernelBackend:
@@ -79,18 +82,20 @@ def get_kernels(backend: str | KernelBackend | None = None) -> KernelBackend:
 
     Args:
         backend: ``"numpy"``, ``"jit"``, an already-resolved backend
-            (returned as is), or ``None`` for the default.
+            (returned as is), or ``None`` for the C kernels when they
+            build and the NumPy kernels otherwise.
 
     Raises:
         ConfigurationError: On an unknown backend name.
     """
-    if backend is None:
-        backend = DEFAULT_BACKEND
     if isinstance(backend, KernelBackend):
         return backend
+    if backend is None:
+        backend = _DEFAULT
     if backend not in BACKEND_NAMES:
         raise ConfigurationError(
-            f"unknown kernel backend {backend!r}; expected one of {BACKEND_NAMES}"
+            f"unknown kernel backend {backend!r}; engine_backend must be "
+            f"one of {BACKEND_NAMES} or None"
         )
     if backend not in _cache:
         if backend == "numpy":

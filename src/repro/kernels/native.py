@@ -1178,9 +1178,12 @@ def _build_library() -> Path:
     lib_path = cache / f"reprokern-{digest}.so"
     if lib_path.exists():
         return lib_path
-    cache.mkdir(parents=True, exist_ok=True)
     src_path = cache / f"reprokern-{digest}.c"
-    src_path.write_text(_SOURCE)
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        src_path.write_text(_SOURCE)
+    except OSError as exc:
+        raise KernelBuildError(f"kernel cache {cache} unusable: {exc}") from exc
     tmp_path = cache / f".reprokern-{digest}.{os.getpid()}.so"
     cmd = [compiler, *_CFLAGS, "-o", str(tmp_path), str(src_path), "-lm"]
     try:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait
 
 import numpy as np
@@ -36,7 +36,7 @@ import numpy as np
 import repro
 from repro.analysis.aggregate import RunStatistics, summarize_runs
 from repro.exceptions import ConfigurationError
-from repro.kernels import BACKEND_NAMES, DEFAULT_BACKEND
+from repro.kernels import get_kernels
 from repro.obs.probe import Probe, Tracer, as_tracer
 from repro.sim.shard_runtime import InProcessWorker, ResidentWorker, WorkerFailure
 
@@ -68,6 +68,8 @@ class ReplicationSpec:
             machinery.
         engine_backend: Array-kernel backend (``"numpy"``/``"jit"``) for
             every run's controller; bit-identical across backends.
+            ``None`` is the C kernels when they build, else NumPy;
+            :func:`run_replications` resolves it once, in the parent.
     """
 
     num_devices: int = 30
@@ -80,7 +82,7 @@ class ReplicationSpec:
     warm_start_queue: bool = False
     network_overrides: tuple[tuple[str, object], ...] = ()
     batch_seeds: int = 1
-    engine_backend: str = DEFAULT_BACKEND
+    engine_backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.solver not in ("bdma", "dpp", "mcba", "ropt", "greedy", "fixed"):
@@ -89,10 +91,6 @@ class ReplicationSpec:
             raise ConfigurationError("horizon must be positive")
         if self.batch_seeds < 1:
             raise ConfigurationError("batch_seeds must be >= 1")
-        if self.engine_backend not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"unknown engine backend {self.engine_backend!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -495,7 +493,8 @@ def run_replications(
     Args:
         spec: The configuration to replicate.  Shipped to each worker
             process once, in its init payload, rather than pickled into
-            every seed group.
+            every seed group, with its backend resolved here first (an
+            unknown name raises before any worker starts).
         seeds: Root seeds; each yields an independent topology and
             state stream.
         processes: Resident worker processes, each holding at most one
@@ -537,6 +536,8 @@ def run_replications(
     seeds = list(seeds)
     if not seeds:
         raise ConfigurationError("need at least one seed")
+    # Workers run the backend the parent resolved; they never guess.
+    spec = replace(spec, engine_backend=get_kernels(spec.engine_backend).name)
     if max_retries < 0:
         raise ConfigurationError("max_retries must be >= 0")
     if timeout_seconds is not None and timeout_seconds <= 0.0:

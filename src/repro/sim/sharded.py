@@ -53,7 +53,7 @@ import copy
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.core.budget import BudgetCoordinator
 from repro.exceptions import CheckpointError, ConfigurationError, SolverError
-from repro.kernels import BACKEND_NAMES
+from repro.kernels import get_kernels
 from repro.network.partition import CellPlan, extract_subnetwork, partition_cells
 from repro.obs.monitors import Alert, HealthReport, MonitorStatus
 from repro.obs.probe import Probe, Tracer, as_tracer
@@ -128,12 +128,6 @@ def _check_config(config: "RunConfig", cells: "CellConfig") -> None:
         raise ConfigurationError(
             "sharded runs need a budget-tracking controller; "
             "'fixed' has no virtual queue to coordinate"
-        )
-    backend = config.engine.backend
-    if backend is not None and backend not in BACKEND_NAMES:
-        raise ConfigurationError(
-            f"engine_backend must be one of {BACKEND_NAMES} or None, "
-            f"got {backend!r}"
         )
     if cells.epoch < 1:
         raise ConfigurationError(f"epoch must be >= 1, got {cells.epoch}")
@@ -345,6 +339,9 @@ class ShardedController:
 
         cells = config.cells if config.cells is not None else CellConfig()
         _check_config(config, cells)
+        # Workers run the backend the parent resolved; they never guess.
+        backend = get_kernels(config.engine.backend).name
+        config = replace(config, engine=replace(config.engine, backend=backend))
         if plan is None:
             plan = partition_cells(
                 scenario.network,

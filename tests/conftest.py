@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro
+import repro.kernels
 from repro.core.state import SlotState
 from repro.energy.models import QuadraticEnergyModel
 from repro.network.connectivity import StrategySpace
@@ -44,6 +45,27 @@ def fingerprint(result) -> str:
     ):
         digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
     return digest.hexdigest()
+
+
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers",
+        "default_backend: resolve an unset kernel backend as a user's run "
+        "does (the C kernels when they build), not as the NumPy oracle",
+    )
+
+
+@pytest.fixture(autouse=True)
+def _oracle_backend_by_default(request, monkeypatch) -> None:
+    """Tests that name no kernel backend run the NumPy oracle.
+
+    A run that names none gets the C kernels when they build; the
+    suite keeps the oracle under every such test instead, and checks
+    the C kernels where it names them.  ``@pytest.mark.default_backend``
+    opts a test out.
+    """
+    if request.node.get_closest_marker("default_backend") is None:
+        monkeypatch.setattr(repro.kernels, "_DEFAULT", "numpy")
 
 
 @pytest.fixture

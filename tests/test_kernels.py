@@ -77,12 +77,20 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
             get_kernels("cuda")
 
+    @pytest.mark.default_backend
     def test_resolved_backends_pass_through_and_cache(self) -> None:
         numpy_kernels = get_kernels("numpy")
         assert get_kernels("numpy") is numpy_kernels
         assert get_kernels(numpy_kernels) is numpy_kernels
-        assert get_kernels(None).name == "numpy"
         assert isinstance(numpy_kernels, KernelBackend)
+        # Unset is the C kernels, or the oracle itself -- under its own
+        # name -- when they cannot build.
+        default = get_kernels(None)
+        assert default is get_kernels("jit")
+        if default.provider == "cc":
+            assert default.name == "jit"
+        else:
+            assert default is numpy_kernels
 
     def test_manifest_surfaces_backend_availability(self) -> None:
         from repro.obs.manifest import RunManifest, config_hash
@@ -323,11 +331,22 @@ class TestBatchedReplication:
             for o in report.outcomes
         ]
 
-    def test_spec_validation(self) -> None:
+    def test_spec_validation(self, monkeypatch) -> None:
         with pytest.raises(ConfigurationError):
             self._spec(batch_seeds=0)
-        with pytest.raises(ConfigurationError):
-            self._spec(engine_backend="cuda")
+        # get_kernels is the one backend-name check: run_replications
+        # resolves the spec's backend before any worker starts.
+        def no_worker(*args, **kwargs):
+            raise AssertionError("a worker started")
+
+        monkeypatch.setattr(replication, "ResidentWorker", no_worker)
+        monkeypatch.setattr(replication, "InProcessWorker", no_worker)
+        for processes in (None, 2):
+            with pytest.raises(ConfigurationError, match="'cuda'"):
+                run_replications(
+                    self._spec(engine_backend="cuda"), [1, 2],
+                    processes=processes,
+                )
 
     @pytest.mark.parametrize("batch_seeds", (2, 4))
     def test_lockstep_batches_are_bit_identical(self, batch_seeds: int) -> None:
