@@ -10,13 +10,12 @@ aggregated demand and ``speed_n(omega) = cores_n * omega * 1e9``.  The
 first term is convex decreasing, the second convex increasing (the
 paper's convex-energy assumption), so each scalar problem is convex on a
 box.  The paper hands this to CVX; we solve it with the golden-section
-substitute in :mod:`repro.solvers.scalar` -- a *batched* search over all
-servers that need it (``method="batch"``), with the original per-server
-Python loop kept as the ``method="scalar"`` oracle.  Both are
-bit-identical per lane, so the default ``method="auto"`` freely picks
-whichever is faster for the fleet size (numpy dispatch overhead makes
-the scalar loop win below ~64 servers: measured 320 us vs 1060 us per
-call at N=16 on the paper scenario).
+substitute in :mod:`repro.solvers.scalar`: the per-server Python loop
+below 64 servers and a *batched* search over all servers that need it
+from 64 on.  The two are bit-identical per lane, so the choice is
+speed only (numpy dispatch overhead makes the scalar loop win below ~64
+servers: measured 320 us vs 1060 us per call at N=16 on the paper
+scenario); the tests compare them through the private helpers.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ def solve_p2b(
     queue_backlog: float,
     v: float,
     tol: float = 1e-8,
-    method: str = "auto",
     tracer: "Tracer | None" = None,
     backend: "KernelBackend | str | None" = None,
 ) -> FloatArray:
@@ -63,33 +61,23 @@ def solve_p2b(
         queue_backlog: The virtual queue ``Q(t)``.
         v: The DPP trade-off parameter ``V``.
         tol: Relative tolerance of the scalar search.
-        method: ``"batch"`` (one vectorized golden-section over every
-            server that needs the search), ``"scalar"`` (the original
-            per-server Python loop, kept as the oracle the equality
-            tests compare against), or ``"auto"`` (the default: batch
-            for fleets of 64+ servers, scalar below, where Python loop
-            overhead is smaller than numpy dispatch overhead).  All
-            three produce bit-identical frequencies.
         tracer: Observability tracer; when enabled, emits
             ``p2b.scalar_solves`` / ``p2b.fastpath`` counters telling
             how many servers needed the golden-section search versus the
             closed-form shortcuts, plus ``p2b.batch_iters`` (total
-            golden-section iterations across the batch) on the batch
-            path.
+            golden-section iterations across the batch) for fleets of
+            64+ servers, which search in one batch.
         backend: Kernel backend for the golden-section search.  A
             backend providing a native ``golden_quad`` (the ``jit``
             backend) replaces the search core when every server has a
             (scaled) quadratic energy model (``network.energy_table``),
-            bit-identically; method resolution and the
-            emitted counters are unchanged, so traces diff clean across
-            backends.  ``None`` keeps the NumPy search.
+            bit-identically; the emitted counters are unchanged, so
+            traces diff clean across backends.  ``None`` keeps the
+            NumPy search.
 
     Returns:
         ``(N,)`` array of frequencies in GHz, elementwise in
         ``[F^L, F^U]``.
-
-    Raises:
-        ValueError: On an unknown *method*.
 
     Notes:
         Two fast paths avoid the scalar search: with zero energy pressure
@@ -98,10 +86,7 @@ def solve_p2b(
         (``A_n = 0``) always parks at ``F^L`` because only the energy
         term remains, and it is increasing.
     """
-    if method not in ("auto", "batch", "scalar"):
-        raise ValueError(f"unknown method: {method!r}")
-    if method == "auto":
-        method = "scalar" if network.num_servers < _BATCH_CUTOVER else "batch"
+    batched = network.num_servers >= _BATCH_CUTOVER
     roots = server_load_roots(network, state, assignment)
     demand = roots * roots  # A_n
     energy_pressure = queue_backlog * state.price
@@ -109,29 +94,43 @@ def solve_p2b(
     kernels = get_kernels(backend)
     native = kernels.golden_quad is not None and network.energy_table is not None
 
-    if method == "scalar" and not native:
+    if not batched and not native:
         return _solve_p2b_scalar(
             network, state, demand, energy_pressure, v, tol, tracer
         )
-    # The scalar method on a native golden_quad: the loop's fast paths
-    # as masks (the batch construction, itself bit-identical to the
-    # loop) and every searched lane in one kernel call.
+    frequencies, searched, batch_iters = _solve_p2b_batch(
+        kernels if native else None, network, state, demand,
+        energy_pressure, v, tol,
+    )
+    if tracer.enabled:
+        tracer.counter("p2b.scalar_solves", searched)
+        tracer.counter("p2b.fastpath", network.num_servers - searched)
+        if batched:
+            tracer.counter("p2b.batch_iters", batch_iters)
+    return frequencies
+
+
+def _solve_p2b_batch(
+    kernels: "KernelBackend | None",
+    network: MECNetwork,
+    state: SlotState,
+    demand: FloatArray,
+    energy_pressure: float,
+    v: float,
+    tol: float,
+) -> tuple[FloatArray, int, int]:
+    """``(frequencies, searched servers, total evaluations)``: the
+    scalar loop's fast paths as masks and every searched server in one
+    golden-section search (on *kernels*' native ``golden_quad`` when
+    given).  Bit-identical to :func:`_solve_p2b_scalar`."""
     frequencies, servers = _fast_paths(network, state, demand, energy_pressure)
     batch_iters = 0
     if servers.size:
         latency_scale = _latency_scale(network, servers, demand, v)
-        best, batch_iters = _golden_search(
-            kernels if native else None, network, servers, latency_scale,
-            energy_pressure, tol,
+        frequencies[servers], batch_iters = _golden_search(
+            kernels, network, servers, latency_scale, energy_pressure, tol
         )
-        frequencies[servers] = best
-
-    if tracer.enabled:
-        tracer.counter("p2b.scalar_solves", int(servers.size))
-        tracer.counter("p2b.fastpath", network.num_servers - int(servers.size))
-        if method == "batch":
-            tracer.counter("p2b.batch_iters", batch_iters)
-    return frequencies
+    return frequencies, int(servers.size), batch_iters
 
 
 def _fast_paths(

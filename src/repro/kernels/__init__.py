@@ -42,23 +42,22 @@ _cache: dict[str, KernelBackend] = {}
 
 
 def jit_provider() -> str | None:
-    """Which provider ``backend="jit"`` would use, without building it.
+    """The provider behind ``backend="jit"``: ``"cc"`` when the C
+    kernels built and loaded, else ``None`` (jit fell back to NumPy).
 
-    ``"cc"`` when a C compiler is on PATH, else ``None`` (jit falls back
-    to NumPy).
+    Resolves ``get_kernels("jit")`` on first use, which builds the C
+    kernels (or warns once and falls back).
     """
-    from repro.kernels import native
-
-    if native.find_compiler() is not None:
-        return "cc"
-    return None
+    backend = get_kernels("jit")
+    return None if backend.name == "numpy" else backend.provider
 
 
 def available_backends() -> dict[str, bool]:
     """Availability map surfaced in run manifests and skip marks.
 
-    ``jit`` is reported available when the C provider could back it;
-    the NumPy fallback does not count (it would be a silent no-op).
+    ``jit`` is reported available only when ``get_kernels("jit")``
+    resolved to the C kernels; the NumPy fallback does not count (it
+    would be a silent no-op).
     """
     return {"numpy": True, "jit": jit_provider() is not None}
 

@@ -1,30 +1,36 @@
-"""Glue adapting the raw flat-argument C kernels to the backend API.
+"""Glue adapting the raw C kernels to the backend API.
 
-The C provider exposes low-level entry points (flat positional argument
-lists over contiguous arrays); this module wraps them into
+The C provider exposes low-level entry points over contiguous arrays;
+this module wraps them into
 :class:`~repro.kernels.interface.KernelBackend` callables, owning the
 small per-state scratch buffers.
 
-Per-state argument caching: the kernels take raw data pointers
-(``convert`` turns an array into a ``ctypes.c_void_p``), and converting
-~30 arrays per kernel call dominates the adapter once the kernels
-themselves are fast.  A :class:`DecomposedState` is frozen and its game
-refills the arrays in place, so each state's arguments are validated
-and converted once, together with the adapter's own scratch, and every
-later call on that state converts nothing.  ``rebind``'s slot arrays
-(spectral efficiencies, bits, cycles, fronthaul efficiencies) are
-copied into adapter-owned buffers converted with the rest: a copy costs
-a fraction of a pointer conversion.  The only array still converted
-per call is the engine's gap vector, and only for a new engine.
-``golden_quad`` is not tied to a state: its lanes are copied into
-adapter-owned buffers that are converted once per capacity.
+One argument layout: every state-bound kernel (``gap_sweep``,
+``run_dynamics``, ``reset_profile``, ``rebind``, ``update_frequencies``
+and the fused ``bdma_slot``) takes one ``repro_slot`` struct of
+pointers.  The kernels take raw data pointers (``convert`` turns an
+array into a ``ctypes.c_void_p``), and each conversion costs a few
+microseconds.  A :class:`DecomposedState` is frozen and its
+game refills the arrays in place, so each state gets one
+:class:`_StateCache`: the state's fields (``_SLOT_STATE_FIELDS``) and
+the adapter's state-sized buffers (``_CACHE_BUFFERS``) are validated and
+converted once and laid out as the struct, and every later call on that
+state converts nothing.  ``rebind``'s slot arrays (spectral
+efficiencies, bits, cycles, fronthaul efficiencies) are copied into
+such buffers: a copy costs a fraction of a pointer conversion.  Besides
+the struct, ``run_dynamics`` takes the engine's gap vector, converted
+again only for a new engine, and its slack and move budget.
 
 ``bdma_slot`` binds the fused slot call to a state: a
-:class:`SlotBinding` whose one argument, a struct of pointers (the
-``_SLOT_STATE_FIELDS``, then adapter-owned buffers and the scalar
-block), is built and converted once.  Its caller fills the slot's
+:class:`SlotBinding` owns the seed, round and result buffers
+(``_BINDING_BUFFERS``) and installs them in the tail of the same
+struct, which only the fused call reads.  Its caller fills the slot's
 arrays, seed profiles and scalars in place, and each call converts
 nothing.
+
+``golden_quad`` and ``greedy_pass`` are not tied to a state and take
+flat arguments; ``golden_quad``'s lanes are copied into adapter-owned
+buffers that are converted once per capacity.
 """
 
 from __future__ import annotations
@@ -43,7 +49,9 @@ __all__ = ["RawKernels", "SlotBinding", "wrap_raw_backend"]
 
 
 class RawKernels(NamedTuple):
-    """The provider's flat-argument entry points."""
+    """The provider's entry points: the state-bound kernels take the
+    ``repro_slot`` struct's argument, ``golden_quad`` and
+    ``greedy_pass`` flat arguments."""
 
     gap_sweep: Callable
     run_dynamics: Callable
@@ -53,8 +61,8 @@ class RawKernels(NamedTuple):
     update_frequencies: Callable
     greedy_pass: Callable
     bdma_slot: Callable
-    #: ``pointers -> (struct, argument)``: the fused slot call's struct
-    #: of pointers and the argument that passes it.
+    #: ``pointers -> (struct, argument)``: a ``repro_slot`` struct of
+    #: pointers (``None`` for NULL) and the argument that passes it.
     slot_struct: Callable
 
 
@@ -66,38 +74,8 @@ _I64_FIELDS = frozenset(
         "nidx", "kbest", "bs_of", "server_of",
     )
 )
-#: The evaluator fields both search kernels take, in argument order.
-_EVALUATOR_FIELDS = (
-    "loads", "p", "w", "sub", "wcur", "cur_idx", "menu_of_bs",
-    "menu_offsets", "menu_servers", "nidx", "kbest",
-)
-#: The profile fields only the fused dynamics loop takes, in order.
-_PROFILE_FIELDS = (
-    "p_access", "p_front", "p_compute", "m_access", "m_front",
-    "m_compute", "bs_of", "server_of", "pa_cur", "pc_cur",
-    "sq_access", "sq_front", "sq_compute",
-)
-#: reset_profile's arguments after the sizes, in order.
-_RESET_FIELDS = (
-    "bs_of", "server_of", "p_access", "p_compute", "m",
-    "cur_idx", "cur_p", "loads", "sq", "sub", "wcur",
-)
-#: rebind's arguments after the sizes and the four slot buffers.
-_REBIND_FIELDS = (
-    "fronthaul_bandwidth", "speed_scale", "suitability", "frequencies",
-    "m_access", "m_front", "m_compute",
-    "p_access", "p_front", "p_compute", "p", "w",
-)
-#: update_frequencies' arguments after the sizes, in order.
-_CLOCK_FIELDS = (
-    "speed_scale", "frequencies", "p_compute", "server_of", "pc_cur",
-    "m_compute", "w", "wcur",
-)
-
-
-#: repro_bdma_slot's struct: the DecomposedState fields it aliases, in
-#: the C struct's order; the adapter-owned buffers follow (see
-#: SlotBinding).
+#: repro_slot's fields, in the C struct's order: the DecomposedState
+#: fields it aliases (energy_table is NULL without a quadratic table),
 _SLOT_STATE_FIELDS = (
     "loads", "sq", "m", "cur_p", "p", "w", "sub", "wcur",
     "cur_idx", "menu_of_bs", "menu_offsets", "menu_servers", "nidx", "kbest",
@@ -106,6 +84,17 @@ _SLOT_STATE_FIELDS = (
     "sq_front", "sq_compute", "frequencies",
     "access_bandwidth", "fronthaul_bandwidth", "speed_scale", "suitability",
     "freq_min", "freq_max", "energy_table",
+)
+#: then the _StateCache buffers: rebind's slot arrays, the sweep
+#: scratch, run_dynamics' mirrors, the best costs and the scalars,
+_CACHE_BUFFERS = (
+    "se", "bits", "cycles", "front_se", "adj", "t", "bvals", "mirror",
+    "imirror", "best", "params",
+)
+#: then a SlotBinding's buffers, which only repro_bdma_slot reads.
+_BINDING_BUFFERS = (
+    "available", "gaps", "work", "seeds", "prev", "best_assign", "freq",
+    "best_freq", "shares", "history", "rtimes", "out_f", "rcounts", "out_i",
 )
 #: Per-round records of the slot call (see repro_bdma_slot): counts
 #: (stage, refill kind, moves, converged, searched lanes, golden
@@ -116,120 +105,104 @@ ROUND_TIMES = 10
 #: CPython 3.12 made the builtin sum of floats compensated; the slot
 #: call mirrors the running interpreter's energy-cost sum.
 _COMPENSATED_SUM = int(sys.version_info >= (3, 12))
-#: repro_slot_params: the sizes, max_iter, accept_partial, the
-#: compensated-sum flag and slack, packed once per binding; then z,
-#: warm_start, has_initial, rebind_first, has_deadline, has_available,
-#: queue_backlog, v, budget, price and deadline, packed per call.
-_FIXED_PARAMS = struct.Struct("@7qd")
-_CALL_PARAMS = struct.Struct("@6q5d")
+#: repro_slot_params: the sizes and the compensated-sum flag, packed
+#: once per state; then max_iter, accept_partial, slack, z, warm_start,
+#: has_initial, rebind_first, has_deadline, has_available,
+#: queue_backlog, v, budget, price and deadline, packed before every
+#: fused call.
+_STATE_PARAMS = struct.Struct("@5q")
+_CALL_PARAMS = struct.Struct("@2qd6q5d")
 
 
-def _validate(arr: np.ndarray, field: str) -> None:
+def _field_pointer(state: DecomposedState, name: str, convert):
+    """*state*'s field *name*, validated and converted."""
+    arr = getattr(state, name)
+    if arr is None:
+        return None
     if not arr.flags.c_contiguous:
-        raise ValueError(f"kernel state field {field!r} is not C-contiguous")
-    expected = np.int64 if field in _I64_FIELDS else np.float64
+        raise ValueError(f"kernel state field {name!r} is not C-contiguous")
+    expected = np.int64 if name in _I64_FIELDS else np.float64
     if arr.dtype != expected:
         raise ValueError(
-            f"kernel state field {field!r} has dtype {arr.dtype}, "
+            f"kernel state field {name!r} has dtype {arr.dtype}, "
             f"expected {np.dtype(expected)}"
         )
+    return convert(arr)
 
 
 class _StateCache:
-    """Converted kernel arguments for one :class:`DecomposedState`.
+    """One :class:`DecomposedState`'s ``repro_slot`` struct.
 
     Built on the first kernel call on a state: it validates and
-    converts every field once, plus the adapter-owned buffers whose
-    shapes are fixed for the life of the state (one adj row, one t row,
-    per-menu best values, ``run_dynamics``' resource-major mirrors, the
-    best-cost output, the converged flag and ``rebind``'s slot
-    buffers).  The only per-call array, the engine's gap vector, is
-    validated and converted again only when a different array is
-    passed (a new engine).
+    converts every state field once, plus the adapter-owned buffers
+    whose shapes are fixed for the life of the state (``rebind``'s slot
+    arrays, one adj row, one t row, per-menu best values,
+    ``run_dynamics``' resource-major mirrors, the best costs and the
+    scalar block with the sizes packed).  The tail of the struct holds
+    the buffers of the :class:`SlotBinding` that last ran, NULL before.
+    ``run_dynamics`` also takes the engine's gap vector, validated and
+    converted again only when a different array is passed (a new
+    engine), and the ``converged`` flag.
     """
 
     __slots__ = (
-        "sizes", "evaluator", "profile", "sweep_args", "reset_args",
-        "rebind_args", "clock_args", "slot_buffers",
-        "buffers", "best", "converged", "gaps", "gaps_arg",
-        "converted", "scratch",
+        *_CACHE_BUFFERS, "sizes", "slot_arrays", "converged",
+        "converged_arg", "gaps", "gaps_arg", "struct", "arg", "head", "tail",
     )
 
-    def __init__(self, state: DecomposedState, convert) -> None:
-        # Field name -> converted pointer.  The cache lives in the
-        # state's kernel_args, so it must not hold the state itself: a
-        # cycle would keep the game's arrays alive past the game.
-        self.converted: dict = {}
-
-        def arg(name: str):
-            return self.arg(state, name, convert)
-
-        num_groups = len(state.cols)
+    def __init__(self, state: DecomposedState, slot_struct, convert) -> None:
+        # The cache lives in the state's kernel_args, so it must not
+        # hold the state itself: a cycle would keep the game's arrays
+        # alive past the game.
         players, num_bs = state.num_players, state.num_bs
-        adj = np.empty(2 * num_bs + state.num_servers)
-        t = np.empty(num_bs)
-        # The trailing bvals slot stays +inf -- base stations with an
-        # empty server menu map to it, so their totals never win the
-        # argmin (mirrors the NumPy evaluator's sentinel column).
-        bvals = np.empty(num_groups + 1)
-        bvals[-1] = np.inf
-        # run_dynamics' mirrors, one column per player: p, w, sub and
-        # adj (W rows each), t (K rows), the menu bests (G + 1 rows) and
-        # the best totals; then the server -> menus map and per-menu
-        # stamps.  Each call that makes a second move rebuilds them
-        # before reading them, so nothing has to invalidate them.
-        width = 2 * num_bs + state.num_servers
-        mirror = np.empty((4 * width + num_bs + num_groups + 2) * players)
-        imirror = np.empty(
-            state.num_servers + 1 + state.menu_servers.size + num_groups,
-            dtype=np.int64,
-        )
-        self.best = np.empty(players)
-        self.converged = np.zeros(1, dtype=np.int64)
-        # rebind's slot arrays: spectral efficiencies, bits, cycles and
-        # fronthaul efficiencies.
-        self.slot_buffers = (
+        num_servers, num_groups = state.num_servers, len(state.cols)
+        width = 2 * num_bs + num_servers
+        self.sizes = (players, num_bs, num_servers, num_groups)
+        self.slot_arrays = (
             np.empty((players, num_bs)),
             np.empty(players),
             np.empty(players),
             np.empty(num_bs),
         )
-        # The converted pointers stay valid only while these live.
-        self.buffers = (adj, t, bvals, mirror, imirror)
-        scratch = (convert(adj), convert(t), convert(bvals))
-        self.scratch = (*scratch, convert(mirror), convert(imirror))
-        self.sizes = (players, num_bs, state.num_servers, num_groups)
-        self.evaluator = tuple(arg(name) for name in _EVALUATOR_FIELDS)
-        self.profile = (
-            *(arg(name) for name in _PROFILE_FIELDS),
-            *scratch,
-            convert(mirror),
-            convert(imirror),
-            convert(self.converged),
+        self.se, self.bits, self.cycles, self.front_se = self.slot_arrays
+        self.adj = np.empty(width)
+        self.t = np.empty(num_bs)
+        # The trailing bvals slot stays +inf -- base stations with an
+        # empty server menu map to it, so their totals never win the
+        # argmin (mirrors the NumPy evaluator's sentinel column).
+        self.bvals = np.empty(num_groups + 1)
+        self.bvals[-1] = np.inf
+        # run_dynamics' mirrors, one column per player: p, w, sub and
+        # adj (W rows each), t (K rows), the menu bests (G + 1 rows) and
+        # the best totals; then the server -> menus map and per-menu
+        # stamps.  Each call that makes a second move rebuilds them
+        # before reading them, so nothing has to invalidate them.
+        self.mirror = np.empty((4 * width + num_bs + num_groups + 2) * players)
+        self.imirror = np.empty(
+            num_servers + 1 + state.menu_servers.size + num_groups,
+            dtype=np.int64,
         )
-        self.sweep_args = (
-            *self.sizes, *self.evaluator,
-            convert(self.best), arg("cc"), *scratch,
+        self.best = np.empty(players)
+        self.params = np.zeros(
+            (_STATE_PARAMS.size + _CALL_PARAMS.size) // 8, dtype=np.int64
         )
-        sizes3 = self.sizes[:3]
-        self.reset_args = (*sizes3, *(arg(name) for name in _RESET_FIELDS))
-        self.rebind_args = (
-            *sizes3,
-            *(convert(buffer) for buffer in self.slot_buffers),
-            *(arg(name) for name in _REBIND_FIELDS),
+        _STATE_PARAMS.pack_into(self.params, 0, *self.sizes, _COMPENSATED_SUM)
+        self.converged = np.zeros(1, dtype=np.int64)
+        self.converged_arg = convert(self.converged)
+        self.gaps = self.gaps_arg = None
+        head = (
+            *(_field_pointer(state, name, convert) for name in _SLOT_STATE_FIELDS),
+            *(convert(getattr(self, name)) for name in _CACHE_BUFFERS),
         )
-        self.clock_args = (*sizes3, *(arg(name) for name in _CLOCK_FIELDS))
-        self.gaps = None
-        self.gaps_arg = None
+        self.head, self.tail = len(head), None
+        self.struct, self.arg = slot_struct(
+            (*head, *[None] * len(_BINDING_BUFFERS))
+        )
 
-    def arg(self, state: DecomposedState, name: str, convert):
-        """*state*'s field *name*, validated and converted once."""
-        converted = self.converted.get(name)
-        if converted is None:
-            arr = getattr(state, name)
-            _validate(arr, name)
-            converted = self.converted[name] = convert(arr)
-        return converted
+    def install(self, tail: tuple) -> None:
+        """Point the struct's tail at one binding's converted buffers."""
+        self.struct[self.head:] = tail
+        self.tail = tail
 
     def bind_gaps(self, gaps: np.ndarray, convert) -> None:
         """Check and convert a new engine's gap vector, which the loop
@@ -258,7 +231,9 @@ class SlotBinding:
     1 (deadline expired before the first round), 2 (CGBA hit
     ``max_iter`` without ``accept_partial``), 3 (a seed profile puts a
     device on a base station with a non-finite access weight) or 4 (a
-    seed entry out of range).
+    seed entry out of range).  The binding's buffers sit in the tail of
+    the state's struct; ``run()`` puts them back first when a later
+    binding of the same state has replaced them.
 
     The results stay in the buffers until the next call: ``out_i``
     (rounds started, rounds run, warm-start hits, truncated, uncovered
@@ -273,20 +248,27 @@ class SlotBinding:
     """
 
     __slots__ = (
-        "rounds", "slot_arrays", "available", "seeds", "params", "pack",
-        "run", "kernel_seconds", "history", "best_assign", "best_freq",
-        "shares", "rcounts", "rtimes", "out_i", "out_f", "arrays", "struct",
+        *_BINDING_BUFFERS, "rounds", "slot_arrays", "pack", "run",
+        "kernel_seconds",
     )
 
-    def __init__(self, state: DecomposedState, cache: _StateCache,
-                 raw: RawKernels, convert, rounds: int, slack: float,
-                 max_iter: int, accept_partial: bool) -> None:
+    def __init__(self, cache: _StateCache, raw: RawKernels, convert,
+                 rounds: int, slack: float, max_iter: int,
+                 accept_partial: bool) -> None:
         players, num_bs, num_servers, _ = cache.sizes
         self.rounds = rounds
-        self.slot_arrays = cache.slot_buffers
+        self.slot_arrays = cache.slot_arrays
         self.available = np.empty(num_servers, dtype=np.int64)
+        # The gaps, and the server roots, latency terms and
+        # per-base-station roots, the powers and Lemma 1's group totals
+        # (repro_bdma_slot's layout).
+        self.gaps = np.empty(players)
+        self.work = np.empty(4 * num_servers + 5 * num_bs)
         self.seeds = np.empty((rounds, 2, players), dtype=np.int64)
+        # The previous round's profile and the clocks.
+        self.prev = np.empty((2, players), dtype=np.int64)
         self.best_assign = np.empty((2, players), dtype=np.int64)
+        self.freq = np.empty(num_servers)
         self.best_freq = np.empty(num_servers)
         self.shares = np.empty((3, players))
         self.history = np.empty(rounds)
@@ -294,47 +276,26 @@ class SlotBinding:
         self.out_f = np.zeros(5)
         self.rcounts = np.zeros((rounds, ROUND_COUNTS), dtype=np.int64)
         self.out_i = np.zeros(9, dtype=np.int64)
-        self.params = np.zeros(
-            (_FIXED_PARAMS.size + _CALL_PARAMS.size) // 8, dtype=np.int64
-        )
-        _FIXED_PARAMS.pack_into(
-            self.params, 0, *cache.sizes, int(max_iter), int(accept_partial),
-            _COMPENSATED_SUM, float(slack),
-        )
+        tail = tuple(convert(getattr(self, name)) for name in _BINDING_BUFFERS)
+        cache.install(tail)
         self.pack = partial(
-            _CALL_PARAMS.pack_into, self.params, _FIXED_PARAMS.size
+            _CALL_PARAMS.pack_into, cache.params, _STATE_PARAMS.size,
+            int(max_iter), int(accept_partial), float(slack),
         )
-        # The previous round's profile, the gaps, the clocks, and the
-        # server roots, latency terms and per-base-station roots, the
-        # powers and Lemma 1's group totals (repro_bdma_slot's layout).
-        prev = np.empty((2, players), dtype=np.int64)
-        gaps = np.empty(players)
-        freq = np.empty(num_servers)
-        work = np.empty(4 * num_servers + 5 * num_bs)
-        self.arrays = (prev, gaps, freq, work)
-        pointers = (
-            *(cache.arg(state, name, convert) for name in _SLOT_STATE_FIELDS),
-            *(convert(buffer) for buffer in cache.slot_buffers),
-            convert(self.available),
-            *cache.scratch,
-            convert(cache.best), convert(gaps), convert(work),
-            *(convert(a) for a in (self.seeds, prev, self.best_assign)),
-            *(
-                convert(a)
-                for a in (
-                    freq, self.best_freq, self.shares, self.history,
-                    self.rtimes, self.out_f,
-                )
-            ),
-            convert(self.rcounts), convert(self.out_i), convert(self.params),
-        )
-        self.struct, struct_arg = raw.slot_struct(pointers)
-        self.run = partial(raw.bdma_slot, struct_arg)
-        # A partial over the buffers, not a bound method, so a wrapper
-        # of ``run`` can hold it without a cycle through the binding.
+        # Partials over the cache and the buffers, not bound methods, so
+        # a wrapper of ``run`` can hold them without a cycle through the
+        # binding.
+        self.run = partial(_run_slot, raw.bdma_slot, cache, tail)
         self.kernel_seconds = partial(
             _kernel_seconds, self.out_i, self.rcounts, self.rtimes
         )
+
+
+def _run_slot(bdma_slot, cache: _StateCache, tail: tuple):
+    """The fused call on *cache*'s struct with *tail* installed."""
+    if cache.tail is not tail:
+        cache.install(tail)
+    return bdma_slot(cache.arg)
 
 
 def _kernel_seconds(out_i, rcounts, rtimes):
@@ -398,12 +359,14 @@ def wrap_raw_backend(raw: RawKernels, *, convert) -> KernelBackend:
     def _cache(state: DecomposedState) -> _StateCache:
         cache = state.kernel_args.get(convert)
         if cache is None:
-            cache = state.kernel_args[convert] = _StateCache(state, convert)
+            cache = state.kernel_args[convert] = _StateCache(
+                state, raw.slot_struct, convert
+            )
         return cache
 
     def gap_sweep(state: DecomposedState):
         cache = _cache(state)
-        raw.gap_sweep(*cache.sweep_args)
+        raw.gap_sweep(cache.arg)
         return cache.best, state.cc
 
     def run_dynamics(state: DecomposedState, gaps, slack, max_iter):
@@ -411,29 +374,29 @@ def wrap_raw_backend(raw: RawKernels, *, convert) -> KernelBackend:
         if gaps is not cache.gaps:
             cache.bind_gaps(gaps, convert)
         moves = raw.run_dynamics(
-            *cache.sizes, float(slack), int(max_iter),
-            *cache.evaluator, cache.gaps_arg, *cache.profile,
+            cache.arg, cache.gaps_arg, float(slack), int(max_iter),
+            cache.converged_arg,
         )
         return int(moves), bool(cache.converged[0])
 
     def reset_profile(state: DecomposedState) -> bool:
-        status = raw.reset_profile(*_cache(state).reset_args)
+        status = raw.reset_profile(_cache(state).arg)
         if status < 0:
             raise IndexError("strategy profile entry out of range")
         return bool(status)
 
     def rebind(state: DecomposedState, *slot_arrays) -> None:
         cache = _cache(state)
-        for buffer, arr in zip(cache.slot_buffers, slot_arrays, strict=True):
+        for buffer, arr in zip(cache.slot_arrays, slot_arrays, strict=True):
             if arr.shape != buffer.shape:
                 raise ValueError(
                     f"slot array has shape {arr.shape}, expected {buffer.shape}"
                 )
             np.copyto(buffer, arr)
-        raw.rebind(*cache.rebind_args)
+        raw.rebind(cache.arg)
 
     def update_frequencies(state: DecomposedState) -> None:
-        raw.update_frequencies(*_cache(state).clock_args)
+        raw.update_frequencies(_cache(state).arg)
 
     def bdma_slot(
         state: DecomposedState, rounds: int, slack, max_iter, accept_partial
@@ -441,8 +404,8 @@ def wrap_raw_backend(raw: RawKernels, *, convert) -> KernelBackend:
         if state.energy_table is None:
             raise ValueError("bdma_slot needs a quadratic energy table")
         return SlotBinding(
-            state, _cache(state), raw, convert, max(rounds, 1), slack,
-            max_iter, accept_partial,
+            _cache(state), raw, convert, max(rounds, 1), slack, max_iter,
+            accept_partial,
         )
 
     lane_buffers = _LaneBuffers(convert)

@@ -142,8 +142,11 @@ class DecomposedState:
     #: a, b, c`` (``MECNetwork.energy_table``), ``None`` for other
     #: energy models.
     energy_table: "np.ndarray | None"
-    #: Backend-private converted-argument caches, keyed by the raw
-    #: provider's argument conversion (see :mod:`repro.kernels._adapt`).
+    #: Backend-private argument caches, keyed by the raw provider's
+    #: argument conversion: the C backend keeps the state's one
+    #: ``repro_slot`` struct of converted pointers here, which every
+    #: state-bound kernel and the fused slot call take (see
+    #: :mod:`repro.kernels._adapt`).
     kernel_args: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -204,8 +207,12 @@ class KernelBackend:
             :func:`repro.core.bdma.solve_p2_bdma`
             (:func:`repro.core.bdma.solve_p2_bdma_fused` drives it; see
             :class:`repro.kernels._adapt.SlotBinding`).  *state* must
-            carry an ``energy_table``.  ``None`` when the backend has
-            no fused slot (the controller then runs the Python loop).
+            carry an ``energy_table``.  The binding shares the state's
+            kernel arguments with the other entry points, so the
+            separate kernels may run on *state* between its calls (and
+            a later binding of *state* between them), without either
+            disturbing the other.  ``None`` when the backend has no
+            fused slot (the controller then runs the Python loop).
     """
 
     name: str

@@ -47,21 +47,63 @@ _SOURCE = r"""
 
 typedef long long i64;
 
+/* The scalars of repro_slot, in the order _adapt packs them: the sizes
+ * and the compensated-sum flag once per state, CGBA's settings and the
+ * fused slot's scalars before every repro_bdma_slot call. */
+typedef struct {
+    i64 I, K, N, G, compensated;
+    i64 max_iter, accept_partial;
+    double slack;
+    i64 z, warm_start, has_initial, rebind_first, has_deadline, has_available;
+    double queue_backlog, v, budget, price, deadline;
+} repro_slot_params;
+
+/* One game state, the argument of every state-bound kernel.  Every
+ * field is a pointer, in the order _adapt lays them out: the fields of
+ * the game's DecomposedState (_SLOT_STATE_FIELDS), then the state
+ * cache's buffers (_CACHE_BUFFERS: the slot's arrays, which the adapter
+ * copies in, scratch, run_dynamics' mirrors, the best costs and the
+ * scalars), then a SlotBinding's buffers (_BINDING_BUFFERS: seeds,
+ * round profiles, results), which only repro_bdma_slot reads. */
+typedef struct {
+    double *loads, *sq, *m, *cur_p, *p, *w, *sub, *wcur;
+    i64 *cur_idx, *menu_of_bs, *menu_off, *menu_srv, *nidx, *kbest;
+    double *cc, *p_access, *p_front, *p_compute;
+    double *m_access, *m_front, *m_compute;
+    i64 *bs_of, *server_of;
+    double *pa_cur, *pc_cur, *sq_access, *sq_front, *sq_compute;
+    double *frequencies;
+    double *access_bw, *front_bw, *speed_scale, *suitability;
+    double *freq_min, *freq_max, *energy;
+    double *se, *bits, *cycles, *front_se;
+    double *adj, *t, *bvals, *mirror;
+    i64 *imirror;
+    double *best;
+    const repro_slot_params *params;
+    i64 *available;
+    double *gaps, *work;
+    i64 *seeds, *prev, *best_assign;
+    double *freq, *best_freq, *shares, *history, *rtimes, *out_f;
+    i64 *rcounts, *out_i;
+} repro_slot;
+
 /* One player's decomposed sweep: adjusted per-entry costs, per-menu
  * server argmin, per-bs total argmin, current cost.  Mirrors the NumPy
  * gap_sweep row for row (first-minimum tie breaks via strict <). */
-static double sweep_player(
-    i64 i, i64 I, i64 K, i64 N, i64 G,
-    const double *loads, const double *p, const double *w,
-    const double *sub, const double *wcur, const i64 *cur_idx,
-    const i64 *menu_of_bs, const i64 *menu_off, const i64 *menu_srv,
-    i64 *nidx, double *adj, double *t, double *bvals,
-    i64 *kbest_out, double *cur_out)
+static double sweep_player(const repro_slot *s, i64 i, i64 *kbest_out,
+                           double *cur_out)
 {
+    const repro_slot_params *q = s->params;
+    const i64 I = q->I, K = q->K, N = q->N, G = q->G;
+    const double *loads = s->loads, *wcur = s->wcur;
+    const i64 *cur_idx = s->cur_idx, *menu_of_bs = s->menu_of_bs;
+    const i64 *menu_off = s->menu_off, *menu_srv = s->menu_srv;
+    double *adj = s->adj, *t = s->t, *bvals = s->bvals;
+    i64 *nidx = s->nidx;
     i64 W = 2 * K + N;
-    const double *pi = p + i * W;
-    const double *wi = w + i * W;
-    const double *si = sub + i * W;
+    const double *pi = s->p + i * W;
+    const double *wi = s->w + i * W;
+    const double *si = s->sub + i * W;
     for (i64 r = 0; r < W; ++r)
         adj[r] = ((loads[r] - si[r]) + pi[r]) * wi[r];
     for (i64 k = 0; k < K; ++k)
@@ -94,19 +136,12 @@ static double sweep_player(
     return best;
 }
 
-void repro_gap_sweep(
-    i64 I, i64 K, i64 N, i64 G,
-    const double *loads, const double *p, const double *w,
-    const double *sub, const double *wcur, const i64 *cur_idx,
-    const i64 *menu_of_bs, const i64 *menu_off, const i64 *menu_srv,
-    i64 *nidx, i64 *kbest,
-    double *best_out, double *cur_out,
-    double *adj, double *t, double *bvals)
+/* The full sweep: every player's best cost into s->best, its current
+ * cost into s->cc, its argmins into s->kbest and s->nidx. */
+void repro_gap_sweep(const repro_slot *s)
 {
-    for (i64 i = 0; i < I; ++i)
-        best_out[i] = sweep_player(i, I, K, N, G, loads, p, w, sub, wcur,
-                                   cur_idx, menu_of_bs, menu_off, menu_srv,
-                                   nidx, adj, t, bvals, &kbest[i], &cur_out[i]);
+    for (i64 i = 0; i < s->params->I; ++i)
+        s->best[i] = sweep_player(s, i, &s->kbest[i], &s->cc[i]);
 }
 
 /* The resource-major helpers of repro_run_dynamics.  Each works on
@@ -223,12 +258,13 @@ static void gap_rows(
 
 /* The fused best-response loop: argmax gap pick, apply the cached best
  * response, refresh, gap update -- one iteration per move, exactly the
- * engine's hot Python loop.  Returns the move count; *converged_out is
- * 1 when the gap argmax hit -inf within the budget.
+ * engine's hot Python loop.  gaps is the caller's gap vector (the
+ * engine's, or the fused slot's s->gaps).  Returns the move count;
+ * *converged_out is 1 when the gap argmax hit -inf within the budget.
  *
  * The first move is refreshed with the player-major sweep_player.  A
  * second move builds resource-major (rows x I) mirrors of p, w and sub
- * in the caller's scratch, fills adj, t and the menu bests from them,
+ * in s->mirror, fills adj, t and the menu bests from them,
  * and maps every server to the menus that hold it.  From the third
  * move on, a move from (k_old, n_old) to (k_new, n_new) changes only
  * the loads at {k, K + k, 2K + n} of the old and new choice (and the
@@ -239,30 +275,31 @@ static void gap_rows(
  * every path yields the same gaps, kbest and nidx.  Every call that
  * makes a second move rebuilds the mirrors; no other kernel reads them.
  *
- * mirror (doubles): pT, wT, subT, adjT (W x I each), tT (K x I),
+ * s->mirror (doubles): pT, wT, subT, adjT (W x I each), tT (K x I),
  * bvT ((G + 1) x I, row G +inf for empty menus), best (I).
- * imirror (i64): srv_off (N + 1), srv_menus (menu_off[G]), stamp (G). */
-i64 repro_run_dynamics(
-    i64 I, i64 K, i64 N, i64 G,
-    double slack, i64 max_iter,
-    double *loads, const double *p, const double *w,
-    double *sub, double *wcur, i64 *cur_idx,
-    const i64 *menu_of_bs, const i64 *menu_off, const i64 *menu_srv,
-    i64 *nidx, i64 *kbest, double *gaps,
-    const double *p_access, const double *p_front, const double *p_compute,
-    const double *m_access, const double *m_front, const double *m_compute,
-    i64 *bs_of, i64 *server_of,
-    double *pa_cur, double *pc_cur,
-    double *sq_access, double *sq_front, double *sq_compute,
-    double *adj, double *t, double *bvals,
-    double *mirror, i64 *imirror,
-    i64 *converged_out)
+ * s->imirror (i64): srv_off (N + 1), srv_menus (menu_off[G]), stamp (G). */
+i64 repro_run_dynamics(const repro_slot *s, double *gaps, double slack,
+                       i64 max_iter, i64 *converged_out)
 {
+    const repro_slot_params *q = s->params;
+    const i64 I = q->I, K = q->K, N = q->N, G = q->G;
+    double *loads = s->loads, *sub = s->sub, *wcur = s->wcur;
+    const double *p = s->p, *w = s->w;
+    i64 *cur_idx = s->cur_idx, *nidx = s->nidx, *kbest = s->kbest;
+    const i64 *menu_of_bs = s->menu_of_bs, *menu_off = s->menu_off;
+    const i64 *menu_srv = s->menu_srv;
+    const double *p_access = s->p_access, *p_front = s->p_front;
+    const double *p_compute = s->p_compute, *m_access = s->m_access;
+    const double *m_front = s->m_front, *m_compute = s->m_compute;
+    i64 *bs_of = s->bs_of, *server_of = s->server_of;
+    double *pa_cur = s->pa_cur, *pc_cur = s->pc_cur;
+    double *sq_access = s->sq_access, *sq_front = s->sq_front;
+    double *sq_compute = s->sq_compute;
     i64 W = 2 * K + N;
-    double *pT = mirror, *wT = pT + W * I, *subT = wT + W * I;
+    double *pT = s->mirror, *wT = pT + W * I, *subT = wT + W * I;
     double *adjT = subT + W * I, *tT = adjT + W * I, *bvT = tT + K * I;
     double *best = bvT + (G + 1) * I;
-    i64 *srv_off = imirror, *srv_menus = srv_off + N + 1;
+    i64 *srv_off = s->imirror, *srv_menus = srv_off + N + 1;
     i64 *stamp = srv_menus + menu_off[G];
     i64 moves = 0;
     for (i64 it = 0; it < max_iter; ++it) {
@@ -331,10 +368,7 @@ i64 repro_run_dynamics(
              * leave the mirrors unbuilt. */
             for (i64 i = 0; i < I; ++i) {
                 double cur;
-                double bst = sweep_player(i, I, K, N, G, loads, p, w, sub,
-                                          wcur, cur_idx, menu_of_bs,
-                                          menu_off, menu_srv, nidx, adj, t,
-                                          bvals, &kbest[i], &cur);
+                double bst = sweep_player(s, i, &kbest[i], &cur);
                 gaps[i] = gap_value(slack, cur, bst);
             }
             continue;
@@ -480,13 +514,15 @@ void repro_golden_quad(
  * bincount's order), then the own-weight rows and current-cost
  * weights.  Returns 1, 0 when an access load is not finite (sub and
  * wcur left unfilled), or -1 on an out-of-range profile entry. */
-i64 repro_reset_profile(
-    i64 I, i64 K, i64 N,
-    const i64 *bs_of, const i64 *server_of,
-    const double *p_access, const double *p_compute, const double *m,
-    i64 *cur_idx, double *cur_p,
-    double *loads, double *sq, double *sub, double *wcur)
+i64 repro_reset_profile(const repro_slot *s)
 {
+    const i64 I = s->params->I, K = s->params->K, N = s->params->N;
+    const i64 *bs_of = s->bs_of, *server_of = s->server_of;
+    const double *p_access = s->p_access, *p_compute = s->p_compute;
+    const double *m = s->m;
+    double *cur_p = s->cur_p;
+    i64 *cur_idx = s->cur_idx;
+    double *loads = s->loads, *sq = s->sq, *sub = s->sub, *wcur = s->wcur;
     i64 W = 2 * K + N;
     double *pa_cur = cur_p, *p_front = cur_p + I, *pc_cur = cur_p + 2 * I;
     for (i64 i = 0; i < I; ++i)
@@ -544,20 +580,18 @@ static void clock_weights(
  * fronthaul and compute resource weights, the player weights (access
  * +inf on uncovered links, the h floor at 1e-300 otherwise) and the
  * decomposed p/w rows. */
-void repro_rebind(
-    i64 I, i64 K, i64 N,
-    const double *h, const double *bits, const double *cycles,
-    const double *front_se,
-    const double *front_bw, const double *speed_scale,
-    const double *suitability, const double *freq,
-    const double *m_access, double *m_front, double *m_compute,
-    double *p_access, double *p_front, double *p_compute,
-    double *p, double *w)
+void repro_rebind(const repro_slot *s)
 {
+    const i64 I = s->params->I, K = s->params->K, N = s->params->N;
+    const double *h = s->se, *bits = s->bits, *cycles = s->cycles;
+    const double *suitability = s->suitability, *m_access = s->m_access;
+    double *m_front = s->m_front, *m_compute = s->m_compute;
+    double *p_access = s->p_access, *p_front = s->p_front;
+    double *p_compute = s->p_compute, *p = s->p, *w = s->w;
     i64 W = 2 * K + N;
     for (i64 k = 0; k < K; ++k)
-        m_front[k] = 1.0 / (front_bw[k] * front_se[k]);
-    clock_weights(N, speed_scale, freq, m_compute);
+        m_front[k] = 1.0 / (s->front_bw[k] * s->front_se[k]);
+    clock_weights(N, s->speed_scale, s->frequencies, m_compute);
     for (i64 i = 0; i < I; ++i) {
         double d = bits[i];
         double pf = sqrt(d);
@@ -676,20 +710,18 @@ i64 repro_greedy_pass(
 
 /* The clock refresh: m_compute, the compute block of w, and the
  * compute row of wcur. */
-void repro_update_frequencies(
-    i64 I, i64 K, i64 N,
-    const double *speed_scale, const double *freq,
-    const double *p_compute, const i64 *server_of, const double *pc_cur,
-    double *m_compute, double *w, double *wcur)
+void repro_update_frequencies(const repro_slot *s)
 {
+    const i64 I = s->params->I, K = s->params->K, N = s->params->N;
+    double *m_compute = s->m_compute;
     i64 W = 2 * K + N;
-    clock_weights(N, speed_scale, freq, m_compute);
+    clock_weights(N, s->speed_scale, s->frequencies, m_compute);
     for (i64 i = 0; i < I; ++i) {
-        double *wi = w + i * W + 2 * K;
-        const double *pci = p_compute + i * N;
+        double *wi = s->w + i * W + 2 * K;
+        const double *pci = s->p_compute + i * N;
         for (i64 n = 0; n < N; ++n)
             wi[n] = m_compute[n] * pci[n];
-        wcur[2 * I + i] = m_compute[server_of[i]] * pc_cur[i];
+        s->wcur[2 * I + i] = m_compute[s->server_of[i]] * s->pc_cur[i];
     }
 }
 
@@ -764,42 +796,6 @@ double repro_builtin_sum(const double *x, i64 n, i64 compensated)
         f += c;
     return f;
 }
-
-/* repro_bdma_slot's scalars, in the order _adapt packs them: the
- * sizes and CGBA's settings once per binding, the rest per call. */
-typedef struct {
-    i64 I, K, N, G, max_iter, accept_partial, compensated;
-    double slack;
-    i64 z, warm_start, has_initial, rebind_first, has_deadline, has_available;
-    double queue_backlog, v, budget, price, deadline;
-} repro_slot_params;
-
-/* Everything repro_bdma_slot reads and writes; every field a pointer,
- * in the order _adapt.SlotBinding passes them (_SLOT_STATE_FIELDS,
- * then the adapter's buffers).  The first block aliases the
- * game's DecomposedState, then the network constants, the slot's
- * arrays (copied in by the adapter), scratch, the round profiles, the
- * results and the scalars. */
-typedef struct {
-    double *loads, *sq, *m, *cur_p, *p, *w, *sub, *wcur;
-    i64 *cur_idx, *menu_of_bs, *menu_off, *menu_srv, *nidx, *kbest;
-    double *cc, *p_access, *p_front, *p_compute;
-    double *m_access, *m_front, *m_compute;
-    i64 *bs_of, *server_of;
-    double *pa_cur, *pc_cur, *sq_access, *sq_front, *sq_compute;
-    double *frequencies;
-    double *access_bw, *front_bw, *speed_scale, *suitability;
-    double *freq_min, *freq_max, *energy;
-    double *se, *bits, *cycles, *front_se;
-    i64 *available;
-    double *adj, *t, *bvals, *mirror;
-    i64 *imirror;
-    double *best, *gaps, *work;
-    i64 *seeds, *prev, *best_assign;
-    double *freq, *best_freq, *shares, *history, *rtimes, *out_f;
-    i64 *rcounts, *out_i;
-    const repro_slot_params *params;
-} repro_slot;
 
 /* Per-round records: ROUND_I counts (stage reached -- 1 seeded, 2
  * CGBA done, 3 P2-B done --, refill kind -- 1 rebind, 2 clock update
@@ -922,7 +918,7 @@ static i64 slot_allocation(const repro_slot *s, i64 I, i64 K, i64 N,
 i64 repro_bdma_slot(const repro_slot *s)
 {
     const repro_slot_params *p = s->params;
-    const i64 I = p->I, K = p->K, N = p->N, G = p->G, z = p->z;
+    const i64 I = p->I, K = p->K, N = p->N, z = p->z;
     const i64 warm_start = p->warm_start, has_initial = p->has_initial;
     const i64 rebind_first = p->rebind_first, max_iter = p->max_iter;
     const i64 accept_partial = p->accept_partial;
@@ -970,16 +966,10 @@ i64 repro_bdma_slot(const repro_slot *s)
             s->frequencies[n] = s->freq[n];
         t0 = now_s();
         if (r == 0 && rebind_first) {
-            repro_rebind(I, K, N, s->se, s->bits, s->cycles, s->front_se,
-                         s->front_bw, s->speed_scale, s->suitability,
-                         s->frequencies, s->m_access, s->m_front,
-                         s->m_compute, s->p_access, s->p_front, s->p_compute,
-                         s->p, s->w);
+            repro_rebind(s);
             rc[1] = 1;
         } else {
-            repro_update_frequencies(I, K, N, s->speed_scale, s->frequencies,
-                                     s->p_compute, s->server_of, s->pc_cur,
-                                     s->m_compute, s->w, s->wcur);
+            repro_update_frequencies(s);
             rc[1] = 2;
         }
         rt[1] = now_s() - t0;
@@ -991,9 +981,7 @@ i64 repro_bdma_slot(const repro_slot *s)
             copy_i64(I, seed + I, s->server_of);
         }
         t0 = now_s();
-        st = repro_reset_profile(I, K, N, s->bs_of, s->server_of,
-                                 s->p_access, s->p_compute, s->m, s->cur_idx,
-                                 s->cur_p, s->loads, s->sq, s->sub, s->wcur);
+        st = repro_reset_profile(s);
         rt[2] = now_s() - t0;
         rt[3] = now_s();
         rc[0] = 1;
@@ -1005,24 +993,14 @@ i64 repro_bdma_slot(const repro_slot *s)
         /* CGBA: the engine restart's full sweep and gaps, then the
          * fused dynamics. */
         t0 = now_s();
-        repro_gap_sweep(I, K, N, G, s->loads, s->p, s->w, s->sub, s->wcur,
-                        s->cur_idx, s->menu_of_bs, s->menu_off, s->menu_srv,
-                        s->nidx, s->kbest, s->best, s->cc, s->adj, s->t,
-                        s->bvals);
+        repro_gap_sweep(s);
         rt[4] = now_s() - t0;
         for (i64 i = 0; i < I; ++i)
             s->gaps[i] = gap_value(slack, s->cc[i], s->best[i]);
         {
             i64 conv = 0, moves;
             t0 = now_s();
-            moves = repro_run_dynamics(
-                I, K, N, G, slack, max_iter, s->loads, s->p, s->w, s->sub,
-                s->wcur, s->cur_idx, s->menu_of_bs, s->menu_off, s->menu_srv,
-                s->nidx, s->kbest, s->gaps, s->p_access, s->p_front,
-                s->p_compute, s->m_access, s->m_front, s->m_compute,
-                s->bs_of, s->server_of, s->pa_cur, s->pc_cur, s->sq_access,
-                s->sq_front, s->sq_compute, s->adj, s->t, s->bvals,
-                s->mirror, s->imirror, &conv);
+            moves = repro_run_dynamics(s, s->gaps, slack, max_iter, &conv);
             rt[5] = now_s() - t0;
             rt[6] = now_s();
             rc[0] = 2;
@@ -1202,9 +1180,8 @@ def _build_library() -> Path:
 # dtype/flags validation costs microseconds per argument, which
 # dominates once the kernels themselves are sub-millisecond.  The
 # adapter (_adapt._StateCache) validates dtype/contiguity once per
-# array binding and caches the converted pointer.
-_f64 = ctypes.c_void_p
-_i64 = ctypes.c_void_p
+# array and lays the converted pointers out as the repro_slot struct.
+_ptr = ctypes.c_void_p
 _ll = ctypes.c_longlong
 _dbl = ctypes.c_double
 
@@ -1215,93 +1192,32 @@ def _as_ptr(arr: np.ndarray) -> ctypes.c_void_p:
 
 
 def _bind(lib: ctypes.CDLL) -> RawKernels:
-    gap_sweep = lib.repro_gap_sweep
-    gap_sweep.restype = None
-    gap_sweep.argtypes = [
-        _ll, _ll, _ll, _ll,
-        _f64, _f64, _f64, _f64, _f64, _i64,
-        _i64, _i64, _i64,
-        _i64, _i64,
-        _f64, _f64,
-        _f64, _f64, _f64,
-    ]
-    run_dynamics = lib.repro_run_dynamics
-    run_dynamics.restype = _ll
-    run_dynamics.argtypes = [
-        _ll, _ll, _ll, _ll,
-        _dbl, _ll,
-        _f64, _f64, _f64, _f64, _f64, _i64,
-        _i64, _i64, _i64,
-        _i64, _i64, _f64,
-        _f64, _f64, _f64,
-        _f64, _f64, _f64,
-        _i64, _i64,
-        _f64, _f64,
-        _f64, _f64, _f64,
-        _f64, _f64, _f64,
-        _f64, _i64,
-        _i64,
-    ]
-    golden_quad = lib.repro_golden_quad
-    golden_quad.restype = None
-    golden_quad.argtypes = [
-        _ll, _f64, _f64,
-        _dbl, _ll,
-        _f64, _f64, _f64,
-        _f64, _f64, _f64,
-        _f64, _i64,
-    ]
-    reset_profile = lib.repro_reset_profile
-    reset_profile.restype = _ll
-    reset_profile.argtypes = [
-        _ll, _ll, _ll,
-        _i64, _i64,
-        _f64, _f64, _f64,
-        _i64, _f64,
-        _f64, _f64, _f64, _f64,
-    ]
-    rebind = lib.repro_rebind
-    rebind.restype = None
-    rebind.argtypes = [
-        _ll, _ll, _ll,
-        _f64, _f64, _f64,
-        _f64,
-        _f64, _f64,
-        _f64, _f64,
-        _f64, _f64, _f64,
-        _f64, _f64, _f64,
-        _f64, _f64,
-    ]
-    update_frequencies = lib.repro_update_frequencies
-    update_frequencies.restype = None
-    update_frequencies.argtypes = [
-        _ll, _ll, _ll,
-        _f64, _f64,
-        _f64, _i64, _f64,
-        _f64, _f64, _f64,
-    ]
-    greedy_pass = lib.repro_greedy_pass
-    greedy_pass.restype = _ll
-    greedy_pass.argtypes = [
-        _ll, _ll, _ll, _ll, _ll, _ll,
-        _i64, _i64, _i64, _i64,
-        _f64, _f64, _f64,
-        _f64, _f64, _f64,
-        _f64, _i64, _i64,
-    ]
-    bdma_slot = lib.repro_bdma_slot
-    bdma_slot.restype = _ll
-    bdma_slot.argtypes = [ctypes.c_void_p]
+    def declare(name: str, restype, *argtypes):
+        fn = getattr(lib, f"repro_{name}")
+        fn.restype, fn.argtypes = restype, list(argtypes)
+        return fn
+
+    # The state-bound kernels take the repro_slot struct (run_dynamics
+    # also its gap vector, slack, max_iter and converged flag); only
+    # golden_quad and greedy_pass take flat arguments.
     return RawKernels(
-        gap_sweep, run_dynamics, golden_quad,
-        reset_profile, rebind, update_frequencies, greedy_pass,
-        bdma_slot, _slot_struct,
+        gap_sweep=declare("gap_sweep", None, _ptr),
+        run_dynamics=declare("run_dynamics", _ll, _ptr, _ptr, _dbl, _ll, _ptr),
+        golden_quad=declare(
+            "golden_quad", None, _ll, _ptr, _ptr, _dbl, _ll, *[_ptr] * 8
+        ),
+        reset_profile=declare("reset_profile", _ll, _ptr),
+        rebind=declare("rebind", None, _ptr),
+        update_frequencies=declare("update_frequencies", None, _ptr),
+        greedy_pass=declare("greedy_pass", _ll, *[_ll] * 6, *[_ptr] * 13),
+        bdma_slot=declare("bdma_slot", _ll, _ptr),
+        slot_struct=_slot_struct,
     )
 
 
-def _slot_struct(pointers: "tuple[ctypes.c_void_p, ...]") -> tuple:
-    """``repro_bdma_slot``'s struct of pointers (every field a pointer,
-    so an array of ``void *`` has its layout) and the argument that
+def _slot_struct(pointers: "tuple[ctypes.c_void_p | None, ...]") -> tuple:
+    """A ``repro_slot`` struct (every field a pointer, so an array of
+    ``void *`` has its layout; ``None`` is NULL) and the argument that
     passes it; the array must outlive every call."""
     struct = (ctypes.c_void_p * len(pointers))(*pointers)
     return struct, ctypes.c_void_p(ctypes.addressof(struct))

@@ -6,9 +6,10 @@ Three families of guarantees, each asserted bitwise unless noted:
   per-slot :meth:`StateGenerator.states` path for every model
   composition (all three tiers: chunk-blocked, slot-fused, fallback),
   for any chunk size, and end to end through ``repro.api.run``.
-* Batched P2-B (``method="batch"``) matches the scalar-loop oracle
-  (``method="scalar"``) bit for bit, including every fast-path edge
-  case.
+* Batched P2-B (``p2b._solve_p2b_batch``, which ``solve_p2b`` runs
+  from 64 servers on) matches the scalar-loop oracle
+  (``p2b._solve_p2b_scalar``, below 64) bit for bit, including every
+  fast-path edge case.
 * The warm-start family's semantics: the BDMA fixed-point short-circuit
   is a bit-exact accounting optimisation, and ``carry_over`` /
   ``warm_start`` are bit-exact given the same rng draws.
@@ -23,6 +24,8 @@ import pytest
 
 import repro
 from repro.api import make_controller, run
+from repro.core import p2b
+from repro.core.latency import server_load_roots
 from repro.core.p2b import solve_p2b
 from repro.core.bdma import cgba_p2a_solver, solve_p2_bdma
 from repro.core.state import (
@@ -34,6 +37,7 @@ from repro.core.state import (
 )
 from repro.exceptions import CheckpointError, ConfigurationError, ValidationError
 from repro.network.connectivity import StrategySpace
+from repro.obs import NULL_TRACER
 from repro.radio.mobility import RandomWaypointMobility
 from repro.radio.fronthaul import ScintillatingFronthaul
 from repro.sim.engine import run_simulation
@@ -249,13 +253,20 @@ class TestBatchedP2B:
         return network, state, assignment
 
     def _assert_methods_agree(self, network, state, assignment, *, q, v) -> None:
-        scalar = solve_p2b(
-            network, state, assignment, queue_backlog=q, v=v, method="scalar"
+        # solve_p2b picks by fleet size, so compare its two paths
+        # directly on the same inputs.
+        roots = server_load_roots(network, state, assignment)
+        demand, pressure = roots * roots, q * state.price
+        scalar = p2b._solve_p2b_scalar(
+            network, state, demand, pressure, v, 1e-8, NULL_TRACER
         )
-        batch = solve_p2b(
-            network, state, assignment, queue_backlog=q, v=v, method="batch"
+        batch, _, _ = p2b._solve_p2b_batch(
+            None, network, state, demand, pressure, v, 1e-8
         )
         assert scalar.tobytes() == batch.tobytes()
+        # Below the cut-over solve_p2b is the scalar loop.
+        got = solve_p2b(network, state, assignment, queue_backlog=q, v=v)
+        assert got.tobytes() == scalar.tobytes()
 
     def test_random_loads(self) -> None:
         network, _, _ = self._network_state_assignment()
@@ -321,14 +332,10 @@ class TestBatchedP2B:
         # bit.
         network, state, assignment = self._network_state_assignment()
         q, v, tol = 20.0, 50.0, 1e-8
-        from repro.core.latency import server_load_roots
-
         roots = server_load_roots(network, state, assignment)
         demand = roots * roots
         pressure = q * state.price
-        got = solve_p2b(
-            network, state, assignment, queue_backlog=q, v=v, method="scalar"
-        )
+        got = solve_p2b(network, state, assignment, queue_backlog=q, v=v)
         for n, server in enumerate(network.servers):
             if demand[n] <= 0.0:
                 continue

@@ -7,7 +7,8 @@ default a user's run gets.  Checked: the default reproduces the pinned
 medium fingerprint bit for bit, every entry point records the backend
 that actually ran, importing the package builds nothing, and a machine
 that cannot build the C kernels runs NumPy -- under its own name -- with
-one warning and no error.
+one warning and no error, and its run manifests say the C kernels are
+unavailable.
 """
 
 from __future__ import annotations
@@ -155,6 +156,28 @@ class TestFallbackWhenTheCKernelsCannotBuild:
         assert len(caught) == 1
         assert caught[0].category is RuntimeWarning
         assert reason in str(caught[0].message)
+
+    def test_manifest_reports_the_fallback(self, tmp_path) -> None:
+        # A compiler on PATH is not enough: the manifest records what
+        # the jit backend resolved to.
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        trace = tmp_path / "run.jsonl"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(
+            os.environ, PYTHONPATH=src,
+            REPRO_KERNEL_CACHE=str(blocker / "k"),
+        )
+        subprocess.run(
+            [sys.executable, "-m", "repro", "simulate", "--devices", "6",
+             "--horizon", "2", "--trace", str(trace)],
+            check=True, env=env, capture_output=True,
+        )
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        assert manifest["config"]["engine"]["backend"] == "numpy"
+        assert manifest["backends"] == {
+            "numpy": True, "jit": False, "jit_provider": None,
+        }
 
     def test_every_entry_point_reports_numpy(self, tmp_path, monkeypatch) -> None:
         _no_compiler(tmp_path, monkeypatch)

@@ -43,7 +43,7 @@ from repro.solvers.fast_engine import FastBestResponseEngine
 
 pytestmark = pytest.mark.skipif(
     not available_backends()["jit"],
-    reason="backend 'jit' has no real provider (needs a C compiler)",
+    reason="backend 'jit' has no real provider (the C kernels did not build)",
 )
 
 SETTINGS = settings(

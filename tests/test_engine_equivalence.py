@@ -25,7 +25,7 @@ from conftest import make_tiny_network, make_tiny_state
 
 requires_jit = pytest.mark.skipif(
     not available_backends()["jit"],
-    reason="backend 'jit' has no real provider (needs a C compiler)",
+    reason="backend 'jit' has no real provider (the C kernels did not build)",
 )
 BACKENDS = ["numpy", pytest.param("jit", marks=requires_jit)]
 

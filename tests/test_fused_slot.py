@@ -20,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,13 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import controller as controller_module
-from repro.core.bdma import cgba_p2a_solver, solve_p2_bdma_fused
+from repro.core.bdma import (
+    _FusedSlotBinding,
+    cgba_p2a_solver,
+    solve_p2_bdma,
+    solve_p2_bdma_fused,
+)
+from repro.core.congestion_game import OffloadingCongestionGame
 from repro.core.overload import OverloadPolicy
 from repro.core.resilience import ResiliencePolicy
 from repro.exceptions import DeadlineError
@@ -44,12 +51,13 @@ from repro.sim.faults import (
     ScriptedIncident,
     ServerOutages,
 )
+from repro.solvers.fast_engine import FastBestResponseEngine
 
 from conftest import make_tiny_network, make_tiny_state
 
 pytestmark = pytest.mark.skipif(
     not available_backends()["jit"],
-    reason="backend 'jit' has no real provider (needs a C compiler)",
+    reason="backend 'jit' has no real provider (the C kernels did not build)",
 )
 
 
@@ -287,6 +295,105 @@ class TestFusedMatchesPythonLoop:
             views.append(([record_view(r) for r in records],
                           dict(probe.phases.counters)))
         assert views[0] == views[1]
+
+
+class TestOneStructPerState:
+    """The fused slot call and the separate kernels share one
+    ``repro_slot`` struct per game state.  Whatever runs on that state
+    between two fused calls -- a best-response engine on the fused
+    call's own workspace game, or another binding -- leaves every call
+    bit-identical to the NumPy oracle: the engine's gap vector, slack
+    and move budget stay its own, and so do each binding's.  At these
+    seeds the slack changes the decision."""
+
+    def setup_method(self) -> None:
+        scenario = repro.make_paper_scenario(
+            seed=11, config=repro.ScenarioConfig(num_devices=24)
+        )
+        self.network = scenario.network
+        self.states = list(scenario.fresh_states(3))
+        self.space = StrategySpace(self.network, self.states[0].coverage())
+        self.knobs = dict(
+            queue_backlog=40.0, v=100.0, budget=scenario.budget, z=3
+        )
+
+    def _fused(self, solver, state, seed) -> tuple:
+        return self._bits(solve_p2_bdma_fused(
+            self.network, state, self.space, np.random.default_rng(seed),
+            p2a_solver=solver, **self.knobs,
+        ).result)
+
+    def _oracle(self, state, seed, slack) -> tuple:
+        return self._bits(solve_p2_bdma(
+            self.network, state, self.space, np.random.default_rng(seed),
+            p2a_solver=cgba_p2a_solver(
+                slack=slack, max_iter=500, backend="numpy"
+            ),
+            **self.knobs,
+        ))
+
+    @staticmethod
+    def _bits(result) -> tuple:
+        return (
+            result.assignment.bs_of.tobytes(),
+            result.assignment.server_of.tobytes(),
+            result.frequencies.tobytes(),
+            np.array(
+                [result.objective, result.latency, result.cost,
+                 *result.objective_history]
+            ).tobytes(),
+            result.engine_stats.moves,
+            result.engine_stats.sweeps,
+        )
+
+    def test_engine_run_between_fused_calls(self) -> None:
+        network, states, space = self.network, self.states, self.space
+        solver = cgba_p2a_solver(slack=0.05, max_iter=500, backend="jit")
+        first = self._fused(solver, states[0], 1)
+        assert first == self._oracle(states[0], 1, 0.05)
+        game = solver.fused_slot(network, space, 3).game
+        (cache,) = game.kernel_state().kernel_args.values()
+        params = cache.params.tobytes()
+
+        # The engine at its own slack (0) on the workspace game: rebind,
+        # reset, sweep and dynamics through the shared struct.
+        frequencies = np.frombuffer(first[2])
+        reference = OffloadingCongestionGame(
+            network, states[1], space, frequencies,
+            rng=np.random.default_rng(2), kernels="numpy",
+        )
+        game.rebind(states[1], frequencies, rng=np.random.default_rng(2))
+        engines = [FastBestResponseEngine(g) for g in (game, reference)]
+        runs = [engine.run(max_iter=10_000) for engine in engines]
+        assert runs[0].iterations == runs[1].iterations > 1
+        for name in ("loads", "bs_of", "server_of"):
+            assert getattr(game.kernel_state(), name).tobytes() == (
+                getattr(reference.kernel_state(), name).tobytes()
+            )
+        assert engines[0].gaps.tobytes() == engines[1].gaps.tobytes()
+        assert cache.params.tobytes() == params
+        gaps = engines[0].gaps.copy()
+
+        assert self._fused(solver, states[2], 6) == (
+            self._oracle(states[2], 6, 0.05)
+        )
+        assert engines[0].gaps.tobytes() == gaps.tobytes()
+
+    def test_bindings_of_one_state_take_turns(self) -> None:
+        game = OffloadingCongestionGame.unbound(
+            self.network, self.space, kernels="jit"
+        )
+        bindings = {
+            slack: _FusedSlotBinding(game, 3, slack, 500, False)
+            for slack in (0.05, 0.0)
+        }
+        for slack in (0.05, 0.0, 0.05):
+            solver = SimpleNamespace(
+                fused_slot=lambda *_, b=bindings[slack]: b, max_iter=500
+            )
+            assert self._fused(solver, self.states[0], 1) == (
+                self._oracle(self.states[0], 1, slack)
+            )
 
 
 def kernel_counts(registry: MetricsRegistry) -> dict:

@@ -9,8 +9,8 @@ including under injected faults and chaos, where the resilience
 fallback chain runs on top of the kernels.
 
 Tests that exercise the real jit provider (the C kernels) are skipped
-when no C compiler is available (``available_backends()["jit"]`` is
-then ``False`` and ``jit`` would silently alias the oracle).
+when the C kernels do not build and load (``available_backends()["jit"]``
+is then ``False`` and ``jit`` resolves to the oracle itself).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from conftest import MEDIUM_FINGERPRINT, fingerprint
 
 requires_jit = pytest.mark.skipif(
     not available_backends()["jit"],
-    reason="backend 'jit' has no real provider (needs a C compiler)",
+    reason="backend 'jit' has no real provider (the C kernels did not build)",
 )
 
 def assert_records_identical(a, b) -> None:

@@ -39,7 +39,7 @@ from repro.solvers.fast_engine import FastBestResponseEngine
 
 requires_jit = pytest.mark.skipif(
     not available_backends()["jit"],
-    reason="backend 'jit' has no real provider (needs a C compiler)",
+    reason="backend 'jit' has no real provider (the C kernels did not build)",
 )
 BACKENDS = ("numpy", pytest.param("jit", marks=requires_jit))
 
@@ -351,6 +351,18 @@ class TestSteadyState:
             controller.step(state)
             assert converted == []
         assert constructions == {"game": 1, "engine": 0}
+
+    @requires_jit
+    def test_fused_first_slot_converts_each_array_once(self) -> None:
+        # One repro_slot struct per state: the fused slot and the
+        # separate kernels share its pointers, so no array is converted
+        # twice.
+        backend, converted = counting_jit_backend(fused=True)
+        scenario = repro.make_paper_scenario(seed=7)
+        controller = make_controller(scenario, backend)
+        controller.step(next(scenario.fresh_states(1)))
+        assert converted
+        assert len(converted) == len({id(arr) for arr in converted})
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_space_change_builds_exactly_one_game(

@@ -28,7 +28,7 @@ from conftest import MEDIUM_FINGERPRINT, fingerprint
 
 requires_jit = pytest.mark.skipif(
     not available_backends()["jit"],
-    reason="backend 'jit' has no real provider (needs a C compiler)",
+    reason="backend 'jit' has no real provider (the C kernels did not build)",
 )
 
 #: Every ``repro_phase_seconds`` / ``repro_kernel_seconds`` series of

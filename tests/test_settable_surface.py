@@ -21,6 +21,8 @@ from repro.api import CellConfig, EngineConfig, RunConfig, run
 from repro.core.bdma import cgba_p2a_solver
 from repro.core.cgba import CGBAResult, solve_p2a_cgba
 from repro.core.congestion_game import OffloadingCongestionGame
+from repro.core.p2b import solve_p2b
+from repro.core.state import Assignment
 from repro.exceptions import ConfigurationError
 from repro.kernels import KernelBackend
 from repro.network.connectivity import FlatStrategies, StrategySpace
@@ -91,6 +93,12 @@ CGBA_P2A_SOLVER_KEYWORDS = [
     "slack", "max_iter", "tracer", "accept_partial", "backend",
 ]
 ENGINE_RUN_KEYWORDS = ["max_iter"]
+# P2-B picks the scalar loop or the batch search by fleet size; the two
+# are bit-identical, so there is no method to choose.
+SOLVE_P2B_KEYWORDS = [
+    "network", "state", "assignment", "queue_backlog", "v", "tol", "tracer",
+    "backend",
+]
 # The kernels of the decomposed evaluator, the refills, the greedy
 # pass and the fused calls; no flat-candidate kernels.
 KERNEL_BACKEND_FIELDS = [
@@ -126,6 +134,7 @@ def test_config_fields_are_pinned(cls, pinned) -> None:
         (solve_p2a_cgba, SOLVE_P2A_CGBA_KEYWORDS),
         (cgba_p2a_solver, CGBA_P2A_SOLVER_KEYWORDS),
         (FastBestResponseEngine.run, ENGINE_RUN_KEYWORDS),
+        (solve_p2b, SOLVE_P2B_KEYWORDS),
     ],
     ids=lambda x: getattr(x, "__qualname__", ""),
 )
@@ -260,3 +269,20 @@ class TestBestResponseKnobsRemoved:
     )
     def test_deleted_names_stay_deleted(self, owner, name) -> None:
         assert not hasattr(owner, name)
+
+
+class TestP2BKnobsRemoved:
+    """P2-B's search method is not a setting: the per-server loop runs
+    below 64 servers and the batch search from 64 on, bit-identically."""
+
+    def test_solve_p2b_rejects_method(self) -> None:
+        network, state = make_tiny_network(), make_tiny_state()
+        assignment = Assignment(
+            bs_of=np.array([0, 0, 1, 1]), server_of=np.array([0, 1, 2, 2])
+        )
+        for method in ("auto", "batch", "scalar"):
+            with pytest.raises(TypeError, match="method"):
+                solve_p2b(
+                    network, state, assignment, queue_backlog=5.0, v=10.0,
+                    method=method,
+                )

@@ -37,7 +37,7 @@ from repro.types import as_float_array
 
 requires_jit = pytest.mark.skipif(
     not available_backends()["jit"],
-    reason="backend 'jit' has no real provider (needs a C compiler)",
+    reason="backend 'jit' has no real provider (the C kernels did not build)",
 )
 
 #: DecomposedState fields that are not arrays.
