@@ -36,229 +36,106 @@ The pieces remain directly composable when the facade is too coarse::
     )
 """
 
-from repro._version import __version__
-from repro.config import DEFAULT_PERIOD, ScenarioConfig, make_paper_scenario
-from repro.core import (
-    Assignment,
-    BDMAResult,
-    BudgetSchedule,
-    ConstantBudget,
-    PeriodicBudget,
-    demand_weighted_budget,
-    CGBAResult,
-    Decision,
-    DPPController,
-    OffloadingCongestionGame,
-    ResiliencePolicy,
-    ResourceAllocation,
-    SlotRecord,
-    SlotState,
-    SolverChaos,
-    VirtualQueue,
-    dpp_objective,
-    optimal_allocation,
-    optimal_total_latency,
-    solve_p2_bdma,
-    solve_p2a_cgba,
-    solve_p2b,
-    total_latency,
-)
-from repro.core.cgba import cgba_approximation_ratio
-from repro.core.controller import OnlineController
-from repro.core.theory import (
-    bdma_approximation_ratio,
-    check_bdma_guarantee,
-    check_cgba_guarantee,
-)
-from repro.analysis import (
-    estimate_equilibrium_backlog,
-    jain_index,
-    line_chart,
-    periodicity_strength,
-    seasonal_decompose,
-    slot_latency_fairness,
-    sparkline,
-)
-from repro.io import load_result, records_to_jsonl, save_result, summary_to_json
-from repro.workload import (
-    fit_periodic_profile,
-    fit_price_model,
-    fit_task_generator,
-)
-from repro.baselines import (
-    BranchAndBoundResult,
-    FixedFrequencyController,
-    MCBAResult,
-    greedy_p2a_solver,
-    mcba_p2a_solver,
-    p2a_lower_bound,
-    ropt_p2a_solver,
-    solve_p2a_exact,
-    solve_p2a_greedy,
-    solve_p2a_mcba,
-    solve_p2a_ropt,
-)
-from repro.exceptions import (
-    CheckpointError,
-    ConfigurationError,
-    ConvergenceError,
-    DeadlineError,
-    InfeasibleError,
-    InjectedFaultError,
-    ReproError,
-    SolverError,
-    TopologyError,
-    ValidationError,
-)
-from repro.network import (
-    BaseStation,
-    EdgeServer,
-    MECNetwork,
-    MobileDevice,
-    NetworkBuilder,
-    ServerCluster,
-    StrategySpace,
-    build_paper_network,
-    validate_network,
-)
-from repro.sim import (
-    ChaosSchedule,
-    FaultPlan,
-    MarkovOutages,
-    NoOutages,
-    ReplicationReport,
-    ReplicationSpec,
-    ReplicationSummary,
-    RunCheckpoint,
-    Scenario,
-    ScriptedIncident,
-    SeedBank,
-    SimulationResult,
-    SimulationSummary,
-    StateGenerator,
-    run_checkpointed,
-    run_replications,
-    run_simulation,
-)
-from repro import obs
+from repro._exports import lazy_exports
 
-# Imported last: the facade pulls from nearly every subpackage above.
-from repro import api
-from repro import sharding
-from repro.api import CellConfig, RunConfig, make_controller
-
-__all__ = [
-    "__version__",
-    # facade + observability
-    "api",
-    "make_controller",
-    "RunConfig",
-    "CellConfig",
-    "obs",
-    "sharding",
-    # configuration
-    "make_paper_scenario",
-    "ScenarioConfig",
-    "DEFAULT_PERIOD",
-    # core state/decisions
-    "SlotState",
-    "Assignment",
-    "ResourceAllocation",
-    "Decision",
-    # core algorithms
-    "optimal_allocation",
-    "optimal_total_latency",
-    "total_latency",
-    "OffloadingCongestionGame",
-    "solve_p2a_cgba",
-    "CGBAResult",
-    "cgba_approximation_ratio",
-    "solve_p2b",
-    "solve_p2_bdma",
-    "BDMAResult",
-    "VirtualQueue",
-    "dpp_objective",
-    "DPPController",
-    "OnlineController",
-    "SlotRecord",
-    # resilience
-    "ResiliencePolicy",
-    "SolverChaos",
-    "FaultPlan",
-    "ChaosSchedule",
-    "ScriptedIncident",
-    "RunCheckpoint",
-    "run_checkpointed",
-    # budget schedules
-    "BudgetSchedule",
-    "ConstantBudget",
-    "PeriodicBudget",
-    "demand_weighted_budget",
-    # theory bounds
-    "bdma_approximation_ratio",
-    "check_cgba_guarantee",
-    "check_bdma_guarantee",
-    # analysis
-    "estimate_equilibrium_backlog",
-    "seasonal_decompose",
-    "periodicity_strength",
-    "jain_index",
-    "slot_latency_fairness",
-    "sparkline",
-    "line_chart",
-    # io
-    "save_result",
-    "load_result",
-    "records_to_jsonl",
-    "summary_to_json",
-    # trace fitting
-    "fit_periodic_profile",
-    "fit_price_model",
-    "fit_task_generator",
-    # baselines
-    "solve_p2a_ropt",
-    "ropt_p2a_solver",
-    "solve_p2a_mcba",
-    "mcba_p2a_solver",
-    "MCBAResult",
-    "solve_p2a_exact",
-    "BranchAndBoundResult",
-    "p2a_lower_bound",
-    "solve_p2a_greedy",
-    "greedy_p2a_solver",
-    "FixedFrequencyController",
-    # network
-    "MECNetwork",
-    "BaseStation",
-    "EdgeServer",
-    "ServerCluster",
-    "MobileDevice",
-    "NetworkBuilder",
-    "build_paper_network",
-    "StrategySpace",
-    "validate_network",
-    # simulation
-    "Scenario",
-    "StateGenerator",
-    "SeedBank",
-    "run_simulation",
-    "SimulationResult",
-    "SimulationSummary",
-    "run_replications",
-    "ReplicationSpec",
-    "ReplicationReport",
-    "ReplicationSummary",
-    "NoOutages",
-    "MarkovOutages",
-    # exceptions
-    "ReproError",
-    "ConfigurationError",
-    "TopologyError",
-    "InfeasibleError",
-    "SolverError",
-    "ConvergenceError",
-    "ValidationError",
-    "DeadlineError",
-    "InjectedFaultError",
-    "CheckpointError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "._version": ("__version__",),
+        # facade + observability
+        ".api": ("api", "make_controller", "RunConfig", "CellConfig"),
+        ".obs": ("obs",),
+        ".sharding": ("sharding",),
+        # configuration
+        ".config": ("make_paper_scenario", "ScenarioConfig", "DEFAULT_PERIOD"),
+        # core state/decisions and algorithms
+        ".core.state": ("SlotState", "Assignment", "ResourceAllocation", "Decision"),
+        ".core.allocation": ("optimal_allocation",),
+        ".core.latency": ("optimal_total_latency", "total_latency"),
+        ".core.congestion_game": ("OffloadingCongestionGame",),
+        ".core.cgba": ("solve_p2a_cgba", "CGBAResult", "cgba_approximation_ratio"),
+        ".core.p2b": ("solve_p2b",),
+        ".core.bdma": ("solve_p2_bdma", "BDMAResult"),
+        ".core.virtual_queue": ("VirtualQueue",),
+        ".core.drift_penalty": ("dpp_objective",),
+        ".core.controller": ("DPPController", "OnlineController", "SlotRecord"),
+        # resilience
+        ".core.resilience": ("ResiliencePolicy", "SolverChaos"),
+        ".sim.faults": (
+            "FaultPlan",
+            "ChaosSchedule",
+            "ScriptedIncident",
+            "NoOutages",
+            "MarkovOutages",
+        ),
+        ".sim.checkpoint": ("RunCheckpoint", "run_checkpointed"),
+        # budget schedules
+        ".core.budget": (
+            "BudgetSchedule",
+            "ConstantBudget",
+            "PeriodicBudget",
+            "demand_weighted_budget",
+        ),
+        # theory bounds
+        ".core.theory": (
+            "bdma_approximation_ratio",
+            "check_cgba_guarantee",
+            "check_bdma_guarantee",
+        ),
+        # analysis
+        ".analysis.equilibrium": ("estimate_equilibrium_backlog",),
+        ".analysis.decomposition": ("seasonal_decompose", "periodicity_strength"),
+        ".analysis.fairness": ("jain_index", "slot_latency_fairness"),
+        ".analysis.text_plots": ("sparkline", "line_chart"),
+        # io
+        ".io": ("save_result", "load_result", "records_to_jsonl", "summary_to_json"),
+        # trace fitting
+        ".workload.estimation": (
+            "fit_periodic_profile",
+            "fit_price_model",
+            "fit_task_generator",
+        ),
+        # baselines
+        ".baselines.ropt": ("solve_p2a_ropt", "ropt_p2a_solver"),
+        ".baselines.mcba": ("solve_p2a_mcba", "mcba_p2a_solver", "MCBAResult"),
+        ".baselines.branch_and_bound": ("solve_p2a_exact", "BranchAndBoundResult"),
+        ".baselines.lower_bounds": ("p2a_lower_bound",),
+        ".baselines.greedy": ("solve_p2a_greedy", "greedy_p2a_solver"),
+        ".baselines.fixed_frequency": ("FixedFrequencyController",),
+        # network
+        ".network.topology": (
+            "MECNetwork",
+            "BaseStation",
+            "EdgeServer",
+            "ServerCluster",
+            "MobileDevice",
+        ),
+        ".network.builder": ("NetworkBuilder", "build_paper_network"),
+        ".network.connectivity": ("StrategySpace",),
+        ".network.validation": ("validate_network",),
+        # simulation
+        ".sim.scenario": ("Scenario", "StateGenerator"),
+        ".sim.seeding": ("SeedBank",),
+        ".sim.engine": ("run_simulation",),
+        ".sim.results": ("SimulationResult", "SimulationSummary"),
+        ".sim.replication": (
+            "run_replications",
+            "ReplicationSpec",
+            "ReplicationReport",
+            "ReplicationSummary",
+        ),
+        # exceptions
+        ".exceptions": (
+            "ReproError",
+            "ConfigurationError",
+            "TopologyError",
+            "InfeasibleError",
+            "SolverError",
+            "ConvergenceError",
+            "ValidationError",
+            "DeadlineError",
+            "InjectedFaultError",
+            "CheckpointError",
+        ),
+    },
+)

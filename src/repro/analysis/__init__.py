@@ -1,44 +1,29 @@
 """Analysis helpers: aggregation across runs and table rendering."""
 
-from repro.analysis.aggregate import (
-    RunStatistics,
-    bootstrap_ci,
-    paired_ratio,
-    summarize_runs,
-)
-from repro.analysis.tables import format_table
-from repro.analysis.equilibrium import (
-    estimate_equilibrium_backlog,
-    mean_cost_at_backlog,
-)
-from repro.analysis.text_plots import line_chart, sparkline
-from repro.analysis.decomposition import (
-    Decomposition,
-    periodicity_strength,
-    seasonal_decompose,
-)
-from repro.analysis.fairness import (
-    LatencyFairness,
-    deadline_miss_rate,
-    jain_index,
-    slot_latency_fairness,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "jain_index",
-    "LatencyFairness",
-    "slot_latency_fairness",
-    "deadline_miss_rate",
-    "Decomposition",
-    "seasonal_decompose",
-    "periodicity_strength",
-    "RunStatistics",
-    "summarize_runs",
-    "bootstrap_ci",
-    "paired_ratio",
-    "format_table",
-    "estimate_equilibrium_backlog",
-    "mean_cost_at_backlog",
-    "sparkline",
-    "line_chart",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".fairness": (
+            "jain_index",
+            "LatencyFairness",
+            "slot_latency_fairness",
+            "deadline_miss_rate",
+        ),
+        ".decomposition": (
+            "Decomposition",
+            "seasonal_decompose",
+            "periodicity_strength",
+        ),
+        ".aggregate": (
+            "RunStatistics",
+            "summarize_runs",
+            "bootstrap_ci",
+            "paired_ratio",
+        ),
+        ".tables": ("format_table",),
+        ".equilibrium": ("estimate_equilibrium_backlog", "mean_cost_at_backlog"),
+        ".text_plots": ("sparkline", "line_chart"),
+    },
+)

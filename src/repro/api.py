@@ -41,7 +41,6 @@ from __future__ import annotations
 import difflib
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
-from repro.analysis.equilibrium import estimate_equilibrium_backlog
 from repro.baselines.fixed_frequency import FixedFrequencyController
 from repro.baselines.greedy import greedy_p2a_solver
 from repro.baselines.mcba import mcba_p2a_solver
@@ -219,6 +218,8 @@ def make_controller(
     if warm_start_queue:
         if scenario is None:
             raise ConfigurationError("warm_start_queue requires a scenario")
+        from repro.analysis.equilibrium import estimate_equilibrium_backlog
+
         label = equilibrium_rng_label or f"{rng_label or name}-equilibrium"
         initial_backlog = estimate_equilibrium_backlog(
             network,

@@ -15,27 +15,16 @@
   server at a fixed clock (ablation on the value of frequency scaling).
 """
 
-from repro.baselines.ropt import ropt_p2a_solver, solve_p2a_ropt
-from repro.baselines.mcba import MCBAResult, mcba_p2a_solver, solve_p2a_mcba
-from repro.baselines.branch_and_bound import (
-    BranchAndBoundResult,
-    solve_p2a_exact,
-)
-from repro.baselines.lower_bounds import p2a_fractional_bound, p2a_lower_bound
-from repro.baselines.greedy import greedy_p2a_solver, solve_p2a_greedy
-from repro.baselines.fixed_frequency import FixedFrequencyController
+from repro._exports import lazy_exports
 
-__all__ = [
-    "solve_p2a_ropt",
-    "ropt_p2a_solver",
-    "MCBAResult",
-    "solve_p2a_mcba",
-    "mcba_p2a_solver",
-    "BranchAndBoundResult",
-    "solve_p2a_exact",
-    "p2a_lower_bound",
-    "p2a_fractional_bound",
-    "solve_p2a_greedy",
-    "greedy_p2a_solver",
-    "FixedFrequencyController",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".ropt": ("solve_p2a_ropt", "ropt_p2a_solver"),
+        ".mcba": ("MCBAResult", "solve_p2a_mcba", "mcba_p2a_solver"),
+        ".branch_and_bound": ("BranchAndBoundResult", "solve_p2a_exact"),
+        ".lower_bounds": ("p2a_lower_bound", "p2a_fractional_bound"),
+        ".greedy": ("solve_p2a_greedy", "greedy_p2a_solver"),
+        ".fixed_frequency": ("FixedFrequencyController",),
+    },
+)

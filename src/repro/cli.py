@@ -43,7 +43,6 @@ from repro.api import CONTROLLER_NAMES, make_controller
 from repro.baselines.lower_bounds import p2a_lower_bound
 from repro.core.overload import OverloadPolicy
 from repro.core.theory import check_bdma_guarantee, check_cgba_guarantee
-from repro.experiments import RUNNERS, generate_report
 from repro.io import save_result, summary_to_json
 from repro.kernels import BACKEND_NAMES, get_kernels
 from repro.obs import (
@@ -312,6 +311,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments import RUNNERS
+
     if args.list or args.name is None:
         print("available experiments:")
         for name in RUNNERS:
@@ -329,6 +330,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.experiments import RUNNERS, generate_report
+
     names = None
     if args.all:
         names = list(RUNNERS)

@@ -22,73 +22,37 @@ Layout (bottom-up):
   reuse it.
 """
 
-from repro.core.state import (
-    Assignment,
-    Decision,
-    ResourceAllocation,
-    SlotState,
-)
-from repro.core.allocation import optimal_allocation
-from repro.core.latency import (
-    communication_latency,
-    optimal_communication_latency,
-    optimal_processing_latency,
-    optimal_total_latency,
-    per_device_latency,
-    processing_latency,
-    total_latency,
-)
-from repro.core.congestion_game import OffloadingCongestionGame
-from repro.core.cgba import CGBAResult, solve_p2a_cgba
-from repro.core.p2b import solve_p2b
-from repro.core.bdma import BDMAResult, solve_p2_bdma
-from repro.core.virtual_queue import VirtualQueue
-from repro.core.drift_penalty import dpp_objective
-from repro.core.budget import (
-    BudgetCoordinator,
-    BudgetSchedule,
-    ConstantBudget,
-    CoordinatedBudget,
-    PeriodicBudget,
-    demand_weighted_budget,
-)
-from repro.core.controller import (
-    DPPController,
-    P2ASolver,
-    SlotRecord,
-)
-from repro.core.resilience import ResiliencePolicy, SolverChaos
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SlotState",
-    "Assignment",
-    "ResourceAllocation",
-    "Decision",
-    "optimal_allocation",
-    "processing_latency",
-    "communication_latency",
-    "total_latency",
-    "per_device_latency",
-    "optimal_processing_latency",
-    "optimal_communication_latency",
-    "optimal_total_latency",
-    "OffloadingCongestionGame",
-    "CGBAResult",
-    "solve_p2a_cgba",
-    "solve_p2b",
-    "BDMAResult",
-    "solve_p2_bdma",
-    "VirtualQueue",
-    "dpp_objective",
-    "BudgetSchedule",
-    "ConstantBudget",
-    "PeriodicBudget",
-    "CoordinatedBudget",
-    "BudgetCoordinator",
-    "demand_weighted_budget",
-    "DPPController",
-    "P2ASolver",
-    "SlotRecord",
-    "ResiliencePolicy",
-    "SolverChaos",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".state": ("SlotState", "Assignment", "ResourceAllocation", "Decision"),
+        ".allocation": ("optimal_allocation",),
+        ".latency": (
+            "processing_latency",
+            "communication_latency",
+            "total_latency",
+            "per_device_latency",
+            "optimal_processing_latency",
+            "optimal_communication_latency",
+            "optimal_total_latency",
+        ),
+        ".congestion_game": ("OffloadingCongestionGame",),
+        ".cgba": ("CGBAResult", "solve_p2a_cgba"),
+        ".p2b": ("solve_p2b",),
+        ".bdma": ("BDMAResult", "solve_p2_bdma", "P2ASolver"),
+        ".virtual_queue": ("VirtualQueue",),
+        ".drift_penalty": ("dpp_objective",),
+        ".budget": (
+            "BudgetSchedule",
+            "ConstantBudget",
+            "PeriodicBudget",
+            "CoordinatedBudget",
+            "BudgetCoordinator",
+            "demand_weighted_budget",
+        ),
+        ".controller": ("DPPController", "SlotRecord"),
+        ".resilience": ("ResiliencePolicy", "SolverChaos"),
+    },
+)

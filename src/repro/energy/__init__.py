@@ -14,52 +14,37 @@ This subpackage reproduces the energy side of the paper:
   budget-selection helpers.
 """
 
-from repro.energy.cpu_data import (
-    I7_3770K_FREQUENCIES_GHZ,
-    I7_3770K_POWER_WATTS,
-    fit_quadratic_power_curve,
-)
-from repro.energy.models import (
-    CubicEnergyModel,
-    EnergyModel,
-    LinearEnergyModel,
-    PiecewiseLinearEnergyModel,
-    QuadraticEnergyModel,
-    ScaledEnergyModel,
-    perturbed_quadratic_model,
-)
-from repro.energy.pricing import (
-    ConstantPriceModel,
-    PeriodicPriceModel,
-    PriceModel,
-    TracePriceModel,
-    synthetic_nyiso_trend,
-)
-from repro.energy.cost import (
-    max_slot_cost,
-    min_slot_cost,
-    slot_energy_cost,
-    suggest_budget,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "I7_3770K_FREQUENCIES_GHZ",
-    "I7_3770K_POWER_WATTS",
-    "fit_quadratic_power_curve",
-    "EnergyModel",
-    "QuadraticEnergyModel",
-    "LinearEnergyModel",
-    "CubicEnergyModel",
-    "PiecewiseLinearEnergyModel",
-    "ScaledEnergyModel",
-    "perturbed_quadratic_model",
-    "PriceModel",
-    "PeriodicPriceModel",
-    "ConstantPriceModel",
-    "TracePriceModel",
-    "synthetic_nyiso_trend",
-    "slot_energy_cost",
-    "min_slot_cost",
-    "max_slot_cost",
-    "suggest_budget",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".cpu_data": (
+            "I7_3770K_FREQUENCIES_GHZ",
+            "I7_3770K_POWER_WATTS",
+            "fit_quadratic_power_curve",
+        ),
+        ".models": (
+            "EnergyModel",
+            "QuadraticEnergyModel",
+            "LinearEnergyModel",
+            "CubicEnergyModel",
+            "PiecewiseLinearEnergyModel",
+            "ScaledEnergyModel",
+            "perturbed_quadratic_model",
+        ),
+        ".pricing": (
+            "PriceModel",
+            "PeriodicPriceModel",
+            "ConstantPriceModel",
+            "TracePriceModel",
+            "synthetic_nyiso_trend",
+        ),
+        ".cost": (
+            "slot_energy_cost",
+            "min_slot_cost",
+            "max_slot_cost",
+            "suggest_budget",
+        ),
+    },
+)

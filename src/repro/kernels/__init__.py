@@ -18,19 +18,24 @@ from __future__ import annotations
 
 import warnings
 
+from repro._exports import lazy_exports
 from repro.exceptions import ConfigurationError
-from repro.kernels.interface import DecomposedState, KernelBackend
+from repro.kernels.interface import KernelBackend
 from repro.kernels.numpy_backend import make_numpy_backend
-from repro.kernels.shm import SharedStateBlock
 
+_exports, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".interface": ("DecomposedState", "KernelBackend"),
+        ".shm": ("SharedStateBlock",),
+    },
+)
 __all__ = [
     "BACKEND_NAMES",
-    "DecomposedState",
-    "KernelBackend",
-    "SharedStateBlock",
     "available_backends",
     "get_kernels",
     "jit_provider",
+    *_exports,
 ]
 
 BACKEND_NAMES = ("numpy", "jit")

@@ -15,51 +15,30 @@
   per-cell sub-topology extraction for multi-cell scale-out.
 """
 
-from repro.network.topology import (
-    BaseStation,
-    EdgeServer,
-    FronthaulType,
-    MECNetwork,
-    MobileDevice,
-    ServerCluster,
-)
-from repro.network.coverage import coverage_matrix, distances
-from repro.network.builder import NetworkBuilder, build_paper_network
-from repro.network.connectivity import (
-    StrategySpace,
-    reachable_servers,
-    to_networkx_graph,
-)
-from repro.network.validation import validate_network
-from repro.network.partition import (
-    Cell,
-    CellIndexMaps,
-    CellPlan,
-    extract_subnetwork,
-    partition_cells,
-)
-from repro.network.presets import PRESETS, get_preset
+from repro._exports import lazy_exports
 
-__all__ = [
-    "PRESETS",
-    "get_preset",
-    "BaseStation",
-    "EdgeServer",
-    "ServerCluster",
-    "MobileDevice",
-    "MECNetwork",
-    "FronthaulType",
-    "coverage_matrix",
-    "distances",
-    "NetworkBuilder",
-    "build_paper_network",
-    "StrategySpace",
-    "reachable_servers",
-    "to_networkx_graph",
-    "validate_network",
-    "Cell",
-    "CellIndexMaps",
-    "CellPlan",
-    "partition_cells",
-    "extract_subnetwork",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".presets": ("PRESETS", "get_preset"),
+        ".topology": (
+            "BaseStation",
+            "EdgeServer",
+            "ServerCluster",
+            "MobileDevice",
+            "MECNetwork",
+            "FronthaulType",
+        ),
+        ".coverage": ("coverage_matrix", "distances"),
+        ".builder": ("NetworkBuilder", "build_paper_network"),
+        ".connectivity": ("StrategySpace", "to_networkx_graph"),
+        ".validation": ("validate_network",),
+        ".partition": (
+            "Cell",
+            "CellIndexMaps",
+            "CellPlan",
+            "partition_cells",
+            "extract_subnetwork",
+        ),
+    },
+)

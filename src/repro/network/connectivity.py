@@ -22,11 +22,6 @@ if TYPE_CHECKING:
     import networkx as nx
 
 
-def reachable_servers(network: MECNetwork, bs_index: int) -> IntArray:
-    """Indices of servers reachable through base station *bs_index*."""
-    return network.servers_reachable_from(bs_index)
-
-
 @dataclass(frozen=True)
 class FlatStrategies:
     """All devices' feasible pairs concatenated into parallel arrays.

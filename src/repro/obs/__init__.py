@@ -24,102 +24,50 @@
   serving ``GET /metrics`` from a registry.
 """
 
-from repro.obs.manifest import RunManifest, config_hash, manifest_path_for
-from repro.obs.probe import NULL_TRACER, Probe, Sink, Tracer, as_tracer
-from repro.obs.sinks import JsonlSink, PhaseAggregator, read_jsonl
-from repro.obs.dashboard import Dashboard, render_profile_report
-from repro.obs.monitors import (
-    Alert,
-    AnomalyMonitor,
-    BudgetDriftMonitor,
-    FeasibilityMonitor,
-    GuaranteeMonitor,
-    HealthReport,
-    Monitor,
-    MonitorStatus,
-    MonitorSuite,
-    OverloadMonitor,
-    QueueStabilityMonitor,
-    ResilienceMonitor,
-    default_monitors,
+from repro._exports import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".probe": ("Tracer", "Probe", "Sink", "NULL_TRACER", "as_tracer"),
+        ".sinks": ("PhaseAggregator", "JsonlSink", "read_jsonl"),
+        ".manifest": ("RunManifest", "config_hash", "manifest_path_for"),
+        ".monitors": (
+            "Monitor",
+            "MonitorSuite",
+            "MonitorStatus",
+            "Alert",
+            "HealthReport",
+            "QueueStabilityMonitor",
+            "BudgetDriftMonitor",
+            "FeasibilityMonitor",
+            "GuaranteeMonitor",
+            "AnomalyMonitor",
+            "ResilienceMonitor",
+            "OverloadMonitor",
+            "default_monitors",
+        ),
+        ".trace": (
+            "Trace",
+            "load_trace",
+            "Delta",
+            "TraceDiff",
+            "diff_traces",
+            "FlightRecorder",
+        ),
+        ".dashboard": ("Dashboard", "render_profile_report"),
+        ".telemetry": (
+            "MetricsRegistry",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "TelemetrySink",
+            "metric_name",
+            "parse_openmetrics",
+            "telemetry_context",
+            "instrument_kernels",
+            "histogram_summaries",
+        ),
+        ".server": ("MetricsServer",),
+    },
 )
-from repro.obs.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    TelemetrySink,
-    histogram_summaries,
-    instrument_kernels,
-    metric_name,
-    parse_openmetrics,
-    telemetry_context,
-)
-from repro.obs.trace import (
-    Delta,
-    FlightRecorder,
-    Trace,
-    TraceDiff,
-    diff_traces,
-    load_trace,
-)
-
-__all__ = [
-    "Tracer",
-    "Probe",
-    "Sink",
-    "NULL_TRACER",
-    "as_tracer",
-    "PhaseAggregator",
-    "JsonlSink",
-    "read_jsonl",
-    "RunManifest",
-    "config_hash",
-    "manifest_path_for",
-    # monitors
-    "Monitor",
-    "MonitorSuite",
-    "MonitorStatus",
-    "Alert",
-    "HealthReport",
-    "QueueStabilityMonitor",
-    "BudgetDriftMonitor",
-    "FeasibilityMonitor",
-    "GuaranteeMonitor",
-    "AnomalyMonitor",
-    "ResilienceMonitor",
-    "OverloadMonitor",
-    "default_monitors",
-    # trace analytics
-    "Trace",
-    "load_trace",
-    "Delta",
-    "TraceDiff",
-    "diff_traces",
-    "FlightRecorder",
-    # dashboard
-    "Dashboard",
-    "render_profile_report",
-    # telemetry
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "TelemetrySink",
-    "MetricsServer",
-    "metric_name",
-    "parse_openmetrics",
-    "telemetry_context",
-    "instrument_kernels",
-    "histogram_summaries",
-]
-
-
-def __getattr__(name: str):
-    # The HTTP endpoint pulls in http.server (and with it http.client,
-    # ssl and email); import it on first use, not with the package.
-    if name == "MetricsServer":
-        from repro.obs.server import MetricsServer
-
-        return MetricsServer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,6 +19,9 @@ import sys
 from collections import deque
 from typing import IO
 
+from repro.analysis.text_plots import sparkline
+from repro.obs.telemetry import histogram_summaries
+
 __all__ = ["Dashboard"]
 
 #: ANSI "cursor home + clear below" used to redraw in place.
@@ -128,10 +131,6 @@ class Dashboard:
         stream.flush()
 
     def _spark(self, values: "deque[float]") -> str:
-        # Imported lazily: repro.analysis pulls repro.core, which imports
-        # repro.obs back -- a module-level import here would cycle.
-        from repro.analysis.text_plots import sparkline
-
         return sparkline(
             list(values), ascii_only=self.ascii_only, empty="(no data)"
         )
@@ -223,11 +222,6 @@ def render_profile_report(
         top: Rows per family.
         ascii_only: Sparklines render with 7-bit ASCII ramps only.
     """
-    # Imported lazily: repro.analysis pulls repro.core, which imports
-    # repro.obs back -- a module-level import here would cycle.
-    from repro.analysis.text_plots import sparkline
-    from repro.obs.telemetry import histogram_summaries
-
     out: list[str] = []
     for name in names:
         rows = histogram_summaries(registry, name)

@@ -14,29 +14,14 @@ varies over time because devices move.  This subpackage provides:
   waypoint).
 """
 
-from repro.radio.channel import (
-    ChannelModel,
-    DistanceChannelModel,
-    UniformChannelModel,
-)
-from repro.radio.fading import Ar1Process, CorrelatedChannelModel
-from repro.radio.fronthaul import (
-    FronthaulModel,
-    ScintillatingFronthaul,
-    StaticFronthaul,
-)
-from repro.radio.mobility import MobilityModel, RandomWaypointMobility, StaticMobility
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ChannelModel",
-    "UniformChannelModel",
-    "DistanceChannelModel",
-    "Ar1Process",
-    "CorrelatedChannelModel",
-    "FronthaulModel",
-    "StaticFronthaul",
-    "ScintillatingFronthaul",
-    "MobilityModel",
-    "StaticMobility",
-    "RandomWaypointMobility",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".channel": ("ChannelModel", "UniformChannelModel", "DistanceChannelModel"),
+        ".fading": ("Ar1Process", "CorrelatedChannelModel"),
+        ".fronthaul": ("FronthaulModel", "StaticFronthaul", "ScintillatingFronthaul"),
+        ".mobility": ("MobilityModel", "StaticMobility", "RandomWaypointMobility"),
+    },
+)

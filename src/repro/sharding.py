@@ -15,47 +15,32 @@ story::
     print(result.merged.summary(), result.budgets.sum(axis=1))
 """
 
-from __future__ import annotations
+from repro._exports import lazy_exports
 
-from repro.core.budget import BudgetCoordinator, CoordinatedBudget
-from repro.network.partition import (
-    Cell,
-    CellIndexMaps,
-    CellPlan,
-    extract_subnetwork,
-    partition_cells,
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.budget": ("BudgetCoordinator", "CoordinatedBudget"),
+        "repro.network.partition": (
+            "Cell",
+            "CellIndexMaps",
+            "CellPlan",
+            "extract_subnetwork",
+            "partition_cells",
+        ),
+        "repro.sim.checkpoint": ("ShardCheckpoint",),
+        "repro.sim.shard_runtime": (
+            "CellRuntime",
+            "ResidentWorker",
+            "SharedStatePlanner",
+            "WorkerFailure",
+        ),
+        "repro.sim.sharded": (
+            "ShardedController",
+            "ShardedResult",
+            "merge_cell_metrics",
+            "run_sharded",
+            "shard_scenarios",
+        ),
+    },
 )
-from repro.sim.checkpoint import ShardCheckpoint
-from repro.sim.shard_runtime import (
-    CellRuntime,
-    ResidentWorker,
-    SharedStatePlanner,
-    WorkerFailure,
-)
-from repro.sim.sharded import (
-    ShardedController,
-    ShardedResult,
-    merge_cell_metrics,
-    run_sharded,
-    shard_scenarios,
-)
-
-__all__ = [
-    "BudgetCoordinator",
-    "Cell",
-    "CellIndexMaps",
-    "CellPlan",
-    "CellRuntime",
-    "CoordinatedBudget",
-    "ResidentWorker",
-    "ShardCheckpoint",
-    "SharedStatePlanner",
-    "ShardedController",
-    "ShardedResult",
-    "WorkerFailure",
-    "extract_subnetwork",
-    "merge_cell_metrics",
-    "partition_cells",
-    "run_sharded",
-    "shard_scenarios",
-]

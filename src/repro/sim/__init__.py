@@ -9,77 +9,48 @@
 * :mod:`repro.sim.metrics` -- window averages and convergence helpers.
 """
 
-from repro.sim.seeding import SeedBank
-from repro.sim.faults import (
-    BaseStationOutages,
-    ChannelStaleness,
-    ChaosSchedule,
-    FaultPlan,
-    FronthaulDegradation,
-    MarkovOutages,
-    NoOutages,
-    OutageModel,
-    PriceFeedDropouts,
-    ScriptedIncident,
-    ServerOutages,
-    StateFault,
-)
-from repro.sim.checkpoint import RunCheckpoint, run_checkpointed
-from repro.sim.scenario import Scenario, StateGenerator
-from repro.sim.engine import run_simulation
-from repro.sim.results import SimulationResult, SimulationSummary
-from repro.sim.metrics import (
-    converged_tail_mean,
-    cumulative_time_average,
-    window_averages,
-)
-from repro.sim.replication import (
-    ReplicationOutcome,
-    ReplicationReport,
-    ReplicationSpec,
-    ReplicationSummary,
-    run_replications,
-)
-from repro.sim.sharded import (
-    ShardedController,
-    ShardedResult,
-    merge_cell_metrics,
-    run_sharded,
-    shard_scenarios,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "OutageModel",
-    "NoOutages",
-    "MarkovOutages",
-    "StateFault",
-    "ServerOutages",
-    "BaseStationOutages",
-    "FronthaulDegradation",
-    "PriceFeedDropouts",
-    "ChannelStaleness",
-    "ScriptedIncident",
-    "ChaosSchedule",
-    "FaultPlan",
-    "RunCheckpoint",
-    "run_checkpointed",
-    "ReplicationSpec",
-    "ReplicationOutcome",
-    "ReplicationReport",
-    "ReplicationSummary",
-    "run_replications",
-    "SeedBank",
-    "StateGenerator",
-    "Scenario",
-    "run_simulation",
-    "SimulationResult",
-    "SimulationSummary",
-    "window_averages",
-    "cumulative_time_average",
-    "converged_tail_mean",
-    "ShardedController",
-    "ShardedResult",
-    "merge_cell_metrics",
-    "run_sharded",
-    "shard_scenarios",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".faults": (
+            "OutageModel",
+            "NoOutages",
+            "MarkovOutages",
+            "StateFault",
+            "ServerOutages",
+            "BaseStationOutages",
+            "FronthaulDegradation",
+            "PriceFeedDropouts",
+            "ChannelStaleness",
+            "ScriptedIncident",
+            "ChaosSchedule",
+            "FaultPlan",
+        ),
+        ".checkpoint": ("RunCheckpoint", "run_checkpointed"),
+        ".replication": (
+            "ReplicationSpec",
+            "ReplicationOutcome",
+            "ReplicationReport",
+            "ReplicationSummary",
+            "run_replications",
+        ),
+        ".seeding": ("SeedBank",),
+        ".scenario": ("StateGenerator", "Scenario"),
+        ".engine": ("run_simulation",),
+        ".results": ("SimulationResult", "SimulationSummary"),
+        ".metrics": (
+            "window_averages",
+            "cumulative_time_average",
+            "converged_tail_mean",
+        ),
+        ".sharded": (
+            "ShardedController",
+            "ShardedResult",
+            "merge_cell_metrics",
+            "run_sharded",
+            "shard_scenarios",
+        ),
+    },
+)

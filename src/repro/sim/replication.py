@@ -33,11 +33,12 @@ from multiprocessing.connection import wait
 
 import numpy as np
 
-import repro
 from repro.analysis.aggregate import RunStatistics, summarize_runs
+from repro.config import ScenarioConfig, make_paper_scenario
 from repro.exceptions import ConfigurationError
 from repro.kernels import get_kernels
 from repro.obs.probe import Probe, Tracer, as_tracer
+from repro.sim.engine import run_simulation
 from repro.sim.shard_runtime import InProcessWorker, ResidentWorker, WorkerFailure
 
 logger = logging.getLogger(__name__)
@@ -235,9 +236,9 @@ def _prepare(spec: ReplicationSpec, seed: int, trace_phases: bool):
     """
     from repro.api import make_controller
 
-    scenario = repro.make_paper_scenario(
+    scenario = make_paper_scenario(
         seed=seed,
-        config=repro.ScenarioConfig(
+        config=ScenarioConfig(
             num_devices=spec.num_devices,
             workload=spec.workload,
             budget_fraction=spec.budget_fraction,
@@ -279,7 +280,7 @@ def _run_one(
 ) -> ReplicationOutcome:
     """Run one seed of a spec and condense its outcome."""
     scenario, controller, probe = _prepare(spec, seed, trace_phases)
-    result = repro.run_simulation(
+    result = run_simulation(
         controller,
         scenario.fresh_compiled_states(spec.horizon, tracer=probe),
         budget=scenario.budget,

@@ -12,35 +12,24 @@ solvers can be tested (and reused) in isolation:
   discrete assignment problems, shared by the branch-and-bound baseline.
 """
 
-from repro.solvers.scalar import (
-    GoldenSectionResult,
-    minimize_convex_scalar,
-    minimize_scalar_newton,
-)
-from repro.solvers.potential_game import (
-    BestResponseResult,
-    EngineStats,
-    FiniteGame,
-    best_response_dynamics,
-)
-from repro.solvers.fast_engine import FastBestResponseEngine
-from repro.solvers.assignment import (
-    QuadraticCongestionProblem,
-    congestion_free_lower_bound,
-)
-from repro.solvers.relaxation import RelaxationResult, solve_fractional_relaxation
+from repro._exports import lazy_exports
 
-__all__ = [
-    "GoldenSectionResult",
-    "minimize_convex_scalar",
-    "minimize_scalar_newton",
-    "BestResponseResult",
-    "EngineStats",
-    "FiniteGame",
-    "best_response_dynamics",
-    "FastBestResponseEngine",
-    "QuadraticCongestionProblem",
-    "congestion_free_lower_bound",
-    "RelaxationResult",
-    "solve_fractional_relaxation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".scalar": (
+            "GoldenSectionResult",
+            "minimize_convex_scalar",
+            "minimize_scalar_newton",
+        ),
+        ".potential_game": (
+            "BestResponseResult",
+            "EngineStats",
+            "FiniteGame",
+            "best_response_dynamics",
+        ),
+        ".fast_engine": ("FastBestResponseEngine",),
+        ".assignment": ("QuadraticCongestionProblem", "congestion_free_lower_bound"),
+        ".relaxation": ("RelaxationResult", "solve_fractional_relaxation"),
+    },
+)

@@ -15,37 +15,25 @@ its simulations draw them uniformly (50-200 Mcycles, 3-10 Mbit).
   suitability matrix.
 """
 
-from repro.workload.tasks import TaskBatch
-from repro.workload.generators import (
-    PeriodicTaskGenerator,
-    TaskGenerator,
-    TraceTaskGenerator,
-    UniformTaskGenerator,
-)
-from repro.workload.traces import (
-    diurnal_profile,
-    synthetic_video_views,
-)
-from repro.workload.suitability import clustered_suitability, uniform_suitability
-from repro.workload.estimation import (
-    ProfileFit,
-    fit_periodic_profile,
-    fit_price_model,
-    fit_task_generator,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ProfileFit",
-    "fit_periodic_profile",
-    "fit_price_model",
-    "fit_task_generator",
-    "TaskBatch",
-    "TaskGenerator",
-    "UniformTaskGenerator",
-    "PeriodicTaskGenerator",
-    "TraceTaskGenerator",
-    "diurnal_profile",
-    "synthetic_video_views",
-    "uniform_suitability",
-    "clustered_suitability",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".estimation": (
+            "ProfileFit",
+            "fit_periodic_profile",
+            "fit_price_model",
+            "fit_task_generator",
+        ),
+        ".tasks": ("TaskBatch",),
+        ".generators": (
+            "TaskGenerator",
+            "UniformTaskGenerator",
+            "PeriodicTaskGenerator",
+            "TraceTaskGenerator",
+        ),
+        ".traces": ("diurnal_profile", "synthetic_video_views"),
+        ".suitability": ("uniform_suitability", "clustered_suitability"),
+    },
+)

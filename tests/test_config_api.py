@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,24 @@ import repro
 from repro.config import PRICE_SCALE, ScenarioConfig, make_paper_scenario
 from repro.exceptions import ConfigurationError
 from repro.workload.generators import UniformTaskGenerator
+
+#: Every package whose ``__init__`` declares its exports in one table,
+#: plus the ``repro.sharding`` facade.
+EXPORTING_PACKAGES = (
+    "repro",
+    "repro.analysis",
+    "repro.baselines",
+    "repro.core",
+    "repro.energy",
+    "repro.kernels",
+    "repro.network",
+    "repro.obs",
+    "repro.radio",
+    "repro.sharding",
+    "repro.sim",
+    "repro.solvers",
+    "repro.workload",
+)
 
 
 class TestMakePaperScenario:
@@ -96,9 +116,18 @@ class TestPublicApi:
     def test_version(self) -> None:
         assert repro.__version__ == "1.0.0"
 
-    def test_all_exports_resolve(self) -> None:
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+    @pytest.mark.parametrize("package", EXPORTING_PACKAGES)
+    def test_all_exports_resolve(self, package: str) -> None:
+        """Each public name is listed by ``dir``, bound by a star
+        import, and resolves on attribute access."""
+        module = importlib.import_module(package)
+        listed = set(dir(module))
+        starred: dict = {}
+        exec(f"from {package} import *", starred)
+        for name in module.__all__:
+            assert name in listed, name
+            assert name in starred, name
+            assert getattr(module, name) is starred[name], name
 
     def test_quickstart_snippet_runs(self) -> None:
         scenario = repro.make_paper_scenario(

@@ -296,6 +296,28 @@ class TestFusedMatchesPythonLoop:
                           dict(probe.phases.counters)))
         assert views[0] == views[1]
 
+    def test_integer_clock_network(self) -> None:
+        """Servers given integer clock bounds run on the C kernels,
+        bitwise equal to the NumPy oracle."""
+        tiny = make_tiny_network()
+        network = repro.MECNetwork(
+            tiny.base_stations,
+            tiny.clusters,
+            tuple(dataclasses.replace(s, freq_min=2, freq_max=4)
+                  for s in tiny.servers),
+            tiny.devices,
+            tiny.suitability,
+        )
+        states = [make_tiny_state(t=t) for t in range(3)]
+        views = []
+        for backend in ("jit", "numpy"):
+            controller = repro.DPPController(
+                network, np.random.default_rng(0), v=50.0, budget=20.0, z=2,
+                engine_backend=backend,
+            )
+            views.append([record_view(controller.step(s)) for s in states])
+        assert views[0] == views[1]
+
 
 class TestOneStructPerState:
     """The fused slot call and the separate kernels share one

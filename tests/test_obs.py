@@ -26,18 +26,55 @@ from repro.obs import (
 from repro.obs.probe import _NULL_SPAN
 
 
+def run_fresh(code: str) -> None:
+    """Run *code* in a fresh interpreter on this checkout's sources."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 class TestLazyImports:
     def test_metrics_server_is_imported_on_demand(self) -> None:
-        code = (
+        run_fresh(
             "import sys, repro; "
             "assert 'http.server' not in sys.modules; "
             "from repro.obs import MetricsServer; "
             "assert 'http.server' in sys.modules; "
             "assert MetricsServer.__module__ == 'repro.obs.server'"
         )
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_unsharded_run_loads_only_what_it_uses(self) -> None:
+        """Building a scenario through the facade loads no experiment,
+        analysis, fleet or trace-tooling module, and importing the CLI
+        loads no experiment."""
+        unused = (
+            "repro.experiments",
+            "repro.analysis",
+            "repro.obs.dashboard",
+            "repro.obs.server",
+            "repro.obs.trace",
+            "repro.obs.monitors",
+            "repro.sim.sharded",
+            "repro.sim.replication",
+            "repro.sim.shard_runtime",
+            "repro.sim.checkpoint",
+            "repro.kernels.shm",
+        )
+        run_fresh(
+            "import sys\n"
+            "import repro.api\n"
+            "from repro import ScenarioConfig, make_paper_scenario\n"
+            "make_paper_scenario(seed=0, config=ScenarioConfig(num_devices=100))\n"
+            f"unused = {unused!r}\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m in unused or m.startswith(tuple(u + '.' for u in unused))]\n"
+            "assert not loaded, loaded\n"
+        )
+        run_fresh(
+            "import sys, repro.cli; "
+            "loaded = [m for m in sys.modules if m.startswith('repro.experiments')]; "
+            "assert not loaded, loaded"
+        )
 
     def test_unknown_attribute_still_raises(self) -> None:
         import repro.obs

@@ -380,10 +380,7 @@ class TestDispatchMatrix:
     def test_first_error_raises_without_retry_options(
         self, processes, batch_seeds, monkeypatch
     ) -> None:
-        import repro
-        from repro.exceptions import SolverError
-
-        original = repro.make_paper_scenario
+        original = replication_mod.make_paper_scenario
 
         def failing(seed, *args, **kwargs):
             if seed == 3:
@@ -391,7 +388,7 @@ class TestDispatchMatrix:
             return original(seed, *args, **kwargs)
 
         # Resident workers fork after the patch, so they inherit it.
-        monkeypatch.setattr(repro, "make_paper_scenario", failing)
+        monkeypatch.setattr(replication_mod, "make_paper_scenario", failing)
         with pytest.raises(SolverError, match="seed 3"):
             run_replications(
                 small_spec(batch_seeds=batch_seeds),
