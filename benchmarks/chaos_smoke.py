@@ -15,15 +15,20 @@ injected solver failures on a fixed fraction of slots:
    and final virtual queue exactly (no tolerance).
 3. **Chaos at scale**: a 4-cell resident-runtime run under a fault plan
    whose base-station outage spans every cell, with the same solver
-   chaos rate *plus* an injected hung worker, is detected by the
-   heartbeat watchdog, salvaged by replay, and ends bit-identical to
-   the undisturbed sharded run.
+   chaos rate *plus* a hung worker (stopped with SIGSTOP before an
+   epoch command reaches it, through a patched
+   :meth:`~repro.sim.shard_runtime.ResidentWorker.send`), is detected
+   by the heartbeat watchdog, salvaged by replay, and ends
+   bit-identical to the undisturbed sharded run.
 
 Run directly: ``python benchmarks/chaos_smoke.py``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
 import sys
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -91,6 +96,7 @@ def make_controller(
 class _CounterSink:
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
+        self.events: set[str] = set()
         self.fallback_slots = 0
         self.slots = 0
 
@@ -98,10 +104,12 @@ class _CounterSink:
         if event["kind"] == "counter":
             name = event["name"]
             self.counters[name] = self.counters.get(name, 0.0) + event["value"]
-        elif event["kind"] == "event" and event["name"] == "slot":
-            self.slots += 1
-            if event["data"].get("fallback", "primary") != "primary":
-                self.fallback_slots += 1
+        elif event["kind"] == "event":
+            self.events.add(event["name"])
+            if event["name"] == "slot":
+                self.slots += 1
+                if event["data"].get("fallback", "primary") != "primary":
+                    self.fallback_slots += 1
 
     def close(self) -> None:
         pass
@@ -214,6 +222,33 @@ def make_metro_scenario() -> repro.Scenario:
     )
 
 
+@contextlib.contextmanager
+def hang_once(worker: int, epoch: int):
+    """Inside the block, resident worker *worker* is stopped with SIGSTOP
+    right before its *epoch*-th epoch command is sent (through a patched
+    :meth:`ResidentWorker.send`): it never reads the command, so only
+    the heartbeat watchdog can catch it.  Fires once; the yielded dict's
+    ``"fired"`` says whether it did."""
+    from repro.sim.shard_runtime import ResidentWorker
+
+    send = ResidentWorker.send
+    state = {"sent": 0, "fired": False}
+
+    def hanging(self, command, data=None) -> None:
+        if command == "epoch" and self.index == worker and not state["fired"]:
+            if state["sent"] == epoch:
+                state["fired"] = True
+                os.kill(self.process.pid, signal.SIGSTOP)
+            state["sent"] += 1
+        send(self, command, data)
+
+    ResidentWorker.send = hanging
+    try:
+        yield state
+    finally:
+        ResidentWorker.send = send
+
+
 def check_sharded_chaos() -> list[str]:
     from repro import sharding
 
@@ -230,6 +265,7 @@ def check_sharded_chaos() -> list[str]:
         epoch=12,
         resilience=resilience,
     )
+    sink = _CounterSink()
     ctrl = sharding.ShardedController(
         make_metro_scenario(),
         repro.RunConfig(
@@ -240,10 +276,13 @@ def check_sharded_chaos() -> list[str]:
             controller_params={"resilience": resilience},
         ),
         plan=cells,
+        tracer=repro.obs.Probe([sink]),
     )
-    ctrl._chaos_hang = (1, 0)
-    salvaged = ctrl.run(HORIZON)
-    assert ctrl._chaos_fired, "hang chaos never fired"
+    with hang_once(worker=0, epoch=1) as hang:
+        salvaged = ctrl.run(HORIZON)
+    assert hang["fired"], "the hang was never injected"
+    assert sink.counters.get("resilience.worker_hangs") == 1, sink.counters
+    assert "shard.worker_hung" in sink.events, "the watchdog missed the hang"
     for name in ("latency", "cost", "theta", "backlog", "price"):
         assert np.array_equal(
             getattr(undisturbed.merged, name), getattr(salvaged.merged, name)

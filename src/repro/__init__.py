@@ -68,7 +68,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "NoOutages",
             "MarkovOutages",
         ),
-        ".sim.checkpoint": ("RunCheckpoint", "run_checkpointed"),
+        ".sim.checkpoint": ("Checkpoint", "run_checkpointed"),
         # budget schedules
         ".core.budget": (
             "BudgetSchedule",

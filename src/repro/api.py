@@ -41,10 +41,6 @@ from __future__ import annotations
 import difflib
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
-from repro.baselines.fixed_frequency import FixedFrequencyController
-from repro.baselines.greedy import greedy_p2a_solver
-from repro.baselines.mcba import mcba_p2a_solver
-from repro.baselines.ropt import ropt_p2a_solver
 from repro.config import DEFAULT_PERIOD, ScenarioConfig, make_paper_scenario
 from repro.core.bdma import P2ASolver
 from repro.core.budget import BudgetSchedule
@@ -120,11 +116,17 @@ def _p2a_solver_for(
     if name in ("dpp", "bdma"):
         return None
     if name == "mcba":
+        from repro.baselines.mcba import mcba_p2a_solver
+
         keys = ("iterations", "initial_temperature_fraction", "cooling")
         return mcba_p2a_solver(**{k: params.pop(k) for k in keys if k in params})
     if name == "ropt":
+        from repro.baselines.ropt import ropt_p2a_solver
+
         return ropt_p2a_solver()
     if name == "greedy":
+        from repro.baselines.greedy import greedy_p2a_solver
+
         keys = ("joint", "shuffle")
         # Resolved here as the controller resolves its own, so the pass
         # is timed under an active telemetry context.
@@ -230,6 +232,8 @@ def make_controller(
         )
 
     if name == "fixed":
+        from repro.baselines.fixed_frequency import FixedFrequencyController
+
         if isinstance(budget, BudgetSchedule):
             budget = budget.average
         controller: OnlineController = FixedFrequencyController(
@@ -526,8 +530,8 @@ def run(
             snapshots its full cross-slot state there every
             ``checkpoint_every`` slots (atomically) via
             :func:`repro.sim.checkpoint.run_checkpointed`, or -- with
-            ``cells=`` -- via the sharded runtime's epoch-boundary
-            :class:`~repro.sim.checkpoint.ShardCheckpoint` snapshots.
+            ``cells=`` -- at the sharded runtime's epoch boundaries; both
+            write the one :class:`~repro.sim.checkpoint.Checkpoint` format.
         checkpoint_every: Slots between snapshots.
         resume: With ``checkpoint=``, continue from an existing matching
             snapshot instead of starting fresh; resumed trajectories are

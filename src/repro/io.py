@@ -23,12 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.sim.results import SimulationResult, SimulationSummary
+from repro.sim.results import TRAJECTORY_FIELDS, SimulationResult, SimulationSummary
 
 #: Format tag written into every archive; bump on breaking layout changes.
 _FORMAT_VERSION = 1
-
-_ARRAY_FIELDS = ("latency", "cost", "theta", "backlog", "solve_seconds", "price")
 
 
 def save_result(result: SimulationResult, path: str | Path) -> Path:
@@ -40,7 +38,7 @@ def save_result(result: SimulationResult, path: str | Path) -> Path:
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(".npz")
-    payload = {name: getattr(result, name) for name in _ARRAY_FIELDS}
+    payload = {name: getattr(result, name) for name in TRAJECTORY_FIELDS}
     payload["format_version"] = np.array(_FORMAT_VERSION)
     payload["budget"] = np.array(
         np.nan if result.budget is None else result.budget
@@ -62,17 +60,12 @@ def load_result(path: str | Path) -> SimulationResult:
             raise ValidationError(
                 f"unsupported result format version {version} in {path}"
             )
-        missing = [n for n in _ARRAY_FIELDS if n not in archive]
+        missing = [n for n in TRAJECTORY_FIELDS if n not in archive]
         if missing:
             raise ValidationError(f"{path} is missing fields: {missing}")
         budget = float(archive["budget"])
         return SimulationResult(
-            latency=archive["latency"],
-            cost=archive["cost"],
-            theta=archive["theta"],
-            backlog=archive["backlog"],
-            solve_seconds=archive["solve_seconds"],
-            price=archive["price"],
+            **{name: archive[name] for name in TRAJECTORY_FIELDS},
             budget=None if np.isnan(budget) else budget,
         )
 

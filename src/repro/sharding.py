@@ -28,7 +28,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "extract_subnetwork",
             "partition_cells",
         ),
-        "repro.sim.checkpoint": ("ShardCheckpoint",),
+        "repro.sim.checkpoint": ("Checkpoint",),
         "repro.sim.shard_runtime": (
             "CellRuntime",
             "ResidentWorker",

@@ -28,7 +28,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ChaosSchedule",
             "FaultPlan",
         ),
-        ".checkpoint": ("RunCheckpoint", "run_checkpointed"),
+        ".checkpoint": ("Checkpoint", "run_checkpointed"),
         ".replication": (
             "ReplicationSpec",
             "ReplicationOutcome",

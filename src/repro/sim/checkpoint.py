@@ -1,15 +1,25 @@
-"""Checkpoint/resume for long simulation runs.
+"""Checkpoint/resume: one snapshot format for every long run.
 
-A checkpointed run periodically snapshots everything the slot loop
-carries across slots -- the state stream's rng, the fault plan's rng and
-chain states, the generator's model states, the controller's virtual
-queue / solver rng / carried assignments, and the aggregated metric
-trajectories -- into one JSON file, written atomically (tmp +
-``os.replace``) so a crash mid-write never corrupts the previous
-snapshot.
+Algorithm 1 carries little from one slot to the next: the virtual
+queue, the controller's solver rng and carried decision, and the state
+stream's cursor (the generator's model states, the state rng, and the
+fault plan's chain states and rng).  That bundle is one cell's *carry*,
+``{"controller": ..., **StateStream.state_dict()}``, built by
+:func:`build_carry` and restored by :func:`restore_carry`.  A
+:class:`Checkpoint` holds one carry per cell plus the metric
+trajectories accumulated so far: an unsharded run
+(:func:`run_checkpointed`) is one cell with no budget coordinator, and a
+sharded run (:meth:`repro.sim.sharded.ShardedController.run`) adds the
+coordinator's pacing state and the per-epoch budget splits.
 
-Resuming restores all of it and continues from the next slot.  Because
-every piece of cross-slot state is either captured exactly (rng
+The snapshot is one JSON file, written atomically (tmp +
+``os.replace``) so a crash mid-write never corrupts the previous one.
+:meth:`Checkpoint.load` reads it and, on resume, refuses a snapshot
+taken for another configuration or horizon.  Version-1 files of both
+earlier layouts still resume: the sharded layout is this one, and an
+unsharded file's separate fields are mapped onto one carry.
+
+Because every piece of cross-slot state is either captured exactly (rng
 bit-generator states, float arrays) or deterministic in the slot index,
 a resumed run is *bit-identical* to an uninterrupted one: same latency,
 cost, and backlog trajectories, same final queue.  The equality is
@@ -32,7 +42,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,58 +50,94 @@ import numpy as np
 from repro.exceptions import CheckpointError
 from repro.obs.probe import Tracer, as_tracer
 from repro.sim.engine import run_simulation
-from repro.sim.results import SimulationResult
+from repro.sim.results import TRAJECTORY_FIELDS, SimulationResult
 from repro.sim.scenario import Scenario, StateStream
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["RunCheckpoint", "ShardCheckpoint", "run_checkpointed"]
+__all__ = ["Checkpoint", "run_checkpointed"]
 
-#: Metric trajectories snapshotted per segment, in
-#: :class:`~repro.sim.results.SimulationResult` field order.
-_METRIC_KEYS = ("latency", "cost", "theta", "backlog", "solve_seconds", "price")
+#: Format version :meth:`Checkpoint.write` stamps.  Version 1 had two
+#: layouts: this one for sharded runs, separate fields for unsharded ones.
+VERSION = 2
+
+
+def build_carry(controller, stream: StateStream) -> dict:
+    """One cell's cross-slot state: the controller's and its stream's."""
+    return {"controller": controller.state_dict(), **stream.state_dict()}
+
+
+def restore_carry(controller, stream: StateStream, carry: dict) -> None:
+    """Restore a carry built by :func:`build_carry`."""
+    controller.load_state_dict(carry["controller"])
+    stream.load_state_dict(carry)
+
+
+def config_digest(config: dict) -> str:
+    """The digest a snapshot is matched by on resume."""
+    return hashlib.sha256(
+        json.dumps(config, sort_keys=True).encode()
+    ).hexdigest()[:16]
+
+
+def _unsharded_version_1(data: dict) -> dict:
+    """Map a version-1 unsharded snapshot's fields onto one carry."""
+    carry = {
+        "controller": data["controller"],
+        "generator": data["generator"],
+        "state_rng": data["state_rng"],
+    }
+    if data.get("fault_plan") is not None:
+        carry["plan"] = data["fault_plan"]
+        carry["plan_rng"] = data["plan_rng"]
+    return {
+        "config_hash": data["config_hash"],
+        "horizon": data["horizon"],
+        "completed": data["completed"],
+        "carries": [carry],
+        "metrics": [data.get("metrics", {})],
+        "version": 1,
+    }
 
 
 @dataclass
-class RunCheckpoint:
+class Checkpoint:
     """One atomic snapshot of a run in progress.
 
     Attributes:
-        config_hash: Digest of the run configuration (seed, horizon,
-            budget, controller type, fleet size, ``V`` and ``z``).
-            Resume refuses a checkpoint whose hash does not match the
-            requested run.
+        config_hash: :func:`config_digest` of the run's configuration.
+            Resume refuses a snapshot whose digest does not match the
+            requested run's.
         horizon: Total slots the run was asked for.
         completed: Slots finished when the snapshot was taken.
-        state_rng: ``bit_generator.state`` of the state stream.
-        controller: The controller's ``state_dict()``.
-        generator: The state generator's ``state_dict()``.
-        plan_rng: ``bit_generator.state`` of the fault plan's stream
-            (``None`` when the scenario has no plan).
-        fault_plan: The fault plan's ``state_dict()`` (``None`` without
-            a plan).
-        metrics: Per-slot trajectories accumulated so far, keyed by
-            :data:`_METRIC_KEYS`.
+        coordinator: The budget coordinator's ``state_dict()`` (empty
+            for an unsharded run).
+        carries: One carry per cell, in cell order (one for an
+            unsharded run).
+        metrics: Per-cell trajectories accumulated so far, keyed by
+            :data:`~repro.sim.results.TRAJECTORY_FIELDS`.
+        budgets: Per-epoch applied budget splits, in epoch order (empty
+            for an unsharded run).
         version: Snapshot format version.
     """
 
     config_hash: str
     horizon: int
     completed: int
-    state_rng: dict
-    controller: dict
-    generator: dict
-    plan_rng: dict | None = None
-    fault_plan: dict | None = None
-    metrics: dict = field(default_factory=dict)
-    version: int = 1
+    coordinator: dict = field(default_factory=dict)
+    carries: list = field(default_factory=list)
+    metrics: list = field(default_factory=list)
+    budgets: list = field(default_factory=list)
+    version: int = VERSION
 
-    def write(self, path: "str | Path") -> None:
+    def write(self, path: "str | Path", tracer: "Tracer | None" = None) -> None:
         """Atomically persist the snapshot to *path*.
 
         The JSON is written to a sibling temp file and moved into place
         with ``os.replace``, so readers only ever see a complete
-        snapshot (the same pattern as ``RunManifest.write``).
+        snapshot (the same pattern as ``RunManifest.write``).  A
+        ``checkpoint`` event and the ``resilience.checkpoints`` counter
+        mark the write on *tracer*.
 
         Raises:
             CheckpointError: The snapshot could not be serialized or
@@ -100,18 +146,32 @@ class RunCheckpoint:
         path = Path(path)
         tmp = path.with_suffix(path.suffix + ".tmp")
         try:
-            tmp.write_text(json.dumps(asdict(self)))
+            tmp.write_text(json.dumps(vars(self)))
             os.replace(tmp, path)
         except (OSError, TypeError, ValueError) as exc:
             raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
+        if tracer is not None and tracer.enabled:
+            tracer.counter("resilience.checkpoints", 1)
+            tracer.event(
+                "checkpoint", {"slot": int(self.completed), "path": str(path)}
+            )
 
     @classmethod
-    def load(cls, path: "str | Path") -> "RunCheckpoint":
-        """Read a snapshot previously written by :meth:`write`.
+    def load(
+        cls,
+        path: "str | Path",
+        *,
+        config_hash: "str | None" = None,
+        horizon: "int | None" = None,
+    ) -> "Checkpoint":
+        """Read a snapshot written by :meth:`write` (or a version-1 one).
+
+        With *config_hash* and *horizon* given -- a resume -- the
+        snapshot must have been taken for exactly that run.
 
         Raises:
-            CheckpointError: The file is missing, unreadable, or not a
-                known snapshot format.
+            CheckpointError: The file is missing, unreadable, not a
+                known snapshot format, or taken for another run.
         """
         path = Path(path)
         try:
@@ -121,99 +181,30 @@ class RunCheckpoint:
         if not isinstance(data, dict) or "config_hash" not in data:
             raise CheckpointError(f"{path} is not a run checkpoint")
         version = int(data.get("version", 0))
-        if version != 1:
+        if version not in (1, VERSION):
             raise CheckpointError(
                 f"unsupported checkpoint version {version} in {path}"
             )
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-
-@dataclass
-class ShardCheckpoint:
-    """One atomic snapshot of a sharded run in progress.
-
-    The sharded engine's cross-slot state is the per-cell *carry* (the
-    same controller / generator / rng / fault-plan cursor bundle the
-    resident workers ship on ``pull``) plus the budget coordinator's
-    pacing state, so that is what the snapshot holds -- written at epoch
-    boundaries by :meth:`repro.sim.sharded.ShardedController.run` when
-    ``checkpoint=`` is set, restored on ``resume=True``.  A resumed
-    sharded run is bit-identical to an uninterrupted one, on both the
-    sequential and the resident execution paths (the carries are
-    runtime-agnostic, so a snapshot written sequentially resumes under
-    resident workers and vice versa).
-
-    Attributes:
-        config_hash: Digest of the sharded run configuration (seed,
-            horizon, budget, controller name, fleet size, cell count,
-            epoch length, coordinator mode).
-        horizon: Total slots the run was asked for.
-        completed: Slots finished when the snapshot was taken.
-        coordinator: The budget coordinator's ``state_dict()``.
-        carries: Per-cell carry dicts, in cell order.
-        metrics: Per-cell metric trajectories accumulated so far.
-        budgets: Per-epoch applied budget splits, in epoch order.
-        version: Snapshot format version.
-    """
-
-    config_hash: str
-    horizon: int
-    completed: int
-    coordinator: dict
-    carries: list = field(default_factory=list)
-    metrics: list = field(default_factory=list)
-    budgets: list = field(default_factory=list)
-    version: int = 1
-
-    def write(self, path: "str | Path") -> None:
-        """Atomically persist the snapshot (same pattern as
-        :meth:`RunCheckpoint.write`)."""
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
         try:
-            tmp.write_text(json.dumps(asdict(self)))
-            os.replace(tmp, path)
-        except (OSError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
-
-    @classmethod
-    def load(cls, path: "str | Path") -> "ShardCheckpoint":
-        """Read a snapshot previously written by :meth:`write`.
-
-        Raises:
-            CheckpointError: The file is missing, unreadable, or not a
-                sharded-run snapshot.
-        """
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-        if not isinstance(data, dict) or "coordinator" not in data:
-            raise CheckpointError(f"{path} is not a sharded-run checkpoint")
-        version = int(data.get("version", 0))
-        if version != 1:
+            if version == 1 and "coordinator" not in data:
+                data = _unsharded_version_1(data)
+            known = {f for f in cls.__dataclass_fields__}
+            ck = cls(**{k: v for k, v in data.items() if k in known})
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path} is not a run checkpoint: {exc}") from exc
+        if config_hash is not None and ck.config_hash != config_hash:
+            run = "sharded run" if ck.coordinator else "run"
             raise CheckpointError(
-                f"unsupported checkpoint version {version} in {path}"
+                f"checkpoint {path} belongs to a different {run} "
+                f"(hash {ck.config_hash} != {config_hash}); "
+                "pass resume=False to overwrite it"
             )
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-
-def _config_hash(scenario: Scenario, controller, horizon: int, budget) -> str:
-    config = {
-        "seed": scenario.seeds.seed,
-        "horizon": int(horizon),
-        "budget": repr(budget),
-        "controller": type(controller).__name__,
-        "devices": scenario.network.num_devices,
-        "v": getattr(controller, "v", None),
-        "z": getattr(controller, "z", None),
-    }
-    return hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode()
-    ).hexdigest()[:16]
+        if horizon is not None and ck.horizon != horizon:
+            raise CheckpointError(
+                f"checkpoint {path} was taken for horizon {ck.horizon}, "
+                f"requested {horizon}"
+            )
+        return ck
 
 
 def _require_resumable(obj, role: str) -> None:
@@ -222,16 +213,6 @@ def _require_resumable(obj, role: str) -> None:
             f"{role} {type(obj).__name__} does not support checkpointing "
             "(needs state_dict()/load_state_dict())"
         )
-
-
-def _result_from_metrics(
-    metrics: dict, budget, records: list
-) -> SimulationResult:
-    return SimulationResult(
-        **{k: np.asarray(metrics.get(k, []), dtype=float) for k in _METRIC_KEYS},
-        budget=budget,
-        records=records,
-    )
 
 
 def run_checkpointed(
@@ -250,12 +231,11 @@ def run_checkpointed(
     """Drive *controller* through *horizon* slots with periodic snapshots.
 
     Runs the simulation in segments of *every* slots; after each segment
-    a :class:`RunCheckpoint` is written atomically to *path* (a
-    ``checkpoint`` event and ``resilience.checkpoints`` counter mark it
-    on *tracer*).  With ``resume=True`` and a matching snapshot at
-    *path*, the run continues from the snapshot's next slot; without one
-    it falls back to a fresh start.  Resumed trajectories are
-    bit-identical to an uninterrupted run's.
+    a one-cell :class:`Checkpoint` is written atomically to *path*.
+    With ``resume=True`` and a matching snapshot at *path*, the run
+    continues from the snapshot's next slot; without one it falls back
+    to a fresh start.  Resumed trajectories are bit-identical to an
+    uninterrupted run's.
 
     Args:
         scenario: The scenario; its generator, seed bank, and optional
@@ -297,37 +277,28 @@ def run_checkpointed(
             "run may diverge from an uninterrupted one",
             suspects,
         )
-    config_hash = _config_hash(scenario, controller, horizon, budget)
+    config_hash = config_digest(
+        {
+            "seed": scenario.seeds.seed,
+            "horizon": int(horizon),
+            "budget": repr(budget),
+            "controller": type(controller).__name__,
+            "devices": scenario.network.num_devices,
+            "v": getattr(controller, "v", None),
+            "z": getattr(controller, "z", None),
+        }
+    )
 
     path = Path(path)
     completed = 0
-    metrics: dict[str, list[float]] = {k: [] for k in _METRIC_KEYS}
+    metrics: dict[str, list[float]] = {k: [] for k in TRAJECTORY_FIELDS}
     records: list = []
     stream = StateStream(scenario, tracer=tracer)
     if resume and path.exists():
-        ck = RunCheckpoint.load(path)
-        if ck.config_hash != config_hash:
-            raise CheckpointError(
-                f"checkpoint {path} belongs to a different run "
-                f"(hash {ck.config_hash} != {config_hash}); "
-                "pass resume=False to overwrite it"
-            )
-        if ck.horizon != horizon:
-            raise CheckpointError(
-                f"checkpoint {path} was taken for horizon {ck.horizon}, "
-                f"requested {horizon}"
-            )
+        ck = Checkpoint.load(path, config_hash=config_hash, horizon=horizon)
         completed = int(ck.completed)
-        metrics = {k: list(ck.metrics.get(k, [])) for k in _METRIC_KEYS}
-        stream.load_state_dict(
-            {
-                "generator": ck.generator,
-                "state_rng": ck.state_rng,
-                "plan": ck.fault_plan,
-                "plan_rng": ck.plan_rng,
-            }
-        )
-        controller.load_state_dict(ck.controller)
+        metrics = {k: list(ck.metrics[0].get(k, [])) for k in TRAJECTORY_FIELDS}
+        restore_carry(controller, stream, ck.carries[0])
         logger.info("resumed %s at slot %d/%d", path, completed, horizon)
 
     while completed < horizon:
@@ -340,28 +311,21 @@ def run_checkpointed(
             on_slot=on_slot,
             tracer=tracer,
         )
-        for key in _METRIC_KEYS:
+        for key in TRAJECTORY_FIELDS:
             metrics[key].extend(getattr(part, key).tolist())
         if keep_records:
             records.extend(part.records)
         completed += count
-        cursor = stream.state_dict()
-        snapshot = RunCheckpoint(
+        Checkpoint(
             config_hash=config_hash,
             horizon=horizon,
             completed=completed,
-            state_rng=cursor["state_rng"],
-            controller=controller.state_dict(),
-            generator=cursor["generator"],
-            plan_rng=cursor.get("plan_rng"),
-            fault_plan=cursor.get("plan"),
-            metrics=metrics,
-        )
-        snapshot.write(path)
-        if tracer.enabled:
-            tracer.counter("resilience.checkpoints", 1)
-            tracer.event(
-                "checkpoint", {"slot": completed, "path": str(path)}
-            )
+            carries=[build_carry(controller, stream)],
+            metrics=[metrics],
+        ).write(path, tracer)
 
-    return _result_from_metrics(metrics, budget, records)
+    return SimulationResult(
+        **{k: np.asarray(metrics[k], dtype=float) for k in TRAJECTORY_FIELDS},
+        budget=budget,
+        records=records,
+    )

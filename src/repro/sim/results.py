@@ -51,6 +51,11 @@ class SimulationSummary:
         }
 
 
+#: The per-slot trajectory fields of :class:`SimulationResult`, in field
+#: order: what checkpoints, worker replies and result archives carry.
+TRAJECTORY_FIELDS = ("latency", "cost", "theta", "backlog", "solve_seconds", "price")
+
+
 @dataclass
 class SimulationResult:
     """Per-slot trajectories of one simulation run.

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import logging
 import multiprocessing as mp
-import time
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -59,7 +58,9 @@ from repro.kernels.shm import SharedStateBlock
 from repro.obs.monitors import BudgetDriftMonitor, MonitorSuite, default_monitors
 from repro.obs.probe import Probe
 from repro.obs.telemetry import MetricsRegistry, TelemetrySink, telemetry_context
+from repro.sim.checkpoint import build_carry, restore_carry
 from repro.sim.engine import run_simulation
+from repro.sim.results import TRAJECTORY_FIELDS
 from repro.sim.scenario import Scenario, StateStream
 
 if TYPE_CHECKING:
@@ -74,9 +75,6 @@ __all__ = [
     "SharedStatePlanner",
     "WorkerFailure",
 ]
-
-_METRIC_KEYS = ("latency", "cost", "theta", "backlog", "solve_seconds", "price")
-
 
 def _mp_context():
     """Fork when the platform has it (fast spawn, no import re-exec);
@@ -185,20 +183,16 @@ class CellRuntime:
         if states is None:
             states = self.stream.take(start, count)
         part = run_simulation(self.controller, states, tracer=self.probe)
-        metrics = {k: getattr(part, k).tolist() for k in _METRIC_KEYS}
+        metrics = {k: getattr(part, k).tolist() for k in TRAJECTORY_FIELDS}
         return metrics, float(part.time_average_cost())
 
     # -- carry (checkpoint / salvage only; never per epoch) ---------------
 
     def carry(self) -> dict:
-        return {
-            "controller": self.controller.state_dict(),
-            **self.stream.state_dict(),
-        }
+        return build_carry(self.controller, self.stream)
 
     def load_carry(self, carry: dict) -> None:
-        self.controller.load_state_dict(carry["controller"])
-        self.stream.load_state_dict(carry)
+        restore_carry(self.controller, self.stream, carry)
 
     # -- monitor alert shipping -------------------------------------------
 
@@ -219,12 +213,6 @@ class CellRuntime:
 
 
 # -- the worker process ----------------------------------------------------
-
-
-#: How long the ``hang`` chaos seam sleeps (seconds).  Far beyond any
-#: test's watchdog deadline; the parent kills the worker long before
-#: the sleep completes.
-_CHAOS_HANG_SECONDS = 600.0
 
 
 class _WorkerRuntime:
@@ -280,10 +268,6 @@ class _WorkerRuntime:
             self.heartbeat()
 
     def run_epoch(self, data: dict) -> dict:
-        if data.get("hang"):
-            # Chaos seam: go silent *before* any heartbeat, exactly
-            # like a worker stuck in an infinite loop mid-epoch.
-            time.sleep(_CHAOS_HANG_SECONDS)
         start, count = data["start"], data["count"]
         buffer = data.get("buffer")
         budgets = data["budgets"]

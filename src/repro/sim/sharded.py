@@ -34,8 +34,8 @@ budget shares, which
 lands bit-identically in the state the dead worker held, so the merged
 trajectories match an undisturbed run exactly.  ``checkpoint=`` /
 ``resume=`` on :meth:`ShardedController.run` extend the same carry
-machinery to on-disk snapshots
-(:class:`~repro.sim.checkpoint.ShardCheckpoint`).
+machinery to on-disk snapshots (:class:`~repro.sim.checkpoint.Checkpoint`,
+one carry per cell).
 
 The one-cell plan degenerates to the unsharded pipeline: the original
 scenario object is reused verbatim, the coordinator's single share is
@@ -50,8 +50,6 @@ every execution path applies from the plan's own stream with its cursor
 from __future__ import annotations
 
 import copy
-import hashlib
-import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -60,15 +58,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.budget import BudgetCoordinator
-from repro.exceptions import CheckpointError, ConfigurationError, SolverError
+from repro.exceptions import ConfigurationError, SolverError
 from repro.kernels import get_kernels
 from repro.network.partition import CellPlan, extract_subnetwork, partition_cells
 from repro.obs.monitors import Alert, HealthReport, MonitorStatus
 from repro.obs.probe import Probe, Tracer, as_tracer
 from repro.obs.telemetry import MetricsRegistry
 from repro.radio.mobility import StaticMobility
-from repro.sim.checkpoint import ShardCheckpoint
-from repro.sim.results import SimulationResult, SimulationSummary
+from repro.sim.checkpoint import Checkpoint, config_digest
+from repro.sim.results import TRAJECTORY_FIELDS, SimulationResult, SimulationSummary
 from repro.sim.scenario import Scenario, StateGenerator
 from repro.sim.shard_runtime import (
     InProcessWorker,
@@ -95,19 +93,15 @@ __all__ = [
 #: failure; the next failure gives the run up with a :class:`SolverError`.
 MAX_RETRIES = 2
 
-class _HaltRequested(RuntimeError):
-    """Test seam: the run was asked to stop right after a checkpoint
-    write (set ``ShardedController._halt_after_slots``)."""
-
 
 @dataclass
 class _CheckpointPlan:
-    """Where and how often :meth:`ShardedController.run` snapshots."""
+    """Where and how often :meth:`ShardedController.run` snapshots, and
+    the configuration digest the snapshots carry."""
 
     path: Path
     every: int
-
-_METRIC_KEYS = ("latency", "cost", "theta", "backlog", "solve_seconds", "price")
+    config_hash: str
 
 
 def _check_config(config: "RunConfig", cells: "CellConfig") -> None:
@@ -250,7 +244,7 @@ def merge_cell_metrics(
         )
     stacked = {
         key: np.array([m[key] for m in metrics_by_cell], dtype=np.float64)
-        for key in _METRIC_KEYS
+        for key in TRAJECTORY_FIELDS
     }
     return SimulationResult(
         latency=stacked["latency"].sum(axis=0),
@@ -362,15 +356,6 @@ class ShardedController:
         self.tracer = as_tracer(tracer)
         self.registry = registry
         self._health: "HealthReport | None" = None
-        # Test seams (chaos/resilience suites set these post-construction):
-        # kill worker w right after dispatching epoch e; make worker w
-        # hang (sleep in its command loop) on epoch e so only the
-        # watchdog can catch it; halt the run right after the first
-        # checkpoint write at/after a slot count.
-        self._chaos_kill: "tuple[int, int] | None" = None
-        self._chaos_hang: "tuple[int, int] | None" = None
-        self._chaos_fired = False
-        self._halt_after_slots: "int | None" = None
         self.coordinator = BudgetCoordinator(
             self.total_budget,
             np.maximum(plan.device_counts().astype(np.float64), 1.0),
@@ -386,7 +371,7 @@ class ShardedController:
         horizon: int,
         *,
         ckpt: "_CheckpointPlan | None" = None,
-        resume_state: "ShardCheckpoint | None" = None,
+        resume_state: "Checkpoint | None" = None,
     ) -> "tuple[list[dict], list]":
         """The sharded epoch loop, for either worker transport.
 
@@ -420,19 +405,9 @@ class ShardedController:
         initial = self.coordinator.budgets()
         descriptors = planner.descriptors() if planner is not None else {}
         workers: "list[ResidentWorker | InProcessWorker]" = []
-        metrics = [{k: [] for k in _METRIC_KEYS} for _ in range(num_cells)]
+        metrics = [{k: [] for k in TRAJECTORY_FIELDS} for _ in range(num_cells)]
         budgets_applied: list = []
         completed = 0
-        if resume_state is not None:
-            completed = int(resume_state.completed)
-            metrics = [
-                {k: list(m.get(k, [])) for k in _METRIC_KEYS}
-                for m in resume_state.metrics
-            ]
-            budgets_applied = [
-                np.asarray(b, dtype=np.float64) for b in resume_state.budgets
-            ]
-        last_ckpt = completed
         # Salvage bookkeeping: the recorded per-epoch budget shares of
         # *this* session, and the most recent full carry pull a rebuilt
         # worker can restart from (None = replay from slot 0).
@@ -440,9 +415,16 @@ class ShardedController:
         base_carries: "dict | None" = None
         base_epoch = 0
         if resume_state is not None:
-            base_carries = {
-                c: resume_state.carries[c] for c in range(num_cells)
-            }
+            completed = int(resume_state.completed)
+            metrics = [
+                {k: list(m.get(k, [])) for k in TRAJECTORY_FIELDS}
+                for m in resume_state.metrics
+            ]
+            budgets_applied = [
+                np.asarray(b, dtype=np.float64) for b in resume_state.budgets
+            ]
+            base_carries = dict(enumerate(resume_state.carries))
+        last_ckpt = completed
         attempts: dict[int, int] = {}
 
         def rebuild(worker, exc, replay_to, epoch_data):
@@ -522,21 +504,16 @@ class ShardedController:
                     if pooled
                     else InProcessWorker(w, cells_w, payload)
                 )
-            if resume_state is not None:
+            if base_carries is not None:  # resuming
                 for worker in workers:
                     worker.call(
                         "load",
-                        {
-                            "carries": {
-                                c: resume_state.carries[c]
-                                for c in worker.cells
-                            }
-                        },
+                        {"carries": {c: base_carries[c] for c in worker.cells}},
                         timeout=self.timeout_seconds,
                     )
                 if planner is not None:
                     for c in range(num_cells):
-                        planner.load_stream_state(c, resume_state.carries[c])
+                        planner.load_stream_state(c, base_carries[c])
             if planner is not None and epochs:
                 buffer = planner.fill(0, *epochs[0])
             else:
@@ -559,36 +536,14 @@ class ShardedController:
                     }
 
                 for worker in workers:
-                    data = epoch_data(worker)
-                    if (
-                        self._chaos_hang is not None
-                        and not self._chaos_fired
-                        and self._chaos_hang[0] == e
-                        and worker is workers[self._chaos_hang[1] % len(workers)]
-                    ):
-                        # Chaos seam: this worker sleeps through the
-                        # epoch instead of answering; only the
-                        # heartbeat watchdog can catch it.  Fired once,
-                        # so the salvage re-dispatch runs clean.
-                        self._chaos_fired = True
-                        data = dict(data, hang=True)
                     try:
-                        worker.send("epoch", data)
+                        worker.send("epoch", epoch_data(worker))
                     except WorkerFailure as exc:
                         rebuild(worker, exc, e, epoch_data)
                 # Pipelining: compile the next epoch's states into the
                 # other buffer while the workers are solving this one.
                 if planner is not None and e + 1 < len(epochs):
                     next_buffer = planner.fill(e + 1, *epochs[e + 1])
-                if (
-                    self._chaos_kill is not None
-                    and not self._chaos_fired
-                    and self._chaos_kill[0] == e
-                ):
-                    self._chaos_fired = True
-                    victim = workers[self._chaos_kill[1] % len(workers)]
-                    if victim.process is not None:
-                        victim.process.kill()
                 spends = np.zeros(num_cells)
                 for worker in workers:
                     while True:
@@ -598,7 +553,7 @@ class ShardedController:
                         except WorkerFailure as exc:
                             rebuild(worker, exc, e, epoch_data)
                     for c, out in reply["cells"].items():
-                        for key in _METRIC_KEYS:
+                        for key in TRAJECTORY_FIELDS:
                             metrics[c][key].extend(out["metrics"][key])
                         spends[c] = out["spend"]
                         for data in out.get("alerts", ()):
@@ -645,14 +600,15 @@ class ShardedController:
                             carries[c].update(planner.stream_state(c, e))
                     base_carries = carries
                     base_epoch = session_done
-                    self._write_shard_checkpoint(
-                        ckpt.path,
-                        horizon,
-                        completed,
-                        carries,
-                        metrics,
-                        budgets_applied,
-                    )
+                    Checkpoint(
+                        config_hash=ckpt.config_hash,
+                        horizon=int(horizon),
+                        completed=int(completed),
+                        coordinator=self.coordinator.state_dict(),
+                        carries=[carries[c] for c in range(num_cells)],
+                        metrics=metrics,
+                        budgets=[list(map(float, b)) for b in budgets_applied],
+                    ).write(ckpt.path, self.tracer)
                     last_ckpt = completed
             finish_out: dict = {}
             for worker in workers:
@@ -759,67 +715,6 @@ class ShardedController:
                 )
         return HealthReport(statuses=tuple(statuses), alerts=tuple(alerts))
 
-    # -- checkpoint plumbing -----------------------------------------------
-
-    def _config_hash(self, horizon: int) -> str:
-        config = {
-            "seed": self.scenario.seeds.seed,
-            "horizon": int(horizon),
-            "budget": float(self.total_budget),
-            "controller": self.config.controller,
-            "devices": self.scenario.network.num_devices,
-            "cells": self.plan.num_cells,
-            "epoch": self.epoch,
-            "coordinator": self.coordinator.mode,
-            "v": float(self.config.v),
-            "z": self.config.z,
-            "floor_fraction": self.coordinator.floor_fraction,
-            "smoothing": self.coordinator.smoothing,
-        }
-        return hashlib.sha256(
-            json.dumps(config, sort_keys=True).encode()
-        ).hexdigest()[:16]
-
-    def _write_shard_checkpoint(
-        self, path, horizon, completed, carries, metrics, budgets_applied
-    ) -> None:
-        ShardCheckpoint(
-            config_hash=self._config_hash(horizon),
-            horizon=int(horizon),
-            completed=int(completed),
-            coordinator=self.coordinator.state_dict(),
-            carries=[carries[c] for c in range(len(self.cell_scenarios))],
-            metrics=[{k: list(m[k]) for k in _METRIC_KEYS} for m in metrics],
-            budgets=[list(map(float, b)) for b in budgets_applied],
-        ).write(path)
-        if self.tracer.enabled:
-            self.tracer.counter("resilience.checkpoints", 1)
-            self.tracer.event(
-                "checkpoint", {"slot": int(completed), "path": str(path)}
-            )
-        if (
-            self._halt_after_slots is not None
-            and completed >= self._halt_after_slots
-        ):
-            raise _HaltRequested(
-                f"halted after checkpoint at slot {completed}"
-            )
-
-    def _load_shard_checkpoint(self, path: Path, horizon: int) -> ShardCheckpoint:
-        ck = ShardCheckpoint.load(path)
-        if ck.config_hash != self._config_hash(horizon):
-            raise CheckpointError(
-                f"checkpoint {path} belongs to a different sharded run "
-                f"(hash {ck.config_hash} != {self._config_hash(horizon)}); "
-                "pass resume=False to overwrite it"
-            )
-        if ck.horizon != horizon:
-            raise CheckpointError(
-                f"checkpoint {path} was taken for horizon {ck.horizon}, "
-                f"requested {horizon}"
-            )
-        return ck
-
     # -- telemetry / monitor plumbing --------------------------------------
 
     def _publish_epoch(self, completed: int, budgets: np.ndarray) -> None:
@@ -859,7 +754,8 @@ class ShardedController:
 
         Args:
             checkpoint: Snapshot the run to this path at epoch
-                boundaries (a :class:`~repro.sim.checkpoint.ShardCheckpoint`).
+                boundaries (a :class:`~repro.sim.checkpoint.Checkpoint`
+                with one carry per cell).
             checkpoint_every: Minimum slots between snapshots; defaults
                 to the epoch length (one snapshot per epoch).
             resume: Continue from a matching snapshot at *checkpoint*;
@@ -869,7 +765,6 @@ class ShardedController:
         if horizon < 0:
             raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
         self._health = None
-        self._chaos_fired = False
         ckpt = None
         resume_state = None
         if checkpoint is not None:
@@ -878,10 +773,27 @@ class ShardedController:
                 raise ConfigurationError(
                     f"checkpoint interval must be >= 1, got {checkpoint_every}"
                 )
-            path = Path(checkpoint)
-            ckpt = _CheckpointPlan(path=path, every=every)
-            if resume and path.exists():
-                resume_state = self._load_shard_checkpoint(path, horizon)
+            config_hash = config_digest(
+                {
+                    "seed": self.scenario.seeds.seed,
+                    "horizon": int(horizon),
+                    "budget": float(self.total_budget),
+                    "controller": self.config.controller,
+                    "devices": self.scenario.network.num_devices,
+                    "cells": self.plan.num_cells,
+                    "epoch": self.epoch,
+                    "coordinator": self.coordinator.mode,
+                    "v": float(self.config.v),
+                    "z": self.config.z,
+                    "floor_fraction": self.coordinator.floor_fraction,
+                    "smoothing": self.coordinator.smoothing,
+                }
+            )
+            ckpt = _CheckpointPlan(Path(checkpoint), every, config_hash)
+            if resume and ckpt.path.exists():
+                resume_state = Checkpoint.load(
+                    ckpt.path, config_hash=config_hash, horizon=horizon
+                )
         metrics, budgets = self._run_epochs(
             horizon,
             ckpt=ckpt,
@@ -899,7 +811,7 @@ class ShardedController:
             applied, cell_budgets = None, self.coordinator.budgets()
         cell_summaries = [
             SimulationResult(
-                **{k: np.asarray(m[k], dtype=np.float64) for k in _METRIC_KEYS},
+                **{k: np.asarray(m[k], dtype=np.float64) for k in TRAJECTORY_FIELDS},
                 budget=float(b),
             ).summary()
             for m, b in zip(metrics, cell_budgets)

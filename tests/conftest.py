@@ -3,6 +3,7 @@ plus the trajectory fingerprint every pinned-run test compares."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 
 import numpy as np
@@ -45,6 +46,29 @@ def fingerprint(result) -> str:
     ):
         digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
     return digest.hexdigest()
+
+
+class Halted(Exception):
+    """Raised by a checkpoint write patched by :func:`halt_after_checkpoint`."""
+
+
+@contextlib.contextmanager
+def halt_after_checkpoint(slots: int):
+    """Inside the block, every checkpoint write at or after *slots*
+    raises :class:`Halted` once the snapshot is on disk, as a crash
+    right after it would."""
+    from repro.sim.checkpoint import Checkpoint
+
+    write = Checkpoint.write
+
+    def halting(self, path, tracer=None) -> None:
+        write(self, path, tracer)
+        if self.completed >= slots:
+            raise Halted(f"halted after the snapshot at slot {self.completed}")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Checkpoint, "write", halting)
+        yield
 
 
 def pytest_configure(config) -> None:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 import repro
 from repro.core.resilience import ResiliencePolicy, SolverChaos
 from repro.exceptions import CheckpointError
-from repro.sim.checkpoint import RunCheckpoint, run_checkpointed
+from repro.sim.checkpoint import Checkpoint, run_checkpointed
 from repro.sim.faults import (
     FaultPlan,
     FronthaulDegradation,
@@ -22,6 +24,7 @@ from repro.sim.faults import (
 
 HORIZON = 24
 CONFIG = repro.ScenarioConfig(num_devices=10)
+DATA = Path(__file__).parent / "data"
 
 
 def make_scenario(seed: int = 19, *, faulted: bool = False) -> repro.Scenario:
@@ -108,12 +111,12 @@ class TestUninterrupted:
             scenario, make_controller(scenario),
             horizon=HORIZON, path=path, every=8,
         )
-        snapshot = RunCheckpoint.load(path)
+        snapshot = Checkpoint.load(path)
         assert snapshot.completed == HORIZON
         assert snapshot.horizon == HORIZON
-        assert len(snapshot.metrics["latency"]) == HORIZON
+        assert len(snapshot.metrics[0]["latency"]) == HORIZON
         # The file is plain JSON: inspectable and diffable.
-        assert json.loads(path.read_text())["version"] == 1
+        assert json.loads(path.read_text())["version"] == 2
 
 
 class TestResume:
@@ -133,7 +136,7 @@ class TestResume:
                 every=6,
                 on_slot=killer_at(HORIZON // 2 + 2),
             )
-        snapshot = RunCheckpoint.load(path)
+        snapshot = Checkpoint.load(path)
         assert 0 < snapshot.completed < HORIZON
         fresh = make_scenario(faulted=faulted)  # brand-new objects
         resumed = run_checkpointed(
@@ -162,7 +165,7 @@ class TestResume:
                 on_slot=killer_at(HORIZON // 2 + 2),
             )
         data = json.loads(path.read_text())
-        controller_state = data["controller"]
+        controller_state = data["carries"][0]["controller"]
         assert "previous_freqs" not in controller_state
         controller_state["previous_freqs"] = controller_state["last_frequencies"]
         path.write_text(json.dumps(data))
@@ -212,7 +215,7 @@ class TestResume:
             scenario, make_controller(scenario),
             horizon=HORIZON, path=path, every=8,
         )
-        snapshot = RunCheckpoint.load(path)
+        snapshot = Checkpoint.load(path)
         # Same config hash would require the same horizon; fake a stale
         # snapshot by rewriting only the horizon fields.
         snapshot.horizon = HORIZON + 8
@@ -222,6 +225,59 @@ class TestResume:
                 scenario, make_controller(scenario),
                 horizon=HORIZON + 8, path=path, every=8, resume=True,
             )
+
+
+class TestVersionOneFile:
+    """``data/run_v1.ckpt`` is a version-1 unsharded snapshot, with its
+    seven fields of its own, taken at slot 4 of the 8-slot run below."""
+
+    @staticmethod
+    def scenario() -> repro.Scenario:
+        plan = FaultPlan(
+            faults=(ServerOutages(), PriceFeedDropouts(mtbf_slots=3.0)),
+            schedule=[ScriptedIncident(at=2, duration=3, kind="price_freeze")],
+        )
+        return repro.make_paper_scenario(
+            seed=5, config=repro.ScenarioConfig(num_devices=8), fault_plan=plan
+        )
+
+    @staticmethod
+    def controller(scenario: repro.Scenario) -> repro.DPPController:
+        return repro.DPPController(
+            scenario.network, scenario.controller_rng("ckpt"), v=100.0,
+            budget=scenario.budget / 2, z=1, engine_backend="numpy",
+        )
+
+    def run(self, path, **options) -> repro.SimulationResult:
+        scenario = self.scenario()
+        return run_checkpointed(
+            scenario, self.controller(scenario), horizon=8, path=path,
+            budget=scenario.budget / 2, every=4, **options,
+        )
+
+    def test_resumes_bit_identically(self, tmp_path) -> None:
+        path = tmp_path / "run.ckpt"
+        shutil.copy(DATA / "run_v1.ckpt", path)
+        snapshot = Checkpoint.load(path)
+        assert (snapshot.version, snapshot.completed) == (1, 4)
+        assert len(snapshot.carries) == 1 and "plan_rng" in snapshot.carries[0]
+        resumed = self.run(path, resume=True)
+        scenario = self.scenario()
+        straight = repro.run_simulation(
+            self.controller(scenario),
+            scenario.fresh_compiled_states(8),
+            budget=scenario.budget / 2,
+        )
+        assert_same_run(straight, resumed)
+        assert straight.backlog[-1] > 0  # the queue is live
+
+    def test_config_hash_is_pinned(self, tmp_path) -> None:
+        # Snapshots are matched by this hash: changing what it covers,
+        # or how, strands every snapshot already on disk.
+        self.run(tmp_path / "run.ckpt")
+        written = Checkpoint.load(tmp_path / "run.ckpt").config_hash
+        assert written == "fd355141a54362ae"
+        assert Checkpoint.load(DATA / "run_v1.ckpt").config_hash == written
 
 
 class TestGuards:
@@ -251,10 +307,10 @@ class TestGuards:
         path = tmp_path / "bad.ckpt"
         path.write_text("{not json")
         with pytest.raises(CheckpointError):
-            RunCheckpoint.load(path)
+            Checkpoint.load(path)
         path.write_text('{"foo": 1}')
         with pytest.raises(CheckpointError, match="not a run checkpoint"):
-            RunCheckpoint.load(path)
+            Checkpoint.load(path)
 
 
 class TestApiIntegration:

@@ -44,9 +44,10 @@ class TestLazyImports:
         )
 
     def test_unsharded_run_loads_only_what_it_uses(self) -> None:
-        """Building a scenario through the facade loads no experiment,
-        analysis, fleet or trace-tooling module, and importing the CLI
-        loads no experiment."""
+        """Building a scenario and a ``dpp`` controller through the
+        facade loads no experiment, analysis, baseline, fleet or
+        trace-tooling module, and importing the CLI loads no
+        experiment."""
         unused = (
             "repro.experiments",
             "repro.analysis",
@@ -59,12 +60,19 @@ class TestLazyImports:
             "repro.sim.shard_runtime",
             "repro.sim.checkpoint",
             "repro.kernels.shm",
+            "repro.baselines.fixed_frequency",
+            "repro.baselines.greedy",
+            "repro.baselines.mcba",
+            "repro.baselines.ropt",
         )
         run_fresh(
             "import sys\n"
             "import repro.api\n"
             "from repro import ScenarioConfig, make_paper_scenario\n"
-            "make_paper_scenario(seed=0, config=ScenarioConfig(num_devices=100))\n"
+            "scenario = make_paper_scenario(\n"
+            "    seed=0, config=ScenarioConfig(num_devices=100)\n"
+            ")\n"
+            "repro.api.make_controller('dpp', scenario)\n"
             f"unused = {unused!r}\n"
             "loaded = [m for m in sys.modules\n"
             "          if m in unused or m.startswith(tuple(u + '.' for u in unused))]\n"

@@ -33,7 +33,7 @@ from repro.kernels import available_backends, get_kernels
 from repro.kernels._adapt import wrap_raw_backend
 from repro.network.connectivity import StrategySpace
 from repro.radio.fronthaul import ScintillatingFronthaul
-from repro.sim.checkpoint import RunCheckpoint, run_checkpointed
+from repro.sim.checkpoint import Checkpoint, run_checkpointed
 from repro.sim.faults import FaultPlan, ScriptedIncident
 from repro.solvers.fast_engine import FastBestResponseEngine
 
@@ -408,7 +408,7 @@ class TestSteadyState:
                 scenario, make_controller(scenario, backend),
                 horizon=horizon, path=path, every=5, on_slot=kill,
             )
-        assert RunCheckpoint.load(path).completed == 5
+        assert Checkpoint.load(path).completed == 5
         fresh = small_scenario()
         before = constructions["game"]
         resumed = run_checkpointed(

@@ -9,19 +9,27 @@ unsharded facade; pooled execution bit-identical to sequential).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import shutil
+import signal
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro import sharding
 from repro.core.budget import BudgetCoordinator, CoordinatedBudget
 from repro.exceptions import ConfigurationError
 from repro.radio.mobility import RandomWaypointMobility
+from repro.sim.checkpoint import Checkpoint
 
-from conftest import fingerprint
+from conftest import Halted, fingerprint, halt_after_checkpoint
 
 #: ``metro_scenario(5)`` over 8 slots, produced identically by the
 #: unsharded facade and the 1-cell sharded engine; pinned when the
@@ -29,6 +37,8 @@ from conftest import fingerprint
 ONE_CELL_FINGERPRINT = (
     "93b7ee91b2dd78a940aa022c6e81c81b3881200026ce8eb719e59b826bad8809"
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def metro_scenario(
@@ -64,6 +74,36 @@ def trajectories(result) -> tuple:
 def assert_identical(a, b) -> None:
     for left, right in zip(trajectories(a), trajectories(b)):
         np.testing.assert_array_equal(left, right)
+
+
+@contextlib.contextmanager
+def worker_fault(kind: str, epoch: int, worker: int):
+    """Inject one fault into resident worker *worker* at the *epoch*-th
+    epoch command it is sent.  ``"kill"`` sends it SIGKILL right after
+    that dispatch; ``"hang"`` sends it SIGSTOP right before, so it never
+    reads the command and only the heartbeat watchdog can catch it.
+    Yields a dict whose ``"fired"`` entry says whether it happened."""
+    from repro.sim.shard_runtime import ResidentWorker
+
+    send = ResidentWorker.send
+    state = {"sent": 0, "fired": False}
+
+    def faulty(self, command, data=None) -> None:
+        if command != "epoch" or self.index != worker or state["fired"]:
+            return send(self, command, data)
+        if state["sent"] < epoch:
+            state["sent"] += 1
+            return send(self, command, data)
+        state["fired"] = True
+        if kind == "hang":
+            os.kill(self.process.pid, signal.SIGSTOP)
+        send(self, command, data)
+        if kind == "kill":
+            os.kill(self.process.pid, signal.SIGKILL)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ResidentWorker, "send", faulty)
+        yield state
 
 
 class TestPartitionCells:
@@ -578,17 +618,18 @@ class TestShardedRun:
                 ),
             )
 
-    def test_config_hash_is_pinned(self) -> None:
+    def test_config_hash_is_pinned(self, tmp_path) -> None:
         # Shard snapshots are matched by this hash: changing what it
         # covers, or how, strands every snapshot already on disk.
         plan = sharding.partition_cells(
             metro_scenario().network, 2, rng=np.random.default_rng(3)
         )
-        ctrl = sharding.ShardedController(
+        path = tmp_path / "shard.ckpt"
+        sharding.ShardedController(
             metro_scenario(), cells_config(epoch=2), plan=plan
-        )
-        assert ctrl._config_hash(8) == "83c4d6496ed803e9"
-        ctrl = sharding.ShardedController(
+        ).run(8, checkpoint=path, checkpoint_every=8)
+        assert Checkpoint.load(path).config_hash == "83c4d6496ed803e9"
+        sharding.ShardedController(
             metro_scenario(),
             repro.RunConfig(
                 v=50.0, z=2, budget=0.5,
@@ -597,8 +638,8 @@ class TestShardedRun:
                     floor_fraction=0.2, smoothing=0.3,
                 ),
             ),
-        )
-        assert ctrl._config_hash(12) == "acd1fe5557ece4b9"
+        ).run(12, checkpoint=path, checkpoint_every=12)
+        assert Checkpoint.load(path).config_hash == "acd1fe5557ece4b9"
 
 
 class TestResidentRuntime:
@@ -751,19 +792,34 @@ class TestResidentRuntime:
             scenario, horizon=horizon, cells=plan, epoch=2, processes=2,
         )
         extra = {"timeout_seconds": 2.0} if hang is not None else {}
+        trail: list = []
+
+        class Trail:
+            def emit(self, event: dict) -> None:
+                if event["kind"] in ("counter", "event"):
+                    trail.append((event["kind"], event["name"]))
+
+            def close(self) -> None:
+                pass
+
+        probe = repro.obs.Probe()
+        probe.add_sink(Trail())
         ctrl = sharding.ShardedController(
             metro_scenario(fault_plan=fault_plan),
             cells_config(processes=2, epoch=2, **extra),
             plan=plan,
+            tracer=probe,
         )
-        if hang is not None:
-            ctrl._chaos_hang = hang
-        else:
-            ctrl._chaos_kill = kill
-        salvaged = ctrl.run(horizon, **run_options)
-        assert ctrl._chaos_fired
+        fault = ("hang", *hang) if hang is not None else ("kill", *kill)
+        with worker_fault(*fault) as injected:
+            salvaged = ctrl.run(horizon, **run_options)
+        assert injected["fired"]
         assert_identical(undisturbed.merged, salvaged.merged)
         np.testing.assert_array_equal(undisturbed.budgets, salvaged.budgets)
+        # Only the heartbeat watchdog tells a hang from a death.
+        hung = [("counter", "resilience.worker_hangs"), ("event", "shard.worker_hung")]
+        assert [t for t in trail if t in hung] == (hung if hang else [])
+        assert trail.count(("event", "shard.worker_rebuilt")) == 1
 
     def test_worker_death_salvage_bit_identical(self) -> None:
         self.salvage_case()
@@ -860,10 +916,8 @@ class TestResidentRuntime:
 
     def test_hang_salvage_then_checkpoint_resume(self, tmp_path) -> None:
         # Satellite: hang + kill + salvage, halted at the slot-4
-        # snapshot, then resumed from the ShardCheckpoint -- the full
+        # snapshot, then resumed from the checkpoint -- the full
         # escalation ladder ends bit-identical.
-        from repro.sim.sharded import _HaltRequested
-
         scenario = metro_scenario()
         plan = sharding.partition_cells(
             scenario.network, 2, rng=np.random.default_rng(3)
@@ -877,11 +931,13 @@ class TestResidentRuntime:
             cells_config(epoch=2, processes=2, timeout_seconds=2.0),
             plan=plan,
         )
-        ctrl._chaos_hang = (1, 0)
-        ctrl._halt_after_slots = 4
-        with pytest.raises(_HaltRequested):
+        with (
+            worker_fault("hang", 1, 0) as injected,
+            halt_after_checkpoint(4),
+            pytest.raises(Halted),
+        ):
             ctrl.run(8, checkpoint=path)
-        assert ctrl._chaos_fired
+        assert injected["fired"]
         resumed = sharding.run_sharded(
             metro_scenario(), horizon=8, cells=plan, epoch=2,
             processes=2, checkpoint=path, resume=True,
@@ -931,9 +987,6 @@ class TestResidentRuntime:
         # epoch=1: the parent fills epoch e + 1 before the slot-4
         # checkpoint write, so the write must read the boundary of
         # epoch e, not the live stream.
-        from repro.sim.checkpoint import ShardCheckpoint
-        from repro.sim.sharded import _HaltRequested
-
         plan = sharding.partition_cells(
             metro_scenario().network, 2, rng=np.random.default_rng(3)
         )
@@ -948,13 +1001,12 @@ class TestResidentRuntime:
                 cells_config(epoch=1, processes=processes),
                 plan=plan,
             )
-            ctrl._halt_after_slots = 4
-            with pytest.raises(_HaltRequested):
+            with halt_after_checkpoint(4), pytest.raises(Halted):
                 ctrl.run(8, checkpoint=paths[processes], checkpoint_every=4)
         # The shared-memory writer's stream carries are byte-for-byte
         # those of the in-process writer (which snapshots eagerly).
-        pooled = ShardCheckpoint.load(paths[2])
-        in_process = ShardCheckpoint.load(paths[None])
+        pooled = Checkpoint.load(paths[2])
+        in_process = Checkpoint.load(paths[None])
         assert pooled.completed == in_process.completed == 4
         for ours, theirs in zip(pooled.carries, in_process.carries):
             for key in ("generator", "state_rng"):
@@ -1019,8 +1071,6 @@ class TestResidentRuntime:
         )
 
     def test_checkpoint_resume_cross_runtime(self, tmp_path) -> None:
-        from repro.sim.sharded import _HaltRequested
-
         scenario = metro_scenario()
         plan = sharding.partition_cells(
             scenario.network, 2, rng=np.random.default_rng(3)
@@ -1033,8 +1083,7 @@ class TestResidentRuntime:
         ctrl = sharding.ShardedController(
             metro_scenario(), cells_config(epoch=2), plan=plan
         )
-        ctrl._halt_after_slots = 4
-        with pytest.raises(_HaltRequested):
+        with halt_after_checkpoint(4), pytest.raises(Halted):
             ctrl.run(8, checkpoint=path)
         # ... resumed by resident pooled workers.
         resumed = sharding.run_sharded(
@@ -1049,8 +1098,7 @@ class TestResidentRuntime:
         ctrl = sharding.ShardedController(
             metro_scenario(), cells_config(epoch=2, processes=2), plan=plan
         )
-        ctrl._halt_after_slots = 4
-        with pytest.raises(_HaltRequested):
+        with halt_after_checkpoint(4), pytest.raises(Halted):
             ctrl.run(8, checkpoint=path2)
         resumed = sharding.run_sharded(
             metro_scenario(), horizon=8, cells=plan, epoch=2,
@@ -1097,3 +1145,89 @@ class TestResidentRuntime:
                 metro_scenario(seed=10), horizon=4, cells=plan, epoch=2,
                 checkpoint=path, resume=True,
             )
+
+
+class TestResume:
+    def test_version_one_file_resumes_bit_identically(self, tmp_path) -> None:
+        # ``data/sharded_v1.ckpt`` is a version-1 sharded snapshot taken
+        # at slot 4 of this 8-slot, 2-cell run.
+        path = tmp_path / "shard.ckpt"
+        shutil.copy(DATA / "sharded_v1.ckpt", path)
+        snapshot = Checkpoint.load(path)
+        assert (snapshot.version, snapshot.completed) == (1, 4)
+        plan = sharding.partition_cells(
+            metro_scenario(devices=8).network, 2, rng=np.random.default_rng(3)
+        )
+        straight = sharding.run_sharded(
+            metro_scenario(devices=8), horizon=8, cells=plan, epoch=2
+        )
+        resumed = sharding.run_sharded(
+            metro_scenario(devices=8), horizon=8, cells=plan, epoch=2,
+            checkpoint=path, resume=True,
+        )
+        assert_identical(straight.merged, resumed.merged)
+        np.testing.assert_array_equal(straight.budgets, resumed.budgets)
+        # The resumed run wrote its own snapshots under the same hash.
+        assert Checkpoint.load(path).config_hash == "5fdef1a03101558b"
+        assert Checkpoint.load(path).version == 2
+
+    @settings(max_examples=16, deadline=None)
+    @given(
+        kill=st.integers(1, 7),
+        every=st.integers(1, 4),
+        faulted=st.booleans(),
+        cells=st.sampled_from((1, 2)),
+    )
+    def test_killed_run_resumes_like_a_straight_one(
+        self, kill, every, faulted, cells
+    ) -> None:
+        """Kill a checkpointed run at a drawn slot and resume it in fresh
+        objects: one cell is the unsharded path (killed by ``on_slot``),
+        two are the in-process sharded one (halted by the first write at
+        or after the slot)."""
+        from repro.sim.faults import FaultPlan, PriceFeedDropouts, ScriptedIncident
+
+        horizon = 8
+
+        def scenario() -> repro.Scenario:
+            plan = FaultPlan(
+                faults=(PriceFeedDropouts(mtbf_slots=3.0),),
+                schedule=[ScriptedIncident(at=2, duration=3, kind="price_freeze")],
+            )
+            return metro_scenario(devices=12, fault_plan=plan if faulted else None)
+
+        with TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.ckpt"
+            if cells == 1:
+                def run(**options):
+                    return repro.api.run(
+                        scenario=scenario(), horizon=horizon, **options
+                    )
+
+                class Killed(Exception):
+                    pass
+
+                def killer(record) -> None:
+                    if record.t + 1 == kill:
+                        raise Killed
+
+                straight = run()
+                with pytest.raises(Killed):
+                    run(checkpoint=path, checkpoint_every=every, on_slot=killer)
+            else:
+                plan = sharding.partition_cells(
+                    scenario().network, 2, rng=np.random.default_rng(3)
+                )
+
+                def run(**options):
+                    return sharding.run_sharded(
+                        scenario(), horizon=horizon, cells=plan, epoch=1,
+                        **options,
+                    ).merged
+
+                straight = run()
+                with halt_after_checkpoint(kill), contextlib.suppress(Halted):
+                    run(checkpoint=path, checkpoint_every=every)
+            resumed = run(checkpoint=path, checkpoint_every=every, resume=True)
+        assert_identical(straight, resumed)
+        assert straight.backlog[-1] == resumed.backlog[-1]
