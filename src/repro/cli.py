@@ -37,33 +37,17 @@ import traceback
 from typing import TYPE_CHECKING, Sequence
 
 import repro
-from repro.analysis.equilibrium import estimate_equilibrium_backlog
-from repro.analysis.text_plots import line_chart
 from repro.api import CONTROLLER_NAMES, make_controller
-from repro.baselines.lower_bounds import p2a_lower_bound
 from repro.core.overload import OverloadPolicy
-from repro.core.theory import check_bdma_guarantee, check_cgba_guarantee
-from repro.io import save_result, summary_to_json
 from repro.kernels import BACKEND_NAMES, get_kernels
-from repro.obs import (
-    Dashboard,
-    JsonlSink,
-    MetricsRegistry,
-    MonitorSuite,
-    Probe,
-    RunManifest,
-    TelemetrySink,
-    default_monitors,
-    diff_traces,
-    load_trace,
-    manifest_path_for,
-    render_profile_report,
-    telemetry_context,
-)
+from repro.obs import MetricsRegistry, Probe, TelemetrySink, telemetry_context
 
 _SOLVER_CHOICES = CONTROLLER_NAMES
 
-if TYPE_CHECKING:  # the HTTP endpoint is imported on use (http.server)
+if TYPE_CHECKING:
+    # Imported where they are used, so that importing the CLI loads no
+    # more than a run does (and no http.server).
+    from repro.obs import Dashboard, MonitorSuite, RunManifest
     from repro.obs.server import MetricsServer
 
 
@@ -164,6 +148,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if tracing:
         probe = Probe()
         if args.trace:
+            from repro.obs import JsonlSink, RunManifest, manifest_path_for
+
             # Flush per event so a crashed run still leaves a usable
             # trace behind (the whole point of post-mortem tooling).
             probe.add_sink(JsonlSink(args.trace, flush_every=1))
@@ -175,12 +161,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             # Monitors attach before the dashboard so re-emitted alert
             # events reach the dashboard's alert panel.  Sharded runs
             # watch each cell with its own default suite instead.
+            from repro.obs import MonitorSuite, default_monitors
+
             suite = MonitorSuite(
                 default_monitors(
                     budget=scenario.budget, network=scenario.network
                 )
             ).attach(probe)
         if args.dashboard:
+            from repro.obs import Dashboard
+
             dashboard = Dashboard(
                 budget=scenario.budget, ascii_only=args.ascii
             )
@@ -276,6 +266,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         server.close()
     if dashboard is not None:
         dashboard.close()
+    from repro.io import summary_to_json
+
     print(summary_to_json(result.summary()))
     if suite is not None:
         print()
@@ -297,14 +289,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(f"trace written to {args.trace}")
             print(f"manifest written to {manifest_path}")
     if args.profile and registry is not None:
+        from repro.obs import render_profile_report
+
         print()
         print(render_profile_report(registry, ascii_only=args.ascii))
     if args.chart:
+        from repro.analysis.text_plots import line_chart
+
         print()
         print(line_chart(result.backlog, title="virtual queue backlog Q(t)"))
         print()
         print(line_chart(result.latency, title="overall latency L_t (s)"))
     if args.output:
+        from repro.io import save_result
+
         written = save_result(result, args.output)
         print(f"trajectories written to {written}")
     return 0
@@ -346,6 +344,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_equilibrium(args: argparse.Namespace) -> int:
+    from repro.analysis.equilibrium import estimate_equilibrium_backlog
+
     scenario = _build_scenario(args)
     backlog = estimate_equilibrium_backlog(
         scenario.network,
@@ -374,7 +374,9 @@ def _guarantee_lines(scenario: repro.Scenario) -> str:
     the optimum, so a measurement above the scaled bound is
     ``inconclusive``, not evidence of a violation.
     """
+    from repro.baselines.lower_bounds import p2a_lower_bound
     from repro.core.cgba import solve_p2a_cgba
+    from repro.core.theory import check_bdma_guarantee, check_cgba_guarantee
     from repro.network.connectivity import StrategySpace
 
     network = scenario.network
@@ -440,18 +442,24 @@ def _cmd_metrics_snapshot(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile_report(args: argparse.Namespace) -> int:
+    from repro.obs import render_profile_report
+
     registry = _telemetry_run(args)
     print(render_profile_report(registry, top=args.top, ascii_only=args.ascii))
     return 0
 
 
 def _cmd_trace_summary(args: argparse.Namespace) -> int:
+    from repro.obs import load_trace
+
     trace = load_trace(args.path)
     print(trace.summary())
     return 0
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
+    from repro.obs import diff_traces, load_trace
+
     base = load_trace(args.base)
     new = load_trace(args.new)
     diff = diff_traces(

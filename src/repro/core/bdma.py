@@ -24,7 +24,7 @@ from repro.core.cgba import CGBAResult, solve_p2a_cgba
 from repro.core.congestion_game import OffloadingCongestionGame
 from repro.core.drift_penalty import energy_cost
 from repro.core.latency import effective_fronthaul_se, optimal_total_latency
-from repro.core.p2b import _BATCH_CUTOVER, solve_p2b
+from repro.core.p2b import solve_p2b
 from repro.core.state import Assignment, ResourceAllocation, SlotState
 from repro.exceptions import (
     ConfigurationError,
@@ -529,9 +529,8 @@ def _replay(
     (rounds run, warm-start hits, truncated) closes a decided slot.
     The spans go under the open ones plus *prefix* (``"bdma/"`` once
     the bdma span has closed)."""
-    batch = num_servers >= _BATCH_CUTOVER
     cgba, p2a, p2b = f"{prefix}p2a/cgba", f"{prefix}p2a", f"{prefix}p2b"
-    for (stage, _, moves, converged, searched, evals, _, _), t in zip(
+    for (stage, _, moves, converged, searched), t in zip(
         rounds, times
     ):
         p2a_end = t[3]
@@ -551,8 +550,6 @@ def _replay(
         if stage == 3:
             tracer.counter("p2b.scalar_solves", searched)
             tracer.counter("p2b.fastpath", num_servers - searched)
-            if batch:
-                tracer.counter("p2b.batch_iters", evals)
             tracer.record_span(p2b, t[7], t[9] - t[7])
     if done is not None:
         rounds_run, warm_hits, truncated = done

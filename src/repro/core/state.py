@@ -101,7 +101,7 @@ class SlotState:
 
         The compiled state pipeline
         (:meth:`repro.sim.scenario.StateGenerator.compile_states`) draws
-        whole chunks of slots at once and validates the stacked arrays
+        states in blocks of slots and validates the stacked arrays
         in one pass, so re-running ``__post_init__``'s checks and
         ``as_float_array`` conversions per slot would only repeat work.
         Callers must guarantee what the normal constructor enforces:

@@ -97,10 +97,10 @@ _BINDING_BUFFERS = (
     "best_freq", "shares", "history", "rtimes", "out_f", "rcounts", "out_i",
 )
 #: Per-round records of the slot call (see repro_bdma_slot): counts
-#: (stage, refill kind, moves, converged, searched lanes, golden
-#: evaluations) and times (P2-A start, refill, reset, CGBA start,
-#: sweep, dynamics, CGBA end, P2-B start, golden, P2-B end).
-ROUND_COUNTS = 8
+#: (stage, refill kind, moves, converged, searched lanes) and times
+#: (P2-A start, refill, reset, CGBA start, sweep, dynamics, CGBA end,
+#: P2-B start, golden, P2-B end).
+ROUND_COUNTS = 5
 ROUND_TIMES = 10
 #: CPython 3.12 made the builtin sum of floats compensated; the slot
 #: call mirrors the running interpreter's energy-cost sum.
@@ -301,7 +301,7 @@ def _run_slot(bdma_slot, cache: _StateCache, tail: tuple):
 def _kernel_seconds(out_i, rcounts, rtimes):
     """``(kernel, seconds)`` per sub-kernel call of a slot call."""
     started = int(out_i[0])
-    for (stage, refill, _, _, searched, _, _, _), times in zip(
+    for (stage, refill, _, _, searched), times in zip(
         rcounts[:started].tolist(), rtimes[:started].tolist()
     ):
         yield ("rebind" if refill == 1 else "update_frequencies"), times[1]

@@ -165,14 +165,13 @@ class Dashboard:
         }
         if engine_counters:
             # Engine-panel counters in a curated order (the warm-start
-            # and batched-P2-B counters tell the perf story), then any
+            # and P2-B fast-path counters tell the perf story), then any
             # remaining counters alphabetically, capped.
             preferred = (
                 "engine.sweeps",
                 "engine.moves",
                 "engine.warm_start_hits",
                 "p2b.scalar_solves",
-                "p2b.batch_iters",
                 "p2b.fastpath",
             )
             shown = [name for name in preferred if name in engine_counters]

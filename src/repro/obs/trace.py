@@ -168,14 +168,13 @@ class Trace:
         for name in sorted(m for m in metrics if not m.startswith("counter/")):
             lines.append(f"{name:<20} : {metrics[name]:.6g}")
         # Engine work counters, called out by name so warm-start and
-        # batched-P2-B effectiveness is visible without reading the
+        # P2-B fast-path effectiveness is visible without reading the
         # full phase table.
         engine_counters = (
             "engine.sweeps",
             "engine.moves",
             "engine.warm_start_hits",
             "p2b.scalar_solves",
-            "p2b.batch_iters",
             "p2b.fastpath",
         )
         present = [

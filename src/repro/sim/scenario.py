@@ -16,22 +16,22 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.state import SlotState
-from repro.energy.pricing import (
-    ConstantPriceModel,
-    PeriodicPriceModel,
-    PriceModel,
-    TracePriceModel,
-)
+from repro.energy.pricing import PriceModel
 from repro.exceptions import CheckpointError, ConfigurationError, ValidationError
 from repro.network.coverage import coverage_matrix
 from repro.network.topology import MECNetwork
 from repro.radio.channel import ChannelModel, UniformChannelModel
-from repro.radio.fronthaul import FronthaulModel, StaticFronthaul
+from repro.radio.fronthaul import FronthaulModel
 from repro.radio.mobility import MobilityModel, StaticMobility
-from repro.sim.faults import FaultPlan, NoOutages, OutageModel
+from repro.sim.faults import FaultPlan, OutageModel
 from repro.sim.seeding import SeedBank
 from repro.types import FloatArray, Rng
 from repro.workload.generators import TaskGenerator, UniformTaskGenerator
+
+#: Slots :meth:`StateGenerator.compile_states` scales, masks and
+#: validates together; a latency/memory choice only -- results do not
+#: depend on it.
+STATE_BLOCK = 32
 
 
 class StateGenerator:
@@ -122,57 +122,38 @@ class StateGenerator:
         for t in range(start, start + horizon):
             yield self.state(t, rng)
 
-    def _price_consumes_rng(self) -> bool:
-        """Whether the price model draws randomness per slot."""
-        prices = self.prices
-        if type(prices) is ConstantPriceModel or type(prices) is TracePriceModel:
-            return False
-        if type(prices) is PeriodicPriceModel:
-            return prices.noise_std > 0.0
-        return True  # unknown model: assume it draws
-
     def compile_states(
-        self, horizon: int, rng: Rng, *, chunk: int = 32, start: int = 0
+        self, horizon: int, rng: Rng, *, start: int = 0
     ) -> Iterator[SlotState]:
         """Yield the exact same states as :meth:`states`, compiled.
 
         Bit-identical to :meth:`states` for every model composition: the
         per-slot RNG consumption order is preserved, only the way the
-        draws are issued changes.  Three tiers, chosen by inspecting the
+        draws are issued changes.  Two tiers, chosen by inspecting the
         composed models:
 
-        * **Chunk-blocked** -- static mobility, uniform tasks, uniform
-          channel, and no other per-slot randomness (constant/trace
-          prices or zero price noise, static fronthaul, no fault
-          model).  All of a chunk's uniform draws come from one
-          ``rng.random((chunk, S))`` call; a ``(chunk, S)`` block
-          consumes the bit stream exactly like ``chunk`` sequential
-          per-slot draws, and ``lo + u * (hi - lo)`` is bitwise
-          ``Generator.uniform``.
-        * **Slot-fused** -- as above but some model (price noise, a
-          fronthaul or outage model) draws between slots.  Each slot
-          issues one ``rng.random(S)`` for its uniform draws and calls
-          the interleaving models in :meth:`states`'s order; scaling
-          and coverage-masking still run once per chunk.
+        * **Slot-fused** -- static mobility, uniform tasks and a uniform
+          channel.  Each slot issues one ``rng.random`` row for its
+          uniform draws (``lo + u * (hi - lo)`` is bitwise
+          ``Generator.uniform``) and then calls the price, fronthaul and
+          outage models in :meth:`states`'s order; scaling,
+          coverage-masking and validation run once per
+          :data:`STATE_BLOCK` slots.
         * **Fallback** -- any other composition (mobility, non-uniform
           workload/channel models): delegate to the per-slot path,
           which is trivially identical.
 
-        On the compiled tiers the static-mobility short-circuit
+        On the slot-fused tier the static-mobility short-circuit
         computes coverage once per call instead of per slot, and states
         are built through :meth:`SlotState.trusted` after one
-        whole-chunk validation pass.
+        whole-block validation pass.
 
         Args:
             horizon: Number of slots to yield.
             rng: The state stream (consumed identically to
                 :meth:`states`).
-            chunk: Slots drawn/validated per block; latency/memory
-                knob only -- results do not depend on it.
             start: First slot index.
         """
-        if chunk < 1:
-            raise ConfigurationError(f"chunk must be positive, got {chunk}")
         if horizon <= 0:
             return
         fused = (
@@ -183,11 +164,6 @@ class StateGenerator:
         if not fused:
             yield from self.states(horizon, rng, start=start)
             return
-        interleaved = (
-            self._price_consumes_rng()
-            or not (self.fronthaul is None or type(self.fronthaul) is StaticFronthaul)
-            or not (self.faults is None or type(self.faults) is NoOutages)
-        )
 
         # Static mobility: one (rng-free) step, one coverage matrix.
         self._positions = self.mobility.step(self._positions, rng)
@@ -202,34 +178,27 @@ class StateGenerator:
         # matrix -- the order states() consumes them in.
         span = 2 * num_devices + num_devices * num_bs
 
-        for begin in range(start, start + horizon, chunk):
-            m = min(chunk, start + horizon - begin)
+        for begin in range(start, start + horizon, STATE_BLOCK):
+            m = min(STATE_BLOCK, start + horizon - begin)
             prices: list[float] = []
             fronthauls: list[FloatArray | None] = []
             availables: list["np.ndarray | None"] = []
-            if interleaved:
-                block = np.empty((m, span))
-                for j, t in enumerate(range(begin, begin + m)):
-                    rng.random(out=block[j])
-                    prices.append(self.prices.price(t, rng) * self.price_scale)
-                    fronthauls.append(
-                        self.fronthaul.spectral_efficiency(
-                            t, self.network.fronthaul_se, rng
-                        )
-                        if self.fronthaul is not None
-                        else None
+            block = np.empty((m, span))
+            for j, t in enumerate(range(begin, begin + m)):
+                rng.random(out=block[j])
+                prices.append(self.prices.price(t, rng) * self.price_scale)
+                fronthauls.append(
+                    self.fronthaul.spectral_efficiency(
+                        t, self.network.fronthaul_se, rng
                     )
-                    availables.append(
-                        self.faults.availability(t, self.network, rng)
-                        if self.faults is not None
-                        else None
-                    )
-            else:
-                block = rng.random((m, span))
-                for t in range(begin, begin + m):
-                    prices.append(self.prices.price(t, rng) * self.price_scale)
-                fronthauls = [None] * m
-                availables = [None] * m
+                    if self.fronthaul is not None
+                    else None
+                )
+                availables.append(
+                    self.faults.availability(t, self.network, rng)
+                    if self.faults is not None
+                    else None
+                )
 
             cycles = c_lo + block[:, :num_devices] * (c_hi - c_lo)
             bits = b_lo + block[:, num_devices : 2 * num_devices] * (b_hi - b_lo)
@@ -238,7 +207,7 @@ class StateGenerator:
             ) * (se_hi - se_lo)
             h[:, uncovered] = 0.0
 
-            # The chunk-level stand-in for the per-slot constructor
+            # The block-level stand-in for the per-slot constructor
             # checks.  Positive uniform ranges make the demand/price
             # checks unfailable here, but the invariants are cheap to
             # assert on the stacked arrays and guard future models.
@@ -382,16 +351,16 @@ class Scenario:
         )
 
     def fresh_compiled_states(
-        self, horizon: int, *, chunk: int = 32, tracer=None
+        self, horizon: int, *, tracer=None
     ) -> Iterator[SlotState]:
         """:meth:`fresh_states` through the compiled pipeline.
 
         Bit-identical states (same seed, same stream, same values); see
-        :meth:`StateGenerator.compile_states` for the tiers and the
-        ``chunk`` knob.  The :attr:`fault_plan`, when present, wraps the
-        compiled stream without touching its RNG consumption.
+        :meth:`StateGenerator.compile_states` for the tiers.  The
+        :attr:`fault_plan`, when present, wraps the compiled stream
+        without touching its RNG consumption.
         """
-        return StateStream(self, tracer=tracer).take(0, horizon, chunk=chunk)
+        return StateStream(self, tracer=tracer).take(0, horizon)
 
 
 class StateStream:
@@ -423,14 +392,10 @@ class StateStream:
             self.plan.reset()
             self.plan_rng = scenario.fault_rng()
 
-    def take(
-        self, start: int, count: int, *, chunk: int = 32
-    ) -> Iterator[SlotState]:
+    def take(self, start: int, count: int) -> Iterator[SlotState]:
         """The states of slots ``[start, start + count)``, compiled
         (:meth:`StateGenerator.compile_states`), fault plan applied."""
-        states = self.generator.compile_states(
-            count, self.rng, chunk=chunk, start=start
-        )
+        states = self.generator.compile_states(count, self.rng, start=start)
         if self.plan is None:
             return states
         return self.plan.stream(states, self.network, self.plan_rng, self.tracer)

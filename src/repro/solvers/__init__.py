@@ -4,7 +4,7 @@ This subpackage is deliberately free of any MEC-specific concepts so the
 solvers can be tested (and reused) in isolation:
 
 * :mod:`repro.solvers.scalar` -- bounded one-dimensional convex
-  minimisation (golden-section search with an optional Newton fast path).
+  minimisation (golden-section search).
   This is our substitute for the CVX solver the paper uses for P2-B.
 * :mod:`repro.solvers.potential_game` -- a generic best-response-dynamics
   engine over finite games; CGBA (Algorithm 3) is an instance of it.
@@ -17,11 +17,7 @@ from repro._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".scalar": (
-            "GoldenSectionResult",
-            "minimize_convex_scalar",
-            "minimize_scalar_newton",
-        ),
+        ".scalar": ("GoldenSectionResult", "minimize_convex_scalar"),
         ".potential_game": (
             "BestResponseResult",
             "EngineStats",

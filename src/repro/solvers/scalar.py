@@ -3,16 +3,10 @@
 The P2-B frequency-scaling subproblem of the paper is separable per
 server, leaving a one-dimensional convex objective on a box
 ``[lo, hi]``.  The paper hands this to the CVX solver; we implement the
-substitute here:
-
-* :func:`minimize_convex_scalar` -- derivative-free golden-section
-  search.  Exact to a configurable tolerance for any unimodal function.
-* :func:`minimize_convex_scalar_batch` -- the same search over many
-  independent intervals at once, with NumPy-masked convergence; each
-  lane replays the scalar algorithm bit for bit.
-* :func:`minimize_scalar_newton` -- safeguarded Newton iteration for
-  objectives with known first and second derivatives; falls back to
-  bisection steps when Newton leaves the bracket.
+substitute here: :func:`minimize_convex_scalar`, a derivative-free
+golden-section search, exact to a configurable tolerance for any
+unimodal function.  The C kernels' ``golden_quad`` replays it lane for
+lane on quadratic energy models.
 """
 
 from __future__ import annotations
@@ -21,10 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro.exceptions import SolverError
-from repro.types import FloatArray
 
 #: Inverse golden ratio, the interval-reduction factor per iteration.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -111,184 +102,3 @@ def minimize_convex_scalar(
     return GoldenSectionResult(
         x=best_x, value=best_value, iterations=evals, converged=converged
     )
-
-
-@dataclass(frozen=True)
-class BatchGoldenSectionResult:
-    """Outcome of a batched scalar minimisation (one entry per lane).
-
-    Attributes:
-        x: Minimisers found.
-        value: Objective values at ``x``.
-        iterations: Objective evaluations each lane accounts for (the
-            batched evaluator scores all active lanes together, so this
-            counts what the scalar algorithm *would* have evaluated).
-        converged: Whether each lane's bracket shrank below tolerance.
-    """
-
-    x: FloatArray
-    value: FloatArray
-    iterations: np.ndarray
-    converged: np.ndarray
-
-
-def minimize_convex_scalar_batch(
-    fn: Callable[[FloatArray], FloatArray],
-    lo: FloatArray,
-    hi: FloatArray,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-) -> BatchGoldenSectionResult:
-    """Golden-section search over many independent intervals at once.
-
-    Every lane follows exactly the update rule of
-    :func:`minimize_convex_scalar` -- same probe points, same
-    ``fc <= fd`` branch, same endpoint-included candidate comparison with
-    the same first-minimum tie break -- so lane ``i`` of the result is
-    bit-identical to a scalar call on ``(lo[i], hi[i])``, provided *fn*
-    is elementwise (lane ``i`` of the output depends only on lane ``i``
-    of the input) and never returns NaN.  Converged lanes are masked out
-    of the bracket updates but stay in the vectorized objective calls
-    (their extra evaluations are discarded, not counted).
-
-    Args:
-        fn: Vectorized objective mapping a lane array to a lane array.
-        lo: Per-lane lower bounds (1-D).
-        hi: Per-lane upper bounds (1-D, elementwise ``>= lo``).
-        tol: Bracket tolerance, as in the scalar search.
-        max_iter: Iteration cap, as in the scalar search.
-
-    Returns:
-        A :class:`BatchGoldenSectionResult` with arrays parallel to *lo*.
-
-    Raises:
-        SolverError: On shape mismatch, non-finite bounds, or any lane
-            with ``hi < lo``.
-    """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if lo.ndim != 1 or lo.shape != hi.shape:
-        raise SolverError("lo and hi must be matching 1-D arrays")
-    if lo.size == 0:
-        empty = np.empty(0)
-        return BatchGoldenSectionResult(
-            x=empty,
-            value=empty.copy(),
-            iterations=np.empty(0, dtype=np.int64),
-            converged=np.empty(0, dtype=bool),
-        )
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise SolverError("bounds must be finite")
-    if np.any(hi < lo):
-        bad = int(np.flatnonzero(hi < lo)[0])
-        raise SolverError(f"empty interval: lo={lo[bad]} > hi={hi[bad]}")
-
-    width = hi - lo
-    threshold = tol * np.maximum(1.0, width)
-    degenerate = width == 0.0
-    a = lo.copy()
-    b = hi.copy()
-    c = a + _INVPHI2 * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = np.array(fn(c), dtype=np.float64)
-    fd = np.array(fn(d), dtype=np.float64)
-    evals = np.full(lo.shape, 2, dtype=np.int64)
-    converged = degenerate.copy()
-    active = ~degenerate
-    for _ in range(max_iter):
-        stopped = active & ((b - a) <= threshold)
-        if np.any(stopped):
-            converged |= stopped
-            active &= ~stopped
-        if not np.any(active):
-            break
-        left = active & (fc <= fd)
-        right = active & ~left
-        b[left] = d[left]
-        d[left] = c[left]
-        fd[left] = fc[left]
-        c[left] = a[left] + _INVPHI2 * (b[left] - a[left])
-        a[right] = c[right]
-        c[right] = d[right]
-        fc[right] = fd[right]
-        d[right] = a[right] + _INVPHI * (b[right] - a[right])
-        probe = np.where(left, c, d)
-        vals = np.asarray(fn(probe), dtype=np.float64)
-        fc[left] = vals[left]
-        fd[right] = vals[right]
-        evals[active] += 1
-
-    f_lo = np.array(fn(lo), dtype=np.float64)
-    f_hi = np.array(fn(hi), dtype=np.float64)
-    evals += 2
-    # Degenerate lanes mirror the scalar early return: one evaluation at
-    # lo (which all four candidates collapse to anyway).
-    evals[degenerate] = 1
-    values = np.stack([f_lo, f_hi, fc, fd])
-    points = np.stack([lo, hi, c, d])
-    pick = np.argmin(values, axis=0)
-    lanes = np.arange(lo.size)
-    return BatchGoldenSectionResult(
-        x=points[pick, lanes],
-        value=values[pick, lanes],
-        iterations=evals,
-        converged=converged,
-    )
-
-
-def minimize_scalar_newton(
-    grad: Callable[[float], float],
-    hess: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> float:
-    """Find the minimiser of a smooth convex function on ``[lo, hi]``.
-
-    Works on the first-order condition ``grad(x) = 0`` with a safeguarded
-    Newton iteration: whenever the Newton step leaves the current bracket
-    the method bisects instead, which guarantees convergence for any
-    monotone ``grad`` (convex objective).
-
-    Args:
-        grad: First derivative of the objective.
-        hess: Second derivative; must be positive on the interval.
-        lo: Lower bound.
-        hi: Upper bound.
-        tol: Tolerance on the gradient magnitude / bracket width.
-        max_iter: Iteration cap.
-
-    Returns:
-        The minimiser, clipped to ``[lo, hi]``.  If the gradient does not
-        change sign on the interval the appropriate endpoint is returned
-        (the objective is monotone there).
-    """
-    if hi < lo:
-        raise SolverError(f"empty interval: lo={lo} > hi={hi}")
-    g_lo = grad(lo)
-    if g_lo >= 0.0:
-        return lo  # objective increasing on the whole interval
-    g_hi = grad(hi)
-    if g_hi <= 0.0:
-        return hi  # objective decreasing on the whole interval
-
-    a, b = lo, hi
-    x = 0.5 * (a + b)
-    for _ in range(max_iter):
-        g = grad(x)
-        if abs(g) <= tol or (b - a) <= tol * max(1.0, hi - lo):
-            return x
-        if g > 0.0:
-            b = x
-        else:
-            a = x
-        h = hess(x)
-        step = g / h if h > 0.0 else 0.0
-        candidate = x - step
-        if not (a < candidate < b) or step == 0.0:
-            candidate = 0.5 * (a + b)
-        x = candidate
-    return x

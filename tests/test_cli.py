@@ -385,8 +385,10 @@ class TestEquilibriumGuarantees:
     ) -> None:
         # The relaxation bound lies below the optimum, so exceeding its
         # scaled value does not show that a theorem is broken.
+        # The CLI imports the bound where it uses it: patch its home.
         monkeypatch.setattr(
-            "repro.cli.p2a_lower_bound", lambda *args, **kwargs: 1e-12
+            "repro.baselines.lower_bounds.p2a_lower_bound",
+            lambda *args, **kwargs: 1e-12,
         )
         assert main(["equilibrium", "--devices", "8"]) == 0
         lines = [

@@ -1,15 +1,15 @@
-"""Equality suites for the compiled slot pipeline and batched P2-B.
+"""Equality suites for the compiled slot pipeline.
 
 Three families of guarantees, each asserted bitwise unless noted:
 
 * ``StateGenerator.compile_states`` yields states bit-identical to the
   per-slot :meth:`StateGenerator.states` path for every model
-  composition (all three tiers: chunk-blocked, slot-fused, fallback),
-  for any chunk size, and end to end through ``repro.api.run``.
-* Batched P2-B (``p2b._solve_p2b_batch``, which ``solve_p2b`` runs
-  from 64 servers on) matches the scalar-loop oracle
-  (``p2b._solve_p2b_scalar``, below 64) bit for bit, including every
-  fast-path edge case.
+  composition (both tiers: slot-fused and fallback), for horizons on
+  either side of a state block's edge, and end to end through
+  ``repro.api.run``.
+* P2-B's two searches (the NumPy per-server
+  ``minimize_convex_scalar`` loop and the C ``golden_quad``) give the
+  same clocks and counters, including every fast-path edge case.
 * The warm-start family's semantics: the BDMA fixed-point short-circuit
   is a bit-exact accounting optimisation, and ``carry_over`` /
   ``warm_start`` are bit-exact given the same rng draws.
@@ -24,10 +24,9 @@ import pytest
 
 import repro
 from repro.api import make_controller, run
-from repro.core import p2b
+from repro.core.bdma import cgba_p2a_solver, solve_p2_bdma
 from repro.core.latency import server_load_roots
 from repro.core.p2b import solve_p2b
-from repro.core.bdma import cgba_p2a_solver, solve_p2_bdma
 from repro.core.state import (
     Assignment,
     Decision,
@@ -35,9 +34,9 @@ from repro.core.state import (
     SlotState,
     validate_decision,
 )
-from repro.exceptions import CheckpointError, ConfigurationError, ValidationError
+from repro.exceptions import CheckpointError, ValidationError
 from repro.network.connectivity import StrategySpace
-from repro.obs import NULL_TRACER
+from repro.obs import Probe
 from repro.radio.mobility import RandomWaypointMobility
 from repro.radio.fronthaul import ScintillatingFronthaul
 from repro.sim.engine import run_simulation
@@ -101,15 +100,18 @@ class TestCompiledStates:
     calls, so reusing one object would compare different streams.
     """
 
-    @pytest.mark.parametrize("chunk", [1, 7, 32, 100])
-    def test_default_scenario_slot_fused_tier(self, chunk: int) -> None:
-        # Periodic prices with noise draw rng per slot: slot-fused tier.
+    @pytest.mark.parametrize("horizon", [1, 7, 31, 32, 33, 100])
+    def test_default_scenario_slot_fused_tier(self, horizon: int) -> None:
+        # Periodic prices with noise draw rng per slot.  The horizons
+        # fall inside, on and across the edges of the state blocks.
         _assert_states_identical(
-            _small_scenario().fresh_states(40),
-            _small_scenario().fresh_compiled_states(40, chunk=chunk),
+            _small_scenario().fresh_states(horizon),
+            _small_scenario().fresh_compiled_states(horizon),
         )
 
     def test_zero_price_noise_chunk_blocked_tier(self) -> None:
+        # Prices that draw no randomness once took a tier of their own
+        # (one block-wide draw); they now take the slot-fused tier.
         config = repro.ScenarioConfig(num_devices=10, price_noise_std=0.0)
         _assert_states_identical(
             _small_scenario(config=config).fresh_states(40),
@@ -134,8 +136,8 @@ class TestCompiledStates:
             )
 
         _assert_states_identical(
-            _small_scenario(**kwargs()).fresh_states(30),
-            _small_scenario(**kwargs()).fresh_compiled_states(30, chunk=8),
+            _small_scenario(**kwargs()).fresh_states(40),
+            _small_scenario(**kwargs()).fresh_compiled_states(40),
         )
 
     def test_full_composition(self) -> None:
@@ -160,10 +162,11 @@ class TestCompiledStates:
         _assert_states_identical(ref, got)
 
     def test_empty_horizon_and_bad_chunk(self) -> None:
+        # The block size is fixed: any chunk argument is refused.
         scenario = _small_scenario()
         assert list(scenario.fresh_compiled_states(0)) == []
-        with pytest.raises(ConfigurationError):
-            list(scenario.fresh_compiled_states(10, chunk=0))
+        with pytest.raises(TypeError, match="chunk"):
+            scenario.fresh_compiled_states(10, chunk=0)
 
     def test_end_to_end_run_bit_identical(self) -> None:
         compiled = run(
@@ -240,10 +243,14 @@ class TestStateStream:
             StateStream(self._scenario(True)).load_state_dict(carry)
 
 
-# -- batched P2-B vs the scalar oracle ---------------------------------------
+# -- P2-B: the NumPy per-server search and the C golden_quad -----------------
 
 
 class TestBatchedP2B:
+    """``solve_p2b`` on both searches against per-server
+    :func:`minimize_convex_scalar` calls, bit for bit, on the fast-path
+    edge cases and on random loads."""
+
     def _network_state_assignment(self):
         network = make_tiny_network()
         state = make_tiny_state()
@@ -252,21 +259,25 @@ class TestBatchedP2B:
         )
         return network, state, assignment
 
-    def _assert_methods_agree(self, network, state, assignment, *, q, v) -> None:
-        # solve_p2b picks by fleet size, so compare its two paths
-        # directly on the same inputs.
-        roots = server_load_roots(network, state, assignment)
-        demand, pressure = roots * roots, q * state.price
-        scalar = p2b._solve_p2b_scalar(
-            network, state, demand, pressure, v, 1e-8, NULL_TRACER
-        )
-        batch, _, _ = p2b._solve_p2b_batch(
-            None, network, state, demand, pressure, v, 1e-8
-        )
-        assert scalar.tobytes() == batch.tobytes()
-        # Below the cut-over solve_p2b is the scalar loop.
-        got = solve_p2b(network, state, assignment, queue_backlog=q, v=v)
-        assert got.tobytes() == scalar.tobytes()
+    def _assert_methods_agree(self, network, state, assignment, *, q, v):
+        # Both backends give the same clocks and the same counters; with
+        # no C compiler ``jit`` resolves to the NumPy oracle itself.
+        got = {}
+        for backend in ("numpy", "jit"):
+            probe = Probe()
+            freqs = solve_p2b(
+                network, state, assignment, queue_backlog=q, v=v,
+                tracer=probe, backend=backend,
+            )
+            counters = probe.phases.counters
+            got[backend] = (
+                freqs.tobytes(),
+                counters["p2b.scalar_solves"],
+                counters["p2b.fastpath"],
+            )
+        assert got["numpy"] == got["jit"]
+        assert got["numpy"][1] + got["numpy"][2] == network.num_servers
+        return np.frombuffer(got["numpy"][0])
 
     def test_random_loads(self) -> None:
         network, _, _ = self._network_state_assignment()
@@ -302,13 +313,20 @@ class TestBatchedP2B:
             spectral_efficiency=state.spectral_efficiency,
             price=state.price,
         )
-        self._assert_methods_agree(network, idle, assignment, q=5.0, v=10.0)
-        freqs = solve_p2b(network, idle, assignment, queue_backlog=5.0, v=10.0)
+        freqs = self._assert_methods_agree(
+            network, idle, assignment, q=5.0, v=10.0
+        )
         assert freqs.tobytes() == network.freq_min.tobytes()
 
     def test_zero_energy_pressure(self) -> None:
+        # Latency alone drives the clocks: loaded servers run at F^U.
         network, state, assignment = self._network_state_assignment()
-        self._assert_methods_agree(network, state, assignment, q=0.0, v=10.0)
+        freqs = self._assert_methods_agree(
+            network, state, assignment, q=0.0, v=10.0
+        )
+        loaded = server_load_roots(network, state, assignment) > 0.0
+        assert loaded.any()
+        assert np.array_equal(freqs[loaded], network.freq_max[loaded])
 
     def test_offline_servers(self) -> None:
         network, state, assignment = self._network_state_assignment()
@@ -320,22 +338,21 @@ class TestBatchedP2B:
             price=state.price,
             available_servers=np.array([True, False, True]),
         )
-        self._assert_methods_agree(network, offline, assignment, q=8.0, v=25.0)
-        freqs = solve_p2b(
-            network, offline, assignment, queue_backlog=8.0, v=25.0
+        freqs = self._assert_methods_agree(
+            network, offline, assignment, q=8.0, v=25.0
         )
         assert freqs[1] == network.servers[1].freq_min
 
     def test_inline_quadratic_matches_generic_search(self) -> None:
-        # The scalar loop's fused golden-section specialisation must
-        # replay minimize_convex_scalar on the model's power() bit for
-        # bit.
+        # Both searches replay minimize_convex_scalar on each loaded
+        # server's power() bit for bit.
         network, state, assignment = self._network_state_assignment()
         q, v, tol = 20.0, 50.0, 1e-8
         roots = server_load_roots(network, state, assignment)
         demand = roots * roots
         pressure = q * state.price
-        got = solve_p2b(network, state, assignment, queue_backlog=q, v=v)
+        got = self._assert_methods_agree(network, state, assignment, q=q, v=v)
+        searched = 0
         for n, server in enumerate(network.servers):
             if demand[n] <= 0.0:
                 continue
@@ -349,6 +366,8 @@ class TestBatchedP2B:
                 objective, server.freq_min, server.freq_max, tol=tol
             ).x
             assert got[n] == expected
+            searched += 1
+        assert searched > 0
 
 
 # -- warm-start semantics ----------------------------------------------------
@@ -550,10 +569,10 @@ class TestSurfacedCounters:
 
         trace = Trace()
         trace.counters["engine.warm_start_hits"] = 12.0
-        trace.counters["p2b.batch_iters"] = 340.0
+        trace.counters["p2b.fastpath"] = 340.0
         summary = trace.summary()
         assert "warm_start_hits=12" in summary
-        assert "batch_iters=340" in summary
+        assert "fastpath=340" in summary
 
     def test_dashboard_engine_panel_prefers_perf_counters(self) -> None:
         from repro.obs.dashboard import Dashboard
@@ -561,7 +580,7 @@ class TestSurfacedCounters:
         dash = Dashboard(ascii_only=True)
         for name in (
             "engine.warm_start_hits",
-            "p2b.batch_iters",
+            "p2b.fastpath",
             "aaa.filler1",
             "aab.filler2",
             "aac.filler3",
@@ -572,4 +591,4 @@ class TestSurfacedCounters:
             dash.emit({"kind": "counter", "name": name, "value": 3.0})
         frame = dash.render()
         assert "engine.warm_start_hits=3" in frame
-        assert "p2b.batch_iters=3" in frame
+        assert "p2b.fastpath=3" in frame

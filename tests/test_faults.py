@@ -442,8 +442,9 @@ class TestFaultPlan:
             config=repro.ScenarioConfig(num_devices=8),
             fault_plan=self._full_plan(),
         )
-        per_slot = list(scenario.fresh_states(25))
-        compiled = list(scenario.fresh_compiled_states(25, chunk=7))
+        # 40 slots: the compiled stream crosses a block edge.
+        per_slot = list(scenario.fresh_states(40))
+        compiled = list(scenario.fresh_compiled_states(40))
         for a, b in zip(per_slot, compiled):
             np.testing.assert_array_equal(a.price, b.price)
             np.testing.assert_array_equal(

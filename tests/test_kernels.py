@@ -3,8 +3,8 @@
 The kernel contract (:mod:`repro.kernels.interface`) promises that
 selecting ``backend="jit"`` changes wall-clock, never results.  These
 tests enforce it end to end: slot-record streams, trajectory
-fingerprints, engine counters and grouped replication must all match
-the NumPy oracle bit for bit --
+fingerprints, engine counters, P2-B's clocks and grouped replication
+must all match the NumPy oracle bit for bit --
 including under injected faults and chaos, where the resilience
 fallback chain runs on top of the kernels.
 
@@ -21,10 +21,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro.api import run
+from repro.core.p2b import solve_p2b
 from repro.core.resilience import ResiliencePolicy, SolverChaos
+from repro.core.state import Assignment, SlotState
+from repro.energy.models import QuadraticEnergyModel, ScaledEnergyModel
 from repro.exceptions import ConfigurationError, SolverError
 from repro.kernels import (
     BACKEND_NAMES,
@@ -34,6 +38,14 @@ from repro.kernels import (
     jit_provider,
 )
 from repro.kernels._adapt import wrap_raw_backend
+from repro.network.topology import (
+    BaseStation,
+    EdgeServer,
+    FronthaulType,
+    MECNetwork,
+    MobileDevice,
+    ServerCluster,
+)
 from repro.obs import Probe
 from repro.sim import replication
 from repro.sim.faults import (
@@ -44,7 +56,7 @@ from repro.sim.faults import (
     ScriptedIncident,
 )
 from repro.sim.replication import ReplicationSpec, run_replications
-from repro.solvers.scalar import minimize_convex_scalar_batch
+from repro.solvers.scalar import minimize_convex_scalar
 
 from conftest import MEDIUM_FINGERPRINT, fingerprint
 
@@ -115,7 +127,8 @@ class TestRegistry:
 
 @requires_jit
 class TestGoldenQuadKernel:
-    """The native golden-section kernel vs the NumPy batch search."""
+    """The native golden-section kernel vs the NumPy search, run lane by
+    lane over a batch of lanes."""
 
     def _lanes(self, size: int, seed: int):
         rng = np.random.default_rng(seed)
@@ -129,36 +142,39 @@ class TestGoldenQuadKernel:
         qc = rng.uniform(0.0, 10.0, size)
         return lo, hi, latency_scale, ep, scale, qa, qb, qc
 
+    @staticmethod
+    def _reference(lanes, tol: float):
+        """``(x, evals)`` of :func:`minimize_convex_scalar` on each lane's
+        quadratic objective."""
+        xs, evals = [], []
+        for lo, hi, ls, ep, s, qa, qb, qc in zip(*(lane.tolist() for lane in lanes)):
+
+            def objective(f: float) -> float:
+                return ls / f + ep * (s * (qa * f * f + qb * f + qc))
+
+            result = minimize_convex_scalar(objective, lo, hi, tol=tol)
+            xs.append(result.x)
+            evals.append(result.iterations)
+        return np.array(xs), np.array(evals, dtype=np.int64)
+
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_bit_identical_to_numpy_batch_search(self, seed: int) -> None:
-        lo, hi, ls, ep, scale, qa, qb, qc = self._lanes(64, seed)
-        tol = 1e-8
-
-        def objective(freq):
-            return ls / freq + ep * (scale * (qa * freq * freq + qb * freq + qc))
-
-        reference = minimize_convex_scalar_batch(objective, lo, hi, tol=tol)
-        x, evals = get_kernels("jit").golden_quad(
-            lo, hi, ls, ep, scale, qa, qb, qc, tol
-        )
-        np.testing.assert_array_equal(x, reference.x)
-        np.testing.assert_array_equal(evals, reference.iterations)
+        lanes = self._lanes(64, seed)
+        want_x, want_evals = self._reference(lanes, 1e-8)
+        x, evals = get_kernels("jit").golden_quad(*lanes, 1e-8)
+        np.testing.assert_array_equal(x, want_x)
+        np.testing.assert_array_equal(evals, want_evals)
 
     def test_degenerate_lane_counts_one_eval(self) -> None:
-        lo, hi, ls, ep, scale, qa, qb, qc = self._lanes(4, 3)
+        lanes = self._lanes(4, 3)
+        lo, hi = lanes[0], lanes[1]
         hi[2] = lo[2]  # pinned bracket: hi == lo
-
-        def objective(freq):
-            return ls / freq + ep * (scale * (qa * freq * freq + qb * freq + qc))
-
-        reference = minimize_convex_scalar_batch(objective, lo, hi, tol=1e-8)
-        x, evals = get_kernels("jit").golden_quad(
-            lo, hi, ls, ep, scale, qa, qb, qc, 1e-8
-        )
-        assert evals[2] == 1 == reference.iterations[2]
+        want_x, want_evals = self._reference(lanes, 1e-8)
+        x, evals = get_kernels("jit").golden_quad(*lanes, 1e-8)
+        assert evals[2] == 1 == want_evals[2]
         assert x[2] == lo[2]
-        np.testing.assert_array_equal(x, reference.x)
-        np.testing.assert_array_equal(evals, reference.iterations)
+        np.testing.assert_array_equal(x, want_x)
+        np.testing.assert_array_equal(evals, want_evals)
 
     def _counting_golden_quad(self):
         """The C golden_quad behind a conversion-recording adapter."""
@@ -235,6 +251,111 @@ class TestGoldenQuadKernel:
         lanes = [lane.reshape(2, 4) for lane in self._lanes(8, 7)]
         with pytest.raises(ValueError, match="1-D"):
             get_kernels("jit").golden_quad(*lanes, 1e-8)
+
+
+def _p2b_case(servers: int, seed: int, pinned: float, idle: float,
+              offline: float, backlog: float):
+    """A one-cell network of *servers* servers with drawn clock ranges
+    (a *pinned* share with ``F^L == F^U``) and (scaled) quadratic energy
+    models, two devices per server on random servers (an *idle* share
+    with zero cycles), and a state with an availability mask when
+    *offline* > 0 (at least one server up)."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.5, 2.5, servers)
+    hi = np.where(rng.random(servers) < pinned, lo, lo + rng.uniform(0.0, 2.5, servers))
+    models = []
+    for _ in range(servers):
+        base = QuadraticEnergyModel(
+            a=rng.uniform(0.5, 8.0), b=rng.uniform(0.0, 4.0), c=rng.uniform(0.0, 20.0)
+        )
+        models.append(
+            ScaledEnergyModel(base=base, scale=rng.uniform(0.5, 4.0))
+            if rng.random() < 0.5
+            else base
+        )
+    devices = 2 * servers
+    network = MECNetwork(
+        (
+            BaseStation(
+                index=0, position=(0.0, 0.0), coverage_radius=1e4,
+                access_bandwidth=80e6, fronthaul_bandwidth=1e9,
+                fronthaul_spectral_efficiency=10.0,
+                fronthaul_type=FronthaulType.WIRED, connected_clusters=(0,),
+            ),
+        ),
+        (ServerCluster(index=0, servers=tuple(range(servers))),),
+        tuple(
+            EdgeServer(
+                index=n, cluster=0, cores=int(rng.integers(8, 129)),
+                freq_min=float(lo[n]), freq_max=float(hi[n]),
+                energy_model=models[n], speed_scale=float(rng.uniform(1.0, 4.0)),
+            )
+            for n in range(servers)
+        ),
+        tuple(MobileDevice(index=i, position=(1.0, 1.0)) for i in range(devices)),
+        rng.uniform(0.1, 1.0, (devices, servers)),
+    )
+    cycles = rng.uniform(1e8, 5e8, devices)
+    cycles[rng.random(devices) < idle] = 0.0
+    available = None
+    if offline > 0.0:
+        available = rng.random(servers) >= offline
+        available[rng.integers(servers)] = True
+    state = SlotState(
+        t=0, cycles=cycles, bits=np.full(devices, 1e6),
+        spectral_efficiency=np.ones((devices, 1)),
+        price=float(rng.uniform(0.01, 2.0)), available_servers=available,
+    )
+    assignment = Assignment(
+        bs_of=np.zeros(devices, dtype=np.int64),
+        server_of=rng.integers(0, servers, devices),
+    )
+    return network, state, assignment, backlog
+
+
+@requires_jit
+class TestP2BParity:
+    """``solve_p2b`` on the NumPy per-server search and on the C
+    ``golden_quad``: bitwise-equal clocks and equal fast-path counts."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        servers=st.integers(1, 160),
+        seed=st.integers(0, 2**32 - 1),
+        pinned=st.sampled_from([0.0, 0.3, 1.0]),
+        idle=st.sampled_from([0.0, 0.3, 1.0]),
+        offline=st.sampled_from([0.0, 0.0, 0.4]),
+        backlog=st.one_of(st.just(0.0), st.floats(0.05, 50.0)),
+    )
+    # Fast-path edge cases: every device idle, zero energy pressure,
+    # offline servers, one server, and a fleet past 64 servers.
+    @example(servers=3, seed=7, pinned=0.0, idle=1.0, offline=0.0, backlog=5.0)
+    @example(servers=3, seed=7, pinned=0.0, idle=0.0, offline=0.0, backlog=0.0)
+    @example(servers=3, seed=7, pinned=0.0, idle=0.0, offline=0.5, backlog=8.0)
+    @example(servers=1, seed=1, pinned=1.0, idle=0.0, offline=0.0, backlog=3.0)
+    @example(servers=160, seed=2, pinned=0.3, idle=0.3, offline=0.4, backlog=50.0)
+    def test_solve_p2b_numpy_matches_jit(
+        self, servers: int, seed: int, pinned: float, idle: float,
+        offline: float, backlog: float,
+    ) -> None:
+        network, state, assignment, q = _p2b_case(
+            servers, seed, pinned, idle, offline, backlog
+        )
+        got = {}
+        for backend in ("numpy", "jit"):
+            probe = Probe()
+            freqs = solve_p2b(
+                network, state, assignment, queue_backlog=q, v=75.0,
+                tracer=probe, backend=backend,
+            )
+            counters = probe.phases.counters
+            got[backend] = (
+                freqs.tobytes(),
+                counters["p2b.scalar_solves"],
+                counters["p2b.fastpath"],
+            )
+        assert got["numpy"] == got["jit"]
+        assert got["jit"][1] + got["jit"][2] == servers
 
 
 class TestSlotStreamParity:

@@ -47,7 +47,7 @@ class TestLazyImports:
         """Building a scenario and a ``dpp`` controller through the
         facade loads no experiment, analysis, baseline, fleet or
         trace-tooling module, and importing the CLI loads no
-        experiment."""
+        experiment and none of the tools its commands import on use."""
         unused = (
             "repro.experiments",
             "repro.analysis",
@@ -78,10 +78,27 @@ class TestLazyImports:
             "          if m in unused or m.startswith(tuple(u + '.' for u in unused))]\n"
             "assert not loaded, loaded\n"
         )
+        on_use = (
+            "repro.experiments",
+            "repro.analysis",
+            "repro.baselines",
+            "repro.core.theory",
+            "repro.io",
+            "repro.obs.dashboard",
+            "repro.obs.manifest",
+            "repro.obs.monitors",
+            "repro.obs.server",
+            "repro.obs.sinks",
+            "repro.obs.trace",
+            "repro.solvers.assignment",
+            "repro.solvers.relaxation",
+        )
         run_fresh(
-            "import sys, repro.cli; "
-            "loaded = [m for m in sys.modules if m.startswith('repro.experiments')]; "
-            "assert not loaded, loaded"
+            "import sys, repro.cli\n"
+            f"on_use = {on_use!r}\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m in on_use or m.startswith(tuple(u + '.' for u in on_use))]\n"
+            "assert not loaded, loaded\n"
         )
 
     def test_unknown_attribute_still_raises(self) -> None:

@@ -75,10 +75,7 @@ def test_fast_paths_engage(backend: str) -> None:
     assert fingerprint(compiled) == fingerprint(per_slot)
     counters = probe.phases.counters
     assert counters.get("engine.warm_start_hits", 0) > 0
-    assert (
-        counters.get("p2b.scalar_solves", 0)
-        + counters.get("p2b.batch_iters", 0)
-    ) > 0
+    assert counters.get("p2b.scalar_solves", 0) > 0
     assert counters.get("bdma.rounds", 0) > 0
 
 

@@ -28,9 +28,10 @@ from repro.kernels import KernelBackend
 from repro.network.connectivity import FlatStrategies, StrategySpace
 from repro.sim.checkpoint import run_checkpointed
 from repro.sim.replication import ReplicationSpec, run_replications
+from repro.sim.scenario import StateStream
 from repro.sim.shard_runtime import SharedStatePlanner
 from repro.sim.sharded import ShardedController, run_sharded
-from repro.solvers import fast_engine
+from repro.solvers import fast_engine, scalar
 from repro.solvers.fast_engine import FastBestResponseEngine
 
 from conftest import make_tiny_network, make_tiny_state
@@ -93,8 +94,8 @@ CGBA_P2A_SOLVER_KEYWORDS = [
     "slack", "max_iter", "tracer", "accept_partial", "backend",
 ]
 ENGINE_RUN_KEYWORDS = ["max_iter"]
-# P2-B picks the scalar loop or the batch search by fleet size; the two
-# are bit-identical, so there is no method to choose.
+# P2-B runs the backend's native search or the per-server search; the
+# two are bit-identical, so there is no method to choose.
 SOLVE_P2B_KEYWORDS = [
     "network", "state", "assignment", "queue_backlog", "v", "tol", "tracer",
     "backend",
@@ -143,7 +144,7 @@ def test_entry_point_keywords_are_pinned(func, pinned) -> None:
 
 
 class TestStateKnobsRemoved:
-    """Every run draws states through the state compiler at one chunk
+    """Every run draws states through the state compiler at one block
     size; there is no per-slot switch and no chunk knob to set."""
 
     SCENARIO_CONFIG = repro.ScenarioConfig(num_devices=8)
@@ -184,6 +185,14 @@ class TestStateKnobsRemoved:
             )
         with pytest.raises(TypeError, match="chunk"):
             SharedStatePlanner([scenario], epoch=1, chunk=16)
+        with pytest.raises(TypeError, match="chunk"):
+            scenario.fresh_compiled_states(1, chunk=16)
+        with pytest.raises(TypeError, match="chunk"):
+            StateStream(scenario).take(0, 1, chunk=16)
+        with pytest.raises(TypeError, match="chunk"):
+            scenario.generator.compile_states(
+                1, scenario.state_rng(), chunk=16
+            )
 
 
 class TestShardedKnobsRemoved:
@@ -264,6 +273,10 @@ class TestBestResponseKnobsRemoved:
             (StrategySpace, "players_touching_bs"),
             (StrategySpace, "players_touching_server"),
             (FlatStrategies, "subset_indices"),
+            (repro.solvers, "minimize_scalar_newton"),
+            (scalar, "minimize_scalar_newton"),
+            (scalar, "minimize_convex_scalar_batch"),
+            (scalar, "BatchGoldenSectionResult"),
         ],
         ids=lambda x: getattr(x, "__name__", x),
     )
@@ -272,8 +285,9 @@ class TestBestResponseKnobsRemoved:
 
 
 class TestP2BKnobsRemoved:
-    """P2-B's search method is not a setting: the per-server loop runs
-    below 64 servers and the batch search from 64 on, bit-identically."""
+    """P2-B's search method is not a setting: the backend's native
+    search runs when it has one, the per-server golden-section search
+    otherwise, bit-identically."""
 
     def test_solve_p2b_rejects_method(self) -> None:
         network, state = make_tiny_network(), make_tiny_state()

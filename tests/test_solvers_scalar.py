@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import SolverError
-from repro.solvers.scalar import minimize_convex_scalar, minimize_scalar_newton
+from repro.solvers.scalar import minimize_convex_scalar
 
 
 class TestGoldenSection:
@@ -82,38 +82,3 @@ class TestGoldenSection:
         values = {0.0: intercept, 1.0: slope + intercept}
         assert result.value <= min(values.values()) + 1e-9
 
-
-class TestNewton:
-    def test_interior_root(self) -> None:
-        # d/dx (x - 2)^2 = 2(x - 2).
-        x = minimize_scalar_newton(
-            lambda x: 2 * (x - 2.0), lambda x: 2.0, 0.0, 5.0
-        )
-        assert x == pytest.approx(2.0, abs=1e-8)
-
-    def test_monotone_increasing_gradient_at_lower_end(self) -> None:
-        x = minimize_scalar_newton(lambda x: 1.0 + x, lambda x: 1.0, 0.0, 5.0)
-        assert x == 0.0
-
-    def test_monotone_decreasing_objective_returns_upper(self) -> None:
-        x = minimize_scalar_newton(lambda x: -1.0, lambda x: 0.0, 0.0, 5.0)
-        assert x == 5.0
-
-    def test_empty_interval_raises(self) -> None:
-        with pytest.raises(SolverError):
-            minimize_scalar_newton(lambda x: x, lambda x: 1.0, 2.0, 1.0)
-
-    def test_agrees_with_golden_section_on_p2b_form(self) -> None:
-        v_a, qp, a, b = 80.0, 0.2, 6.0, 1.5
-
-        def grad(w: float) -> float:
-            return -v_a / (w * w) + qp * (2 * a * w + b)
-
-        def hess(w: float) -> float:
-            return 2 * v_a / w**3 + qp * 2 * a
-
-        newton = minimize_scalar_newton(grad, hess, 1.8, 3.6)
-        golden = minimize_convex_scalar(
-            lambda w: v_a / w + qp * (a * w * w + b * w), 1.8, 3.6, tol=1e-10
-        )
-        assert newton == pytest.approx(golden.x, abs=1e-5)
