@@ -63,9 +63,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".core.resilience": ("ResiliencePolicy", "SolverChaos"),
         ".sim.faults": (
             "FaultPlan",
-            "ChaosSchedule",
             "ScriptedIncident",
-            "NoOutages",
             "MarkovOutages",
         ),
         ".sim.checkpoint": ("Checkpoint", "run_checkpointed"),

@@ -22,7 +22,7 @@ from repro.network.validation import validate_network
 from repro.radio.channel import ChannelModel, UniformChannelModel
 from repro.radio.fronthaul import FronthaulModel
 from repro.radio.mobility import MobilityModel
-from repro.sim.faults import FaultPlan, OutageModel
+from repro.sim.faults import FaultPlan
 from repro.sim.scenario import Scenario, StateGenerator
 from repro.sim.seeding import SeedBank
 from repro.workload.generators import (
@@ -75,7 +75,6 @@ def make_paper_scenario(
     prices: PriceModel | None = None,
     tasks: TaskGenerator | None = None,
     fronthaul: FronthaulModel | None = None,
-    faults: OutageModel | None = None,
     fault_plan: FaultPlan | None = None,
     **network_overrides: object,
 ) -> Scenario:
@@ -91,12 +90,12 @@ def make_paper_scenario(
             must match).
         fronthaul: Optional time-varying fronthaul-efficiency model
             (static per the paper when omitted).
-        faults: Optional server-outage model (always-up per the paper
-            when omitted).
         fault_plan: Optional composable :class:`~repro.sim.faults.FaultPlan`
             applied on top of every drawn state from its own seeded
-            stream (base-station outages, fronthaul degradation,
-            price-feed dropouts, scripted incidents, ...).
+            stream (server and base-station outages, fronthaul
+            degradation, price-feed dropouts, scripted incidents, ...);
+            every server is always up when omitted (the paper's
+            setting).
         **network_overrides: Passed to
             :class:`repro.network.builder.NetworkBuilder` (e.g.
             ``num_base_stations=8``).
@@ -131,7 +130,6 @@ def make_paper_scenario(
         mobility=mobility,
         price_scale=PRICE_SCALE,
         fronthaul=fronthaul,
-        faults=faults,
     )
     # suggest_budget works in the price model's native units ($/MWh); the
     # same conversion applied to per-slot prices makes the budget dollars.

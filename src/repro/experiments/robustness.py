@@ -4,10 +4,11 @@ Not figures from the paper -- the paper assumes an always-healthy
 substrate -- but the natural stress tests for an online controller:
 
 * :func:`run_fault_sweep` sweeps the stationary *server* unavailability
-  (Markov outage model) and measures how gracefully latency degrades
-  while the energy budget is still respected.  The controller has no
-  explicit failover logic; the strategy-space filtering plus the
-  carried-assignment repair do all the work.
+  (a :class:`~repro.sim.faults.FaultPlan` of Markov server outages, so
+  every level sees the same traffic) and measures how gracefully
+  latency degrades while the energy budget is still respected.  The
+  controller has no explicit failover logic; the strategy-space
+  filtering plus the carried-assignment repair do all the work.
 * :func:`run_chaos_sweep` extends the bench to *link and price-feed*
   faults: a composed :class:`~repro.sim.faults.FaultPlan` degrades
   fronthaul links, freezes the price feed (the controller acts on stale
@@ -39,6 +40,7 @@ from repro.sim.faults import (
     FronthaulDegradation,
     MarkovOutages,
     PriceFeedDropouts,
+    ServerOutages,
 )
 
 
@@ -85,6 +87,34 @@ class FaultSweepResult(ExperimentResult):
         assert all(c <= self.budget * 1.2 for c in costs)
 
 
+def fault_sweep_scenario(
+    u: float,
+    *,
+    mttr_slots: float = 4.0,
+    num_devices: int = 20,
+    scenario_seed: int = 320,
+) -> "repro.Scenario":
+    """The fault sweep's scenario at stationary unavailability *u*.
+
+    For a repair time ``mttr`` the matching failure time is
+    ``mtbf = mttr (1 - u) / u``; ``u = 0`` carries no plan.  The plan
+    draws from its own stream, so every *u* sees the same traffic.
+    """
+    plan = None
+    if u > 0.0:
+        outages = MarkovOutages(
+            mtbf_slots=mttr_slots * (1.0 - u) / u,
+            mttr_slots=mttr_slots,
+            min_up_fraction=0.25,
+        )
+        plan = FaultPlan([ServerOutages(outages)])
+    return repro.make_paper_scenario(
+        seed=scenario_seed,
+        config=repro.ScenarioConfig(num_devices=num_devices),
+        fault_plan=plan,
+    )
+
+
 def run_fault_sweep(
     *,
     unavailabilities: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2),
@@ -94,23 +124,15 @@ def run_fault_sweep(
     v: float = 100.0,
     scenario_seed: int = 320,
 ) -> FaultSweepResult:
-    """Sweep the stationary server unavailability.
-
-    For a target unavailability ``u`` with repair time ``mttr``, the
-    matching failure time is ``mtbf = mttr (1 - u) / u``.
-    """
+    """Sweep the stationary server unavailability
+    (:func:`fault_sweep_scenario` builds each level)."""
     result = FaultSweepResult()
     for u in unavailabilities:
-        faults = None
-        if u > 0.0:
-            mtbf = mttr_slots * (1.0 - u) / u
-            faults = MarkovOutages(
-                mtbf_slots=mtbf, mttr_slots=mttr_slots, min_up_fraction=0.25
-            )
-        scenario = repro.make_paper_scenario(
-            seed=scenario_seed,
-            config=repro.ScenarioConfig(num_devices=num_devices),
-            faults=faults,
+        scenario = fault_sweep_scenario(
+            u,
+            mttr_slots=mttr_slots,
+            num_devices=num_devices,
+            scenario_seed=scenario_seed,
         )
         result.budget = scenario.budget
         # Health monitors watch every sweep point.  Feasibility must
@@ -134,11 +156,13 @@ def run_fault_sweep(
             controller, iter(states), budget=scenario.budget, tracer=probe
         )
         report = suite.finish()
-        if u > 0.0:
-            masks = np.array([s.available_servers for s in states])
-            measured = float(1.0 - masks.mean())
-        else:
-            measured = 0.0
+        # A state without a mask has every server up.
+        up = np.ones(scenario.network.num_servers, dtype=bool)
+        masks = np.array(
+            [up if s.available_servers is None else s.available_servers
+             for s in states]
+        )
+        measured = float(1.0 - masks.mean())
         result.rows.append(
             [
                 u,

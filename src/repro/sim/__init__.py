@@ -15,8 +15,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".faults": (
-            "OutageModel",
-            "NoOutages",
             "MarkovOutages",
             "StateFault",
             "ServerOutages",
@@ -25,7 +23,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "PriceFeedDropouts",
             "ChannelStaleness",
             "ScriptedIncident",
-            "ChaosSchedule",
             "FaultPlan",
         ),
         ".checkpoint": ("Checkpoint", "run_checkpointed"),

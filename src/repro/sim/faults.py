@@ -1,19 +1,16 @@
-"""Fault injection: outage models and the composable fault framework.
+"""Fault injection: the composable fault framework.
 
 The paper assumes an always-healthy substrate -- every server up, every
 fronthaul link intact, the price signal fresh each slot.  This module
-injects the failures real deployments see, in two layers:
-
-* :class:`OutageModel` (kept from the original design) produces the
-  per-slot server availability mask consumed through
-  :attr:`repro.core.state.SlotState.available_servers`: offline servers
-  are excluded from every device's strategy set and draw no power.
-* :class:`StateFault` components transform an already-drawn
-  :class:`~repro.core.state.SlotState` -- base-station outages,
-  fronthaul degradation, price-feed dropouts (the controller acts on the
-  last *stale* price), channel-estimate staleness -- and a
-  :class:`FaultPlan` composes any number of them plus a scripted
-  :class:`ChaosSchedule` of incidents.
+injects the failures real deployments see, in one layer: each
+:class:`StateFault` component transforms an already-drawn
+:class:`~repro.core.state.SlotState` -- server outages (offline servers
+leave every strategy set and draw no power), base-station outages,
+fronthaul degradation, price-feed dropouts (the controller acts on the
+last *stale* price), channel-estimate staleness -- and a
+:class:`FaultPlan` composes any number of them plus scripted
+:class:`ScriptedIncident` objects.  Every Markov fault runs on one
+up/down chain engine (:class:`_TwoStateChain`).
 
 A :class:`FaultPlan` is applied *after* state generation from its own
 seeded stream, so the compiled state pipeline
@@ -44,28 +41,13 @@ from repro.obs.probe import Tracer, as_tracer
 from repro.types import BoolArray, FloatArray, Rng
 
 
-class OutageModel(abc.ABC):
-    """Produces per-slot server availability masks."""
-
-    @abc.abstractmethod
-    def availability(self, t: int, network: MECNetwork, rng: Rng) -> BoolArray:
-        """The ``(N,)`` availability mask for slot *t*."""
-
-
-class NoOutages(OutageModel):
-    """The paper's setting: every server is always up."""
-
-    def availability(self, t: int, network: MECNetwork, rng: Rng) -> BoolArray:
-        del t, rng
-        return np.ones(network.num_servers, dtype=bool)
-
-
-class MarkovOutages(OutageModel):
+class MarkovOutages:
     """Independent per-server up/down Markov chains.
 
     Each slot an up server fails with probability ``1/mtbf_slots`` and a
     down server recovers with probability ``1/mttr_slots``.  The
-    stationary unavailability is ``mttr / (mtbf + mttr)``.
+    stationary unavailability is ``mttr / (mtbf + mttr)``.  Lifted into
+    a :class:`FaultPlan` by :class:`ServerOutages`.
 
     Args:
         mtbf_slots: Mean time between failures, in slots.
@@ -89,89 +71,60 @@ class MarkovOutages(OutageModel):
         min_up_fraction: float = 0.5,
         min_up_per_cluster: int = 1,
     ) -> None:
-        if mtbf_slots <= 0 or mttr_slots <= 0:
-            raise ConfigurationError("mtbf/mttr must be positive")
+        self._chain = _TwoStateChain(mtbf_slots, mttr_slots)
         if not 0.0 < min_up_fraction <= 1.0:
             raise ConfigurationError("min_up_fraction must lie in (0, 1]")
         if min_up_per_cluster < 0:
             raise ConfigurationError("min_up_per_cluster must be >= 0")
-        self.fail_prob = min(1.0 / mtbf_slots, 1.0)
-        self.repair_prob = min(1.0 / mttr_slots, 1.0)
         self.min_up_fraction = float(min_up_fraction)
         self.min_up_per_cluster = int(min_up_per_cluster)
-        self._up: BoolArray | None = None
-        self._down_since: np.ndarray | None = None
 
     def availability(self, t: int, network: MECNetwork, rng: Rng) -> BoolArray:
+        """The ``(N,)`` availability mask for slot *t*."""
         n = network.num_servers
-        if self._up is None or self._up.size != n:
-            self._up = np.ones(n, dtype=bool)
-            self._down_since = np.full(n, -1, dtype=np.int64)
-        assert self._down_since is not None
-
-        draws = rng.random(n)
-        failing = self._up & (draws < self.fail_prob)
-        recovering = ~self._up & (draws < self.repair_prob)
-        self._up = (self._up & ~failing) | recovering
-        self._down_since[failing] = t
-        self._down_since[self._up] = -1
+        chain = self._chain
+        up = chain.step(t, n, rng)
 
         # Guard 1: force-repair the longest-down servers if too few are up.
         # The tie-break is deterministic: longest-down first (smallest
         # failure slot), equal downtimes resolved by server index via the
         # stable sort -- never by quicksort's unspecified tie order.
-        min_up = max(1, int(np.ceil(self.min_up_fraction * n)))
-        if int(self._up.sum()) < min_up:
-            down = np.flatnonzero(~self._up)
-            order = down[np.argsort(self._down_since[down], kind="stable")]
-            need = min_up - int(self._up.sum())
-            revive = order[:need]
-            self._up[revive] = True
-            self._down_since[revive] = -1
+        need = max(1, int(np.ceil(self.min_up_fraction * n))) - int(up.sum())
+        if need > 0:
+            chain.force_up(chain.longest_down_first(np.flatnonzero(~up))[:need])
 
         # Guard 2: keep every cluster minimally staffed (feasibility),
         # with the same longest-down-first deterministic tie-break.
         if self.min_up_per_cluster > 0:
             for cluster in network.clusters:
                 members = np.array(cluster.servers, dtype=np.int64)
-                up_count = int(self._up[members].sum())
-                need = min(self.min_up_per_cluster, members.size) - up_count
+                need = min(self.min_up_per_cluster, members.size) - int(
+                    up[members].sum()
+                )
                 if need > 0:
-                    down = members[~self._up[members]]
-                    order = down[np.argsort(self._down_since[down], kind="stable")]
-                    revive = order[:need]
-                    self._up[revive] = True
-                    self._down_since[revive] = -1
-        return self._up.copy()
+                    down = members[~up[members]]
+                    chain.force_up(chain.longest_down_first(down)[:need])
+        return up.copy()
 
     def reset(self) -> None:
         """Bring every server back up (between independent runs)."""
-        self._up = None
-        self._down_since = None
+        self._chain.reset()
 
     def state_dict(self) -> dict:
         """Serializable chain state (for checkpoint/resume)."""
-        if self._up is None or self._down_since is None:
-            return {}
-        return {
-            "up": self._up.tolist(),
-            "down_since": self._down_since.tolist(),
-        }
+        return self._chain.state_dict()
 
     def load_state_dict(self, state: dict) -> None:
         """Restore chain state captured by :meth:`state_dict`."""
-        if not state:
-            self.reset()
-            return
-        self._up = np.asarray(state["up"], dtype=bool)
-        self._down_since = np.asarray(state["down_since"], dtype=np.int64)
+        self._chain.load_state_dict(state)
 
 
 class _TwoStateChain:
     """Independent per-entity up/down Markov chains (MTBF/MTTR).
 
-    The shared engine behind the base-station, fronthaul, and price-feed
-    faults.  Exactly one ``rng.random(n)`` call per slot regardless of
+    The one engine behind every Markov fault: server outages,
+    base-station outages, fronthaul degradation and price-feed
+    dropouts.  Exactly one ``rng.random(n)`` call per slot regardless of
     chain state, so RNG consumption is deterministic and resumable.
     """
 
@@ -290,14 +243,17 @@ def _transition_events(
 
 
 class ServerOutages(StateFault):
-    """Adapter lifting an :class:`OutageModel` into the fault framework.
+    """Server outages: a :class:`MarkovOutages` mask on the state.
 
+    Offline servers are excluded from every device's strategy set and
+    draw no power (:attr:`~repro.core.state.SlotState.available_servers`).
     The model's mask is ANDed with any availability mask already on the
     state; if the intersection would go completely dark, the state's
-    existing mask wins (the adapter defers rather than blacking out).
+    existing mask wins (the component defers rather than blacking out).
+    While no server is down the state's mask stays ``None`` (all up).
     """
 
-    def __init__(self, model: OutageModel | None = None) -> None:
+    def __init__(self, model: MarkovOutages | None = None) -> None:
         self.model = model if model is not None else MarkovOutages()
         self._last_down: tuple[int, ...] = ()
 
@@ -317,22 +273,17 @@ class ServerOutages(StateFault):
 
     def reset(self) -> None:
         self._last_down = ()
-        if hasattr(self.model, "reset"):
-            self.model.reset()
+        self.model.reset()
 
     def state_dict(self) -> dict:
-        out: dict = {"last_down": list(self._last_down)}
-        if hasattr(self.model, "state_dict"):
-            out["model"] = self.model.state_dict()
-        return out
+        return {"last_down": list(self._last_down), "model": self.model.state_dict()}
 
     def load_state_dict(self, state: dict) -> None:
         if not state:
             self.reset()
             return
         self._last_down = tuple(int(n) for n in state.get("last_down", ()))
-        if hasattr(self.model, "load_state_dict"):
-            self.model.load_state_dict(state.get("model", {}))
+        self.model.load_state_dict(state.get("model", {}))
 
 
 class BaseStationOutages(StateFault):
@@ -565,7 +516,9 @@ class ScriptedIncident:
         kind: One of ``server_down`` / ``bs_down`` / ``fronthaul_degraded``
             / ``price_freeze``.
         targets: Server or base-station indices affected (ignored by
-            ``price_freeze``).
+            ``price_freeze``); non-negative, and checked against the
+            network by :meth:`FaultPlan.check_targets` when a
+            :class:`~repro.sim.scenario.Scenario` is built.
         factor: Multiplier for ``fronthaul_degraded``.
     """
 
@@ -588,6 +541,11 @@ class ScriptedIncident:
         if not 0.0 < self.factor <= 1.0:
             raise ConfigurationError("incident factor must lie in (0, 1]")
         object.__setattr__(self, "targets", tuple(int(x) for x in self.targets))
+        if any(target < 0 for target in self.targets):
+            raise ConfigurationError(
+                f"{self.kind} incident at slot {self.at} has a negative "
+                f"target: {self.targets}"
+            )
 
     def active(self, t: int) -> bool:
         return self.at <= t < self.at + self.duration
@@ -615,31 +573,6 @@ class ScriptedIncident:
         return dataclasses.replace(self, targets=targets)
 
 
-class ChaosSchedule:
-    """An ordered collection of :class:`ScriptedIncident` objects."""
-
-    def __init__(self, incidents: Iterable[ScriptedIncident]) -> None:
-        self.incidents = tuple(incidents)
-        for incident in self.incidents:
-            if not isinstance(incident, ScriptedIncident):
-                raise ConfigurationError(
-                    "ChaosSchedule takes ScriptedIncident objects, got "
-                    f"{type(incident).__name__}"
-                )
-
-    def active(self, t: int) -> list[ScriptedIncident]:
-        return [incident for incident in self.incidents if incident.active(t)]
-
-    def subset(
-        self, bs_map: Sequence[int], server_map: Sequence[int]
-    ) -> "ChaosSchedule":
-        """The schedule restricted to one cell (incident order kept)."""
-        projected = (
-            incident.subset(bs_map, server_map) for incident in self.incidents
-        )
-        return ChaosSchedule(i for i in projected if i is not None)
-
-
 class FaultPlan:
     """Composes stochastic fault models plus scripted incidents.
 
@@ -651,15 +584,15 @@ class FaultPlan:
 
     Args:
         faults: Stochastic fault components, applied in order.
-        schedule: A :class:`ChaosSchedule` or an iterable of
-            :class:`ScriptedIncident` objects.
+        schedule: The scripted incidents, kept in order as
+            :attr:`incidents`.
     """
 
     def __init__(
         self,
         faults: Sequence[StateFault] = (),
         *,
-        schedule: "ChaosSchedule | Iterable[ScriptedIncident] | None" = None,
+        schedule: Iterable[ScriptedIncident] = (),
     ) -> None:
         self.faults = tuple(faults)
         for fault in self.faults:
@@ -668,16 +601,37 @@ class FaultPlan:
                     f"FaultPlan takes StateFault components, got "
                     f"{type(fault).__name__}"
                 )
-        if schedule is None or isinstance(schedule, ChaosSchedule):
-            self.schedule = schedule
-        else:
-            self.schedule = ChaosSchedule(schedule)
+        self.incidents = tuple(schedule)
+        for incident in self.incidents:
+            if not isinstance(incident, ScriptedIncident):
+                raise ConfigurationError(
+                    "FaultPlan schedules take ScriptedIncident objects, got "
+                    f"{type(incident).__name__}"
+                )
         self._prev_price: float | None = None
 
     def __bool__(self) -> bool:
-        return bool(self.faults) or bool(
-            self.schedule is not None and self.schedule.incidents
-        )
+        return bool(self.faults) or bool(self.incidents)
+
+    def check_targets(self, network: MECNetwork) -> None:
+        """Reject scripted incidents that target indices *network* lacks.
+
+        Raises:
+            ConfigurationError: Names the first such incident and target.
+        """
+        for incident in self.incidents:
+            if incident.kind == "price_freeze":
+                continue
+            if incident.kind == "server_down":
+                noun, size = "server", network.num_servers
+            else:
+                noun, size = "base station", network.num_base_stations
+            for target in incident.targets:
+                if target >= size:
+                    raise ConfigurationError(
+                        f"{incident} targets {noun} {target}, but the "
+                        f"network has {size}"
+                    )
 
     def subset(
         self,
@@ -699,12 +653,10 @@ class FaultPlan:
         faults = tuple(
             fault.subset(device_map, bs_map, server_map) for fault in self.faults
         )
-        schedule = (
-            None
-            if self.schedule is None
-            else self.schedule.subset(bs_map, server_map)
+        incidents = (
+            incident.subset(bs_map, server_map) for incident in self.incidents
         )
-        return FaultPlan(faults, schedule=schedule)
+        return FaultPlan(faults, schedule=(i for i in incidents if i is not None))
 
     def reset(self) -> None:
         """Forget all component state (between independent runs)."""
@@ -720,8 +672,8 @@ class FaultPlan:
         for fault in self.faults:
             state, fault_events = fault.apply(state, network, rng)
             events.extend(fault_events)
-        if self.schedule is not None:
-            for incident in self.schedule.active(state.t):
+        for incident in self.incidents:
+            if incident.active(state.t):
                 state, incident_events = self._apply_incident(
                     incident, state, network
                 )
@@ -749,20 +701,18 @@ class FaultPlan:
                 if state.available_servers is not None
                 else np.ones(network.num_servers, dtype=bool)
             )
-            targets = [n for n in incident.targets if 0 <= n < mask.size]
             was_up = np.flatnonzero(mask)
-            mask[targets] = False
+            mask[list(incident.targets)] = False
             if not mask.any() and was_up.size:
                 mask[was_up[0]] = True  # never go completely dark
             return dataclasses.replace(state, available_servers=mask), events
         if incident.kind == "bs_down":
             h = state.spectral_efficiency.copy()
             coverage_before = h > 0.0
-            targets = [k for k in incident.targets if 0 <= k < h.shape[1]]
-            h[:, targets] = 0.0
+            h[:, list(incident.targets)] = 0.0
             stranded = coverage_before.any(axis=1) & ~(h > 0.0).any(axis=1)
             for device in np.flatnonzero(stranded):
-                for k in targets:  # restore the first covering target column
+                for k in incident.targets:  # restore the first covering target column
                     if coverage_before[device, k]:
                         h[:, k] = state.spectral_efficiency[:, k]
                         break
@@ -774,8 +724,7 @@ class FaultPlan:
                 else network.fronthaul_se
             )
             degraded = np.asarray(base, dtype=float).copy()
-            targets = [k for k in incident.targets if 0 <= k < degraded.size]
-            degraded[targets] *= incident.factor
+            degraded[list(incident.targets)] *= incident.factor
             return dataclasses.replace(state, fronthaul_se=degraded), events
         # price_freeze: hold the previous slot's (post-fault) price.
         if self._prev_price is not None:

@@ -23,7 +23,7 @@ from repro.network.topology import MECNetwork
 from repro.radio.channel import ChannelModel, UniformChannelModel
 from repro.radio.fronthaul import FronthaulModel
 from repro.radio.mobility import MobilityModel, StaticMobility
-from repro.sim.faults import FaultPlan, OutageModel
+from repro.sim.faults import FaultPlan
 from repro.sim.seeding import SeedBank
 from repro.types import FloatArray, Rng
 from repro.workload.generators import TaskGenerator, UniformTaskGenerator
@@ -50,8 +50,6 @@ class StateGenerator:
         fronthaul: Optional time-varying fronthaul efficiency model; the
             static topology values are used when omitted (the paper's
             setting).
-        faults: Optional server-outage model; every server is always up
-            when omitted (the paper's setting).
     """
 
     def __init__(
@@ -64,7 +62,6 @@ class StateGenerator:
         mobility: MobilityModel | None = None,
         price_scale: float = 1.0,
         fronthaul: "FronthaulModel | None" = None,
-        faults: "OutageModel | None" = None,
     ) -> None:
         if tasks.num_devices != network.num_devices:
             raise ConfigurationError(
@@ -80,7 +77,6 @@ class StateGenerator:
             raise ConfigurationError("price_scale must be positive")
         self.price_scale = float(price_scale)
         self.fronthaul = fronthaul
-        self.faults = faults
         self._positions = network.device_positions()
         self._bs_positions = network.base_station_positions()
         self._radii = np.array([b.coverage_radius for b in network.base_stations])
@@ -104,9 +100,6 @@ class StateGenerator:
             fronthaul_se = self.fronthaul.spectral_efficiency(
                 t, self.network.fronthaul_se, rng
             )
-        available = None
-        if self.faults is not None:
-            available = self.faults.availability(t, self.network, rng)
         return SlotState(
             t=t,
             cycles=batch.cycles,
@@ -114,7 +107,6 @@ class StateGenerator:
             spectral_efficiency=h,
             price=price,
             fronthaul_se=fronthaul_se,
-            available_servers=available,
         )
 
     def states(self, horizon: int, rng: Rng, *, start: int = 0) -> Iterator[SlotState]:
@@ -135,8 +127,8 @@ class StateGenerator:
         * **Slot-fused** -- static mobility, uniform tasks and a uniform
           channel.  Each slot issues one ``rng.random`` row for its
           uniform draws (``lo + u * (hi - lo)`` is bitwise
-          ``Generator.uniform``) and then calls the price, fronthaul and
-          outage models in :meth:`states`'s order; scaling,
+          ``Generator.uniform``) and then calls the price and fronthaul
+          models in :meth:`states`'s order; scaling,
           coverage-masking and validation run once per
           :data:`STATE_BLOCK` slots.
         * **Fallback** -- any other composition (mobility, non-uniform
@@ -182,7 +174,6 @@ class StateGenerator:
             m = min(STATE_BLOCK, start + horizon - begin)
             prices: list[float] = []
             fronthauls: list[FloatArray | None] = []
-            availables: list["np.ndarray | None"] = []
             block = np.empty((m, span))
             for j, t in enumerate(range(begin, begin + m)):
                 rng.random(out=block[j])
@@ -192,11 +183,6 @@ class StateGenerator:
                         t, self.network.fronthaul_se, rng
                     )
                     if self.fronthaul is not None
-                    else None
-                )
-                availables.append(
-                    self.faults.availability(t, self.network, rng)
-                    if self.faults is not None
                     else None
                 )
 
@@ -222,11 +208,6 @@ class StateGenerator:
                     fr.ndim != 1 or fr.size != num_bs or fr.min(initial=1.0) <= 0.0
                 ):
                     raise ValidationError("fronthaul_se entries must be positive")
-            for avail in availables:
-                if avail is not None and not avail.any():
-                    raise ValidationError(
-                        "available_servers cannot mark every server as down"
-                    )
 
             for j in range(m):
                 yield SlotState.trusted(
@@ -236,7 +217,6 @@ class StateGenerator:
                     spectral_efficiency=h[j],
                     price=prices[j],
                     fronthaul_se=fronthauls[j],
-                    available_servers=availables[j],
                 )
 
     def reset(self) -> None:
@@ -249,7 +229,7 @@ class StateGenerator:
 
     # Component models that may carry cross-slot state.  Positions are
     # always captured; a model participates iff it exposes state_dict().
-    _STATEFUL_MODELS = ("tasks", "channel", "prices", "mobility", "fronthaul", "faults")
+    _STATEFUL_MODELS = ("tasks", "channel", "prices", "mobility", "fronthaul")
 
     def state_dict(self) -> dict:
         """Serializable generator state (for checkpoint/resume).
@@ -309,6 +289,8 @@ class Scenario:
             every drawn state from its own seeded stream
             (:meth:`fault_rng`), so the base state stream -- and the
             compiled pipeline -- stays bit-identical with or without it.
+            Its scripted incidents must target indices the network has
+            (:meth:`~repro.sim.faults.FaultPlan.check_targets`).
     """
 
     network: MECNetwork
@@ -316,6 +298,10 @@ class Scenario:
     seeds: SeedBank
     budget: float
     fault_plan: "FaultPlan | None" = None
+
+    def __post_init__(self) -> None:
+        if self.fault_plan is not None:
+            self.fault_plan.check_targets(self.network)
 
     def state_rng(self) -> Rng:
         """Fresh generator over the scenario's state stream."""

@@ -606,16 +606,13 @@ class SharedStatePlanner:
     def supported(scenarios: "list[Scenario]") -> bool:
         """Whether every cell's states fit the fixed-field layout.
 
-        Fronthaul/outage models emit optional per-slot arrays the
+        A fronthaul model emits optional per-slot arrays the
         struct-of-arrays blocks do not carry, and a fault plan must
         wrap the stream inside the worker (its components build new
         states); those compositions fall back to worker-side drawing.
         """
         for sc in scenarios:
-            generator = sc.generator
-            if generator.fronthaul is not None or generator.faults is not None:
-                return False
-            if sc.fault_plan:
+            if sc.generator.fronthaul is not None or sc.fault_plan:
                 return False
         return True
 

@@ -173,7 +173,7 @@ def shard_scenarios(scenario: Scenario, plan: CellPlan) -> list[Scenario]:
     makes the one-cell sharded run bit-identical to the unsharded
     pipeline.  Multi-cell plans give each cell its own sub-topology
     (:func:`~repro.network.partition.extract_subnetwork`), a sliced
-    task generator, deep-copied channel/price/fronthaul/outage models,
+    task generator, deep-copied channel/price/fronthaul models,
     a child seed bank (independent streams per cell), a fair share of
     the budget, and -- when the scenario carries one -- the
     :class:`~repro.sim.faults.FaultPlan` projected onto the cell
@@ -203,7 +203,6 @@ def shard_scenarios(scenario: Scenario, plan: CellPlan) -> list[Scenario]:
             copy.deepcopy(generator.prices),
             price_scale=generator.price_scale,
             fronthaul=copy.deepcopy(generator.fronthaul),
-            faults=copy.deepcopy(generator.faults),
         )
         fault_plan = (
             scenario.fault_plan.subset(

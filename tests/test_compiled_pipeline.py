@@ -132,7 +132,8 @@ class TestCompiledStates:
         # Models are stateful: build a fresh set for each scenario.
         def kwargs():
             return dict(
-                fronthaul=ScintillatingFronthaul(), faults=MarkovOutages()
+                fronthaul=ScintillatingFronthaul(),
+                fault_plan=FaultPlan([ServerOutages(MarkovOutages())]),
             )
 
         _assert_states_identical(
@@ -146,7 +147,7 @@ class TestCompiledStates:
                 config=repro.ScenarioConfig(num_devices=8, workload="diurnal"),
                 mobility=RandomWaypointMobility(3000.0),
                 fronthaul=ScintillatingFronthaul(),
-                faults=MarkovOutages(),
+                fault_plan=FaultPlan([ServerOutages(MarkovOutages())]),
             )
 
         _assert_states_identical(

@@ -7,6 +7,7 @@ exercised with small sweeps to pin its interface, table rendering, and
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -131,6 +132,22 @@ class TestReducedParameterRunners:
         assert len(result.rows) == 2
         assert result.rows[1][1] > 0.0  # downtime actually happened
         result.verify()
+
+    def test_fault_sweep_levels_share_traffic(self) -> None:
+        # Outages come from the plan's own stream, so every outage level
+        # is compared on the same task, channel and price draws.
+        from repro.experiments.robustness import fault_sweep_scenario
+
+        healthy = list(fault_sweep_scenario(0.0).fresh_states(40))
+        faulted = list(fault_sweep_scenario(0.2).fresh_states(40))
+        assert any(s.available_servers is not None for s in faulted)
+        for a, b in zip(healthy, faulted):
+            np.testing.assert_array_equal(a.cycles, b.cycles)
+            np.testing.assert_array_equal(a.bits, b.bits)
+            np.testing.assert_array_equal(
+                a.spectral_efficiency, b.spectral_efficiency
+            )
+            assert a.price == b.price
 
     def test_chaos_sweep_reduced(self) -> None:
         from repro.experiments import run_chaos_sweep

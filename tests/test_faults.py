@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,9 @@ from repro.network.connectivity import StrategySpace
 from repro.sim.faults import (
     BaseStationOutages,
     ChannelStaleness,
-    ChaosSchedule,
     FaultPlan,
     FronthaulDegradation,
     MarkovOutages,
-    NoOutages,
     PriceFeedDropouts,
     ScriptedIncident,
     ServerOutages,
@@ -137,10 +137,27 @@ class TestControllerUnderOutages:
 
 
 class TestMarkovOutages:
-    def test_no_outages_model(self) -> None:
-        network = make_tiny_network()
-        mask = NoOutages().availability(0, network, np.random.default_rng(0))
-        assert mask.all()
+    def test_guard_paths_are_pinned(self) -> None:
+        """200 slots of masks on the paper network, with failures fast
+        enough that both guards (``min_up_fraction`` and
+        ``min_up_per_cluster``) revive servers, hash to the digest the
+        original stand-alone chain produced."""
+        network = repro.make_paper_scenario(
+            seed=0, config=repro.ScenarioConfig(num_devices=8)
+        ).network
+        model = MarkovOutages(
+            mtbf_slots=2.0, mttr_slots=40.0,
+            min_up_fraction=0.25, min_up_per_cluster=3,
+        )
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for t in range(200):
+            mask = model.availability(t, network, rng)
+            digest.update(np.ascontiguousarray(mask, dtype=bool).tobytes())
+        assert digest.hexdigest() == (
+            "273c120480d4aca428f3a7552bc1a2ef85916777b378266efffea1d768e22385"
+        )
+        assert sorted(model.state_dict()) == ["down_since", "up"]
 
     def test_stationary_unavailability(self) -> None:
         network = make_tiny_network()
@@ -344,7 +361,34 @@ class TestScriptedIncidents:
         with pytest.raises(ConfigurationError):
             ScriptedIncident(at=0, duration=2, kind="server_down")  # no targets
         with pytest.raises(ConfigurationError):
-            ChaosSchedule([object()])  # type: ignore[list-item]
+            FaultPlan(schedule=[object()])  # type: ignore[list-item]
+        with pytest.raises(ConfigurationError, match="negative"):
+            ScriptedIncident(at=0, duration=2, kind="bs_down", targets=(-1,))
+
+    @pytest.mark.parametrize(
+        "incident, target",
+        [
+            (ScriptedIncident(at=0, duration=2, kind="server_down",
+                              targets=(3, 99)), "server 99"),
+            (ScriptedIncident(at=1, duration=1, kind="bs_down",
+                              targets=(6,)), "base station 6"),
+            (ScriptedIncident(at=1, duration=1, kind="fronthaul_degraded",
+                              targets=(0, 7)), "base station 7"),
+        ],
+    )
+    def test_scenario_rejects_targets_outside_the_network(
+        self, incident, target
+    ) -> None:
+        # The paper network has 16 servers and 6 base stations; an
+        # out-of-range target would otherwise change no state while its
+        # onset event still names it.
+        with pytest.raises(ConfigurationError, match=target) as err:
+            repro.make_paper_scenario(
+                seed=0,
+                config=repro.ScenarioConfig(num_devices=8),
+                fault_plan=FaultPlan(schedule=[incident]),
+            )
+        assert incident.kind in str(err.value)
 
     def test_window_and_application(self) -> None:
         network = make_tiny_network()
@@ -395,7 +439,7 @@ class TestFaultPlan:
 
     def test_component_types_are_validated(self) -> None:
         with pytest.raises(ConfigurationError):
-            FaultPlan(faults=(NoOutages(),))  # type: ignore[arg-type]
+            FaultPlan(faults=(MarkovOutages(),))  # type: ignore[arg-type]
 
     def test_empty_plan_is_falsy(self) -> None:
         assert not FaultPlan()
@@ -473,6 +517,14 @@ class TestFaultPlan:
             )
 
 
+def _mask(state: SlotState, num_servers: int) -> np.ndarray:
+    """The state's availability mask; a state without one has every
+    server up (``ServerOutages`` leaves it ``None`` while none is down)."""
+    if state.available_servers is None:
+        return np.ones(num_servers, dtype=bool)
+    return state.available_servers.copy()
+
+
 class TestEndToEndWithFaults:
     def test_simulation_with_outages(self) -> None:
         scenario = repro.make_paper_scenario(
@@ -482,10 +534,12 @@ class TestEndToEndWithFaults:
             num_clusters=2,
             servers_per_cluster=2,
             num_macro_stations=1,
-            faults=MarkovOutages(mtbf_slots=10.0, mttr_slots=3.0),
+            fault_plan=FaultPlan(
+                [ServerOutages(MarkovOutages(mtbf_slots=10.0, mttr_slots=3.0))]
+            ),
         )
         states = list(scenario.fresh_states(40))
-        masks = np.array([s.available_servers for s in states])
+        masks = np.array([_mask(s, 4) for s in states])
         assert masks.shape == (40, 4)
         assert not masks.all()  # some outage happened over 40 slots
         controller = repro.DPPController(
@@ -508,9 +562,12 @@ class TestEndToEndWithFaults:
             num_clusters=2,
             servers_per_cluster=2,
             num_macro_stations=1,
-            faults=MarkovOutages(mtbf_slots=5.0, mttr_slots=5.0),
+            fault_plan=FaultPlan(
+                [ServerOutages(MarkovOutages(mtbf_slots=5.0, mttr_slots=5.0))]
+            ),
         )
-        first = [s.available_servers.copy() for s in scenario.fresh_states(20)]
-        second = [s.available_servers.copy() for s in scenario.fresh_states(20)]
+        first = [_mask(s, 4) for s in scenario.fresh_states(20)]
+        second = [_mask(s, 4) for s in scenario.fresh_states(20)]
+        assert not np.array(first).all()
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)

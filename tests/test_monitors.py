@@ -19,7 +19,7 @@ from repro.obs import (
     ResilienceMonitor,
     default_monitors,
 )
-from repro.sim.faults import MarkovOutages
+from repro.sim.faults import FaultPlan, MarkovOutages, ServerOutages
 
 
 def gauge(name: str, value: float) -> dict:
@@ -394,8 +394,10 @@ class TestEndToEnd:
         scenario = repro.make_paper_scenario(
             seed=11,
             config=self.CONFIG,
-            faults=MarkovOutages(mtbf_slots=6.0, mttr_slots=3.0,
-                                 min_up_fraction=0.25),
+            fault_plan=FaultPlan([ServerOutages(
+                MarkovOutages(mtbf_slots=6.0, mttr_slots=3.0,
+                              min_up_fraction=0.25)
+            )]),
         )
         result = repro.api.run(
             scenario=scenario, controller="dpp", horizon=16, z=1,

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro
+import repro.sim
 import repro.solvers
 from repro.api import CellConfig, EngineConfig, RunConfig, run
 from repro.core.bdma import cgba_p2a_solver
@@ -193,6 +194,38 @@ class TestStateKnobsRemoved:
             scenario.generator.compile_states(
                 1, scenario.state_rng(), chunk=16
             )
+
+
+class TestStateStreamFaultsRemoved:
+    """Server outages live in a ``FaultPlan`` (``ServerOutages``), which
+    draws from its own stream; the state stream draws no outages, so
+    neither scenario constructor takes an outage model."""
+
+    def test_scenario_builders_reject_faults(self) -> None:
+        from repro.sim.faults import MarkovOutages
+        from repro.sim.scenario import StateGenerator
+
+        with pytest.raises(TypeError, match="faults"):
+            repro.make_paper_scenario(
+                seed=3, config=repro.ScenarioConfig(num_devices=8),
+                faults=MarkovOutages(),
+            )
+        generator = repro.make_paper_scenario(
+            seed=3, config=repro.ScenarioConfig(num_devices=8)
+        ).generator
+        with pytest.raises(TypeError, match="faults"):
+            StateGenerator(
+                generator.network, generator.tasks, generator.channel,
+                generator.prices, faults=MarkovOutages(),
+            )
+
+    @pytest.mark.parametrize("module", [repro, repro.sim])
+    @pytest.mark.parametrize(
+        "name", ["NoOutages", "OutageModel", "ChaosSchedule"]
+    )
+    def test_outage_model_classes_are_gone(self, module, name) -> None:
+        assert name not in module.__all__
+        assert not hasattr(module, name)
 
 
 class TestShardedKnobsRemoved:

@@ -421,9 +421,9 @@ class TestFaultPlanSharding:
         assert len(local.faults) == len(plan.faults)
         # price_freeze survives, bs_down (0,1) remaps, bs_down (3,)
         # lies outside the cell and is dropped.
-        kinds = [i.kind for i in local.schedule.incidents]
+        kinds = [i.kind for i in local.incidents]
         assert kinds == ["price_freeze", "bs_down"]
-        assert local.schedule.incidents[1].targets == (0, 1)
+        assert local.incidents[1].targets == (0, 1)
 
     def test_shards_carry_projected_plans(self) -> None:
         from repro.sim.faults import (
@@ -448,7 +448,7 @@ class TestFaultPlanSharding:
         shards = sharding.shard_scenarios(scenario, plan)
         for shard, cell in zip(shards, plan.cells):
             assert shard.fault_plan is not None
-            incident = shard.fault_plan.schedule.incidents[0]
+            incident = shard.fault_plan.incidents[0]
             # The global outage spans every base station, so each cell
             # sees exactly its own stations, renumbered locally.
             assert incident.targets == tuple(range(len(cell.base_stations)))
