@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, NamedTuple, Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -476,15 +475,20 @@ class FusedSlot(NamedTuple):
             it (the shares are then not computed), or -1.
         invalid: Whether the kernel flagged a share as non-finite,
             negative or above ``1 + 1e-9``.
-        replay: Delivers the call's ``p2a``/``cgba``/``p2b`` spans and
-            its counters to a tracer; ``None`` when untraced.
+        rounds: The call's round rows for :func:`round_events`, to
+            hand to ``Tracer.defer`` once the caller's ``bdma`` span
+            has closed; ``None`` when untraced.
+        feasibility: The allocation's ``feas.*`` gauge values
+            (:data:`repro.core.controller.FEASIBILITY_GAUGES`), from
+            the kernel.
     """
 
     result: BDMAResult
     shares: np.ndarray
     uncovered: int
     invalid: bool
-    replay: "Callable[[Tracer], None] | None"
+    rounds: "tuple | None"
+    feasibility: "tuple[float, ...]" = ()
 
     def allocation(self) -> ResourceAllocation:
         """The shares as a :class:`ResourceAllocation`.
@@ -513,50 +517,68 @@ class FusedSlot(NamedTuple):
         )
 
 
-def _replay(
-    prefix: str,
-    rounds: list,
-    times: list,
-    done: "tuple[int, int, int] | None",
-    players: int,
-    candidates: int,
-    num_servers: int,
-    accept_partial: bool,
-    tracer: Tracer,
-) -> None:
-    """Deliver a fused call's spans and counters, in the Python loop's
-    order: per round the CGBA counters and spans, then P2-B's; *done*
-    (rounds run, warm-start hits, truncated) closes a decided slot.
-    The spans go under the open ones plus *prefix* (``"bdma/"`` once
-    the bdma span has closed)."""
-    cgba, p2a, p2b = f"{prefix}p2a/cgba", f"{prefix}p2a", f"{prefix}p2b"
-    for (stage, _, moves, converged, searched), t in zip(
-        rounds, times
-    ):
+def round_events(payload: tuple, parent: str, t0: float):
+    """The record entries of a fused call's rounds (``Tracer.defer``'s
+    expansion), in the Python loop's order: per round the CGBA counters
+    and spans, then P2-B's; a decided slot's rounds run, warm-start
+    hits and truncation last.  The spans' paths are *parent* plus the
+    payload's prefix (``"bdma/"`` once the bdma span has closed)."""
+    prefix, rounds, times, done, players, candidates, servers, partial_ok = payload
+    base = f"{parent}/{prefix}" if parent else prefix
+    cgba, p2a, p2b = f"{base}p2a/cgba", f"{base}p2a", f"{base}p2b"
+    for (stage, _, moves, converged, searched), t in zip(rounds, times):
         p2a_end = t[3]
         if stage >= 2:
-            accepted = converged or accept_partial
+            accepted = converged or partial_ok
             if not converged and accepted:
-                tracer.counter("resilience.partial_accepts", 1)
-            tracer.record_span(cgba, t[3], t[6] - t[3])
+                yield 1, "resilience.partial_accepts", 1.0, None
+            yield 0, cgba, t[6] - t[3], t[3] - t0
             if accepted:
                 sweeps = moves + 1
-                tracer.counter("engine.moves", moves)
-                tracer.counter("engine.sweeps", sweeps)
-                tracer.counter("engine.gap_recomputations", players * sweeps)
-                tracer.counter("engine.candidate_evaluations", candidates * sweeps)
+                yield 1, "engine.moves", float(moves), None
+                yield 1, "engine.sweeps", float(sweeps), None
+                yield 1, "engine.gap_recomputations", float(players * sweeps), None
+                yield (
+                    1, "engine.candidate_evaluations",
+                    float(candidates * sweeps), None,
+                )
             p2a_end = t[6]
-        tracer.record_span(p2a, t[0], p2a_end - t[0])
+        yield 0, p2a, p2a_end - t[0], t[0] - t0
         if stage == 3:
-            tracer.counter("p2b.scalar_solves", searched)
-            tracer.counter("p2b.fastpath", num_servers - searched)
-            tracer.record_span(p2b, t[7], t[9] - t[7])
+            yield 1, "p2b.scalar_solves", float(searched), None
+            yield 1, "p2b.fastpath", float(servers - searched), None
+            yield 0, p2b, t[9] - t[7], t[7] - t0
     if done is not None:
         rounds_run, warm_hits, truncated = done
-        tracer.counter("bdma.rounds", rounds_run)
-        tracer.counter("engine.warm_start_hits", warm_hits)
+        yield 1, "bdma.rounds", float(rounds_run), None
+        yield 1, "engine.warm_start_hits", float(warm_hits), None
         if truncated:
-            tracer.counter("resilience.deadline_truncations", 1)
+            yield 1, "resilience.deadline_truncations", 1.0, None
+
+
+def _round_names(payload: tuple, parent: str) -> tuple:
+    """The ``(kind, name)`` pairs :func:`round_events` yields for
+    *payload* under *parent*, so a tracer can skip expanding rounds
+    that no live sink reads."""
+    prefix, rounds, _, done, *_, partial_ok = payload
+    base = f"{parent}/{prefix}" if parent else prefix
+    names = [(0, f"{base}p2a/cgba"), (0, f"{base}p2a"), (0, f"{base}p2b"), *_ROUND_COUNTERS]
+    if partial_ok and any(r[0] >= 2 and not r[3] for r in rounds):
+        names.append((1, "resilience.partial_accepts"))
+    if done is not None and done[2]:
+        names.append((1, "resilience.deadline_truncations"))
+    return tuple(names)
+
+
+_ROUND_COUNTERS = tuple(
+    (1, name)
+    for name in (
+        "engine.moves", "engine.sweeps", "engine.gap_recomputations",
+        "engine.candidate_evaluations", "p2b.scalar_solves", "p2b.fastpath",
+        "bdma.rounds", "engine.warm_start_hits",
+    )
+)
+round_events.names = _round_names
 
 
 def can_fuse(network: MECNetwork, solver: object, kernels: KernelBackend) -> bool:
@@ -678,13 +700,12 @@ def solve_p2_bdma_fused(
         game.state = state
     traced = tracer is not None and tracer.enabled
     if traced:
-        rounds = kernel.rcounts[:started].tolist()
-        times = kernel.rtimes[:started].tolist()
+        rounds, times = kernel.kernel_rows()
     if status:
         # The loop's spans and counters up to the failure, inside the
         # caller's bdma span, ahead of any fallback's events.
         if traced:
-            _replay("", rounds, times, None, *slot.trace, tracer)
+            tracer.defer(round_events, ("", rounds, times, None, *slot.trace))
         if status == 1:
             raise DeadlineError(_DEADLINE_MESSAGE)
         if status == 2:
@@ -696,15 +717,15 @@ def solve_p2_bdma_fused(
             raise game.infeasible_profile()
         raise IndexError("strategy profile entry out of range")
     assert decided
-    replay = None
+    payload = None
     if traced:
-        replay = partial(
-            _replay, "bdma/", rounds, times, (rounds_run, warm_hits, truncated),
+        payload = (
+            "bdma/", rounds, times, (rounds_run, warm_hits, truncated),
             *slot.trace,
         )
-    objective, latency, cost, sweep_seconds, dynamics_seconds = (
-        kernel.out_f.tolist()
-    )
+    (
+        objective, latency, cost, sweep_seconds, dynamics_seconds, *feasibility,
+    ) = kernel.out_f.tolist()
     # The engine counters solve_p2_bdma's CGBA solver accumulates: per
     # round CGBA finished, its moves plus one sweep, each sweep over
     # every player and every candidate pair; then the sweep and
@@ -727,4 +748,7 @@ def solve_p2_bdma_fused(
         kernel.history[:z].tolist(),
         stats,
     )
-    return FusedSlot(result, kernel.shares.copy(), uncovered, bool(invalid), replay)
+    return FusedSlot(
+        result, kernel.shares.copy(), uncovered, bool(invalid), payload,
+        tuple(feasibility),
+    )

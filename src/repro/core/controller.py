@@ -20,6 +20,7 @@ from repro.core.bdma import (
     P2ASolver,
     can_fuse,
     cgba_p2a_solver,
+    round_events,
     solve_p2_bdma,
     solve_p2_bdma_fused,
 )
@@ -52,7 +53,8 @@ __all__ = [
     "OnlineController",
     "DPPController",
     "P2ASolver",
-    "emit_feasibility_gauges",
+    "FEASIBILITY_GAUGES",
+    "feasibility_maxima",
 ]
 
 
@@ -150,45 +152,51 @@ class SlotRecord:
         return out
 
 
-def emit_feasibility_gauges(
-    tracer: Tracer,
+#: The per-slot gauges :class:`repro.obs.monitors.FeasibilityMonitor`
+#: reads, in :func:`feasibility_maxima`'s order.
+FEASIBILITY_GAUGES = (
+    "feas.access_share_max",
+    "feas.fronthaul_share_max",
+    "feas.compute_share_max",
+    "feas.freq_excess",
+)
+
+
+def feasibility_maxima(
     network: MECNetwork,
     state: SlotState,
     assignment: Assignment,
     allocation: ResourceAllocation,
     frequencies: FloatArray,
-) -> None:
-    """Emit the per-slot ``feas.*`` gauges consumed by
-    :class:`repro.obs.monitors.FeasibilityMonitor`.
+) -> "tuple[float, float, float, float]":
+    """The values of :data:`FEASIBILITY_GAUGES` for a Python-loop slot
+    (a fused slot's kernel returns them).
 
-    Gauges are worst cases over the slot: the largest access/fronthaul
-    share sum on any base station, the largest compute share sum on any
-    server (constraints (4)-(6), each must be ``<= 1``), and the largest
-    clock excursion outside ``[F^L, F^U]`` among powered servers (must
-    be 0).  Callers should guard on ``tracer.enabled``.
+    Worst cases over the slot: the largest access/fronthaul share sum on
+    any base station, the largest compute share sum on any server
+    (constraints (4)-(6), each must be ``<= 1``), and the largest clock
+    excursion outside ``[F^L, F^U]`` among powered servers (must be 0).
     """
-    num_bs = network.num_base_stations
-    access = np.bincount(
-        assignment.bs_of, weights=allocation.access_share, minlength=num_bs
+    num_bs, num_servers = network.num_base_stations, network.num_servers
+    groups = np.concatenate(
+        (assignment.bs_of, assignment.bs_of + num_bs, assignment.server_of + 2 * num_bs)
     )
-    fronthaul = np.bincount(
-        assignment.bs_of, weights=allocation.fronthaul_share, minlength=num_bs
+    shares = np.concatenate(
+        (allocation.access_share, allocation.fronthaul_share, allocation.compute_share)
     )
-    compute = np.bincount(
-        assignment.server_of,
-        weights=allocation.compute_share,
-        minlength=network.num_servers,
-    )
+    totals = np.bincount(groups, weights=shares, minlength=2 * num_bs + num_servers)
     freqs = np.asarray(frequencies, dtype=np.float64)
     excess = np.maximum(freqs - network.freq_max, 0.0) + np.maximum(
         network.freq_min - freqs, 0.0
     )
     if state.available_servers is not None:
         excess = excess[state.available_servers]
-    tracer.gauge("feas.access_share_max", float(access.max(initial=0.0)))
-    tracer.gauge("feas.fronthaul_share_max", float(fronthaul.max(initial=0.0)))
-    tracer.gauge("feas.compute_share_max", float(compute.max(initial=0.0)))
-    tracer.gauge("feas.freq_excess", float(excess.max(initial=0.0)))
+    return (
+        float(totals[:num_bs].max(initial=0.0)),
+        float(totals[num_bs : 2 * num_bs].max(initial=0.0)),
+        float(totals[2 * num_bs :].max(initial=0.0)),
+        float(excess.max(initial=0.0)),
+    )
 
 
 class OnlineController(abc.ABC):
@@ -525,27 +533,32 @@ class DPPController(OnlineController):
             # cost calls; reuse its floats instead of recomputing.
             latency = result.latency
             cost = result.cost
-            if fused is not None and fused.replay is not None:
+            if fused is not None and fused.rounds is not None:
                 # The kernel's sub-spans and counters, delivered once
                 # the bdma span has timed the decision itself.
-                fused.replay(tracer)
+                tracer.defer(round_events, fused.rounds)
             with tracer.span("allocation"):
                 # A fused slot's kernel already computed and checked the
-                # shares; wrapping them is what is left.
-                allocation = (
-                    optimal_allocation(self.network, effective, result.assignment)
-                    if fused is None
-                    else fused.allocation()
-                )
-                if tracer.enabled:
-                    emit_feasibility_gauges(
-                        tracer,
-                        self.network,
-                        effective,
-                        result.assignment,
-                        allocation,
-                        result.frequencies,
+                # shares and their feasibility maxima; wrapping them is
+                # what is left.
+                if fused is None:
+                    allocation = optimal_allocation(
+                        self.network, effective, result.assignment
                     )
+                    if tracer.enabled:
+                        feasibility = feasibility_maxima(
+                            self.network,
+                            effective,
+                            result.assignment,
+                            allocation,
+                            result.frequencies,
+                        )
+                else:
+                    allocation = fused.allocation()
+                    feasibility = fused.feasibility
+                if tracer.enabled:
+                    for name, value in zip(FEASIBILITY_GAUGES, feasibility):
+                        tracer.gauge(name, value)
             with tracer.span("queue"):
                 theta = cost - slot_budget
                 backlog_after = self.queue.update(theta)

@@ -239,17 +239,19 @@ class SlotBinding:
     (rounds started, rounds run, warm-start hits, truncated, uncovered
     allocation device or -1, decided, shares invalid, engine moves,
     engine sweeps), ``out_f`` (objective, latency, cost, sweep and
-    dynamics seconds), ``history``, ``best_assign``, ``best_freq``,
+    dynamics seconds, the allocation's access, fronthaul and compute
+    share-sum maxima and clock excursion), ``history``, ``best_assign``, ``best_freq``,
     ``shares`` (rows compute, access, fronthaul) and one row per
     started round in ``rcounts`` and ``rtimes`` (``ROUND_COUNTS`` and
     ``ROUND_TIMES`` columns, see ``repro_bdma_slot``).
-    ``kernel_seconds()`` yields ``(kernel, seconds)`` per sub-kernel
-    call of the last call, in call order.
+    ``kernel_rows()`` copies those rows out; :func:`kernel_seconds`
+    turns them into ``(kernel, seconds)`` per sub-kernel call, in call
+    order.
     """
 
     __slots__ = (
         *_BINDING_BUFFERS, "rounds", "slot_arrays", "pack", "run",
-        "kernel_seconds",
+        "kernel_rows",
     )
 
     def __init__(self, cache: _StateCache, raw: RawKernels, convert,
@@ -273,7 +275,7 @@ class SlotBinding:
         self.shares = np.empty((3, players))
         self.history = np.empty(rounds)
         self.rtimes = np.zeros((rounds, ROUND_TIMES))
-        self.out_f = np.zeros(5)
+        self.out_f = np.zeros(9)
         self.rcounts = np.zeros((rounds, ROUND_COUNTS), dtype=np.int64)
         self.out_i = np.zeros(9, dtype=np.int64)
         tail = tuple(convert(getattr(self, name)) for name in _BINDING_BUFFERS)
@@ -286,8 +288,8 @@ class SlotBinding:
         # a wrapper of ``run`` can hold them without a cycle through the
         # binding.
         self.run = partial(_run_slot, raw.bdma_slot, cache, tail)
-        self.kernel_seconds = partial(
-            _kernel_seconds, self.out_i, self.rcounts, self.rtimes
+        self.kernel_rows = partial(
+            _round_rows, self.out_i, self.rcounts, self.rtimes
         )
 
 
@@ -298,12 +300,17 @@ def _run_slot(bdma_slot, cache: _StateCache, tail: tuple):
     return bdma_slot(cache.arg)
 
 
-def _kernel_seconds(out_i, rcounts, rtimes):
-    """``(kernel, seconds)`` per sub-kernel call of a slot call."""
+def _round_rows(out_i, rcounts, rtimes) -> "tuple[list, list]":
+    """The last call's ``rcounts`` and ``rtimes`` rows, one per started
+    round, as lists."""
     started = int(out_i[0])
-    for (stage, refill, _, _, searched), times in zip(
-        rcounts[:started].tolist(), rtimes[:started].tolist()
-    ):
+    return rcounts[:started].tolist(), rtimes[:started].tolist()
+
+
+def kernel_seconds(rcounts: list, rtimes: list):
+    """``(kernel, seconds)`` per sub-kernel call of a slot call, from
+    its :meth:`SlotBinding.kernel_rows`."""
+    for (stage, refill, _, _, searched), times in zip(rcounts, rtimes):
         yield ("rebind" if refill == 1 else "update_frequencies"), times[1]
         yield "reset_profile", times[2]
         if stage >= 2:

@@ -895,6 +895,49 @@ static i64 slot_allocation(const repro_slot *s, i64 I, i64 K, i64 N,
     return -1;
 }
 
+/* FeasibilityMonitor's maxima of the shares in s->shares and the clocks
+ * in s->best_freq into out: the largest access, fronthaul and compute
+ * share sum over the base stations and servers (each group summed in
+ * device order from 0.0, as np.bincount does), and the largest clock
+ * excursion outside [F^L, F^U] among the available servers. */
+static void slot_feasibility(const repro_slot *s, i64 I, i64 K, i64 N,
+                             const i64 *bs, const i64 *srv,
+                             i64 has_available, double *totals,
+                             double *out)
+{
+    const double *w0 = s->shares, *w1 = w0 + I, *w2 = w1 + I;
+    for (i64 r = 0; r < N + 2 * K; ++r)
+        totals[r] = 0.0;
+    for (i64 i = 0; i < I; ++i)
+        totals[srv[i]] += w0[i];
+    for (i64 i = 0; i < I; ++i)
+        totals[N + bs[i]] += w1[i];
+    for (i64 i = 0; i < I; ++i)
+        totals[N + K + bs[i]] += w2[i];
+    double access = 0.0, front = 0.0, compute = 0.0, excess = 0.0;
+    for (i64 k = 0; k < K; ++k) {
+        if (totals[N + k] > access)
+            access = totals[N + k];
+        if (totals[N + K + k] > front)
+            front = totals[N + K + k];
+    }
+    for (i64 n = 0; n < N; ++n) {
+        if (totals[n] > compute)
+            compute = totals[n];
+        if (has_available && !s->available[n])
+            continue;
+        double f = s->best_freq[n];
+        double above = f - s->freq_max[n], below = s->freq_min[n] - f;
+        double e = (above > 0.0 ? above : 0.0) + (below > 0.0 ? below : 0.0);
+        if (e > excess)
+            excess = e;
+    }
+    out[0] = access;
+    out[1] = front;
+    out[2] = compute;
+    out[3] = excess;
+}
+
 /* One slot of BDMA(z) (solve_p2_bdma with a cgba_p2a_solver) and the
  * Lemma-1 allocation of its decision, replaying the Python loop step
  * for step.  Per round: the deadline check, the P2-A workspace refill
@@ -913,8 +956,9 @@ static i64 slot_allocation(const repro_slot *s, i64 I, i64 K, i64 N,
  * out_i: rounds started, rounds run, warm-start hits, truncated,
  * uncovered allocation device (-1 none), decided, shares invalid
  * (repro_shares_invalid), and the engine's moves and sweeps over the
- * rounds CGBA finished.  out_f: objective, latency, cost, and those
- * rounds' sweep and dynamics seconds. */
+ * rounds CGBA finished.  out_f: objective, latency, cost, those
+ * rounds' sweep and dynamics seconds, and the allocation's
+ * slot_feasibility maxima. */
 i64 repro_bdma_slot(const repro_slot *s)
 {
     const repro_slot_params *p = s->params;
@@ -1114,8 +1158,11 @@ i64 repro_bdma_slot(const repro_slot *s)
         return status;
     s->out_i[4] = slot_allocation(s, I, K, N, s->best_assign,
                                   s->best_assign + I, totals);
-    if (s->out_i[4] < 0)
+    if (s->out_i[4] < 0) {
         s->out_i[6] = repro_shares_invalid(s->shares, 3 * I);
+        slot_feasibility(s, I, K, N, s->best_assign, s->best_assign + I,
+                         has_available, totals, s->out_f + 5);
+    }
     return 0;
 }
 """

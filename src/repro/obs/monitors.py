@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.obs.probe import wants
+from repro.obs.probe import KINDS, batch_filter, entry_of, event_dict, expanded, wants
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.topology import MECNetwork
@@ -260,6 +260,12 @@ class MonitorSuite:
         # (kind, name) -> the observe callables of the monitors that
         # want it.
         self._routes: "dict[tuple[str, str], tuple]" = {}
+        # fold(): (kind index, name) -> its observers; whether a
+        # deferred batch's pairs hold a wanted one.
+        self._folded: "tuple[dict, dict, dict, dict]" = ({}, {}, {}, {})
+        self._batches = batch_filter(
+            lambda kind, name: name == "slot" or self.wants(KINDS[kind], name)
+        )
         for monitor in self.monitors:
             monitor._suite = self
 
@@ -291,20 +297,36 @@ class MonitorSuite:
         self._routes[(kind, name)] = observers
         return observers
 
-    def emit(self, event: dict) -> None:
-        kind = event["kind"]
-        name = event["name"]
-        if kind == "event":
-            if name == "alert":
-                return  # our own re-emissions; never feed back
-            if name == "slot":
-                t = event["data"].get("t")
+    #: Whether an attached probe hands the suite its record (see
+    #: :mod:`repro.obs.probe`) rather than each event as it happens: the
+    #: monitors then run when the record is folded -- when the suite's
+    #: alerts or report, or the probe's registry, are read.  A sharded
+    #: worker's suites read it, so they run after the epoch's reply.
+    reads_record = False
+
+    def fold(self, record) -> None:
+        """Take a probe's record, in order, as the events it stands for."""
+        routes = self._folded
+        for entry in record:
+            if entry[0] < 0:
+                self.fold(tuple(expanded((entry,), self._batches)))
+                continue
+            kind, name = entry[0], entry[1]
+            observers = routes[kind].get(name)
+            if observers is None:
+                observers = routes[kind][name] = (
+                    () if kind == 3 and name == "alert" else self._route(KINDS[kind], name)
+                )
+            if kind == 3 and name == "slot":
+                t = entry[2].get("t")
                 self.current_t = int(t) if t is not None else None
-        observers = self._routes.get((kind, name))
-        if observers is None:
-            observers = self._route(kind, name)
-        for observe in observers:
-            observe(event)
+            if observers:
+                event = event_dict(*entry)
+                for observe in observers:
+                    observe(event)
+
+    def emit(self, event: dict) -> None:
+        self.fold((entry_of(event),))
 
     def close(self) -> None:  # nothing buffered
         pass
@@ -318,10 +340,14 @@ class MonitorSuite:
     @property
     def alerts(self) -> list[Alert]:
         """Every alert raised so far, in emission order per monitor."""
+        if self.reads_record and self._tracer is not None:
+            self._tracer.fold()
         return [a for m in self.monitors for a in m.alerts]
 
     def finish(self) -> HealthReport:
         """Finalise every monitor into a :class:`HealthReport` (idempotent)."""
+        if self.reads_record and self._tracer is not None:
+            self._tracer.fold()
         if self._report is None:
             statuses = tuple(m.finish() for m in self.monitors)
             self._report = HealthReport(
@@ -724,6 +750,8 @@ class AnomalyMonitor(Monitor):
             for name in self._detectors
             if name.startswith("engine.")
         }
+        # (fields table, a record's keys) -> its watched keys, in order.
+        self._watched: dict = {}
 
     def wants(self, kind: str, name: str) -> bool:
         if kind == "gauge":
@@ -743,9 +771,15 @@ class AnomalyMonitor(Monitor):
 
     def _sample_fields(self, record: dict, fields: "dict[str, str]") -> None:
         """Sample the watched numeric fields of *record*, in its order."""
-        for key, value in record.items():
-            name = fields.get(key)
-            if name is not None and isinstance(value, (int, float)):
+        keys = tuple(record)
+        watched = self._watched.get((id(fields), keys))
+        if watched is None:
+            watched = self._watched[(id(fields), keys)] = [
+                (key, fields[key]) for key in keys if key in fields
+            ]
+        for key, name in watched:
+            value = record[key]
+            if isinstance(value, (int, float)):
                 self._sample(name, float(value))
 
     def _sample(self, name: str, value: float) -> None:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.obs.probe import entry_of, expanded
+
 
 def _percentile(sorted_values: list[float], q: float) -> float:
     """Nearest-rank percentile on an already-sorted list."""
@@ -37,15 +39,19 @@ class PhaseAggregator:
         self._gauge_segments: dict[str, list[tuple[tuple, list[float]]]] = {}
 
     def emit(self, event: dict) -> None:
-        kind = event["kind"]
-        if kind == "span":
-            self.spans.setdefault(event["name"], []).append(event["seconds"])
-        elif kind == "counter":
-            name = event["name"]
-            self.counters[name] = self.counters.get(name, 0.0) + event["value"]
-        elif kind == "gauge":
-            self.gauges.setdefault(event["name"], []).append(event["value"])
-        # free-form "event" payloads are for streaming sinks, not stats
+        self.fold((entry_of(event),))
+
+    def fold(self, record) -> None:
+        """Take a probe's record (see :mod:`repro.obs.probe`)."""
+        spans, counters, gauges = self.spans, self.counters, self.gauges
+        for kind, name, value, _ in expanded(record):
+            if kind == 0:
+                spans.setdefault(name, []).append(value)
+            elif kind == 1:
+                counters[name] = counters.get(name, 0.0) + value
+            elif kind == 2:
+                gauges.setdefault(name, []).append(value)
+            # free-form "event" payloads are for streaming sinks, not stats
 
     def wants(self, kind: str, name: str) -> bool:
         """Spans, counters and gauges; free-form events are not stats."""

@@ -15,12 +15,16 @@ Three integration surfaces:
   ``repro_slot_cost`` / ``repro_budget_drift``, and monitor alerts count
   into ``repro_alerts_total{monitor=,severity=}``.  Constant labels
   (e.g. ``cell="3"``) stamp every sample, so per-cell series never
-  collide when merged.  A probe binds each bus name to its series once
-  and then updates the series directly.
+  collide when merged.  The sink reads its probe's record (see
+  :mod:`repro.obs.probe`): a slot's events reach the registry as one
+  row, which the registry folds into the series only when it is read
+  (flushed, snapshotted or scraped) -- per series one batch, the
+  histograms binned with one ``np.searchsorted``.
 * flush/merge -- a resident worker calls
   :meth:`MetricsRegistry.flush_delta` once per epoch: it walks only the
   series touched since the previous flush and ships them by integer id
-  (names and labels go once, when a series first ships).
+  (names and labels go once, when a series first ships), and ships its
+  pending rows unfolded, for the receiver to fold when it is read.
   :meth:`MetricsRegistry.merge_snapshot` folds such a delta -- or a full
   :meth:`MetricsRegistry.snapshot` -- into the parent's live registry
   (counters/histograms add; gauges keep the most recent value by a
@@ -35,7 +39,8 @@ Three integration surfaces:
   inside the call.  The controller
   applies it automatically whenever a telemetry context is active
   (:func:`telemetry_context`), and the wrapper is thin enough to stay
-  on by default (one ``perf_counter`` pair plus a bisect per call).
+  on by default (one ``perf_counter`` pair and a list append per call;
+  the samples are binned when the registry is read).
 
 :meth:`MetricsRegistry.render_openmetrics` emits the OpenMetrics text
 format (``# TYPE``/``# HELP`` metadata, ``_total``/``_bucket``/``_sum``
@@ -49,11 +54,16 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import re
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Mapping
+
+import numpy as np
+
+from repro.obs.probe import KINDS, entry_of, expanded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernels.interface import KernelBackend
@@ -77,6 +87,10 @@ DEFAULT_SECONDS_BUCKETS: tuple[float, ...] = (
     1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0,
 )
+
+#: Pending records at which a registry folds them without being read,
+#: so a registry nobody reads stays bounded.
+_RECORDS_AT = 4096
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -216,10 +230,17 @@ class _CounterSeries(_Series):
         self.shipped = 0.0
 
     def inc(self, value: float = 1.0) -> None:
-        if value < 0:
-            raise ValueError("counters only go up; use a gauge")
+        self.inc_many((value,))
+
+    def inc_many(self, values) -> None:
+        """Add each of *values*, in order."""
         with self._lock:
-            self.value += value
+            total = self.value
+            for value in values:
+                if value < 0:
+                    raise ValueError("counters only go up; use a gauge")
+                total += value
+            self.value = total
             if not self.touched:
                 self.touched = True
                 self._enqueue(self)
@@ -277,19 +298,29 @@ class _HistogramSeries(_Series):
         self._live[key] = self
 
     def observe(self, value: float) -> None:
-        value = float(value)
+        self.observe_many((float(value),))
+
+    def observe_many(self, values) -> None:
+        """Record each of *values* (floats); the sum adds them in order,
+        so it is the one per-sample observes would have made."""
         # OpenMetrics ``le`` is inclusive: a value equal to a bound
         # belongs to that bound's bucket.
-        index = bisect_left(self._bounds, value)
+        if len(values) < 16:
+            buckets: dict = {}
+            for value in values:
+                index = bisect_left(self._bounds, value)
+                buckets[index] = buckets.get(index, 0) + 1
+        else:
+            binned = np.bincount(
+                np.searchsorted(self._bounds, values), minlength=len(self.counts)
+            )
+            buckets = {int(i): int(binned[i]) for i in np.flatnonzero(binned)}
         with self._lock:
-            self.counts[index] += 1
-            self.sum += value
-            self.count += 1
-            added = self.added
-            added[index] = added.get(index, 0) + 1
-            if not self.touched:
-                self.touched = True
-                self._enqueue(self)
+            total = self.sum
+            for value in values:
+                total += value
+            self._add(buckets, 0.0)
+            self.sum = total
 
     def _take(self) -> "tuple[float, dict[int, int]]":
         """The sum and per-bucket counts added since the last flush,
@@ -324,6 +355,7 @@ class Counter(_Family):
 
     def value(self, **labels: object) -> float:
         """Current total for one label set (0.0 if never incremented)."""
+        self._registry._fold()
         series = self._series.get(_label_key(labels))
         return float(series.value) if series is not None else 0.0
 
@@ -347,6 +379,7 @@ class Gauge(_Family):
 
     def value(self, **labels: object) -> float:
         """Current level for one label set (NaN if never set)."""
+        self._registry._fold()
         series = self._series.get(_label_key(labels))
         return float(series.value) if series is not None else math.nan
 
@@ -380,6 +413,7 @@ class Histogram(_Family):
 
     def stats(self, **labels: object) -> dict:
         """count/sum plus bucket-estimated p50/p95 for one label set."""
+        self._registry._fold()
         series = self._series.get(_label_key(labels))
         if series is None:
             return {"count": 0, "sum": 0.0,
@@ -443,9 +477,80 @@ class MetricsRegistry:
         self._next_fid = 0
         self._next_sid = 0
         self._origin: "str | None" = None
-        # merge_snapshot() state: per sending registry, the families and
-        # series its announcements resolved to, indexed by their ids.
-        self._peers: "dict[str, tuple[list, list]]" = {}
+        # merge_snapshot() state: per sending registry, the families,
+        # series and record streams its announcements resolved to,
+        # indexed by their ids.
+        self._peers: "dict[str, tuple[list, list, list]]" = {}
+        # Records: the gatherers that hand this registry what their
+        # probes and kernel stashes wrote (each read runs them); the
+        # ``(stream, row, extras)`` records not folded into series yet,
+        # a stream being ``(fold, key, layout)``: the folder that reads
+        # it (a :data:`_FOLDS` name), its labels and the ``(kind,
+        # name)`` of each of the row's values; flush ids of the streams
+        # shipped; the folders' state.
+        self._folds: list = []
+        self._records: list = []
+        self._streams: dict = {}
+        self._folders: dict = {}
+        # Records packed for shipping, and the streams they announce.
+        self._packed: list = []
+        self._announced: list = []
+
+    def _record(self, stream: tuple, row: list, extras: list) -> None:
+        """Queue one record for the folder *stream* names."""
+        with self._lock:
+            self._records.append((stream, row, extras))
+            if len(self._records) < _RECORDS_AT:
+                return
+        self._fold()
+
+    def _gather(self) -> None:
+        for gather in self._folds:
+            gather()
+
+    def _pack(self) -> None:
+        """Pickle the pending records into one blob for the next
+        :meth:`flush_delta`, streams by flush id (so a resident worker
+        can pay for it off its critical path)."""
+        with self._lock:
+            records, self._records = self._records, []
+            if not records:
+                return
+            rows = []
+            for stream, row, extras in records:
+                sid = self._streams.get(stream)
+                if sid is None:
+                    sid = self._streams[stream] = len(self._streams)
+                    self._announced.append(stream)
+                rows.append((sid, row, extras))
+            self._packed.append(pickle.dumps(rows, pickle.HIGHEST_PROTOCOL))
+
+    def _fold(self) -> None:
+        """Fold every pending record into the series it feeds: each run
+        of one stream's records as one block of rows, in arrival order."""
+        self._gather()
+        with self._lock:
+            pending, self._records = self._records, []
+        records: list = []
+        for record in pending:
+            if record[0] is None:  # a peer's packed blob: (None, its streams, blob)
+                streams = record[1]
+                records.extend(
+                    (streams[sid], row, extras)
+                    for sid, row, extras in pickle.loads(record[2])
+                )
+            else:
+                records.append(record)
+        start = 0
+        for i in range(1, len(records) + 1):
+            if i == len(records) or records[i][0] != records[start][0]:
+                fold, key, layout = records[start][0]
+                folder = self._folders.get((fold, key))
+                if folder is None:
+                    folder = self._folders[(fold, key)] = _FOLDS[fold](self, key)
+                block = records[start:i]
+                folder.fold(layout, [r[1] for r in block], [r[2] for r in block])
+                start = i
 
     # -- family accessors ------------------------------------------------
 
@@ -489,6 +594,7 @@ class MetricsRegistry:
 
     def families(self) -> "dict[str, str]":
         """Family name -> kind, for quick introspection."""
+        self._fold()
         return {name: f.kind for name, f in sorted(self._families.items())}
 
     def get(self, name: str) -> "_Family | None":
@@ -497,6 +603,7 @@ class MetricsRegistry:
         Accepts the counter sample spelling too: ``get("x_total")``
         finds the counter family ``x``.
         """
+        self._fold()
         family = self._families.get(name)
         if family is None and name.endswith("_total"):
             candidate = self._families.get(name[: -len("_total")])
@@ -514,6 +621,7 @@ class MetricsRegistry:
         counter value is its total, a gauge value is ``(value, stamp)``
         and a histogram value is ``[per-bucket counts, sum, count]``.
         """
+        self._fold()
         with self._lock:
             out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
             for name, family in self._families.items():
@@ -557,14 +665,20 @@ class MetricsRegistry:
              "series": [(family_id, label_key), ...],        # new, by id
              "inc": (ids, increments),              # counters
              "set": (ids, values, sequences),       # gauges
-             "obs": (ids, [(sum_delta, {bucket: added}), ...])}  # histograms
+             "obs": (ids, [(sum_delta, {bucket: added}), ...]),  # histograms
+             "streams": [(fold, key, layout), ...],  # new, by id
+             "records": [pickled [(stream_id, row, extras), ...], ...]}
 
         A counter ships its increment since the last flush, a gauge its
         value and local sequence number, and a histogram its sum minus
         the sum at the last flush plus the buckets whose counts grew
         since then (at most one entry per bucket, however many
         observations the epoch made) -- so the receiver's totals are
-        exactly the sender's, with no drift.  Families are announced
+        exactly the sender's, with no drift.  Records (what a
+        :class:`TelemetrySink` or :func:`instrument_kernels` wrote since
+        the last read: one row of values per stream, whose layout ships
+        once) go unfolded, and the receiver folds them when it is read,
+        so a worker pays no per-series cost per epoch.  Families are announced
         even when empty (a pre-bound counter nobody incremented still
         shows up on the receiving side); pre-bound histogram series that
         never observed anything are not.  Returns ``None`` when there is
@@ -576,7 +690,16 @@ class MetricsRegistry:
         so the next shipped flush still introduces every family and
         series it refers to.
         """
+        self._gather()
+        return self._take_delta(swallow=swallow)
+
+    def _take_delta(self, *, swallow: bool = False) -> "dict | None":
+        """:meth:`flush_delta` of what the registry holds, without first
+        gathering its probes' and kernel stashes' records."""
+        self._pack()
         with self._lock:
+            packed, self._packed = self._packed, []
+            announced, self._announced = self._announced, []
             counters, gauges, histograms = (list(q) for q in self._touched)
             for queue in self._touched:
                 queue.clear()
@@ -584,8 +707,9 @@ class MetricsRegistry:
                 for s in queue:
                     s.touched = False
             if swallow or not (
-                self._unannounced or counters or gauges or histograms
+                self._unannounced or counters or gauges or histograms or packed
             ):
+                self._announced = announced  # a later flush still announces
                 for s in counters:
                     s.shipped = s.value
                 for s in histograms:
@@ -625,6 +749,8 @@ class MetricsRegistry:
                 "inc": inc,
                 "set": set_,
                 "obs": obs,
+                "streams": announced,
+                "records": packed,
             }
 
     def merge_snapshot(
@@ -684,8 +810,8 @@ class MetricsRegistry:
     def _merge_delta(self, delta: dict, generation: "int | None") -> None:
         peer = self._peers.get(delta["origin"])
         if peer is None:
-            peer = self._peers[delta["origin"]] = ([], [])
-        families, table = peer
+            peer = self._peers[delta["origin"]] = ([], [], [])
+        families, table, _ = peer
         for kind, name, help, bounds in delta["families"]:
             if kind == "counter":
                 families.append(self.counter(name, help))
@@ -709,6 +835,12 @@ class MetricsRegistry:
             sids, entries = delta["obs"]
             for sid, (total, added) in zip(sids, entries):
                 table[sid]._add(added, total)
+            streams = peer[2]
+            streams.extend(delta["streams"])
+            self._records.extend((None, streams, blob) for blob in delta["records"])
+            if len(self._records) < _RECORDS_AT:
+                return
+        self._fold()
 
     def _merged_histogram(
         self, name: str, help: str, bounds: "tuple[float, ...]"
@@ -725,6 +857,7 @@ class MetricsRegistry:
 
     def render_openmetrics(self) -> str:
         """The registry as OpenMetrics text (ends with ``# EOF``)."""
+        self._fold()
         lines: list[str] = []
         with self._lock:
             for name in sorted(self._families):
@@ -880,6 +1013,11 @@ class TelemetrySink:
     event ``shed``             ``repro_shed_tasks_total``
     =========================  ============================================
 
+    The sink reads a probe's record (see :mod:`repro.obs.probe`) and
+    hands it to the registry unfolded; the registry folds it into the
+    series when it is read, or ships it in :meth:`MetricsRegistry.flush_delta`
+    for the receiving registry to fold.
+
     Args:
         registry: Destination registry.
         labels: Constant labels stamped on every sample (e.g.
@@ -896,136 +1034,175 @@ class TelemetrySink:
         for key in self.labels:
             if not _LABEL_RE.match(key):
                 raise ValueError(f"invalid label name {key!r}")
-        self._phase_seconds = registry.histogram(
-            "repro_phase_seconds", "Wall-clock seconds per controller phase"
-        )
-        self._slots = registry.counter(
-            "repro_slots_total", "Simulated slots observed on the bus"
-        ).labels(**self.labels)
-        self._slot_latency = registry.gauge(
-            "repro_slot_latency", "Most recent per-slot overall latency (s)"
-        ).labels(**self.labels)
-        self._slot_cost = registry.gauge(
-            "repro_slot_cost", "Most recent per-slot energy cost ($)"
-        ).labels(**self.labels)
-        self._budget_drift = registry.gauge(
-            "repro_budget_drift",
-            "Running mean of theta = C_t - Cbar since this sink started "
-            "(positive = overspending the time-average budget)",
-        ).labels(**self.labels)
-        self._alerts = registry.counter(
-            "repro_alerts_total", "Monitor alerts raised, by monitor/severity"
-        )
-        self._crashes = registry.counter(
-            "repro_crashes_total", "Simulation crash events"
-        ).labels(**self.labels)
-        self._shed = registry.counter(
-            "repro_shed_tasks_total",
-            "Tasks shed by overload admission control",
-        ).labels(**self.labels)
-        # Hot-path caches: bus name -> bound series.
-        self._bound_counters: dict = {}
-        self._bound_gauges: dict = {}
-        self._bound_phases: dict = {}
-        self._theta_sum = 0.0
-        self._theta_count = 0
+        self._key = _label_key(self.labels)
+        _BusFolder.families(registry)
 
-    # -- Sink protocol -------------------------------------------------
-    #: Free-form events this sink maps (every span, counter and gauge
-    #: maps too).
-    _EVENTS = frozenset({"slot", "alert", "shard.epoch", "crash", "shed"})
-
-    def wants(self, kind: str, name: str) -> bool:
-        """Every span, counter and gauge, and the events in the mapping
-        table."""
-        return kind != "event" or name in self._EVENTS
-
-    def _direct(self, kind: str, name: str):
-        """The pre-bound series update a probe calls with a span's
-        seconds or a counter's or gauge's value (resolved once per
-        name); ``None`` for free-form events, which go through
-        :meth:`emit`."""
-        if kind == "event":
-            return None
-        bound = self._bind(kind, name)
-        if kind == "span":
-            return bound.observe
-        return bound.inc if kind == "counter" else bound.set
-
-    def _bind(self, kind: str, name: str):
-        if kind == "span":
-            bound = self._phase_seconds.labels(phase=name, **self.labels)
-            self._bound_phases[name] = bound
-        elif kind == "counter":
-            bound = self.registry.counter(
-                metric_name(name), f"Bus counter {name!r}"
-            ).labels(**self.labels)
-            self._bound_counters[name] = bound
-        else:
-            bound = self.registry.gauge(
-                metric_name(name), f"Bus gauge {name!r}"
-            ).labels(**self.labels)
-            self._bound_gauges[name] = bound
-        return bound
+    def fold(self, record) -> None:
+        """Hand *record* to the registry as rows, one per slot (a
+        ``slot`` event ends one): the spans', counters' and gauges'
+        values under their ``(kind, name)`` layout, plus the mapped
+        events (a slot event as its latency, cost and theta) and the
+        deferred batches, which the folding registry expands."""
+        layout: list = []
+        row: list = []
+        extras: list = []
+        for entry in record:
+            kind, name, value, _ = entry
+            if kind < 0:
+                extras.append((None, entry))
+            elif kind < 3:
+                layout.append((kind, name))
+                row.append(value)
+            elif name == "slot":
+                extras.append(
+                    (name, (value.get("latency"), value.get("cost"), value.get("theta")))
+                )
+                self.registry._record(("bus", self._key, tuple(layout)), row, extras)
+                layout, row, extras = [], [], []
+            elif name in _BusFolder.EVENTS:
+                extras.append((name, value))
+        if row or extras:
+            self.registry._record(("bus", self._key, tuple(layout)), row, extras)
 
     def emit(self, event: dict) -> None:
-        kind = event["kind"]
-        if kind == "span":
-            name = event["name"]
-            bound = self._bound_phases.get(name)
-            if bound is None:
-                bound = self._bind(kind, name)
-            bound.observe(event["seconds"])
-        elif kind == "counter":
-            name = event["name"]
-            bound = self._bound_counters.get(name)
-            if bound is None:
-                bound = self._bind(kind, name)
-            bound.inc(event["value"])
-        elif kind == "gauge":
-            name = event["name"]
-            bound = self._bound_gauges.get(name)
-            if bound is None:
-                bound = self._bind(kind, name)
-            bound.set(event["value"])
-        else:  # kind == "event"
-            name = event["name"]
-            if name == "slot":
-                data = event["data"]
-                self._slots.inc()
-                latency = data.get("latency")
-                if latency is not None:
-                    self._slot_latency.set(latency)
-                cost = data.get("cost")
-                if cost is not None:
-                    self._slot_cost.set(cost)
-                theta = data.get("theta")
-                if theta is not None:
-                    self._theta_sum += float(theta)
-                    self._theta_count += 1
-                    self._budget_drift.set(self._theta_sum / self._theta_count)
-            elif name == "alert":
-                data = event["data"]
-                self._alerts.inc(
-                    1.0,
-                    monitor=str(data.get("monitor", "unknown")),
-                    severity=str(data.get("severity", "unknown")),
-                    **self.labels,
-                )
-            elif name == "shard.epoch":
-                self.registry.gauge(
-                    "repro_shard_completed_slots",
-                    "Slots completed by the sharded run so far",
-                ).set(event["data"].get("completed", 0), **self.labels)
-            elif name == "crash":
-                self._crashes.inc()
-            elif name == "shed":
-                self._shed.inc(
-                    float(len(event["data"].get("devices", ())))
-                )
+        self.fold((entry_of(event),))
 
     def close(self) -> None:  # registry outlives the sink
         pass
+
+
+class _BusFolder:
+    """Folds one :class:`TelemetrySink` label set's records into a
+    registry: each series is updated once per fold, with its samples in
+    order (so histogram sums and counter totals are the per-event ones)
+    and each gauge's last value."""
+
+    #: Free-form events the sink maps besides ``slot``.
+    EVENTS = frozenset({"alert", "shard.epoch", "crash", "shed"})
+
+    @staticmethod
+    def families(registry: MetricsRegistry) -> tuple:
+        return (
+            registry.histogram(
+                "repro_phase_seconds", "Wall-clock seconds per controller phase"
+            ),
+            registry.counter(
+                "repro_slots_total", "Simulated slots observed on the bus"
+            ),
+            registry.gauge(
+                "repro_slot_latency", "Most recent per-slot overall latency (s)"
+            ),
+            registry.gauge(
+                "repro_slot_cost", "Most recent per-slot energy cost ($)"
+            ),
+            registry.gauge(
+                "repro_budget_drift",
+                "Running mean of theta = C_t - Cbar since this sink started "
+                "(positive = overspending the time-average budget)",
+            ),
+            registry.counter(
+                "repro_alerts_total", "Monitor alerts raised, by monitor/severity"
+            ),
+            registry.counter("repro_crashes_total", "Simulation crash events"),
+            registry.counter(
+                "repro_shed_tasks_total",
+                "Tasks shed by overload admission control",
+            ),
+        )
+
+    def __init__(self, registry: MetricsRegistry, key: LabelKey) -> None:
+        self.registry = registry
+        self.labels = dict(key)
+        (self._phases, slots, latency, cost, drift, self._alerts,
+         crashes, shed) = self.families(registry)
+        self._slots, self._slot_latency, self._slot_cost, self._budget_drift, \
+            self._crashes, self._shed = (
+                f.labels(**self.labels)
+                for f in (slots, latency, cost, drift, crashes, shed)
+            )
+        # Row layout -> its columns per (kind, name); (kind, name) ->
+        # its series.
+        self._layouts: dict = {}
+        self._bound: dict = {}
+        self._theta_sum = 0.0
+        self._theta_count = 0
+
+    def _bind(self, kind: int, name: str):
+        if kind == 0:
+            return self._phases.labels(phase=name, **self.labels)
+        make = self.registry.counter if kind == 1 else self.registry.gauge
+        return make(metric_name(name), f"Bus {KINDS[kind]} {name!r}").labels(
+            **self.labels
+        )
+
+    def fold(self, layout: tuple, rows: list, extras: list) -> None:
+        """Fold rows of one layout, in order: per series its samples
+        (the rows' in row order, then the deferred batches'), so
+        counter totals are the per-event ones; a gauge its last value."""
+        columns = self._layouts.get(layout)
+        if columns is None:
+            columns = self._layouts[layout] = {}
+            for j, pair in enumerate(layout):
+                columns.setdefault(pair, []).append(j)
+        samples: dict = {}
+        if rows and layout:
+            block = np.array(rows, dtype=np.float64).reshape(len(rows), len(layout))
+            samples = {p: block[:, cols].ravel().tolist() for p, cols in columns.items()}
+        slots = 0
+        latency = cost = drift = None
+        for events in extras:
+            for name, data in events:
+                if name is None:
+                    for kind, bus_name, value, _ in expanded((data,)):
+                        samples.setdefault((kind, bus_name), []).append(value)
+                elif name != "slot":
+                    self._event(name, data)
+                else:
+                    slots += 1
+                    slot_latency, slot_cost, theta = data
+                    latency = latency if slot_latency is None else slot_latency
+                    cost = cost if slot_cost is None else slot_cost
+                    if theta is not None:
+                        self._theta_sum += float(theta)
+                        self._theta_count += 1
+                        drift = self._theta_sum / self._theta_count
+        for (kind, name), values in samples.items():
+            series = self._bound.get((kind, name))
+            if series is None:
+                series = self._bound[(kind, name)] = self._bind(kind, name)
+            if kind == 0:
+                series.observe_many(values)
+            elif kind == 1:
+                series.inc_many(values)
+            else:
+                series.set(values[-1])
+        if slots:
+            self._slots.inc(float(slots))
+        for gauge, value in (
+            (self._slot_latency, latency),
+            (self._slot_cost, cost),
+            (self._budget_drift, drift),
+        ):
+            if value is not None:
+                gauge.set(value)
+
+    def _event(self, name: str, data: dict) -> None:
+        if name == "alert":
+            self._alerts.inc(
+                1.0,
+                monitor=str(data.get("monitor", "unknown")),
+                severity=str(data.get("severity", "unknown")),
+                **self.labels,
+            )
+        elif name == "shard.epoch":
+            self.registry.gauge(
+                "repro_shard_completed_slots",
+                "Slots completed by the sharded run so far",
+            ).set(data.get("completed", 0), **self.labels)
+        elif name == "crash":
+            self._crashes.inc()
+        elif name == "shed":
+            self._shed.inc(float(len(data.get("devices", ()))))
 
 
 # -- kernel profiling -------------------------------------------------------
@@ -1051,32 +1228,40 @@ def instrument_kernels(
     Returns a new frozen :class:`~repro.kernels.interface.KernelBackend`
     whose callables record wall-clock samples into
     ``repro_kernel_seconds{kernel=<call>, backend=<name>}``.  The
-    wrapper is call-signature transparent and adds one ``perf_counter``
-    pair plus a locked bucket increment per call (~1 microsecond) --
-    cheap enough to stay on by default next to kernels that run for
-    tens of microseconds and up.
+    wrapper is call-signature transparent: a call adds one
+    ``perf_counter`` pair and one append to a stash, and a fused
+    ``bdma_slot`` call one append of its round rows (the sub-kernels it
+    ran, timed inside the call).  The registry takes the stash as a
+    record whenever it is read, and folds it like a
+    :class:`TelemetrySink`'s.
     """
     from dataclasses import replace
     from time import perf_counter
 
+    key = (backend.name, _label_key(labels))
     histogram = registry.histogram(
-        "repro_kernel_seconds",
-        "Wall-clock seconds per kernel-backend call",
+        "repro_kernel_seconds", "Wall-clock seconds per kernel-backend call"
     )
-    wrapped = {}
-    bounds = {}
-    for call in _KERNEL_CALLS:
-        fn = getattr(backend, call)
-        if fn is None:
-            continue
-        bound = bounds[call] = histogram.labels(
-            kernel=call, backend=backend.name, **(labels or {})
-        )
+    calls = [call for call in _KERNEL_CALLS if getattr(backend, call) is not None]
+    for call in calls:
+        histogram.labels(kernel=call, backend=backend.name, **(labels or {}))
+    # (call, seconds), or (None, a fused call's round rows).
+    stash: list = []
 
-        def timed(*args, _fn=fn, _bound=bound):
+    def gather() -> None:
+        if stash:
+            taken = stash[:]
+            del stash[: len(taken)]
+            registry._record(("kernels", key, ()), [], taken)
+
+    registry._folds.append(gather)
+    wrapped = {}
+    for call in calls:
+
+        def timed(*args, _fn=getattr(backend, call), _call=call):
             start = perf_counter()
             out = _fn(*args)
-            _bound.observe(perf_counter() - start)
+            stash.append((_call, perf_counter() - start))
             return out
 
         wrapped[call] = timed
@@ -1088,10 +1273,9 @@ def instrument_kernels(
         def timed_bind(*args, _fn=backend.bdma_slot):
             binding = _fn(*args)
 
-            def timed_run(_run=binding.run, _seconds=binding.kernel_seconds):
+            def timed_run(_run=binding.run, _rows=binding.kernel_rows):
                 status = _run()
-                for call, seconds in _seconds():
-                    bounds[call].observe(seconds)
+                stash.append((None, _rows()))
                 return status
 
             binding.run = timed_run
@@ -1099,6 +1283,36 @@ def instrument_kernels(
 
         wrapped["bdma_slot"] = timed_bind
     return replace(backend, **wrapped)
+
+
+class _KernelFolder:
+    """Folds one instrumented backend's kernel-time rows into
+    ``repro_kernel_seconds``, each kernel's samples in row order."""
+
+    def __init__(self, registry: MetricsRegistry, key: tuple) -> None:
+        backend, labels = key
+        family = registry.histogram(
+            "repro_kernel_seconds", "Wall-clock seconds per kernel-backend call"
+        )
+        self._series = lambda kernel: family.labels(
+            kernel=kernel, backend=backend, **dict(labels)
+        )
+
+    def fold(self, layout: tuple, rows: list, stashes: list) -> None:
+        from repro.kernels._adapt import kernel_seconds
+
+        samples: dict = {}
+        for stash in stashes:
+            for call, seconds in stash:
+                pairs = kernel_seconds(*seconds) if call is None else ((call, seconds),)
+                for kernel, value in pairs:
+                    samples.setdefault(kernel, []).append(value)
+        for kernel, values in samples.items():
+            self._series(kernel).observe_many(values)
+
+
+#: The record folders, by the name a record stream carries.
+_FOLDS = {"bus": _BusFolder, "kernels": _KernelFolder}
 
 
 # -- the active telemetry context ------------------------------------------

@@ -141,7 +141,9 @@ class CellRuntime:
         self._budget_monitor: "BudgetDriftMonitor | None" = None
         if config.obs.monitors:
             suite = default_monitors(budget=float(budget), network=scenario.network)
-            self.suite = MonitorSuite(suite, labels={"cell": self.cell}).attach(probe)
+            self.suite = MonitorSuite(suite, labels={"cell": self.cell})
+            self.suite.reads_record = True
+            self.suite.attach(probe)
             self._budget_monitor = next(
                 m for m in suite if isinstance(m, BudgetDriftMonitor)
             )
@@ -205,11 +207,6 @@ class CellRuntime:
         self._alerts_shipped = len(alerts)
         return [a.to_dict() for a in fresh]
 
-    def mark_alerts_shipped(self) -> None:
-        """Swallow replayed-epoch alerts (the parent already saw them
-        live from the worker that died)."""
-        if self.suite is not None:
-            self._alerts_shipped = len(self.suite.alerts)
 
 
 # -- the worker process ----------------------------------------------------
@@ -231,6 +228,10 @@ class _WorkerRuntime:
         self.blocks: "dict[int, SharedStateBlock]" = {}
         for c, descriptor in (payload.get("shared") or {}).items():
             self.blocks[c] = SharedStateBlock.attach(descriptor)
+        # Telemetry and alerts the last settle() gathered, shipped with
+        # the next reply; whether an epoch ran since.
+        self._alerts: "dict[int, list]" = {}
+        self._unsettled = False
         want_probe = self.trace_phases or telemetry or config.obs.monitors
         self.runtimes: "dict[int, CellRuntime]" = {}
         for c in self.cells:
@@ -268,9 +269,13 @@ class _WorkerRuntime:
             self.heartbeat()
 
     def run_epoch(self, data: dict) -> dict:
+        """Run the epoch's cells; the reply carries their metrics and
+        spends, and the telemetry and alerts of the epochs settled
+        before (so an epoch's own arrive with the next reply)."""
         start, count = data["start"], data["count"]
         buffer = data.get("buffer")
         budgets = data["budgets"]
+        self.settle()
         cells_out = {}
         for c in self.cells:
             self._beat()
@@ -285,15 +290,41 @@ class _WorkerRuntime:
             )
             out = {"metrics": metrics, "spend": spend}
             if runtime.suite is not None:
-                out["alerts"] = runtime.new_alerts()
+                out["alerts"] = self._alerts.pop(c, [])
             cells_out[c] = out
         reply = {"cells": cells_out}
         if self.registry is not None:
-            reply["telemetry"] = self.registry.flush_delta()
+            reply["telemetry"] = self.registry._take_delta()
+        self._unsettled = True
         return reply
 
+    def settle(self) -> None:
+        """Fold the last epoch's records -- its monitors run, its
+        telemetry reaches the registry -- once its reply is on its way,
+        off the fleet's critical path."""
+        if not self._unsettled:
+            return
+        self._unsettled = False
+        for c, runtime in self.runtimes.items():
+            if runtime.suite is not None:
+                self._alerts.setdefault(c, []).extend(runtime.new_alerts())
+        if self.registry is not None:
+            self.registry._gather()
+            self.registry._pack()
+
     def pull(self) -> dict:
-        return {c: self.runtimes[c].carry() for c in self.cells}
+        """The cells' carries, and the telemetry and alerts no reply has
+        carried yet: a worker rebuilt from these carries replays
+        nothing, so nothing may stay behind in this one."""
+        self.settle()
+        alerts, self._alerts = self._alerts, {}
+        out = {
+            "carries": {c: self.runtimes[c].carry() for c in self.cells},
+            "alerts": alerts,
+        }
+        if self.registry is not None:
+            out["telemetry"] = self.registry.flush_delta()
+        return out
 
     def load(self, data: dict) -> None:
         for c, carry in data["carries"].items():
@@ -302,26 +333,35 @@ class _WorkerRuntime:
     def replay(self, data: dict) -> None:
         """Re-run recorded epochs to rebuild in-place state (salvage).
 
-        Metrics are discarded (the parent kept the originals), the
-        telemetry delta is swallowed (the dead worker already shipped
-        those epochs), and replayed alerts are marked shipped -- only
-        the cross-slot state matters, and it lands bit-identical
-        because every input (budgets, streams) is the recorded one.
+        Metrics are discarded (the parent kept the originals), and so
+        are the telemetry and alerts of every epoch but the last (the
+        dead worker already shipped those) -- only the cross-slot state
+        matters, and it lands bit-identical because every input
+        (budgets, streams) is the recorded one.  The last epoch's died
+        with the worker before they shipped, so they ship with the next
+        reply.
         """
-        for start, count, budgets in data["epochs"]:
+        epochs = data["epochs"]
+        for i, (start, count, budgets) in enumerate(epochs):
+            if i == len(epochs) - 1:
+                self.settle()
+                self._alerts.clear()
+                if self.registry is not None:
+                    self.registry._gather()
+                    self.registry._take_delta(swallow=True)
             self._beat()
             for c in self.cells:
                 self.runtimes[c].run_epoch(start, count, budgets[c])
-        if self.registry is not None:
-            self.registry.flush_delta(swallow=True)
-        for runtime in self.runtimes.values():
-            runtime.mark_alerts_shipped()
+            self._unsettled = True
 
     def finish(self) -> dict:
+        self.settle()
+        pending, self._alerts = self._alerts, {}
         out = {}
         for c in self.cells:
             runtime = self.runtimes[c]
-            cell: dict = {}
+            cell: dict = {"new_alerts": pending.get(c, [])}
+            out[c] = cell
             if runtime.suite is not None:
                 report = runtime.suite.finish()
                 cell["statuses"] = [
@@ -336,7 +376,6 @@ class _WorkerRuntime:
                 cell["alerts"] = [a.to_dict() for a in report.alerts]
             if self.trace_phases and runtime.probe is not None:
                 cell["phase_state"] = runtime.probe.phases.state_dict()
-            out[c] = cell
         reply = {"cells": out}
         if self.registry is not None:
             # End-of-run monitor checks count into the registry after
@@ -400,6 +439,9 @@ def _worker_main(conn, payload: dict) -> None:
                 break
             try:
                 conn.send(("ok", _answer(runtime, command, data)))
+                settle = getattr(runtime, "settle", None)
+                if settle is not None:
+                    settle()
             except BaseException as exc:  # noqa: BLE001 - report, then die
                 # In-place state may be mid-epoch (poisoned); the parent
                 # kills and rebuilds this worker rather than reusing it.
@@ -442,6 +484,9 @@ class InProcessWorker:
 
     def send(self, command: str, data: "dict | None" = None) -> None:
         self._reply = _answer(self._runtime, command, data)
+        settle = getattr(self._runtime, "settle", None)
+        if settle is not None:
+            settle()
 
     def recv(self, timeout: "float | None" = None):
         reply, self._reply = self._reply, None

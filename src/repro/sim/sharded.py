@@ -518,6 +518,9 @@ class ShardedController:
             else:
                 buffer = None
             next_buffer = None
+            # The last epoch's telemetry deltas, merged once the next
+            # epoch is dispatched so the merge overlaps the solve.
+            unmerged: list = []
             for e, (start, count) in enumerate(epochs):
                 budgets = self.coordinator.budgets()
                 budgets_applied.append(budgets)
@@ -543,6 +546,7 @@ class ShardedController:
                 # other buffer while the workers are solving this one.
                 if planner is not None and e + 1 < len(epochs):
                     next_buffer = planner.fill(e + 1, *epochs[e + 1])
+                self._merge_telemetry(unmerged)
                 spends = np.zeros(num_cells)
                 for worker in workers:
                     while True:
@@ -555,13 +559,11 @@ class ShardedController:
                         for key in TRAJECTORY_FIELDS:
                             metrics[c][key].extend(out["metrics"][key])
                         spends[c] = out["spend"]
-                        for data in out.get("alerts", ()):
-                            if trace:
-                                self.tracer.event("alert", data)
-                    if self.registry is not None:
-                        self.registry.merge_snapshot(
-                            reply.get("telemetry"), generation=start + 1
-                        )
+                    self._alert_events(
+                        {c: out.get("alerts", ()) for c, out in reply["cells"].items()},
+                        trace,
+                    )
+                    unmerged.append((reply.get("telemetry"), start + 1))
                 buffer = next_buffer
                 completed = start + count
                 session_done = e + 1
@@ -581,14 +583,15 @@ class ShardedController:
                     for worker in workers:
                         while True:
                             try:
-                                carries.update(
-                                    worker.call(
-                                        "pull", timeout=self.timeout_seconds
-                                    )
+                                pulled = worker.call(
+                                    "pull", timeout=self.timeout_seconds
                                 )
                                 break
                             except WorkerFailure as exc:
                                 rebuild(worker, exc, session_done, None)
+                        carries.update(pulled["carries"])
+                        self._alert_events(pulled["alerts"], trace)
+                        unmerged.append((pulled.get("telemetry"), start + 1))
                     if planner is not None:
                         # The parent owns the live state stream in
                         # shared mode; patch this epoch's boundary
@@ -609,6 +612,7 @@ class ShardedController:
                         budgets=[list(map(float, b)) for b in budgets_applied],
                     ).write(ckpt.path, self.tracer)
                     last_ckpt = completed
+            self._merge_telemetry(unmerged)
             finish_out: dict = {}
             for worker in workers:
                 while True:
@@ -620,6 +624,10 @@ class ShardedController:
                     except WorkerFailure as exc:
                         rebuild(worker, exc, len(budget_history), None)
                 finish_out.update(reply["cells"])
+                self._alert_events(
+                    {c: out["new_alerts"] for c, out in reply["cells"].items()},
+                    trace,
+                )
                 if self.registry is not None:
                     self.registry.merge_snapshot(
                         reply.get("telemetry"), generation=horizon + 1
@@ -715,6 +723,21 @@ class ShardedController:
         return HealthReport(statuses=tuple(statuses), alerts=tuple(alerts))
 
     # -- telemetry / monitor plumbing --------------------------------------
+
+    def _alert_events(self, alerts: dict, trace: bool) -> None:
+        """Emit the alerts a reply carried, per cell, when traced."""
+        if trace:
+            for cell_alerts in alerts.values():
+                for data in cell_alerts:
+                    self.tracer.event("alert", data)
+
+    def _merge_telemetry(self, unmerged: list) -> None:
+        """Merge and drop the ``(delta, generation)`` pairs *unmerged*
+        holds."""
+        if self.registry is not None:
+            for delta, generation in unmerged:
+                self.registry.merge_snapshot(delta, generation=generation)
+        unmerged.clear()
 
     def _publish_epoch(self, completed: int, budgets: np.ndarray) -> None:
         """Parent-side epoch gauges: progress and the per-cell splits."""
