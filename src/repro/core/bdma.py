@@ -480,7 +480,7 @@ class FusedSlot(NamedTuple):
             has closed; ``None`` when untraced.
         feasibility: The allocation's ``feas.*`` gauge values
             (:data:`repro.core.controller.FEASIBILITY_GAUGES`), from
-            the kernel.
+            the kernel; meaningful only when traced.
     """
 
     result: BDMAResult
@@ -679,9 +679,10 @@ def solve_p2_bdma_fused(
     available = state.available_servers
     if available is not None:
         kernel.available[...] = available
+    traced = tracer is not None and tracer.enabled
     kernel.pack(
         z, warm_start, has_initial, game.state is not state,
-        deadline is not None, available is not None,
+        deadline is not None, available is not None, traced,
         queue_backlog, v, budget, state.price,
         0.0 if deadline is None else deadline,
     )
@@ -698,7 +699,6 @@ def solve_p2_bdma_fused(
             space.random_assignment(rng)
     if started:
         game.state = state
-    traced = tracer is not None and tracer.enabled
     if traced:
         rounds, times = kernel.kernel_rows()
     if status:

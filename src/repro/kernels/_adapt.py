@@ -107,11 +107,11 @@ ROUND_TIMES = 10
 _COMPENSATED_SUM = int(sys.version_info >= (3, 12))
 #: repro_slot_params: the sizes and the compensated-sum flag, packed
 #: once per state; then max_iter, accept_partial, slack, z, warm_start,
-#: has_initial, rebind_first, has_deadline, has_available,
+#: has_initial, rebind_first, has_deadline, has_available, traced,
 #: queue_backlog, v, budget, price and deadline, packed before every
 #: fused call.
 _STATE_PARAMS = struct.Struct("@5q")
-_CALL_PARAMS = struct.Struct("@2qd6q5d")
+_CALL_PARAMS = struct.Struct("@2qd7q5d")
 
 
 def _field_pointer(state: DecomposedState, name: str, convert):
@@ -226,7 +226,7 @@ class SlotBinding:
     cache's rebind buffers), the ``available`` mask, ``seeds`` (one
     ``(2, I)`` profile per round) and the per-call scalars through
     ``pack(z, warm_start, has_initial, rebind_first, has_deadline,
-    has_available, queue_backlog, v, budget, price, deadline)``.
+    has_available, traced, queue_backlog, v, budget, price, deadline)``.
     ``run()`` then makes the call and returns its status: 0 (decided),
     1 (deadline expired before the first round), 2 (CGBA hit
     ``max_iter`` without ``accept_partial``), 3 (a seed profile puts a
@@ -239,8 +239,9 @@ class SlotBinding:
     (rounds started, rounds run, warm-start hits, truncated, uncovered
     allocation device or -1, decided, shares invalid, engine moves,
     engine sweeps), ``out_f`` (objective, latency, cost, sweep and
-    dynamics seconds, the allocation's access, fronthaul and compute
-    share-sum maxima and clock excursion), ``history``, ``best_assign``, ``best_freq``,
+    dynamics seconds; when ``traced``, the allocation's access,
+    fronthaul and compute share-sum maxima and clock excursion),
+    ``history``, ``best_assign``, ``best_freq``,
     ``shares`` (rows compute, access, fronthaul) and one row per
     started round in ``rcounts`` and ``rtimes`` (``ROUND_COUNTS`` and
     ``ROUND_TIMES`` columns, see ``repro_bdma_slot``).

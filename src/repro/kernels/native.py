@@ -55,6 +55,7 @@ typedef struct {
     i64 max_iter, accept_partial;
     double slack;
     i64 z, warm_start, has_initial, rebind_first, has_deadline, has_available;
+    i64 traced;
     double queue_backlog, v, budget, price, deadline;
 } repro_slot_params;
 
@@ -957,8 +958,8 @@ static void slot_feasibility(const repro_slot *s, i64 I, i64 K, i64 N,
  * uncovered allocation device (-1 none), decided, shares invalid
  * (repro_shares_invalid), and the engine's moves and sweeps over the
  * rounds CGBA finished.  out_f: objective, latency, cost, those
- * rounds' sweep and dynamics seconds, and the allocation's
- * slot_feasibility maxima. */
+ * rounds' sweep and dynamics seconds, and (when params->traced) the
+ * allocation's slot_feasibility maxima. */
 i64 repro_bdma_slot(const repro_slot *s)
 {
     const repro_slot_params *p = s->params;
@@ -1160,8 +1161,9 @@ i64 repro_bdma_slot(const repro_slot *s)
                                   s->best_assign + I, totals);
     if (s->out_i[4] < 0) {
         s->out_i[6] = repro_shares_invalid(s->shares, 3 * I);
-        slot_feasibility(s, I, K, N, s->best_assign, s->best_assign + I,
-                         has_available, totals, s->out_f + 5);
+        if (p->traced)
+            slot_feasibility(s, I, K, N, s->best_assign, s->best_assign + I,
+                             has_available, totals, s->out_f + 5);
     }
     return 0;
 }

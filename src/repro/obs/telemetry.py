@@ -489,6 +489,7 @@ class MetricsRegistry:
         # name)`` of each of the row's values; flush ids of the streams
         # shipped; the folders' state.
         self._folds: list = []
+        self._fold_lock = threading.RLock()  # one fold at a time, in order
         self._records: list = []
         self._streams: dict = {}
         self._folders: dict = {}
@@ -502,7 +503,16 @@ class MetricsRegistry:
             self._records.append((stream, row, extras))
             if len(self._records) < _RECORDS_AT:
                 return
-        self._fold()
+        self._fold_if_idle()
+
+    def _fold_if_idle(self) -> None:
+        """Fold unless another thread is folding (which may be waiting
+        for the probe this thread is folding)."""
+        if self._fold_lock.acquire(blocking=False):
+            try:
+                self._fold_locked()
+            finally:
+                self._fold_lock.release()
 
     def _gather(self) -> None:
         for gather in self._folds:
@@ -528,6 +538,10 @@ class MetricsRegistry:
     def _fold(self) -> None:
         """Fold every pending record into the series it feeds: each run
         of one stream's records as one block of rows, in arrival order."""
+        with self._fold_lock:
+            self._fold_locked()
+
+    def _fold_locked(self) -> None:
         self._gather()
         with self._lock:
             pending, self._records = self._records, []
@@ -840,7 +854,7 @@ class MetricsRegistry:
             self._records.extend((None, streams, blob) for blob in delta["records"])
             if len(self._records) < _RECORDS_AT:
                 return
-        self._fold()
+        self._fold_if_idle()
 
     def _merged_histogram(
         self, name: str, help: str, bounds: "tuple[float, ...]"

@@ -11,13 +11,16 @@ chaos-injected run must give the same JSONL stream, alerts (with their
 slot ``t``), health, phase counts and registry.  The fused kernel's
 rows only exist on ``jit``, so each check runs on both backends.  An
 epoch-1 sharded registry equals the one recorded before the record
-existed, in-process and across resident workers, and an untraced
-controller never touches any of it.
+existed, in-process and across resident workers; an untraced
+controller never touches any of it; and scrape threads folding while a
+run writes leave the registry where an unscraped run leaves it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -201,3 +204,45 @@ def test_untraced_step_builds_no_record(monkeypatch, backend) -> None:
     untraced = run()
     assert untraced.latency.tolist() == reference.latency.tolist()
     assert untraced.cost.tolist() == reference.cost.tolist()
+
+
+def test_concurrent_scrapes_lose_no_update() -> None:
+    """Scrape threads folding the registry while a traced run writes
+    records: the registry ends where an unscraped run's does."""
+    scenario = repro.make_paper_scenario(5, config=repro.ScenarioConfig(num_devices=12))
+
+    def run(scrapers: int) -> dict:
+        registry = MetricsRegistry()
+        probe = Probe([TelemetrySink(registry)])
+        controller = repro.DPPController(
+            scenario.network,
+            scenario.controller_rng(),
+            v=100.0,
+            budget=scenario.budget,
+            tracer=probe,
+        )
+        stop = threading.Event()
+
+        def scrape() -> None:
+            while not stop.is_set():
+                registry.render_openmetrics()
+
+        threads = [threading.Thread(target=scrape) for _ in range(scrapers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            repro.run_simulation(
+                controller, scenario.fresh_states(200), budget=scenario.budget,
+                tracer=probe,
+            )
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        return _digest(registry)
+
+    assert run(4) == run(0)
