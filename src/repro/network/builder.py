@@ -21,10 +21,9 @@ from repro.network.topology import (
     EdgeServer,
     FronthaulType,
     MECNetwork,
-    MobileDevice,
     ServerCluster,
 )
-from repro.types import BoolArray, Rng
+from repro.types import BoolArray, FloatArray, Rng
 
 #: Core count of the CPU whose power curve we digitised; per-core scaling
 #: divides the fitted package power by this before multiplying by a
@@ -211,12 +210,9 @@ class NetworkBuilder:
             )
         return tuple(stations)
 
-    def _build_devices(self, rng: Rng) -> tuple[MobileDevice, ...]:
-        positions = rng.uniform(0.0, self.area_size, size=(self.num_devices, 2))
-        return tuple(
-            MobileDevice(index=i, position=(x, y))
-            for i, (x, y) in enumerate(positions.tolist())
-        )
+    def _build_devices(self, rng: Rng) -> FloatArray:
+        """``(I, 2)`` device positions, uniform over the area."""
+        return rng.uniform(0.0, self.area_size, size=(self.num_devices, 2))
 
 
 def build_paper_network(

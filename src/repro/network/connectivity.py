@@ -94,11 +94,6 @@ class StrategySpace:
         self._menus: list[IntArray] | None = None
         self._patterns: tuple[IntArray, list[IntArray]] | None = None
         self._flat = self._enumerate(coverage)
-        # Per-device views into the flat arrays.
-        bounds = self._flat.offsets.tolist()
-        spans = list(zip(bounds[:-1], bounds[1:]))
-        self._bs_choices = [self._flat.bs[a:b] for a, b in spans]
-        self._server_choices = [self._flat.server[a:b] for a, b in spans]
 
     def _enumerate(self, coverage: BoolArray) -> FlatStrategies:
         """Every device's feasible pairs, in one pass over ``coverage``.
@@ -144,7 +139,7 @@ class StrategySpace:
     @property
     def num_devices(self) -> int:
         """Number of devices the space was built for."""
-        return len(self._bs_choices)
+        return self._flat.counts.size
 
     def flat(self) -> FlatStrategies:
         """The concatenated candidate arrays (built at construction)."""
@@ -203,12 +198,17 @@ class StrategySpace:
         return self._patterns
 
     def pairs(self, device: int) -> tuple[IntArray, IntArray]:
-        """Feasible strategies of *device* as parallel (bs, server) arrays."""
-        return self._bs_choices[device], self._server_choices[device]
+        """Feasible strategies of *device* as parallel (bs, server) arrays.
+
+        Views of :meth:`flat`'s arrays over the device's offsets.
+        """
+        flat = self._flat
+        span = slice(flat.offsets[device], flat.offsets[device + 1])
+        return flat.bs[span], flat.server[span]
 
     def num_strategies(self, device: int) -> int:
         """Size of ``Z_i`` for *device*."""
-        return int(self._bs_choices[device].size)
+        return int(self._flat.counts[device])
 
     def contains(self, device: int, bs: int, server: int) -> bool:
         """Whether (bs, server) is a feasible strategy for *device*."""
@@ -288,8 +288,8 @@ def to_networkx_graph(
     import networkx as nx
 
     graph = nx.Graph()
-    for d in network.devices:
-        graph.add_node(f"D{d.index}", kind="device", pos=d.position)
+    for i, (x, y) in enumerate(network.device_positions().tolist()):
+        graph.add_node(f"D{i}", kind="device", pos=(x, y))
     for b in network.base_stations:
         graph.add_node(f"B{b.index}", kind="bs", pos=b.position)
     for c in network.clusters:

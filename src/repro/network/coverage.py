@@ -6,6 +6,11 @@ import numpy as np
 
 from repro.types import BoolArray, FloatArray
 
+#: Devices per block of the coverage passes: each block's scratch is
+#: ``ROW_BLOCK x K`` doubles, so no full ``(I, K)`` distance matrix is
+#: ever allocated.
+ROW_BLOCK = 1024
+
 
 def distances(device_positions: FloatArray, bs_positions: FloatArray) -> FloatArray:
     """Pairwise Euclidean distances, shape ``(I, K)``.
@@ -38,8 +43,16 @@ def coverage_matrix(
     A device may be covered by several base stations (overlapping cells of
     different sizes, per the paper's Fig. 1), or by none -- callers decide
     how to handle uncovered devices (the scenario builder guarantees
-    coverage; the validator reports violations).
+    coverage; the validator reports violations).  Distances are taken
+    :data:`ROW_BLOCK` devices at a time; each entry is computed exactly
+    as :func:`distances` computes it.
     """
-    dist = distances(device_positions, bs_positions)
+    device_positions = np.asarray(device_positions, dtype=np.float64)
     radii = np.asarray(coverage_radii, dtype=np.float64)
-    return dist <= radii[None, :]
+    covered = np.empty((len(device_positions), radii.size), dtype=bool)
+    for start in range(0, len(device_positions), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        np.less_equal(
+            distances(device_positions[rows], bs_positions), radii, out=covered[rows]
+        )
+    return covered

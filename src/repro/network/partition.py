@@ -30,13 +30,14 @@ and merge results.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.network.coverage import distances
+from repro.network.coverage import ROW_BLOCK, distances
 from repro.network.topology import FronthaulType, MECNetwork, MobileDevice
 from repro.network.validation import validate_network
 from repro.types import FloatArray, Rng
@@ -68,12 +69,24 @@ class Cell:
         return len(self.devices)
 
 
+#: Member kinds of a :class:`Cell`: field, noun for error messages, and
+#: the :class:`MECNetwork` size property bounding its indices.
+_KINDS = (
+    ("base_stations", "base station", "num_base_stations"),
+    ("clusters", "cluster", "num_clusters"),
+    ("servers", "server", "num_servers"),
+    ("devices", "device", "num_devices"),
+)
+
+
 @dataclass(frozen=True)
 class CellPlan:
-    """A complete partition of a network into disjoint cells.
+    """A partition of a network into disjoint cells.
 
-    Every base station, cluster, server, and device appears in exactly
-    one cell (asserted at construction).  ``latency_score`` is the mean
+    No base station, cluster, server, or device appears in more than one
+    cell (asserted at construction); :meth:`check_covers` asserts that
+    every entity of a given network is in some cell, which is what the
+    sharded engine requires of the plan it runs.  ``latency_score`` is the mean
     distance of base stations to their cell centroid (the placement
     literature's access-latency proxy) and ``balance_score`` the
     coefficient of variation of per-cell device counts; ``score`` is
@@ -88,16 +101,47 @@ class CellPlan:
     def __post_init__(self) -> None:
         if not self.cells:
             raise ConfigurationError("a CellPlan needs at least one cell")
-        for kind in ("base_stations", "clusters", "servers", "devices"):
-            seen: set[int] = set()
-            for cell in self.cells:
-                members = set(getattr(cell, kind))
-                if seen & members:
-                    raise ConfigurationError(
-                        f"{kind} {sorted(seen & members)} appear in "
-                        "multiple cells"
-                    )
-                seen |= members
+        for kind, _, _ in _KINDS:
+            counts = self._membership(kind)
+            if (counts > 1).any():
+                raise ConfigurationError(
+                    f"{kind} {np.flatnonzero(counts > 1).tolist()} appear in "
+                    "multiple cells"
+                )
+
+    def _membership(self, kind: str, size: int = 0) -> np.ndarray:
+        """How many cells hold each index of *kind* (at least *size* long)."""
+        members = [getattr(cell, kind) for cell in self.cells]
+        flat = np.fromiter(
+            itertools.chain.from_iterable(members),
+            dtype=np.int64,
+            count=sum(map(len, members)),
+        )
+        if flat.size and flat.min() < 0:
+            raise ConfigurationError(f"{kind} index {flat.min()} is negative")
+        return np.bincount(flat, minlength=size)
+
+    def check_covers(self, network: MECNetwork) -> None:
+        """Raise unless every entity of *network* is in exactly one cell.
+
+        Raises:
+            ConfigurationError: Naming the first entity the plan leaves
+                out, or an index beyond *network*'s entities.
+        """
+        for kind, noun, num in _KINDS:
+            size = getattr(network, num)
+            counts = self._membership(kind, size)
+            if counts.size > size:
+                raise ConfigurationError(
+                    f"the cell plan names {noun} {counts.size - 1} but "
+                    f"{network!r} has {size}"
+                )
+            missing = np.flatnonzero(counts == 0)
+            if missing.size:
+                raise ConfigurationError(
+                    f"{noun} {missing[0]} is in no cell of the plan; a plan "
+                    "must cover every entity of the network it splits"
+                )
 
     @property
     def num_cells(self) -> int:
@@ -183,18 +227,24 @@ def _nearest_covering_station(network: MECNetwork) -> np.ndarray:
 
     It does not depend on the cell assignment, so
     :func:`partition_cells` computes it once per call; a device's cell
-    is then ``bs_cell[nearest]``.
+    is then ``bs_cell[nearest]``.  Devices are taken
+    :data:`~repro.network.coverage.ROW_BLOCK` at a time.
     """
-    dist = distances(network.device_positions(), network.base_station_positions())
+    positions = network.device_positions()
+    bs_positions = network.base_station_positions()
     radii = np.array([b.coverage_radius for b in network.base_stations])
-    dist[~(dist <= radii[None, :])] = np.inf
-    nearest = dist.argmin(axis=1)
-    uncovered = np.flatnonzero(np.isinf(dist[np.arange(len(dist)), nearest]))
-    if uncovered.size:
-        raise ConfigurationError(
-            f"device {uncovered[0]} is covered by no base station; "
-            "partition a validated network"
-        )
+    nearest = np.empty(len(positions), dtype=np.intp)
+    for start in range(0, len(positions), ROW_BLOCK):
+        dist = distances(positions[start : start + ROW_BLOCK], bs_positions)
+        dist[~(dist <= radii[None, :])] = np.inf
+        block = dist.argmin(axis=1)
+        uncovered = np.flatnonzero(np.isinf(dist[np.arange(len(dist)), block]))
+        if uncovered.size:
+            raise ConfigurationError(
+                f"device {start + uncovered[0]} is covered by no base station; "
+                "partition a validated network"
+            )
+        nearest[start : start + ROW_BLOCK] = block
     return nearest
 
 
@@ -254,6 +304,18 @@ def _merge_empty_cells(
             cluster_cell = np.where(cluster_cell == c, target, cluster_cell)
 
 
+def _group(labels: np.ndarray, present: list[int]) -> list[tuple[int, ...]]:
+    """Indices carrying each label of *present*, ascending within each.
+
+    One stable argsort splits every label's members at once.
+    """
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    starts = np.searchsorted(ranked, present, side="left").tolist()
+    ends = np.searchsorted(ranked, present, side="right").tolist()
+    return [tuple(order[a:b].tolist()) for a, b in zip(starts, ends)]
+
+
 def _build_plan(
     network: MECNetwork,
     bs_cell: np.ndarray,
@@ -263,25 +325,23 @@ def _build_plan(
     balance_weight: float,
 ) -> CellPlan:
     """Assemble (renumbered) cells and score the partition."""
-    present = sorted(int(c) for c in np.unique(bs_cell))
-    cells = []
-    for local, c in enumerate(present):
-        clusters = tuple(int(m) for m in np.flatnonzero(cluster_cell == c))
-        servers = tuple(
-            int(s)
-            for s in np.flatnonzero(np.isin(network.server_cluster, clusters))
+    present = np.unique(bs_cell).tolist()
+    members = zip(
+        _group(bs_cell, present),
+        _group(cluster_cell, present),
+        _group(cluster_cell[network.server_cluster], present),
+        _group(device_cell, present),
+    )
+    cells = [
+        Cell(
+            index=local,
+            base_stations=base_stations,
+            clusters=clusters,
+            servers=servers,
+            devices=devices,
         )
-        cells.append(
-            Cell(
-                index=local,
-                base_stations=tuple(
-                    int(k) for k in np.flatnonzero(bs_cell == c)
-                ),
-                clusters=clusters,
-                servers=servers,
-                devices=tuple(np.flatnonzero(device_cell == c).tolist()),
-            )
-        )
+        for local, (base_stations, clusters, servers, devices) in enumerate(members)
+    ]
     bs_positions = network.base_station_positions()
     scale = float(
         np.linalg.norm(bs_positions.max(axis=0) - bs_positions.min(axis=0))
@@ -416,12 +476,8 @@ def extract_subnetwork(
         ConfigurationError: The cell references unknown entities or a
             wired station's cluster is outside the cell.
     """
-    for kind, bound in (
-        ("base_stations", network.num_base_stations),
-        ("clusters", network.num_clusters),
-        ("servers", network.num_servers),
-        ("devices", network.num_devices),
-    ):
+    for kind, _, num in _KINDS:
+        bound = getattr(network, num)
         members = getattr(cell, kind)
         if not members:
             raise ConfigurationError(f"cell {cell.index} has no {kind}")
@@ -465,14 +521,15 @@ def extract_subnetwork(
         )
         for local, g in enumerate(cell.servers)
     )
-    parent_devices = network.devices
-    devices = tuple(
-        MobileDevice(local, parent_devices[g].position, parent_devices[g].name)
-        for local, g in enumerate(cell.devices)
-    )
-    suitability = network.suitability[
-        np.ix_(np.array(cell.devices), np.array(cell.servers))
-    ]
+    rows = np.array(cell.devices)
+    devices = network.device_positions()[rows]
+    names = network.device_names
+    if names is not None:
+        devices = tuple(
+            MobileDevice(local, (x, y), names[g])
+            for local, (g, (x, y)) in enumerate(zip(cell.devices, devices.tolist()))
+        )
+    suitability = network.suitability[np.ix_(rows, np.array(cell.servers))]
     subnetwork = MECNetwork(
         base_stations=tuple(base_stations),
         clusters=clusters,

@@ -15,7 +15,9 @@ cycles/second including the core count.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,10 +87,15 @@ class BaseStation:
         return self.name or f"BS{self.index}"
 
     def covers(self, position: tuple[float, float]) -> bool:
-        """Whether a device at *position* is inside this station's cell."""
+        """Whether a device at *position* is inside this station's cell.
+
+        The same rule, operation for operation, as
+        :func:`~repro.network.coverage.coverage_matrix`, so the two agree
+        on boundary points.
+        """
         dx = position[0] - self.position[0]
         dy = position[1] - self.position[1]
-        return dx * dx + dy * dy <= self.coverage_radius * self.coverage_radius
+        return math.sqrt(dx * dx + dy * dy) <= self.coverage_radius
 
 
 @dataclass(frozen=True)
@@ -188,11 +195,16 @@ class MECNetwork:
     change across time slots.  Per-slot state (channel conditions, task
     sizes, prices) lives in :class:`repro.core.state.SlotState`.
 
+    Devices are kept as one read-only ``(I, 2)`` position array (plus
+    their names, when any device has one); :attr:`devices` builds the
+    :class:`MobileDevice` objects only when read.
+
     Args:
         base_stations: The ``K`` base stations, ordered by index.
         clusters: The ``M`` server rooms, ordered by index.
         servers: The ``N`` edge servers, ordered by index.
-        devices: The ``I`` mobile devices, ordered by index.
+        devices: The ``I`` mobile devices, ordered by index, or an
+            ``(I, 2)`` array of their positions (unnamed devices).
         suitability: ``(I, N)`` matrix of ``sigma_{i,n}`` in ``(0, 1]``.
     """
 
@@ -201,13 +213,33 @@ class MECNetwork:
         base_stations: tuple[BaseStation, ...],
         clusters: tuple[ServerCluster, ...],
         servers: tuple[EdgeServer, ...],
-        devices: tuple[MobileDevice, ...],
+        devices: tuple[MobileDevice, ...] | FloatArray,
         suitability: FloatArray,
     ) -> None:
         self.base_stations = tuple(base_stations)
         self.clusters = tuple(clusters)
         self.servers = tuple(servers)
-        self.devices = tuple(devices)
+        #: Per-device names, or ``None`` when no device has one.
+        self.device_names: tuple[str, ...] | None = None
+        if isinstance(devices, np.ndarray):
+            positions = np.array(devices, dtype=np.float64)
+            if positions.ndim != 2 or positions.shape[1:] != (2,):
+                raise TopologyError(
+                    f"device positions must have shape (I, 2), got {positions.shape}"
+                )
+        else:
+            devices = tuple(devices)
+            self._check_indices(devices, "device")
+            # Seed the cached property: the caller's objects are the devices.
+            self.__dict__["devices"] = devices
+            positions = np.array(
+                [d.position for d in devices], dtype=np.float64
+            ).reshape(len(devices), 2)
+            if any(d.name for d in devices):
+                self.device_names = tuple(d.name for d in devices)
+        # Read-only: device_positions() hands out this one array.
+        positions.flags.writeable = False
+        self._device_positions = positions
         self.suitability = as_float_array(suitability, "suitability")
         self._check_structure()
 
@@ -236,11 +268,6 @@ class MECNetwork:
         #: any model is not a (scaled) quadratic.  Read by P2-B's search
         #: lanes and by :func:`repro.core.drift_penalty.energy_cost`.
         self.energy_table = quadratic_energy_table(self.energy_models())
-        # Read-only: device_positions() hands out this one array.
-        self._device_positions = np.array(
-            [d.position for d in self.devices], dtype=np.float64
-        )
-        self._device_positions.flags.writeable = False
 
         # servers_by_bs[k] -- indices of servers reachable through B_k.
         self._servers_by_bs: list[np.ndarray] = []
@@ -270,7 +297,18 @@ class MECNetwork:
     @property
     def num_devices(self) -> int:
         """``I``."""
-        return len(self.devices)
+        return len(self._device_positions)
+
+    @cached_property
+    def devices(self) -> tuple[MobileDevice, ...]:
+        """The ``I`` mobile devices, built from the positions on first read."""
+        names = self.device_names or ("",) * self.num_devices
+        return tuple(
+            MobileDevice(i, (x, y), name)
+            for i, ((x, y), name) in enumerate(
+                zip(self._device_positions.tolist(), names)
+            )
+        )
 
     # -- derived quantities ----------------------------------------------
 
@@ -301,20 +339,25 @@ class MECNetwork:
 
     # -- internal ----------------------------------------------------------
 
+    @staticmethod
+    def _check_indices(seq: tuple, kind: str) -> None:
+        if not seq:
+            raise TopologyError(f"network has no {kind}s")
+        for pos, item in enumerate(seq):
+            if item.index != pos:
+                raise TopologyError(
+                    f"{kind} at position {pos} carries index {item.index}"
+                )
+
     def _check_structure(self) -> None:
         for seq, kind in (
             (self.base_stations, "base station"),
             (self.clusters, "cluster"),
             (self.servers, "server"),
-            (self.devices, "device"),
         ):
-            if not seq:
-                raise TopologyError(f"network has no {kind}s")
-            for pos, item in enumerate(seq):
-                if item.index != pos:
-                    raise TopologyError(
-                        f"{kind} at position {pos} carries index {item.index}"
-                    )
+            self._check_indices(seq, kind)
+        if not self.num_devices:
+            raise TopologyError("network has no devices")
         n_clusters = len(self.clusters)
         for bs in self.base_stations:
             for c in bs.connected_clusters:
@@ -334,7 +377,7 @@ class MECNetwork:
                 raise TopologyError(
                     f"{server.label} is missing from its cluster's server list"
                 )
-        expected = (len(self.devices), len(self.servers))
+        expected = (self.num_devices, len(self.servers))
         if self.suitability.shape != expected:
             raise TopologyError(
                 f"suitability must have shape {expected}, got {self.suitability.shape}"

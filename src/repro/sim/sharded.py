@@ -182,11 +182,15 @@ def shard_scenarios(scenario: Scenario, plan: CellPlan) -> list[Scenario]:
     by target with local indices).
 
     Raises:
-        ConfigurationError: A *multi-cell* plan was requested for a
-            scenario using features the sharded engine cannot split
-            (mobility, an unsliceable task generator); the message
-            names every offending feature and the working alternative.
+        ConfigurationError: The plan leaves an entity of the scenario's
+            network out of every cell
+            (:meth:`~repro.network.partition.CellPlan.check_covers`), or
+            a *multi-cell* plan was requested for a scenario using
+            features the sharded engine cannot split (mobility, an
+            unsliceable task generator); the message names every
+            offending feature and the working alternative.
     """
+    plan.check_covers(scenario.network)
     if plan.num_cells == 1:
         return [scenario]
     _check_shardable(scenario)

@@ -51,11 +51,11 @@ class TaskGenerator(abc.ABC):
         )
 
 
-def _check_subset(indices, num_devices: int) -> list[int]:
-    indices = [int(i) for i in indices]
-    if not indices:
+def _check_subset(indices, num_devices: int) -> np.ndarray:
+    indices = np.asarray(indices, dtype=np.int64)
+    if not indices.size:
         raise ConfigurationError("subset needs at least one device")
-    if any(not 0 <= i < num_devices for i in indices):
+    if indices.min() < 0 or indices.max() >= num_devices:
         raise ConfigurationError(
             f"subset indices out of range for {num_devices} devices"
         )

@@ -169,12 +169,11 @@ class TestFlatConstruction:
             space = StrategySpace(network, coverage, available)
             bs_choices, server_choices = expected
             assert space.num_devices == len(bs_choices)
-            for ours, theirs in zip(space._bs_choices, bs_choices):
-                assert ours.dtype == np.int64
-                np.testing.assert_array_equal(ours, theirs)
-            for ours, theirs in zip(space._server_choices, server_choices):
-                assert ours.dtype == np.int64
-                np.testing.assert_array_equal(ours, theirs)
+            for i, want in enumerate(zip(bs_choices, server_choices)):
+                assert space.num_strategies(i) == want[0].size
+                for ours, theirs in zip(space.pairs(i), want):
+                    assert ours.dtype == np.int64
+                    np.testing.assert_array_equal(ours, theirs)
             flat = space.flat()
             counts = np.array([c.size for c in bs_choices], dtype=np.int64)
             offsets = np.concatenate([[0], np.cumsum(counts)])

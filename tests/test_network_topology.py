@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.energy.models import QuadraticEnergyModel
 from repro.exceptions import ConfigurationError, TopologyError
+from repro.network.coverage import coverage_matrix
 from repro.network.topology import (
     BaseStation,
     EdgeServer,
@@ -42,6 +46,42 @@ class TestBaseStation:
         assert bs.covers((50.0, 50.0))
         assert bs.covers((100.0, 0.0))
         assert not bs.covers((100.0, 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        center=st.tuples(
+            st.floats(-1e4, 1e4, allow_nan=False),
+            st.floats(-1e4, 1e4, allow_nan=False),
+        ),
+        radius=st.floats(1e-3, 1e4),
+        angle=st.floats(0.0, 2 * math.pi),
+    )
+    def test_covers_agrees_with_coverage_matrix_on_the_circle(
+        self, center, radius, angle
+    ) -> None:
+        bs = make_bs(position=center, coverage_radius=radius)
+        point = (
+            center[0] + radius * math.cos(angle),
+            center[1] + radius * math.sin(angle),
+        )
+        covered = coverage_matrix(
+            np.array([point]), np.array([center]), np.array([radius])
+        )
+        assert bs.covers(point) == bool(covered[0, 0])
+
+    def test_covers_boundary_point_uses_the_simulator_rule(self) -> None:
+        # Comparing squared distances puts this point outside the cell;
+        # the simulator's sqrt(dx*dx + dy*dy) <= r puts it inside.
+        bs = make_bs(
+            position=(750.3646726300526, 280.4087579860399),
+            coverage_radius=491.33173991055736,
+        )
+        point = (261.15834979203225, 326.06018007602745)
+        covered = coverage_matrix(
+            np.array([point]), np.array([bs.position]), np.array([bs.coverage_radius])
+        )
+        assert covered[0, 0]
+        assert bs.covers(point)
 
     def test_wired_must_connect_single_cluster(self) -> None:
         with pytest.raises(ConfigurationError, match="wired"):
